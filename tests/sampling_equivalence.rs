@@ -685,6 +685,280 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
     );
 }
 
+/// One full-participation trajectory pin: the head of the final params,
+/// their sum, the γ trace and the curve's test accuracies.
+struct TrajectoryPin {
+    label: &'static str,
+    head: [f32; 4],
+    sum: f32,
+    gamma: &'static [(usize, f32)],
+    accuracy: &'static [f64],
+}
+
+/// Hard-coded trajectories of every full-participation spelling: dropout
+/// with mid-round evaluation, a Byzantine worker, a depth-4 tree, a
+/// dropout stop/resume, and the `ClientSampling::Full` virtual paths at
+/// depth 3 and 4. The delegation gates above compare two spellings of one
+/// run; these literals pin the trajectory itself.
+#[test]
+fn full_participation_trajectories_are_pinned() {
+    use common::tiered_fixture;
+    use hieradmo::core::{run_resumed, run_until};
+    use hieradmo::netsim::ByzantineWorker;
+
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+
+    let dropout = sim_fixture(0.1);
+    let dropout_model = zoo::logistic_regression(&dropout.train, 7);
+    let dropout_run = run(
+        &algo,
+        &dropout_model,
+        &dropout.hierarchy,
+        &dropout.shards,
+        &dropout.test,
+        &dropout.cfg,
+    )
+    .unwrap();
+
+    let f = sim_fixture(0.0);
+    let model = zoo::logistic_regression(&f.train, 7);
+    let byzantine_cfg = RunConfig {
+        adversary: AdversaryPlan {
+            byzantine: vec![ByzantineWorker {
+                worker: 1,
+                attack: AttackModel::GaussianNoise { norm: 4.0 },
+            }],
+        },
+        ..f.cfg.clone()
+    };
+    let byzantine_run = run(
+        &algo,
+        &model,
+        &f.hierarchy,
+        &f.shards,
+        &f.test,
+        &byzantine_cfg,
+    )
+    .unwrap();
+
+    let deep = TierTree::new(vec![
+        TierSpec::new(2, 2),
+        TierSpec::new(2, 2),
+        TierSpec::new(2, 5),
+    ])
+    .unwrap();
+    let tf = tiered_fixture(&deep);
+    let tiered_model = zoo::logistic_regression(&tf.train, 7);
+    let tiered_run =
+        run_tiered(&algo, &tiered_model, &deep, &tf.shards, &tf.test, &tf.cfg).unwrap();
+
+    let resume_cfg = RunConfig {
+        total_iters: 40,
+        dropout: 0.3,
+        ..f.cfg.clone()
+    };
+    let (_, snap) = run_until(
+        &algo,
+        &model,
+        &f.hierarchy,
+        &f.shards,
+        &f.test,
+        &resume_cfg,
+        15,
+    )
+    .unwrap();
+    let resumed_run = run_resumed(
+        &algo,
+        &model,
+        &f.hierarchy,
+        &f.shards,
+        &f.test,
+        &resume_cfg,
+        &snap,
+    )
+    .unwrap();
+
+    let full_cfg = RunConfig {
+        sampling: ClientSampling::Full,
+        ..f.cfg.clone()
+    };
+    let population = WorkerPopulation::from_hierarchy(&f.hierarchy, 4).unwrap();
+    let virtual_run =
+        run_virtual(&algo, &model, &population, &f.shards, &f.test, &full_cfg).unwrap();
+
+    let matrix_tree = sampled_matrix_trees()[1].clone();
+    let sf = sampled_tier_fixture(&matrix_tree);
+    let sf_cfg = RunConfig {
+        sampling: ClientSampling::Full,
+        ..sf.cfg.clone()
+    };
+    let sf_model = zoo::logistic_regression(&sf.train, 7);
+    let virtual_tiered_run = run_virtual_tiered(
+        &algo,
+        &sf_model,
+        &sf.population,
+        &sf.shards,
+        &sf.test,
+        &sf_cfg,
+        &matrix_tree,
+    )
+    .unwrap();
+
+    let runs = [
+        dropout_run,
+        byzantine_run,
+        tiered_run,
+        resumed_run,
+        virtual_run,
+        virtual_tiered_run,
+    ];
+    let pins = [
+        TrajectoryPin {
+            label: "run, dropout 0.1 with mid-round evaluation",
+            head: [0.028777823, -0.052074216, 0.05256486, 0.07699919],
+            sum: 2.333168,
+            gamma: &[
+                (1, 0.095273435),
+                (2, 0.06406119),
+                (3, 0.09576114),
+                (4, 0.0790912),
+            ],
+            accuracy: &[
+                0.44666666666666666,
+                0.61,
+                0.67,
+                0.7266666666666667,
+                0.7233333333333334,
+                0.7366666666666667,
+                0.7466666666666667,
+            ],
+        },
+        TrajectoryPin {
+            label: "run, one Byzantine worker",
+            head: [0.052380387, -0.00068881875, 0.026559204, 0.1286314],
+            sum: 4.963927,
+            gamma: &[
+                (1, 0.121067144),
+                (2, 0.056922566),
+                (3, 0.095897675),
+                (4, 0.049456052),
+            ],
+            accuracy: &[
+                0.5,
+                0.5566666666666666,
+                0.6233333333333333,
+                0.6833333333333333,
+                0.7133333333333334,
+                0.7433333333333333,
+                0.7466666666666667,
+            ],
+        },
+        TrajectoryPin {
+            label: "run_tiered, depth 4",
+            head: [0.0138648525, -0.053245462, 0.043983594, 0.059366744],
+            sum: 2.3331718,
+            gamma: &[
+                (1, 0.10957291),
+                (2, 0.08118728),
+                (3, 0.091483586),
+                (4, 0.08627397),
+                (5, 0.09904812),
+                (6, 0.07900146),
+                (7, 0.09252185),
+                (8, 0.0856162),
+            ],
+            accuracy: &[
+                0.5666666666666667,
+                0.7466666666666667,
+                0.7966666666666666,
+                0.87,
+                0.9,
+                0.91,
+                0.94,
+                0.95,
+                0.9533333333333334,
+                0.9533333333333334,
+                0.9566666666666667,
+                0.9566666666666667,
+                0.96,
+                0.96,
+            ],
+        },
+        TrajectoryPin {
+            label: "run_until(15) then run_resumed, dropout 0.3",
+            head: [0.031559035, -0.05247187, 0.049073473, 0.06997949],
+            sum: 2.3331804,
+            gamma: &[
+                (4, 0.08124455),
+                (5, 0.06995585),
+                (6, 0.055444866),
+                (7, 0.07454007),
+                (8, 0.09183618),
+            ],
+            accuracy: &[
+                0.7466666666666667,
+                0.7466666666666667,
+                0.75,
+                0.75,
+                0.7566666666666667,
+                0.7533333333333333,
+                0.7633333333333333,
+                0.76,
+                0.7633333333333333,
+            ],
+        },
+        TrajectoryPin {
+            label: "run_virtual, ClientSampling::Full",
+            head: [0.03515575, -0.050379474, 0.04993718, 0.074313],
+            sum: 2.3331656,
+            gamma: &[
+                (1, 0.121067144),
+                (2, 0.06335868),
+                (3, 0.114977695),
+                (4, 0.07499851),
+            ],
+            accuracy: &[
+                0.5,
+                0.6133333333333333,
+                0.6833333333333333,
+                0.7266666666666667,
+                0.7233333333333334,
+                0.74,
+                0.7566666666666667,
+            ],
+        },
+        TrajectoryPin {
+            label: "run_virtual_tiered, ClientSampling::Full, depth 4",
+            head: [0.17248082, -0.2678947, 0.3239743, 0.5667355],
+            sum: 3.5267532,
+            gamma: &[
+                (1, 0.0),
+                (2, 0.010320409),
+                (3, 0.036462042),
+                (4, 0.10985366),
+                (5, 0.124926165),
+                (6, 0.16474836),
+                (7, 0.19876379),
+                (8, 0.20314208),
+            ],
+            accuracy: &[0.890625, 1.0],
+        },
+    ];
+    for (r, pin) in runs.iter().zip(&pins) {
+        let label = pin.label;
+        assert_eq!(
+            &r.final_params.as_slice()[..4],
+            &pin.head,
+            "{label}: params head moved"
+        );
+        let sum: f32 = r.final_params.as_slice().iter().sum();
+        assert_eq!(sum, pin.sum, "{label}: param sum moved");
+        assert_eq!(r.gamma_trace, pin.gamma, "{label}: gamma trace moved");
+        let accuracy: Vec<f64> = r.curve.points().iter().map(|p| p.test_accuracy).collect();
+        assert_eq!(accuracy, pin.accuracy, "{label}: curve accuracies moved");
+    }
+}
+
 /// Floyd's without-replacement sampler is (empirically) uniform: over
 /// 4000 rounds of 5-of-20 cohorts, each worker's selection count sits
 /// within a chi-square bound of the expected 1000. Deterministic — the

@@ -1,6 +1,10 @@
-//! The simulation engine: walks the aggregation schedule, runs worker
-//! steps on a persistent worker pool, fires the strategy's aggregation
-//! hooks, and records a convergence curve.
+//! The tick-driven engine: one training loop, `run_span`, behind every
+//! `core` entry point. It walks Algorithm 1 — local steps, edge
+//! aggregation every `τ`, middle tiers at their boundaries, the root every
+//! `τ·π`, evaluation every `eval_every` — on a persistent worker pool, and
+//! records a convergence curve. Who takes part is the private
+//! `Participants` enum: the workers of a materialized hierarchy, or
+//! cohorts sampled per round from a virtual population.
 //!
 //! Parallelism is governed by [`RunConfig::resolved_threads`]. The engine
 //! chunks every phase — local steps, per-edge aggregation, evaluation — in
@@ -10,14 +14,15 @@
 use std::error::Error;
 use std::fmt;
 use std::mem;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, EvalPoint, TopologyCounters};
-use hieradmo_models::{EvalSums, Model};
+use hieradmo_models::{Evaluation, Model};
 use hieradmo_netsim::adversary::{AdversarySampler, AttackModel};
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, Schedule, ScheduleError, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, ScheduleError, TierAggregation, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,9 +34,14 @@ use crate::config::RunConfig;
 /// exact f64 partial-sum reduction order.
 pub use crate::pool::EVAL_CHUNK;
 use crate::pool::{
-    chunk, EdgeItem, EvalChunk, EvalTarget, ExecCtx, Job, Pool, Reply, StepCtx, StepItem,
+    chunk, eval_chunks, evaluate_chunks, reduce_eval, EdgeItem, ExecCtx, Job, Pool, Reply, StepCtx,
+    StepItem,
 };
-use crate::state::{EdgeState, FlState, WorkerState};
+use crate::population::{
+    adversary_stream, batcher_seed, cohort_dropout_mask, materialize_edge_cohort,
+    virtual_global_params, CohortSampler, WorkerPopulation,
+};
+use crate::state::{EdgeState, FlState, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
 
 /// Errors a run can fail with before any training happens.
@@ -134,9 +144,13 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Per-phase wall-clock breakdown of `elapsed`.
     pub timings: PhaseTimings,
-    /// Per-worker Byzantine corruption tallies, indexed like the
-    /// hierarchy's workers. All-zero (but still one entry per worker)
-    /// when [`RunConfig::adversary`](crate::RunConfig) is empty.
+    /// Byzantine corruption tallies. Materialized runs ([`run`] and its
+    /// variants, and full-participation virtual runs) index them by flat
+    /// worker, one entry per worker; sampled virtual runs
+    /// ([`crate::population::run_virtual`]) by entry of
+    /// [`RunConfig::adversary`](crate::RunConfig); elastic runs
+    /// ([`crate::elastic::run_elastic`]) by registered uid. Entries of
+    /// honest workers stay all-zero.
     pub adversaries: Vec<AdversaryCounters>,
     /// Churn tallies from the elastic topology layer
     /// ([`crate::elastic::run_elastic`]). All-zero on frozen-tree runs.
@@ -176,8 +190,10 @@ where
     run_span(
         strategy,
         model,
-        hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
         None,
@@ -220,13 +236,15 @@ where
     run_span(
         strategy,
         model,
-        &hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy: &hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
-        None,
-        None,
         Some(tree),
+        None,
+        None,
     )
     .map(|(result, _)| result)
 }
@@ -256,13 +274,15 @@ where
     let (result, snapshot) = run_span(
         strategy,
         model,
-        &hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy: &hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
+        Some(tree),
         None,
         Some(stop_at),
-        Some(tree),
     )?;
     Ok((
         result,
@@ -296,13 +316,15 @@ where
     run_span(
         strategy,
         model,
-        &hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy: &hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
+        Some(tree),
         Some(snapshot),
         None,
-        Some(tree),
     )
     .map(|(result, _)| result)
 }
@@ -335,13 +357,15 @@ where
     let (result, snapshot) = run_span(
         strategy,
         model,
-        hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
         None,
-        Some(stop_at),
         None,
+        Some(stop_at),
     )?;
     Ok((
         result,
@@ -379,32 +403,313 @@ where
     run_span(
         strategy,
         model,
-        hierarchy,
-        worker_data,
+        Participants::Registered {
+            hierarchy,
+            worker_data,
+        },
         test_data,
         cfg,
-        Some(snapshot),
         None,
+        Some(snapshot),
         None,
     )
     .map(|(result, _)| result)
 }
 
-/// The shared engine behind [`run`], [`run_until`], [`run_resumed`] and
-/// the elastic runner's epoch segments (`crate::elastic`): optionally
-/// starts from a mid-run snapshot (`resume`), optionally stops at an edge
-/// boundary (`stop_at`, which also makes it return the state there).
+/// Who takes part in a span of the tick loop: the only thing that differs
+/// between a materialized run and a sampled one.
+pub(crate) enum Participants<'a> {
+    /// Full participation: every hierarchy worker steps every tick and
+    /// keeps its state and streams for the whole span — a batcher seeded
+    /// `seed + i`, the run-wide dropout RNG drawn tick by tick in flat
+    /// order, and a persistent adversary sampler per Byzantine worker,
+    /// tallied per worker. A resumed span replays these streams over the
+    /// trained prefix.
+    Registered {
+        hierarchy: &'a Hierarchy,
+        worker_data: &'a [Dataset],
+    },
+    /// Per-round client sampling over a virtual population: each round,
+    /// every edge draws a cohort into its slots
+    /// ([`materialize_edge_cohort`]), and every batch, dropout and
+    /// adversary stream re-derives from `(seed, worker, round)`, tallied
+    /// per adversary plan entry. Nothing needs replaying on resume.
+    Sampled {
+        population: &'a WorkerPopulation,
+        shards: &'a [Dataset],
+        shard_sizes: Vec<u64>,
+        sampler: CohortSampler,
+        /// Global id of each slot's occupant this round, flat order.
+        slot_ids: Vec<u64>,
+    },
+}
+
+/// A Byzantine slot's attack, adversary stream and tally index.
+type Adversary = (AttackModel, AdversarySampler, usize);
+
+/// The federation a span runs, laid out by [`Participants::layout`].
+struct Layout<'a> {
+    hierarchy: Hierarchy,
+    weights: Weights,
+    /// The tier tree to attach; a sampled run gets its cohort sub-tree.
+    tree: Option<TierTree>,
+    /// The datasets step contexts index into.
+    data: &'a [Dataset],
+    /// Per-slot step contexts; sampled slots get theirs each round.
+    ctxs: Vec<Option<StepCtx>>,
+    /// Per-slot adversaries; sampled slots get theirs each round.
+    adversaries: Vec<Option<Adversary>>,
+    /// Number of adversary tallies in the result.
+    tallies: usize,
+}
+
+impl<'a> Participants<'a> {
+    /// Checks the participants against `cfg` and lays out the federation
+    /// the loop runs.
+    fn layout(&self, cfg: &RunConfig, tiers: Option<&TierTree>) -> Result<Layout<'a>, RunError> {
+        let registered = match *self {
+            Participants::Registered { hierarchy, .. } => hierarchy.num_workers() as u64,
+            Participants::Sampled { population, .. } => population.total_workers(),
+        };
+        if let Some(b) = cfg
+            .adversary
+            .byzantine
+            .iter()
+            .find(|b| b.worker as u64 >= registered)
+        {
+            return Err(RunError::BadConfig(format!(
+                "adversary plan marks worker {} Byzantine, but the run registers only \
+                 {registered} workers",
+                b.worker
+            )));
+        }
+        match *self {
+            Participants::Registered {
+                hierarchy,
+                worker_data,
+            } => {
+                if worker_data.len() != hierarchy.num_workers() {
+                    return Err(RunError::Data(format!(
+                        "{} worker datasets for {} workers",
+                        worker_data.len(),
+                        hierarchy.num_workers()
+                    )));
+                }
+                if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
+                    return Err(RunError::Data(format!("worker {i} has no data")));
+                }
+                let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
+                let ctxs = worker_data.iter().enumerate().map(|(i, d)| {
+                    Some(StepCtx {
+                        data: i,
+                        batcher: Batcher::new(
+                            d.len(),
+                            cfg.batch_size,
+                            cfg.seed.wrapping_add(i as u64),
+                        ),
+                        batch: Vec::with_capacity(cfg.batch_size.min(d.len())),
+                    })
+                });
+                // Each Byzantine worker owns a salted adversary stream
+                // derived from the *training* seed, so the same poisoned
+                // trajectory replays under any network seed and any
+                // thread count.
+                let adversaries = (0..hierarchy.num_workers()).map(|i| {
+                    let attack = cfg.adversary.attack_for(i)?;
+                    Some((attack, AdversarySampler::from_stream(cfg.seed, i as u64), i))
+                });
+                Ok(Layout {
+                    weights: Weights::from_samples(hierarchy, &samples),
+                    hierarchy: hierarchy.clone(),
+                    tree: tiers.cloned(),
+                    data: worker_data,
+                    ctxs: ctxs.collect(),
+                    adversaries: adversaries.collect(),
+                    tallies: hierarchy.num_workers(),
+                })
+            }
+            Participants::Sampled {
+                population,
+                shards,
+                ref shard_sizes,
+                ..
+            } => {
+                if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
+                    return Err(RunError::BadConfig(
+                        "legacy edges/workers_per_edge fields are not supported with a \
+                         virtual population (the population defines the topology)"
+                            .into(),
+                    ));
+                }
+                let cohort = population
+                    .cohort_sizes(&cfg.sampling)
+                    .map_err(RunError::BadConfig)?;
+                if tiers.is_some() && cohort.windows(2).any(|w| w[0] != w[1]) {
+                    return Err(RunError::BadConfig(
+                        "sampled tier trees need one uniform cohort size (the sampled \
+                         sub-tree must stay balanced); use ClientSampling::PerEdge"
+                            .into(),
+                    ));
+                }
+                // The loop runs the *sampled* sub-tree: the registered
+                // tree with its leaf fanout swapped for the cohort size.
+                // All non-leaf levels — and with them every middle
+                // boundary — are unchanged.
+                let tree = tiers.map(|tree| {
+                    let mut levels = tree.levels().to_vec();
+                    levels.last_mut().expect("trees have levels").fanout = cohort[0];
+                    TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
+                });
+                let hierarchy = Hierarchy::new(cohort);
+                let slots = hierarchy.num_workers();
+                Ok(Layout {
+                    weights: Weights::from_cohort(
+                        &hierarchy,
+                        &vec![1u64; slots],
+                        population.edge_data_samples(shard_sizes),
+                    ),
+                    hierarchy,
+                    tree,
+                    data: shards,
+                    ctxs: (0..slots).map(|_| None).collect(),
+                    adversaries: (0..slots).map(|_| None).collect(),
+                    tallies: cfg.adversary.byzantine.len(),
+                })
+            }
+        }
+    }
+
+    /// Round start. Sampled edges draw and materialize their round-`k`
+    /// cohorts, which rewrites the in-edge data weights (refreshed into
+    /// `edge_weights` for the edge jobs) and hands every slot the batch and
+    /// adversary streams of its new occupant. Registered workers carry
+    /// straight on.
+    fn begin_round(
+        &mut self,
+        k: usize,
+        cfg: &RunConfig,
+        state: &mut FlState,
+        ctxs: &mut [Option<StepCtx>],
+        adversaries: &mut [Option<Adversary>],
+        edge_weights: &mut Arc<Weights>,
+    ) {
+        let Participants::Sampled {
+            population,
+            shard_sizes,
+            sampler,
+            slot_ids,
+            ..
+        } = self
+        else {
+            return;
+        };
+        slot_ids.clear();
+        for e in 0..state.hierarchy.num_edges() {
+            slot_ids.extend(materialize_edge_cohort(
+                state,
+                population,
+                shard_sizes,
+                sampler,
+                e,
+                k,
+            ));
+        }
+        let slots = ctxs.iter_mut().zip(adversaries.iter_mut());
+        for ((ctx, adversary), &g) in slots.zip(slot_ids.iter()) {
+            let shard = population.shard_of(g);
+            let seed = batcher_seed(cfg.seed, g, k as u64);
+            *ctx = Some(StepCtx {
+                data: shard,
+                batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
+                batch: Vec::new(),
+            });
+            let plan = &cfg.adversary.byzantine;
+            *adversary = plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
+                let stream = adversary_stream(g, k as u64);
+                let sampler = AdversarySampler::from_stream(cfg.seed, stream);
+                (plan[entry].attack, sampler, entry)
+            });
+        }
+        *edge_weights = Arc::new(state.weights.clone());
+    }
+
+    /// The ticks in `(from, to]` of round `k` at which each slot steps, in
+    /// flat order. Registered workers draw one dropout decision per tick
+    /// from the run-wide `rng`, tick-major in flat order on the driver
+    /// thread (no draw at all when `dropout` is zero); sampled slots read
+    /// their `(seed, worker, round)` mask. A dropped step is skipped
+    /// entirely: no mini-batch draw, no local step.
+    fn step_ticks(
+        &self,
+        k: usize,
+        from: usize,
+        to: usize,
+        cfg: &RunConfig,
+        rng: &mut StdRng,
+        slots: usize,
+    ) -> Vec<Vec<usize>> {
+        match self {
+            Participants::Registered { .. } => {
+                let mut ticks = vec![Vec::new(); slots];
+                for t in from + 1..=to {
+                    for worker in &mut ticks {
+                        if cfg.dropout == 0.0 || rng.gen_range(0.0..1.0) >= cfg.dropout {
+                            worker.push(t);
+                        }
+                    }
+                }
+                ticks
+            }
+            Participants::Sampled { slot_ids, .. } => {
+                let round_start = (k - 1) * cfg.tau;
+                let mask = |g| cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
+                slot_ids
+                    .iter()
+                    .map(|&g| {
+                        let dropped = mask(g);
+                        (from + 1..=to)
+                            .filter(|t| !dropped[t - round_start - 1])
+                            .collect()
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Whether the loop evaluates after tick `t`: every `eval_every` ticks
+    /// and at the end, except that sampled runs evaluate at round
+    /// boundaries only (mid-round, their global model is undefined).
+    fn evaluates_at(&self, t: usize, cfg: &RunConfig) -> bool {
+        let on_grid = t.is_multiple_of(cfg.eval_every) || t == cfg.total_iters;
+        on_grid && (matches!(self, Participants::Registered { .. }) || t.is_multiple_of(cfg.tau))
+    }
+
+    /// The global model the loop evaluates and returns: the strategy's
+    /// own, or the population-weighted edge average of a sampled run.
+    fn global_params<S: Strategy + ?Sized>(&self, strategy: &S, state: &FlState) -> Vector {
+        match self {
+            Participants::Registered { .. } => strategy.global_params(state),
+            Participants::Sampled { .. } => virtual_global_params(state),
+        }
+    }
+}
+
+/// The one tick loop behind every `core` entry point — [`run`] and its
+/// variants, [`crate::population::run_virtual`] and its variants, and the
+/// elastic runner's epoch segments (`crate::elastic`). Optionally lays the
+/// run over a [`TierTree`] (`tiers`), starts from a mid-run snapshot
+/// (`resume`), and stops at an edge boundary (`stop_at`, which also makes
+/// it return the state there).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_span<M, S>(
     strategy: &S,
     model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
+    mut participants: Participants<'_>,
     test_data: &Dataset,
     cfg: &RunConfig,
+    tiers: Option<&TierTree>,
     resume: Option<&TrainingSnapshot>,
     stop_at: Option<usize>,
-    tiers: Option<&TierTree>,
 ) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
 where
     M: Model + Clone + Send,
@@ -431,250 +736,132 @@ where
         }
     }
     if let Some(stop) = stop_at {
-        if stop == 0 || stop > cfg.total_iters || stop % cfg.tau != 0 {
+        if stop == 0 || stop > cfg.total_iters || !stop.is_multiple_of(cfg.tau) {
             return Err(RunError::BadConfig(format!(
                 "stop_at must be a positive multiple of tau ({}) no larger than \
                  total_iters ({}), got {stop}",
                 cfg.tau, cfg.total_iters
             )));
         }
-    }
-    let start = match resume {
-        None => 0,
-        Some(snap) => {
-            if snap.algorithm != strategy.name() {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot was captured by {}, cannot resume under {}",
-                    snap.algorithm,
-                    strategy.name()
-                )));
-            }
-            if snap.tick == 0 || snap.tick >= cfg.total_iters || snap.tick % cfg.tau != 0 {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
-                     strictly before total_iters = {}",
-                    snap.tick, cfg.tau, cfg.total_iters
-                )));
-            }
-            if snap.workers.len() != hierarchy.num_workers()
-                || snap.edges.len() != hierarchy.num_edges()
-            {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} workers / {} edges for a hierarchy with {} / {}",
-                    snap.workers.len(),
-                    snap.edges.len(),
-                    hierarchy.num_workers(),
-                    hierarchy.num_edges()
-                )));
-            }
-            if snap.cloud.x_plus.len() != model.params().len() {
-                return Err(RunError::Data(format!(
-                    "snapshot dimension {} does not match model dimension {}",
-                    snap.cloud.x_plus.len(),
-                    model.params().len()
-                )));
-            }
-            if let Some(stop) = stop_at {
-                if stop <= snap.tick {
-                    return Err(RunError::BadConfig(format!(
-                        "stop_at ({stop}) must be past the snapshot tick ({})",
-                        snap.tick
-                    )));
-                }
-            }
-            snap.tick
+        if let Some(snap) = resume.filter(|snap| stop <= snap.tick) {
+            return Err(RunError::BadConfig(format!(
+                "stop_at ({stop}) must be past the snapshot tick ({})",
+                snap.tick
+            )));
         }
-    };
+    }
+    let Layout {
+        hierarchy,
+        weights,
+        tree,
+        data,
+        mut ctxs,
+        mut adversaries,
+        tallies,
+    } = participants.layout(cfg, tiers)?;
     strategy
-        .check_topology(hierarchy)
+        .check_topology(&hierarchy)
         .map_err(RunError::Topology)?;
-    if worker_data.len() != hierarchy.num_workers() {
-        return Err(RunError::Data(format!(
-            "{} worker datasets for {} workers",
-            worker_data.len(),
-            hierarchy.num_workers()
-        )));
-    }
-    if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
-        return Err(RunError::Data(format!("worker {i} has no data")));
-    }
-    if let Some(b) = cfg
-        .adversary
-        .byzantine
-        .iter()
-        .find(|b| b.worker >= hierarchy.num_workers())
-    {
-        return Err(RunError::BadConfig(format!(
-            "adversary plan marks worker {} Byzantine, but the hierarchy has \
-             only {} workers",
-            b.worker,
-            hierarchy.num_workers()
-        )));
-    }
-    let schedule = Schedule::three_tier(cfg.tau, cfg.pi, cfg.total_iters)?;
 
     let started = Instant::now();
-    let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
-    let weights = Weights::from_samples(hierarchy, &samples);
-    // The pool threads need the weights by shared reference while the main
-    // thread holds `&mut state`, so the engine keeps its own copy.
-    let engine_weights = weights.clone();
-    let mut state = FlState::new(hierarchy.clone(), weights, &model.params());
+    let mut state = FlState::new(hierarchy, weights, &model.params());
     state.aggregator = cfg.aggregator;
-    if let Some(tree) = tiers {
+    if let Some(tree) = &tree {
         state.attach_tree(tree.clone());
     }
     strategy.init(&mut state);
-    if let Some(snap) = resume {
-        if snap.middle.len() != state.middle.len()
-            || snap
-                .middle
-                .iter()
-                .zip(&state.middle)
-                .any(|(s, m)| s.len() != m.len())
-        {
-            return Err(RunError::Data(format!(
-                "snapshot holds {} middle tiers for a tree with {}",
-                snap.middle.len(),
-                state.middle.len()
-            )));
+    let start = match resume {
+        None => 0,
+        Some(snap) => {
+            restore(&mut state, snap, strategy.name(), cfg)?;
+            snap.tick
         }
-        // All algorithm state lives in the tier vectors, so restoring
-        // them overwrites everything `init` set up.
-        state.workers = snap.workers.clone();
-        state.edges = snap.edges.clone();
-        state.cloud = snap.cloud.clone();
-        state.middle = snap.middle.clone();
-    }
+    };
 
-    let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
-    let threads = cfg.resolved_threads();
-
-    // Per-worker step contexts: a model replica, a private batcher stream
-    // (so data order is independent of scheduling), and a reusable batch
-    // buffer. `None` while checked out to a job.
-    let mut ctxs: Vec<Option<StepCtx<M>>> = worker_data
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            Some(StepCtx {
-                model: model.clone(),
-                batcher: Batcher::new(d.len(), cfg.batch_size, cfg.seed.wrapping_add(i as u64)),
-                batch: Vec::with_capacity(cfg.batch_size.min(d.len())),
-            })
-        })
-        .collect();
-    let mut eval_model = model.clone();
+    let train_probe = build_train_probe(data, cfg.train_eval_cap);
+    let slots = state.workers.len();
+    let mut dropout_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f);
+    // Edge jobs read the data weights by shared reference while the loop
+    // holds `&mut state`; sampled rounds refresh this copy.
+    let mut edge_weights = Arc::new(state.weights.clone());
 
     let mut curve = ConvergenceCurve::new();
     let mut gamma_trace = Vec::new();
     let mut cos_trace = Vec::new();
     let mut tier_gamma: Vec<Vec<(usize, f32)>> = vec![Vec::new(); state.middle.len()];
     let mut timings = PhaseTimings::default();
-    // Failure-injection RNG: drawn per (tick, worker) serially on the main
-    // thread so runs stay deterministic regardless of threading.
-    let mut fault_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f);
-    // Byzantine workers: each owns a salted per-worker adversary stream
-    // derived from the *training* seed, so the same poisoned trajectory
-    // replays under any network seed and any thread count (uploads are
-    // corrupted serially on the main thread, in flat worker order).
-    let mut adversaries: Vec<Option<(AttackModel, AdversarySampler)>> = (0..state.workers.len())
-        .map(|i| {
-            cfg.adversary
-                .attack_for(i)
-                .map(|a| (a, AdversarySampler::from_stream(cfg.seed, i as u64)))
-        })
-        .collect();
-    let mut adversary_counters = vec![AdversaryCounters::default(); state.workers.len()];
+    let mut adversary_counters = vec![AdversaryCounters::default(); tallies];
 
+    // Fast-forward over the already-trained prefix: replay exactly the
+    // draws an uninterrupted run would make — every dropout decision, one
+    // mini-batch per active step, one upload per Byzantine worker —
+    // without computing any step, so every registered stream resumes at
+    // the position it held at the snapshot. Sampled slots hold no streams
+    // before their first round, so they replay nothing.
+    for k in 1..=start / cfg.tau {
+        let (from, to) = ((k - 1) * cfg.tau, k * cfg.tau);
+        let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout_rng, slots);
+        for (ctx, ticks) in ctxs.iter_mut().flatten().zip(ticks) {
+            for _ in ticks {
+                ctx.batcher.next_batch_into(&mut ctx.batch);
+            }
+        }
+        for (attack, sampler, _) in adversaries.iter_mut().flatten() {
+            replay_upload(state.dim(), attack, sampler);
+        }
+    }
+
+    // Local steps run in intervals ending wherever something reads worker
+    // state: a round's end (edge aggregation) or a mid-round evaluation.
+    let end = stop_at.unwrap_or(cfg.total_iters);
+    let stops: Vec<usize> = (start + 1..=end)
+        .filter(|&t| t.is_multiple_of(cfg.tau) || participants.evaluates_at(t, cfg))
+        .collect();
     let ctx = ExecCtx {
         strategy,
         cfg,
-        worker_data,
-        weights: &engine_weights,
+        worker_data: data,
         test_data,
         train_probe: &train_probe,
     };
 
     std::thread::scope(|scope| {
-        let pool = Pool::new(scope, threads - 1, ctx, model);
+        let mut pool = Pool::new(scope, cfg.resolved_threads() - 1, ctx, model);
 
-        for tick in schedule.ticks() {
-            if stop_at.is_some_and(|stop| tick.t > stop) {
-                break;
-            }
-            let active: Vec<bool> = (0..state.workers.len())
-                .map(|_| cfg.dropout == 0.0 || fault_rng.gen_range(0.0..1.0) >= cfg.dropout)
-                .collect();
-
-            if tick.t <= start {
-                // Fast-forward over the already-trained prefix: replay
-                // exactly the RNG draws an uninterrupted run would make —
-                // one dropout draw per worker (above) and one mini-batch
-                // draw per *active* worker (here) — without recomputing any
-                // steps, so every stream resumes at the position it held
-                // when the snapshot was captured.
-                for (i, _) in active.iter().enumerate().filter(|(_, a)| **a) {
-                    let c = ctxs[i].as_mut().expect("step context double checkout");
-                    c.batcher.next_batch_into(&mut c.batch);
-                }
-                // Adversary streams advance once per upload (edge
-                // boundary); replay them too, without touching state.
-                if tick.edge_aggregation.is_some() {
-                    let dim = state.dim();
-                    for (attack, sampler) in adversaries.iter_mut().flatten() {
-                        replay_upload(dim, attack, sampler);
-                    }
-                }
-                continue;
-            }
-
+        let mut from = start;
+        for to in stops {
+            let k = to.div_ceil(cfg.tau);
             let t0 = Instant::now();
-            let items: Vec<StepItem<M>> = active
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| **a)
-                .map(|(i, _)| StepItem {
-                    idx: i,
-                    worker: mem::replace(&mut state.workers[i], WorkerState::placeholder()),
-                    ctx: ctxs[i].take().expect("step context double checkout"),
-                })
-                .collect();
-            let jobs = chunk(items, threads)
-                .into_iter()
-                .map(|items| Job::Steps { t: tick.t, items })
-                .collect();
-            for reply in pool.exec(ctx, &mut eval_model, jobs) {
-                let Reply::Steps(items) = reply else {
-                    unreachable!("step job must yield a step reply")
-                };
-                for item in items {
-                    state.workers[item.idx] = item.worker;
-                    ctxs[item.idx] = Some(item.ctx);
-                }
+            if from.is_multiple_of(cfg.tau) {
+                participants.begin_round(
+                    k,
+                    cfg,
+                    &mut state,
+                    &mut ctxs,
+                    &mut adversaries,
+                    &mut edge_weights,
+                );
             }
+            let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout_rng, slots);
+            local_steps(&mut pool, &mut state, &mut ctxs, ticks);
             timings.local_steps += t0.elapsed();
+            from = to;
 
-            if let Some(k) = tick.edge_aggregation {
+            if to.is_multiple_of(cfg.tau) {
                 let t0 = Instant::now();
-                // Byzantine workers corrupt their upload at the moment it
-                // becomes visible to the edge — i.e. right before the edge
-                // aggregates. In this synchronous driver the worker state
-                // *is* the upload, so corrupt it in place; the
+                // Byzantine participants corrupt their upload at the moment
+                // it becomes visible to the edge — right before the edge
+                // aggregates — serially in flat order. The worker state
+                // *is* the upload, so it is corrupted in place; the
                 // redistribution at the end of `edge_aggregate` then
                 // overwrites the poisoned fields, exactly as a mailbox
                 // model would.
-                for (i, adv) in adversaries.iter_mut().enumerate() {
-                    if let Some((attack, sampler)) = adv {
-                        corrupt_upload(
-                            &mut state.workers[i],
-                            attack,
-                            sampler,
-                            &mut adversary_counters[i],
-                        );
+                for (worker, adversary) in state.workers.iter_mut().zip(&mut adversaries) {
+                    if let Some((attack, sampler, tally)) = adversary {
+                        corrupt_upload(worker, attack, sampler, &mut adversary_counters[*tally]);
                     }
                 }
-                edge_aggregations(&pool, ctx, &mut eval_model, &mut state, k, threads);
+                edge_aggregations(&mut pool, &mut state, k, &edge_weights);
                 let n_edges = state.edges.len() as f32;
                 let mean_gamma = state.edges.iter().map(|e| e.gamma_edge).sum::<f32>() / n_edges;
                 gamma_trace.push((k, mean_gamma));
@@ -682,60 +869,51 @@ where
                 cos_trace.push((k, mean_cos));
                 timings.edge_agg += t0.elapsed();
 
+                let t0 = Instant::now();
                 // Middle tiers fire bottom-up whenever the edge round count
-                // divides their synchronization period. They run serially on
-                // the main thread and draw no RNG, so adding (or removing)
-                // pass-through tiers cannot perturb any stream — the basis
-                // of the depth-collapse equivalence guarantee.
-                if let Some(tree) = tiers {
-                    let t0 = Instant::now();
+                // divides their synchronization period, serially and without
+                // RNG, so adding (or removing) pass-through tiers cannot
+                // perturb any stream — the basis of the depth-collapse
+                // equivalence guarantee. Identity tiers neither fire the
+                // hook nor record γ, so a pass-through tree is bit-identical
+                // to its collapse, traces included.
+                if let Some(tree) = &tree {
                     for d in tree.middle_depths().rev() {
-                        // Identity tiers forward their children untouched:
-                        // they neither fire the hook nor record γ, so a
-                        // pass-through tree is bit-identical to its
-                        // collapse, traces included.
-                        if tree.levels()[d].aggregation == TierAggregation::Identity {
+                        let period = tree.sync_rounds(d);
+                        let identity = tree.levels()[d].aggregation == TierAggregation::Identity;
+                        if identity || k % period != 0 {
                             continue;
                         }
-                        let period = tree.sync_rounds(d);
-                        if k % period == 0 {
-                            let round = k / period;
-                            for node in 0..tree.nodes_at(d) {
-                                strategy.tier_aggregate(
-                                    TierScope::Middle {
-                                        depth: d,
-                                        node,
-                                        state: &mut state,
-                                    },
-                                    round,
-                                );
-                            }
-                            let tier = &state.middle[d - 1];
-                            let mean =
-                                tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                            tier_gamma[d - 1].push((round, mean));
+                        for node in 0..tree.nodes_at(d) {
+                            let scope = TierScope::Middle {
+                                depth: d,
+                                node,
+                                state: &mut state,
+                            };
+                            strategy.tier_aggregate(scope, k / period);
                         }
+                        let tier = &state.middle[d - 1];
+                        let mean =
+                            tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
+                        tier_gamma[d - 1].push((k / period, mean));
                     }
-                    timings.cloud_agg += t0.elapsed();
                 }
-            }
-            if let Some(p) = tick.cloud_aggregation {
-                let t0 = Instant::now();
-                if tiers.is_some() {
-                    strategy.tier_aggregate(TierScope::Root(&mut state), p);
-                } else {
-                    strategy.cloud_aggregate(p, &mut state);
+                if k.is_multiple_of(cfg.pi) {
+                    if tree.is_some() {
+                        strategy.tier_aggregate(TierScope::Root(&mut state), k / cfg.pi);
+                    } else {
+                        strategy.cloud_aggregate(k / cfg.pi, &mut state);
+                    }
                 }
                 timings.cloud_agg += t0.elapsed();
             }
 
-            if tick.t % cfg.eval_every == 0 || tick.t == cfg.total_iters {
+            if participants.evaluates_at(to, cfg) {
                 let t0 = Instant::now();
-                let global = strategy.global_params(&state);
-                let (test_eval, train_eval) =
-                    evaluate_global(&pool, ctx, &mut eval_model, &global, threads);
+                let global = participants.global_params(strategy, &state);
+                let (test_eval, train_eval) = evaluate_global(&mut pool, &global);
                 curve.push(EvalPoint {
-                    iteration: tick.t,
+                    iteration: to,
                     train_loss: train_eval.loss,
                     test_loss: test_eval.loss,
                     test_accuracy: test_eval.accuracy,
@@ -745,7 +923,7 @@ where
         }
     });
 
-    let final_params = strategy.global_params(&state);
+    let final_params = participants.global_params(strategy, &state);
     let snapshot = stop_at.map(|stop| TrainingSnapshot {
         algorithm: strategy.name().to_string(),
         tick: stop,
@@ -772,19 +950,124 @@ where
     ))
 }
 
+/// Checks `snap` against the freshly initialized `state` — algorithm,
+/// tick, tier shapes and the length of every state vector — and restores
+/// every tier from it. All algorithm state lives in the tier vectors, so
+/// restoring them overwrites everything `init` set up. A malformed
+/// snapshot is a typed error, never a panic mid-run; non-finite values
+/// pass, since a diverged run legitimately snapshots them.
+fn restore(
+    state: &mut FlState,
+    snap: &TrainingSnapshot,
+    algorithm: &str,
+    cfg: &RunConfig,
+) -> Result<(), RunError> {
+    if snap.algorithm != algorithm {
+        return Err(RunError::BadConfig(format!(
+            "snapshot was captured by {}, cannot resume under {algorithm}",
+            snap.algorithm
+        )));
+    }
+    if snap.tick == 0 || snap.tick >= cfg.total_iters || !snap.tick.is_multiple_of(cfg.tau) {
+        return Err(RunError::BadConfig(format!(
+            "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
+             strictly before total_iters = {}",
+            snap.tick, cfg.tau, cfg.total_iters
+        )));
+    }
+    let shape = |workers: &[WorkerState], edges: &[TierState], middle: &[Vec<TierState>]| {
+        let middle: Vec<usize> = middle.iter().map(Vec::len).collect();
+        (workers.len(), edges.len(), middle)
+    };
+    let want = shape(&state.workers, &state.edges, &state.middle);
+    let got = shape(&snap.workers, &snap.edges, &snap.middle);
+    if got != want {
+        return Err(RunError::Data(format!(
+            "snapshot holds (workers, edges, middle nodes per tier) {got:?}, \
+             the run needs {want:?}"
+        )));
+    }
+    let dim = state.dim();
+    let workers = snap.workers.iter().flat_map(|w| {
+        [
+            &w.x,
+            &w.y,
+            &w.v,
+            &w.grad_accum,
+            &w.y_accum,
+            &w.v_accum,
+            &w.scratch,
+        ]
+    });
+    let tiers = snap
+        .edges
+        .iter()
+        .chain([&snap.cloud])
+        .chain(snap.middle.iter().flatten());
+    let tiers = tiers.flat_map(|s| [&s.x_plus, &s.y_plus, &s.y_minus, &s.v, &s.x_prev]);
+    if let Some(v) = workers.chain(tiers).find(|v| v.len() != dim) {
+        return Err(RunError::Data(format!(
+            "snapshot holds a state vector of length {} for model dimension {dim}",
+            v.len()
+        )));
+    }
+    state.workers = snap.workers.clone();
+    state.edges = snap.edges.clone();
+    state.cloud = snap.cloud.clone();
+    state.middle = snap.middle.clone();
+    Ok(())
+}
+
+/// Runs one interval of local steps on the pool: every worker with ticks
+/// to step is checked out with its step context, shipped in contiguous
+/// flat-order chunks, and put back by index.
+fn local_steps<M, S>(
+    pool: &mut Pool<'_, M, S>,
+    state: &mut FlState,
+    ctxs: &mut [Option<StepCtx>],
+    ticks: Vec<Vec<usize>>,
+) where
+    M: Model,
+    S: Strategy + ?Sized,
+{
+    let items: Vec<StepItem> = ticks
+        .into_iter()
+        .enumerate()
+        .filter(|(_, ticks)| !ticks.is_empty())
+        .map(|(idx, ticks)| StepItem {
+            idx,
+            ticks,
+            worker: mem::replace(&mut state.workers[idx], WorkerState::placeholder()),
+            ctx: ctxs[idx].take().expect("step context double checkout"),
+        })
+        .collect();
+    let jobs = chunk(items, pool.lanes())
+        .into_iter()
+        .map(Job::Steps)
+        .collect();
+    for reply in pool.exec(jobs) {
+        let Reply::Steps(items) = reply else {
+            unreachable!("step job must yield a step reply")
+        };
+        for item in items {
+            state.workers[item.idx] = item.worker;
+            ctxs[item.idx] = Some(item.ctx);
+        }
+    }
+}
+
 /// Runs aggregation `k` on every edge, in parallel across the pool: edge
 /// states and workers are checked out as disjoint [`EdgeItem`]s (workers
 /// are stored edge-major, so each edge owns a contiguous block), processed
-/// in fixed edge order within each chunk, and reassembled by edge index.
+/// in fixed edge order within each chunk under the round's data
+/// `weights`, and reassembled by edge index.
 fn edge_aggregations<M, S>(
-    pool: &Pool<M>,
-    ctx: ExecCtx<'_, S>,
-    eval_model: &mut M,
+    pool: &mut Pool<'_, M, S>,
     state: &mut FlState,
     k: usize,
-    threads: usize,
+    weights: &Arc<Weights>,
 ) where
-    M: Model + Clone + Send,
+    M: Model,
     S: Strategy + ?Sized,
 {
     let mut workers = mem::take(&mut state.workers);
@@ -800,12 +1083,16 @@ fn edge_aggregations<M, S>(
     }
     items.reverse();
 
-    let jobs = chunk(items, threads)
+    let jobs = chunk(items, pool.lanes())
         .into_iter()
-        .map(|items| Job::Edges { k, items })
+        .map(|items| Job::Edges {
+            k,
+            weights: Arc::clone(weights),
+            items,
+        })
         .collect();
     let mut returned: Vec<EdgeItem> = pool
-        .exec(ctx, eval_model, jobs)
+        .exec(jobs)
         .into_iter()
         .flat_map(|reply| {
             let Reply::Edges(items) = reply else {
@@ -829,71 +1116,34 @@ fn edge_aggregations<M, S>(
 /// sums are reduced in `(target, chunk index)` order, so the result is
 /// identical for every thread count — including 1, which uses the same
 /// chunking.
-fn evaluate_global<M, S>(
-    pool: &Pool<M>,
-    ctx: ExecCtx<'_, S>,
-    eval_model: &mut M,
-    params: &Vector,
-    threads: usize,
-) -> (hieradmo_models::Evaluation, hieradmo_models::Evaluation)
+fn evaluate_global<M, S>(pool: &mut Pool<'_, M, S>, params: &Vector) -> (Evaluation, Evaluation)
 where
-    M: Model + Clone + Send,
+    M: Model,
     S: Strategy + ?Sized,
 {
-    let mut chunks = Vec::new();
-    for (target, len) in [
-        (EvalTarget::Test, ctx.test_data.len()),
-        (EvalTarget::Probe, ctx.train_probe.len()),
-    ] {
-        for (idx, start) in (0..len).step_by(EVAL_CHUNK).enumerate() {
-            chunks.push(EvalChunk {
-                target,
-                idx,
-                range: start..(start + EVAL_CHUNK).min(len),
-            });
-        }
-    }
-
-    let jobs = chunk(chunks, threads)
-        .into_iter()
-        .map(|chunks| Job::Eval {
-            params: params.clone(),
-            chunks,
-        })
-        .collect();
-    let mut partials: Vec<(EvalTarget, usize, EvalSums)> = pool
-        .exec(ctx, eval_model, jobs)
-        .into_iter()
-        .flat_map(|reply| {
-            let Reply::Eval(sums) = reply else {
-                unreachable!("eval job must yield an eval reply")
-            };
-            sums
-        })
-        .collect();
-    partials.sort_unstable_by_key(|&(target, idx, _)| (target, idx));
-
-    let mut test_sums = EvalSums::default();
-    let mut probe_sums = EvalSums::default();
-    for (target, _, sums) in partials {
-        match target {
-            EvalTarget::Test => test_sums.merge(&sums),
-            EvalTarget::Probe => probe_sums.merge(&sums),
-        }
-    }
-    (test_sums.finish(), probe_sums.finish())
+    let chunks = eval_chunks(pool.ctx.test_data.len(), pool.ctx.train_probe.len());
+    let jobs = chunk(chunks, pool.lanes()).into_iter().map(|chunks| {
+        let params = params.clone();
+        Job::Eval { params, chunks }
+    });
+    let partials = pool.exec(jobs.collect()).into_iter().flat_map(|reply| {
+        let Reply::Eval(sums) = reply else {
+            unreachable!("eval job must yield an eval reply")
+        };
+        sums
+    });
+    reduce_eval(partials.collect())
 }
 
 /// Evaluates `params` on the test set and training probe with this
 /// engine's exact reduction — fixed [`EVAL_CHUNK`]-sample chunks, partial
 /// sums merged in `(target, chunk index)` order — on caller-provided model
-/// replicas, one per evaluation lane. With a single replica everything
-/// runs on the calling thread through the identical code path, so the
-/// result is bitwise independent of the lane count.
+/// replicas, one per evaluation lane (the first on the calling thread).
+/// The result is bitwise independent of the lane count.
 ///
 /// Public so alternative drivers (the event-driven runtime in
-/// `hieradmo-simrt` and the virtual-population engines) evaluate through
-/// *one* implementation and stay bitwise comparable to [`run`].
+/// `hieradmo-simrt`) evaluate through *one* implementation and stay
+/// bitwise comparable to [`run`].
 ///
 /// # Panics
 ///
@@ -903,63 +1153,28 @@ pub fn evaluate_on_replicas<M>(
     test: &Dataset,
     probe: &Dataset,
     params: &Vector,
-) -> (hieradmo_models::Evaluation, hieradmo_models::Evaluation)
+) -> (Evaluation, Evaluation)
 where
     M: Model + Send,
 {
-    assert!(!models.is_empty(), "need at least one model replica");
-    let mut chunks: Vec<(u8, usize, std::ops::Range<usize>)> = Vec::new();
-    for (target, len) in [(0u8, test.len()), (1u8, probe.len())] {
-        for (idx, start) in (0..len).step_by(EVAL_CHUNK).enumerate() {
-            chunks.push((target, idx, start..(start + EVAL_CHUNK).min(len)));
+    let (first, rest) = models
+        .split_first_mut()
+        .expect("need at least one model replica");
+    let mut groups = chunk(eval_chunks(test.len(), probe.len()), rest.len() + 1).into_iter();
+    let own = groups.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = groups
+            .zip(rest)
+            .map(|(group, model)| {
+                scope.spawn(move || evaluate_chunks(model, params, group, test, probe))
+            })
+            .collect();
+        let mut partials = evaluate_chunks(first, params, own, test, probe);
+        for h in handles {
+            partials.extend(h.join().expect("evaluation thread panicked"));
         }
-    }
-    let lanes = models.len().clamp(1, chunks.len().max(1));
-    let mut partials: Vec<(u8, usize, EvalSums)> = Vec::with_capacity(chunks.len());
-    if lanes <= 1 {
-        let model = &mut models[0];
-        model.set_params(params);
-        for (t, idx, r) in chunks {
-            let data = if t == 0 { test } else { probe };
-            partials.push((t, idx, model.evaluate_range(data, r)));
-        }
-    } else {
-        let per = chunks.len().div_ceil(lanes);
-        let groups: Vec<Vec<(u8, usize, std::ops::Range<usize>)>> =
-            chunks.chunks(per).map(<[_]>::to_vec).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .zip(models.iter_mut())
-                .map(|(group, model)| {
-                    scope.spawn(move || {
-                        model.set_params(params);
-                        group
-                            .into_iter()
-                            .map(|(t, idx, r)| {
-                                let data = if t == 0 { test } else { probe };
-                                (t, idx, model.evaluate_range(data, r))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                partials.extend(h.join().expect("evaluation thread panicked"));
-            }
-        });
-    }
-    partials.sort_unstable_by_key(|&(t, idx, _)| (t, idx));
-    let mut test_sums = EvalSums::default();
-    let mut probe_sums = EvalSums::default();
-    for (t, _, s) in partials {
-        if t == 0 {
-            test_sums.merge(&s);
-        } else {
-            probe_sums.merge(&s);
-        }
-    }
-    (test_sums.finish(), probe_sums.finish())
+        reduce_eval(partials)
+    })
 }
 
 /// A fixed, affordable probe of training data for the train-loss metric:

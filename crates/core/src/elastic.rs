@@ -16,8 +16,8 @@
 //! Consequences of the segmented design, all deterministic and gated by
 //! `tests/elastic_topology.rs`:
 //!
-//! * an **empty plan** runs one segment and is *bitwise identical* to the
-//!   frozen-tree engine — [`run_elastic`] literally delegates;
+//! * an **empty plan** runs one segment through the same loop and is
+//!   *bitwise identical* to the frozen-tree engine;
 //! * per-worker RNG streams (mini-batch order, adversary draws) are keyed
 //!   by *flat position within the epoch's tree*, so a worker that changes
 //!   parents continues on the stream of its new position — a pure
@@ -48,7 +48,7 @@ use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion};
 
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{run_span, RunError, RunResult};
+use crate::driver::{run_span, Participants, RunError, RunResult};
 use crate::population::StatePool;
 use crate::state::{EdgeState, WorkerState};
 use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
@@ -377,27 +377,6 @@ where
 {
     validate_elastic(hierarchy, worker_data, cfg)?;
     let plan = cfg.churn.clone();
-    if plan.is_empty()
-        && resume.is_none()
-        && stop_at.is_none()
-        && worker_data.len() == hierarchy.num_workers()
-    {
-        // Gate (a): the empty plan IS the frozen-tree engine. (With
-        // registered-but-absent trailing uids the single-segment path
-        // below slices the present prefix and is equally identical.)
-        return run_span(
-            strategy,
-            model,
-            hierarchy,
-            worker_data,
-            test_data,
-            cfg,
-            None,
-            None,
-            None,
-        );
-    }
-
     let mut version = match resume {
         Some(snap) => match &snap.topology {
             Some(v) => v.clone(),
@@ -447,13 +426,15 @@ where
         let (res, snap) = run_span(
             strategy,
             model,
-            &tree,
-            &data,
+            Participants::Registered {
+                hierarchy: &tree,
+                worker_data: &data,
+            },
             test_data,
             &seg_cfg,
+            None,
             cur.as_ref(),
             stop,
-            None,
         )?;
         results.push(res);
         uid_maps.push(uids);
@@ -525,8 +506,8 @@ fn stitch(results: Vec<RunResult>, uid_maps: &[Vec<usize>], registered: usize) -
 /// order, trailing datasets belong to registered-but-absent workers that
 /// [`TopologyEvent::Join`] can bring in. `cfg.adversary` is keyed by uid.
 ///
-/// An empty plan delegates to the frozen-tree engine unchanged (bitwise
-/// identity, gated by `tests/elastic_topology.rs`); any plan replays
+/// An empty plan runs one segment, bitwise identical to the frozen-tree
+/// engine (gated by `tests/elastic_topology.rs`); any plan replays
 /// bitwise across thread counts and engines for the same `(plan, seed)`.
 ///
 /// # Errors

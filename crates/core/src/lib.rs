@@ -12,9 +12,10 @@
 //! - [`strategy::Strategy`] — the hook interface an algorithm implements:
 //!   `local_step` (every iteration), `edge_aggregate` (every `τ`),
 //!   `cloud_aggregate` (every `τ·π`).
-//! - [`driver`] — walks the [`hieradmo_topology::Schedule`] on a
-//!   persistent scoped worker pool (see [`config::RunConfig::threads`]),
-//!   fires aggregation hooks, and records a
+//! - [`driver`] — the one tick loop behind every entry point: walks
+//!   Algorithm 1's aggregation schedule on a persistent scoped worker pool
+//!   (see [`config::RunConfig::threads`]) for registered workers or
+//!   sampled cohorts, fires aggregation hooks, and records a
 //!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings.
 //! - [`algorithms`] — **HierAdMo** (Algorithm 1) with adaptive or fixed
 //!   `γℓ` (the fixed variant is the paper's HierAdMo-R), the three-tier

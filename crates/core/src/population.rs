@@ -11,18 +11,20 @@
 //!   memory, whatever the registered population size.
 //! - [`CohortSampler`] draws each edge's per-round cohort without
 //!   replacement from a seed that depends only on `(seed, edge, round)`.
-//! - [`StatePool`] recycles [`WorkerState`] buffers; a materialized slot
-//!   is *fully* overwritten from its edge's current state, so results are
-//!   independent of pool-recycling order.
+//! - [`materialize_edge_cohort`] overwrites an edge's cohort slots in
+//!   place from the edge's current state ([`StatePool::materialize`]), so
+//!   nothing of a slot's previous occupant survives a round boundary.
 //! - Every per-worker RNG stream (mini-batch order, adversary draws,
 //!   network delays) re-derives from `(seed, worker_id, round)` via
 //!   [`worker_round_seed`], so trajectories are independent of population
 //!   size, thread count, and scheduling.
-//! - [`run_virtual`] threads a sampled cohort through the tick-driven
-//!   engine; the event-driven counterpart lives in
-//!   `hieradmo_simrt::simulate_virtual`. Under [`ClientSampling::Full`]
-//!   (or a fraction ≥ 1) both *delegate* to the classic full-participation
-//!   drivers, reproducing existing trajectories bitwise (gated by
+//! - [`run_virtual`] and its tiered variants run through the one
+//!   tick-driven loop (`crate::driver`), which takes sampled cohorts as
+//!   one of its two participant sources; the event-driven counterpart
+//!   lives in `hieradmo_simrt::simulate_virtual`. Under
+//!   [`ClientSampling::Full`] (or a fraction ≥ 1) both run the
+//!   materialized population as registered workers, reproducing the
+//!   classic trajectories bitwise (gated by
 //!   `tests/sampling_equivalence.rs`).
 //!
 //! Aggregation weights follow the partition-of-unity split of
@@ -30,27 +32,22 @@
 //! the sampled cohort; across edges, shares keep the full registered
 //! population's proportions.
 
-use std::time::Instant;
-
-use hieradmo_data::{Batcher, Dataset};
-use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, EvalPoint};
+use hieradmo_data::Dataset;
 use hieradmo_models::Model;
-use hieradmo_netsim::adversary::AdversarySampler;
 use hieradmo_netsim::stream_seed;
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::byzantine::corrupt_upload;
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{build_train_probe, evaluate_on_replicas, run, RunError, RunResult};
+use crate::driver::{run_span, Participants, RunError, RunResult};
 use crate::state::{FlState, WorkerState};
-use crate::strategy::{Strategy, TierScope};
+use crate::strategy::Strategy;
 
-/// Largest population the full-participation delegation path will
+/// Largest population the full-participation path will
 /// materialize (per-worker state and shard clones). Beyond this, ask for
 /// sampling — that is the point of a virtual population.
 pub const MATERIALIZE_CAP: u64 = 1 << 16;
@@ -79,7 +76,7 @@ pub fn batcher_seed(master: u64, worker_id: u64, round: u64) -> u64 {
 }
 
 /// Adversary stream id of worker `worker_id` in round `round` (feeds
-/// [`AdversarySampler::from_stream`] together with the training seed).
+/// `AdversarySampler::from_stream` together with the training seed).
 pub fn adversary_stream(worker_id: u64, round: u64) -> u64 {
     worker_round_seed(SALT_ADVERSARY, worker_id, round)
 }
@@ -126,8 +123,8 @@ pub fn cohort_dropout_mask(
 /// Per-round client sampling policy.
 ///
 /// The default ([`ClientSampling::Full`]) is today's full participation:
-/// every registered worker runs every round, and the virtual drivers
-/// delegate to the classic engines bitwise.
+/// every registered worker runs every round, and the virtual drivers run
+/// the materialized population, bitwise the classic trajectories.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum ClientSampling {
     /// Every registered worker participates every round.
@@ -136,7 +133,7 @@ pub enum ClientSampling {
     /// Each edge samples `ceil(fraction · population)` of its registered
     /// workers per round (at least 1). `fraction` must be finite and in
     /// `(0, 1]`; a fraction of exactly 1 *is* full participation and
-    /// delegates like [`ClientSampling::Full`].
+    /// runs like [`ClientSampling::Full`].
     Fraction {
         /// Per-edge participating fraction in `(0, 1]`.
         fraction: f64,
@@ -179,7 +176,7 @@ impl ClientSampling {
     }
 
     /// `true` when this policy is full participation (and the virtual
-    /// drivers delegate to the classic engines).
+    /// drivers run the materialized population).
     pub fn is_full(&self) -> bool {
         match *self {
             ClientSampling::Full => true,
@@ -421,7 +418,7 @@ impl WorkerPopulation {
     }
 
     /// The materialized [`Hierarchy`] equivalent to this population — the
-    /// full-participation delegation path.
+    /// full-participation path.
     ///
     /// # Errors
     ///
@@ -441,7 +438,7 @@ impl WorkerPopulation {
     }
 
     /// One dataset per registered worker (each a clone of its assigned
-    /// shard), for the full-participation delegation path. Call only after
+    /// shard), for the full-participation path. Call only after
     /// [`WorkerPopulation::materialize_hierarchy`] has accepted the size.
     pub fn materialize_shards(&self, shards: &[Dataset]) -> Vec<Dataset> {
         (0..self.total_workers())
@@ -549,26 +546,14 @@ impl CohortSampler {
     }
 }
 
-/// A recycling pool of [`WorkerState`] buffers for engines whose active
-/// set changes across rounds. Materialization *fully overwrites* every
-/// field of a slot, so which recycled buffer a worker lands in — and what
-/// it previously held — cannot affect results (pinned by unit test).
+/// Worker-state materialization for engines whose active set changes
+/// across rounds: sampled cohort slots and workers joining an elastic
+/// tree. Materialization *fully overwrites* every field of a slot, so what
+/// it previously held cannot affect results.
 #[derive(Debug, Default)]
-pub struct StatePool {
-    free: Vec<WorkerState>,
-}
+pub struct StatePool;
 
 impl StatePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        StatePool::default()
-    }
-
-    /// Number of idle recycled buffers.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
     /// Materializes a sampled worker into `slot`: the fresh-download state
     /// of a worker joining its edge — model `x` from the edge's `x_plus`,
     /// lookahead `y` from the edge's `y_minus`, zero velocity and
@@ -583,22 +568,6 @@ impl StatePool {
         slot.v_accum.fill(0.0);
         slot.steps = 0;
         slot.scratch.fill(0.0);
-    }
-
-    /// Acquires a materialized state (recycling an idle buffer of the
-    /// right dimension if one exists, else allocating).
-    pub fn acquire(&mut self, x: &Vector, y: &Vector) -> WorkerState {
-        let mut slot = match self.free.pop() {
-            Some(s) if s.x.len() == x.len() => s,
-            _ => WorkerState::new(x),
-        };
-        Self::materialize(&mut slot, x, y);
-        slot
-    }
-
-    /// Returns a state's buffers to the pool for recycling.
-    pub fn release(&mut self, slot: WorkerState) {
-        self.free.push(slot);
     }
 }
 
@@ -667,13 +636,13 @@ pub fn materialize_edge_cohort(
 /// sampling — the tick-driven engine's cross-device mode.
 ///
 /// Under full participation ([`ClientSampling::is_full`]) this
-/// materializes the population and delegates to [`run`], reproducing the
-/// classic trajectory bitwise. Otherwise each round `k` (of
-/// `T / τ`): every edge samples a cohort ([`CohortSampler`]), the cohort
-/// materializes from its edge's state, runs `τ` local steps on per-round
-/// RNG streams, Byzantine members poison their uploads, and the edge
-/// aggregates the cohort with in-cohort renormalized weights; the cloud
-/// fires every `π` rounds over population-weighted edge shares.
+/// materializes the population and runs it like [`crate::driver::run`],
+/// reproducing the classic trajectory bitwise. Otherwise each round `k`
+/// (of `T / τ`): every edge samples a cohort ([`CohortSampler`]), the
+/// cohort materializes from its edge's state, runs `τ` local steps on
+/// per-round RNG streams, Byzantine members poison their uploads, and the
+/// edge aggregates the cohort with in-cohort renormalized weights; the
+/// cloud fires every `π` rounds over population-weighted edge shares.
 ///
 /// Evaluation happens at round boundaries where `k·τ` is a multiple of
 /// `eval_every` (and always at the final round), on the
@@ -693,8 +662,8 @@ pub fn materialize_edge_cohort(
 ///
 /// # Errors
 ///
-/// Everything [`run`] rejects, plus the population/sampling/shard
-/// consistency checks above.
+/// Everything [`crate::driver::run`] rejects, plus the
+/// population/sampling/shard consistency checks above.
 pub fn run_virtual<M, S>(
     strategy: &S,
     model: &M,
@@ -707,7 +676,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    run_virtual_span(
+    run_population(
         strategy, model, population, shards, test_data, cfg, None, None, None,
     )
     .map(|(result, _)| result)
@@ -724,8 +693,8 @@ where
 /// The tree's leaf fanout must equal every edge's *registered* count (the
 /// tree describes the registered population; the engine runs its sampled
 /// sub-tree, whose leaf fanout is the cohort size). Under full
-/// participation this delegates to [`crate::driver::run_tiered`]
-/// bitwise, at every depth.
+/// participation this runs like [`crate::driver::run_tiered`] bitwise,
+/// at every depth.
 ///
 /// # Errors
 ///
@@ -745,7 +714,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    run_virtual_span(
+    run_population(
         strategy,
         model,
         population,
@@ -786,7 +755,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    let (result, snapshot) = run_virtual_span(
+    let (result, snapshot) = run_population(
         strategy,
         model,
         population,
@@ -799,7 +768,7 @@ where
     )?;
     Ok((
         result,
-        snapshot.expect("run_virtual_span produces a snapshot whenever stop_at is given"),
+        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
     ))
 }
 
@@ -829,7 +798,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    run_virtual_span(
+    run_population(
         strategy,
         model,
         population,
@@ -843,13 +812,12 @@ where
     .map(|(result, _)| result)
 }
 
-/// The shared engine behind [`run_virtual`] and its tiered variants:
-/// optionally lays the population over a [`TierTree`] (`tiers`),
-/// optionally starts from a mid-run snapshot (`resume`), optionally stops
-/// at an edge boundary (`stop_at`, which also makes it return the state
-/// there).
+/// The shared entry behind [`run_virtual`] and its tiered variants:
+/// checks the population against its shards and the registered tree, then
+/// runs the tick loop on the materialized population under full
+/// participation and on per-round cohorts otherwise.
 #[allow(clippy::too_many_arguments)]
-fn run_virtual_span<M, S>(
+fn run_population<M, S>(
     strategy: &S,
     model: &M,
     population: &WorkerPopulation,
@@ -864,29 +832,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    cfg.validate().map_err(RunError::BadConfig)?;
-    if !cfg.churn.is_empty() {
-        return Err(RunError::BadConfig(
-            "virtual-population runs keep a registered (frozen) tree; a \
-             non-empty ChurnPlan only composes with the materialized \
-             engines (crate::elastic::run_elastic)"
-                .into(),
-        ));
-    }
     population.validate_shards(shards).map_err(RunError::Data)?;
-    if let Some(b) = cfg
-        .adversary
-        .byzantine
-        .iter()
-        .find(|b| b.worker as u64 >= population.total_workers())
-    {
-        return Err(RunError::BadConfig(format!(
-            "adversary plan marks worker {} Byzantine, but the population \
-             registers only {} workers",
-            b.worker,
-            population.total_workers()
-        )));
-    }
     if let Some(tree) = tiers {
         if tree.num_edges() != population.num_edges() {
             return Err(RunError::BadConfig(format!(
@@ -905,402 +851,37 @@ where
                 population.workers_in_edge(e)
             )));
         }
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            )));
-        }
     }
-    if cfg.sampling.is_full() {
+    let materialized;
+    let participants = if cfg.sampling.is_full() {
         let hierarchy = population.materialize_hierarchy().map_err(RunError::Data)?;
-        let worker_data = population.materialize_shards(shards);
-        return match tiers {
-            None => run(strategy, model, &hierarchy, &worker_data, test_data, cfg)
-                .map(|result| (result, None)),
-            Some(tree) => match (resume, stop_at) {
-                (None, None) => {
-                    crate::driver::run_tiered(strategy, model, tree, &worker_data, test_data, cfg)
-                        .map(|result| (result, None))
-                }
-                (None, Some(stop)) => crate::driver::run_tiered_until(
-                    strategy,
-                    model,
-                    tree,
-                    &worker_data,
-                    test_data,
-                    cfg,
-                    stop,
-                )
-                .map(|(result, snap)| (result, Some(snap))),
-                (Some(snap), None) => crate::driver::run_tiered_resumed(
-                    strategy,
-                    model,
-                    tree,
-                    &worker_data,
-                    test_data,
-                    cfg,
-                    snap,
-                )
-                .map(|result| (result, None)),
-                (Some(_), Some(_)) => Err(RunError::BadConfig(
-                    "resuming and stopping in one span is not supported".into(),
-                )),
-            },
-        };
-    }
-    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-        return Err(RunError::BadConfig(
-            "legacy edges/workers_per_edge fields are not supported with a \
-             virtual population (the population defines the topology)"
-                .into(),
-        ));
-    }
-    if let Some(stop) = stop_at {
-        if stop == 0 || stop > cfg.total_iters || stop % cfg.tau != 0 {
-            return Err(RunError::BadConfig(format!(
-                "stop_at must be a positive multiple of tau ({}) no larger than \
-                 total_iters ({}), got {stop}",
-                cfg.tau, cfg.total_iters
-            )));
+        materialized = (hierarchy, population.materialize_shards(shards));
+        Participants::Registered {
+            hierarchy: &materialized.0,
+            worker_data: &materialized.1,
         }
-    }
-
-    let cohort = population
-        .cohort_sizes(&cfg.sampling)
-        .map_err(RunError::BadConfig)?;
-    if tiers.is_some() && cohort.windows(2).any(|w| w[0] != w[1]) {
-        return Err(RunError::BadConfig(
-            "sampled tier trees need one uniform cohort size (the sampled \
-             sub-tree must stay balanced); use ClientSampling::PerEdge"
-                .into(),
-        ));
-    }
-    let hierarchy = Hierarchy::new(cohort.clone());
-    strategy
-        .check_topology(&hierarchy)
-        .map_err(RunError::Topology)?;
-    // The engine runs the *sampled* sub-tree: the registered tree with its
-    // leaf fanout swapped for the (uniform) cohort size. All non-leaf
-    // levels — and with them every middle boundary — are unchanged.
-    let cohort_tree = tiers.map(|tree| {
-        let mut levels = tree.levels().to_vec();
-        levels.last_mut().expect("trees have levels").fanout = cohort[0];
-        TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
-    });
-
-    let started = Instant::now();
-    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
-    let edge_totals = population.edge_data_samples(&shard_sizes);
-    let total_slots = hierarchy.num_workers();
-    let weights = Weights::from_cohort(&hierarchy, &vec![1u64; total_slots], edge_totals);
-    let x0 = model.params();
-    let mut fl = FlState::new(hierarchy.clone(), weights, &x0);
-    fl.aggregator = cfg.aggregator;
-    if let Some(tree) = &cohort_tree {
-        fl.attach_tree(tree.clone());
-    }
-    strategy.init(&mut fl);
-
-    let start = match resume {
-        None => 0,
-        Some(snap) => {
-            if snap.algorithm != strategy.name() {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot was captured by {}, cannot resume under {}",
-                    snap.algorithm,
-                    strategy.name()
-                )));
-            }
-            if snap.tick == 0 || snap.tick >= cfg.total_iters || snap.tick % cfg.tau != 0 {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
-                     strictly before total_iters = {}",
-                    snap.tick, cfg.tau, cfg.total_iters
-                )));
-            }
-            if snap.workers.len() != total_slots || snap.edges.len() != hierarchy.num_edges() {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} workers / {} edges for a sampled sub-tree \
-                     with {} / {}",
-                    snap.workers.len(),
-                    snap.edges.len(),
-                    total_slots,
-                    hierarchy.num_edges()
-                )));
-            }
-            if snap.cloud.x_plus.len() != x0.len() {
-                return Err(RunError::Data(format!(
-                    "snapshot dimension {} does not match model dimension {}",
-                    snap.cloud.x_plus.len(),
-                    x0.len()
-                )));
-            }
-            if snap.middle.len() != fl.middle.len()
-                || snap
-                    .middle
-                    .iter()
-                    .zip(&fl.middle)
-                    .any(|(s, m)| s.len() != m.len())
-            {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} middle tiers for a tree with {}",
-                    snap.middle.len(),
-                    fl.middle.len()
-                )));
-            }
-            // All trajectory state lives in the edge/cloud/middle tiers:
-            // cohort workers re-materialize from their edge at every round
-            // start, so restoring those tiers restores everything.
-            fl.workers = snap.workers.clone();
-            fl.edges = snap.edges.clone();
-            fl.cloud = snap.cloud.clone();
-            fl.middle = snap.middle.clone();
-            snap.tick / cfg.tau
+    } else {
+        Participants::Sampled {
+            population,
+            shards,
+            shard_sizes: shards.iter().map(|d| d.len() as u64).collect(),
+            sampler: tiers.map_or_else(
+                || CohortSampler::new(cfg.seed),
+                |tree| CohortSampler::for_tree(cfg.seed, tree),
+            ),
+            slot_ids: Vec::new(),
         }
     };
-    if let (Some(stop), Some(snap)) = (stop_at, resume) {
-        if stop <= snap.tick {
-            return Err(RunError::BadConfig(format!(
-                "stop_at ({stop}) must be past the snapshot tick ({})",
-                snap.tick
-            )));
-        }
-    }
-
-    let sampler = match tiers {
-        Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
-        None => CohortSampler::new(cfg.seed),
-    };
-    let train_probe = build_train_probe(shards, cfg.train_eval_cap);
-    let threads = cfg.resolved_threads();
-    let mut eval_models: Vec<M> = (0..threads).map(|_| model.clone()).collect();
-    let mut step_models: Vec<M> = (0..threads).map(|_| model.clone()).collect();
-
-    let mut curve = ConvergenceCurve::new();
-    let mut gamma_trace = Vec::new();
-    let mut cos_trace = Vec::new();
-    let mut tier_gamma: Vec<Vec<(usize, f32)>> = vec![Vec::new(); fl.middle.len()];
-    let mut timings = crate::driver::PhaseTimings::default();
-    let mut adversary_counters = vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()];
-
-    // Per-slot round-scoped context, rebuilt from `(seed, worker, round)`
-    // every round.
-    let mut slot_gids: Vec<u64> = vec![0; total_slots];
-    let mut slot_shards: Vec<usize> = vec![0; total_slots];
-    let mut batchers: Vec<Batcher> = Vec::with_capacity(total_slots);
-
-    let rounds = cfg.total_iters / cfg.tau;
-    for k in (start + 1)..=rounds {
-        // 1. Sample and materialize every edge's cohort.
-        let t0 = Instant::now();
-        batchers.clear();
-        for e in 0..fl.hierarchy.num_edges() {
-            let ids = materialize_edge_cohort(&mut fl, population, &shard_sizes, &sampler, e, k);
-            let offset = fl.hierarchy.edge_workers(e).start;
-            for (j, &g) in ids.iter().enumerate() {
-                slot_gids[offset + j] = g;
-                slot_shards[offset + j] = population.shard_of(g);
-            }
-        }
-        for slot in 0..total_slots {
-            batchers.push(Batcher::new(
-                shard_sizes[slot_shards[slot]] as usize,
-                cfg.batch_size,
-                batcher_seed(cfg.seed, slot_gids[slot], k as u64),
-            ));
-        }
-
-        // 2. τ local steps per cohort worker. Slots are independent — no
-        //    cross-worker interaction inside an interval — so contiguous
-        //    slot chunks run on scoped threads with identical results for
-        //    every thread count.
-        let t_base = (k - 1) * cfg.tau;
-        let per = total_slots.div_ceil(threads);
-        let clip = cfg.clip_norm;
-        let tau = cfg.tau;
-        let dropout = cfg.dropout;
-        let seed = cfg.seed;
-        std::thread::scope(|scope| {
-            let worker_chunks = fl.workers.chunks_mut(per);
-            let batcher_chunks = batchers.chunks_mut(per);
-            let shard_chunks = slot_shards.chunks(per);
-            let gid_chunks = slot_gids.chunks(per);
-            let handles: Vec<_> = worker_chunks
-                .zip(batcher_chunks)
-                .zip(shard_chunks)
-                .zip(gid_chunks)
-                .zip(step_models.iter_mut())
-                .map(|((((ws, bs), ss), gs), model)| {
-                    scope.spawn(move || {
-                        let mut batch: Vec<usize> = Vec::new();
-                        for (((w, b), &s), &g) in ws
-                            .iter_mut()
-                            .zip(bs.iter_mut())
-                            .zip(ss.iter())
-                            .zip(gs.iter())
-                        {
-                            let data = &shards[s];
-                            // A dropped step is skipped entirely — no
-                            // mini-batch draw, no local step — from the
-                            // worker's own (seed, worker, round) stream.
-                            let dropped = cohort_dropout_mask(seed, g, k as u64, tau, dropout);
-                            for step in 1..=tau {
-                                if dropped[step - 1] {
-                                    continue;
-                                }
-                                b.next_batch_into(&mut batch);
-                                let mut grad_fn = |p: &Vector, out: &mut Vector| {
-                                    model.set_params(p);
-                                    model.loss_and_grad_into(data, &batch, out);
-                                    if let Some(max_norm) = clip {
-                                        let norm = out.norm();
-                                        if norm > max_norm {
-                                            out.scale_in_place(max_norm / norm);
-                                        }
-                                    }
-                                };
-                                strategy.local_step(t_base + step, w, &mut grad_fn);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("step thread panicked");
-            }
-        });
-        timings.local_steps += t0.elapsed();
-
-        // 3. Byzantine cohort members poison their uploads, in flat slot
-        //    order, each from its own (seed, worker, round) stream.
-        let t0 = Instant::now();
-        for (slot, &g) in slot_gids.iter().enumerate() {
-            if let Some(attack) = cfg.adversary.attack_for(g as usize) {
-                let entry = cfg
-                    .adversary
-                    .byzantine
-                    .iter()
-                    .position(|b| b.worker as u64 == g)
-                    .expect("attack_for hit implies a plan entry");
-                let mut adv_sampler =
-                    AdversarySampler::from_stream(cfg.seed, adversary_stream(g, k as u64));
-                corrupt_upload(
-                    &mut fl.workers[slot],
-                    &attack,
-                    &mut adv_sampler,
-                    &mut adversary_counters[entry],
-                );
-            }
-        }
-
-        // 4. Edge aggregation over the cohort (serial, edge order — the
-        //    hooks are cheap relative to τ local steps).
-        for e in 0..fl.hierarchy.num_edges() {
-            strategy.edge_aggregate(k, &mut fl.edge_view(e));
-        }
-        let n_edges = fl.edges.len() as f32;
-        gamma_trace.push((
-            k,
-            fl.edges.iter().map(|e| e.gamma_edge).sum::<f32>() / n_edges,
-        ));
-        cos_trace.push((
-            k,
-            fl.edges.iter().map(|e| e.cos_theta).sum::<f32>() / n_edges,
-        ));
-        timings.edge_agg += t0.elapsed();
-
-        // 5. Middle tiers fire bottom-up whenever the edge round count
-        //    divides their synchronization period — serially and without
-        //    RNG, mirroring the full-participation tick engine, so
-        //    pass-through tiers cannot perturb any stream.
-        if let Some(tree) = &cohort_tree {
-            let t0 = Instant::now();
-            for d in tree.middle_depths().rev() {
-                if tree.levels()[d].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(d);
-                if k % period == 0 {
-                    let round = k / period;
-                    for node in 0..tree.nodes_at(d) {
-                        strategy.tier_aggregate(
-                            TierScope::Middle {
-                                depth: d,
-                                node,
-                                state: &mut fl,
-                            },
-                            round,
-                        );
-                    }
-                    let tier = &fl.middle[d - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    tier_gamma[d - 1].push((round, mean));
-                }
-            }
-            timings.cloud_agg += t0.elapsed();
-        }
-
-        // 6. Cloud aggregation every π rounds.
-        if k % cfg.pi == 0 {
-            let t0 = Instant::now();
-            if cohort_tree.is_some() {
-                strategy.tier_aggregate(TierScope::Root(&mut fl), k / cfg.pi);
-            } else {
-                strategy.cloud_aggregate(k / cfg.pi, &mut fl);
-            }
-            timings.cloud_agg += t0.elapsed();
-        }
-
-        // 7. Evaluation at matching round boundaries and at the end.
-        if (k * cfg.tau).is_multiple_of(cfg.eval_every) || k == rounds {
-            let t0 = Instant::now();
-            let params = virtual_global_params(&fl);
-            let (test_eval, train_eval) =
-                evaluate_on_replicas(&mut eval_models, test_data, &train_probe, &params);
-            curve.push(EvalPoint {
-                iteration: k * cfg.tau,
-                train_loss: train_eval.loss,
-                test_loss: test_eval.loss,
-                test_accuracy: test_eval.accuracy,
-            });
-            timings.eval += t0.elapsed();
-        }
-
-        if stop_at == Some(k * cfg.tau) {
-            break;
-        }
-    }
-
-    let final_params = virtual_global_params(&fl);
-    let snapshot = stop_at.map(|stop| TrainingSnapshot {
-        algorithm: strategy.name().to_string(),
-        tick: stop,
-        workers: fl.workers.clone(),
-        edges: fl.edges.clone(),
-        cloud: fl.cloud.clone(),
-        middle: fl.middle.clone(),
-        topology: None,
-    });
-    Ok((
-        RunResult {
-            algorithm: strategy.name().to_string(),
-            curve,
-            gamma_trace,
-            cos_trace,
-            tier_gamma,
-            final_params,
-            elapsed: started.elapsed(),
-            timings,
-            adversaries: adversary_counters,
-            topology: hieradmo_metrics::TopologyCounters::default(),
-        },
-        snapshot,
-    ))
+    run_span(
+        strategy,
+        model,
+        participants,
+        test_data,
+        cfg,
+        tiers,
+        resume,
+        stop_at,
+    )
 }
 
 #[cfg(test)]
@@ -1468,36 +1049,6 @@ mod tests {
         let (g, k) = (55, 9);
         assert_ne!(batcher_seed(7, g, k), adversary_stream(g, k));
         assert_ne!(adversary_stream(g, k), delay_stream(g, k));
-    }
-
-    #[test]
-    fn state_pool_materialization_is_recycling_order_independent() {
-        let x = Vector::from(vec![1.0, 2.0, 3.0]);
-        let y = Vector::from(vec![4.0, 5.0, 6.0]);
-        let mut pool = StatePool::new();
-        let fresh = pool.acquire(&x, &y);
-
-        // Dirty a state thoroughly, recycle it, re-acquire: bitwise equal
-        // to the fresh allocation.
-        let mut dirty = pool.acquire(&x, &y);
-        dirty.x.fill(9.0);
-        dirty.y.fill(-1.0);
-        dirty.v.fill(7.0);
-        dirty.grad_accum.fill(3.0);
-        dirty.y_accum.fill(2.0);
-        dirty.v_accum.fill(1.0);
-        dirty.steps = 17;
-        dirty.scratch.fill(5.0);
-        pool.release(dirty);
-        assert_eq!(pool.idle(), 1);
-        let recycled = pool.acquire(&x, &y);
-        assert_eq!(recycled, fresh);
-        assert_eq!(pool.idle(), 0);
-
-        // A wrong-dimension buffer is not recycled into the slot.
-        pool.release(WorkerState::new(&Vector::zeros(5)));
-        let refit = pool.acquire(&x, &y);
-        assert_eq!(refit, fresh);
     }
 
     #[test]

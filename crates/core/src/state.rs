@@ -370,38 +370,18 @@ impl FlState {
 /// edge aggregation a type-level fact rather than a convention.
 #[derive(Debug)]
 pub struct EdgeView<'a> {
-    edge: usize,
-    offset: usize,
+    pub(crate) edge: usize,
+    /// Flat index of the edge's first worker.
+    pub(crate) offset: usize,
     /// This edge's workers, locally indexed from 0.
     pub workers: &'a mut [WorkerState],
     /// This edge's aggregation state.
     pub state: &'a mut EdgeState,
-    weights: &'a Weights,
-    aggregator: RobustAggregator,
+    pub(crate) weights: &'a Weights,
+    pub(crate) aggregator: RobustAggregator,
 }
 
-impl<'a> EdgeView<'a> {
-    /// Assembles a view from detached parts (used by the execution engine
-    /// when edge work is shipped to a pool thread). `offset` is the flat
-    /// index of the edge's first worker.
-    pub(crate) fn detached(
-        edge: usize,
-        offset: usize,
-        workers: &'a mut [WorkerState],
-        state: &'a mut EdgeState,
-        weights: &'a Weights,
-        aggregator: RobustAggregator,
-    ) -> Self {
-        EdgeView {
-            edge,
-            offset,
-            workers,
-            state,
-            weights,
-            aggregator,
-        }
-    }
-
+impl EdgeView<'_> {
     /// The edge index this view covers.
     pub fn edge(&self) -> usize {
         self.edge

@@ -10,6 +10,7 @@ use hieradmo::core::{
     run, run_resumed, run_until, RunConfig, RunError, RunResult, TrainingSnapshot,
 };
 use hieradmo::models::zoo;
+use hieradmo::tensor::Vector;
 
 /// The equivalence fixture stretched to 40 ticks so the stop point (t=15,
 /// an edge boundary k=3 that is *not* a cloud boundary) leaves plenty of
@@ -322,6 +323,83 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
         &short,
     );
     assert!(matches!(err, Err(RunError::Data(_))));
+
+    // Malformed state vectors, after a JSON round-trip: every one is a
+    // typed data error from the snapshot check, never a panic mid-run.
+    let snap = TrainingSnapshot::from_json(&snap.to_json()).unwrap();
+    for (label, bad) in malformed_snapshots(&snap) {
+        let err = run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &bad);
+        assert!(
+            matches!(err, Err(RunError::Data(_))),
+            "run_resumed with {label}: {err:?}"
+        );
+    }
+
+    // The same check guards the sampled resume path.
+    use common::{sampled_matrix_trees, sampled_tier_fixture};
+    use hieradmo::core::population::{run_virtual_tiered_resumed, run_virtual_tiered_until};
+    let tree = sampled_matrix_trees()[1].clone();
+    let sf = sampled_tier_fixture(&tree);
+    let sampled_model = zoo::logistic_regression(&sf.train, 1);
+    let (_, sampled) = run_virtual_tiered_until(
+        &algo,
+        &sampled_model,
+        &sf.population,
+        &sf.shards,
+        &sf.test,
+        &sf.cfg,
+        &tree,
+        2 * sf.cfg.tau,
+    )
+    .unwrap();
+    let sampled = TrainingSnapshot::from_json(&sampled.to_json()).unwrap();
+    let mut cases = malformed_snapshots(&sampled);
+    let mut middle = sampled.clone();
+    middle.middle[0][1].y_plus = Vector::zeros(3);
+    cases.push(("a shortened middle-tier y_plus", middle));
+    for (label, bad) in cases {
+        let err = run_virtual_tiered_resumed(
+            &algo,
+            &sampled_model,
+            &sf.population,
+            &sf.shards,
+            &sf.test,
+            &sf.cfg,
+            &tree,
+            &bad,
+        );
+        assert!(
+            matches!(err, Err(RunError::Data(_))),
+            "run_virtual_tiered_resumed with {label}: {err:?}"
+        );
+    }
+}
+
+/// Copies of `snap` with one state vector off the model dimension each.
+fn malformed_snapshots(snap: &TrainingSnapshot) -> Vec<(&'static str, TrainingSnapshot)> {
+    let short = || Vector::zeros(3);
+    let mut cases = Vec::new();
+    let mut bad = snap.clone();
+    bad.workers[1].x = short();
+    cases.push(("a 3-entry worker x", bad));
+    let mut bad = snap.clone();
+    let mut long = bad.workers[1].x.as_slice().to_vec();
+    long.extend([0.0; 5]);
+    bad.workers[1].x = Vector::from(long);
+    cases.push(("a worker x with 5 extra entries", bad));
+    let mut bad = snap.clone();
+    bad.workers[1].v = short();
+    cases.push(("a shortened worker v", bad));
+    let mut bad = snap.clone();
+    bad.edges[0].x_plus = short();
+    cases.push(("a shortened edge x_plus", bad));
+    let mut bad = snap.clone();
+    bad.edges[1].y_minus = short();
+    cases.push(("a shortened edge y_minus", bad));
+    let mut bad = snap.clone();
+    bad.cloud.v = short();
+    cases.push(("a shortened cloud v", bad));
+    cases
 }
 
 /// Sampled deep-tree stop/resume: a depth-4 *virtual-population* run

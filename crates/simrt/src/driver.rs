@@ -1,11 +1,33 @@
 //! The co-simulation engine: the real training functions under a virtual
-//! clock.
+//! clock, behind every `simrt` entry point.
+//!
+//! # One engine, two participant sources
+//!
+//! [`simulate`], every topology epoch of [`crate::simulate_elastic`] and
+//! [`crate::simulate_virtual`] run through one event engine. Who takes
+//! part in a round is its private participant source:
+//!
+//! - **Registered** — persistent worker actors, each with a model
+//!   replica, a batcher seeded `seed + i`, the pre-drawn dropout table,
+//!   crash/recover/die events and rejoin snapshots. A straggler carries
+//!   over into the next round.
+//! - **Sampled** — per-round cohort slots filled at round start by
+//!   [`materialize_edge_cohort`], with streams re-derived from
+//!   `(seed, worker, round)`; absence is decided when a slot is filled and
+//!   a straggler is waived at the end of its round (see [`crate::vpop`]).
+//!
+//! The engine consults the source only at round start and step
+//! scheduling, the upload's mailbox write, the continuation after an edge
+//! fires, a late cloud submission, the barriers' per-child waivers,
+//! evaluation staging and the result's actor tallies. The event loop, the
+//! three edge barriers, the cloud actor with its middle tiers, γ staging,
+//! link transfers and result assembly exist once.
 //!
 //! # How the trajectory stays bitwise-faithful
 //!
 //! The engine keeps the canonical [`FlState`] as the *server-side mailbox*:
-//! worker actors own private training state (a model replica, a private
-//! batch stream seeded exactly like the core driver's, and their
+//! registered worker actors own private training state (a model replica,
+//! a private batch stream seeded exactly like the core driver's, and their
 //! [`WorkerState`]); an upload copies the actor's state into its `FlState`
 //! slot; aggregation hooks run against `FlState` through the same
 //! `EdgeView` the core driver uses; and a download ships the post-hook slot
@@ -14,7 +36,8 @@
 //! same gradient path (batch draw, clipping, `local_step`), same
 //! aggregation order, same fixed-chunk ordered evaluation reduction — so
 //! the final model, convergence curve and γℓ diagnostics are bitwise
-//! identical; only the time axis is new.
+//! identical; only the time axis is new. Sampled slots step directly on
+//! their mailbox slot, as the core driver's sampled rounds do.
 //!
 //! # Determinism
 //!
@@ -32,8 +55,13 @@ use std::fmt;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
 use hieradmo_core::driver::{build_train_probe, evaluate_on_replicas};
+use hieradmo_core::population::{
+    adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, fault_stream,
+    materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
+    WorkerPopulation,
+};
 use hieradmo_core::{
-    EdgeState, FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
+    FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
 };
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
@@ -42,10 +70,10 @@ use hieradmo_metrics::{
 };
 use hieradmo_models::{Evaluation, Model};
 use hieradmo_netsim::{
-    AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkProfile,
+    AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkFaults,
 };
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, Schedule, TierAggregation, Weights};
+use hieradmo_topology::{Hierarchy, Schedule, TierAggregation, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,16 +177,26 @@ pub struct SimResult {
     pub topology: TopologyCounters,
 }
 
-/// One scheduled occurrence in the simulation.
+/// One scheduled occurrence in the simulation. Sampled slot events carry
+/// the round they belong to, so anything a relaxed policy leaves in flight
+/// past its round's firing is dropped instead of leaking into the next
+/// materialization; registered workers carry their state across rounds
+/// and send `round: 0`.
 enum Ev {
-    /// A worker finished local step `tick + 1`.
-    Step { worker: usize },
+    /// A sampled edge begins its next round: fill the cohort slots and
+    /// charge their downloads.
+    StartRound { edge: usize },
+    /// A sampled slot's model download landed; local steps begin.
+    Arrive { slot: usize, round: usize },
+    /// A worker finished a local step.
+    Step { worker: usize, round: usize },
     /// A worker's end-of-interval upload reached its aggregator.
-    Upload { worker: usize },
+    Upload { worker: usize, round: usize },
     /// A Deadline-policy edge round's timeout expired.
     EdgeTimeout { edge: usize, round: usize },
-    /// A distributed model reached a worker (payload snapshotted at fire
-    /// time, so later mailbox writes cannot race with it).
+    /// A distributed model reached a registered worker (payload
+    /// snapshotted at fire time, so later mailbox writes cannot race with
+    /// it).
     Deliver {
         worker: usize,
         state: Box<WorkerState>,
@@ -180,7 +218,8 @@ enum Ev {
     DupArrival { to: ActorId },
 }
 
-/// A worker actor: private training state plus its virtual-clock bookkeeping.
+/// A registered worker actor: private training state plus its
+/// virtual-clock bookkeeping.
 struct WorkerSim<M> {
     state: WorkerState,
     model: M,
@@ -211,29 +250,46 @@ struct WorkerSim<M> {
     advers: AdversaryCounters,
 }
 
+/// Round-scoped context of one sampled cohort slot, rebuilt from
+/// `(seed, worker_id, round)` at every materialization.
+struct SlotCtx {
+    /// Global (population) id of the worker occupying the slot this round.
+    gid: u64,
+    /// The slot's edge (fixed: the cohort hierarchy is constant).
+    edge: usize,
+    /// The worker's shard index this round.
+    shard: usize,
+    /// Local steps completed this round.
+    steps: usize,
+    /// This round's mini-batch stream.
+    batcher: Batcher,
+    /// This round's private delay stream.
+    delays: DelaySampler,
+    /// This round's private fault stream (`None` when the plan is empty,
+    /// so fault-free runs draw nothing).
+    fsampler: Option<FaultSampler>,
+    /// Per-step dropout mask for this round (all-false without dropout).
+    dropped: Vec<bool>,
+    /// The occupying worker's attack, if it is Byzantine.
+    attack: Option<AttackModel>,
+}
+
 /// An edge actor: round-collection state for the current aggregation.
 struct EdgeSim {
-    /// Round currently being collected (1-based; sync policies only).
+    /// Round currently being collected (1-based); advances at every
+    /// firing under every policy.
     round: usize,
-    /// Completed firings.
-    firings: usize,
-    /// Which local workers have arrived for the current round.
+    /// Which children have arrived for the current round.
     arrived: Vec<bool>,
-    /// Last round each local worker's upload refreshed its slot
-    /// (Deadline staleness bookkeeping).
+    /// Last round each child's upload refreshed its slot (Deadline
+    /// staleness bookkeeping).
     last_round: Vec<usize>,
-    /// Firings since each local worker's slot was refreshed (AsyncAge).
+    /// Firings since each child's slot was refreshed (AsyncAge).
     age: Vec<usize>,
     /// The current round's timeout has expired (Deadline).
     timed_out: bool,
     /// A cloud submission is outstanding; firing is paused.
     waiting_cloud: bool,
-    /// Local workers to release when the cloud replies.
-    pending_release: Vec<usize>,
-    /// Post-hook worker slots of the last firing — what a late-rejoining
-    /// worker is handed (relaxed policies; also maintained under full
-    /// sync when faults are on).
-    last_dist: Vec<WorkerState>,
     sampler: DelaySampler,
     busy_ms: f64,
     /// Fault draws for this edge's cloud-hop transfers (both directions:
@@ -245,25 +301,89 @@ struct EdgeSim {
 /// The cloud actor: the edge-level analogue of [`EdgeSim`].
 struct CloudSim {
     round: usize,
-    firings: usize,
     arrived: Vec<bool>,
     last_round: Vec<usize>,
     age: Vec<usize>,
     timed_out: bool,
-    /// Post-hook worker slots per edge from the last firing, handed to
-    /// edges whose submissions arrive late (relaxed policies; also
-    /// maintained under full sync when faults are on).
-    last_dist: Vec<Option<Vec<WorkerState>>>,
     sampler: DelaySampler,
     busy_ms: f64,
     faults: FaultCounters,
 }
 
-/// Pending full-sync evaluation at one tick: per-worker model snapshots,
-/// evaluated once all `N` have contributed.
+/// Registered participants: persistent worker actors over a materialized
+/// hierarchy.
+struct Registered<'a, M> {
+    worker_data: &'a [Dataset],
+    workers: Vec<WorkerSim<M>>,
+    /// Flat-worker → edge index.
+    edge_of: Vec<usize>,
+    /// Pre-drawn dropout table, `(tick - 1) * N + worker`, in the core
+    /// driver's exact draw order.
+    active: Vec<bool>,
+    /// Per edge: local workers to release when the cloud replies.
+    pending_release: Vec<Vec<usize>>,
+    /// Per edge: post-hook worker slots of its last firing — what a
+    /// late-rejoining worker is handed.
+    edge_dist: Vec<Vec<WorkerState>>,
+    /// Per edge: post-hook worker slots from the last cloud firing,
+    /// handed to an edge whose submission arrives late.
+    cloud_dist: Vec<Option<Vec<WorkerState>>>,
+}
+
+/// Sampled participants: per-round cohort slots over a virtual
+/// population. Actor tallies are `O(edges)`: the slots report as one
+/// aggregate worker entry, adversaries as one entry per plan entry.
+struct Sampled<'a, M> {
+    population: &'a WorkerPopulation,
+    shards: &'a [Dataset],
+    shard_sizes: Vec<u64>,
+    sampler: CohortSampler,
+    slots: Vec<SlotCtx>,
+    /// Per slot: crashed at materialization, absent for the round.
+    absent: Vec<bool>,
+    /// Per edge: finished its final round.
+    retired: Vec<bool>,
+    /// One scratch model for gradient math (params are set before every
+    /// use, so slots share it).
+    step_model: M,
+    batch: Vec<usize>,
+    /// Aggregate busy time and fault tallies of all sampled workers.
+    busy_ms: f64,
+    faults: FaultCounters,
+    /// One flag per permanent-crash plan entry: already counted.
+    permanent_counted: Vec<bool>,
+    /// One counter per adversary-plan entry, in plan order.
+    adversaries: Vec<AdversaryCounters>,
+}
+
+/// Who takes part in a round: the only thing that differs between a
+/// materialized co-simulation and a sampled one.
+enum Participants<'a, M> {
+    Registered(Registered<'a, M>),
+    Sampled(Sampled<'a, M>),
+}
+
+impl<'a, M> Participants<'a, M> {
+    fn registered(&mut self) -> &mut Registered<'a, M> {
+        match self {
+            Participants::Registered(r) => r,
+            Participants::Sampled(_) => unreachable!("registered-worker event in a sampled run"),
+        }
+    }
+
+    fn sampled(&mut self) -> &mut Sampled<'a, M> {
+        match self {
+            Participants::Sampled(s) => s,
+            Participants::Registered(_) => unreachable!("cohort-slot event in a registered run"),
+        }
+    }
+}
+
+/// Pending evaluation at one tick: per-contributor model snapshots
+/// (registered workers, or sampled edges), evaluated once all have
+/// contributed.
 struct EvalStage {
     xs: Vec<Option<Vector>>,
-    count: usize,
     last_ms: f64,
 }
 
@@ -276,8 +396,58 @@ struct EvalRec {
 }
 
 /// `ceil(quorum · n)`, clamped to `[1, n]`.
-pub(crate) fn quorum_count(quorum: f64, n: usize) -> usize {
+fn quorum_count(quorum: f64, n: usize) -> usize {
     ((quorum * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// Runs the link-fault retry protocol for one transfer of `delay_ms`:
+/// without a link-fault profile the delay stands; with one, the outcome is
+/// drawn from `fs`, tallied into the sender's `counters`, and stretches
+/// the delay by its penalty. Returns the delay plus the duplicate's extra
+/// lag, if one was spawned.
+fn link_transfer(
+    lf: Option<&LinkFaults>,
+    fs: Option<&mut FaultSampler>,
+    counters: &mut FaultCounters,
+    delay_ms: f64,
+) -> (f64, Option<f64>) {
+    let (Some(lf), Some(fs)) = (lf, fs) else {
+        return (delay_ms, None);
+    };
+    let out = fs.transfer(lf);
+    counters.add_transfer(
+        out.messages_lost,
+        out.transfer_failures,
+        out.retries,
+        out.duplicate_lag_ms.is_some(),
+    );
+    (delay_ms + out.penalty_ms, out.duplicate_lag_ms)
+}
+
+/// One local step, replicating the core pool's gradient path exactly: the
+/// clipped gradient hook against `model` on `batch` of `data`, then the
+/// strategy's step.
+#[allow(clippy::too_many_arguments)]
+fn local_step<M: Model, S: Strategy + ?Sized>(
+    strategy: &S,
+    t: usize,
+    state: &mut WorkerState,
+    model: &mut M,
+    data: &Dataset,
+    batch: &[usize],
+    clip: Option<f32>,
+) {
+    let mut grad_fn = |p: &Vector, out: &mut Vector| {
+        model.set_params(p);
+        model.loss_and_grad_into(data, batch, out);
+        if let Some(max_norm) = clip {
+            let norm = out.norm();
+            if norm > max_norm {
+                out.scale_in_place(max_norm / norm);
+            }
+        }
+    };
+    strategy.local_step(t, state, &mut grad_fn);
 }
 
 /// One topology-epoch slice of a virtual-clock run (see
@@ -319,41 +489,28 @@ impl Span<'_> {
     }
 }
 
-/// Evaluates `params` on the test set and training probe with the core
-/// engine's exact reduction: fixed [`EVAL_CHUNK`]-sample chunks, partial
-/// sums merged in `(target, chunk index)` order. `models` provides one
-/// replica per evaluation lane; with a single replica everything runs on
-/// the calling thread through the identical code path.
-fn evaluate_params<M>(
-    models: &mut [M],
-    test: &Dataset,
-    probe: &Dataset,
-    params: &Vector,
-) -> (Evaluation, Evaluation)
-where
-    M: Model + Send,
-{
-    evaluate_on_replicas(models, test, probe, params)
-}
+/// Stream salts keeping a sampled run's edge/cloud aggregator delay
+/// streams disjoint from every per-(worker, round) stream whatever the
+/// population size.
+const SALT_EDGE_STREAM: u64 = 0x6564_6765_5f76_706f;
+const SALT_CLOUD_STREAM: u64 = 0x636c_6f75_645f_7670;
+/// Fault-stream salt keeping a sampled run's edge retry/duplicate draws
+/// disjoint from their delay streams and from every per-(worker, round)
+/// fault stream.
+const SALT_EDGE_FAULT_STREAM: u64 = 0x6661_756c_745f_7670;
 
 struct Engine<'a, M, S: ?Sized> {
     strategy: &'a S,
     cfg: &'a RunConfig,
     sim: &'a SimConfig,
-    hierarchy: &'a Hierarchy,
-    worker_data: &'a [Dataset],
     test_data: &'a Dataset,
     train_probe: Dataset,
     eval_models: Vec<M>,
-    /// Flat-worker → edge index.
-    edge_of: Vec<usize>,
-    /// Edge → flat index of its first worker.
-    offsets: Vec<usize>,
-    /// Pre-drawn dropout table, `(tick - 1) * N + worker`, in the core
-    /// driver's exact draw order.
-    active: Vec<bool>,
+    src: Participants<'a, M>,
     fl: FlState,
-    workers: Vec<WorkerSim<M>>,
+    /// The tier tree the middle tiers fire over (a sampled run's cohort
+    /// sub-tree); `None` on three-tier runs.
+    tree: Option<TierTree>,
     edges: Vec<EdgeSim>,
     cloud: CloudSim,
     queue: EventQueue<Ev>,
@@ -361,11 +518,11 @@ struct Engine<'a, M, S: ?Sized> {
     events: u64,
     evals: Vec<EvalRec>,
     pending_evals: BTreeMap<usize, EvalStage>,
-    /// Full-sync eval ticks already evaluated — a crash-redo must not
-    /// re-create a completed stage (faults only; empty otherwise).
+    /// Staged eval ticks already evaluated — a crash-redo must not
+    /// re-create a completed stage (registered faults only).
     completed_evals: BTreeSet<usize>,
     /// Per-round `(γℓ, cos θ)` per edge, emitted as means once every edge
-    /// has fired the round (full sync only).
+    /// has fired the round (see [`Engine::staged_rounds`]).
     gamma_stage: BTreeMap<usize, Vec<Option<(f32, f32)>>>,
     gamma_trace: Vec<(usize, f32)>,
     cos_trace: Vec<(usize, f32)>,
@@ -378,9 +535,9 @@ struct Engine<'a, M, S: ?Sized> {
     /// `TierTree::sync_rounds`. Divides `π` by construction, so root
     /// boundaries are always submission boundaries.
     submit_period: usize,
-    /// Global edge-firing counter (relaxed-policy trace index).
+    /// Global edge-firing counter (registered relaxed-policy trace index).
     firing_seq: usize,
-    /// Last curve iteration issued (relaxed policies).
+    /// Last curve iteration issued (registered relaxed policies).
     last_iter: usize,
     /// The fault plan injects something; `false` guarantees zero fault
     /// draws and a run bitwise identical to one without fault injection.
@@ -391,68 +548,57 @@ struct Engine<'a, M, S: ?Sized> {
     final_segment: bool,
 }
 
-impl<'a, M, S> Engine<'a, M, S>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    #[allow(clippy::too_many_arguments)]
+/// The mailbox a run starts from: `hierarchy` with `weights`, the tier
+/// tree attached, the strategy's initial state, and `resume`'s tier
+/// vectors when the span continues a run.
+fn initial_state<S: Strategy + ?Sized>(
+    strategy: &S,
+    x0: &Vector,
+    hierarchy: Hierarchy,
+    weights: Weights,
+    tree: Option<&TierTree>,
+    cfg: &RunConfig,
+    resume: Option<&TrainingSnapshot>,
+) -> FlState {
+    let mut fl = FlState::new(hierarchy, weights, x0);
+    fl.aggregator = cfg.aggregator;
+    if let Some(tree) = tree {
+        fl.attach_tree(tree.clone());
+    }
+    strategy.init(&mut fl);
+    if let Some(snap) = resume {
+        // All algorithm state lives in the tier vectors (same rule the
+        // core driver's resume path relies on).
+        fl.workers = snap.workers.clone();
+        fl.edges = snap.edges.clone();
+        fl.cloud = snap.cloud.clone();
+    }
+    fl
+}
+
+impl<'a, M: Model + Clone> Registered<'a, M> {
+    /// One worker actor per mailbox slot, every training RNG stream
+    /// fast-forwarded over the span's first `start` ticks exactly as the
+    /// core driver's resume path does.
     fn new(
-        strategy: &'a S,
-        model: &M,
-        hierarchy: &'a Hierarchy,
         worker_data: &'a [Dataset],
-        test_data: &'a Dataset,
-        cfg: &'a RunConfig,
-        sim: &'a SimConfig,
-        span: Span<'_>,
+        fl: &FlState,
+        model: &M,
+        cfg: &RunConfig,
+        sim: &SimConfig,
+        start: usize,
     ) -> Self {
+        let hierarchy = &fl.hierarchy;
         let n = hierarchy.num_workers();
         let l_count = hierarchy.num_edges();
-        let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
-        let weights = Weights::from_samples(hierarchy, &samples);
-        let mut fl = FlState::new(hierarchy.clone(), weights, &model.params());
-        fl.aggregator = cfg.aggregator;
-        if let Some(tree) = &sim.tiers {
-            fl.attach_tree(tree.clone());
-        }
-        strategy.init(&mut fl);
-        if let Some(snap) = span.resume {
-            // All algorithm state lives in the tier vectors (same rule the
-            // core driver's resume path relies on).
-            fl.workers = snap.workers.clone();
-            fl.edges = snap.edges.clone();
-            fl.cloud = snap.cloud.clone();
-        }
-        // Edges submit cloud-wards at every boundary where some tier above
-        // them mutates state; identity middles are free, so a pure
-        // pass-through tree keeps the three-tier submission cadence (and
-        // every delay stream) untouched.
-        let submit_period = match &sim.tiers {
-            Some(tree) => tree
-                .middle_depths()
-                .filter(|&d| tree.levels()[d].aggregation != TierAggregation::Identity)
-                .map(|d| tree.sync_rounds(d))
-                .min()
-                .unwrap_or(cfg.pi),
-            None => cfg.pi,
-        };
-
-        let mut edge_of = vec![0usize; n];
-        let mut offsets = vec![0usize; l_count];
-        for (e, offset) in offsets.iter_mut().enumerate() {
-            let range = hierarchy.edge_workers(e);
-            *offset = range.start;
-            for i in range {
-                edge_of[i] = e;
-            }
-        }
-
+        let edge_of = (0..l_count)
+            .flat_map(|e| hierarchy.edge_workers(e).map(move |_| e))
+            .collect();
         // Dropout table, pre-drawn in the core driver's (tick-major,
         // worker-minor) order; when dropout is zero the driver draws
         // nothing, and neither does the table.
         let total = cfg.total_iters;
-        let active = if cfg.dropout == 0.0 {
+        let active: Vec<bool> = if cfg.dropout == 0.0 {
             vec![true; total * n]
         } else {
             let mut fault_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f);
@@ -460,17 +606,12 @@ where
                 .map(|_| fault_rng.gen_range(0.0..1.0) >= cfg.dropout)
                 .collect()
         };
-
         let faults_on = !sim.faults.is_empty();
         let dim = fl.dim();
-        let start = span.start;
         let edge_rounds_done = start / cfg.tau;
-        let cloud_rounds_done = start / (cfg.tau * submit_period);
-        let workers: Vec<WorkerSim<M>> = (0..n)
+        let workers = (0..n)
             .map(|i| {
-                // Fast-forward the training RNG streams over the span's
-                // prefix exactly as the core driver's resume path does:
-                // one mini-batch draw per *active* prefix tick (the
+                // One mini-batch draw per *active* prefix tick (the
                 // dropout table above already replayed those draws) and
                 // one adversary draw per edge boundary.
                 let mut batcher = Batcher::new(
@@ -511,55 +652,113 @@ where
                 }
             })
             .collect();
-        let edges: Vec<EdgeSim> = (0..l_count)
+        Registered {
+            worker_data,
+            workers,
+            edge_of,
+            active,
+            pending_release: vec![Vec::new(); l_count],
+            edge_dist: (0..l_count)
+                .map(|e| fl.workers[hierarchy.edge_workers(e)].to_vec())
+                .collect(),
+            cloud_dist: vec![None; l_count],
+        }
+    }
+}
+
+impl<'a, M, S> Engine<'a, M, S>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
+    /// Lays the edge and cloud actors out around the mailbox `fl` and its
+    /// participant source, for the ticks `span` covers.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        strategy: &'a S,
+        model: &M,
+        fl: FlState,
+        src: Participants<'a, M>,
+        probe_data: &[Dataset],
+        test_data: &'a Dataset,
+        cfg: &'a RunConfig,
+        sim: &'a SimConfig,
+        span: Span<'_>,
+    ) -> Self {
+        let n = fl.workers.len();
+        let l_count = fl.hierarchy.num_edges();
+        let tree = fl.tree.clone();
+        // Edges submit cloud-wards at every boundary where some tier above
+        // them mutates state; identity middles are free, so a pure
+        // pass-through tree keeps the three-tier submission cadence (and
+        // every delay stream) untouched.
+        let submit_period = tree
+            .as_ref()
+            .and_then(|tree| {
+                tree.middle_depths()
+                    .filter(|&d| tree.levels()[d].aggregation != TierAggregation::Identity)
+                    .map(|d| tree.sync_rounds(d))
+                    .min()
+            })
+            .unwrap_or(cfg.pi);
+        // Registered actors number their delay and fault streams flat
+        // (workers, then edges, then the cloud); sampled runs key the
+        // edges and the cloud off salted seeds, so no stream depends on
+        // the population size.
+        let net = sim.net_seed;
+        let (edge_seed, edge_fault_seed, edge_base, cloud_seed, cloud_stream) = match src {
+            Participants::Registered(_) => (net, net, n, net, n + l_count),
+            Participants::Sampled(_) => (
+                net ^ SALT_EDGE_STREAM,
+                net ^ SALT_EDGE_FAULT_STREAM,
+                0,
+                net ^ SALT_CLOUD_STREAM,
+                0,
+            ),
+        };
+        let start = span.start;
+        let edge_rounds_done = start / cfg.tau;
+        let cloud_rounds_done = start / (cfg.tau * submit_period);
+        let edges = (0..l_count)
             .map(|e| {
-                let c = hierarchy.workers_in_edge(e);
+                let c = fl.hierarchy.workers_in_edge(e);
+                let stream = (edge_base + e) as u64;
                 EdgeSim {
                     round: edge_rounds_done + 1,
-                    firings: edge_rounds_done,
                     arrived: vec![false; c],
                     last_round: vec![edge_rounds_done; c],
                     age: vec![0; c],
                     timed_out: false,
                     waiting_cloud: false,
-                    pending_release: Vec::new(),
-                    last_dist: fl.workers[hierarchy.edge_workers(e)].to_vec(),
-                    sampler: DelaySampler::from_stream(sim.net_seed, (n + e) as u64),
+                    sampler: DelaySampler::from_stream(edge_seed, stream),
                     busy_ms: 0.0,
-                    fsampler: FaultSampler::from_stream(sim.net_seed, (n + e) as u64),
+                    fsampler: FaultSampler::from_stream(edge_fault_seed, stream),
                     faults: FaultCounters::default(),
                 }
             })
             .collect();
         let cloud = CloudSim {
             round: cloud_rounds_done + 1,
-            firings: cloud_rounds_done,
             arrived: vec![false; l_count],
             last_round: vec![cloud_rounds_done; l_count],
             age: vec![0; l_count],
             timed_out: false,
-            last_dist: vec![None; l_count],
-            sampler: DelaySampler::from_stream(sim.net_seed, (n + l_count) as u64),
+            sampler: DelaySampler::from_stream(cloud_seed, cloud_stream as u64),
             busy_ms: 0.0,
             faults: FaultCounters::default(),
         };
         let threads = cfg.resolved_threads();
         let tier_gamma = vec![Vec::new(); fl.middle.len()];
-
         Engine {
             strategy,
             cfg,
             sim,
-            hierarchy,
-            worker_data,
             test_data,
-            train_probe: build_train_probe(worker_data, cfg.train_eval_cap),
+            train_probe: build_train_probe(probe_data, cfg.train_eval_cap),
             eval_models: (0..threads).map(|_| model.clone()).collect(),
-            edge_of,
-            offsets,
-            active,
+            src,
             fl,
-            workers,
+            tree,
             edges,
             cloud,
             queue: EventQueue::new(),
@@ -575,7 +774,7 @@ where
             submit_period,
             firing_seq: span.firing_base,
             last_iter: span.iter_base,
-            faults_on,
+            faults_on: !sim.faults.is_empty(),
             limit: span.limit,
             final_segment: span.final_segment,
         }
@@ -589,48 +788,74 @@ where
         t.is_multiple_of(self.cfg.eval_every) || t == self.cfg.total_iters
     }
 
-    /// The link and concurrent-flow count a worker's transfers use.
-    fn worker_link(&self, edge: usize) -> (&'a LinkProfile, usize) {
-        let sim = self.sim;
-        let hierarchy = self.hierarchy;
-        match sim.architecture {
-            Architecture::ThreeTier => (&sim.env.worker_edge_link, hierarchy.workers_in_edge(edge)),
-            Architecture::TwoTier => (&sim.env.worker_cloud_link, hierarchy.num_workers()),
+    fn is_sampled(&self) -> bool {
+        matches!(self.src, Participants::Sampled(_))
+    }
+
+    /// γ traces (and evaluations) are staged per round and reduced over
+    /// the edges: always for sampled cohorts, whose edges fire every round
+    /// exactly once, and under full sync for registered workers. Relaxed
+    /// registered runs trace every firing in order instead.
+    fn staged_rounds(&self) -> bool {
+        self.full_sync() || self.is_sampled()
+    }
+
+    /// Registered runs keep rejoin snapshots for late or recovering
+    /// workers under relaxed policies, and under full sync when faults
+    /// are on. Sampled slots rejoin at the next materialization for free.
+    fn keeps_rejoin_snapshots(&self) -> bool {
+        !self.is_sampled() && (!self.full_sync() || self.faults_on)
+    }
+
+    /// The flat offset of edge `e`'s first child.
+    fn edge_offset(&self, e: usize) -> usize {
+        self.fl.hierarchy.edge_workers(e).start
+    }
+
+    /// A registered worker died permanently (sampled slots never die;
+    /// they are absent for a round at most).
+    fn worker_dead(&self, i: usize) -> bool {
+        match &self.src {
+            Participants::Registered(r) => r.workers[i].dead,
+            Participants::Sampled(_) => false,
         }
     }
 
-    /// Draws a worker's up/down transfer delay (including retry/backoff
-    /// penalties when link faults are on) and charges its busy time.
-    /// Returns `(delay_ms, duplicate_lag_ms)`.
+    /// Draws a registered worker's up/down transfer delay (including
+    /// retry/backoff penalties when link faults are on) and charges its
+    /// busy time. Returns `(delay_ms, duplicate_lag_ms)`.
     fn worker_transfer(&mut self, i: usize, bytes: u64) -> (f64, Option<f64>) {
-        let link_faults = self.sim.faults.link;
-        let (link, flows) = self.worker_link(self.edge_of[i]);
-        let w = &mut self.workers[i];
-        let mut d = w.sampler.shared_transfer_ms(link, bytes, flows);
-        let mut dup = None;
-        if let Some(lf) = link_faults {
-            let out = w.fsampler.transfer(&lf);
-            w.faults.add_transfer(
-                out.messages_lost,
-                out.transfer_failures,
-                out.retries,
-                out.duplicate_lag_ms.is_some(),
-            );
-            d += out.penalty_ms;
-            dup = out.duplicate_lag_ms;
-        }
+        let sim = self.sim;
+        let hierarchy = &self.fl.hierarchy;
+        let r = self.src.registered();
+        let (link, flows) = match sim.architecture {
+            Architecture::ThreeTier => (
+                &sim.env.worker_edge_link,
+                hierarchy.workers_in_edge(r.edge_of[i]),
+            ),
+            Architecture::TwoTier => (&sim.env.worker_cloud_link, hierarchy.num_workers()),
+        };
+        let w = &mut r.workers[i];
+        let d = w.sampler.shared_transfer_ms(link, bytes, flows);
+        let (d, dup) = link_transfer(
+            sim.faults.link.as_ref(),
+            Some(&mut w.fsampler),
+            &mut w.faults,
+            d,
+        );
         w.busy_ms += d;
         (d, dup)
     }
 
-    /// Crash draw at one of a worker's two draw points. On a crash the
-    /// worker goes down, its in-progress work is lost, and a `Recover`
-    /// fires after the drawn downtime. Returns `true` when it crashed.
+    /// Crash draw at one of a registered worker's two draw points. On a
+    /// crash the worker goes down, its in-progress work is lost, and a
+    /// `Recover` fires after the drawn downtime. Returns `true` when it
+    /// crashed.
     fn maybe_crash(&mut self, i: usize, now: f64, lost_upload: bool) -> bool {
         let Some(cp) = self.sim.faults.crash else {
             return false;
         };
-        let w = &mut self.workers[i];
+        let w = &mut self.src.registered().workers[i];
         let Some(dt) = w.fsampler.crash_downtime_ms(&cp) else {
             return false;
         };
@@ -650,38 +875,441 @@ where
             return;
         }
         let sim = self.sim;
-        let spikes = sim.faults.spikes;
-        let w = &mut self.workers[i];
+        let w = &mut self.src.registered().workers[i];
         let mut d = w.sampler.compute_ms(&sim.env.worker_devices[i]);
-        if let Some(sp) = spikes {
+        if let Some(sp) = sim.faults.spikes {
             if let Some(factor) = w.fsampler.spike_factor(&sp) {
                 d *= factor;
                 w.faults.delay_spikes += 1;
             }
         }
         w.busy_ms += d;
-        self.queue
-            .push(now + d, ActorId::Worker(i), Ev::Step { worker: i });
+        let step = Ev::Step {
+            worker: i,
+            round: 0,
+        };
+        self.queue.push(now + d, ActorId::Worker(i), step);
     }
 
-    /// Sends `state` down to worker `flat` (payload snapshotted now).
-    /// Messages to permanently-dead workers are not sent at all.
+    /// Sends `state` down to registered worker `flat` (payload snapshotted
+    /// now). Messages to permanently-dead workers are not sent at all.
     fn deliver(&mut self, flat: usize, state: Box<WorkerState>, now: f64) {
-        if self.workers[flat].dead {
+        if self.worker_dead(flat) {
             return;
         }
         let (d, dup) = self.worker_transfer(flat, self.sim.download_bytes);
+        let to = ActorId::Worker(flat);
         self.queue.push(
             now + d,
-            ActorId::Worker(flat),
+            to,
             Ev::Deliver {
                 worker: flat,
                 state,
             },
         );
         if let Some(lag) = dup {
-            let to = ActorId::Worker(flat);
             self.queue.push(now + d + lag, to, Ev::DupArrival { to });
+        }
+    }
+
+    fn on_step_done(&mut self, i: usize, now: f64) {
+        let strategy = self.strategy;
+        let cfg = self.cfg;
+        let r = self.src.registered();
+        let n = r.workers.len();
+        let data = &r.worker_data[i];
+        let w = &mut r.workers[i];
+        if w.dead || w.down {
+            return; // step was in flight when the worker crashed
+        }
+        w.tick += 1;
+        let t = w.tick;
+        if r.active[(t - 1) * n + i] {
+            w.batcher.next_batch_into(&mut w.batch);
+            let clip = cfg.clip_norm;
+            local_step(
+                strategy,
+                t,
+                &mut w.state,
+                &mut w.model,
+                data,
+                &w.batch,
+                clip,
+            );
+        }
+        if t.is_multiple_of(cfg.tau) {
+            // End of interval: upload (dropout skips the step, never the
+            // aggregation — matching the core driver). A crash here loses
+            // the upload outright.
+            if self.maybe_crash(i, now, true) {
+                return;
+            }
+            let (d, dup) = self.worker_transfer(i, self.sim.upload_bytes);
+            let upload = Ev::Upload {
+                worker: i,
+                round: 0,
+            };
+            self.queue.push(now + d, ActorId::Worker(i), upload);
+            if let Some(lag) = dup {
+                let to = match self.sim.architecture {
+                    Architecture::ThreeTier => ActorId::Edge(self.src.registered().edge_of[i]),
+                    Architecture::TwoTier => ActorId::Cloud,
+                };
+                self.queue.push(now + d + lag, to, Ev::DupArrival { to });
+            }
+        } else {
+            if self.full_sync() && self.is_eval_tick(t) {
+                let x = self.src.registered().workers[i].state.x.clone();
+                self.stage_eval(t, i, x, now);
+            }
+            self.schedule_step(i, now);
+        }
+    }
+
+    fn on_upload(&mut self, i: usize, now: f64) {
+        let r = self.src.registered();
+        let w = &mut r.workers[i];
+        if w.dead {
+            // The sender died while its upload was in flight: lost.
+            w.faults.lost_uploads += 1;
+            return;
+        }
+        let e = r.edge_of[i];
+        let k_up = w.tick / self.cfg.tau;
+        // Mailbox write: the server-side slot now holds the upload.
+        self.fl.workers[i] = w.state.clone();
+        // A Byzantine worker poisons the upload in flight: the corruption
+        // lands on the mailbox slot (what aggregation reads), never on the
+        // actor's private state — under full sync this is exactly the core
+        // driver's corrupt-before-aggregate, because the post-hook slot is
+        // shipped back wholesale on the download. One draw per landed
+        // upload keeps the per-worker stream aligned with the core driver's
+        // per-boundary draws.
+        if let Some(attack) = w.attack {
+            corrupt_upload(
+                &mut self.fl.workers[i],
+                &attack,
+                &mut w.asampler,
+                &mut w.advers,
+            );
+        }
+        let j = i - self.edge_offset(e);
+        self.edge_arrival(e, j, k_up, now);
+    }
+
+    /// A late Deadline upload (its round fired without it) carries over in
+    /// the mailbox; the registered worker is handed the round's
+    /// distribution so it rejoins immediately.
+    fn release_late_worker(&mut self, e: usize, j: usize, now: f64) {
+        let waiting = self.edges[e].waiting_cloud;
+        let flat = self.edge_offset(e) + j;
+        let r = self.src.registered();
+        if waiting {
+            r.pending_release[e].push(j);
+        } else {
+            let payload = Box::new(r.edge_dist[e][j].clone());
+            self.deliver(flat, payload, now);
+        }
+    }
+
+    fn on_deliver(&mut self, flat: usize, state: WorkerState, now: f64) {
+        let faults_on = self.faults_on;
+        let limit = self.limit;
+        let w = &mut self.src.registered().workers[flat];
+        if w.dead {
+            return; // delivery raced the worker's permanent death
+        }
+        w.state = state;
+        if faults_on {
+            w.chain = Some((w.tick, Box::new(w.state.clone())));
+        }
+        if w.down {
+            return; // its pending Recover rejoins from the fresh snapshot
+        }
+        if w.tick < limit {
+            self.schedule_step(flat, now);
+        } else {
+            w.done = true;
+        }
+    }
+
+    /// A transiently-crashed worker comes back: it lost whatever it was
+    /// doing and rejoins from the last server-delivered model at that
+    /// snapshot's tick, replaying the interval with fresh batch draws.
+    fn on_recover(&mut self, i: usize, now: f64) {
+        let limit = self.limit;
+        let w = &mut self.src.registered().workers[i];
+        if w.dead || !w.down {
+            return;
+        }
+        w.down = false;
+        let (tick, state) = w
+            .chain
+            .clone()
+            .expect("fault injection keeps a rejoin snapshot");
+        w.tick = tick;
+        w.state = *state;
+        if w.tick >= limit {
+            w.done = true;
+            return;
+        }
+        self.schedule_step(i, now);
+    }
+
+    /// A worker dies permanently: it never uploads again, and every
+    /// barrier that could wait for it is re-derived so the run cannot
+    /// deadlock on a dead child.
+    fn on_die(&mut self, i: usize, now: f64) {
+        let r = self.src.registered();
+        let e = r.edge_of[i];
+        let w = &mut r.workers[i];
+        if w.dead || w.done {
+            return;
+        }
+        w.dead = true;
+        w.down = false;
+        w.faults.crashes += 1;
+        match self.sim.policy {
+            SyncPolicy::FullSync => {
+                // Stages first (they evaluate at `now`), then barriers
+                // (their evaluations land after aggregation compute).
+                let ts: Vec<usize> = self.pending_evals.keys().copied().collect();
+                for t in ts {
+                    self.try_finish_eval(t, now);
+                }
+                let ks: Vec<usize> = self.gamma_stage.keys().copied().collect();
+                for k in ks {
+                    self.try_finish_gamma(k);
+                }
+                self.maybe_fire_edge_full(e, now);
+                self.maybe_fire_cloud_full(now);
+            }
+            SyncPolicy::Deadline { .. } => {
+                self.maybe_fire_edge_deadline(e, now);
+                self.maybe_fire_cloud_deadline(now);
+            }
+            SyncPolicy::AsyncAge { .. } => {
+                self.maybe_fire_edge_async(e, now);
+                self.maybe_fire_cloud_async(now);
+            }
+        }
+    }
+
+    /// Round start of sampled edge `e`: draw its cohort into the slots,
+    /// decide each occupant's absence up front, and charge the downloads.
+    fn start_round(&mut self, e: usize, now: f64) {
+        let cfg = self.cfg;
+        let sim = self.sim;
+        let faults_on = self.faults_on;
+        let k = self.edges[e].round;
+        let range = self.fl.hierarchy.edge_workers(e);
+        let s = self.src.sampled();
+        let ids =
+            materialize_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
+        for (j, &g) in ids.iter().enumerate() {
+            let slot = range.start + j;
+            let mut fsampler = faults_on
+                .then(|| FaultSampler::from_stream(sim.net_seed, fault_stream(g, k as u64)));
+            // Fault waiver at materialization: the round's crash draw is
+            // taken up front, so absence is a per-(worker, round) fact
+            // independent of event interleaving. An absent slot loses its
+            // whole round and rejoins at the next materialization.
+            let mut absent = false;
+            for (idx, perm) in sim.faults.permanent.iter().enumerate() {
+                if perm.worker as u64 == g && perm.at_ms <= now {
+                    if !s.permanent_counted[idx] {
+                        s.permanent_counted[idx] = true;
+                        s.faults.crashes += 1;
+                    }
+                    absent = true;
+                }
+            }
+            if !absent {
+                if let (Some(c), Some(fs)) = (sim.faults.crash.as_ref(), fsampler.as_mut()) {
+                    if let Some(downtime) = fs.crash_downtime_ms(c) {
+                        absent = true;
+                        s.faults.crashes += 1;
+                        s.faults.recovery_ms += downtime;
+                    }
+                }
+            }
+            s.absent[slot] = absent;
+            // The slot carries the edge model of the previous round: its
+            // upload refreshes it to `k`, a straggler's Deadline staleness
+            // is 1.
+            self.edges[e].last_round[j] = k - 1;
+            let ctx = &mut s.slots[slot];
+            ctx.gid = g;
+            ctx.shard = s.population.shard_of(g);
+            ctx.steps = 0;
+            ctx.batcher = Batcher::new(
+                s.shard_sizes[ctx.shard] as usize,
+                cfg.batch_size,
+                batcher_seed(cfg.seed, g, k as u64),
+            );
+            ctx.delays = DelaySampler::from_stream(sim.net_seed, delay_stream(g, k as u64));
+            ctx.fsampler = fsampler;
+            ctx.dropped = cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
+            ctx.attack = cfg.adversary.attack_for(g as usize);
+            if absent {
+                s.faults.lost_uploads += 1;
+                continue; // down for the round: no download, no steps
+            }
+            // Model download to the freshly sampled participant.
+            let d = ctx
+                .delays
+                .transfer_ms(&sim.env.worker_edge_link, sim.download_bytes);
+            let link = sim.faults.link.as_ref();
+            let (d, dup) = link_transfer(link, ctx.fsampler.as_mut(), &mut s.faults, d);
+            s.busy_ms += d;
+            let to = ActorId::Worker(slot);
+            self.queue.push(now + d, to, Ev::Arrive { slot, round: k });
+            if let Some(lag) = dup {
+                self.queue.push(now + d + lag, to, Ev::DupArrival { to });
+            }
+        }
+        if s.absent[range].iter().all(|&a| a) {
+            // Every sampled participant is down: the round fires empty and
+            // the edge relays its carried state at the boundaries, so no
+            // barrier above can deadlock on it.
+            self.fire_edge(e, now);
+        }
+    }
+
+    /// A slot event from a round that already fired — a straggler to be
+    /// discarded (its slot re-materializes at the next round start).
+    fn slot_stale(&mut self, slot: usize, round: usize) -> bool {
+        let e = self.src.sampled().slots[slot].edge;
+        self.edges[e].round != round
+    }
+
+    fn schedule_slot_step(&mut self, slot: usize, now: f64) {
+        let sim = self.sim;
+        let s = self.src.sampled();
+        let ctx = &mut s.slots[slot];
+        let step = Ev::Step {
+            worker: slot,
+            round: self.edges[ctx.edge].round,
+        };
+        if ctx.dropped[ctx.steps] {
+            // Dropped step: the device sits idle — no compute draw, and
+            // (in `on_slot_step`) no mini-batch draw and no local step,
+            // exactly matching the tick-driven cohort rounds.
+            self.queue.push(now, ActorId::Worker(slot), step);
+            return;
+        }
+        // Profile-pool semantics: registered worker `g` draws its compute
+        // profile from the pool slot `g mod pool size`, so a small profile
+        // set covers any population size.
+        let device = (ctx.gid % sim.env.worker_devices.len() as u64) as usize;
+        let mut d = ctx.delays.compute_ms(&sim.env.worker_devices[device]);
+        if let Some(sp) = sim.faults.spikes.as_ref() {
+            if let Some(f) = ctx.fsampler.as_mut().and_then(|fs| fs.spike_factor(sp)) {
+                d *= f;
+                s.faults.delay_spikes += 1;
+            }
+        }
+        s.busy_ms += d;
+        self.queue.push(now + d, ActorId::Worker(slot), step);
+    }
+
+    fn on_slot_step(&mut self, slot: usize, round: usize, now: f64) {
+        if self.slot_stale(slot, round) {
+            return;
+        }
+        let strategy = self.strategy;
+        let cfg = self.cfg;
+        let sim = self.sim;
+        let s = self.src.sampled();
+        let ctx = &mut s.slots[slot];
+        ctx.steps += 1;
+        let steps = ctx.steps;
+        if !ctx.dropped[steps - 1] {
+            let t = (round - 1) * cfg.tau + steps;
+            ctx.batcher.next_batch_into(&mut s.batch);
+            let data = &s.shards[ctx.shard];
+            let state = &mut self.fl.workers[slot];
+            local_step(
+                strategy,
+                t,
+                state,
+                &mut s.step_model,
+                data,
+                &s.batch,
+                cfg.clip_norm,
+            );
+        }
+        if steps < cfg.tau {
+            self.schedule_slot_step(slot, now);
+            return;
+        }
+        let d = ctx
+            .delays
+            .transfer_ms(&sim.env.worker_edge_link, sim.upload_bytes);
+        let link = sim.faults.link.as_ref();
+        let (d, dup) = link_transfer(link, ctx.fsampler.as_mut(), &mut s.faults, d);
+        s.busy_ms += d;
+        let upload = Ev::Upload {
+            worker: slot,
+            round,
+        };
+        self.queue.push(now + d, ActorId::Worker(slot), upload);
+        if let Some(lag) = dup {
+            let to = ActorId::Edge(ctx.edge);
+            self.queue.push(now + d + lag, to, Ev::DupArrival { to });
+        }
+    }
+
+    fn on_slot_upload(&mut self, slot: usize, round: usize, now: f64) {
+        if self.slot_stale(slot, round) {
+            // A straggler past its round's firing: the slot has been (or
+            // is about to be) re-materialized — the upload is discarded
+            // and the rejoin happens at the next round start for free.
+            return;
+        }
+        let cfg = self.cfg;
+        let s = self.src.sampled();
+        let ctx = &s.slots[slot];
+        let e = ctx.edge;
+        // The slot steps on its mailbox slot, so the upload's mailbox
+        // write is a no-op; only poisoning touches it.
+        if let Some(attack) = ctx.attack {
+            let g = ctx.gid;
+            let entry = cfg
+                .adversary
+                .byzantine
+                .iter()
+                .position(|b| b.worker as u64 == g)
+                .expect("attack implies a plan entry");
+            // A fresh per-(worker, round) stream: the draw is independent
+            // of event interleaving and of every other corruption.
+            let mut sampler =
+                AdversarySampler::from_stream(cfg.seed, adversary_stream(g, round as u64));
+            corrupt_upload(
+                &mut self.fl.workers[slot],
+                &attack,
+                &mut sampler,
+                &mut s.adversaries[entry],
+            );
+        }
+        let j = slot - self.edge_offset(e);
+        self.edge_arrival(e, j, round, now);
+    }
+
+    /// The end of sampled edge `e`'s round `k`: stage the evaluation
+    /// snapshot on evaluation rounds, then start the next round or retire
+    /// the edge.
+    fn finish_round(&mut self, e: usize, k: usize, now: f64) {
+        let t = k * self.cfg.tau;
+        if self.is_eval_tick(t) {
+            let x = self.fl.edges[e].x_plus.clone();
+            self.stage_eval(t, e, x, now);
+        }
+        if t < self.limit {
+            self.queue
+                .push(now, ActorId::Edge(e), Ev::StartRound { edge: e });
+        } else {
+            self.src.sampled().retired[e] = true;
         }
     }
 
@@ -692,50 +1320,49 @@ where
             train_probe,
             ..
         } = self;
-        evaluate_params(eval_models, test_data, train_probe, params)
+        evaluate_on_replicas(eval_models, test_data, train_probe, params)
     }
 
-    /// Full-sync evaluation staging: collects one model snapshot per worker
-    /// for tick `t` and evaluates their data-weighted average once all `N`
-    /// have contributed — reproducing the core driver's
-    /// `global_params`-then-evaluate at that tick bit-for-bit.
-    fn stage_eval(&mut self, t: usize, flat: usize, x: Vector, at_ms: f64) {
+    /// Evaluation staging: collects one model snapshot per contributor for
+    /// tick `t` — each registered worker's, or each sampled edge's
+    /// post-aggregation model — and evaluates their data-weighted average
+    /// once all have contributed, reproducing the core driver's evaluation
+    /// at that tick bit-for-bit.
+    fn stage_eval(&mut self, t: usize, idx: usize, x: Vector, at_ms: f64) {
         if self.completed_evals.contains(&t) {
             // A crash-redo re-passed an already-evaluated tick.
             debug_assert!(self.faults_on);
             return;
         }
-        let n = self.workers.len();
+        let width = match &self.src {
+            Participants::Registered(r) => r.workers.len(),
+            Participants::Sampled(_) => self.edges.len(),
+        };
         let stage = self.pending_evals.entry(t).or_insert_with(|| EvalStage {
-            xs: vec![None; n],
-            count: 0,
+            xs: vec![None; width],
             last_ms: 0.0,
         });
-        if stage.xs[flat].is_some() {
+        if stage.xs[idx].is_some() {
             // A crash-redo re-contributed: keep the first pass's snapshot.
-            debug_assert!(
-                self.faults_on,
-                "worker {flat} contributed twice to tick {t}"
-            );
+            debug_assert!(self.faults_on, "{idx} contributed twice to tick {t}");
             return;
         }
-        stage.xs[flat] = Some(x);
-        stage.count += 1;
+        stage.xs[idx] = Some(x);
         stage.last_ms = stage.last_ms.max(at_ms);
         self.try_finish_eval(t, at_ms);
     }
 
-    /// Fires a staged full-sync evaluation once every worker has either
+    /// Fires a staged evaluation once every contributor has either
     /// contributed or died permanently; dead workers' snapshots come from
     /// their server-side mailbox slots. With no faults this is exactly the
-    /// "all `N` contributed" barrier.
+    /// "all contributed" barrier.
     fn try_finish_eval(&mut self, t: usize, now: f64) {
         let complete = match self.pending_evals.get(&t) {
             Some(stage) => stage
                 .xs
                 .iter()
                 .enumerate()
-                .all(|(i, x)| x.is_some() || self.workers[i].dead),
+                .all(|(i, x)| x.is_some() || self.worker_dead(i)),
             None => return,
         };
         if !complete {
@@ -743,12 +1370,20 @@ where
         }
         let stage = self.pending_evals.remove(&t).expect("stage just checked");
         self.completed_evals.insert(t);
-        let params = Vector::weighted_average(stage.xs.iter().enumerate().map(|(i, x)| {
-            (
-                self.fl.weights.worker_in_total(i),
-                x.as_ref().unwrap_or(&self.fl.workers[i].x),
-            )
-        }));
+        let params = match self.src {
+            Participants::Registered(_) => {
+                Vector::weighted_average(stage.xs.iter().enumerate().map(|(i, x)| {
+                    (
+                        self.fl.weights.worker_in_total(i),
+                        x.as_ref().unwrap_or(&self.fl.workers[i].x),
+                    )
+                }))
+            }
+            Participants::Sampled(_) => weighted_edge_average(
+                &self.fl.weights,
+                stage.xs.iter().map(|x| x.as_ref().expect("stage complete")),
+            ),
+        };
         let (test, train) = self.run_eval(&params);
         self.evals.push(EvalRec {
             iter: t,
@@ -758,9 +1393,9 @@ where
         });
     }
 
-    /// Full-sync trace staging: per-edge `(γℓ, cos θ)` of round `k`,
-    /// reduced to the driver's edge-index-order `f32` means once every edge
-    /// has fired the round.
+    /// Trace staging: per-edge `(γℓ, cos θ)` of round `k`, reduced to the
+    /// driver's edge-index-order `f32` means once every edge has fired the
+    /// round.
     fn stage_gamma(&mut self, k: usize, e: usize, gamma: f32, cos: f32) {
         let l_count = self.edges.len();
         let slot = self
@@ -771,16 +1406,21 @@ where
         self.try_finish_gamma(k);
     }
 
-    /// All of an edge's workers have died permanently: it will never fire
-    /// a round again.
+    /// All of a registered edge's workers have died permanently: it will
+    /// never fire a round again. Sampled edges never die.
     fn edge_all_dead(&self, e: usize) -> bool {
-        self.faults_on && self.hierarchy.edge_workers(e).all(|i| self.workers[i].dead)
+        self.faults_on
+            && self
+                .fl
+                .hierarchy
+                .edge_workers(e)
+                .all(|i| self.worker_dead(i))
     }
 
-    /// Emits a staged full-sync `(γℓ, cos θ)` round once every edge has
-    /// fired it or will never fire again; the mean is over the edges that
-    /// did fire. With no faults this is exactly the "all edges fired"
-    /// barrier with the driver's edge-index-order means.
+    /// Emits a staged `(γℓ, cos θ)` round once every edge has fired it or
+    /// will never fire again; the mean is over the edges that did fire.
+    /// With no faults this is exactly the "all edges fired" barrier with
+    /// the driver's edge-index-order means.
     fn try_finish_gamma(&mut self, k: usize) {
         let complete = match self.gamma_stage.get(&k) {
             Some(slot) => slot
@@ -801,10 +1441,10 @@ where
             .push((k, fired.iter().map(|p| p.1).sum::<f32>() / n));
     }
 
-    /// Relaxed-policy evaluation: the server's current global view, indexed
-    /// by committed local steps (made strictly increasing).
+    /// Registered relaxed-policy evaluation: the server's current global
+    /// view, indexed by committed local steps (made strictly increasing).
     fn record_relaxed_eval(&mut self, at_ms: f64) {
-        let committed: usize = self.workers.iter().map(|w| w.tick).sum();
+        let committed: usize = self.src.registered().workers.iter().map(|w| w.tick).sum();
         let iter = committed.max(self.last_iter + 1);
         self.last_iter = iter;
         let params = self.strategy.global_params(&self.fl);
@@ -817,134 +1457,38 @@ where
         });
     }
 
-    fn on_step_done(&mut self, i: usize, now: f64) {
-        if self.workers[i].dead || self.workers[i].down {
-            return; // step was in flight when the worker crashed
-        }
-        self.workers[i].tick += 1;
-        let t = self.workers[i].tick;
-        let n = self.workers.len();
-        if self.active[(t - 1) * n + i] {
-            self.do_local_step(i, t);
-        }
-        if t.is_multiple_of(self.cfg.tau) {
-            // End of interval: upload (dropout skips the step, never the
-            // aggregation — matching the core driver). A crash here loses
-            // the upload outright.
-            if self.maybe_crash(i, now, true) {
-                return;
-            }
-            let (d, dup) = self.worker_transfer(i, self.sim.upload_bytes);
-            self.queue
-                .push(now + d, ActorId::Worker(i), Ev::Upload { worker: i });
-            if let Some(lag) = dup {
-                let to = match self.sim.architecture {
-                    Architecture::ThreeTier => ActorId::Edge(self.edge_of[i]),
-                    Architecture::TwoTier => ActorId::Cloud,
-                };
-                self.queue.push(now + d + lag, to, Ev::DupArrival { to });
-            }
-        } else {
-            if self.full_sync() && self.is_eval_tick(t) {
-                let x = self.workers[i].state.x.clone();
-                self.stage_eval(t, i, x, now);
-            }
-            self.schedule_step(i, now);
-        }
-    }
-
-    /// One local step, replicating the core pool's gradient path exactly:
-    /// batch draw into the reusable buffer, clipped gradient hook against
-    /// the worker's private model replica, then the strategy's step.
-    fn do_local_step(&mut self, i: usize, t: usize) {
-        let strategy = self.strategy;
-        let cfg = self.cfg;
-        let worker_data = self.worker_data;
-        let data = &worker_data[i];
-        let w = &mut self.workers[i];
-        w.batcher.next_batch_into(&mut w.batch);
-        let WorkerSim {
-            model,
-            batch,
-            state,
-            ..
-        } = w;
-        let clip = cfg.clip_norm;
-        let mut grad_fn = |p: &Vector, out: &mut Vector| {
-            model.set_params(p);
-            model.loss_and_grad_into(data, batch, out);
-            if let Some(max_norm) = clip {
-                let norm = out.norm();
-                if norm > max_norm {
-                    out.scale_in_place(max_norm / norm);
-                }
-            }
-        };
-        strategy.local_step(t, state, &mut grad_fn);
-    }
-
-    fn on_upload(&mut self, i: usize, now: f64) {
-        if self.workers[i].dead {
-            // The sender died while its upload was in flight: lost.
-            self.workers[i].faults.lost_uploads += 1;
-            return;
-        }
-        let e = self.edge_of[i];
-        let j = i - self.offsets[e];
-        let k_up = self.workers[i].tick / self.cfg.tau;
-        // Mailbox write: the server-side slot now holds the upload.
-        self.fl.workers[i] = self.workers[i].state.clone();
-        // A Byzantine worker poisons the upload in flight: the corruption
-        // lands on the mailbox slot (what aggregation reads), never on the
-        // actor's private state — under full sync this is exactly the core
-        // driver's corrupt-before-aggregate, because the post-hook slot is
-        // shipped back wholesale on the download. One draw per landed
-        // upload keeps the per-worker stream aligned with the core driver's
-        // per-boundary draws.
-        if let Some(attack) = self.workers[i].attack {
-            let w = &mut self.workers[i];
-            corrupt_upload(
-                &mut self.fl.workers[i],
-                &attack,
-                &mut w.asampler,
-                &mut w.advers,
-            );
-        }
+    /// Child `j`'s round-`k` upload landed in edge `e`'s mailbox slot.
+    fn edge_arrival(&mut self, e: usize, j: usize, k: usize, now: f64) {
+        let edge = &mut self.edges[e];
         match self.sim.policy {
             SyncPolicy::FullSync => {
-                self.edges[e].arrived[j] = true;
+                edge.arrived[j] = true;
                 self.maybe_fire_edge_full(e, now);
             }
             SyncPolicy::Deadline { timeout_ms, .. } => {
-                if k_up < self.edges[e].round {
-                    // Late: the round fired without this worker. Its upload
-                    // carries over in the mailbox; hand it the round's
-                    // distribution so it rejoins immediately.
-                    self.edges[e].last_round[j] = k_up;
-                    if self.edges[e].waiting_cloud {
-                        self.edges[e].pending_release.push(j);
-                    } else {
-                        let payload = Box::new(self.edges[e].last_dist[j].clone());
-                        self.deliver(i, payload, now);
-                    }
-                } else {
-                    let first = !self.edges[e].arrived.iter().any(|&a| a);
-                    self.edges[e].arrived[j] = true;
-                    self.edges[e].last_round[j] = k_up;
-                    if first {
-                        let round = self.edges[e].round;
-                        self.queue.push(
-                            now + timeout_ms,
-                            ActorId::Edge(e),
-                            Ev::EdgeTimeout { edge: e, round },
-                        );
-                    }
-                    self.maybe_fire_edge_deadline(e, now);
+                edge.last_round[j] = k;
+                if k < edge.round {
+                    // Late (registered workers only; a sampled straggler
+                    // is dropped before it lands): the round fired
+                    // without this worker.
+                    self.release_late_worker(e, j, now);
+                    return;
                 }
+                let first = !edge.arrived.iter().any(|&a| a);
+                edge.arrived[j] = true;
+                if first {
+                    let round = edge.round;
+                    self.queue.push(
+                        now + timeout_ms,
+                        ActorId::Edge(e),
+                        Ev::EdgeTimeout { edge: e, round },
+                    );
+                }
+                self.maybe_fire_edge_deadline(e, now);
             }
             SyncPolicy::AsyncAge { .. } => {
-                self.edges[e].arrived[j] = true;
-                self.edges[e].age[j] = 0;
+                edge.arrived[j] = true;
+                edge.age[j] = 0;
                 self.maybe_fire_edge_async(e, now);
             }
         }
@@ -958,11 +1502,32 @@ where
         self.maybe_fire_edge_deadline(e, now);
     }
 
-    /// Full-sync edge barrier with a fault waiver: fires once every local
-    /// worker has arrived or died permanently (at least one arrival). With
-    /// no faults this is exactly the all-arrived barrier.
+    /// Child `j` of edge `e` will not arrive this round and is waived at
+    /// the full-sync and Deadline barriers: a registered worker that died
+    /// permanently, or a sampled slot absent for the round.
+    fn child_gone(&self, e: usize, j: usize) -> bool {
+        let i = self.edge_offset(e) + j;
+        match &self.src {
+            Participants::Registered(r) => r.workers[i].dead,
+            Participants::Sampled(s) => s.absent[i],
+        }
+    }
+
+    /// Child `j` of edge `e` cannot catch up and is exempt from the
+    /// AsyncAge staleness cap: a registered worker that is done or dead,
+    /// or a sampled slot absent for the round.
+    fn child_exhausted(&self, e: usize, j: usize) -> bool {
+        let i = self.edge_offset(e) + j;
+        match &self.src {
+            Participants::Registered(r) => r.workers[i].done || r.workers[i].dead,
+            Participants::Sampled(s) => s.absent[i],
+        }
+    }
+
+    /// Full-sync edge barrier with a fault waiver: fires once every child
+    /// has arrived or is gone (at least one arrival). With no faults this
+    /// is exactly the all-arrived barrier.
     fn maybe_fire_edge_full(&mut self, e: usize, now: f64) {
-        let offset = self.offsets[e];
         let edge = &self.edges[e];
         if edge.waiting_cloud || !edge.arrived.iter().any(|&a| a) {
             return;
@@ -971,7 +1536,7 @@ where
             .arrived
             .iter()
             .enumerate()
-            .all(|(j, &a)| a || self.workers[offset + j].dead);
+            .all(|(j, &a)| a || self.child_gone(e, j));
         if all {
             self.fire_edge(e, now);
         }
@@ -981,7 +1546,6 @@ where
         let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
             return;
         };
-        let offset = self.offsets[e];
         let edge = &self.edges[e];
         if edge.waiting_cloud {
             return;
@@ -990,17 +1554,16 @@ where
         if have == 0 {
             return;
         }
-        let total = edge.arrived.len();
-        // Quorum re-derivation: permanently-dead absentees leave the
-        // denominator, so a strict minority dying can never deadlock the
-        // round. `live_total >= have >= 1` keeps the clamp well-defined.
-        let absent_dead = edge
+        // Quorum re-derivation: gone absentees leave the denominator, so
+        // a strict minority dying can never deadlock the round.
+        // `live_total >= have >= 1` keeps the clamp well-defined.
+        let absent_gone = edge
             .arrived
             .iter()
             .enumerate()
-            .filter(|&(j, &a)| !a && self.workers[offset + j].dead)
+            .filter(|&(j, &a)| !a && self.child_gone(e, j))
             .count();
-        let live_total = total - absent_dead;
+        let live_total = edge.arrived.len() - absent_gone;
         if have == live_total || (edge.timed_out && have >= quorum_count(quorum, live_total)) {
             self.fire_edge(e, now);
         }
@@ -1014,39 +1577,38 @@ where
         if edge.waiting_cloud || !edge.arrived.iter().any(|&a| a) {
             return;
         }
-        // A too-stale absent worker blocks the firing — unless it is done
-        // (or permanently dead) and will never upload again: the
-        // staleness cap is waived for children that cannot catch up.
-        let offset = self.offsets[e];
-        let blocked = edge.arrived.iter().enumerate().any(|(j, &arr)| {
-            let w = &self.workers[offset + j];
-            !arr && edge.age[j] >= max_staleness && !w.done && !w.dead
-        });
+        // A too-stale absent child blocks the firing — unless it cannot
+        // catch up: the staleness cap is waived for exhausted children.
+        let blocked =
+            edge.arrived.iter().enumerate().any(|(j, &arr)| {
+                !arr && edge.age[j] >= max_staleness && !self.child_exhausted(e, j)
+            });
         if !blocked {
             self.fire_edge(e, now);
         }
     }
 
     /// Fires the edge's current round with whoever has arrived: runs the
-    /// strategy's (staleness-aware) edge hook against the mailbox, then
-    /// either submits to the cloud (boundary rounds) or distributes the
-    /// post-hook slots back to the participants.
+    /// strategy's (staleness-aware) edge hook against the mailbox (an
+    /// empty sampled round skips it and relays the carried state), submits
+    /// to the cloud on boundary rounds, and hands the rest to the
+    /// participant source.
     fn fire_edge(&mut self, e: usize, now: f64) {
         let strategy = self.strategy;
         let sim = self.sim;
-        let offset = self.offsets[e];
-        let c = self.edges[e].arrived.len();
-        let participants: Vec<usize> = (0..c).filter(|&j| self.edges[e].arrived[j]).collect();
-        let (k, staleness): (usize, Vec<usize>) = match sim.policy {
-            SyncPolicy::FullSync => (self.edges[e].round, vec![0; c]),
-            SyncPolicy::Deadline { .. } => {
-                let r = self.edges[e].round;
-                let stale = (0..c)
-                    .map(|j| r.saturating_sub(self.edges[e].last_round[j]))
-                    .collect();
-                (r, stale)
-            }
-            SyncPolicy::AsyncAge { .. } => (self.edges[e].firings + 1, self.edges[e].age.clone()),
+        let edge = &self.edges[e];
+        let k = edge.round;
+        let participants: Vec<usize> = (0..edge.arrived.len())
+            .filter(|&j| edge.arrived[j])
+            .collect();
+        let staleness: Vec<usize> = match sim.policy {
+            SyncPolicy::FullSync => vec![0; edge.arrived.len()],
+            SyncPolicy::Deadline { .. } => edge
+                .last_round
+                .iter()
+                .map(|&r| k.saturating_sub(r))
+                .collect(),
+            SyncPolicy::AsyncAge { .. } => edge.age.clone(),
         };
         // Aggregation compute (three-tier only: a two-tier "edge" is the
         // cloud's frontend and charges nothing of its own).
@@ -1058,150 +1620,135 @@ where
             }
             Architecture::TwoTier => 0.0,
         };
-        {
+        if !participants.is_empty() {
             let mut view = self.fl.edge_view(e);
             strategy.edge_aggregate_stale(k, &mut view, &staleness);
         }
         let (gamma, cos) = (self.fl.edges[e].gamma_edge, self.fl.edges[e].cos_theta);
-        if self.full_sync() {
+        if self.staged_rounds() {
             self.stage_gamma(k, e, gamma, cos);
         } else {
             self.firing_seq += 1;
             self.gamma_trace.push((self.firing_seq, gamma));
             self.cos_trace.push((self.firing_seq, cos));
         }
-        if !self.full_sync() || self.faults_on {
-            // Rejoin snapshot for late or recovering workers.
-            self.edges[e].last_dist = self.fl.workers[offset..offset + c].to_vec();
-        }
-        let firings_after = self.edges[e].firings + 1;
         // `submit_period` equals `π` except on N-tier runs, where a
         // non-identity middle tier pulls the submission boundary in.
-        let cloud_round = match sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } => {
-                k.is_multiple_of(self.submit_period)
-            }
-            SyncPolicy::AsyncAge { .. } => firings_after.is_multiple_of(self.submit_period),
-        };
-        if self.full_sync() {
-            let t = k * self.cfg.tau;
-            if !cloud_round && self.is_eval_tick(t) {
-                for j in 0..c {
-                    let x = self.fl.workers[offset + j].x.clone();
-                    self.stage_eval(t, offset + j, x, now + d);
-                }
-            }
-        }
+        let cloud_round = k.is_multiple_of(self.submit_period);
         if cloud_round {
             self.edges[e].waiting_cloud = true;
-            self.edges[e].pending_release = participants.clone();
-            let (du, dup) = match sim.architecture {
-                Architecture::ThreeTier => {
-                    let flows = self.edges.len();
-                    let mut dd = self.edges[e].sampler.shared_transfer_ms(
-                        &sim.env.edge_cloud_link,
-                        sim.upload_bytes,
-                        flows,
-                    );
-                    let mut dup = None;
-                    if let Some(lf) = sim.faults.link {
-                        let out = self.edges[e].fsampler.transfer(&lf);
-                        self.edges[e].faults.add_transfer(
-                            out.messages_lost,
-                            out.transfer_failures,
-                            out.retries,
-                            out.duplicate_lag_ms.is_some(),
-                        );
-                        dd += out.penalty_ms;
-                        dup = out.duplicate_lag_ms;
-                    }
-                    self.edges[e].busy_ms += dd;
-                    (dd, dup)
-                }
-                Architecture::TwoTier => (0.0, None),
-            };
-            let p = match sim.policy {
-                SyncPolicy::AsyncAge { .. } => firings_after / self.submit_period,
-                _ => k / self.submit_period,
-            };
-            self.queue.push(
-                now + d + du,
-                ActorId::Edge(e),
-                Ev::CloudSubmit { edge: e, round: p },
-            );
+            let (du, dup) = self.edge_cloud_transfer(e, sim.upload_bytes);
+            let round = k / self.submit_period;
+            let at = now + d + du;
+            self.queue
+                .push(at, ActorId::Edge(e), Ev::CloudSubmit { edge: e, round });
             if let Some(lag) = dup {
-                self.queue.push(
-                    now + d + du + lag,
-                    ActorId::Cloud,
-                    Ev::DupArrival { to: ActorId::Cloud },
-                );
-            }
-        } else {
-            for &j in &participants {
-                let flat = offset + j;
-                let payload = Box::new(self.fl.workers[flat].clone());
-                self.deliver(flat, payload, now + d);
+                let to = ActorId::Cloud;
+                self.queue.push(at + lag, to, Ev::DupArrival { to });
             }
         }
         let edge = &mut self.edges[e];
-        edge.firings = firings_after;
+        edge.round += 1;
         edge.arrived.fill(false);
         edge.timed_out = false;
-        match sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } => edge.round += 1,
-            SyncPolicy::AsyncAge { .. } => {
-                for (j, a) in edge.age.iter_mut().enumerate() {
-                    if participants.contains(&j) {
-                        *a = 0;
-                    } else {
-                        *a += 1;
-                    }
+        if let SyncPolicy::AsyncAge { .. } = sim.policy {
+            for (j, a) in edge.age.iter_mut().enumerate() {
+                if participants.contains(&j) {
+                    *a = 0;
+                } else {
+                    *a += 1;
                 }
             }
         }
+        self.after_edge_fire(e, k, cloud_round, participants, now + d);
+    }
+
+    /// The participant source's continuation after edge `e` fired round
+    /// `k` at `now`. Registered workers keep a rejoin snapshot and, off
+    /// the cloud boundary, get the post-hook slots delivered (after
+    /// full-sync evaluation staging); on it they wait for the reply.
+    /// Sampled rounds end here off the boundary.
+    fn after_edge_fire(
+        &mut self,
+        e: usize,
+        k: usize,
+        cloud_round: bool,
+        participants: Vec<usize>,
+        now: f64,
+    ) {
+        if self.is_sampled() {
+            if !cloud_round {
+                self.finish_round(e, k, now);
+            }
+            return;
+        }
+        let range = self.fl.hierarchy.edge_workers(e);
+        if self.keeps_rejoin_snapshots() {
+            self.src.registered().edge_dist[e] = self.fl.workers[range.clone()].to_vec();
+        }
+        if cloud_round {
+            self.src.registered().pending_release[e] = participants;
+            return;
+        }
+        let t = k * self.cfg.tau;
+        if self.full_sync() && self.is_eval_tick(t) {
+            for flat in range.clone() {
+                let x = self.fl.workers[flat].x.clone();
+                self.stage_eval(t, flat, x, now);
+            }
+        }
+        for j in participants {
+            let flat = range.start + j;
+            let payload = Box::new(self.fl.workers[flat].clone());
+            self.deliver(flat, payload, now);
+        }
+    }
+
+    /// Draws edge `e`'s cloud-hop transfer of `bytes` (either direction;
+    /// free on two-tier runs) and charges its busy time.
+    fn edge_cloud_transfer(&mut self, e: usize, bytes: u64) -> (f64, Option<f64>) {
+        let sim = self.sim;
+        if sim.architecture == Architecture::TwoTier {
+            return (0.0, None);
+        }
+        let flows = self.edges.len();
+        let edge = &mut self.edges[e];
+        let d = edge
+            .sampler
+            .shared_transfer_ms(&sim.env.edge_cloud_link, bytes, flows);
+        let link = sim.faults.link.as_ref();
+        let (d, dup) = link_transfer(link, Some(&mut edge.fsampler), &mut edge.faults, d);
+        edge.busy_ms += d;
+        (d, dup)
     }
 
     fn on_cloud_submit(&mut self, e: usize, p: usize, now: f64) {
+        let cloud = &mut self.cloud;
+        cloud.last_round[e] = p;
         match self.sim.policy {
+            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } if p < cloud.round => {
+                // Late: the cloud round fired without this edge (a
+                // dead-waived full-sync round, or a Deadline quorum). Its
+                // submission carries over in the mailbox.
+                self.release_late_edge(e, now);
+            }
             SyncPolicy::FullSync => {
-                if self.faults_on && p < self.cloud.round {
-                    // A dead-waived round fired without this edge and its
-                    // submission only arrived now; releasing from the last
-                    // snapshot keeps the next round's collection clean.
-                    self.cloud.last_round[e] = p;
-                    self.release_edge_from_snapshot(e, now);
-                } else {
-                    self.cloud.arrived[e] = true;
-                    self.cloud.last_round[e] = p;
-                    self.maybe_fire_cloud_full(now);
-                }
+                cloud.arrived[e] = true;
+                self.maybe_fire_cloud_full(now);
             }
             SyncPolicy::Deadline { timeout_ms, .. } => {
-                if p < self.cloud.round {
-                    // Late: the cloud round fired without this edge. Its
-                    // submission carries over in the mailbox; release its
-                    // waiting workers with the last distributed global.
-                    self.cloud.last_round[e] = p;
-                    self.release_edge_from_snapshot(e, now);
-                } else {
-                    let first = !self.cloud.arrived.iter().any(|&a| a);
-                    self.cloud.arrived[e] = true;
-                    self.cloud.last_round[e] = p;
-                    if first {
-                        let round = self.cloud.round;
-                        self.queue.push(
-                            now + timeout_ms,
-                            ActorId::Cloud,
-                            Ev::CloudTimeout { round },
-                        );
-                    }
-                    self.maybe_fire_cloud_deadline(now);
+                let first = !cloud.arrived.iter().any(|&a| a);
+                cloud.arrived[e] = true;
+                if first {
+                    let round = cloud.round;
+                    self.queue
+                        .push(now + timeout_ms, ActorId::Cloud, Ev::CloudTimeout { round });
                 }
+                self.maybe_fire_cloud_deadline(now);
             }
             SyncPolicy::AsyncAge { .. } => {
-                self.cloud.arrived[e] = true;
-                self.cloud.age[e] = 0;
-                self.cloud.last_round[e] = p;
+                cloud.arrived[e] = true;
+                cloud.age[e] = 0;
                 self.maybe_fire_cloud_async(now);
             }
         }
@@ -1221,18 +1768,31 @@ where
         !self.edges[l].waiting_cloud && self.edge_all_dead(l)
     }
 
+    /// An edge that can never submit again: a sampled edge that finished
+    /// its final round, or a registered one whose workers all hold their
+    /// final model (or died permanently) with nothing of its in flight.
+    fn edge_exhausted(&self, l: usize) -> bool {
+        match &self.src {
+            Participants::Registered(r) => {
+                !self.edges[l].waiting_cloud
+                    && self
+                        .fl
+                        .hierarchy
+                        .edge_workers(l)
+                        .all(|i| r.workers[i].done || r.workers[i].dead)
+            }
+            Participants::Sampled(s) => s.retired[l],
+        }
+    }
+
     /// Full-sync cloud barrier with a fault waiver: fires once every edge
     /// has submitted or is permanently dead (at least one submission).
     fn maybe_fire_cloud_full(&mut self, now: f64) {
-        if !self.cloud.arrived.iter().any(|&a| a) {
+        let arrived = &self.cloud.arrived;
+        if !arrived.iter().any(|&a| a) {
             return;
         }
-        let all = self
-            .cloud
-            .arrived
-            .iter()
-            .enumerate()
-            .all(|(l, &a)| a || self.edge_perma_dead(l));
+        let all = (0..arrived.len()).all(|l| arrived[l] || self.edge_perma_dead(l));
         if all {
             self.fire_cloud(now);
         }
@@ -1242,44 +1802,33 @@ where
         let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
             return;
         };
-        let have = self.cloud.arrived.iter().filter(|&&a| a).count();
+        let arrived = &self.cloud.arrived;
+        let have = arrived.iter().filter(|&&a| a).count();
         if have == 0 {
             return;
         }
-        let total = self.cloud.arrived.len();
         // Same quorum re-derivation as the edge barrier: permanently-dead
         // edges leave the denominator.
-        let absent_dead = (0..total)
-            .filter(|&l| !self.cloud.arrived[l] && self.edge_perma_dead(l))
+        let absent_dead = (0..arrived.len())
+            .filter(|&l| !arrived[l] && self.edge_perma_dead(l))
             .count();
-        let live_total = total - absent_dead;
+        let live_total = arrived.len() - absent_dead;
         if have == live_total || (self.cloud.timed_out && have >= quorum_count(quorum, live_total))
         {
             self.fire_cloud(now);
         }
     }
 
-    /// An edge that can never submit again: all of its workers hold their
-    /// final model (or died permanently) and nothing of its is in flight.
-    fn edge_exhausted(&self, l: usize) -> bool {
-        !self.edges[l].waiting_cloud
-            && self
-                .hierarchy
-                .edge_workers(l)
-                .all(|i| self.workers[i].done || self.workers[i].dead)
-    }
-
     fn maybe_fire_cloud_async(&mut self, now: f64) {
         let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
             return;
         };
-        if !self.cloud.arrived.iter().any(|&a| a) {
+        let cloud = &self.cloud;
+        if !cloud.arrived.iter().any(|&a| a) {
             return;
         }
-        let blocked =
-            self.cloud.arrived.iter().enumerate().any(|(l, &arr)| {
-                !arr && self.cloud.age[l] >= max_staleness && !self.edge_exhausted(l)
-            });
+        let blocked = (0..cloud.arrived.len())
+            .any(|l| !cloud.arrived[l] && cloud.age[l] >= max_staleness && !self.edge_exhausted(l));
         if !blocked {
             self.fire_cloud(now);
         }
@@ -1292,30 +1841,26 @@ where
     fn fire_cloud(&mut self, now: f64) {
         let strategy = self.strategy;
         let sim = self.sim;
-        let hierarchy = self.hierarchy;
         let l_count = self.cloud.arrived.len();
         let participants: Vec<usize> = (0..l_count).filter(|&l| self.cloud.arrived[l]).collect();
-        let (p, staleness): (usize, Vec<usize>) = match sim.policy {
-            SyncPolicy::FullSync => (self.cloud.round, vec![0; l_count]),
-            SyncPolicy::Deadline { .. } => {
-                let r = self.cloud.round;
-                let stale = (0..l_count)
-                    .map(|l| r.saturating_sub(self.cloud.last_round[l]))
-                    .collect();
-                (r, stale)
-            }
-            SyncPolicy::AsyncAge { .. } => (self.cloud.firings + 1, self.cloud.age.clone()),
+        let p = self.cloud.round;
+        let staleness: Vec<usize> = match sim.policy {
+            SyncPolicy::FullSync => vec![0; l_count],
+            SyncPolicy::Deadline { .. } => self
+                .cloud
+                .last_round
+                .iter()
+                .map(|&r| p.saturating_sub(r))
+                .collect(),
+            SyncPolicy::AsyncAge { .. } => self.cloud.age.clone(),
         };
         let d = self.cloud.sampler.compute_ms(&sim.env.cloud_device);
         self.cloud.busy_ms += d;
-        let saved: Vec<(usize, EdgeState, Vec<WorkerState>)> = (0..l_count)
+        let saved: Vec<_> = (0..l_count)
             .filter(|l| !participants.contains(l))
             .map(|l| {
-                (
-                    l,
-                    self.fl.edges[l].clone(),
-                    self.fl.workers[hierarchy.edge_workers(l)].to_vec(),
-                )
+                let range = self.fl.hierarchy.edge_workers(l);
+                (l, self.fl.edges[l].clone(), self.fl.workers[range].to_vec())
             })
             .collect();
         // The edge round this submission closes; `p` counts submission
@@ -1330,7 +1875,7 @@ where
         // the per-edge vector); all-zero — every FullSync round — is
         // bitwise the synchronous hook, otherwise stale subtree edges are
         // carried over at bounded age (`default_middle_aggregate_stale`).
-        if let Some(tree) = &sim.tiers {
+        if let Some(tree) = &self.tree {
             for td in tree.middle_depths().rev() {
                 // Identity tiers fire nothing and record nothing — a
                 // pass-through tree must match its collapse bitwise,
@@ -1361,94 +1906,86 @@ where
         }
         // The root fires only on its own boundary — every submission on
         // three-tier runs, every `π / submit_period`-th on N-tier runs.
-        let root_fires = k.is_multiple_of(self.cfg.pi);
-        if root_fires {
+        if k.is_multiple_of(self.cfg.pi) {
             strategy.cloud_aggregate_stale(k / self.cfg.pi, &mut self.fl, &staleness);
         }
-        if !self.full_sync() || self.faults_on {
+        if self.keeps_rejoin_snapshots() {
             for l in 0..l_count {
-                self.cloud.last_dist[l] = Some(self.fl.workers[hierarchy.edge_workers(l)].to_vec());
+                let range = self.fl.hierarchy.edge_workers(l);
+                self.src.registered().cloud_dist[l] = Some(self.fl.workers[range].to_vec());
             }
         }
         for (l, es, ws) in saved {
             self.fl.edges[l] = es;
-            self.fl.workers[hierarchy.edge_workers(l)].clone_from_slice(&ws);
+            let range = self.fl.hierarchy.edge_workers(l);
+            self.fl.workers[range].clone_from_slice(&ws);
         }
-        if self.full_sync() {
-            let t = k * self.cfg.tau;
-            if self.is_eval_tick(t) {
-                let params = strategy.global_params(&self.fl);
-                let (test, train) = self.run_eval(&params);
-                self.evals.push(EvalRec {
-                    iter: t,
-                    at_ms: now + d,
-                    test,
-                    train,
-                });
-            }
-        } else {
-            self.record_relaxed_eval(now + d);
+        if !self.is_sampled() {
+            self.evaluate_cloud_round(k, now + d);
         }
         for &l in &participants {
-            let (dd, dup) = match sim.architecture {
-                Architecture::ThreeTier => {
-                    let mut delay = self.edges[l].sampler.shared_transfer_ms(
-                        &sim.env.edge_cloud_link,
-                        sim.download_bytes,
-                        l_count,
-                    );
-                    let mut dup = None;
-                    if let Some(lf) = sim.faults.link {
-                        let out = self.edges[l].fsampler.transfer(&lf);
-                        self.edges[l].faults.add_transfer(
-                            out.messages_lost,
-                            out.transfer_failures,
-                            out.retries,
-                            out.duplicate_lag_ms.is_some(),
-                        );
-                        delay += out.penalty_ms;
-                        dup = out.duplicate_lag_ms;
-                    }
-                    self.edges[l].busy_ms += delay;
-                    (delay, dup)
-                }
-                Architecture::TwoTier => (0.0, None),
-            };
+            let (dd, dup) = self.edge_cloud_transfer(l, sim.download_bytes);
+            let to = ActorId::Edge(l);
             self.queue
-                .push(now + d + dd, ActorId::Edge(l), Ev::CloudReply { edge: l });
+                .push(now + d + dd, to, Ev::CloudReply { edge: l });
             if let Some(lag) = dup {
-                let to = ActorId::Edge(l);
                 self.queue
                     .push(now + d + dd + lag, to, Ev::DupArrival { to });
             }
         }
-        self.cloud.firings += 1;
-        self.cloud.arrived.fill(false);
-        self.cloud.timed_out = false;
-        match sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } => self.cloud.round += 1,
-            SyncPolicy::AsyncAge { .. } => {
-                for (l, a) in self.cloud.age.iter_mut().enumerate() {
-                    if participants.contains(&l) {
-                        *a = 0;
-                    } else {
-                        *a += 1;
-                    }
+        let cloud = &mut self.cloud;
+        cloud.round += 1;
+        cloud.arrived.fill(false);
+        cloud.timed_out = false;
+        if let SyncPolicy::AsyncAge { .. } = sim.policy {
+            for (l, a) in cloud.age.iter_mut().enumerate() {
+                if participants.contains(&l) {
+                    *a = 0;
+                } else {
+                    *a += 1;
                 }
             }
         }
     }
 
+    /// Registered evaluation at a cloud firing closing edge round `k`:
+    /// under full sync on the evaluation grid, under relaxed policies at
+    /// every firing. (Sampled runs evaluate per round at the edges.)
+    fn evaluate_cloud_round(&mut self, k: usize, at_ms: f64) {
+        if !self.full_sync() {
+            self.record_relaxed_eval(at_ms);
+            return;
+        }
+        let t = k * self.cfg.tau;
+        if self.is_eval_tick(t) {
+            let params = self.strategy.global_params(&self.fl);
+            let (test, train) = self.run_eval(&params);
+            self.evals.push(EvalRec {
+                iter: t,
+                at_ms,
+                test,
+                train,
+            });
+        }
+    }
+
     /// Releases an edge whose submission arrived after its cloud round
-    /// fired: its waiting workers get the last distributed global model.
-    fn release_edge_from_snapshot(&mut self, e: usize, now: f64) {
-        let ws = self.cloud.last_dist[e]
+    /// fired. A sampled edge keeps its own state and rolls straight on;
+    /// a registered edge's waiting workers get the last distributed global
+    /// model.
+    fn release_late_edge(&mut self, e: usize, now: f64) {
+        self.edges[e].waiting_cloud = false;
+        if self.is_sampled() {
+            self.finish_round(e, self.edges[e].round - 1, now);
+            return;
+        }
+        let offset = self.edge_offset(e);
+        let r = self.src.registered();
+        let ws = r.cloud_dist[e]
             .clone()
             .expect("late cloud submission implies a prior cloud firing");
-        self.edges[e].waiting_cloud = false;
-        self.edges[e].last_dist = ws.clone();
-        let offset = self.offsets[e];
-        let pending: Vec<usize> = std::mem::take(&mut self.edges[e].pending_release);
+        let pending = std::mem::take(&mut r.pending_release[e]);
+        r.edge_dist[e] = ws.clone();
         for j in pending {
             self.deliver(offset + j, Box::new(ws[j].clone()), now);
         }
@@ -1456,15 +1993,18 @@ where
 
     fn on_cloud_reply(&mut self, e: usize, now: f64) {
         self.edges[e].waiting_cloud = false;
-        let offset = self.offsets[e];
-        let c = self.edges[e].arrived.len();
-        if !self.full_sync() || self.faults_on {
-            // Late joiners from here on get the post-cloud distribution.
-            self.edges[e].last_dist = self.fl.workers[offset..offset + c].to_vec();
+        if self.is_sampled() {
+            self.finish_round(e, self.edges[e].round - 1, now);
+            return;
         }
-        let pending: Vec<usize> = std::mem::take(&mut self.edges[e].pending_release);
+        let range = self.fl.hierarchy.edge_workers(e);
+        if self.keeps_rejoin_snapshots() {
+            // Late joiners from here on get the post-cloud distribution.
+            self.src.registered().edge_dist[e] = self.fl.workers[range.clone()].to_vec();
+        }
+        let pending = std::mem::take(&mut self.src.registered().pending_release[e]);
         for j in pending {
-            let flat = offset + j;
+            let flat = range.start + j;
             let payload = Box::new(self.fl.workers[flat].clone());
             self.deliver(flat, payload, now);
         }
@@ -1483,94 +2023,19 @@ where
         }
     }
 
-    fn on_deliver(&mut self, flat: usize, state: WorkerState, now: f64) {
-        if self.workers[flat].dead {
-            return; // delivery raced the worker's permanent death
-        }
-        self.workers[flat].state = state;
-        if self.faults_on {
-            let snap = (
-                self.workers[flat].tick,
-                Box::new(self.workers[flat].state.clone()),
-            );
-            self.workers[flat].chain = Some(snap);
-        }
-        if self.workers[flat].down {
-            return; // its pending Recover rejoins from the fresh snapshot
-        }
-        if self.workers[flat].tick < self.limit {
-            self.schedule_step(flat, now);
-        } else {
-            self.workers[flat].done = true;
-        }
-    }
-
-    /// A transiently-crashed worker comes back: it lost whatever it was
-    /// doing and rejoins from the last server-delivered model at that
-    /// snapshot's tick, replaying the interval with fresh batch draws.
-    fn on_recover(&mut self, i: usize, now: f64) {
-        let w = &mut self.workers[i];
-        if w.dead || !w.down {
-            return;
-        }
-        w.down = false;
-        let (tick, state) = w
-            .chain
-            .clone()
-            .expect("fault injection keeps a rejoin snapshot");
-        w.tick = tick;
-        w.state = *state;
-        if w.tick >= self.limit {
-            w.done = true;
-            return;
-        }
-        self.schedule_step(i, now);
-    }
-
-    /// A worker dies permanently: it never uploads again, and every
-    /// barrier that could wait for it is re-derived so the run cannot
-    /// deadlock on a dead child.
-    fn on_die(&mut self, i: usize, now: f64) {
-        {
-            let w = &mut self.workers[i];
-            if w.dead || w.done {
-                return;
-            }
-            w.dead = true;
-            w.down = false;
-            w.faults.crashes += 1;
-        }
-        let e = self.edge_of[i];
-        match self.sim.policy {
-            SyncPolicy::FullSync => {
-                // Stages first (they evaluate at `now`), then barriers
-                // (their evaluations land after aggregation compute).
-                let ts: Vec<usize> = self.pending_evals.keys().copied().collect();
-                for t in ts {
-                    self.try_finish_eval(t, now);
-                }
-                let ks: Vec<usize> = self.gamma_stage.keys().copied().collect();
-                for k in ks {
-                    self.try_finish_gamma(k);
-                }
-                self.maybe_fire_edge_full(e, now);
-                self.maybe_fire_cloud_full(now);
-            }
-            SyncPolicy::Deadline { .. } => {
-                self.maybe_fire_edge_deadline(e, now);
-                self.maybe_fire_cloud_deadline(now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.maybe_fire_edge_async(e, now);
-                self.maybe_fire_cloud_async(now);
-            }
-        }
-    }
-
     fn dispatch(&mut self, ev: Ev, now: f64) {
+        let sampled = self.is_sampled();
         match ev {
-            Ev::Step { worker } => self.on_step_done(worker, now),
-            Ev::Upload { worker } => self.on_upload(worker, now),
+            Ev::StartRound { edge } => self.start_round(edge, now),
+            Ev::Arrive { slot, round } => {
+                if !self.slot_stale(slot, round) {
+                    self.schedule_slot_step(slot, now);
+                }
+            }
+            Ev::Step { worker, round } if sampled => self.on_slot_step(worker, round, now),
+            Ev::Step { worker, .. } => self.on_step_done(worker, now),
+            Ev::Upload { worker, round } if sampled => self.on_slot_upload(worker, round, now),
+            Ev::Upload { worker, .. } => self.on_upload(worker, now),
             Ev::EdgeTimeout { edge, round } => self.on_edge_timeout(edge, round, now),
             Ev::Deliver { worker, state } => self.on_deliver(worker, *state, now),
             Ev::CloudSubmit { edge, round } => self.on_cloud_submit(edge, round, now),
@@ -1579,10 +2044,11 @@ where
             Ev::Recover { worker } => self.on_recover(worker, now),
             Ev::Die { worker } => self.on_die(worker, now),
             Ev::DupArrival { to } => {
-                let counters = match to {
-                    ActorId::Worker(i) => &mut self.workers[i].faults,
-                    ActorId::Edge(e) => &mut self.edges[e].faults,
-                    ActorId::Cloud => &mut self.cloud.faults,
+                let counters = match (to, &mut self.src) {
+                    (ActorId::Worker(i), Participants::Registered(r)) => &mut r.workers[i].faults,
+                    (ActorId::Worker(_), Participants::Sampled(s)) => &mut s.faults,
+                    (ActorId::Edge(e), _) => &mut self.edges[e].faults,
+                    (ActorId::Cloud, _) => &mut self.cloud.faults,
                 };
                 counters.duplicates_received += 1;
             }
@@ -1608,42 +2074,49 @@ where
     }
 
     fn run(&mut self) {
-        let sim = self.sim;
-        for p in &sim.faults.permanent {
-            self.queue.push(
-                p.at_ms,
-                ActorId::Worker(p.worker),
-                Ev::Die { worker: p.worker },
-            );
-        }
-        for i in 0..self.workers.len() {
-            self.schedule_step(i, 0.0);
+        let sampled = self.is_sampled();
+        if sampled {
+            for e in 0..self.edges.len() {
+                let start = Ev::StartRound { edge: e };
+                self.queue.push(0.0, ActorId::Edge(e), start);
+            }
+        } else {
+            for p in &self.sim.faults.permanent {
+                let die = Ev::Die { worker: p.worker };
+                self.queue.push(p.at_ms, ActorId::Worker(p.worker), die);
+            }
+            for i in 0..self.fl.workers.len() {
+                self.schedule_step(i, 0.0);
+            }
         }
         loop {
-            match self.queue.pop() {
-                Some((time, _actor, payload)) => {
-                    // A stale timeout (its round already fired) is a no-op
-                    // and must not advance the clock — otherwise a generous
-                    // deadline inflates the run's end time long after the
-                    // last real event.
-                    let live = match &payload {
-                        Ev::EdgeTimeout { edge, round } => self.edges[*edge].round == *round,
-                        Ev::CloudTimeout { round } => self.cloud.round == *round,
-                        _ => true,
-                    };
-                    if !live {
-                        continue;
-                    }
-                    self.now = time;
-                    self.events += 1;
-                    self.dispatch(payload, time);
+            let Some((time, _actor, payload)) = self.queue.pop() else {
+                if self.drain_stalled() {
+                    continue;
                 }
-                None => {
-                    if !self.drain_stalled() {
-                        break;
-                    }
-                }
+                break;
+            };
+            // A stale timeout (its round already fired) is a no-op. A
+            // registered run skips it without advancing the clock —
+            // otherwise a generous deadline inflates the run's end time
+            // long after the last real event; a sampled run counts it.
+            let stale = match &payload {
+                Ev::EdgeTimeout { edge, round } => self.edges[*edge].round != *round,
+                Ev::CloudTimeout { round } => self.cloud.round != *round,
+                _ => false,
+            };
+            if stale && !sampled {
+                continue;
             }
+            self.now = time;
+            self.events += 1;
+            self.dispatch(payload, time);
+        }
+        if let Participants::Sampled(s) = &self.src {
+            assert!(
+                s.retired.iter().all(|&r| r),
+                "event queue drained before every edge finished its rounds"
+            );
         }
     }
 
@@ -1665,7 +2138,7 @@ where
     /// elastic run's next span can continue the relaxed-policy indices.
     fn finish(mut self) -> (SimResult, usize, usize) {
         let strategy = self.strategy;
-        if !self.full_sync() && self.final_segment {
+        if !self.staged_rounds() && self.final_segment {
             // Final state after all deliveries (late arrivals may have
             // landed after the last cloud firing).
             self.record_relaxed_eval(self.now);
@@ -1689,60 +2162,53 @@ where
             });
         }
         let end_ms = self.now;
-        let util = |busy_ms: f64| {
-            if end_ms > 0.0 {
-                (busy_ms / end_ms).min(1.0)
-            } else {
-                0.0
-            }
-        };
-        let actors = self.workers.len() + self.edges.len() + 1;
-        let mut utilization = Vec::with_capacity(actors);
-        let mut faults = Vec::with_capacity(actors);
-        let mut adversaries = Vec::with_capacity(actors);
-        for (i, w) in self.workers.iter().enumerate() {
+        let mut utilization = Vec::new();
+        let mut faults = Vec::new();
+        let mut tally = |actor: String, busy_ms: f64, counters: FaultCounters| {
             utilization.push(ActorUtilization {
-                actor: format!("worker-{i}"),
-                busy_seconds: w.busy_ms / 1000.0,
-                utilization: util(w.busy_ms),
+                actor: actor.clone(),
+                busy_seconds: busy_ms / 1000.0,
+                utilization: if end_ms > 0.0 {
+                    (busy_ms / end_ms).min(1.0)
+                } else {
+                    0.0
+                },
             });
-            faults.push(ActorFaults {
-                actor: format!("worker-{i}"),
-                counters: w.faults,
-            });
-            adversaries.push(ActorAdversaries {
-                actor: format!("worker-{i}"),
-                counters: w.advers,
-            });
+            faults.push(ActorFaults { actor, counters });
+        };
+        // Registered runs tally every actor; sampled runs are O(edges):
+        // the slots report as one aggregate "workers" entry and
+        // adversaries as one entry per plan entry.
+        let mut adversaries = Vec::new();
+        let adversary = |actor: String, counters| ActorAdversaries { actor, counters };
+        match &self.src {
+            Participants::Registered(r) => {
+                for (i, w) in r.workers.iter().enumerate() {
+                    tally(format!("worker-{i}"), w.busy_ms, w.faults);
+                    adversaries.push(adversary(format!("worker-{i}"), w.advers));
+                }
+            }
+            Participants::Sampled(s) => {
+                tally("workers".to_string(), s.busy_ms, s.faults);
+                let plan = self.cfg.adversary.byzantine.iter().zip(&s.adversaries);
+                adversaries
+                    .extend(plan.map(|(b, c)| adversary(format!("worker-{}", b.worker), *c)));
+            }
         }
         for (l, e) in self.edges.iter().enumerate() {
-            utilization.push(ActorUtilization {
-                actor: format!("edge-{l}"),
-                busy_seconds: e.busy_ms / 1000.0,
-                utilization: util(e.busy_ms),
-            });
-            faults.push(ActorFaults {
-                actor: format!("edge-{l}"),
-                counters: e.faults,
-            });
-            adversaries.push(ActorAdversaries {
-                actor: format!("edge-{l}"),
-                counters: AdversaryCounters::default(),
-            });
+            tally(format!("edge-{l}"), e.busy_ms, e.faults);
         }
-        utilization.push(ActorUtilization {
-            actor: "cloud".to_string(),
-            busy_seconds: self.cloud.busy_ms / 1000.0,
-            utilization: util(self.cloud.busy_ms),
-        });
-        faults.push(ActorFaults {
-            actor: "cloud".to_string(),
-            counters: self.cloud.faults,
-        });
-        adversaries.push(ActorAdversaries {
-            actor: "cloud".to_string(),
-            counters: AdversaryCounters::default(),
-        });
+        tally("cloud".to_string(), self.cloud.busy_ms, self.cloud.faults);
+        if !self.is_sampled() {
+            let idle = (0..self.edges.len())
+                .map(|l| format!("edge-{l}"))
+                .chain(["cloud".to_string()]);
+            adversaries.extend(idle.map(|actor| adversary(actor, AdversaryCounters::default())));
+        }
+        let final_params = match self.src {
+            Participants::Registered(_) => strategy.global_params(&self.fl),
+            Participants::Sampled(_) => virtual_global_params(&self.fl),
+        };
         let result = SimResult {
             algorithm: strategy.name().to_string(),
             policy: self.sim.policy.label(),
@@ -1751,7 +2217,7 @@ where
             gamma_trace: self.gamma_trace,
             cos_trace: self.cos_trace,
             tier_gamma: self.tier_gamma,
-            final_params: strategy.global_params(&self.fl),
+            final_params,
             simulated_seconds: end_ms / 1000.0,
             utilization,
             faults,
@@ -1787,15 +2253,8 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    if !cfg.churn.is_empty() {
-        return Err(SimError::Run(RunError::BadConfig(
-            "the frozen-tree co-simulation cannot apply a non-empty ChurnPlan; \
-             run it through crate::simulate_elastic"
-                .into(),
-        )));
-    }
-    validate_sim(strategy, hierarchy, worker_data, cfg, sim)?;
-    let mut engine = Engine::new(
+    let span = Span::full(cfg);
+    simulate_span(
         strategy,
         model,
         hierarchy,
@@ -1803,15 +2262,44 @@ where
         test_data,
         cfg,
         sim,
-        Span::full(cfg),
-    );
-    engine.run();
-    Ok(engine.finish().0)
+        span,
+    )
+    .map(|(result, ..)| result)
 }
 
-/// The pre-flight checks shared by [`simulate`] and the per-segment engine
-/// launches of [`crate::simulate_elastic`].
-pub(crate) fn validate_sim<S>(
+/// The checks every entry point shares: the config itself, a frozen tree
+/// (churn runs through [`crate::simulate_elastic`], whose epochs arrive
+/// here with an empty plan), and the tier tree's `(τ, π)` against the
+/// config.
+pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimError> {
+    cfg.validate()
+        .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
+    if !cfg.churn.is_empty() {
+        return Err(SimError::Run(RunError::BadConfig(
+            "the frozen-tree co-simulation cannot apply a non-empty ChurnPlan; \
+             run registered workers through crate::simulate_elastic"
+                .into(),
+        )));
+    }
+    if let Some(tree) = &sim.tiers {
+        if tree.tau() != cfg.tau || tree.pi_total() != cfg.pi {
+            return Err(SimError::Run(RunError::BadConfig(format!(
+                "config (tau = {}, pi = {}) disagrees with the tier tree \
+                 (tau = {}, pi_total = {})",
+                cfg.tau,
+                cfg.pi,
+                tree.tau(),
+                tree.pi_total()
+            ))));
+        }
+    }
+    Ok(())
+}
+
+/// The registered-worker pre-flight checks: everything
+/// [`validate_run`] checks, plus the hierarchy against its data, tree,
+/// fault and adversary plans, policy and device profiles.
+fn validate_registered<S>(
     strategy: &S,
     hierarchy: &Hierarchy,
     worker_data: &[Dataset],
@@ -1821,8 +2309,7 @@ pub(crate) fn validate_sim<S>(
 where
     S: Strategy + ?Sized,
 {
-    cfg.validate()
-        .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
+    validate_run(cfg, sim)?;
     strategy
         .check_topology(hierarchy)
         .map_err(|m| SimError::Run(RunError::Topology(m)))?;
@@ -1861,16 +2348,6 @@ where
     }
     sim.validate(None).map_err(SimError::Policy)?;
     if let Some(tree) = &sim.tiers {
-        if tree.tau() != cfg.tau || tree.pi_total() != cfg.pi {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            ))));
-        }
         if tree.num_edges() != hierarchy.num_edges()
             || tree.num_workers() != hierarchy.num_workers()
         {
@@ -1902,10 +2379,11 @@ where
     Ok(())
 }
 
-/// Runs one topology-epoch segment of an elastic co-simulation: ticks
+/// Runs one span of registered workers: the whole of a [`simulate`], or
+/// one topology-epoch segment of an elastic co-simulation — ticks
 /// `(span.start, span.limit]` against `hierarchy` (the segment's frozen
-/// tree), resuming the mailbox from `span.resume`. Returns the segment's
-/// result, the end-of-segment snapshot (what the churn transform mutates),
+/// tree), resuming the mailbox from `span.resume`. Returns the span's
+/// result, the end-of-span snapshot (what the churn transform mutates),
 /// and the relaxed-policy index carry-overs `(iter_base, firing_base)`.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub(crate) fn simulate_span<M, S>(
@@ -1922,11 +2400,24 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    validate_sim(strategy, hierarchy, worker_data, cfg, sim)?;
+    validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
+    let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
+    let weights = Weights::from_samples(hierarchy, &samples);
+    let fl = initial_state(
+        strategy,
+        &model.params(),
+        hierarchy.clone(),
+        weights,
+        sim.tiers.as_ref(),
+        cfg,
+        span.resume,
+    );
+    let src = Registered::new(worker_data, &fl, model, cfg, sim, span.start);
     let mut engine = Engine::new(
         strategy,
         model,
-        hierarchy,
+        fl,
+        Participants::Registered(src),
         worker_data,
         test_data,
         cfg,
@@ -1937,6 +2428,90 @@ where
     let snapshot = engine.final_snapshot();
     let (result, iter_base, firing_base) = engine.finish();
     Ok((result, snapshot, iter_base, firing_base))
+}
+
+/// Runs sampled cohorts of `population` — already validated by
+/// [`crate::simulate_virtual`] — over the per-edge `cohort` sizes, on
+/// `tree` (the registered tree with its leaf fanout swapped for the
+/// uniform cohort size) when this is an N-tier run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_sampled<M, S>(
+    strategy: &S,
+    model: &M,
+    population: &WorkerPopulation,
+    shards: &[Dataset],
+    test_data: &Dataset,
+    cfg: &RunConfig,
+    sim: &SimConfig,
+    hierarchy: Hierarchy,
+    tree: Option<TierTree>,
+) -> SimResult
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
+    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
+    let edge_totals = population.edge_data_samples(&shard_sizes);
+    let slots = hierarchy.num_workers();
+    let l_count = hierarchy.num_edges();
+    let weights = Weights::from_cohort(&hierarchy, &vec![1u64; slots], edge_totals);
+    // Placeholder slot contexts; every field but the edge is rebuilt at
+    // each round's materialization.
+    let slot_ctxs = (0..l_count)
+        .flat_map(|e| (0..hierarchy.workers_in_edge(e)).map(move |_| e))
+        .map(|edge| SlotCtx {
+            gid: 0,
+            edge,
+            shard: 0,
+            steps: 0,
+            batcher: Batcher::new(1, 1, 0),
+            delays: DelaySampler::from_stream(sim.net_seed, 0),
+            fsampler: None,
+            dropped: vec![false; cfg.tau],
+            attack: None,
+        })
+        .collect();
+    let sampler = match &sim.tiers {
+        Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
+        None => CohortSampler::new(cfg.seed),
+    };
+    let src = Sampled {
+        population,
+        shards,
+        shard_sizes,
+        sampler,
+        slots: slot_ctxs,
+        absent: vec![false; slots],
+        retired: vec![false; l_count],
+        step_model: model.clone(),
+        batch: Vec::new(),
+        busy_ms: 0.0,
+        faults: FaultCounters::default(),
+        permanent_counted: vec![false; sim.faults.permanent.len()],
+        adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
+    };
+    let fl = initial_state(
+        strategy,
+        &model.params(),
+        hierarchy,
+        weights,
+        tree.as_ref(),
+        cfg,
+        None,
+    );
+    let mut engine = Engine::new(
+        strategy,
+        model,
+        fl,
+        Participants::Sampled(src),
+        shards,
+        test_data,
+        cfg,
+        sim,
+        Span::full(cfg),
+    );
+    engine.run();
+    engine.finish().0
 }
 
 #[cfg(test)]

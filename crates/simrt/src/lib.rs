@@ -24,6 +24,13 @@
 //!   per arrival unless some participant's state is older than
 //!   `max_staleness` rounds, in which case the round waits for it.
 //!
+//! One event engine ([`driver`]) runs every entry point — [`simulate`],
+//! each topology epoch of [`simulate_elastic`], and [`simulate_virtual`]
+//! over a sampled population ([`vpop`]). Who takes part in a round is its
+//! private participant source: persistent registered worker actors, or
+//! cohort slots sampled per round, whose stragglers are waived at the end
+//! of their round instead of carrying over.
+//!
 //! Events flow through a deterministic queue keyed by `(virtual time,
 //! actor, sequence number)` ([`event::EventQueue`]), every actor draws its
 //! delays from a private decorrelated RNG stream

@@ -3,1059 +3,84 @@
 //! events processed are all `O(active)`, never `O(registered)`.
 //!
 //! [`simulate_virtual`] is the event-driven counterpart of
-//! [`hieradmo_core::population::run_virtual`] and its tiered variants.
-//! Under full participation it materializes the population and delegates
-//! to [`crate::simulate`] (bitwise identical to the classic path); under
-//! sampling it runs an event loop whose per-slot RNG streams — mini-batch
-//! order, adversary draws, network delays, fault draws, dropout masks —
-//! all re-derive from `(seed, worker_id, round)`, so under
-//! [`SyncPolicy::FullSync`] the model trajectory is bitwise identical to
-//! `run_virtual`'s / `run_virtual_tiered`'s and independent of thread
-//! count (gated by `tests/sampling_equivalence.rs`).
+//! [`hieradmo_core::population::run_virtual`] and its tiered variants. It
+//! validates the population and runs it through the one co-simulation
+//! engine (`crate::driver`). Under full participation the engine runs the
+//! materialized population as registered workers, exactly as
+//! [`crate::simulate`] does; under sampling it runs the engine's sampled
+//! participant source, whose per-slot RNG streams — mini-batch order,
+//! adversary draws, network delays, fault draws, dropout masks — all
+//! re-derive from `(seed, worker_id, round)`. Under
+//! [`SyncPolicy::FullSync`](crate::SyncPolicy::FullSync) the model
+//! trajectory is therefore bitwise identical to `run_virtual`'s /
+//! `run_virtual_tiered`'s and independent of thread count (gated by
+//! `tests/sampling_equivalence.rs`).
 //!
-//! Edges progress their rounds independently between cloud barriers;
-//! evaluation and γ traces are staged per round at *edge* granularity and
-//! emitted once every edge has contributed, reproducing the tick-driven
-//! round means exactly.
+//! Sampled edges progress their rounds independently between cloud
+//! barriers; evaluation and γ traces are staged per round at *edge*
+//! granularity and emitted once every edge has contributed, reproducing
+//! the tick-driven round means exactly.
 //!
 //! # Relaxed policies over sampled cohorts
 //!
 //! Because a cohort worker only exists for one round and re-materializes
 //! from its edge at the next round's start, the straggler semantics of
-//! [`SyncPolicy::Deadline`] and [`SyncPolicy::AsyncAge`] simplify to
+//! [`SyncPolicy::Deadline`](crate::SyncPolicy::Deadline) and
+//! [`SyncPolicy::AsyncAge`](crate::SyncPolicy::AsyncAge) simplify to
 //! *waiver-at-the-round*: a straggler that misses its round's firing is
 //! discarded (its slot re-materializes next round — the rejoin is free),
 //! and the slot's carried state enters the aggregation hook at staleness
 //! ≥ 1. Deadline rounds therefore see per-slot staleness of 0 or 1;
 //! AsyncAge tracks a per-slot buffer age that grows one per missed round
-//! and is bounded by `max_staleness` exactly as in the classic engine.
+//! and is bounded by `max_staleness` exactly as for registered workers.
 //!
 //! # Faults over sampled cohorts
 //!
 //! Transient crashes are decided *at materialization*: sampled worker `g`
 //! in round `k` draws once from its private `(net_seed, g, k)` fault
-//! stream ([`fault_stream`]) and, if it crashes, sits the round out
-//! (absent: no download, no steps, no upload) — the event-driven spelling
-//! of a crash that costs the whole interval. Absent slots are waived at
-//! every policy's barrier, and rejoin automatically at the next
-//! materialization. Permanent crashes remove a registered id from every
-//! cohort from `at_ms` on. Delay spikes multiply individual step times
-//! from the same per-`(worker, round)` stream.
+//! stream ([`hieradmo_core::population::fault_stream`]) and, if it
+//! crashes, sits the round out (absent: no download, no steps, no upload)
+//! — the event-driven spelling of a crash that costs the whole interval.
+//! Absent slots are waived at every policy's barrier, and rejoin
+//! automatically at the next materialization. Permanent crashes remove a
+//! registered id from every cohort from `at_ms` on. Delay spikes multiply
+//! individual step times from the same per-`(worker, round)` stream.
 //!
-//! Link faults run the classic retry/duplicate protocol over the sampled
-//! cohort: slot downloads and uploads draw the transfer outcome from the
-//! occupying worker's `(worker, round)` fault stream, and the edge↔cloud
-//! hops from a per-edge stream (`SALT_EDGE_FAULT_STREAM`) that exists
-//! for the whole run — the mailbox state a cohort slot cannot keep lives
-//! at the (persistent) edge actors. Retries and backoff only stretch the
-//! transfer (delivery eventually succeeds, as in the classic engine), so
-//! the FullSync model trajectory stays bitwise identical to the fault-free
-//! run; duplicates arrive as separate `VEv::DupArrival` events and are
-//! tallied at the receiving actor.
+//! Link faults run the registered workers' retry/duplicate protocol over
+//! the sampled cohort: slot downloads and uploads draw the transfer
+//! outcome from the occupying worker's `(worker, round)` fault stream, and
+//! the edge↔cloud hops from a per-edge stream that exists for the whole
+//! run — the mailbox state a cohort slot cannot keep lives at the
+//! (persistent) edge actors. Retries and backoff only stretch the transfer
+//! (delivery eventually succeeds), so the FullSync model trajectory stays
+//! bitwise identical to the fault-free run; duplicates arrive as separate
+//! events and are tallied at the receiving actor.
 
-use std::collections::BTreeMap;
+use hieradmo_core::population::WorkerPopulation;
+use hieradmo_core::{RunConfig, RunError, Strategy};
+use hieradmo_data::Dataset;
+use hieradmo_models::Model;
+use hieradmo_netsim::Architecture;
+use hieradmo_topology::{Hierarchy, TierTree};
 
-use hieradmo_core::byzantine::corrupt_upload;
-use hieradmo_core::driver::{build_train_probe, evaluate_on_replicas, RunError};
-use hieradmo_core::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, fault_stream,
-    materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
-    WorkerPopulation,
-};
-use hieradmo_core::{EdgeState, FlState, RunConfig, Strategy, TierScope, WorkerState};
-use hieradmo_data::{Batcher, Dataset};
-use hieradmo_metrics::{
-    ActorAdversaries, ActorFaults, ActorUtilization, AdversaryCounters, ConvergenceCurve,
-    EvalPoint, FaultCounters, TimedCurve, TimedPoint,
-};
-use hieradmo_models::{Evaluation, Model};
-use hieradmo_netsim::{AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler};
-use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
-
-use crate::driver::{quorum_count, SimError, SimResult};
-use crate::event::{ActorId, EventQueue};
-use crate::policy::{SimConfig, SyncPolicy};
-
-/// One scheduled occurrence in the virtual-population simulation. `slot`
-/// indexes the cohort (the active actors), never the registered
-/// population. Slot events carry the round they belong to and boundary
-/// events the submission boundary, so anything a relaxed policy leaves in
-/// flight past its firing is dropped instead of leaking into the next
-/// materialization.
-enum VEv {
-    /// An edge begins its next round: sample the cohort, charge downloads.
-    StartRound { edge: usize },
-    /// A cohort slot's model download landed; local steps begin.
-    Arrive { slot: usize, round: usize },
-    /// A cohort slot finished one local step.
-    StepDone { slot: usize, round: usize },
-    /// A cohort slot's end-of-round upload reached its edge.
-    Upload { slot: usize, round: usize },
-    /// A deadline edge round's quorum timer expired.
-    EdgeTimeout { edge: usize, round: usize },
-    /// An edge's boundary-round submission reached the cloud.
-    CloudSubmit { edge: usize, boundary: usize },
-    /// A deadline cloud boundary's quorum timer expired.
-    CloudTimeout { boundary: usize },
-    /// The cloud's reply reached an edge.
-    CloudReply { edge: usize },
-    /// A duplicated message's second copy landed at `to` (link faults).
-    DupArrival { to: ActorId },
-}
-
-/// Round-scoped context of one cohort slot, rebuilt from
-/// `(seed, worker_id, round)` at every materialization.
-struct SlotCtx {
-    /// Global (population) id of the worker occupying the slot this round.
-    gid: u64,
-    /// The slot's edge (fixed: the cohort hierarchy is constant).
-    edge: usize,
-    /// The worker's shard index this round.
-    shard: usize,
-    /// Local steps completed this round.
-    steps: usize,
-    /// This round's mini-batch stream.
-    batcher: Batcher,
-    /// This round's private delay stream.
-    delays: DelaySampler,
-    /// This round's private fault stream (`None` when the plan is empty,
-    /// so fault-free runs draw nothing).
-    fsampler: Option<FaultSampler>,
-    /// Per-step dropout mask for this round (all-false without dropout).
-    dropped: Vec<bool>,
-    /// The occupying worker's attack, if it is Byzantine.
-    attack: Option<AttackModel>,
-}
-
-struct EdgeSim {
-    /// Current round (1-based; 0 before the first `StartRound`).
-    round: usize,
-    /// The current round's aggregation already ran: anything still in
-    /// flight for it is a straggler and is discarded on arrival.
-    fired: bool,
-    /// Per-slot upload landed this round.
-    arrived: Vec<bool>,
-    /// Per-slot fault absence this round (crashed at materialization).
-    absent: Vec<bool>,
-    /// Per-slot buffer age, in rounds since the slot last contributed
-    /// ([`SyncPolicy::AsyncAge`] only).
-    age: Vec<usize>,
-    /// The deadline quorum timer for the current round expired.
-    timed_out: bool,
-    /// The edge has finished its final round.
-    done: bool,
-    /// Busy virtual milliseconds (aggregation compute + cloud transfers).
-    busy_ms: f64,
-    /// Private delay stream for aggregation compute and cloud hops.
-    sampler: DelaySampler,
-    /// Private fault stream for the edge↔cloud retry protocol (`None`
-    /// without link faults, so fault-free runs draw nothing).
-    fsampler: Option<FaultSampler>,
-    /// Link-fault tallies of this edge's transfers and received duplicates.
-    faults: FaultCounters,
-}
-
-struct EvalRec {
-    iter: usize,
-    at_ms: f64,
-    test: Evaluation,
-    train: Evaluation,
-}
-
-struct VEngine<'a, M, S: ?Sized> {
-    strategy: &'a S,
-    cfg: &'a RunConfig,
-    sim: &'a SimConfig,
-    population: &'a WorkerPopulation,
-    shards: &'a [Dataset],
-    shard_sizes: Vec<u64>,
-    sampler: CohortSampler,
-    fl: FlState,
-    slots: Vec<SlotCtx>,
-    edges: Vec<EdgeSim>,
-    /// The sampled sub-tree (the registered tree with its leaf fanout
-    /// swapped for the uniform cohort size), when this is an N-tier run.
-    cohort_tree: Option<TierTree>,
-    /// Edge rounds per cloud submission: `π`, or the deepest non-identity
-    /// middle tier's `TierTree::sync_rounds` on N-tier runs.
-    submit_period: usize,
-    /// The fault plan injects something; `false` guarantees zero fault
-    /// draws and a run bitwise identical to one without fault injection.
-    faults_on: bool,
-    cloud_arrived: Vec<bool>,
-    /// Next submission boundary to fire (1-based;
-    /// [`SyncPolicy::FullSync`] / [`SyncPolicy::Deadline`]).
-    cloud_boundary: usize,
-    /// Cloud firings so far ([`SyncPolicy::AsyncAge`] boundary counter).
-    cloud_firings: usize,
-    /// Last boundary each edge submitted (deadline staleness).
-    cloud_last_boundary: Vec<usize>,
-    /// Per-edge age, in firings since last participation (async).
-    cloud_age: Vec<usize>,
-    /// The deadline quorum timer for the current boundary expired.
-    cloud_timed_out: bool,
-    cloud_busy_ms: f64,
-    cloud_sampler: DelaySampler,
-    /// Aggregate busy time of all sampled workers (the worker tier is
-    /// virtual, so per-actor accounting would be `O(registered)`).
-    workers_busy_ms: f64,
-    /// Aggregate fault tallies of all sampled workers, ditto.
-    worker_faults: FaultCounters,
-    /// Duplicates received by the cloud (its transfers are charged — and
-    /// drawn — at the edges, mirroring the classic engine).
-    cloud_faults: FaultCounters,
-    /// One flag per permanent-crash plan entry: already counted.
-    permanent_counted: Vec<bool>,
-    queue: EventQueue<VEv>,
-    /// Per-round staged edge `x_plus` snapshots for evaluation.
-    eval_stage: BTreeMap<usize, (Vec<Option<Vector>>, f64)>,
-    /// Per-round staged `(γℓ, cos θ)` per edge.
-    gamma_stage: BTreeMap<usize, Vec<Option<(f32, f32)>>>,
-    gamma_trace: Vec<(usize, f32)>,
-    cos_trace: Vec<(usize, f32)>,
-    /// Per-middle-depth `(round, mean γℓ)` traces (N-tier runs).
-    tier_gamma: Vec<Vec<(usize, f32)>>,
-    evals: Vec<EvalRec>,
-    /// One scratch model for gradient math (params are set before every
-    /// use, so slots can share it) and the evaluation replicas.
-    step_model: M,
-    eval_models: Vec<M>,
-    test_data: &'a Dataset,
-    train_probe: Dataset,
-    batch: Vec<usize>,
-    /// One counter per adversary-plan entry, in plan order.
-    adversaries: Vec<AdversaryCounters>,
-    rounds: usize,
-    edges_done: usize,
-    events: u64,
-    now: f64,
-}
-
-/// Runs the link-fault retry protocol for one transfer: draws the outcome
-/// from `fs`, tallies it into the sender's `counters`, and returns the
-/// delay penalty plus the duplicate's extra lag, if one was spawned.
-fn link_transfer(
-    lf: &hieradmo_netsim::LinkFaults,
-    fs: &mut FaultSampler,
-    counters: &mut FaultCounters,
-) -> (f64, Option<f64>) {
-    let out = fs.transfer(lf);
-    counters.add_transfer(
-        out.messages_lost,
-        out.transfer_failures,
-        out.retries,
-        out.duplicate_lag_ms.is_some(),
-    );
-    (out.penalty_ms, out.duplicate_lag_ms)
-}
-
-impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
-    fn is_eval_round(&self, k: usize) -> bool {
-        (k * self.cfg.tau).is_multiple_of(self.cfg.eval_every) || k == self.rounds
-    }
-
-    fn device_of(&self, gid: u64) -> usize {
-        // Profile-pool semantics: registered worker `g` draws its compute
-        // profile from the pool slot `g mod pool size`, so a small profile
-        // set covers any population size.
-        (gid % self.sim.env.worker_devices.len() as u64) as usize
-    }
-
-    /// A slot event from a round that already fired (or was replaced by a
-    /// newer materialization) — a straggler to be discarded.
-    fn slot_event_stale(&self, slot: usize, round: usize) -> bool {
-        let e = self.slots[slot].edge;
-        self.edges[e].round != round || self.edges[e].fired
-    }
-
-    fn on_start_round(&mut self, e: usize, now: f64) {
-        self.edges[e].round += 1;
-        let k = self.edges[e].round;
-        self.edges[e].fired = false;
-        self.edges[e].timed_out = false;
-        self.edges[e].arrived.fill(false);
-        let ids = materialize_edge_cohort(
-            &mut self.fl,
-            self.population,
-            &self.shard_sizes,
-            &self.sampler,
-            e,
-            k,
-        );
-        let range = self.fl.hierarchy.edge_workers(e);
-        for (j, &g) in ids.iter().enumerate() {
-            let slot = range.start + j;
-            let mut fsampler = self
-                .faults_on
-                .then(|| FaultSampler::from_stream(self.sim.net_seed, fault_stream(g, k as u64)));
-            // Fault waiver at materialization: the round's crash draw is
-            // taken up front, so absence is a per-(worker, round) fact
-            // independent of event interleaving. An absent slot loses its
-            // whole round and rejoins at the next materialization.
-            let mut absent = false;
-            for (idx, perm) in self.sim.faults.permanent.iter().enumerate() {
-                if perm.worker as u64 == g && perm.at_ms <= now {
-                    if !self.permanent_counted[idx] {
-                        self.permanent_counted[idx] = true;
-                        self.worker_faults.crashes += 1;
-                    }
-                    absent = true;
-                }
-            }
-            if !absent {
-                if let (Some(c), Some(fs)) = (self.sim.faults.crash.as_ref(), fsampler.as_mut()) {
-                    if let Some(downtime) = fs.crash_downtime_ms(c) {
-                        absent = true;
-                        self.worker_faults.crashes += 1;
-                        self.worker_faults.recovery_ms += downtime;
-                    }
-                }
-            }
-            self.edges[e].absent[j] = absent;
-            let ctx = &mut self.slots[slot];
-            ctx.gid = g;
-            ctx.shard = self.population.shard_of(g);
-            ctx.steps = 0;
-            ctx.batcher = Batcher::new(
-                self.shard_sizes[ctx.shard] as usize,
-                self.cfg.batch_size,
-                batcher_seed(self.cfg.seed, g, k as u64),
-            );
-            ctx.delays = DelaySampler::from_stream(self.sim.net_seed, delay_stream(g, k as u64));
-            ctx.fsampler = fsampler;
-            ctx.dropped =
-                cohort_dropout_mask(self.cfg.seed, g, k as u64, self.cfg.tau, self.cfg.dropout);
-            ctx.attack = self.cfg.adversary.attack_for(g as usize);
-            if absent {
-                self.worker_faults.lost_uploads += 1;
-                continue; // down for the round: no download, no steps
-            }
-            // Model download to the freshly sampled participant.
-            let mut d = self.slots[slot]
-                .delays
-                .transfer_ms(&self.sim.env.worker_edge_link, self.sim.download_bytes);
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = self.slots[slot]
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut self.worker_faults);
-                d += pen;
-                dup = lag;
-            }
-            self.workers_busy_ms += d;
-            self.queue.push(
-                now + d,
-                ActorId::Worker(slot),
-                VEv::Arrive { slot, round: k },
-            );
-            if let Some(lag) = dup {
-                let to = ActorId::Worker(slot);
-                self.queue.push(now + d + lag, to, VEv::DupArrival { to });
-            }
-        }
-        if self.edges[e].absent.iter().all(|&a| a) {
-            // Every sampled participant is down: the round fires empty and
-            // the edge relays its carried state at the boundaries, so no
-            // barrier above can deadlock on it.
-            self.fire_edge(e, now);
-        }
-    }
-
-    fn schedule_step(&mut self, slot: usize, now: f64) {
-        let e = self.slots[slot].edge;
-        let k = self.edges[e].round;
-        let next = self.slots[slot].steps;
-        if self.slots[slot].dropped[next] {
-            // Dropped step: the device sits idle — no compute draw, and
-            // (in `on_step_done`) no mini-batch draw and no local step,
-            // exactly matching the tick-driven cohort engine.
-            self.queue
-                .push(now, ActorId::Worker(slot), VEv::StepDone { slot, round: k });
-            return;
-        }
-        let device = self.device_of(self.slots[slot].gid);
-        let mut d = self.slots[slot]
-            .delays
-            .compute_ms(&self.sim.env.worker_devices[device]);
-        if let Some(s) = self.sim.faults.spikes.as_ref() {
-            let spike = self.slots[slot]
-                .fsampler
-                .as_mut()
-                .and_then(|fs| fs.spike_factor(s));
-            if let Some(f) = spike {
-                d *= f;
-                self.worker_faults.delay_spikes += 1;
-            }
-        }
-        self.workers_busy_ms += d;
-        self.queue.push(
-            now + d,
-            ActorId::Worker(slot),
-            VEv::StepDone { slot, round: k },
-        );
-    }
-
-    fn on_step_done(&mut self, slot: usize, round: usize, now: f64) {
-        if self.slot_event_stale(slot, round) {
-            return;
-        }
-        self.slots[slot].steps += 1;
-        let steps = self.slots[slot].steps;
-        if !self.slots[slot].dropped[steps - 1] {
-            let t = (round - 1) * self.cfg.tau + steps;
-            let ctx = &mut self.slots[slot];
-            ctx.batcher.next_batch_into(&mut self.batch);
-            let data = &self.shards[ctx.shard];
-            let model = &mut self.step_model;
-            let batch = &self.batch;
-            let clip = self.cfg.clip_norm;
-            let mut grad_fn = |p: &Vector, out: &mut Vector| {
-                model.set_params(p);
-                model.loss_and_grad_into(data, batch, out);
-                if let Some(max_norm) = clip {
-                    let norm = out.norm();
-                    if norm > max_norm {
-                        out.scale_in_place(max_norm / norm);
-                    }
-                }
-            };
-            self.strategy
-                .local_step(t, &mut self.fl.workers[slot], &mut grad_fn);
-        }
-        if steps < self.cfg.tau {
-            self.schedule_step(slot, now);
-        } else {
-            let mut d = self.slots[slot]
-                .delays
-                .transfer_ms(&self.sim.env.worker_edge_link, self.sim.upload_bytes);
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = self.slots[slot]
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut self.worker_faults);
-                d += pen;
-                dup = lag;
-            }
-            self.workers_busy_ms += d;
-            self.queue
-                .push(now + d, ActorId::Worker(slot), VEv::Upload { slot, round });
-            if let Some(lag) = dup {
-                let to = ActorId::Edge(self.slots[slot].edge);
-                self.queue.push(now + d + lag, to, VEv::DupArrival { to });
-            }
-        }
-    }
-
-    fn on_upload(&mut self, slot: usize, round: usize, now: f64) {
-        if self.slot_event_stale(slot, round) {
-            // A straggler past its round's firing: the slot has been (or
-            // is about to be) re-materialized — the upload is discarded
-            // and the rejoin happens at the next round start for free.
-            return;
-        }
-        let e = self.slots[slot].edge;
-        if let Some(attack) = self.slots[slot].attack {
-            let g = self.slots[slot].gid;
-            let entry = self
-                .cfg
-                .adversary
-                .byzantine
-                .iter()
-                .position(|b| b.worker as u64 == g)
-                .expect("attack implies a plan entry");
-            // A fresh per-(worker, round) stream: the draw is independent
-            // of event interleaving and of every other corruption.
-            let mut sampler =
-                AdversarySampler::from_stream(self.cfg.seed, adversary_stream(g, round as u64));
-            corrupt_upload(
-                &mut self.fl.workers[slot],
-                &attack,
-                &mut sampler,
-                &mut self.adversaries[entry],
-            );
-        }
-        let j = slot - self.fl.hierarchy.edge_workers(e).start;
-        self.edges[e].arrived[j] = true;
-        match self.sim.policy {
-            SyncPolicy::FullSync => self.maybe_fire_edge_full(e, now),
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                let first = self.edges[e].arrived.iter().filter(|&&a| a).count() == 1;
-                if first {
-                    self.queue.push(
-                        now + timeout_ms,
-                        ActorId::Edge(e),
-                        VEv::EdgeTimeout { edge: e, round },
-                    );
-                }
-                self.maybe_fire_edge_deadline(e, now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.edges[e].age[j] = 0;
-                self.maybe_fire_edge_async(e, now);
-            }
-        }
-    }
-
-    fn on_edge_timeout(&mut self, e: usize, round: usize, now: f64) {
-        if self.edges[e].round != round || self.edges[e].fired {
-            return; // stale timer for an already-fired round
-        }
-        self.edges[e].timed_out = true;
-        self.maybe_fire_edge_deadline(e, now);
-    }
-
-    /// Full-sync edge barrier with the fault waiver: fires once every
-    /// non-absent slot has arrived. With no faults this is exactly the
-    /// all-arrived barrier.
-    fn maybe_fire_edge_full(&mut self, e: usize, now: f64) {
-        let edge = &self.edges[e];
-        if edge.fired || !edge.arrived.iter().any(|&a| a) {
-            return;
-        }
-        let all = edge
-            .arrived
-            .iter()
-            .zip(&edge.absent)
-            .all(|(&a, &ab)| a || ab);
-        if all {
-            self.fire_edge(e, now);
-        }
-    }
-
-    fn maybe_fire_edge_deadline(&mut self, e: usize, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.fired {
-            return;
-        }
-        let have = edge.arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        // Quorum re-derivation: absent (crashed-for-the-round) slots leave
-        // the denominator, so faults can never deadlock the round.
-        let live_total = edge.arrived.len() - edge.absent.iter().filter(|&&a| a).count();
-        if have == live_total || (edge.timed_out && have >= quorum_count(quorum, live_total)) {
-            self.fire_edge(e, now);
-        }
-    }
-
-    fn maybe_fire_edge_async(&mut self, e: usize, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.fired || !edge.arrived.iter().any(|&a| a) {
-            return;
-        }
-        // A too-stale absent slot blocks the firing — unless it is down
-        // for the round and cannot catch up: the staleness cap is waived
-        // for slots that will re-materialize anyway.
-        let blocked = (0..edge.arrived.len())
-            .any(|j| !edge.arrived[j] && !edge.absent[j] && edge.age[j] >= max_staleness);
-        if !blocked {
-            self.fire_edge(e, now);
-        }
-    }
-
-    /// Fires the edge's current round with whoever has arrived: runs the
-    /// strategy's (staleness-aware) edge hook against the cohort, then
-    /// either submits to the cloud (boundary rounds) or finishes the round
-    /// locally. An empty round (every slot absent) skips the hook and
-    /// relays the edge's carried state.
-    fn fire_edge(&mut self, e: usize, now: f64) {
-        let k = self.edges[e].round;
-        self.edges[e].fired = true;
-        let c = self.edges[e].arrived.len();
-        let any_arrived = self.edges[e].arrived.iter().any(|&a| a);
-        let staleness: Vec<usize> = match self.sim.policy {
-            SyncPolicy::FullSync => vec![0; c],
-            // Slots exist for one round, so deadline staleness is binary:
-            // arrived in time (0) or waived and re-materialized (1).
-            SyncPolicy::Deadline { .. } => (0..c)
-                .map(|j| usize::from(!self.edges[e].arrived[j]))
-                .collect(),
-            SyncPolicy::AsyncAge { .. } => self.edges[e].age.clone(),
-        };
-        let d = self.edges[e].sampler.compute_ms(&self.sim.env.edge_device);
-        self.edges[e].busy_ms += d;
-        if any_arrived {
-            let mut view = self.fl.edge_view(e);
-            self.strategy.edge_aggregate_stale(k, &mut view, &staleness);
-        }
-        let (gamma, cos) = (self.fl.edges[e].gamma_edge, self.fl.edges[e].cos_theta);
-        self.stage_gamma(k, e, gamma, cos);
-        if let SyncPolicy::AsyncAge { .. } = self.sim.policy {
-            for j in 0..c {
-                if self.edges[e].arrived[j] {
-                    self.edges[e].age[j] = 0;
-                } else {
-                    self.edges[e].age[j] += 1;
-                }
-            }
-        }
-        if k.is_multiple_of(self.submit_period) {
-            // Boundary round: submit to the cloud (where any middle tiers
-            // are co-hosted) and wait for its reply before evaluating or
-            // advancing.
-            let flows = self.edges.len();
-            let edge = &mut self.edges[e];
-            let mut du = edge.sampler.shared_transfer_ms(
-                &self.sim.env.edge_cloud_link,
-                self.sim.upload_bytes,
-                flows,
-            );
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = edge
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active edge fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut edge.faults);
-                du += pen;
-                dup = lag;
-            }
-            edge.busy_ms += du;
-            self.queue.push(
-                now + d + du,
-                ActorId::Edge(e),
-                VEv::CloudSubmit {
-                    edge: e,
-                    boundary: k / self.submit_period,
-                },
-            );
-            if let Some(lag) = dup {
-                self.queue.push(
-                    now + d + du + lag,
-                    ActorId::Cloud,
-                    VEv::DupArrival { to: ActorId::Cloud },
-                );
-            }
-        } else {
-            self.finish_edge_round(e, now + d);
-        }
-    }
-
-    /// Post-aggregation bookkeeping of edge `e`'s round `k`: stage the
-    /// evaluation snapshot if this is an evaluation round, then start the
-    /// next round or retire the edge.
-    fn finish_edge_round(&mut self, e: usize, now: f64) {
-        let k = self.edges[e].round;
-        if self.is_eval_round(k) {
-            let x = self.fl.edges[e].x_plus.clone();
-            self.stage_eval(k, e, x, now);
-        }
-        if k < self.rounds {
-            self.queue
-                .push(now, ActorId::Edge(e), VEv::StartRound { edge: e });
-        } else {
-            self.edges[e].done = true;
-            self.edges_done += 1;
-        }
-    }
-
-    fn on_cloud_submit(&mut self, e: usize, p: usize, now: f64) {
-        match self.sim.policy {
-            SyncPolicy::FullSync => {
-                // Edges never die in the virtual engine (cohorts
-                // re-materialize), so the full barrier always completes.
-                self.cloud_arrived[e] = true;
-                self.cloud_last_boundary[e] = p;
-                if self.cloud_arrived.iter().all(|&a| a) {
-                    self.fire_cloud(now);
-                }
-            }
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                if p < self.cloud_boundary {
-                    // Late: the boundary fired without this edge (its
-                    // carried state was merged at staleness ≥ 1). The
-                    // continuation is a release without a pull — the edge
-                    // keeps its own state and rolls straight on.
-                    self.cloud_last_boundary[e] = p;
-                    self.finish_edge_round(e, now);
-                } else {
-                    let first = !self.cloud_arrived.iter().any(|&a| a);
-                    self.cloud_arrived[e] = true;
-                    self.cloud_last_boundary[e] = p;
-                    if first {
-                        let boundary = self.cloud_boundary;
-                        self.queue.push(
-                            now + timeout_ms,
-                            ActorId::Cloud,
-                            VEv::CloudTimeout { boundary },
-                        );
-                    }
-                    self.maybe_fire_cloud_deadline(now);
-                }
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.cloud_arrived[e] = true;
-                self.cloud_age[e] = 0;
-                self.cloud_last_boundary[e] = p;
-                self.maybe_fire_cloud_async(now);
-            }
-        }
-    }
-
-    fn on_cloud_timeout(&mut self, boundary: usize, now: f64) {
-        if self.cloud_boundary != boundary {
-            return; // stale timer for an already-fired boundary
-        }
-        self.cloud_timed_out = true;
-        self.maybe_fire_cloud_deadline(now);
-    }
-
-    fn maybe_fire_cloud_deadline(&mut self, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let have = self.cloud_arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        let total = self.cloud_arrived.len();
-        if have == total || (self.cloud_timed_out && have >= quorum_count(quorum, total)) {
-            self.fire_cloud(now);
-        }
-    }
-
-    fn maybe_fire_cloud_async(&mut self, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        if !self.cloud_arrived.iter().any(|&a| a) {
-            return;
-        }
-        // A too-stale absent edge blocks the firing — unless it has
-        // retired (finished its final round) and will never submit again.
-        let blocked = (0..self.cloud_arrived.len()).any(|l| {
-            !self.cloud_arrived[l] && self.cloud_age[l] >= max_staleness && !self.edges[l].done
-        });
-        if !blocked {
-            self.fire_cloud(now);
-        }
-    }
-
-    /// Fires the cloud boundary with whichever edges have submitted. For
-    /// partial boundaries the absent edges' state is snapshotted around
-    /// the hooks, so the global update reads their carried-over
-    /// submissions but does not overwrite state they never received.
-    /// Middle tiers (co-hosted here) fire bottom-up at their own interval
-    /// boundaries with per-subtree staleness slices, then the root at its
-    /// `π` boundary — mirroring the classic engine's `fire_cloud`.
-    fn fire_cloud(&mut self, now: f64) {
-        let l_count = self.cloud_arrived.len();
-        let participants: Vec<usize> = (0..l_count).filter(|&l| self.cloud_arrived[l]).collect();
-        let (p, staleness): (usize, Vec<usize>) = match self.sim.policy {
-            SyncPolicy::FullSync => (self.cloud_boundary, vec![0; l_count]),
-            SyncPolicy::Deadline { .. } => {
-                let r = self.cloud_boundary;
-                let stale = (0..l_count)
-                    .map(|l| r.saturating_sub(self.cloud_last_boundary[l]))
-                    .collect();
-                (r, stale)
-            }
-            SyncPolicy::AsyncAge { .. } => (self.cloud_firings + 1, self.cloud_age.clone()),
-        };
-        let d = self.cloud_sampler.compute_ms(&self.sim.env.cloud_device);
-        self.cloud_busy_ms += d;
-        let saved: Vec<(usize, EdgeState, Vec<WorkerState>)> = (0..l_count)
-            .filter(|l| !participants.contains(l))
-            .map(|l| {
-                (
-                    l,
-                    self.fl.edges[l].clone(),
-                    self.fl.workers[self.fl.hierarchy.edge_workers(l)].to_vec(),
-                )
-            })
-            .collect();
-        // The edge round this submission closes; `p` counts submission
-        // boundaries, which fall every `submit_period` edge rounds.
-        let k = p * self.submit_period;
-        if let Some(tree) = self.cohort_tree.clone() {
-            for td in tree.middle_depths().rev() {
-                // Identity tiers fire nothing and record nothing — a
-                // pass-through tree must match its collapse bitwise,
-                // γ traces included.
-                if tree.levels()[td].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(td);
-                if k.is_multiple_of(period) {
-                    let round = k / period;
-                    let span = tree.edges_per_node(td);
-                    for node in 0..tree.nodes_at(td) {
-                        self.strategy.tier_aggregate_stale(
-                            TierScope::Middle {
-                                depth: td,
-                                node,
-                                state: &mut self.fl,
-                            },
-                            round,
-                            &staleness[node * span..(node + 1) * span],
-                        );
-                    }
-                    let tier = &self.fl.middle[td - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    self.tier_gamma[td - 1].push((round, mean));
-                }
-            }
-        }
-        // The root fires only on its own boundary — every submission on
-        // three-tier runs, every `π / submit_period`-th on N-tier runs.
-        if k.is_multiple_of(self.cfg.pi) {
-            self.strategy
-                .cloud_aggregate_stale(k / self.cfg.pi, &mut self.fl, &staleness);
-        }
-        for (l, es, ws) in saved {
-            self.fl.edges[l] = es;
-            let range = self.fl.hierarchy.edge_workers(l);
-            self.fl.workers[range].clone_from_slice(&ws);
-        }
-        let flows = self.edges.len();
-        for &l in &participants {
-            let edge = &mut self.edges[l];
-            let mut dd = edge.sampler.shared_transfer_ms(
-                &self.sim.env.edge_cloud_link,
-                self.sim.download_bytes,
-                flows,
-            );
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = edge
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active edge fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut edge.faults);
-                dd += pen;
-                dup = lag;
-            }
-            edge.busy_ms += dd;
-            self.queue
-                .push(now + d + dd, ActorId::Edge(l), VEv::CloudReply { edge: l });
-            if let Some(lag) = dup {
-                let to = ActorId::Edge(l);
-                self.queue
-                    .push(now + d + dd + lag, to, VEv::DupArrival { to });
-            }
-        }
-        self.cloud_firings += 1;
-        self.cloud_arrived.fill(false);
-        self.cloud_timed_out = false;
-        match self.sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } => self.cloud_boundary += 1,
-            SyncPolicy::AsyncAge { .. } => {
-                for (l, a) in self.cloud_age.iter_mut().enumerate() {
-                    if participants.contains(&l) {
-                        *a = 0;
-                    } else {
-                        *a += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Stages edge `e`'s round-`k` post-aggregation model; fires the
-    /// evaluation once all edges have contributed, on the same
-    /// population-weighted edge average as the tick-driven engine. Every
-    /// edge fires every round exactly once under every policy (stragglers
-    /// are waived, never re-fired), so the stage always completes.
-    fn stage_eval(&mut self, k: usize, e: usize, x: Vector, at_ms: f64) {
-        let l = self.edges.len();
-        let (xs, last_ms) = self
-            .eval_stage
-            .entry(k)
-            .or_insert_with(|| (vec![None; l], 0.0));
-        xs[e] = Some(x);
-        *last_ms = last_ms.max(at_ms);
-        let complete = xs.iter().all(Option::is_some);
-        if !complete {
-            return;
-        }
-        let (xs, last_ms) = self.eval_stage.remove(&k).expect("stage just checked");
-        let params = weighted_edge_average(
-            &self.fl.weights,
-            xs.iter().map(|x| x.as_ref().expect("stage complete")),
-        );
-        let (test, train) = evaluate_on_replicas(
-            &mut self.eval_models,
-            self.test_data,
-            &self.train_probe,
-            &params,
-        );
-        self.evals.push(EvalRec {
-            iter: k * self.cfg.tau,
-            at_ms: last_ms,
-            test,
-            train,
-        });
-    }
-
-    fn stage_gamma(&mut self, k: usize, e: usize, gamma: f32, cos: f32) {
-        let l = self.edges.len();
-        let slot = self.gamma_stage.entry(k).or_insert_with(|| vec![None; l]);
-        slot[e] = Some((gamma, cos));
-        if !slot.iter().all(Option::is_some) {
-            return;
-        }
-        let slot = self.gamma_stage.remove(&k).expect("stage just checked");
-        let fired: Vec<(f32, f32)> = slot.into_iter().flatten().collect();
-        let n = fired.len() as f32;
-        self.gamma_trace
-            .push((k, fired.iter().map(|p| p.0).sum::<f32>() / n));
-        self.cos_trace
-            .push((k, fired.iter().map(|p| p.1).sum::<f32>() / n));
-    }
-
-    fn run(&mut self) {
-        for e in 0..self.edges.len() {
-            self.queue
-                .push(0.0, ActorId::Edge(e), VEv::StartRound { edge: e });
-        }
-        while let Some((time, _actor, payload)) = self.queue.pop() {
-            self.now = time;
-            self.events += 1;
-            match payload {
-                VEv::StartRound { edge } => self.on_start_round(edge, time),
-                VEv::Arrive { slot, round } => {
-                    if !self.slot_event_stale(slot, round) {
-                        self.schedule_step(slot, time);
-                    }
-                }
-                VEv::StepDone { slot, round } => self.on_step_done(slot, round, time),
-                VEv::Upload { slot, round } => self.on_upload(slot, round, time),
-                VEv::EdgeTimeout { edge, round } => self.on_edge_timeout(edge, round, time),
-                VEv::CloudSubmit { edge, boundary } => self.on_cloud_submit(edge, boundary, time),
-                VEv::CloudTimeout { boundary } => self.on_cloud_timeout(boundary, time),
-                VEv::CloudReply { edge } => self.finish_edge_round(edge, time),
-                VEv::DupArrival { to } => {
-                    let counters = match to {
-                        ActorId::Worker(_) => &mut self.worker_faults,
-                        ActorId::Edge(e) => &mut self.edges[e].faults,
-                        ActorId::Cloud => &mut self.cloud_faults,
-                    };
-                    counters.duplicates_received += 1;
-                }
-            }
-        }
-        assert_eq!(
-            self.edges_done,
-            self.edges.len(),
-            "event queue drained before every edge finished its rounds"
-        );
-    }
-
-    fn finish(mut self) -> SimResult {
-        self.evals.sort_by_key(|r| r.iter);
-        let mut curve = ConvergenceCurve::new();
-        let mut timed = TimedCurve::new();
-        for r in &self.evals {
-            curve.push(EvalPoint {
-                iteration: r.iter,
-                train_loss: r.train.loss,
-                test_loss: r.test.loss,
-                test_accuracy: r.test.accuracy,
-            });
-            timed.push(TimedPoint {
-                seconds: r.at_ms / 1000.0,
-                iteration: r.iter,
-                train_loss: r.train.loss,
-                test_loss: r.test.loss,
-                test_accuracy: r.test.accuracy,
-            });
-        }
-        let end_ms = self.now;
-        let util = |busy_ms: f64| {
-            if end_ms > 0.0 {
-                (busy_ms / end_ms).min(1.0)
-            } else {
-                0.0
-            }
-        };
-        // O(edges) actor accounting: the worker tier is virtual, so all
-        // sampled slots report as one aggregate "workers" entry.
-        let mut utilization = Vec::with_capacity(self.edges.len() + 2);
-        let mut faults = Vec::with_capacity(self.edges.len() + 2);
-        utilization.push(ActorUtilization {
-            actor: "workers".to_string(),
-            busy_seconds: self.workers_busy_ms / 1000.0,
-            utilization: util(self.workers_busy_ms),
-        });
-        faults.push(ActorFaults {
-            actor: "workers".to_string(),
-            counters: self.worker_faults,
-        });
-        for (l, e) in self.edges.iter().enumerate() {
-            utilization.push(ActorUtilization {
-                actor: format!("edge-{l}"),
-                busy_seconds: e.busy_ms / 1000.0,
-                utilization: util(e.busy_ms),
-            });
-            faults.push(ActorFaults {
-                actor: format!("edge-{l}"),
-                counters: e.faults,
-            });
-        }
-        utilization.push(ActorUtilization {
-            actor: "cloud".to_string(),
-            busy_seconds: self.cloud_busy_ms / 1000.0,
-            utilization: util(self.cloud_busy_ms),
-        });
-        faults.push(ActorFaults {
-            actor: "cloud".to_string(),
-            counters: self.cloud_faults,
-        });
-        let adversaries: Vec<ActorAdversaries> = self
-            .cfg
-            .adversary
-            .byzantine
-            .iter()
-            .zip(self.adversaries.iter())
-            .map(|(b, c)| ActorAdversaries {
-                actor: format!("worker-{}", b.worker),
-                counters: *c,
-            })
-            .collect();
-        SimResult {
-            algorithm: self.strategy.name().to_string(),
-            policy: self.sim.policy.label(),
-            curve,
-            timed_curve: timed,
-            gamma_trace: self.gamma_trace,
-            cos_trace: self.cos_trace,
-            tier_gamma: self.tier_gamma,
-            final_params: virtual_global_params(&self.fl),
-            simulated_seconds: end_ms / 1000.0,
-            utilization,
-            faults,
-            adversaries,
-            events: self.events,
-            topology: hieradmo_metrics::TopologyCounters::default(),
-        }
-    }
-}
+use crate::driver::{simulate_sampled, validate_run, SimError, SimResult};
+use crate::policy::SimConfig;
 
 /// Runs `strategy` over a virtual population under the co-simulation: the
 /// event-driven counterpart of
 /// [`hieradmo_core::population::run_virtual`] and
 /// [`hieradmo_core::population::run_virtual_tiered`], with the same
-/// sampled model trajectory bit for bit under [`SyncPolicy::FullSync`]
-/// (gated by `tests/sampling_equivalence.rs`) and an honest virtual-time
-/// axis on top.
+/// sampled model trajectory bit for bit under
+/// [`SyncPolicy::FullSync`](crate::SyncPolicy::FullSync) (gated by
+/// `tests/sampling_equivalence.rs`) and an honest virtual-time axis on
+/// top.
 ///
-/// Under full participation this materializes the population and
-/// delegates to [`crate::simulate`] — `sim.env.worker_devices` must then
-/// cover the whole materialized population. Under sampling, device
-/// profiles act as a *pool*: registered worker `g` computes on profile
-/// `g mod pool size`, so a small profile set describes any population.
+/// Under full participation this materializes the population and runs it
+/// as registered workers, exactly as [`crate::simulate`] does —
+/// `sim.env.worker_devices` must then cover the whole materialized
+/// population. Under sampling, device profiles act as a *pool*:
+/// registered worker `g` computes on profile `g mod pool size`, so a small
+/// profile set describes any population.
 ///
 /// Per round and edge, only the sampled cohort exists: the event queue
 /// holds `O(cohort + edges)` events, registered-but-idle workers cost
@@ -1063,21 +88,22 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
 /// report as one aggregate entry; `adversaries` carries one entry per
 /// plan entry instead of one per registered worker).
 ///
-/// Sampled runs compose with every [`SyncPolicy`] (stragglers are waived
-/// per round and rejoin at the next materialization — see the module
-/// docs), with N-tier trees (`sim.tiers`: middle tiers fire at the cloud
+/// Sampled runs compose with every [`SyncPolicy`](crate::SyncPolicy)
+/// (stragglers are waived per round and rejoin at the next
+/// materialization — see the module docs), with N-tier trees (`sim.tiers`: middle tiers fire at the cloud
 /// actor through `Strategy::tier_aggregate_stale` with per-subtree
 /// staleness), with crash/spike fault plans (absence decided at
 /// materialization from per-`(worker, round)` streams), with link faults
 /// (the retry/duplicate protocol runs per transfer, drawing from the
 /// occupying worker's round stream on the leaf hops and from per-edge
 /// streams on the cloud hops — see the module docs), and with dropout
-/// ([`cohort_dropout_mask`]).
+/// ([`hieradmo_core::population::cohort_dropout_mask`]).
 ///
 /// Remaining sampled-path restrictions (validated):
 /// [`Architecture::ThreeTier`] only, a non-empty device pool, no legacy
-/// `edges`/`workers_per_edge` fields, and N-tier trees need a uniform
-/// cohort size that matches the population's registered shape.
+/// `edges`/`workers_per_edge` fields, no [`RunConfig::churn`] plan, and
+/// N-tier trees need a uniform cohort size that matches the population's
+/// registered shape.
 ///
 /// # Errors
 ///
@@ -1097,8 +123,7 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    cfg.validate()
-        .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
+    validate_run(cfg, sim)?;
     population
         .validate_shards(shards)
         .map_err(|m| SimError::Run(RunError::Data(m)))?;
@@ -1167,16 +192,6 @@ where
                 population.workers_in_edge(e)
             ))));
         }
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            ))));
-        }
     }
 
     let cohort = population
@@ -1191,144 +206,19 @@ where
     }
     sim.validate(cohort.iter().copied().min())
         .map_err(SimError::Policy)?;
-    let hierarchy = Hierarchy::new(cohort.clone());
-    strategy
-        .check_topology(&hierarchy)
-        .map_err(|m| SimError::Run(RunError::Topology(m)))?;
-
-    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
-    let edge_totals = population.edge_data_samples(&shard_sizes);
-    let total_slots = hierarchy.num_workers();
-    let l_count = hierarchy.num_edges();
-    let weights = Weights::from_cohort(&hierarchy, &vec![1u64; total_slots], edge_totals);
-    let x0 = model.params();
-    let mut fl = FlState::new(hierarchy.clone(), weights, &x0);
-    fl.aggregator = cfg.aggregator;
     // The engine runs the *sampled* sub-tree: the registered tree with its
     // leaf fanout swapped for the (uniform) cohort size. All non-leaf
     // levels — and with them every middle boundary — are unchanged.
-    let cohort_tree = sim.tiers.as_ref().map(|tree| {
+    let tree = sim.tiers.as_ref().map(|tree| {
         let mut levels = tree.levels().to_vec();
         levels.last_mut().expect("trees have levels").fanout = cohort[0];
         TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
     });
-    if let Some(tree) = &cohort_tree {
-        fl.attach_tree(tree.clone());
-    }
-    strategy.init(&mut fl);
-
-    // Edges submit cloud-wards at every boundary where some tier above
-    // them mutates state; identity middles are free, so a pure
-    // pass-through tree keeps the three-tier submission cadence (and
-    // every delay stream) untouched.
-    let submit_period = match &sim.tiers {
-        Some(tree) => tree
-            .middle_depths()
-            .filter(|&d| tree.levels()[d].aggregation != TierAggregation::Identity)
-            .map(|d| tree.sync_rounds(d))
-            .min()
-            .unwrap_or(cfg.pi),
-        None => cfg.pi,
-    };
-    let sampler = match &sim.tiers {
-        Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
-        None => CohortSampler::new(cfg.seed),
-    };
-
-    // Placeholder slot contexts; every field is rebuilt at each round's
-    // materialization. Edge/cloud delay streams are drawn from dedicated
-    // salted stream ids so they never depend on the population size.
-    let slots: Vec<SlotCtx> = (0..total_slots)
-        .map(|slot| SlotCtx {
-            gid: 0,
-            edge: (0..l_count)
-                .find(|&e| hierarchy.edge_workers(e).contains(&slot))
-                .expect("every slot belongs to an edge"),
-            shard: 0,
-            steps: 0,
-            batcher: Batcher::new(1, 1, 0),
-            delays: DelaySampler::from_stream(sim.net_seed, 0),
-            fsampler: None,
-            dropped: vec![false; cfg.tau],
-            attack: None,
-        })
-        .collect();
-    let edges: Vec<EdgeSim> = (0..l_count)
-        .map(|e| {
-            let c = hierarchy.workers_in_edge(e);
-            EdgeSim {
-                round: 0,
-                fired: false,
-                arrived: vec![false; c],
-                absent: vec![false; c],
-                age: vec![0; c],
-                timed_out: false,
-                done: false,
-                busy_ms: 0.0,
-                sampler: DelaySampler::from_stream(sim.net_seed ^ SALT_EDGE_STREAM, e as u64),
-                fsampler: sim.faults.link.is_some().then(|| {
-                    FaultSampler::from_stream(sim.net_seed ^ SALT_EDGE_FAULT_STREAM, e as u64)
-                }),
-                faults: FaultCounters::default(),
-            }
-        })
-        .collect();
-
-    let threads = cfg.resolved_threads();
-    let tier_gamma = vec![Vec::new(); fl.middle.len()];
-    let mut engine = VEngine {
-        strategy,
-        cfg,
-        sim,
-        population,
-        shards,
-        shard_sizes,
-        sampler,
-        fl,
-        slots,
-        edges,
-        cohort_tree,
-        submit_period,
-        faults_on: !sim.faults.is_empty(),
-        cloud_arrived: vec![false; l_count],
-        cloud_boundary: 1,
-        cloud_firings: 0,
-        cloud_last_boundary: vec![0; l_count],
-        cloud_age: vec![0; l_count],
-        cloud_timed_out: false,
-        cloud_busy_ms: 0.0,
-        cloud_sampler: DelaySampler::from_stream(sim.net_seed ^ SALT_CLOUD_STREAM, 0),
-        workers_busy_ms: 0.0,
-        worker_faults: FaultCounters::default(),
-        cloud_faults: FaultCounters::default(),
-        permanent_counted: vec![false; sim.faults.permanent.len()],
-        queue: EventQueue::new(),
-        eval_stage: BTreeMap::new(),
-        gamma_stage: BTreeMap::new(),
-        gamma_trace: Vec::new(),
-        cos_trace: Vec::new(),
-        tier_gamma,
-        evals: Vec::new(),
-        step_model: model.clone(),
-        eval_models: (0..threads).map(|_| model.clone()).collect(),
-        test_data,
-        train_probe: build_train_probe(shards, cfg.train_eval_cap),
-        batch: Vec::new(),
-        adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
-        rounds: cfg.total_iters / cfg.tau,
-        edges_done: 0,
-        events: 0,
-        now: 0.0,
-    };
-    engine.run();
-    Ok(engine.finish())
+    let hierarchy = Hierarchy::new(cohort);
+    strategy
+        .check_topology(&hierarchy)
+        .map_err(|m| SimError::Run(RunError::Topology(m)))?;
+    Ok(simulate_sampled(
+        strategy, model, population, shards, test_data, cfg, sim, hierarchy, tree,
+    ))
 }
-
-/// Stream salts keeping the edge/cloud aggregator delay streams disjoint
-/// from every per-(worker, round) stream whatever the population size.
-const SALT_EDGE_STREAM: u64 = 0x6564_6765_5f76_706f;
-const SALT_CLOUD_STREAM: u64 = 0x636c_6f75_645f_7670;
-/// Fault-stream salt keeping the edges' retry/duplicate draws disjoint
-/// from their delay streams and from every per-(worker, round) fault
-/// stream.
-const SALT_EDGE_FAULT_STREAM: u64 = 0x6661_756c_745f_7670;

@@ -35,7 +35,7 @@ use hieradmo::netsim::{
 };
 use hieradmo::simrt::{simulate, simulate_virtual, SimConfig, SimError, SimResult, SyncPolicy};
 use hieradmo::tensor::Vector;
-use hieradmo::topology::{TierSpec, TierTree, Weights};
+use hieradmo::topology::{ChurnPlan, ScheduledEvent, TierSpec, TierTree, TopologyEvent, Weights};
 use proptest::prelude::*;
 
 /// A 2-edge federation of 100 registered workers per edge over 4 shards,
@@ -526,6 +526,24 @@ fn sampled_paths_validate_their_restrictions() {
             sim_err(
                 &cfg,
                 &virtual_sim_config(9).with_tiers(TierTree::three_tier(2, 100, 5, 4)),
+            ),
+        ),
+        (
+            "churn plan on a sampled run",
+            "bad-config",
+            "ChurnPlan",
+            sim_err(
+                &RunConfig {
+                    churn: ChurnPlan {
+                        events: vec![ScheduledEvent {
+                            round: 2,
+                            event: TopologyEvent::EdgeFail { edge: 1 },
+                        }],
+                        reform_every: None,
+                    },
+                    ..cfg.clone()
+                },
+                &virtual_sim_config(9),
             ),
         ),
         ("bad deadline quorum", "policy", "(0, 1]", {

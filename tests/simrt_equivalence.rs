@@ -135,8 +135,9 @@ struct TrajectoryPin {
 /// The event-engine cells no other gate pins by value: relaxed policies
 /// over a crash + link-fault + permanent-crash plan, a Byzantine worker,
 /// the two-tier architecture, an elastic run with an edge failure and
-/// periodic re-formation, and sampled depth-4 cohorts under every policy
-/// with the sampling matrix's fault plan. Self-replay and thread
+/// periodic re-formation, sampled depth-4 cohorts under every policy
+/// with the sampling matrix's fault plan, and the relaxed policies again
+/// at τ = 5. Self-replay and thread
 /// invariance cannot catch a change that moves every replay alike; these
 /// literals can. They round-trip exactly (Rust float `Debug`), so the
 /// equality below is bitwise.
@@ -147,7 +148,7 @@ fn event_engine_runs() -> Vec<(&'static str, SimResult)> {
         LinkFaults, NetworkEnv, PermanentCrash,
     };
     use hieradmo::simrt::{simulate_elastic, simulate_virtual};
-    use hieradmo::topology::{ChurnPlan, ScheduledEvent, TopologyEvent};
+    use hieradmo::topology::{ChurnPlan, ScheduledEvent, TierSpec, TierTree, TopologyEvent};
 
     let algo = HierAdMo::adaptive(0.05, 0.5);
     let f = sim_fixture(0.0);
@@ -262,6 +263,66 @@ fn event_engine_runs() -> Vec<(&'static str, SimResult)> {
         )
         .expect("sampled simulation failed");
         runs.push((label, r));
+    }
+
+    // At τ = 5 a relaxed firing can catch a live straggler after any of
+    // 0..=4 local steps; τ = 2 reaches only 0 and 1. Each row replays at
+    // 1, 2 and 4 threads, which must agree bitwise.
+    let tree = TierTree::new(vec![
+        TierSpec::new(2, 2),
+        TierSpec::new(2, 2),
+        TierSpec::new(6, 5),
+    ])
+    .expect("depth-4 tree is valid");
+    let sf = sampled_tier_fixture(&tree);
+    let sf_model = zoo::logistic_regression(&sf.train, 7);
+    let labels = [
+        "simulate_virtual, sampled depth 4, tau 5, Deadline, faults",
+        "simulate_virtual, sampled depth 4, tau 5, AsyncAge, faults",
+    ];
+    for (label, policy) in labels.into_iter().zip(&matrix_policies()[1..]) {
+        let sim = SimConfig::new(
+            NetworkEnv::paper_testbed(4),
+            Architecture::ThreeTier,
+            50_000,
+            7,
+            *policy,
+        )
+        .with_tiers(tree.clone())
+        .with_faults(sampled_fault_plan());
+        let replays: Vec<SimResult> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let cfg = RunConfig {
+                    threads: Some(threads),
+                    ..sf.cfg.clone()
+                };
+                simulate_virtual(
+                    &algo,
+                    &sf_model,
+                    &sf.population,
+                    &sf.shards,
+                    &sf.test,
+                    &cfg,
+                    &sim,
+                )
+                .expect("sampled simulation failed")
+            })
+            .collect();
+        for (r, threads) in replays[1..].iter().zip([2, 4]) {
+            let first = &replays[0];
+            let what = format!("{label}: threads {threads} vs 1");
+            assert_eq!(r.final_params, first.final_params, "{what}: params");
+            assert_eq!(r.gamma_trace, first.gamma_trace, "{what}: gamma trace");
+            assert_eq!(r.curve, first.curve, "{what}: curve");
+            assert_eq!(r.events, first.events, "{what}: events");
+            assert_eq!(
+                r.simulated_seconds, first.simulated_seconds,
+                "{what}: simulated seconds"
+            );
+        }
+        let first = replays.into_iter().next().expect("three replays");
+        runs.push((label, first));
     }
     runs
 }
@@ -439,6 +500,42 @@ fn event_engine_trajectories_are_pinned() {
             accuracy: &[0.734375, 0.84375],
             events: 221,
             simulated_seconds: 3.400060374152398,
+        },
+        TrajectoryPin {
+            label: "simulate_virtual, sampled depth 4, tau 5, Deadline, faults",
+            head: [0.21158886, -0.25803128, 0.33430818, 0.5746365],
+            sum: 3.5267534,
+            gamma: &[
+                (1, 0.075424135),
+                (2, 0.17212597),
+                (3, 0.19779147),
+                (4, 0.061873715),
+                (5, 0.2723843),
+                (6, 0.23660542),
+                (7, 0.23928468),
+                (8, 0.27406085),
+            ],
+            accuracy: &[0.875, 1.0],
+            events: 371,
+            simulated_seconds: 7.58448449235174,
+        },
+        TrajectoryPin {
+            label: "simulate_virtual, sampled depth 4, tau 5, AsyncAge, faults",
+            head: [0.23988831, -0.2587436, 0.3534318, 0.55041397],
+            sum: 3.5267532,
+            gamma: &[
+                (1, 0.053786002),
+                (2, 0.117924675),
+                (3, 0.17189406),
+                (4, 0.09408125),
+                (5, 0.15608689),
+                (6, 0.208165),
+                (7, 0.19329545),
+                (8, 0.15315318),
+            ],
+            accuracy: &[0.765625, 0.90625],
+            events: 333,
+            simulated_seconds: 7.505638844903676,
         },
     ];
     let runs = event_engine_runs();

@@ -24,4 +24,4 @@ pub mod sys;
 pub use harness::{run_on_scenario, Outcome};
 pub use report::Report;
 pub use scenarios::{defense_from_name, AdversaryScenario, FaultScenario, Scale, Workload};
-pub use sys::peak_rss_bytes;
+pub use sys::{peak_rss_bytes, rss_bytes};

@@ -13,11 +13,23 @@ pub fn peak_rss_bytes() -> Option<u64> {
     parse_vm_hwm(&status)
 }
 
+/// Current resident set size of this process, in bytes (`VmRSS`);
+/// `None` where [`peak_rss_bytes`] is.
+pub fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    parse_status_kb(&status, "VmRSS:")
+}
+
 /// Parses the `VmHWM:    1234 kB` line out of a `/proc/<pid>/status` dump.
 fn parse_vm_hwm(status: &str) -> Option<u64> {
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    parse_status_kb(status, "VmHWM:")
+}
+
+/// Parses a `<field>    1234 kB` line out of a `/proc/<pid>/status` dump.
+fn parse_status_kb(status: &str, field: &str) -> Option<u64> {
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: u64 = line
-        .strip_prefix("VmHWM:")?
+        .strip_prefix(field)?
         .trim()
         .strip_suffix("kB")?
         .trim()

@@ -46,12 +46,14 @@ pub struct RunConfig {
     pub seed: u64,
     /// Number of execution-engine threads (including the caller's thread).
     ///
-    /// `Some(n)` pins the worker pool to exactly `n` threads; `None` uses
-    /// all available cores. Results are bitwise identical for every thread
-    /// count — the engine chunks work in a fixed order — so this knob only
-    /// trades wall-clock for cores. (This supersedes the removed boolean
-    /// `parallel` flag; legacy configs carrying that field still
-    /// deserialize, the unknown key is simply ignored.)
+    /// `Some(n)` asks the worker pool for `n` threads; `None` uses all
+    /// available cores. The pool never starts more threads than the run's
+    /// widest batch — its workers or cohort slots, or one evaluation
+    /// pass's chunks — can keep busy. Results are bitwise identical for
+    /// every thread count — the engine chunks work in a fixed order — so
+    /// this knob only trades wall-clock for cores. (This supersedes the
+    /// removed boolean `parallel` flag; legacy configs carrying that field
+    /// still deserialize, the unknown key is simply ignored.)
     #[serde(default)]
     pub threads: Option<usize>,
     /// Cap on the number of *training* samples used for the train-loss
@@ -196,9 +198,10 @@ impl RunConfig {
     ///
     /// This is the single place [`RunConfig::threads`] is interpreted; both
     /// the tick-driven engine ([`crate::driver::run`]) and the event-driven
-    /// co-simulation runtime (`hieradmo-simrt`) consult it. `Some(n)` pins
-    /// the pool to `n` threads; `None` uses the machine's available
-    /// parallelism. Always at least 1.
+    /// co-simulation runtime (`hieradmo-simrt`) consult it. `Some(n)`
+    /// requests `n` threads; `None` uses the machine's available
+    /// parallelism. Always at least 1; `core::pool::Pool` caps it further
+    /// at the lanes the run can fill.
     pub fn resolved_threads(&self) -> usize {
         match self.threads {
             Some(n) => n.max(1),

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, EvalPoint, TopologyCounters};
-use hieradmo_models::{Evaluation, Model};
+use hieradmo_models::Model;
 use hieradmo_netsim::adversary::{AdversarySampler, AttackModel};
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, ScheduleError, TierAggregation, TierTree, Weights};
@@ -29,14 +29,9 @@ use rand::{Rng, SeedableRng};
 use crate::byzantine::{corrupt_upload, replay_upload};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-/// Samples per evaluation chunk, re-exported so alternative drivers (the
-/// event-driven runtime in `hieradmo-simrt`) can reproduce this engine's
-/// exact f64 partial-sum reduction order.
+/// Samples per evaluation chunk, fixed for every thread count.
 pub use crate::pool::EVAL_CHUNK;
-use crate::pool::{
-    chunk, eval_chunks, evaluate_chunks, reduce_eval, EdgeItem, ExecCtx, Job, Pool, Reply, StepCtx,
-    StepItem,
-};
+use crate::pool::{EdgeItem, ExecCtx, Pool, Segment};
 use crate::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, materialize_edge_cohort,
     virtual_global_params, CohortSampler, WorkerPopulation,
@@ -447,6 +442,13 @@ pub(crate) enum Participants<'a> {
 /// A Byzantine slot's attack, adversary stream and tally index.
 type Adversary = (AttackModel, AdversarySampler, usize);
 
+/// A slot's step stream: the dataset it trains on (an index into the
+/// pool's training datasets) and its private batcher.
+struct StepCtx {
+    data: usize,
+    batcher: Batcher,
+}
+
 /// The federation a span runs, laid out by [`Participants::layout`].
 struct Layout<'a> {
     hierarchy: Hierarchy,
@@ -507,7 +509,6 @@ impl<'a> Participants<'a> {
                             cfg.batch_size,
                             cfg.seed.wrapping_add(i as u64),
                         ),
-                        batch: Vec::with_capacity(cfg.batch_size.min(d.len())),
                     })
                 });
                 // Each Byzantine worker owns a salted adversary stream
@@ -621,7 +622,6 @@ impl<'a> Participants<'a> {
             *ctx = Some(StepCtx {
                 data: shard,
                 batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
-                batch: Vec::new(),
             });
             let plan = &cfg.adversary.byzantine;
             *adversary = plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
@@ -798,12 +798,13 @@ where
     // without computing any step, so every registered stream resumes at
     // the position it held at the snapshot. Sampled slots hold no streams
     // before their first round, so they replay nothing.
+    let mut batch = Vec::new();
     for k in 1..=start / cfg.tau {
         let (from, to) = ((k - 1) * cfg.tau, k * cfg.tau);
         let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout_rng, slots);
         for (ctx, ticks) in ctxs.iter_mut().flatten().zip(ticks) {
             for _ in ticks {
-                ctx.batcher.next_batch_into(&mut ctx.batch);
+                ctx.batcher.next_batch_into(&mut batch);
             }
         }
         for (attack, sampler, _) in adversaries.iter_mut().flatten() {
@@ -826,7 +827,7 @@ where
     };
 
     std::thread::scope(|scope| {
-        let mut pool = Pool::new(scope, cfg.resolved_threads() - 1, ctx, model);
+        let mut pool = Pool::new(scope, ctx, model, slots);
 
         let mut from = start;
         for to in stops {
@@ -911,7 +912,7 @@ where
             if participants.evaluates_at(to, cfg) {
                 let t0 = Instant::now();
                 let global = participants.global_params(strategy, &state);
-                let (test_eval, train_eval) = evaluate_global(&mut pool, &global);
+                let (test_eval, train_eval) = pool.evaluate(&global);
                 curve.push(EvalPoint {
                     iteration: to,
                     train_loss: train_eval.loss,
@@ -1019,8 +1020,8 @@ fn restore(
 }
 
 /// Runs one interval of local steps on the pool: every worker with ticks
-/// to step is checked out with its step context, shipped in contiguous
-/// flat-order chunks, and put back by index.
+/// to step is checked out as a [`Segment`] with its step stream, and put
+/// back by index.
 fn local_steps<M, S>(
     pool: &mut Pool<'_, M, S>,
     state: &mut FlState,
@@ -1030,37 +1031,35 @@ fn local_steps<M, S>(
     M: Model,
     S: Strategy + ?Sized,
 {
-    let items: Vec<StepItem> = ticks
-        .into_iter()
-        .enumerate()
-        .filter(|(_, ticks)| !ticks.is_empty())
-        .map(|(idx, ticks)| StepItem {
-            idx,
-            ticks,
-            worker: mem::replace(&mut state.workers[idx], WorkerState::placeholder()),
-            ctx: ctxs[idx].take().expect("step context double checkout"),
-        })
-        .collect();
-    let jobs = chunk(items, pool.lanes())
-        .into_iter()
-        .map(Job::Steps)
-        .collect();
-    for reply in pool.exec(jobs) {
-        let Reply::Steps(items) = reply else {
-            unreachable!("step job must yield a step reply")
-        };
-        for item in items {
-            state.workers[item.idx] = item.worker;
-            ctxs[item.idx] = Some(item.ctx);
+    let mut idxs = Vec::new();
+    let mut segments = Vec::new();
+    for (idx, ticks) in ticks.into_iter().enumerate() {
+        if ticks.is_empty() {
+            continue;
         }
+        let StepCtx { data, batcher } = ctxs[idx].take().expect("step context double checkout");
+        idxs.push(idx);
+        segments.push(Segment {
+            ticks,
+            worker: mem::take(&mut state.workers[idx]),
+            data,
+            batcher,
+        });
+    }
+    for (idx, seg) in idxs.into_iter().zip(pool.run_segments(segments)) {
+        state.workers[idx] = seg.worker;
+        ctxs[idx] = Some(StepCtx {
+            data: seg.data,
+            batcher: seg.batcher,
+        });
     }
 }
 
 /// Runs aggregation `k` on every edge, in parallel across the pool: edge
 /// states and workers are checked out as disjoint [`EdgeItem`]s (workers
 /// are stored edge-major, so each edge owns a contiguous block), processed
-/// in fixed edge order within each chunk under the round's data
-/// `weights`, and reassembled by edge index.
+/// in fixed edge order under the round's data `weights`, and reassembled
+/// in edge order.
 fn edge_aggregations<M, S>(
     pool: &mut Pool<'_, M, S>,
     state: &mut FlState,
@@ -1083,98 +1082,12 @@ fn edge_aggregations<M, S>(
     }
     items.reverse();
 
-    let jobs = chunk(items, pool.lanes())
-        .into_iter()
-        .map(|items| Job::Edges {
-            k,
-            weights: Arc::clone(weights),
-            items,
-        })
-        .collect();
-    let mut returned: Vec<EdgeItem> = pool
-        .exec(jobs)
-        .into_iter()
-        .flat_map(|reply| {
-            let Reply::Edges(items) = reply else {
-                unreachable!("edge job must yield an edge reply")
-            };
-            items
-        })
-        .collect();
-    returned.sort_unstable_by_key(|item| item.edge);
-
     // `workers` is empty after the split-offs; refill it edge-major.
-    for item in returned {
+    for item in pool.aggregate_edges(k, weights, items) {
         state.edges[item.edge] = item.state;
         workers.extend(item.workers);
     }
     state.workers = workers;
-}
-
-/// Evaluates `params` on the test set and the training probe, split into
-/// fixed [`EVAL_CHUNK`]-sample chunks fanned out across the pool. Partial
-/// sums are reduced in `(target, chunk index)` order, so the result is
-/// identical for every thread count — including 1, which uses the same
-/// chunking.
-fn evaluate_global<M, S>(pool: &mut Pool<'_, M, S>, params: &Vector) -> (Evaluation, Evaluation)
-where
-    M: Model,
-    S: Strategy + ?Sized,
-{
-    let chunks = eval_chunks(pool.ctx.test_data.len(), pool.ctx.train_probe.len());
-    let jobs = chunk(chunks, pool.lanes()).into_iter().map(|chunks| {
-        let params = params.clone();
-        Job::Eval { params, chunks }
-    });
-    let partials = pool.exec(jobs.collect()).into_iter().flat_map(|reply| {
-        let Reply::Eval(sums) = reply else {
-            unreachable!("eval job must yield an eval reply")
-        };
-        sums
-    });
-    reduce_eval(partials.collect())
-}
-
-/// Evaluates `params` on the test set and training probe with this
-/// engine's exact reduction — fixed [`EVAL_CHUNK`]-sample chunks, partial
-/// sums merged in `(target, chunk index)` order — on caller-provided model
-/// replicas, one per evaluation lane (the first on the calling thread).
-/// The result is bitwise independent of the lane count.
-///
-/// Public so alternative drivers (the event-driven runtime in
-/// `hieradmo-simrt`) evaluate through *one* implementation and stay
-/// bitwise comparable to [`run`].
-///
-/// # Panics
-///
-/// Panics if `models` is empty.
-pub fn evaluate_on_replicas<M>(
-    models: &mut [M],
-    test: &Dataset,
-    probe: &Dataset,
-    params: &Vector,
-) -> (Evaluation, Evaluation)
-where
-    M: Model + Send,
-{
-    let (first, rest) = models
-        .split_first_mut()
-        .expect("need at least one model replica");
-    let mut groups = chunk(eval_chunks(test.len(), probe.len()), rest.len() + 1).into_iter();
-    let own = groups.next().unwrap_or_default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .zip(rest)
-            .map(|(group, model)| {
-                scope.spawn(move || evaluate_chunks(model, params, group, test, probe))
-            })
-            .collect();
-        let mut partials = evaluate_chunks(first, params, own, test, probe);
-        for h in handles {
-            partials.extend(h.join().expect("evaluation thread panicked"));
-        }
-        reduce_eval(partials)
-    })
 }
 
 /// A fixed, affordable probe of training data for the train-loss metric:

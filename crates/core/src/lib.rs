@@ -17,6 +17,9 @@
 //!   (see [`config::RunConfig::threads`]) for registered workers or
 //!   sampled cohorts, fires aggregation hooks, and records a
 //!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings.
+//! - [`pool`] — the lane pool both training loops (this crate's tick loop
+//!   and `hieradmo-simrt`'s event engine) run local-step segments and
+//!   evaluations on, bitwise identically for any thread count.
 //! - [`algorithms`] — **HierAdMo** (Algorithm 1) with adaptive or fixed
 //!   `γℓ` (the fixed variant is the paper's HierAdMo-R), the three-tier
 //!   baselines HierFAVG and CFL, and the two-tier baselines FedAvg, FedNAG,
@@ -60,7 +63,7 @@ pub mod config;
 pub mod driver;
 pub mod elastic;
 pub mod fleet;
-mod pool;
+pub mod pool;
 pub mod population;
 pub mod robust;
 pub mod state;

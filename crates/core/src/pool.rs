@@ -1,16 +1,20 @@
-//! The persistent parallel execution engine.
+//! The persistent parallel execution engine, shared by both training
+//! loops.
 //!
-//! [`Pool`] is a scoped worker pool created once per span of the tick
-//! loop and kept alive for the whole span. The driver checks state *out* of
-//! [`crate::state::FlState`] into self-contained job items, ships
-//! contiguous fixed-order chunks to the pool over channels, runs the first
-//! chunk on the calling thread, and reassembles results by identity
-//! (worker index, edge index, eval chunk index) — never by arrival order.
+//! [`Pool`] is a scoped worker pool created once per span of a loop — the
+//! tick loop here, the event engine in `hieradmo-simrt` — and kept alive
+//! for the whole span. Callers check state *out* into self-contained work
+//! items ([`Segment`]s of local steps, evaluation chunks, and, for the tick
+//! loop, edge aggregations), the pool ships contiguous fixed-order chunks
+//! of them to its lanes, runs the first chunk on the calling thread, and
+//! hands the results back in input order — never in arrival order.
 //! Together with per-worker RNG streams and fixed-size evaluation chunks
 //! this makes every run bitwise identical for any thread count.
 //!
-//! Each lane owns one model replica for gradients and evaluation: every
-//! gradient call sets its parameters first, so it carries no worker state.
+//! Each lane owns one model replica and one batch-index buffer: every
+//! gradient call sets the replica's parameters first, so it carries no
+//! worker state. A pool never runs more lanes than its widest batch can
+//! fill (see [`Pool::new`]), however large `RunConfig::threads` is.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -26,19 +30,18 @@ use crate::config::RunConfig;
 use crate::state::{EdgeState, EdgeView, WorkerState};
 use crate::strategy::Strategy;
 
-/// Everything a pool thread needs by reference: the strategy and the
-/// run-wide immutable inputs. `Copy` so each job execution can capture it
-/// by value.
-pub(crate) struct ExecCtx<'a, S: ?Sized> {
+/// Everything a lane needs by reference: the strategy and the run-wide
+/// immutable inputs. `Copy` so each job execution can capture it by value.
+pub struct ExecCtx<'a, S: ?Sized> {
     /// The algorithm under execution.
     pub strategy: &'a S,
-    /// Run configuration (clipping, batch size, …).
+    /// Run configuration (clipping, batch size, lane count, …).
     pub cfg: &'a RunConfig,
-    /// Training datasets, addressed by [`StepCtx::data`].
+    /// Training datasets, addressed by [`Segment::data`].
     pub worker_data: &'a [Dataset],
-    /// Held-out test set for evaluation jobs.
+    /// Held-out test set for evaluation.
     pub test_data: &'a Dataset,
-    /// Capped training probe for evaluation jobs.
+    /// Capped training probe for evaluation.
     pub train_probe: &'a Dataset,
 }
 
@@ -50,28 +53,24 @@ impl<S: ?Sized> Clone for ExecCtx<'_, S> {
 
 impl<S: ?Sized> Copy for ExecCtx<'_, S> {}
 
-/// A worker's checked-out step state: the dataset it trains on, its
-/// private batcher stream, and a reusable batch-index buffer.
-pub(crate) struct StepCtx {
+/// One worker's local-step segment: its state, the ticks it steps at, and
+/// the mini-batch stream over its training dataset. A segment depends on
+/// nothing else, so segments run on any lane in any order.
+pub struct Segment {
+    /// The ticks the worker steps at, in order.
+    pub ticks: Vec<usize>,
+    /// The worker's state, stepped in place.
+    pub worker: WorkerState,
     /// Index into [`ExecCtx::worker_data`].
     pub data: usize,
+    /// The worker's mini-batch stream, advanced once per tick.
     pub batcher: Batcher,
-    pub batch: Vec<usize>,
-}
-
-/// One worker's local-step work item: the ticks it steps at, in order.
-pub(crate) struct StepItem {
-    /// Flat worker index (identity for reassembly).
-    pub idx: usize,
-    pub ticks: Vec<usize>,
-    pub worker: WorkerState,
-    pub ctx: StepCtx,
 }
 
 /// One edge's aggregation work item: its workers and edge state, checked
 /// out of `FlState`.
 pub(crate) struct EdgeItem {
-    /// Edge index (identity for reassembly).
+    /// Edge index.
     pub edge: usize,
     /// Flat index of the edge's first worker.
     pub offset: usize,
@@ -80,8 +79,8 @@ pub(crate) struct EdgeItem {
 }
 
 /// Which dataset an evaluation chunk reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EvalTarget {
+#[derive(Clone, Copy)]
+enum EvalTarget {
     Test,
     Probe,
 }
@@ -89,20 +88,18 @@ pub(crate) enum EvalTarget {
 /// A fixed-size slice of an evaluation pass. Chunk boundaries depend only
 /// on the dataset length (see [`EVAL_CHUNK`]), never on the thread count,
 /// so the f64 partial-sum reduction order is invariant.
-pub(crate) struct EvalChunk {
-    pub target: EvalTarget,
-    /// Chunk ordinal within `target` (identity for ordered reduction).
-    pub idx: usize,
-    pub range: Range<usize>,
+struct EvalChunk {
+    target: EvalTarget,
+    range: Range<usize>,
 }
 
 /// Samples per evaluation chunk, fixed for all thread counts.
 pub const EVAL_CHUNK: usize = 256;
 
-/// Work shipped to a pool thread (or run inline on the caller).
-pub(crate) enum Job {
-    /// Local steps of the contained workers, each at its own ticks.
-    Steps(Vec<StepItem>),
+/// Work shipped to a lane.
+enum Job {
+    /// Local-step segments, each at its own ticks.
+    Steps(Vec<Segment>),
     /// Edge aggregations `k` for the contained edges, under the current
     /// round's data weights.
     Edges {
@@ -118,15 +115,15 @@ pub(crate) enum Job {
 }
 
 /// The completed counterpart of a [`Job`], carrying state back.
-pub(crate) enum Reply {
-    Steps(Vec<StepItem>),
+enum Reply {
+    Steps(Vec<Segment>),
     Edges(Vec<EdgeItem>),
-    Eval(Vec<(EvalTarget, usize, EvalSums)>),
+    Eval(Vec<(EvalTarget, EvalSums)>),
 }
 
 /// Splits `items` into at most `parts` contiguous chunks (first chunks get
 /// the extra items). Order within and across chunks follows the input.
-pub(crate) fn chunk<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+fn chunk<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     if items.is_empty() {
         return Vec::new();
     }
@@ -144,58 +141,14 @@ pub(crate) fn chunk<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Runs one job to completion on the lane's model replica. Shared by pool
-/// threads and the caller (so `threads = 1` exercises the identical code
-/// path with zero spawns).
-pub(crate) fn execute<M, S>(ctx: ExecCtx<'_, S>, model: &mut M, job: Job) -> Reply
-where
-    M: Model,
-    S: Strategy + ?Sized,
-{
-    match job {
-        Job::Steps(mut items) => {
-            for item in &mut items {
-                run_steps(ctx, model, item);
-            }
-            Reply::Steps(items)
-        }
-        Job::Edges {
-            k,
-            weights,
-            mut items,
-        } => {
-            for item in &mut items {
-                let mut view = EdgeView {
-                    edge: item.edge,
-                    offset: item.offset,
-                    workers: &mut item.workers,
-                    state: &mut item.state,
-                    weights: &weights,
-                    aggregator: ctx.cfg.aggregator,
-                };
-                ctx.strategy.edge_aggregate(k, &mut view);
-            }
-            Reply::Edges(items)
-        }
-        Job::Eval { params, chunks } => Reply::Eval(evaluate_chunks(
-            model,
-            &params,
-            chunks,
-            ctx.test_data,
-            ctx.train_probe,
-        )),
-    }
-}
-
 /// The evaluation chunks of a `test_len`-sample test set and a
-/// `probe_len`-sample probe, in `(target, chunk index)` order.
-pub(crate) fn eval_chunks(test_len: usize, probe_len: usize) -> Vec<EvalChunk> {
+/// `probe_len`-sample probe, test chunks first, each in sample order.
+fn eval_chunks(test_len: usize, probe_len: usize) -> Vec<EvalChunk> {
     let mut chunks = Vec::new();
     for (target, len) in [(EvalTarget::Test, test_len), (EvalTarget::Probe, probe_len)] {
-        for (idx, start) in (0..len).step_by(EVAL_CHUNK).enumerate() {
+        for start in (0..len).step_by(EVAL_CHUNK) {
             chunks.push(EvalChunk {
                 target,
-                idx,
                 range: start..(start + EVAL_CHUNK).min(len),
             });
         }
@@ -203,61 +156,79 @@ pub(crate) fn eval_chunks(test_len: usize, probe_len: usize) -> Vec<EvalChunk> {
     chunks
 }
 
-/// Evaluates `params` over `chunks` on one model replica.
-pub(crate) fn evaluate_chunks<M: Model>(
-    model: &mut M,
-    params: &Vector,
-    chunks: Vec<EvalChunk>,
-    test: &Dataset,
-    probe: &Dataset,
-) -> Vec<(EvalTarget, usize, EvalSums)> {
-    model.set_params(params);
-    chunks
-        .into_iter()
-        .map(|c| {
-            let data = match c.target {
-                EvalTarget::Test => test,
-                EvalTarget::Probe => probe,
-            };
-            (c.target, c.idx, model.evaluate_range(data, c.range))
-        })
-        .collect()
+/// The lanes a pool runs: the requested `threads`, but never more than
+/// its widest batch — `width` step or edge items, or the evaluation
+/// chunks — can fill, and always at least one.
+fn lane_count(threads: usize, width: usize, eval_chunks: usize) -> usize {
+    threads.min(width.max(eval_chunks)).max(1)
 }
 
-/// Merges partial sums in `(target, chunk index)` order, whatever lane
-/// produced them, so the result is identical for every lane count.
-pub(crate) fn reduce_eval(
-    mut partials: Vec<(EvalTarget, usize, EvalSums)>,
-) -> (Evaluation, Evaluation) {
-    partials.sort_unstable_by_key(|&(target, idx, _)| (target, idx));
-    let mut test = EvalSums::default();
-    let mut probe = EvalSums::default();
-    for (target, _, sums) in partials {
-        match target {
-            EvalTarget::Test => test.merge(&sums),
-            EvalTarget::Probe => probe.merge(&sums),
+/// One lane's private working set.
+struct Lane<M> {
+    model: M,
+    batch: Vec<usize>,
+}
+
+impl<M: Model> Lane<M> {
+    /// Runs one job to completion. Shared by pool threads and the caller,
+    /// so one lane exercises the identical code path with zero spawns.
+    fn execute<S: Strategy + ?Sized>(&mut self, ctx: ExecCtx<'_, S>, job: Job) -> Reply {
+        match job {
+            Job::Steps(mut segments) => {
+                for seg in &mut segments {
+                    for &t in &seg.ticks {
+                        self.step(ctx, t, &mut seg.worker, seg.data, &mut seg.batcher);
+                    }
+                }
+                Reply::Steps(segments)
+            }
+            Job::Edges {
+                k,
+                weights,
+                mut items,
+            } => {
+                for item in &mut items {
+                    let mut view = EdgeView {
+                        edge: item.edge,
+                        offset: item.offset,
+                        workers: &mut item.workers,
+                        state: &mut item.state,
+                        weights: &weights,
+                        aggregator: ctx.cfg.aggregator,
+                    };
+                    ctx.strategy.edge_aggregate(k, &mut view);
+                }
+                Reply::Edges(items)
+            }
+            Job::Eval { params, chunks } => {
+                self.model.set_params(&params);
+                let sums = chunks.into_iter().map(|c| {
+                    let data = match c.target {
+                        EvalTarget::Test => ctx.test_data,
+                        EvalTarget::Probe => ctx.train_probe,
+                    };
+                    (c.target, self.model.evaluate_range(data, c.range))
+                });
+                Reply::Eval(sums.collect())
+            }
         }
     }
-    (test.finish(), probe.finish())
-}
 
-/// One worker's local steps, one per tick in `item.ticks`: draw the next
-/// batch into the reusable buffer, then hand the strategy a gradient hook
-/// that runs on the lane's model replica and the worker's scratch vector —
-/// no per-step heap allocation.
-fn run_steps<M, S>(ctx: ExecCtx<'_, S>, model: &mut M, item: &mut StepItem)
-where
-    M: Model,
-    S: Strategy + ?Sized,
-{
-    let StepCtx {
-        data,
-        batcher,
-        batch,
-    } = &mut item.ctx;
-    let data = &ctx.worker_data[*data];
-    let clip = ctx.cfg.clip_norm;
-    for &t in &item.ticks {
+    /// One local step at tick `t`: draw the next batch into the lane's
+    /// buffer, then hand the strategy a gradient hook that runs on the
+    /// lane's replica and the worker's scratch vector — no per-step heap
+    /// allocation.
+    fn step<S: Strategy + ?Sized>(
+        &mut self,
+        ctx: ExecCtx<'_, S>,
+        t: usize,
+        worker: &mut WorkerState,
+        data: usize,
+        batcher: &mut Batcher,
+    ) {
+        let Lane { model, batch } = self;
+        let data = &ctx.worker_data[data];
+        let clip = ctx.cfg.clip_norm;
         batcher.next_batch_into(batch);
         let mut grad_fn = |p: &Vector, out: &mut Vector| {
             model.set_params(p);
@@ -269,18 +240,18 @@ where
                 }
             }
         };
-        ctx.strategy.local_step(t, &mut item.worker, &mut grad_fn);
+        ctx.strategy.local_step(t, worker, &mut grad_fn);
     }
 }
 
-/// A long-lived pool of scoped threads, each holding its own model replica
-/// and draining jobs from a private channel; the calling thread is lane 0,
-/// with the pool's own replica.
-pub(crate) struct Pool<'env, M, S: ?Sized> {
-    pub(crate) ctx: ExecCtx<'env, S>,
-    model: M,
-    senders: Vec<Sender<Job>>,
-    reply_rx: Receiver<Reply>,
+/// A long-lived pool of scoped threads, each holding its own lane (model
+/// replica and batch buffer) and draining jobs from a private channel;
+/// the calling thread is lane 0, with the pool's own lane.
+pub struct Pool<'env, M, S: ?Sized> {
+    ctx: ExecCtx<'env, S>,
+    lane: Lane<M>,
+    /// One `(job sender, reply receiver)` pair per spawned lane.
+    spawned: Vec<(Sender<Job>, Receiver<Reply>)>,
 }
 
 impl<'env, M, S> Pool<'env, M, S>
@@ -288,64 +259,164 @@ where
     M: Model + Clone + Send + 'env,
     S: Strategy + ?Sized,
 {
-    /// Spawns `spawned` worker threads on `scope` (the caller participates
-    /// as lane 0, so the engine runs `spawned + 1` lanes). Dropping the
-    /// pool closes the job channels, which ends every worker loop; the
-    /// scope then joins them.
-    pub(crate) fn new<'scope>(
+    /// Spawns the pool's lanes on `scope`; the caller is lane 0. It runs
+    /// `ctx.cfg.resolved_threads()` lanes, capped by the widest batch the
+    /// run can issue: `width` step segments or edge items (the run's
+    /// workers or cohort slots) or one evaluation pass's chunks. Each lane
+    /// gets its own clone of `model`. Dropping the pool closes the job
+    /// channels, which ends every lane's loop; the scope then joins them.
+    pub fn new<'scope>(
         scope: &'scope Scope<'scope, 'env>,
-        spawned: usize,
         ctx: ExecCtx<'env, S>,
         model: &M,
+        width: usize,
     ) -> Self {
-        let (reply_tx, reply_rx) = channel();
-        let mut senders = Vec::with_capacity(spawned);
-        for _ in 0..spawned {
-            let (tx, rx) = channel::<Job>();
-            let reply_tx = reply_tx.clone();
-            let mut model = model.clone();
-            scope.spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    if reply_tx.send(execute(ctx, &mut model, job)).is_err() {
-                        break;
+        let chunks = eval_chunks(ctx.test_data.len(), ctx.train_probe.len()).len();
+        let lanes = lane_count(ctx.cfg.resolved_threads(), width, chunks);
+        let lane = || Lane {
+            model: model.clone(),
+            batch: Vec::new(),
+        };
+        let spawned = (1..lanes)
+            .map(|_| {
+                let (job_tx, job_rx) = channel::<Job>();
+                let (reply_tx, reply_rx) = channel();
+                let mut lane = lane();
+                scope.spawn(move || {
+                    while let Ok(job) = job_rx.recv() {
+                        if reply_tx.send(lane.execute(ctx, job)).is_err() {
+                            break;
+                        }
                     }
-                }
-            });
-            senders.push(tx);
-        }
+                });
+                (job_tx, reply_rx)
+            })
+            .collect();
         Pool {
             ctx,
-            model: model.clone(),
-            senders,
-            reply_rx,
+            lane: lane(),
+            spawned,
         }
     }
 }
 
-impl<M: Model, S: Strategy + ?Sized> Pool<'_, M, S> {
+impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
     /// Number of lanes, the caller's included.
-    pub(crate) fn lanes(&self) -> usize {
-        self.senders.len() + 1
+    pub fn lanes(&self) -> usize {
+        self.spawned.len() + 1
     }
 
-    /// Executes a batch of jobs: jobs `1..` go to pool threads, job `0`
-    /// runs on the calling thread (overlapping with the pool), then all
-    /// replies are collected. `jobs.len()` must not exceed the lane count.
-    pub(crate) fn exec(&mut self, mut jobs: Vec<Job>) -> Vec<Reply> {
-        assert!(jobs.len() <= self.lanes(), "more jobs than pool lanes");
-        let mut replies = Vec::with_capacity(jobs.len());
-        if jobs.is_empty() {
-            return replies;
+    /// The run-wide inputs every lane reads.
+    pub fn ctx(&self) -> ExecCtx<'env, S> {
+        self.ctx
+    }
+
+    /// Runs independent local-step segments across the lanes, in
+    /// contiguous input-order chunks, and returns them in input order.
+    pub fn run_segments(&mut self, segments: Vec<Segment>) -> Vec<Segment> {
+        let jobs = chunk(segments, self.lanes()).into_iter().map(Job::Steps);
+        let replies = self.exec(jobs.collect()).into_iter();
+        replies
+            .flat_map(|reply| {
+                let Reply::Steps(segments) = reply else {
+                    unreachable!("step job must yield a step reply")
+                };
+                segments
+            })
+            .collect()
+    }
+
+    /// One local step at tick `t` of `worker` on lane 0's replica, inline
+    /// on the calling thread.
+    pub fn step(&mut self, t: usize, worker: &mut WorkerState, data: usize, batcher: &mut Batcher) {
+        self.lane.step(self.ctx, t, worker, data, batcher);
+    }
+
+    /// Evaluates `params` on the test set and the training probe, split
+    /// into fixed [`EVAL_CHUNK`]-sample chunks fanned out across the lanes.
+    /// Partial sums are merged in chunk order, so the result is identical
+    /// for every lane count — including one, which uses the same chunking.
+    pub fn evaluate(&mut self, params: &Vector) -> (Evaluation, Evaluation) {
+        let chunks = eval_chunks(self.ctx.test_data.len(), self.ctx.train_probe.len());
+        let jobs = chunk(chunks, self.lanes()).into_iter().map(|chunks| {
+            let params = params.clone();
+            Job::Eval { params, chunks }
+        });
+        let mut test = EvalSums::default();
+        let mut probe = EvalSums::default();
+        for reply in self.exec(jobs.collect()) {
+            let Reply::Eval(sums) = reply else {
+                unreachable!("eval job must yield an eval reply")
+            };
+            for (target, sums) in sums {
+                match target {
+                    EvalTarget::Test => test.merge(&sums),
+                    EvalTarget::Probe => probe.merge(&sums),
+                }
+            }
         }
-        let main_job = jobs.remove(0);
-        let sent = jobs.len();
-        for (job, tx) in jobs.into_iter().zip(&self.senders) {
+        (test.finish(), probe.finish())
+    }
+
+    /// Runs aggregation `k` on the edge `items` across the lanes under the
+    /// round's data `weights`; returns them in input order.
+    pub(crate) fn aggregate_edges(
+        &mut self,
+        k: usize,
+        weights: &Arc<Weights>,
+        items: Vec<EdgeItem>,
+    ) -> Vec<EdgeItem> {
+        let jobs = chunk(items, self.lanes())
+            .into_iter()
+            .map(|items| Job::Edges {
+                k,
+                weights: Arc::clone(weights),
+                items,
+            });
+        let replies = self.exec(jobs.collect()).into_iter();
+        replies
+            .flat_map(|reply| {
+                let Reply::Edges(items) = reply else {
+                    unreachable!("edge job must yield an edge reply")
+                };
+                items
+            })
+            .collect()
+    }
+
+    /// Executes a batch of jobs: jobs `1..` go to the spawned lanes, job
+    /// `0` runs on the calling thread (overlapping with them), and the
+    /// replies come back in job order. `jobs.len()` must not exceed the
+    /// lane count.
+    fn exec(&mut self, mut jobs: Vec<Job>) -> Vec<Reply> {
+        assert!(jobs.len() <= self.lanes(), "more jobs than pool lanes");
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let rest = jobs.split_off(1);
+        let sent = rest.len();
+        for (job, (tx, _)) in rest.into_iter().zip(&self.spawned) {
             tx.send(job).expect("pool thread terminated early");
         }
-        replies.push(execute(self.ctx, &mut self.model, main_job));
-        for _ in 0..sent {
-            replies.push(self.reply_rx.recv().expect("pool thread terminated early"));
+        let main = jobs.pop().expect("one job left");
+        let mut replies = Vec::with_capacity(sent + 1);
+        replies.push(self.lane.execute(self.ctx, main));
+        for (_, rx) in &self.spawned[..sent] {
+            replies.push(rx.recv().expect("pool thread terminated early"));
         }
         replies
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lanes_are_capped_by_the_widest_batch() {
+        assert_eq!(lane_count(64, 4, 2), 4, "four workers fill four lanes");
+        assert_eq!(lane_count(64, 4, 9), 9, "nine eval chunks fill nine");
+        assert_eq!(lane_count(2, 512, 3), 2, "the thread count binds");
+        assert_eq!(lane_count(1, 0, 0), 1, "always one lane");
     }
 }

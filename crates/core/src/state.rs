@@ -62,19 +62,21 @@ impl WorkerState {
         }
     }
 
-    /// Zero-dimensional stand-in used by the execution engine while the
-    /// real state is checked out to a worker thread. Never observed by
-    /// algorithms.
-    pub(crate) fn placeholder() -> Self {
-        WorkerState::new(&Vector::zeros(0))
-    }
-
     /// Clears both edge-interval accumulators (done at every aggregation).
     pub fn reset_accumulators(&mut self) {
         self.grad_accum = Vector::zeros(self.x.len());
         self.y_accum = Vector::zeros(self.x.len());
         self.v_accum = Vector::zeros(self.x.len());
         self.steps = 0;
+    }
+}
+
+/// The zero-dimensional stand-in an execution engine leaves behind while
+/// the real state is checked out (`std::mem::take`). Never observed by
+/// algorithms.
+impl Default for WorkerState {
+    fn default() -> Self {
+        WorkerState::new(&Vector::zeros(0))
     }
 }
 

@@ -7,14 +7,16 @@
 //! [`crate::simulate_virtual`] run through one event engine. Who takes
 //! part in a round is its private participant source:
 //!
-//! - **Registered** — persistent worker actors, each with a model
-//!   replica, a batcher seeded `seed + i`, the pre-drawn dropout table,
-//!   crash/recover/die events and rejoin snapshots. A straggler carries
-//!   over into the next round.
+//! - **Registered** — persistent worker actors, each with a batcher
+//!   seeded `seed + i`, the pre-drawn dropout table, crash/recover/die
+//!   events and rejoin snapshots, stepping one `Step` event at a time. A
+//!   straggler carries over into the next round.
 //! - **Sampled** — per-round cohort slots filled at round start by
 //!   [`materialize_edge_cohort`], with streams re-derived from
-//!   `(seed, worker, round)`; absence is decided when a slot is filled and
-//!   a straggler is waived at the end of its round (see [`crate::vpop`]).
+//!   `(seed, worker, round)`; absence is decided when a slot is filled, and
+//!   every live slot's τ-step segment is computed right then, in parallel
+//!   on the pool, so `Step` events only advance the clock. A straggler is
+//!   waived at the end of its round (see [`crate::vpop`]).
 //!
 //! The engine consults the source only at round start and step
 //! scheduling, the upload's mailbox write, the continuation after an edge
@@ -26,8 +28,8 @@
 //! # How the trajectory stays bitwise-faithful
 //!
 //! The engine keeps the canonical [`FlState`] as the *server-side mailbox*:
-//! registered worker actors own private training state (a model replica,
-//! a private batch stream seeded exactly like the core driver's, and their
+//! registered worker actors own private training state (a private batch
+//! stream seeded exactly like the core driver's, and their
 //! [`WorkerState`]); an upload copies the actor's state into its `FlState`
 //! slot; aggregation hooks run against `FlState` through the same
 //! `EdgeView` the core driver uses; and a download ships the post-hook slot
@@ -36,8 +38,10 @@
 //! same gradient path (batch draw, clipping, `local_step`), same
 //! aggregation order, same fixed-chunk ordered evaluation reduction — so
 //! the final model, convergence curve and γℓ diagnostics are bitwise
-//! identical; only the time axis is new. Sampled slots step directly on
-//! their mailbox slot, as the core driver's sampled rounds do.
+//! identical; only the time axis is new. Sampled slots compute their
+//! segments on their mailbox slots, as the core driver's sampled rounds
+//! do; a relaxed firing that catches a slot mid-segment rewinds it to the
+//! steps it has taken (see `Engine::rewind_stragglers`).
 //!
 //! # Determinism
 //!
@@ -45,20 +49,23 @@
 //! ([`crate::EventQueue`]); every actor draws its delays from a private
 //! decorrelated RNG stream ([`hieradmo_netsim::stream_seed`]), so an
 //! actor's delay sequence depends only on its own draw count, never on
-//! global interleaving. Threads are used only inside evaluation, which
-//! reduces partial sums in a fixed order — results are identical for any
-//! `RunConfig::threads`.
+//! global interleaving. Local steps and evaluation run on
+//! [`hieradmo_core::pool::Pool`], which returns segments in input order
+//! and reduces evaluation partial sums in a fixed order — results are
+//! identical for any `RunConfig::threads`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
+use std::mem;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
-use hieradmo_core::driver::{build_train_probe, evaluate_on_replicas};
+use hieradmo_core::driver::build_train_probe;
+use hieradmo_core::pool::{ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, fault_stream,
     materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
-    WorkerPopulation,
+    StatePool, WorkerPopulation,
 };
 use hieradmo_core::{
     FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
@@ -219,12 +226,10 @@ enum Ev {
 }
 
 /// A registered worker actor: private training state plus its
-/// virtual-clock bookkeeping.
-struct WorkerSim<M> {
+/// virtual-clock bookkeeping. It steps on the pool's lane-0 replica.
+struct WorkerSim {
     state: WorkerState,
-    model: M,
     batcher: Batcher,
-    batch: Vec<usize>,
     /// Completed local steps.
     tick: usize,
     sampler: DelaySampler,
@@ -259,10 +264,9 @@ struct SlotCtx {
     edge: usize,
     /// The worker's shard index this round.
     shard: usize,
-    /// Local steps completed this round.
+    /// `Step` events processed this round (the slot's segment itself is
+    /// computed when the round starts).
     steps: usize,
-    /// This round's mini-batch stream.
-    batcher: Batcher,
     /// This round's private delay stream.
     delays: DelaySampler,
     /// This round's private fault stream (`None` when the plan is empty,
@@ -272,6 +276,30 @@ struct SlotCtx {
     dropped: Vec<bool>,
     /// The occupying worker's attack, if it is Byzantine.
     attack: Option<AttackModel>,
+}
+
+impl SlotCtx {
+    /// The slot's round-`k` segment over its first `steps` steps: the
+    /// non-dropped ticks among them, from `worker`, on a fresh stream of
+    /// the round's batches.
+    fn segment(
+        &self,
+        cfg: &RunConfig,
+        shard_sizes: &[u64],
+        k: usize,
+        steps: usize,
+        worker: WorkerState,
+    ) -> Segment {
+        let round_start = (k - 1) * cfg.tau;
+        let ticks = (1..=steps).filter(|&st| !self.dropped[st - 1]);
+        let seed = batcher_seed(cfg.seed, self.gid, k as u64);
+        Segment {
+            ticks: ticks.map(|st| round_start + st).collect(),
+            worker,
+            data: self.shard,
+            batcher: Batcher::new(shard_sizes[self.shard] as usize, cfg.batch_size, seed),
+        }
+    }
 }
 
 /// An edge actor: round-collection state for the current aggregation.
@@ -312,9 +340,8 @@ struct CloudSim {
 
 /// Registered participants: persistent worker actors over a materialized
 /// hierarchy.
-struct Registered<'a, M> {
-    worker_data: &'a [Dataset],
-    workers: Vec<WorkerSim<M>>,
+struct Registered {
+    workers: Vec<WorkerSim>,
     /// Flat-worker → edge index.
     edge_of: Vec<usize>,
     /// Pre-drawn dropout table, `(tick - 1) * N + worker`, in the core
@@ -333,9 +360,8 @@ struct Registered<'a, M> {
 /// Sampled participants: per-round cohort slots over a virtual
 /// population. Actor tallies are `O(edges)`: the slots report as one
 /// aggregate worker entry, adversaries as one entry per plan entry.
-struct Sampled<'a, M> {
+struct Sampled<'a> {
     population: &'a WorkerPopulation,
-    shards: &'a [Dataset],
     shard_sizes: Vec<u64>,
     sampler: CohortSampler,
     slots: Vec<SlotCtx>,
@@ -343,10 +369,6 @@ struct Sampled<'a, M> {
     absent: Vec<bool>,
     /// Per edge: finished its final round.
     retired: Vec<bool>,
-    /// One scratch model for gradient math (params are set before every
-    /// use, so slots share it).
-    step_model: M,
-    batch: Vec<usize>,
     /// Aggregate busy time and fault tallies of all sampled workers.
     busy_ms: f64,
     faults: FaultCounters,
@@ -358,20 +380,20 @@ struct Sampled<'a, M> {
 
 /// Who takes part in a round: the only thing that differs between a
 /// materialized co-simulation and a sampled one.
-enum Participants<'a, M> {
-    Registered(Registered<'a, M>),
-    Sampled(Sampled<'a, M>),
+enum Participants<'a> {
+    Registered(Registered),
+    Sampled(Sampled<'a>),
 }
 
-impl<'a, M> Participants<'a, M> {
-    fn registered(&mut self) -> &mut Registered<'a, M> {
+impl<'a> Participants<'a> {
+    fn registered(&mut self) -> &mut Registered {
         match self {
             Participants::Registered(r) => r,
             Participants::Sampled(_) => unreachable!("registered-worker event in a sampled run"),
         }
     }
 
-    fn sampled(&mut self) -> &mut Sampled<'a, M> {
+    fn sampled(&mut self) -> &mut Sampled<'a> {
         match self {
             Participants::Sampled(s) => s,
             Participants::Registered(_) => unreachable!("cohort-slot event in a registered run"),
@@ -422,32 +444,6 @@ fn link_transfer(
         out.duplicate_lag_ms.is_some(),
     );
     (delay_ms + out.penalty_ms, out.duplicate_lag_ms)
-}
-
-/// One local step, replicating the core pool's gradient path exactly: the
-/// clipped gradient hook against `model` on `batch` of `data`, then the
-/// strategy's step.
-#[allow(clippy::too_many_arguments)]
-fn local_step<M: Model, S: Strategy + ?Sized>(
-    strategy: &S,
-    t: usize,
-    state: &mut WorkerState,
-    model: &mut M,
-    data: &Dataset,
-    batch: &[usize],
-    clip: Option<f32>,
-) {
-    let mut grad_fn = |p: &Vector, out: &mut Vector| {
-        model.set_params(p);
-        model.loss_and_grad_into(data, batch, out);
-        if let Some(max_norm) = clip {
-            let norm = out.norm();
-            if norm > max_norm {
-                out.scale_in_place(max_norm / norm);
-            }
-        }
-    };
-    strategy.local_step(t, state, &mut grad_fn);
 }
 
 /// One topology-epoch slice of a virtual-clock run (see
@@ -503,10 +499,10 @@ struct Engine<'a, M, S: ?Sized> {
     strategy: &'a S,
     cfg: &'a RunConfig,
     sim: &'a SimConfig,
-    test_data: &'a Dataset,
-    train_probe: Dataset,
-    eval_models: Vec<M>,
-    src: Participants<'a, M>,
+    /// The lanes that run sampled segments and evaluation, and whose
+    /// lane-0 replica steps registered workers.
+    pool: Pool<'a, M, S>,
+    src: Participants<'a>,
     fl: FlState,
     /// The tier tree the middle tiers fire over (a sampled run's cohort
     /// sub-tree); `None` on three-tier runs.
@@ -576,14 +572,13 @@ fn initial_state<S: Strategy + ?Sized>(
     fl
 }
 
-impl<'a, M: Model + Clone> Registered<'a, M> {
+impl Registered {
     /// One worker actor per mailbox slot, every training RNG stream
     /// fast-forwarded over the span's first `start` ticks exactly as the
     /// core driver's resume path does.
     fn new(
-        worker_data: &'a [Dataset],
+        worker_data: &[Dataset],
         fl: &FlState,
-        model: &M,
         cfg: &RunConfig,
         sim: &SimConfig,
         start: usize,
@@ -609,6 +604,7 @@ impl<'a, M: Model + Clone> Registered<'a, M> {
         let faults_on = !sim.faults.is_empty();
         let dim = fl.dim();
         let edge_rounds_done = start / cfg.tau;
+        let mut batch = Vec::new();
         let workers = (0..n)
             .map(|i| {
                 // One mini-batch draw per *active* prefix tick (the
@@ -619,7 +615,6 @@ impl<'a, M: Model + Clone> Registered<'a, M> {
                     cfg.batch_size,
                     cfg.seed.wrapping_add(i as u64),
                 );
-                let mut batch = Vec::with_capacity(cfg.batch_size.min(worker_data[i].len()));
                 for t in 1..=start {
                     if active[(t - 1) * n + i] {
                         batcher.next_batch_into(&mut batch);
@@ -634,9 +629,7 @@ impl<'a, M: Model + Clone> Registered<'a, M> {
                 }
                 WorkerSim {
                     state: fl.workers[i].clone(),
-                    model: model.clone(),
                     batcher,
-                    batch,
                     tick: start,
                     sampler: DelaySampler::from_stream(sim.net_seed, i as u64),
                     busy_ms: 0.0,
@@ -653,7 +646,6 @@ impl<'a, M: Model + Clone> Registered<'a, M> {
             })
             .collect();
         Registered {
-            worker_data,
             workers,
             edge_of,
             active,
@@ -672,19 +664,15 @@ where
     S: Strategy + ?Sized,
 {
     /// Lays the edge and cloud actors out around the mailbox `fl` and its
-    /// participant source, for the ticks `span` covers.
-    #[allow(clippy::too_many_arguments)]
+    /// participant source, for the ticks `span` covers, on `pool`.
     fn new(
-        strategy: &'a S,
-        model: &M,
+        pool: Pool<'a, M, S>,
         fl: FlState,
-        src: Participants<'a, M>,
-        probe_data: &[Dataset],
-        test_data: &'a Dataset,
-        cfg: &'a RunConfig,
+        src: Participants<'a>,
         sim: &'a SimConfig,
         span: Span<'_>,
     ) -> Self {
+        let ExecCtx { strategy, cfg, .. } = pool.ctx();
         let n = fl.workers.len();
         let l_count = fl.hierarchy.num_edges();
         let tree = fl.tree.clone();
@@ -747,15 +735,12 @@ where
             busy_ms: 0.0,
             faults: FaultCounters::default(),
         };
-        let threads = cfg.resolved_threads();
         let tier_gamma = vec![Vec::new(); fl.middle.len()];
         Engine {
             strategy,
             cfg,
             sim,
-            test_data,
-            train_probe: build_train_probe(probe_data, cfg.train_eval_cap),
-            eval_models: (0..threads).map(|_| model.clone()).collect(),
+            pool,
             src,
             fl,
             tree,
@@ -913,11 +898,9 @@ where
     }
 
     fn on_step_done(&mut self, i: usize, now: f64) {
-        let strategy = self.strategy;
         let cfg = self.cfg;
         let r = self.src.registered();
         let n = r.workers.len();
-        let data = &r.worker_data[i];
         let w = &mut r.workers[i];
         if w.dead || w.down {
             return; // step was in flight when the worker crashed
@@ -925,17 +908,7 @@ where
         w.tick += 1;
         let t = w.tick;
         if r.active[(t - 1) * n + i] {
-            w.batcher.next_batch_into(&mut w.batch);
-            let clip = cfg.clip_norm;
-            local_step(
-                strategy,
-                t,
-                &mut w.state,
-                &mut w.model,
-                data,
-                &w.batch,
-                clip,
-            );
+            self.pool.step(t, &mut w.state, i, &mut w.batcher);
         }
         if t.is_multiple_of(cfg.tau) {
             // End of interval: upload (dropout skips the step, never the
@@ -1096,7 +1069,10 @@ where
     }
 
     /// Round start of sampled edge `e`: draw its cohort into the slots,
-    /// decide each occupant's absence up front, and charge the downloads.
+    /// decide each occupant's absence up front, charge the downloads, and
+    /// compute every live slot's local-step segment on the pool. From here
+    /// on a live slot's mailbox holds its end-of-round state; its `Step`
+    /// events only advance the virtual clock.
     fn start_round(&mut self, e: usize, now: f64) {
         let cfg = self.cfg;
         let sim = self.sim;
@@ -1106,6 +1082,8 @@ where
         let s = self.src.sampled();
         let ids =
             materialize_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
+        let mut live = Vec::with_capacity(ids.len());
+        let mut segments = Vec::with_capacity(ids.len());
         for (j, &g) in ids.iter().enumerate() {
             let slot = range.start + j;
             let mut fsampler = faults_on
@@ -1142,11 +1120,6 @@ where
             ctx.gid = g;
             ctx.shard = s.population.shard_of(g);
             ctx.steps = 0;
-            ctx.batcher = Batcher::new(
-                s.shard_sizes[ctx.shard] as usize,
-                cfg.batch_size,
-                batcher_seed(cfg.seed, g, k as u64),
-            );
             ctx.delays = DelaySampler::from_stream(sim.net_seed, delay_stream(g, k as u64));
             ctx.fsampler = fsampler;
             ctx.dropped = cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
@@ -1155,6 +1128,11 @@ where
                 s.faults.lost_uploads += 1;
                 continue; // down for the round: no download, no steps
             }
+            // The slot's whole segment depends only on the download and
+            // its own batch stream, so it is checked out and computed now.
+            let worker = mem::take(&mut self.fl.workers[slot]);
+            live.push(slot);
+            segments.push(ctx.segment(cfg, &s.shard_sizes, k, cfg.tau, worker));
             // Model download to the freshly sampled participant.
             let d = ctx
                 .delays
@@ -1168,7 +1146,10 @@ where
                 self.queue.push(now + d + lag, to, Ev::DupArrival { to });
             }
         }
-        if s.absent[range].iter().all(|&a| a) {
+        for (slot, seg) in live.iter().zip(self.pool.run_segments(segments)) {
+            self.fl.workers[*slot] = seg.worker;
+        }
+        if live.is_empty() {
             // Every sampled participant is down: the round fires empty and
             // the edge relays its carried state at the boundaries, so no
             // barrier above can deadlock on it.
@@ -1217,29 +1198,12 @@ where
         if self.slot_stale(slot, round) {
             return;
         }
-        let strategy = self.strategy;
         let cfg = self.cfg;
         let sim = self.sim;
         let s = self.src.sampled();
         let ctx = &mut s.slots[slot];
         ctx.steps += 1;
-        let steps = ctx.steps;
-        if !ctx.dropped[steps - 1] {
-            let t = (round - 1) * cfg.tau + steps;
-            ctx.batcher.next_batch_into(&mut s.batch);
-            let data = &s.shards[ctx.shard];
-            let state = &mut self.fl.workers[slot];
-            local_step(
-                strategy,
-                t,
-                state,
-                &mut s.step_model,
-                data,
-                &s.batch,
-                cfg.clip_norm,
-            );
-        }
-        if steps < cfg.tau {
+        if ctx.steps < cfg.tau {
             self.schedule_slot_step(slot, now);
             return;
         }
@@ -1271,8 +1235,9 @@ where
         let s = self.src.sampled();
         let ctx = &s.slots[slot];
         let e = ctx.edge;
-        // The slot steps on its mailbox slot, so the upload's mailbox
-        // write is a no-op; only poisoning touches it.
+        // The slot's segment was computed into its mailbox slot at round
+        // start, so the upload's mailbox write is a no-op; only poisoning
+        // touches it.
         if let Some(attack) = ctx.attack {
             let g = ctx.gid;
             let entry = cfg
@@ -1311,16 +1276,6 @@ where
         } else {
             self.src.sampled().retired[e] = true;
         }
-    }
-
-    fn run_eval(&mut self, params: &Vector) -> (Evaluation, Evaluation) {
-        let Engine {
-            eval_models,
-            test_data,
-            train_probe,
-            ..
-        } = self;
-        evaluate_on_replicas(eval_models, test_data, train_probe, params)
     }
 
     /// Evaluation staging: collects one model snapshot per contributor for
@@ -1384,7 +1339,7 @@ where
                 stage.xs.iter().map(|x| x.as_ref().expect("stage complete")),
             ),
         };
-        let (test, train) = self.run_eval(&params);
+        let (test, train) = self.pool.evaluate(&params);
         self.evals.push(EvalRec {
             iter: t,
             at_ms: stage.last_ms.max(now),
@@ -1448,7 +1403,7 @@ where
         let iter = committed.max(self.last_iter + 1);
         self.last_iter = iter;
         let params = self.strategy.global_params(&self.fl);
-        let (test, train) = self.run_eval(&params);
+        let (test, train) = self.pool.evaluate(&params);
         self.evals.push(EvalRec {
             iter,
             at_ms,
@@ -1621,6 +1576,7 @@ where
             Architecture::TwoTier => 0.0,
         };
         if !participants.is_empty() {
+            self.rewind_stragglers(e);
             let mut view = self.fl.edge_view(e);
             strategy.edge_aggregate_stale(k, &mut view, &staleness);
         }
@@ -1661,6 +1617,42 @@ where
             }
         }
         self.after_edge_fire(e, k, cloud_round, participants, now + d);
+    }
+
+    /// A relaxed firing reads each live sampled slot that has not arrived
+    /// as it stands: after the `steps` of its `Step` events processed so
+    /// far. Such a slot's mailbox holds its end-of-round state (computed at
+    /// round start), so it is rewound first: re-materialized from the
+    /// edge's download pair, then stepped through the non-dropped ticks
+    /// among those first `steps` on a fresh stream of the round's batches.
+    /// The pair still holds the round's download: a partial cloud firing
+    /// restores every edge that did not submit — an edge mid-round among
+    /// them — and its slots (see [`Engine::fire_cloud`]). A straggler never
+    /// steps again in its round, so nothing else needs rewinding; full-sync
+    /// firings have no straggler.
+    fn rewind_stragglers(&mut self, e: usize) {
+        let Participants::Sampled(s) = &self.src else {
+            return;
+        };
+        let cfg = self.cfg;
+        let k = self.edges[e].round;
+        let range = self.fl.hierarchy.edge_workers(e);
+        let mut rewound = Vec::new();
+        let mut segments = Vec::new();
+        for (j, slot) in range.enumerate() {
+            let ctx = &s.slots[slot];
+            if self.edges[e].arrived[j] || s.absent[slot] || ctx.steps == cfg.tau {
+                continue;
+            }
+            let edge = &self.fl.edges[e];
+            let worker = &mut self.fl.workers[slot];
+            StatePool::materialize(worker, &edge.x_plus, &edge.y_minus);
+            rewound.push(slot);
+            segments.push(ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, mem::take(worker)));
+        }
+        for (slot, seg) in rewound.iter().zip(self.pool.run_segments(segments)) {
+            self.fl.workers[*slot] = seg.worker;
+        }
     }
 
     /// The participant source's continuation after edge `e` fired round
@@ -1959,7 +1951,7 @@ where
         let t = k * self.cfg.tau;
         if self.is_eval_tick(t) {
             let params = self.strategy.global_params(&self.fl);
-            let (test, train) = self.run_eval(&params);
+            let (test, train) = self.pool.evaluate(&params);
             self.evals.push(EvalRec {
                 iter: t,
                 at_ms,
@@ -2412,22 +2404,23 @@ where
         cfg,
         span.resume,
     );
-    let src = Registered::new(worker_data, &fl, model, cfg, sim, span.start);
-    let mut engine = Engine::new(
+    let src = Participants::Registered(Registered::new(worker_data, &fl, cfg, sim, span.start));
+    let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
+    let ctx = ExecCtx {
         strategy,
-        model,
-        fl,
-        Participants::Registered(src),
+        cfg,
         worker_data,
         test_data,
-        cfg,
-        sim,
-        span,
-    );
-    engine.run();
-    let snapshot = engine.final_snapshot();
-    let (result, iter_base, firing_base) = engine.finish();
-    Ok((result, snapshot, iter_base, firing_base))
+        train_probe: &train_probe,
+    };
+    std::thread::scope(|scope| {
+        let pool = Pool::new(scope, ctx, model, fl.workers.len());
+        let mut engine = Engine::new(pool, fl, src, sim, span);
+        engine.run();
+        let snapshot = engine.final_snapshot();
+        let (result, iter_base, firing_base) = engine.finish();
+        Ok((result, snapshot, iter_base, firing_base))
+    })
 }
 
 /// Runs sampled cohorts of `population` — already validated by
@@ -2464,7 +2457,6 @@ where
             edge,
             shard: 0,
             steps: 0,
-            batcher: Batcher::new(1, 1, 0),
             delays: DelaySampler::from_stream(sim.net_seed, 0),
             fsampler: None,
             dropped: vec![false; cfg.tau],
@@ -2477,14 +2469,11 @@ where
     };
     let src = Sampled {
         population,
-        shards,
         shard_sizes,
         sampler,
         slots: slot_ctxs,
         absent: vec![false; slots],
         retired: vec![false; l_count],
-        step_model: model.clone(),
-        batch: Vec::new(),
         busy_ms: 0.0,
         faults: FaultCounters::default(),
         permanent_counted: vec![false; sim.faults.permanent.len()],
@@ -2499,19 +2488,20 @@ where
         cfg,
         None,
     );
-    let mut engine = Engine::new(
+    let train_probe = build_train_probe(shards, cfg.train_eval_cap);
+    let ctx = ExecCtx {
         strategy,
-        model,
-        fl,
-        Participants::Sampled(src),
-        shards,
-        test_data,
         cfg,
-        sim,
-        Span::full(cfg),
-    );
-    engine.run();
-    engine.finish().0
+        worker_data: shards,
+        test_data,
+        train_probe: &train_probe,
+    };
+    std::thread::scope(|scope| {
+        let pool = Pool::new(scope, ctx, model, slots);
+        let mut engine = Engine::new(pool, fl, Participants::Sampled(src), sim, Span::full(cfg));
+        engine.run();
+        engine.finish().0
+    })
 }
 
 #[cfg(test)]

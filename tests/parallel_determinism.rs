@@ -2,9 +2,12 @@
 //! run produces bitwise-identical results — convergence curve, adaptive-γℓ
 //! trace, and final parameters — because work is chunked in a fixed order
 //! and every worker owns its own RNG stream. Checked for both HierAdMo
-//! variants, with and without failure injection.
+//! variants, with and without failure injection, and for a thread request
+//! far larger than the work.
 
 use hieradmo::core::algorithms::HierAdMo;
+use hieradmo::core::driver::build_train_probe;
+use hieradmo::core::pool::{ExecCtx, Pool};
 use hieradmo::core::{run, RunConfig, RunResult, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
@@ -117,4 +120,38 @@ fn deprecated_parallel_flag_matches_explicit_threads() {
     .expect("run should succeed");
     assert_eq!(explicit.curve, legacy.curve);
     assert_eq!(explicit.final_params, legacy.final_params);
+}
+
+/// A `threads` request far past the work spawns only the lanes the run can
+/// fill — here four workers against two evaluation chunks — and leaves
+/// the trajectory bitwise unchanged.
+#[test]
+fn oversized_thread_requests_are_capped_by_the_work() {
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+    let narrow = run_with(&algo, 1, 0.0);
+    let wide = run_with(&algo, 64, 0.0);
+    assert_eq!(narrow.curve, wide.curve);
+    assert_eq!(narrow.gamma_trace, wide.gamma_trace);
+    assert_eq!(narrow.final_params, wide.final_params);
+
+    let tt = SyntheticDataset::mnist_like(30, 10, 11);
+    let shards = x_class_partition(&tt.train, 4, 2, 11);
+    let model = zoo::logistic_regression(&tt.train, 5);
+    let cfg = RunConfig {
+        threads: Some(64),
+        ..RunConfig::default()
+    };
+    let probe = build_train_probe(&shards, cfg.train_eval_cap);
+    assert_eq!((tt.test.len(), probe.len()), (100, 240), "two eval chunks");
+    let ctx = ExecCtx {
+        strategy: &algo,
+        cfg: &cfg,
+        worker_data: &shards,
+        test_data: &tt.test,
+        train_probe: &probe,
+    };
+    std::thread::scope(|scope| {
+        let pool = Pool::new(scope, ctx, &model, shards.len());
+        assert_eq!(pool.lanes(), 4, "64 threads capped at the 4 workers");
+    });
 }

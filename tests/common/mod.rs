@@ -59,6 +59,54 @@ pub fn sim_fixture(dropout: f64) -> SimFixture {
     }
 }
 
+/// [`sim_fixture`]'s 2 × 2 federation and schedule over HAR-like data:
+/// flat 561-feature inputs, 6 classes, 2 classes per worker.
+pub fn har_fixture() -> SimFixture {
+    let tt = SyntheticDataset::har_like(40, 20, 11);
+    let shards = x_class_partition(&tt.train, 4, 2, 11);
+    SimFixture {
+        shards,
+        train: tt.train,
+        test: tt.test,
+        ..sim_fixture(0.0)
+    }
+}
+
+/// One pinned `zoo::mlp` trajectory: the whole parameter vector by its
+/// bit hash, plus the γ trace and the curve's accuracies.
+#[derive(Debug, PartialEq)]
+pub struct MlpPin {
+    pub label: &'static str,
+    pub params_hash: u64,
+    pub sum: f32,
+    pub gamma: Vec<(usize, f32)>,
+    pub accuracy: Vec<f64>,
+}
+
+impl MlpPin {
+    /// The pin row a finished run would need to match.
+    pub fn of(label: &'static str, params: &[f32], gamma: &[(usize, f32)], curve: &[f64]) -> Self {
+        MlpPin {
+            label,
+            params_hash: bits_hash(params),
+            sum: params.iter().sum(),
+            gamma: gamma.to_vec(),
+            accuracy: curve.to_vec(),
+        }
+    }
+}
+
+/// FNV-1a over the bit patterns of `values`: pins every element of a
+/// vector by value, including the sign of zeros.
+pub fn bits_hash(values: &[f32]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
 /// The paper-testbed network over [`sim_fixture`]'s four workers, under
 /// the given policy, with no fault plan attached.
 pub fn sim_config(net_seed: u64, policy: SyncPolicy) -> SimConfig {

@@ -977,6 +977,132 @@ fn full_participation_trajectories_are_pinned() {
     }
 }
 
+/// Hard-coded tick-loop trajectories of `zoo::mlp` (dense → ReLU →
+/// dense): on MNIST-like images, which enter through a `Flatten`
+/// prelude, on HAR-like flat features, and as a sampled cohort. The
+/// logistic-regression pins above have one dense layer, so only these pin
+/// the ReLU mask, the hidden layer's input gradient and the skip of zero
+/// gradient entries by value.
+#[test]
+fn mlp_trajectories_are_pinned() {
+    use common::{har_fixture, MlpPin};
+
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+    let mnist = sim_fixture(0.0);
+    let mnist_model = zoo::mlp(&mnist.train, 16, 7);
+    let har = har_fixture();
+    let har_model = zoo::mlp(&har.train, 16, 7);
+    let sampled_cfg = RunConfig {
+        eval_every: 10,
+        sampling: ClientSampling::PerEdge { count: 3 },
+        ..mnist.cfg.clone()
+    };
+    let population = WorkerPopulation::uniform(2, 100, 4).unwrap();
+    let runs = [
+        (
+            "run, mlp on MNIST-like (Flatten prelude)",
+            run(
+                &algo,
+                &mnist_model,
+                &mnist.hierarchy,
+                &mnist.shards,
+                &mnist.test,
+                &mnist.cfg,
+            )
+            .unwrap(),
+        ),
+        (
+            "run, mlp on HAR-like (flat)",
+            run(
+                &algo,
+                &har_model,
+                &har.hierarchy,
+                &har.shards,
+                &har.test,
+                &har.cfg,
+            )
+            .unwrap(),
+        ),
+        (
+            "run_virtual, sampled mlp on MNIST-like",
+            run_virtual(
+                &algo,
+                &mnist_model,
+                &population,
+                &mnist.shards,
+                &mnist.test,
+                &sampled_cfg,
+            )
+            .unwrap(),
+        ),
+    ];
+    let got: Vec<MlpPin> = runs
+        .iter()
+        .map(|(label, r)| {
+            let accuracy: Vec<f64> = r.curve.points().iter().map(|p| p.test_accuracy).collect();
+            MlpPin::of(label, r.final_params.as_slice(), &r.gamma_trace, &accuracy)
+        })
+        .collect();
+    let pins = [
+        MlpPin {
+            label: "run, mlp on MNIST-like (Flatten prelude)",
+            params_hash: 12516920232642122389,
+            sum: -2.3894782,
+            gamma: vec![
+                (1, 0.079188816),
+                (2, 0.10061878),
+                (3, 0.10794589),
+                (4, 0.11948356),
+            ],
+            accuracy: vec![
+                0.37,
+                0.5166666666666667,
+                0.58,
+                0.7066666666666667,
+                0.7166666666666667,
+                0.74,
+                0.7533333333333333,
+            ],
+        },
+        MlpPin {
+            label: "run, mlp on HAR-like (flat)",
+            params_hash: 7745937512847692575,
+            sum: 3.5491529,
+            gamma: vec![
+                (1, 0.08479975),
+                (2, 0.08956332),
+                (3, 0.08361996),
+                (4, 0.09190088),
+            ],
+            accuracy: vec![
+                0.4583333333333333,
+                0.55,
+                0.5833333333333334,
+                0.6333333333333333,
+                0.7,
+                0.75,
+                0.75,
+            ],
+        },
+        MlpPin {
+            label: "run_virtual, sampled mlp on MNIST-like",
+            params_hash: 3011167332755446290,
+            sum: -2.5773098,
+            gamma: vec![
+                (1, 0.08301303),
+                (2, 0.10285088),
+                (3, 0.10980872),
+                (4, 0.10273643),
+            ],
+            accuracy: vec![0.5233333333333333, 0.7133333333333334],
+        },
+    ];
+    assert_eq!(got.len(), pins.len());
+    for (g, pin) in got.iter().zip(&pins) {
+        assert_eq!(g, pin, "{}: mlp trajectory moved", pin.label);
+    }
+}
+
 /// Floyd's without-replacement sampler is (empirically) uniform: over
 /// 4000 rounds of 5-of-20 cohorts, each worker's selection count sits
 /// within a chi-square bound of the expected 1000. Deterministic — the

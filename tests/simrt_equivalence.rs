@@ -559,3 +559,134 @@ fn event_engine_trajectories_are_pinned() {
         );
     }
 }
+
+/// Hard-coded event-engine trajectories of `zoo::mlp` (dense → ReLU →
+/// dense): MNIST-like images through a `Flatten` prelude under a deadline
+/// policy with crash and link faults, and HAR-like flat features through
+/// an elastic run with an edge failure and periodic re-formation. They pin
+/// the ReLU mask, the hidden layer's input gradient and the skip of zero
+/// gradient entries by value, which the single-layer pins above cannot.
+#[test]
+fn event_engine_mlp_trajectories_are_pinned() {
+    use common::{har_fixture, MlpPin};
+    use hieradmo::netsim::{CrashProfile, FaultPlan, LinkFaults};
+    use hieradmo::simrt::simulate_elastic;
+    use hieradmo::topology::{ChurnPlan, ScheduledEvent, TopologyEvent};
+
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+    let deadline = SyncPolicy::Deadline {
+        quorum: 0.5,
+        timeout_ms: 150.0,
+    };
+    let faults = FaultPlan {
+        crash: Some(CrashProfile {
+            per_step: 0.2,
+            min_downtime_ms: 10.0,
+            max_downtime_ms: 50.0,
+        }),
+        permanent: Vec::new(),
+        link: Some(LinkFaults::flaky()),
+        spikes: None,
+    };
+    let mnist = sim_fixture(0.0);
+    let mnist_model = zoo::mlp(&mnist.train, 16, 7);
+    let har = har_fixture();
+    let har_model = zoo::mlp(&har.train, 16, 7);
+    let churn_cfg = RunConfig {
+        total_iters: 40,
+        eval_every: 7,
+        churn: ChurnPlan {
+            events: vec![ScheduledEvent {
+                round: 1,
+                event: TopologyEvent::EdgeFail { edge: 1 },
+            }],
+            reform_every: Some(2),
+        },
+        ..har.cfg.clone()
+    };
+    let runs = [
+        (
+            "simulate, Deadline, faults, mlp on MNIST-like (Flatten prelude)",
+            simulate(
+                &algo,
+                &mnist_model,
+                &mnist.hierarchy,
+                &mnist.shards,
+                &mnist.test,
+                &mnist.cfg,
+                &sim_config(11, deadline).with_faults(faults),
+            )
+            .expect("simulation failed"),
+        ),
+        (
+            "simulate_elastic, Deadline, EdgeFail + reform_every, mlp on HAR-like (flat)",
+            simulate_elastic(
+                &algo,
+                &har_model,
+                &har.hierarchy,
+                &har.shards,
+                &har.test,
+                &churn_cfg,
+                &sim_config(11, deadline),
+            )
+            .expect("elastic simulation failed"),
+        ),
+    ];
+    let got: Vec<(MlpPin, u64, f64)> = runs
+        .iter()
+        .map(|(label, r)| {
+            let accuracy: Vec<f64> = r.curve.points().iter().map(|p| p.test_accuracy).collect();
+            let pin = MlpPin::of(label, r.final_params.as_slice(), &r.gamma_trace, &accuracy);
+            (pin, r.events, r.simulated_seconds)
+        })
+        .collect();
+    let pins = [
+        (
+            MlpPin {
+                label: "simulate, Deadline, faults, mlp on MNIST-like (Flatten prelude)",
+                params_hash: 10264289809049527093,
+                sum: -3.3566906,
+                gamma: vec![
+                    (1, 0.10436098),
+                    (2, 0.06634894),
+                    (3, 0.08094619),
+                    (4, 0.11332442),
+                    (5, 0.07496936),
+                    (6, 0.13737017),
+                    (7, 0.0947918),
+                    (8, 0.14099151),
+                ],
+                accuracy: vec![0.38666666666666666, 0.5433333333333333, 0.5833333333333334],
+            },
+            305,
+            12.49824620726388,
+        ),
+        (
+            MlpPin {
+                label:
+                    "simulate_elastic, Deadline, EdgeFail + reform_every, mlp on HAR-like (flat)",
+                params_hash: 9361021393752928816,
+                sum: 3.1091712,
+                gamma: vec![
+                    (1, 0.08171987),
+                    (2, 0.08787964),
+                    (3, 0.09179116),
+                    (4, 0.087335475),
+                    (5, 0.092651024),
+                    (6, 0.0818601),
+                    (7, 0.085040115),
+                    (8, 0.08630889),
+                    (9, 0.08510228),
+                    (10, 0.070808336),
+                ],
+                accuracy: vec![0.575, 0.675, 0.75, 0.8666666666666667, 0.8583333333333333],
+            },
+            240,
+            4.476387076488545,
+        ),
+    ];
+    assert_eq!(got.len(), pins.len());
+    for (g, pin) in got.iter().zip(&pins) {
+        assert_eq!(g, pin, "{}: mlp trajectory moved", pin.0.label);
+    }
+}

@@ -26,7 +26,8 @@
 //! Full runs append a dated one-line summary to
 //! `results/bench_history.jsonl`, so the perf trajectory is recorded
 //! across PRs, with the runtime-dispatched CPU-feature level
-//! (`kernels::dispatch_level()`) alongside every entry.
+//! (`kernels::dispatch_level()`) alongside every entry. The report records
+//! the machine's `nproc` and that dispatch level.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,8 +37,10 @@ use hieradmo_core::algorithms::HierAdMo;
 use hieradmo_core::{run, RunConfig};
 use hieradmo_data::partition::x_class_partition;
 use hieradmo_data::synthetic::SyntheticDataset;
-use hieradmo_models::zoo;
-use hieradmo_tensor::{conv, kernels, Tensor4, Vector};
+use hieradmo_data::{Dataset, Target};
+use hieradmo_models::layer::{Dense, Layer, Relu, Signal};
+use hieradmo_models::{zoo, Model, Sequential};
+use hieradmo_tensor::{conv, kernels, ops, Matrix, Tensor4, Vector};
 use hieradmo_topology::Hierarchy;
 use serde::Serialize;
 
@@ -77,6 +80,85 @@ fn old_matmul_bt(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: 
                 }
             }
         }
+    }
+}
+
+/// Old dense weight gradient: one [`old_axpy`] per sample per nonzero
+/// upstream-gradient entry, samples outermost. `g` is `n × m` (one row per
+/// sample), `x` is `n × k`, `grad_w` is `m × k`.
+fn old_dense_grad(grad_w: &mut [f32], g: &[f32], x: &[f32], n: usize, m: usize, k: usize) {
+    for s in 0..n {
+        for r in 0..m {
+            let gr = g[s * m + r];
+            if gr == 0.0 {
+                continue;
+            }
+            old_axpy(&mut grad_w[r * k..(r + 1) * k], gr, &x[s * k..(s + 1) * k]);
+        }
+    }
+}
+
+/// The per-sample composition that `Sequential`'s batched path replaced:
+/// for each sample in turn, a `matvec` forward per dense layer, then the
+/// softmax head and a backward pass of one `axpy` per nonzero gradient row
+/// plus a `matvec_transposed` per dense layer, the first one included.
+/// Built from the same dense/ReLU stack as a zoo model, with its
+/// parameters, so both must produce the same bits.
+struct PerSampleModel {
+    layers: Vec<Box<dyn Layer>>,
+    dim: usize,
+}
+
+impl PerSampleModel {
+    /// Dense layers of the given widths (`[in, hidden.., out]`) with a
+    /// ReLU between each pair, loaded with `params`.
+    fn new(widths: &[usize], params: &Vector) -> Self {
+        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        for (i, w) in widths.windows(2).enumerate() {
+            if i > 0 {
+                layers.push(Box::new(Relu::new()));
+            }
+            layers.push(Box::new(Dense::new(
+                Matrix::zeros(w[1], w[0]),
+                Vector::zeros(w[1]),
+            )));
+        }
+        let mut off = 0;
+        for l in &mut layers {
+            off += l.read_params(&params.as_slice()[off..]);
+        }
+        assert_eq!(off, params.len(), "per-sample model width mismatch");
+        PerSampleModel { layers, dim: off }
+    }
+
+    fn loss_and_grad(&self, data: &Dataset, indices: &[usize], grad: &mut [f32]) -> f32 {
+        grad.fill(0.0);
+        let mut loss_sum = 0.0f32;
+        for &i in indices {
+            let sample = data.sample(i);
+            let mut sig = Signal::Flat(sample.features.clone());
+            let mut caches = Vec::with_capacity(self.layers.len());
+            for l in &self.layers {
+                let (next, cache) = l.forward(&sig);
+                sig = next;
+                caches.push(cache);
+            }
+            let Target::Class(c) = sample.target else {
+                panic!("classification data expected");
+            };
+            let out = sig.expect_flat();
+            loss_sum += ops::cross_entropy_loss(out, c);
+            let mut g = Signal::Flat(ops::cross_entropy_grad(out, c));
+            let mut end = self.dim;
+            for (l, cache) in self.layers.iter().zip(&caches).rev() {
+                let start = end - l.param_len();
+                g = l.backward(cache, &g, &mut grad[start..end]);
+                end = start;
+            }
+        }
+        let inv = 1.0 / indices.len() as f32;
+        kernels::scal(grad, inv);
+        loss_sum * inv
     }
 }
 
@@ -194,6 +276,8 @@ struct BenchReport {
     bench: &'static str,
     mode: &'static str,
     target: String,
+    /// Logical CPUs available to the process.
+    nproc: usize,
     /// CPU-feature level the kernel layer dispatched to at startup
     /// (`"avx2"` or `"scalar"`) — numbers are only comparable between
     /// reports with the same dispatch level.
@@ -239,6 +323,131 @@ fn bench_matmul(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: u
         kernel_ns,
         speedup: baseline_ns / kernel_ns,
     });
+}
+
+/// The batched dense weight gradient `grad_W += Gᵀ·X` over an `n`-sample
+/// batch into an `m × k` weight, against the per-sample axpy loop it
+/// replaced. One upstream-gradient entry in seven is zero, as behind a
+/// ReLU mask.
+fn bench_matmul_acc(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: usize) {
+    let x = seq(n * k, 0.013);
+    let g: Vec<f32> = seq(n * m, 0.029)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| if i % 7 == 0 { 0.0 } else { v })
+        .collect();
+    let mut gt = vec![0.0f32; m * n];
+    for s in 0..n {
+        for r in 0..m {
+            gt[r * n + s] = g[s * m + r];
+        }
+    }
+    let mut w_old = vec![0.0f32; m * k];
+    let mut w_new = vec![0.0f32; m * k];
+    old_dense_grad(&mut w_old, &g, &x, n, m, k);
+    kernels::matmul_acc(&mut w_new, &gt, &x, m, n, k);
+    assert_close("matmul_acc", &w_new, &w_old);
+    let baseline_ns = time_ns(reps, || {
+        old_dense_grad(black_box(&mut w_old), black_box(&g), black_box(&x), n, m, k)
+    });
+    let kernel_ns = time_ns(reps, || {
+        kernels::matmul_acc(
+            black_box(&mut w_new),
+            black_box(&gt),
+            black_box(&x),
+            m,
+            n,
+            k,
+        )
+    });
+    rows.push(KernelRow {
+        name: "matmul_acc".into(),
+        shape: format!("{m}x{n}·{n}x{k}"),
+        baseline_ns,
+        kernel_ns,
+        speedup: baseline_ns / kernel_ns,
+    });
+}
+
+/// One mini-batch `loss_and_grad_into` of a zoo model on the benchmark's
+/// data and batch size, against the per-sample composition it replaced
+/// ([`PerSampleModel`]); the two must agree bitwise.
+fn bench_loss_and_grad(
+    rows: &mut Vec<KernelRow>,
+    reps: usize,
+    label: &str,
+    model: &Sequential,
+    widths: &[usize],
+    data: &Dataset,
+    batch: usize,
+) {
+    let indices: Vec<usize> = (0..batch).map(|i| i * 7 % data.len()).collect();
+    let params = model.params();
+    let per_sample = PerSampleModel::new(widths, &params);
+    let mut g_old = vec![0.0f32; per_sample.dim];
+    let mut g_new = Vector::zeros(model.dim());
+    let loss_old = per_sample.loss_and_grad(data, &indices, &mut g_old);
+    let loss_new = model.loss_and_grad_into(data, &indices, &mut g_new);
+    assert_eq!(
+        loss_old.to_bits(),
+        loss_new.to_bits(),
+        "{label}: batched loss differs from the per-sample composition"
+    );
+    assert!(
+        g_old
+            .iter()
+            .zip(g_new.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{label}: batched gradient differs from the per-sample composition"
+    );
+    let baseline_ns = time_ns(reps, || {
+        black_box(per_sample.loss_and_grad(black_box(data), &indices, &mut g_old));
+    });
+    let kernel_ns = time_ns(reps, || {
+        black_box(model.loss_and_grad_into(black_box(data), &indices, &mut g_new));
+    });
+    rows.push(KernelRow {
+        name: "loss_and_grad_into".into(),
+        shape: format!("{label} batch {batch}"),
+        baseline_ns,
+        kernel_ns,
+        speedup: baseline_ns / kernel_ns,
+    });
+}
+
+/// One [`bench_loss_and_grad`] row per benchmark model: `mlp-tick`'s
+/// MLP(64) and `sampled-1m`'s logistic regression on MNIST-like images
+/// (through their `Flatten` prelude), and `chaos-churn`'s MLP(32) on
+/// HAR-like flat features.
+fn bench_models(rows: &mut Vec<KernelRow>, reps: usize) {
+    let mnist = SyntheticDataset::mnist_like(16, 1, 1).train;
+    let har = SyntheticDataset::har_like(16, 1, 1).train;
+    let cases = [
+        (
+            "mlp64 mnist",
+            zoo::mlp(&mnist, 64, 101),
+            vec![784, 64, 10],
+            &mnist,
+            16,
+        ),
+        (
+            "logistic mnist",
+            zoo::logistic_regression(&mnist, 101),
+            vec![784, 10],
+            &mnist,
+            16,
+        ),
+        (
+            "mlp32 har",
+            zoo::mlp(&har, 32, 101),
+            vec![561, 32, 6],
+            &har,
+            8,
+        ),
+    ];
+    for (label, model, widths, data, batch) in &cases {
+        bench_loss_and_grad(rows, reps, label, model, widths, data, *batch);
+    }
 }
 
 fn bench_dot(rows: &mut Vec<KernelRow>, reps: usize, len: usize) {
@@ -478,6 +687,18 @@ fn full_kernel_shapes(rows: &mut Vec<KernelRow>, reps: usize) {
     bench_matmul(rows, reps, 256, 128, 784);
     bench_matmul(rows, reps, 32, 196, 288);
     bench_matmul(rows, reps, 128, 64, 128);
+    // The benchmark workloads' dense layers: one mini-batch forward of
+    // logistic regression and MLP(64) on MNIST-like images (batch 16),
+    // and MLP(32) on HAR-like features (batch 8)…
+    bench_matmul(rows, reps, 16, 10, 784);
+    bench_matmul(rows, reps, 16, 64, 784);
+    bench_matmul(rows, reps, 8, 32, 561);
+    // …their batched weight gradients…
+    bench_matmul_acc(rows, reps, 16, 10, 784);
+    bench_matmul_acc(rows, reps, 16, 64, 784);
+    bench_matmul_acc(rows, reps, 8, 32, 561);
+    // …and whole mini-batch gradients of each model.
+    bench_models(rows, reps);
     // Aggregation-width vectors: logistic-MNIST (7850) and MLP (~100k).
     bench_dot(rows, reps, 7850);
     bench_dot(rows, reps, 101_770);
@@ -664,6 +885,7 @@ fn main() {
     if smoke {
         // Tiny shapes: correctness + schema only, so CI stays fast.
         bench_matmul(&mut rows, reps, 9, 7, 33);
+        bench_matmul_acc(&mut rows, reps, 5, 7, 37);
         bench_dot(&mut rows, reps, 100);
         bench_axpy(&mut rows, reps, 100);
         bench_weighted_average(&mut rows, reps, 3, 64);
@@ -727,6 +949,7 @@ fn main() {
         bench: "kernel_bench",
         mode: if smoke { "smoke" } else { "full" },
         target: std::env::consts::ARCH.to_string(),
+        nproc: std::thread::available_parallelism().map_or(1, usize::from),
         dispatch,
         kernels: rows,
         end_to_end: e2e,
@@ -734,8 +957,8 @@ fn main() {
     };
 
     println!(
-        "== kernel_bench ({}, dispatch: {}) ==",
-        report.mode, report.dispatch
+        "== kernel_bench ({}, dispatch: {}, nproc: {}) ==",
+        report.mode, report.dispatch, report.nproc
     );
     for r in &report.kernels {
         println!(

@@ -3,7 +3,10 @@
 //!
 //! Layers process one sample at a time (mini-batch gradients are averaged by
 //! [`crate::Sequential`]); a forward pass returns both the output signal and
-//! a [`Cache`] holding exactly what the backward pass needs.
+//! a [`Cache`] holding exactly what the backward pass needs. Flat layers
+//! also run a whole mini-batch at once, one sample per matrix row
+//! ([`Layer::forward_flat_batch`], [`Layer::backward_flat_batch`]), with
+//! the same bits as the per-sample passes.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -178,17 +181,20 @@ pub trait Layer: fmt::Debug + Send {
     /// Panics if the input shape is incompatible with the layer.
     fn output_shape(&self, input: SignalShape) -> SignalShape;
 
-    /// Whether this layer participates in [`crate::Sequential`]'s batched
-    /// flat fast path, which stacks a mini-batch's activations into one
-    /// row-major matrix and runs each dense product as a single
-    /// [`kernels::matmul_bt`] call instead of per-sample `matvec`s.
+    /// Whether this layer, fed `input`, participates in
+    /// [`crate::Sequential`]'s batched flat path, which stacks a
+    /// mini-batch's activations into one row-major matrix (one sample per
+    /// row) and runs each dense product as a single GEMM instead of
+    /// per-sample `matvec`s.
     ///
-    /// A layer may opt in only if (a) it maps flat signals to flat signals
-    /// and (b) every row of [`Layer::forward_flat_batch`]'s output is
-    /// bitwise identical to the flat [`Layer::forward`] of that row (for
-    /// non-NaN activations) — the determinism suites pin full-run bit
-    /// equality on top of this contract.
-    fn supports_flat_batch(&self) -> bool {
+    /// A layer may opt in only if (a) it maps `input` to a flat signal,
+    /// (b) every row of [`Layer::forward_flat_batch`]'s output is bitwise
+    /// identical to [`Layer::forward`] of that row, and (c)
+    /// [`Layer::backward_flat_batch`] accumulates bitwise what
+    /// [`Layer::backward`] would over the rows in ascending order — the
+    /// determinism suites pin full-run bit equality on top of this
+    /// contract.
+    fn supports_flat_batch(&self, _input: SignalShape) -> bool {
         false
     }
 
@@ -203,17 +209,26 @@ pub trait Layer: fmt::Debug + Send {
         panic!("layer has no batched flat forward");
     }
 
-    /// Rebuilds the per-sample forward cache from the layer's flat input
-    /// row — exactly what [`Layer::forward`] would have cached for that
-    /// sample — so the batched forward composes with the unchanged
-    /// per-sample backward. Only called when
-    /// [`Layer::supports_flat_batch`] is `true`.
+    /// Batched flat backward over the rows of `inputs` (this layer's
+    /// forward inputs) and `grad_out` (the upstream gradient rows):
+    /// accumulates parameter gradients into `grad_params` exactly as
+    /// [`Layer::backward`] would over the samples in ascending row order,
+    /// and writes the input-gradient rows into `grad_in` (pre-sized by the
+    /// caller) when given — callers pass `None` where no lower layer
+    /// consumes it. Only called when [`Layer::supports_flat_batch`] is
+    /// `true`.
     ///
     /// # Panics
     ///
-    /// Panics if the layer has no batched form.
-    fn flat_cache(&self, _input: &[f32]) -> Cache {
-        panic!("layer has no batched flat cache");
+    /// Panics if the layer has no batched form or the shapes mismatch.
+    fn backward_flat_batch(
+        &self,
+        _inputs: &Matrix,
+        _grad_out: &Matrix,
+        _grad_params: &mut [f32],
+        _grad_in: Option<&mut Matrix>,
+    ) {
+        panic!("layer has no batched flat backward");
     }
 
     /// Clones the layer into a box (object-safe `Clone`).
@@ -318,8 +333,8 @@ impl Layer for Dense {
         SignalShape::Flat(self.w.rows())
     }
 
-    fn supports_flat_batch(&self) -> bool {
-        true
+    fn supports_flat_batch(&self, input: SignalShape) -> bool {
+        matches!(input, SignalShape::Flat(_))
     }
 
     fn forward_flat_batch(&self, inputs: &Matrix, out: &mut Matrix) {
@@ -349,8 +364,47 @@ impl Layer for Dense {
         }
     }
 
-    fn flat_cache(&self, input: &[f32]) -> Cache {
-        Cache::Dense(Vector::from(input.to_vec()))
+    fn backward_flat_batch(
+        &self,
+        inputs: &Matrix,
+        grad_out: &Matrix,
+        grad_params: &mut [f32],
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let (n, k, m) = (inputs.rows(), inputs.cols(), self.w.rows());
+        assert_eq!(k, self.w.cols(), "dense batch input width mismatch");
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            (n, m),
+            "dense batch grad shape"
+        );
+        assert_eq!(grad_params.len(), self.param_len(), "dense grad segment");
+        let (grad_w, grad_b) = grad_params.split_at_mut(self.w.len());
+        // grad_W += Gᵀ·X: row `r` receives `g[s][r] · x_s` for samples `s`
+        // ascending, skipping zero entries — `backward`'s per-sample axpy
+        // sequence, element for element.
+        let gt = grad_out.transposed();
+        kernels::matmul_acc(grad_w, gt.as_slice(), inputs.as_slice(), m, n, k);
+        // grad_b += g, one sample at a time.
+        for g in grad_out.as_slice().chunks_exact(m) {
+            for (dst, &gv) in grad_b.iter_mut().zip(g) {
+                *dst += gv;
+            }
+        }
+        // Input gradient: row `s` is `matvec_transposed(g_s)` — the same
+        // zero-skipping axpy sequence from a zeroed row.
+        if let Some(gi) = grad_in {
+            assert_eq!((gi.rows(), gi.cols()), (n, k), "dense batch grad_in shape");
+            gi.as_mut_slice().fill(0.0);
+            kernels::matmul_acc(
+                gi.as_mut_slice(),
+                grad_out.as_slice(),
+                self.w.as_slice(),
+                n,
+                m,
+                k,
+            );
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -418,8 +472,10 @@ impl Layer for Relu {
         input
     }
 
-    fn supports_flat_batch(&self) -> bool {
-        true
+    /// Flat inputs only: an image ReLU runs `relu_in_place`, which keeps
+    /// `-0.0` and NaN where the flat `max(0.0)` does not.
+    fn supports_flat_batch(&self, input: SignalShape) -> bool {
+        matches!(input, SignalShape::Flat(_))
     }
 
     fn forward_flat_batch(&self, inputs: &Matrix, out: &mut Matrix) {
@@ -434,8 +490,28 @@ impl Layer for Relu {
         }
     }
 
-    fn flat_cache(&self, input: &[f32]) -> Cache {
-        Cache::Relu(Signal::Flat(Vector::from(input.to_vec())))
+    fn backward_flat_batch(
+        &self,
+        inputs: &Matrix,
+        grad_out: &Matrix,
+        _grad_params: &mut [f32],
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(gi) = grad_in else { return };
+        assert_eq!(
+            (gi.rows(), gi.cols()),
+            (grad_out.rows(), grad_out.cols()),
+            "relu batch grad_in shape"
+        );
+        // Same mask as `ops::relu_backward`, element for element.
+        for ((o, &g), &x) in gi
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_out.as_slice())
+            .zip(inputs.as_slice())
+        {
+            *o = if x > 0.0 { g } else { 0.0 };
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -736,6 +812,28 @@ impl Layer for Flatten {
         match input {
             SignalShape::Image { .. } => SignalShape::Flat(input.len()),
             other => panic!("flatten expects image input, got {other:?}"),
+        }
+    }
+
+    /// A row-major image row already is its flattened vector, so the
+    /// batched form is an identity copy.
+    fn supports_flat_batch(&self, _input: SignalShape) -> bool {
+        true
+    }
+
+    fn forward_flat_batch(&self, inputs: &Matrix, out: &mut Matrix) {
+        out.as_mut_slice().copy_from_slice(inputs.as_slice());
+    }
+
+    fn backward_flat_batch(
+        &self,
+        _inputs: &Matrix,
+        grad_out: &Matrix,
+        _grad_params: &mut [f32],
+        grad_in: Option<&mut Matrix>,
+    ) {
+        if let Some(gi) = grad_in {
+            gi.as_mut_slice().copy_from_slice(grad_out.as_slice());
         }
     }
 

@@ -59,6 +59,10 @@ pub struct Sequential {
     output_dim: usize,
     param_offsets: Vec<usize>,
     dim: usize,
+    /// Flat widths through the stack when the batched flat path covers it
+    /// (see [`Layer::supports_flat_batch`]): `[0]` is the input width and
+    /// `[li + 1]` the output width of layer `li`.
+    flat_dims: Option<Vec<usize>>,
 }
 
 impl Sequential {
@@ -85,8 +89,15 @@ impl Sequential {
                 width,
             },
         };
+        let mut flat_dims = Some(vec![shape.len()]);
         for layer in &layers {
+            if !layer.supports_flat_batch(shape) {
+                flat_dims = None;
+            }
             shape = layer.output_shape(shape);
+            if let Some(dims) = &mut flat_dims {
+                dims.push(shape.len());
+            }
         }
         let output_dim = match shape {
             SignalShape::Flat(d) => d,
@@ -105,6 +116,7 @@ impl Sequential {
             output_dim,
             param_offsets,
             dim,
+            flat_dims,
         }
     }
 
@@ -173,41 +185,13 @@ impl Sequential {
         }
     }
 
-    /// Whether the batched flat fast path covers this architecture: flat
-    /// input features and every layer opted into
-    /// [`Layer::supports_flat_batch`].
-    fn flat_batch_supported(&self) -> bool {
-        matches!(self.input_shape, FeatureShape::Flat(_))
-            && self.layers.iter().all(|l| l.supports_flat_batch())
-    }
-
-    /// Flat widths through the stack: `dims[0]` is the input width and
-    /// `dims[li + 1]` the output width of layer `li`.
-    fn flat_dims(&self) -> Vec<usize> {
-        let d0 = match self.input_shape {
-            FeatureShape::Flat(d) => d,
-            other => panic!("flat batch path needs flat input, got {other:?}"),
-        };
-        let mut dims = Vec::with_capacity(self.layers.len() + 1);
-        dims.push(d0);
-        let mut shape = SignalShape::Flat(d0);
-        for layer in &self.layers {
-            shape = layer.output_shape(shape);
-            dims.push(shape.len());
-        }
-        dims
-    }
-
     /// Stacks `n` samples (in iteration order) into one row-major feature
     /// matrix, one sample per row.
     fn stack_features<I>(&self, data: &Dataset, n: usize, indices: I) -> Matrix
     where
         I: Iterator<Item = usize>,
     {
-        let d = match self.input_shape {
-            FeatureShape::Flat(d) => d,
-            other => panic!("flat batch path needs flat input, got {other:?}"),
-        };
+        let d = self.input_shape.len();
         let mut x = Matrix::zeros(n, d);
         let xs = x.as_mut_slice();
         for (s, i) in indices.enumerate() {
@@ -222,8 +206,7 @@ impl Sequential {
     /// input and `acts[li + 1]` the output of layer `li`, one row per
     /// sample. Each row is bitwise identical to the per-sample flat forward
     /// (the [`Layer::forward_flat_batch`] contract).
-    fn forward_flat_batch(&self, x: Matrix) -> Vec<Matrix> {
-        let dims = self.flat_dims();
+    fn forward_flat_batch(&self, x: Matrix, dims: &[usize]) -> Vec<Matrix> {
         let n = x.rows();
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x);
@@ -273,29 +256,39 @@ impl Model for Sequential {
         }
         let gslice = grad.as_mut_slice();
         let mut loss_sum = 0.0f32;
-        if self.flat_batch_supported() {
-            // Batched fast path: one GEMM per dense layer over the stacked
-            // mini-batch, then the per-sample head/backward loop in the
-            // same ascending order as the serial path. Each activation row
-            // is bitwise identical to the per-sample forward, and backward
-            // caches are rebuilt from those rows, so gradient accumulation
-            // is unchanged bit for bit.
-            let x = self.stack_features(data, indices.len(), indices.iter().copied());
-            let acts = self.forward_flat_batch(x);
+        if let Some(dims) = &self.flat_dims {
+            // Batched path: one GEMM per dense layer forward and two
+            // backward, with the head scored per sample in ascending order
+            // as the serial path does. Every layer segment of `grad`
+            // receives its samples' contributions in ascending order (the
+            // [`Layer::backward_flat_batch`] contract), so the gradient is
+            // unchanged bit for bit.
+            let n = indices.len();
+            let x = self.stack_features(data, n, indices.iter().copied());
+            let acts = self.forward_flat_batch(x, dims);
             let out_mat = acts.last().expect("stack is non-empty");
             let od = self.output_dim;
+            let mut g = Matrix::zeros(n, od);
             for (s, &i) in indices.iter().enumerate() {
-                let sample = data.sample(i);
                 let output = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
-                let (loss, g_out) = self.head_loss_grad(&output, &sample.target);
+                let (loss, g_out) = self.head_loss_grad(&output, &data.sample(i).target);
                 loss_sum += loss;
-                let mut g = Signal::Flat(g_out);
-                for (li, layer) in self.layers.iter().enumerate().rev() {
+                g.as_mut_slice()[s * od..(s + 1) * od].copy_from_slice(g_out.as_slice());
+            }
+            // Layers below the lowest parametrised one contribute nothing,
+            // and that layer's input gradient has no consumer.
+            if let Some(lowest) = self.layers.iter().position(|l| l.param_len() > 0) {
+                for li in (lowest..self.layers.len()).rev() {
+                    let layer = &self.layers[li];
                     let start = self.param_offsets[li];
-                    let end = start + layer.param_len();
-                    let w = acts[li].cols();
-                    let cache = layer.flat_cache(&acts[li].as_slice()[s * w..(s + 1) * w]);
-                    g = layer.backward(&cache, &g, &mut gslice[start..end]);
+                    let seg = &mut gslice[start..start + layer.param_len()];
+                    if li == lowest {
+                        layer.backward_flat_batch(&acts[li], &g, seg, None);
+                    } else {
+                        let mut g_in = Matrix::zeros(n, dims[li]);
+                        layer.backward_flat_batch(&acts[li], &g, seg, Some(&mut g_in));
+                        g = g_in;
+                    }
                 }
             }
         } else {
@@ -327,9 +320,9 @@ impl Model for Sequential {
     }
 
     fn evaluate_range(&self, data: &Dataset, range: Range<usize>) -> EvalSums {
-        if !self.flat_batch_supported() {
+        let Some(dims) = &self.flat_dims else {
             return evaluate_range_serial(self, data, range);
-        }
+        };
         // Batched eval: forward whole row-tiles through one GEMM per dense
         // layer, then score rows in ascending sample order — the exact
         // accumulation sequence of the serial path, so chunked parallel
@@ -340,7 +333,7 @@ impl Model for Sequential {
         while start < range.end {
             let end = (start + EVAL_GEMM_TILE).min(range.end);
             let x = self.stack_features(data, end - start, start..end);
-            let acts = self.forward_flat_batch(x);
+            let acts = self.forward_flat_batch(x, dims);
             let out_mat = acts.last().expect("stack is non-empty");
             for (s, i) in (start..end).enumerate() {
                 let out = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
@@ -518,7 +511,7 @@ mod tests {
     #[test]
     fn batched_flat_path_is_bitwise_equal_to_the_per_sample_loop() {
         let m = mlp(9);
-        assert!(m.flat_batch_supported());
+        assert!(m.flat_dims.is_some());
         let data = xor_ish_data();
         let idx = [0usize, 1, 2, 3, 1];
 

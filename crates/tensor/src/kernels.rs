@@ -9,7 +9,8 @@
 //! throughput at one multiply-add per FMA latency. The kernels here break
 //! that chain into [`LANES`] *independent* accumulators over
 //! `chunks_exact(LANES)` so the autovectorizer can keep every SIMD lane and
-//! execution port busy, on stable Rust with no intrinsics.
+//! execution port busy on stable Rust; the hottest kernels add an AVX2
+//! path on top (see below).
 //!
 //! # Determinism contract
 //!
@@ -29,6 +30,9 @@
 //! with *exactly* the same per-element order as [`dot`], whether the
 //! element lands in a full register tile or on a remainder edge, so
 //! `matmul` results never depend on how the output space was tiled.
+//! [`matmul_acc`], the dense layer's batched backward, builds each output
+//! row as the ascending, zero-skipping sequence of [`axpy`] calls the
+//! per-sample backward issues.
 //!
 //! # Batched aggregation kernels and runtime dispatch
 //!
@@ -41,11 +45,18 @@
 //! the tolerance-tested reductions above: they are **bitwise identical**
 //! to the sequential compositions they replace, because they vectorize
 //! across independent coordinates while keeping each coordinate's
-//! operation sequence unchanged. They are also the only kernels with
-//! explicit intrinsics: [`dispatch_level`] probes the CPU once per process
-//! (overridable via `HIERADMO_KERNEL_DISPATCH=scalar|avx2`) and selects
-//! AVX2 or the portable scalar oracle — both produce the same bits, the
-//! property suite pins it, and the level is recorded in bench output.
+//! operation sequence unchanged.
+//!
+//! These kernels and the dense ones ([`axpy`], [`matmul_bt`],
+//! [`matmul_acc`]) carry explicit intrinsics: [`dispatch_level`] probes
+//! the CPU once per process (overridable via
+//! `HIERADMO_KERNEL_DISPATCH=scalar|avx2`) and selects AVX2 or the
+//! portable scalar oracle (`*_scalar`, public). Each AVX2 path performs
+//! its oracle's float operations in the oracle's per-element order, with
+//! mul-then-add, or FMA exactly where the scalar `fma` does, so both
+//! produce the same bits (NaN payloads aside: the compiler may commute an
+//! add's operands). The property suite pins it, and the level is recorded
+//! in bench output.
 
 /// Number of independent accumulator lanes per kernel.
 ///
@@ -119,14 +130,33 @@ pub fn norm_sq(a: &[f32]) -> f32 {
 
 /// In-place scaled addition `y[i] += alpha * x[i]` (BLAS `axpy`).
 ///
-/// Element-wise with no cross-element dependency, so the chunked form
-/// exists purely to hand the autovectorizer a fixed-width inner loop.
+/// Element-wise with no cross-element dependency: every element is one
+/// contraction-gated `fma(alpha, x[i], y[i])` on both dispatch paths, so
+/// the AVX2 path is bitwise identical to [`axpy_scalar`].
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 #[inline]
 pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
+    assert_eq!(y.len(), x.len(), "kernels::axpy length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`; the
+        // lengths were checked equal above.
+        unsafe { axpy_avx2(y, alpha, x) };
+        return;
+    }
+    axpy_scalar(y, alpha, x);
+}
+
+/// Portable oracle for [`axpy`]; the chunked form hands the
+/// autovectorizer a fixed-width inner loop.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn axpy_scalar(y: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len(), "kernels::axpy length mismatch");
     let mut yc = y.chunks_exact_mut(LANES);
     let mut xc = x.chunks_exact(LANES);
@@ -219,7 +249,7 @@ pub fn weighted_accumulate(acc: &mut [f64], w: f64, v: &[f32]) {
 // Runtime SIMD dispatch
 // ---------------------------------------------------------------------------
 
-/// Instruction-set level the batched kernels dispatch to at runtime.
+/// Instruction-set level the dispatched kernels run at.
 ///
 /// Selected **once** per process (see [`dispatch_level`]) so the choice can
 /// never flip mid-run: a run either executes every batched reduction on the
@@ -246,7 +276,7 @@ impl DispatchLevel {
     }
 }
 
-/// The process-wide dispatch level for the batched kernels.
+/// The process-wide dispatch level for the dispatched kernels.
 ///
 /// Chosen on first call and cached: the `HIERADMO_KERNEL_DISPATCH`
 /// environment variable (`"scalar"` or `"avx2"`) forces a path — CI uses
@@ -567,14 +597,18 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
     }
 }
 
-/// Output-tile edge for [`matmul_bt`]: tiles of A-rows and Bᵀ-rows stay
-/// resident in L1/L2 across the tile's inner products.
+// ---------------------------------------------------------------------------
+// Dense kernels
+// ---------------------------------------------------------------------------
+
+/// Output-tile edge for [`matmul_bt_scalar`]: tiles of A-rows and Bᵀ-rows
+/// stay resident in L1/L2 across the tile's inner products.
 const BLOCK: usize = 32;
 
-/// Register micro-tile: 2 A-rows × 2 Bᵀ-rows computed together, each
-/// output carrying its own [`LANES`]-wide accumulator (4·8 = 32 live
-/// `f32` accumulators — eight SSE / four AVX registers), so every loaded
-/// `a` and `b` chunk is reused twice.
+/// Register micro-tile of [`matmul_bt_scalar`]: 2 A-rows × 2 Bᵀ-rows
+/// computed together, each output carrying its own [`LANES`]-wide
+/// accumulator (4·8 = 32 live `f32` accumulators — eight SSE registers),
+/// so every loaded `a` and `b` chunk is reused twice.
 const TILE: usize = 2;
 
 /// Blocked, register-tiled product `out = a · btᵀ` on raw row-major
@@ -582,14 +616,34 @@ const TILE: usize = 2;
 ///
 /// * `a` is `n × k` row-major, `bt` is `m × k` row-major, `out` is
 ///   `n × m` row-major and fully overwritten.
-/// * The `(row, col)` output space is tiled `BLOCK`² for cache reuse and
-///   `TILE`² for register reuse; every output element's own summation
-///   order is identical to [`dot`] regardless of which tile computed it.
+/// * Every output element's summation order is identical to [`dot`] of
+///   its row pair, whichever tile computed it and on both dispatch paths,
+///   so the AVX2 path is bitwise identical to [`matmul_bt_scalar`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn matmul_bt(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
+    assert_eq!(a.len(), n * k, "kernels::matmul_bt lhs size mismatch");
+    assert_eq!(bt.len(), m * k, "kernels::matmul_bt rhs size mismatch");
+    assert_eq!(out.len(), n * m, "kernels::matmul_bt out size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`; the
+        // slice lengths were checked above.
+        unsafe { matmul_bt_avx2(a, bt, out, n, m, k) };
+        return;
+    }
+    matmul_bt_scalar(a, bt, out, n, m, k);
+}
+
+/// Portable oracle for [`matmul_bt`]: the `(row, col)` output space is
+/// tiled `BLOCK`² for cache reuse and `TILE`² for register reuse.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_bt_scalar(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
     assert_eq!(a.len(), n * k, "kernels::matmul_bt lhs size mismatch");
     assert_eq!(bt.len(), m * k, "kernels::matmul_bt rhs size mismatch");
     assert_eq!(out.len(), n * m, "kernels::matmul_bt out size mismatch");
@@ -670,6 +724,307 @@ fn micro_2x2(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, r: usiz
     out[r * m + c + 1] = reduce_lanes(acc01) + t01;
     out[(r + 1) * m + c] = reduce_lanes(acc10) + t10;
     out[(r + 1) * m + c + 1] = reduce_lanes(acc11) + t11;
+}
+
+/// Zero-skipping accumulating product `out += c · b` on raw row-major
+/// slices: the batched backward of a dense layer.
+///
+/// * `out` is `p × k`, `c` is `p × q`, `b` is `q × k`, all row-major.
+/// * Row `i` of `out` receives, for `j` ascending, the [`axpy`]
+///   `out[i] += c[i][j] · b[j]`, and skips every `c[i][j] == 0.0` (both
+///   zeros), exactly like a loop of per-row [`axpy`] calls that skips zero
+///   coefficients. Each element therefore sees the same operation
+///   sequence as that loop, on both dispatch paths, so the AVX2 path is
+///   bitwise identical to [`matmul_acc_scalar`].
+///
+/// With `c = Gᵀ` (upstream gradients, one column per sample) and `b = X`
+/// (inputs, one row per sample) this is the weight gradient
+/// `grad_W += Gᵀ·X` with samples ascending per element; with `c = G`,
+/// `b = W` and a zeroed `out` it is the input gradient `G·W`, row for row
+/// the per-sample transposed product.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_acc(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
+    assert_eq!(out.len(), p * k, "kernels::matmul_acc out size mismatch");
+    assert_eq!(
+        c.len(),
+        p * q,
+        "kernels::matmul_acc coefficient size mismatch"
+    );
+    assert_eq!(b.len(), q * k, "kernels::matmul_acc rhs size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`; the
+        // slice lengths were checked above.
+        unsafe { matmul_acc_avx2(out, c, b, p, q, k) };
+        return;
+    }
+    matmul_acc_scalar(out, c, b, p, q, k);
+}
+
+/// Portable oracle for [`matmul_acc`]: the per-row [`axpy_scalar`] loop
+/// itself.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_acc_scalar(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
+    assert_eq!(out.len(), p * k, "kernels::matmul_acc out size mismatch");
+    assert_eq!(
+        c.len(),
+        p * q,
+        "kernels::matmul_acc coefficient size mismatch"
+    );
+    assert_eq!(b.len(), q * k, "kernels::matmul_acc rhs size mismatch");
+    for i in 0..p {
+        let row = &mut out[i * k..(i + 1) * k];
+        for j in 0..q {
+            let cij = c[i * q + j];
+            if cij == 0.0 {
+                continue;
+            }
+            axpy_scalar(row, cij, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+/// `a * b + c` at vector width, with the contraction gate of [`fma`]:
+/// `fmadd_ps` only on `+fma` builds, separate `mul`/`add` otherwise.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn fma_ps(
+    a: std::arch::x86_64::__m256,
+    b: std::arch::x86_64::__m256,
+    c: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    #[cfg(target_feature = "fma")]
+    {
+        _mm256_fmadd_ps(a, b, c)
+    }
+    #[cfg(not(target_feature = "fma"))]
+    {
+        _mm256_add_ps(_mm256_mul_ps(a, b), c)
+    }
+}
+
+/// AVX2 path for [`axpy`]: a scalar head up to the first 32-byte aligned
+/// element of `y`, so no store splits a cache line, then 32 elements per
+/// step, 8 per step, and a scalar tail. Elements are independent, so
+/// where the vector part starts does not change any bit.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `x` must be as long as `y`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_avx2(y: &mut [f32], alpha: f32, x: &[f32]) {
+    use std::arch::x86_64::*;
+    let n = y.len();
+    let head = y.as_ptr().align_offset(32).min(n);
+    for i in 0..head {
+        y[i] = fma(alpha, x[i], y[i]);
+    }
+    let av = _mm256_set1_ps(alpha);
+    let (yp, xp) = (y.as_mut_ptr(), x.as_ptr());
+    let mut i = head;
+    while i + ACC_STRIP <= n {
+        for t in 0..ACC_STRIP / LANES {
+            let e = i + t * LANES;
+            let v = fma_ps(av, _mm256_loadu_ps(xp.add(e)), _mm256_load_ps(yp.add(e)));
+            _mm256_store_ps(yp.add(e), v);
+        }
+        i += ACC_STRIP;
+    }
+    while i + LANES <= n {
+        let v = fma_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_load_ps(yp.add(i)));
+        _mm256_store_ps(yp.add(i), v);
+        i += LANES;
+    }
+    for j in i..n {
+        y[j] = fma(alpha, x[j], y[j]);
+    }
+}
+
+/// A-rows per register micro-tile of [`matmul_bt_avx2`].
+#[cfg(target_arch = "x86_64")]
+const AVX_ROWS: usize = 4;
+
+/// Bᵀ-rows per register micro-tile of [`matmul_bt_avx2`]: 4 × 3 `ymm`
+/// accumulators plus three `b` chunks and one `a` chunk fill the sixteen
+/// `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+const AVX_COLS: usize = 3;
+
+/// AVX2 path for [`matmul_bt`]: blocks of `BLOCK` A-rows, swept by
+/// 4 × 3 register micro-tiles (edges use 4 × 1, 1 × 3 and 1 × 1 tiles).
+/// A micro-tile's three Bᵀ-rows stay in L1 while the block's A-rows
+/// stream past them.
+///
+/// One `ymm` accumulator per output holds exactly the [`LANES`] partial
+/// sums of [`dot`]: lane `l` receives element `l` of every full chunk.
+/// The lanes are then spilled and combined by the same `reduce_lanes`
+/// tree, and the serial tail is the scalar loop of [`dot`], so each
+/// element is bitwise equal to the scalar path.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and the slices must hold `n × k`, `m × k`
+/// and `n × m` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_bt_avx2(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
+    let c_full = m / AVX_COLS * AVX_COLS;
+    for r0 in (0..n).step_by(BLOCK) {
+        let r1 = (r0 + BLOCK).min(n);
+        let mut c = 0;
+        while c < m {
+            let wide = c < c_full;
+            let mut r = r0;
+            while r + AVX_ROWS <= r1 {
+                if wide {
+                    micro_bt_avx2::<AVX_ROWS, AVX_COLS>(a, bt, out, m, k, r, c);
+                } else {
+                    micro_bt_avx2::<AVX_ROWS, 1>(a, bt, out, m, k, r, c);
+                }
+                r += AVX_ROWS;
+            }
+            for rr in r..r1 {
+                if wide {
+                    micro_bt_avx2::<1, AVX_COLS>(a, bt, out, m, k, rr, c);
+                } else {
+                    micro_bt_avx2::<1, 1>(a, bt, out, m, k, rr, c);
+                }
+            }
+            c += if wide { AVX_COLS } else { 1 };
+        }
+    }
+}
+
+/// The `R × C` micro-tile of [`matmul_bt_avx2`] at output `(r, c)`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `a` must hold rows `r..r + R` and `bt` rows
+/// `c..c + C` of `k` elements each, and `out` rows `r..r + R` of `m`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn micro_bt_avx2<const R: usize, const C: usize>(
+    a: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    r: usize,
+    c: usize,
+) {
+    use std::arch::x86_64::*;
+    let full = k / LANES * LANES;
+    let (ap, bp) = (a.as_ptr(), bt.as_ptr());
+    let mut acc = [[_mm256_setzero_ps(); C]; R];
+    for off in (0..full).step_by(LANES) {
+        let mut bv = [_mm256_setzero_ps(); C];
+        for (j, v) in bv.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(bp.add((c + j) * k + off));
+        }
+        for (i, row) in acc.iter_mut().enumerate() {
+            let av = _mm256_loadu_ps(ap.add((r + i) * k + off));
+            for (acc_ij, &b) in row.iter_mut().zip(&bv) {
+                *acc_ij = fma_ps(av, b, *acc_ij);
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        let a_row = &a[(r + i) * k..(r + i + 1) * k];
+        for (j, &v) in row.iter().enumerate() {
+            let b_row = &bt[(c + j) * k..(c + j + 1) * k];
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+            let mut tail = 0.0f32;
+            for (&x, &y) in a_row[full..].iter().zip(&b_row[full..]) {
+                tail = fma(x, y, tail);
+            }
+            out[(r + i) * m + c + j] = reduce_lanes(lanes) + tail;
+        }
+    }
+}
+
+/// Columns per register strip of [`matmul_acc_avx2`]: four `ymm`
+/// accumulators.
+#[cfg(target_arch = "x86_64")]
+const ACC_STRIP: usize = 4 * LANES;
+
+/// AVX2 path for [`matmul_acc`]: for each 32-column strip (then 8-column
+/// strips, then a scalar tail), each output row's strip stays in
+/// registers while the `q` coefficients of that row fold in, in ascending
+/// order with the zero skip. The strip of `b` (`q` rows) stays in L1
+/// across all `p` output rows.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and the slices must hold `p × k`, `p × q`
+/// and `q × k` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_acc_avx2(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
+    use std::arch::x86_64::*;
+    let (op, bp) = (out.as_mut_ptr(), b.as_ptr());
+    let wide = k / ACC_STRIP * ACC_STRIP;
+    let narrow = k / LANES * LANES;
+    for s in (0..wide).step_by(ACC_STRIP) {
+        for i in 0..p {
+            let o = op.add(i * k + s);
+            let mut acc = [
+                _mm256_loadu_ps(o),
+                _mm256_loadu_ps(o.add(LANES)),
+                _mm256_loadu_ps(o.add(2 * LANES)),
+                _mm256_loadu_ps(o.add(3 * LANES)),
+            ];
+            for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
+                if cij == 0.0 {
+                    continue;
+                }
+                let cv = _mm256_set1_ps(cij);
+                let bs = bp.add(j * k + s);
+                for (t, v) in acc.iter_mut().enumerate() {
+                    *v = fma_ps(cv, _mm256_loadu_ps(bs.add(t * LANES)), *v);
+                }
+            }
+            for (t, &v) in acc.iter().enumerate() {
+                _mm256_storeu_ps(o.add(t * LANES), v);
+            }
+        }
+    }
+    for s in (wide..narrow).step_by(LANES) {
+        for i in 0..p {
+            let o = op.add(i * k + s);
+            let mut acc = _mm256_loadu_ps(o);
+            for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
+                if cij != 0.0 {
+                    acc = fma_ps(_mm256_set1_ps(cij), _mm256_loadu_ps(bp.add(j * k + s)), acc);
+                }
+            }
+            _mm256_storeu_ps(o, acc);
+        }
+    }
+    for i in 0..p {
+        for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
+            if cij == 0.0 {
+                continue;
+            }
+            for e in narrow..k {
+                out[i * k + e] = fma(cij, b[j * k + e], out[i * k + e]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

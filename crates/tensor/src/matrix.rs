@@ -8,10 +8,11 @@ use crate::{kernels, Vector};
 
 /// A dense row-major matrix of `f32` values.
 ///
-/// Used by the model zoo for fully-connected layers: forward passes are
-/// `W·x + b` ([`Matrix::matvec`]) and backward passes need the transposed
-/// product ([`Matrix::matvec_transposed`]) and outer-product gradient
-/// accumulation ([`Matrix::add_outer`]).
+/// Used by the model zoo for fully-connected layers: per-sample forward
+/// passes are `W·x + b` ([`Matrix::matvec`]) and backward passes need the
+/// transposed product ([`Matrix::matvec_transposed`]); the batched path
+/// runs the same products over stacked rows through
+/// [`kernels::matmul_bt`] and [`kernels::matmul_acc`].
 ///
 /// # Example
 ///
@@ -135,25 +136,6 @@ impl Matrix {
         Vector::from(out)
     }
 
-    /// Accumulates the outer product `self += alpha · y xᵀ` — the weight
-    /// gradient of a linear layer given upstream gradient `y` and input `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != rows` or `x.len() != cols`.
-    pub fn add_outer(&mut self, alpha: f32, y: &Vector, x: &Vector) {
-        assert_eq!(y.len(), self.rows, "add_outer row mismatch");
-        assert_eq!(x.len(), self.cols, "add_outer col mismatch");
-        for (r, &yr) in y.iter().enumerate() {
-            let coeff = alpha * yr;
-            if coeff == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            kernels::axpy(row, coeff, x.as_slice());
-        }
-    }
-
     /// Matrix product `self · other`.
     ///
     /// Internally transposes `other` once and runs the blocked kernel
@@ -274,15 +256,6 @@ mod tests {
         let via_method = m.matvec_transposed(&y);
         let via_transpose = m.transposed().matvec(&y);
         assert_eq!(via_method.as_slice(), via_transpose.as_slice());
-    }
-
-    #[test]
-    fn add_outer_is_rank_one_update() {
-        let mut m = Matrix::zeros(2, 2);
-        let y = Vector::from(vec![1.0, 2.0]);
-        let x = Vector::from(vec![3.0, 4.0]);
-        m.add_outer(1.0, &y, &x);
-        assert_eq!(m.as_slice(), &[3.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]

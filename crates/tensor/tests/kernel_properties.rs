@@ -341,3 +341,113 @@ proptest! {
         prop_assert_eq!(bits(&looked), bits(&looked2));
     }
 }
+
+/// `len` draws from `[-2, 2)` with one entry in eight replaced by `0.0`
+/// and one by `-0.0`; with `nonfinite`, one in sixteen each by `inf`,
+/// `-inf` and NaN.
+fn entries(rng: &mut rand::rngs::StdRng, len: usize, nonfinite: bool) -> Vec<f32> {
+    use rand::Rng;
+    (0..len)
+        .map(|_| match rng.gen_range(0u32..16) {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 if nonfinite => f32::INFINITY,
+            5 if nonfinite => f32::NEG_INFINITY,
+            6 if nonfinite => f32::NAN,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN mapped to one value: NaN payloads are not
+/// part of the dispatch contract (the compiler may commute the operands
+/// of an add, and x86 propagates the first NaN operand's payload), every
+/// other bit is.
+fn bits_nan_eq(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The dispatched dense kernels are bitwise equal to their scalar
+    /// oracles, zeros of both signs and non-finite entries included. The
+    /// shapes cover every `k % 8`, `n % 4` and `m % 3` remainder of the
+    /// AVX2 micro-tiles and strips.
+    #[test]
+    fn matmul_bt_dispatch_matches_scalar_oracle_bitwise(
+        n in 0usize..10,
+        m in 0usize..8,
+        k in 0usize..42,
+        nonfinite in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = entries(&mut rng, n * k, nonfinite);
+        let bt = entries(&mut rng, m * k, nonfinite);
+        let mut got = vec![7.0f32; n * m];
+        kernels::matmul_bt(&a, &bt, &mut got, n, m, k);
+        let mut want = vec![-7.0f32; n * m];
+        kernels::matmul_bt_scalar(&a, &bt, &mut want, n, m, k);
+        prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
+    }
+
+    /// `matmul_acc` accumulates onto `out` exactly as its oracle does, and
+    /// skips the same zero coefficients: an `inf` or NaN row of `b` behind
+    /// a `0.0`/`-0.0` coefficient leaves `out` untouched.
+    #[test]
+    fn matmul_acc_dispatch_matches_scalar_oracle_bitwise(
+        p in 0usize..10,
+        q in 0usize..6,
+        k in 0usize..80,
+        nonfinite in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let c = entries(&mut rng, p * q, nonfinite);
+        let b = entries(&mut rng, q * k, nonfinite);
+        let out0 = entries(&mut rng, p * k, false);
+        let mut got = out0.clone();
+        kernels::matmul_acc(&mut got, &c, &b, p, q, k);
+        let mut want = out0.clone();
+        kernels::matmul_acc_scalar(&mut want, &c, &b, p, q, k);
+        prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
+        // A row whose coefficients are all zero is never touched.
+        for i in 0..p {
+            if c[i * q..(i + 1) * q].iter().all(|&v| v == 0.0) {
+                prop_assert_eq!(bits(&got[i * k..(i + 1) * k]), bits(&out0[i * k..(i + 1) * k]));
+            }
+        }
+    }
+
+    /// `axpy` is bitwise equal to its oracle at every length and start
+    /// offset (the AVX2 path aligns its stores, so the offset moves where
+    /// its vector part begins).
+    #[test]
+    fn axpy_dispatch_matches_scalar_oracle_bitwise(
+        len in 0usize..120,
+        offset in 0usize..8,
+        alpha_kind in 0usize..4,
+        nonfinite in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let alpha = match alpha_kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-4.0f32..4.0),
+        };
+        let x = entries(&mut rng, len, nonfinite);
+        let y0 = entries(&mut rng, offset + len, nonfinite);
+        let mut got = y0.clone();
+        kernels::axpy(&mut got[offset..], alpha, &x);
+        let mut want = y0.clone();
+        kernels::axpy_scalar(&mut want[offset..], alpha, &x);
+        prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
+    }
+}

@@ -72,8 +72,9 @@ pub fn har_fixture() -> SimFixture {
     }
 }
 
-/// One pinned `zoo::mlp` trajectory: the whole parameter vector by its
-/// bit hash, plus the γ trace and the curve's accuracies.
+/// One pinned trajectory (the `zoo::mlp` pins and the relaxed sampled
+/// cells): the whole parameter vector by its bit hash, plus the γ trace
+/// and the curve's accuracies.
 #[derive(Debug, PartialEq)]
 pub struct MlpPin {
     pub label: &'static str,

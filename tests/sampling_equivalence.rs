@@ -1436,3 +1436,88 @@ fn full_participation_sampled_runs_delegate_at_every_depth() {
         );
     }
 }
+
+/// The relaxed-policy sampled cells pinned by value: the matrix above
+/// compares their replays only with each other (replay, thread count), so
+/// a change that moved every replay alike would pass it. One Deadline and
+/// one AsyncAge cell of the depth-4 tree under the fault plan — the
+/// faults leave stragglers that a relaxed firing rewinds — each pinned by
+/// a bit hash of the whole parameter vector, its sum, the γ trace and the
+/// accuracies.
+#[test]
+fn relaxed_sampled_trajectories_are_pinned() {
+    use common::MlpPin;
+
+    let tree = &sampled_matrix_trees()[1];
+    let f = sampled_tier_fixture(tree);
+    let algo = HierAdMo::adaptive(f.cfg.eta, f.cfg.gamma);
+    let model = zoo::logistic_regression(&f.train, 1);
+    let [_, deadline, async_age] = matrix_policies();
+    let got: Vec<MlpPin> = [
+        ("simulate_virtual, depth 4, Deadline, faults", deadline),
+        ("simulate_virtual, depth 4, AsyncAge, faults", async_age),
+    ]
+    .into_iter()
+    .map(|(label, policy)| {
+        let sim = SimConfig::new(
+            NetworkEnv::paper_testbed(4),
+            Architecture::ThreeTier,
+            50_000,
+            7,
+            policy,
+        )
+        .with_tiers(tree.clone())
+        .with_faults(sampled_fault_plan());
+        let r = simulate_virtual(
+            &algo,
+            &model,
+            &f.population,
+            &f.shards,
+            &f.test,
+            &f.cfg,
+            &sim,
+        )
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let accuracy: Vec<f64> = r.curve.points().iter().map(|p| p.test_accuracy).collect();
+        MlpPin::of(label, r.final_params.as_slice(), &r.gamma_trace, &accuracy)
+    })
+    .collect();
+    let pins = [
+        MlpPin {
+            label: "simulate_virtual, depth 4, Deadline, faults",
+            params_hash: 8950114380675208493,
+            sum: 1.8621628,
+            gamma: vec![
+                (1, 0.0),
+                (2, 0.04920862),
+                (3, 0.06105069),
+                (4, 0.007766193),
+                (5, 0.076890685),
+                (6, 0.16413796),
+                (7, 0.111266196),
+                (8, 0.15278421),
+            ],
+            accuracy: vec![0.625, 0.953125],
+        },
+        MlpPin {
+            label: "simulate_virtual, depth 4, AsyncAge, faults",
+            params_hash: 2159800205450931979,
+            sum: 1.8621627,
+            gamma: vec![
+                (1, 0.0),
+                (2, 0.018691808),
+                (3, 0.03686835),
+                (4, 0.0),
+                (5, 0.050142124),
+                (6, 0.10357977),
+                (7, 0.08477861),
+                (8, 0.09052233),
+            ],
+            accuracy: vec![0.609375, 0.75],
+        },
+    ];
+    assert_eq!(got.len(), pins.len());
+    for (g, pin) in got.iter().zip(&pins) {
+        assert_eq!(g, pin, "{}: relaxed sampled trajectory moved", pin.label);
+    }
+}

@@ -239,6 +239,23 @@ fn old_finalize_momentum(
     (mean, looked)
 }
 
+/// The worker NAG step before fusion: eight `Vector` passes — `+=`
+/// twice, `copy_from`, `axpy`, a buffer swap, `sub_from`, `+=`,
+/// `copy_from`, `axpy`. `s` holds `[x, y, v, grad_accum, y_accum,
+/// v_accum]`.
+fn old_nag_step(s: &mut [Vector; 6], g: &Vector, eta: f32, gamma: f32) {
+    let [x, y, v, grad_accum, y_accum, v_accum] = s;
+    *grad_accum += g;
+    *y_accum += &*y;
+    v.copy_from(x);
+    v.axpy(-eta, g);
+    std::mem::swap(y, v);
+    v.sub_from(y);
+    *v_accum += &*v;
+    x.copy_from(y);
+    x.axpy(gamma, v);
+}
+
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
@@ -598,6 +615,65 @@ fn bench_fused_momentum(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
     });
 }
 
+/// Worker states one `nag_step` row steps through per timed pass: the
+/// benchmark workloads' 32 workers, whose states together outgrow L2, so
+/// each step streams its vectors in as it does in a run.
+const NAG_WORKERS: usize = 32;
+
+/// The fused worker NAG step vs the eight-pass composition it replaced,
+/// checked bitwise equal on one step first; times are per worker step.
+fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
+    let g = Vector::from(seq(dim, 0.013));
+    let init = |scale: f32| Vector::from(seq(dim, scale));
+    let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(init);
+    let (eta, gamma) = (0.01f32, 0.5f32);
+    let fused = |s: &mut [Vector; 6]| {
+        let [x, y, v, grad_accum, y_accum, v_accum] = s;
+        kernels::nag_step(
+            x.as_mut_slice(),
+            y.as_mut_slice(),
+            v.as_mut_slice(),
+            grad_accum.as_mut_slice(),
+            y_accum.as_mut_slice(),
+            v_accum.as_mut_slice(),
+            g.as_slice(),
+            eta,
+            gamma,
+        );
+    };
+    let mut old = vec![state.clone(); NAG_WORKERS];
+    let mut new = old.clone();
+    old_nag_step(&mut old[0], &g, eta, gamma);
+    fused(&mut new[0]);
+    for (o, n) in old[0].iter().zip(&new[0]) {
+        assert_close("nag_step", n.as_slice(), o.as_slice());
+        assert!(
+            o.iter()
+                .zip(n.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "nag_step: fused step is not bitwise equal to the eight-pass composition"
+        );
+    }
+    let per_step = NAG_WORKERS as f64;
+    let baseline_ns = time_ns(reps, || {
+        for s in &mut old {
+            old_nag_step(black_box(s), &g, eta, gamma);
+        }
+    }) / per_step;
+    let kernel_ns = time_ns(reps, || {
+        for s in &mut new {
+            fused(black_box(s));
+        }
+    }) / per_step;
+    rows.push(KernelRow {
+        name: "nag_step".into(),
+        shape: format!("{dim}"),
+        baseline_ns,
+        kernel_ns,
+        speedup: baseline_ns / kernel_ns,
+    });
+}
+
 fn bench_conv(
     rows: &mut Vec<KernelRow>,
     reps: usize,
@@ -715,6 +791,12 @@ fn full_kernel_shapes(rows: &mut Vec<KernelRow>, reps: usize) {
     // Fused aggregation + momentum at both aggregation widths.
     bench_fused_momentum(rows, reps, 7850);
     bench_fused_momentum(rows, reps, 101_770);
+    // The worker NAG step at the benchmark workloads' model widths:
+    // logistic-MNIST (7850), MLP(32) on HAR-like (18 182) and MLP(64) on
+    // MNIST-like (50 890).
+    bench_nag_step(rows, reps, 7850);
+    bench_nag_step(rows, reps, 18_182);
+    bench_nag_step(rows, reps, 50_890);
     // CNN zoo layers: MNIST first conv and a mid-network conv.
     bench_conv(rows, reps, 1, 8, 28, 5, 2);
     bench_conv(rows, reps, 8, 16, 14, 3, 1);
@@ -891,6 +973,7 @@ fn main() {
         bench_weighted_average(&mut rows, reps, 3, 64);
         bench_weighted_sum_batch(&mut rows, reps, 4, 64);
         bench_fused_momentum(&mut rows, reps, 64);
+        bench_nag_step(&mut rows, reps, 100);
         bench_conv(&mut rows, reps, 2, 3, 8, 3, 1);
     } else {
         // Three measurement passes, keeping each shape's LOWEST-speedup

@@ -86,17 +86,17 @@ impl Strategy for Cfl {
                 .iter()
                 .map(|&j| (view.worker_weight(j), &view.workers[j].x)),
         );
-        view.state.x_plus = avg.clone();
-        view.for_workers(|w| w.x = avg.clone());
+        view.state.x_plus.clone_from(&avg);
+        view.for_workers(|w| w.x.clone_from(&avg));
     }
 
     fn cloud_aggregate(&self, _p: usize, state: &mut FlState) {
         let avg = state.cloud_average(|e| &e.x_plus);
-        state.cloud.x_plus = avg.clone();
+        state.cloud.x_plus.clone_from(&avg);
         for e in &mut state.edges {
-            e.x_plus = avg.clone();
+            e.x_plus.clone_from(&avg);
         }
-        state.for_all_workers(|w| w.x = avg.clone());
+        state.for_all_workers(|w| w.x.clone_from(&avg));
     }
 }
 

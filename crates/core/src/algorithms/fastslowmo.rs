@@ -96,12 +96,12 @@ impl Strategy for FastSlowMo {
         state.cloud.v += &delta;
         let mut x_new = state.cloud.x_prev.clone();
         x_new -= &state.cloud.v;
-        state.cloud.x_prev = x_new.clone();
-        state.cloud.x_plus = x_new.clone();
-        state.cloud.y_plus = y_avg.clone();
+        state.cloud.x_prev.clone_from(&x_new);
+        state.cloud.x_plus.clone_from(&x_new);
+        state.cloud.y_plus.clone_from(&y_avg);
         state.for_all_workers(|w| {
-            w.x = x_new.clone();
-            w.y = y_avg.clone();
+            w.x.clone_from(&x_new);
+            w.y.clone_from(&y_avg);
             w.reset_accumulators();
         });
     }

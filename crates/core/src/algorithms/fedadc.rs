@@ -86,11 +86,11 @@ impl Strategy for FedAdc {
                 .enumerate()
                 .map(|(i, w)| (state.weights.worker_in_total(i), &w.v)),
         );
-        state.cloud.x_plus = x_avg.clone();
-        state.cloud.v = v_avg.clone();
+        state.cloud.x_plus.clone_from(&x_avg);
+        state.cloud.v.clone_from(&v_avg);
         state.for_all_workers(|w| {
-            w.x = x_avg.clone();
-            w.v = v_avg.clone();
+            w.x.clone_from(&x_avg);
+            w.v.clone_from(&v_avg);
         });
     }
 }

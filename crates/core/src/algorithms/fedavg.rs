@@ -66,8 +66,8 @@ impl Strategy for FedAvg {
 
     fn cloud_aggregate(&self, _p: usize, state: &mut FlState) {
         let avg = state.average_worker_models();
-        state.cloud.x_plus = avg.clone();
-        state.for_all_workers(|w| w.x = avg.clone());
+        state.cloud.x_plus.clone_from(&avg);
+        state.for_all_workers(|w| w.x.clone_from(&avg));
     }
 }
 

@@ -79,11 +79,11 @@ impl Strategy for FedNag {
                 .enumerate()
                 .map(|(i, w)| (state.weights.worker_in_total(i), &w.y)),
         );
-        state.cloud.x_plus = x_avg.clone();
-        state.cloud.y_plus = y_avg.clone();
+        state.cloud.x_plus.clone_from(&x_avg);
+        state.cloud.y_plus.clone_from(&y_avg);
         state.for_all_workers(|w| {
-            w.x = x_avg.clone();
-            w.y = y_avg.clone();
+            w.x.clone_from(&x_avg);
+            w.y.clone_from(&y_avg);
             w.reset_accumulators();
         });
     }

@@ -212,16 +212,16 @@ impl Strategy for HierAdMo {
 
         let e = &mut *view.state;
         e.y_plus = y_plus_new;
-        e.x_plus = x_plus.clone();
-        e.y_minus = y_minus.clone();
+        e.x_plus.clone_from(&x_plus);
+        e.y_minus.clone_from(&y_minus);
         e.gamma_edge = gamma_edge;
         e.cos_theta = cos_theta;
 
         // Lines 14–15: re-distribute y_{ℓ−} and x_{ℓ+} to the workers,
         // and start a fresh accumulation interval.
         view.for_workers(|w| {
-            w.y = y_minus.clone();
-            w.x = x_plus.clone();
+            w.y.clone_from(&y_minus);
+            w.x.clone_from(&x_plus);
             w.reset_accumulators();
         });
     }
@@ -230,16 +230,16 @@ impl Strategy for HierAdMo {
         // Lines 18–19: cloud aggregation of worker momenta and edge models.
         let y_cloud = state.cloud_average(|e| &e.y_minus);
         let x_cloud = state.cloud_average(|e| &e.x_plus);
-        state.cloud.y_plus = y_cloud.clone();
-        state.cloud.x_plus = x_cloud.clone();
+        state.cloud.y_plus.clone_from(&y_cloud);
+        state.cloud.x_plus.clone_from(&x_cloud);
         // Lines 20–23: re-distribute to every edge and worker.
         for e in &mut state.edges {
-            e.y_minus = y_cloud.clone();
-            e.x_plus = x_cloud.clone();
+            e.y_minus.clone_from(&y_cloud);
+            e.x_plus.clone_from(&x_cloud);
         }
         state.for_all_workers(|w| {
-            w.y = y_cloud.clone();
-            w.x = x_cloud.clone();
+            w.y.clone_from(&y_cloud);
+            w.x.clone_from(&x_cloud);
         });
     }
 
@@ -324,14 +324,14 @@ impl Strategy for HierAdMo {
 
         let e = &mut *view.state;
         e.y_plus = y_plus_new;
-        e.x_plus = x_plus.clone();
-        e.y_minus = y_minus.clone();
+        e.x_plus.clone_from(&x_plus);
+        e.y_minus.clone_from(&y_minus);
         e.gamma_edge = gamma_edge;
         e.cos_theta = cos_theta;
 
         view.for_workers(|w| {
-            w.y = y_minus.clone();
-            w.x = x_plus.clone();
+            w.y.clone_from(&y_minus);
+            w.x.clone_from(&x_plus);
             w.reset_accumulators();
         });
     }
@@ -359,15 +359,15 @@ impl Strategy for HierAdMo {
                 &e.x_plus,
             )
         }));
-        state.cloud.y_plus = y_cloud.clone();
-        state.cloud.x_plus = x_cloud.clone();
+        state.cloud.y_plus.clone_from(&y_cloud);
+        state.cloud.x_plus.clone_from(&x_cloud);
         for e in &mut state.edges {
-            e.y_minus = y_cloud.clone();
-            e.x_plus = x_cloud.clone();
+            e.y_minus.clone_from(&y_cloud);
+            e.x_plus.clone_from(&x_cloud);
         }
         state.for_all_workers(|w| {
-            w.y = y_cloud.clone();
-            w.x = x_cloud.clone();
+            w.y.clone_from(&y_cloud);
+            w.x.clone_from(&x_cloud);
         });
     }
 }

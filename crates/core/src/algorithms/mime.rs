@@ -97,11 +97,11 @@ impl Strategy for Mime {
         state.cloud.v.axpy(1.0 - self.beta, &g_avg);
 
         let x_avg = state.average_worker_models();
-        state.cloud.x_plus = x_avg.clone();
+        state.cloud.x_plus.clone_from(&x_avg);
         let m = state.cloud.v.clone();
         state.for_all_workers(|w| {
-            w.x = x_avg.clone();
-            w.v = m.clone();
+            w.x.clone_from(&x_avg);
+            w.v.clone_from(&m);
             w.reset_accumulators();
         });
     }

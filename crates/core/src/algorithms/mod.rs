@@ -35,7 +35,7 @@ pub use hierfavg::HierFavg;
 pub use mime::Mime;
 pub use slowmo::SlowMo;
 
-use hieradmo_tensor::Vector;
+use hieradmo_tensor::{kernels, Vector};
 
 use crate::state::WorkerState;
 use crate::strategy::Strategy;
@@ -63,12 +63,13 @@ pub(crate) fn sgd_local_step(
 /// ```
 ///
 /// Also maintains `v = y_t − y_{t−1}`, the velocity form of Appendix A
-/// (Eqs. 24–25).
+/// (Eqs. 24–25). The sums `Σ ∇F_{i,ℓ}(x^t)` and `Σ y^t` run over
+/// t = (k−1)τ … kτ−1, so they take the gradient and `y_{t−1}` *before*
+/// the update.
 ///
-/// Allocation-free: buffers rotate through the worker's own state (`v`
-/// briefly holds `y_t`, then the previous `y` is overwritten in place).
-/// Every per-element float expression matches the textbook clone-based
-/// formulation, so the rewrite is bitwise-neutral.
+/// Allocation-free: the gradient lands in the worker's scratch buffer and
+/// [`kernels::nag_step`] updates all six state vectors in place in one
+/// pass, bitwise identical to the textbook clone-based formulation.
 pub(crate) fn nag_local_step(
     eta: f32,
     gamma: f32,
@@ -77,23 +78,18 @@ pub(crate) fn nag_local_step(
 ) {
     let mut g = std::mem::take(&mut worker.scratch);
     grad(&worker.x, &mut g);
-    // Accumulate Σ ∇F_{i,ℓ}(x^t) and Σ y^t over the edge interval
-    // *before* updating (the sums run over t = (k−1)τ … kτ−1).
-    worker.grad_accum += &g;
-    worker.y_accum += &worker.y;
+    kernels::nag_step(
+        worker.x.as_mut_slice(),
+        worker.y.as_mut_slice(),
+        worker.v.as_mut_slice(),
+        worker.grad_accum.as_mut_slice(),
+        worker.y_accum.as_mut_slice(),
+        worker.v_accum.as_mut_slice(),
+        g.as_slice(),
+        eta,
+        gamma,
+    );
     worker.steps += 1;
-
-    // v's buffer becomes y_t = x − η·g …
-    worker.v.copy_from(&worker.x);
-    worker.v.axpy(-eta, &g);
-    // … then swaps into place so v's buffer holds y_{t−1} …
-    std::mem::swap(&mut worker.y, &mut worker.v);
-    // … which turns into the velocity v = y_t − y_{t−1} in place.
-    worker.v.sub_from(&worker.y);
-    worker.v_accum += &worker.v;
-    // x_t = y_t + γ·v.
-    worker.x.copy_from(&worker.y);
-    worker.x.axpy(gamma, &worker.v);
     worker.scratch = g;
 }
 

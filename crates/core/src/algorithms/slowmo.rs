@@ -75,9 +75,9 @@ impl Strategy for SlowMo {
         state.cloud.v += &delta;
         let mut x_new = state.cloud.x_prev.clone();
         x_new.axpy(-self.alpha, &state.cloud.v);
-        state.cloud.x_prev = x_new.clone();
-        state.cloud.x_plus = x_new.clone();
-        state.for_all_workers(|w| w.x = x_new.clone());
+        state.cloud.x_prev.clone_from(&x_new);
+        state.cloud.x_plus.clone_from(&x_new);
+        state.for_all_workers(|w| w.x.clone_from(&x_new));
     }
 }
 

@@ -17,7 +17,9 @@ use crate::robust::RobustAggregator;
 ///
 /// Serializable so a run can be snapshotted mid-training and resumed
 /// bitwise-identically (see [`crate::checkpoint::TrainingSnapshot`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `clone_from` copies every field into the destination's existing
+/// buffers, so the engines move worker state without allocating.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkerState {
     /// Model parameters `x_{i,ℓ}`.
     pub x: Vector,
@@ -62,12 +64,55 @@ impl WorkerState {
         }
     }
 
-    /// Clears both edge-interval accumulators (done at every aggregation).
+    /// Clears the edge-interval accumulators (done at every aggregation),
+    /// zero-filling in place; an accumulator whose length differs from
+    /// the model's (a checked-out placeholder's) is reallocated.
     pub fn reset_accumulators(&mut self) {
-        self.grad_accum = Vector::zeros(self.x.len());
-        self.y_accum = Vector::zeros(self.x.len());
-        self.v_accum = Vector::zeros(self.x.len());
+        let n = self.x.len();
+        for acc in [&mut self.grad_accum, &mut self.y_accum, &mut self.v_accum] {
+            if acc.len() == n {
+                acc.fill(0.0);
+            } else {
+                *acc = Vector::zeros(n);
+            }
+        }
         self.steps = 0;
+    }
+}
+
+impl Clone for WorkerState {
+    fn clone(&self) -> Self {
+        WorkerState {
+            x: self.x.clone(),
+            y: self.y.clone(),
+            v: self.v.clone(),
+            grad_accum: self.grad_accum.clone(),
+            y_accum: self.y_accum.clone(),
+            v_accum: self.v_accum.clone(),
+            steps: self.steps,
+            scratch: self.scratch.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let WorkerState {
+            x,
+            y,
+            v,
+            grad_accum,
+            y_accum,
+            v_accum,
+            steps,
+            scratch,
+        } = self;
+        x.clone_from(&source.x);
+        y.clone_from(&source.y);
+        v.clone_from(&source.v);
+        grad_accum.clone_from(&source.grad_accum);
+        y_accum.clone_from(&source.y_accum);
+        v_accum.clone_from(&source.v_accum);
+        *steps = source.steps;
+        scratch.clone_from(&source.scratch);
     }
 }
 
@@ -577,12 +622,70 @@ mod tests {
     fn reset_accumulators_zeroes() {
         let mut s = state();
         s.workers[0].grad_accum = Vector::from(vec![5.0, 5.0]);
-        s.workers[0].y_accum = Vector::from(vec![7.0, 7.0]);
+        s.workers[0].y_accum = Vector::from(vec![7.0, -0.0]);
         s.workers[0].v_accum = Vector::from(vec![3.0, 3.0]);
-        s.workers[0].reset_accumulators();
-        assert_eq!(s.workers[0].grad_accum.as_slice(), &[0.0, 0.0]);
-        assert_eq!(s.workers[0].y_accum.as_slice(), &[0.0, 0.0]);
-        assert_eq!(s.workers[0].v_accum.as_slice(), &[0.0, 0.0]);
+        s.workers[0].steps = 4;
+        let w = &mut s.workers[0];
+        let ptrs = [
+            w.grad_accum.as_slice().as_ptr(),
+            w.y_accum.as_slice().as_ptr(),
+            w.v_accum.as_slice().as_ptr(),
+        ];
+        w.reset_accumulators();
+        // Zero-filled in place, with positive zeros.
+        for (acc, ptr) in [&w.grad_accum, &w.y_accum, &w.v_accum]
+            .into_iter()
+            .zip(ptrs)
+        {
+            assert_eq!(acc.as_slice().as_ptr(), ptr, "reset reallocated");
+            assert_eq!(acc, &Vector::zeros(2));
+            assert!(acc.iter().all(|a| a.to_bits() == 0));
+        }
+        assert_eq!(w.steps, 0);
+        // An accumulator off the model's length (a checked-out
+        // placeholder's) is reallocated at the model's length.
+        w.grad_accum = Vector::zeros(0);
+        w.v_accum = Vector::from(vec![1.0, 2.0, 3.0]);
+        w.reset_accumulators();
+        assert_eq!(w.grad_accum, Vector::zeros(2));
+        assert_eq!(w.y_accum, Vector::zeros(2));
+        assert_eq!(w.v_accum, Vector::zeros(2));
+    }
+
+    #[test]
+    fn worker_clone_from_keeps_every_allocation_and_equals_clone() {
+        let vals = |k: f32| Vector::from(vec![k, -k, k * 0.5]);
+        let src = WorkerState {
+            x: vals(1.0),
+            y: vals(2.0),
+            v: vals(3.0),
+            grad_accum: vals(4.0),
+            y_accum: vals(5.0),
+            v_accum: vals(6.0),
+            steps: 7,
+            scratch: vals(8.0),
+        };
+        let mut dst = WorkerState::new(&Vector::zeros(3));
+        let ptrs = |w: &WorkerState| {
+            [
+                &w.x,
+                &w.y,
+                &w.v,
+                &w.grad_accum,
+                &w.y_accum,
+                &w.v_accum,
+                &w.scratch,
+            ]
+            .map(|v| v.as_slice().as_ptr())
+        };
+        let before = ptrs(&dst);
+        dst.clone_from(&src);
+        assert_eq!(ptrs(&dst), before, "clone_from reallocated");
+        assert_eq!(dst, src.clone());
+        // From a zero-dimensional placeholder it still ends up equal.
+        let mut placeholder = WorkerState::default();
+        placeholder.clone_from(&src);
+        assert_eq!(placeholder, src);
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! The engine keeps the canonical [`FlState`] as the *server-side mailbox*:
 //! registered worker actors own private training state (a private batch
 //! stream seeded exactly like the core driver's, and their
-//! [`WorkerState`]); an upload copies the actor's state into its `FlState`
+//! [`WorkerState`]); an upload moves the actor's state into its `FlState`
 //! slot; aggregation hooks run against `FlState` through the same
-//! `EdgeView` the core driver uses; and a download ships the post-hook slot
-//! back to the actor. Under [`SyncPolicy::FullSync`] the mailbox therefore
+//! `EdgeView` the core driver uses; and a download ships a snapshot of the
+//! post-hook slot back to the actor. Under [`SyncPolicy::FullSync`] the mailbox therefore
 //! undergoes *exactly* the mutation sequence of [`hieradmo_core::run`] —
 //! same gradient path (batch draw, clipping, `local_step`), same
 //! aggregation order, same fixed-chunk ordered evaluation reduction — so
@@ -58,6 +58,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::mem;
+use std::rc::Rc;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
 use hieradmo_core::driver::build_train_probe;
@@ -203,10 +204,10 @@ enum Ev {
     EdgeTimeout { edge: usize, round: usize },
     /// A distributed model reached a registered worker (payload
     /// snapshotted at fire time, so later mailbox writes cannot race with
-    /// it).
+    /// it; the snapshot is shared with the rejoin points).
     Deliver {
         worker: usize,
-        state: Box<WorkerState>,
+        state: Rc<WorkerState>,
     },
     /// An edge's submission reached the cloud.
     CloudSubmit { edge: usize, round: usize },
@@ -243,8 +244,9 @@ struct WorkerSim {
     /// Permanently crashed: never recovers, never uploads again.
     dead: bool,
     /// `(tick, state)` of the last server-delivered model — the rejoin
-    /// point after a crash. Maintained only when faults are on.
-    chain: Option<(usize, Box<WorkerState>)>,
+    /// point after a crash: the delivered snapshot itself, shared, not a
+    /// copy. Maintained only when faults are on.
+    chain: Option<(usize, Rc<WorkerState>)>,
     faults: FaultCounters,
     /// `Some` when this worker is Byzantine: every upload it lands is
     /// corrupted in the server-side mailbox before aggregation.
@@ -350,11 +352,13 @@ struct Registered {
     /// Per edge: local workers to release when the cloud replies.
     pending_release: Vec<Vec<usize>>,
     /// Per edge: post-hook worker slots of its last firing — what a
-    /// late-rejoining worker is handed.
-    edge_dist: Vec<Vec<WorkerState>>,
-    /// Per edge: post-hook worker slots from the last cloud firing,
-    /// handed to an edge whose submission arrives late.
-    cloud_dist: Vec<Option<Vec<WorkerState>>>,
+    /// late-rejoining worker is handed. Shared with the firing's payloads.
+    edge_dist: Vec<Vec<Rc<WorkerState>>>,
+    /// Per edge: post-hook worker slots from the last cloud firing, kept
+    /// for the edges that missed it and handed to one when its late
+    /// submission lands. An edge with a submission in flight took part in
+    /// no firing since, so a late edge always finds its slots here.
+    cloud_dist: Vec<Option<Vec<Rc<WorkerState>>>>,
 }
 
 /// Sampled participants: per-round cohort slots over a virtual
@@ -544,6 +548,12 @@ struct Engine<'a, M, S: ?Sized> {
     final_segment: bool,
 }
 
+/// One shared, immutable snapshot per worker slot: what a download
+/// carries and what a rejoining worker restores from.
+fn snapshot(workers: &[WorkerState]) -> Vec<Rc<WorkerState>> {
+    workers.iter().map(|w| Rc::new(w.clone())).collect()
+}
+
 /// The mailbox a run starts from: `hierarchy` with `weights`, the tier
 /// tree attached, the strategy's initial state, and `resume`'s tier
 /// vectors when the span continues a run.
@@ -605,6 +615,8 @@ impl Registered {
         let dim = fl.dim();
         let edge_rounds_done = start / cfg.tau;
         let mut batch = Vec::new();
+        // The starting mailbox is every worker's first rejoin point.
+        let snapshots = snapshot(&fl.workers);
         let workers = (0..n)
             .map(|i| {
                 // One mini-batch draw per *active* prefix tick (the
@@ -637,7 +649,7 @@ impl Registered {
                     fsampler: FaultSampler::from_stream(sim.net_seed, i as u64),
                     down: false,
                     dead: false,
-                    chain: faults_on.then(|| (start, Box::new(fl.workers[i].clone()))),
+                    chain: faults_on.then(|| (start, Rc::clone(&snapshots[i]))),
                     faults: FaultCounters::default(),
                     attack,
                     asampler,
@@ -651,7 +663,7 @@ impl Registered {
             active,
             pending_release: vec![Vec::new(); l_count],
             edge_dist: (0..l_count)
-                .map(|e| fl.workers[hierarchy.edge_workers(e)].to_vec())
+                .map(|e| snapshots[hierarchy.edge_workers(e)].to_vec())
                 .collect(),
             cloud_dist: vec![None; l_count],
         }
@@ -878,7 +890,7 @@ where
 
     /// Sends `state` down to registered worker `flat` (payload snapshotted
     /// now). Messages to permanently-dead workers are not sent at all.
-    fn deliver(&mut self, flat: usize, state: Box<WorkerState>, now: f64) {
+    fn deliver(&mut self, flat: usize, state: Rc<WorkerState>, now: f64) {
         if self.worker_dead(flat) {
             return;
         }
@@ -949,8 +961,11 @@ where
         }
         let e = r.edge_of[i];
         let k_up = w.tick / self.cfg.tau;
-        // Mailbox write: the server-side slot now holds the upload.
-        self.fl.workers[i] = w.state.clone();
+        // Mailbox write: the server-side slot now holds the upload. A swap,
+        // not a copy: the worker idles until a Deliver or Recover
+        // overwrites its private state, so the old slot it gets back is
+        // never read.
+        mem::swap(&mut self.fl.workers[i], &mut w.state);
         // A Byzantine worker poisons the upload in flight: the corruption
         // lands on the mailbox slot (what aggregation reads), never on the
         // actor's private state — under full sync this is exactly the core
@@ -980,21 +995,21 @@ where
         if waiting {
             r.pending_release[e].push(j);
         } else {
-            let payload = Box::new(r.edge_dist[e][j].clone());
+            let payload = Rc::clone(&r.edge_dist[e][j]);
             self.deliver(flat, payload, now);
         }
     }
 
-    fn on_deliver(&mut self, flat: usize, state: WorkerState, now: f64) {
+    fn on_deliver(&mut self, flat: usize, state: Rc<WorkerState>, now: f64) {
         let faults_on = self.faults_on;
         let limit = self.limit;
         let w = &mut self.src.registered().workers[flat];
         if w.dead {
             return; // delivery raced the worker's permanent death
         }
-        w.state = state;
+        w.state.clone_from(&state);
         if faults_on {
-            w.chain = Some((w.tick, Box::new(w.state.clone())));
+            w.chain = Some((w.tick, state));
         }
         if w.down {
             return; // its pending Recover rejoins from the fresh snapshot
@@ -1018,10 +1033,10 @@ where
         w.down = false;
         let (tick, state) = w
             .chain
-            .clone()
+            .as_ref()
             .expect("fault injection keeps a rejoin snapshot");
-        w.tick = tick;
-        w.state = *state;
+        w.tick = *tick;
+        w.state.clone_from(state);
         if w.tick >= limit {
             w.done = true;
             return;
@@ -1674,14 +1689,15 @@ where
             }
             return;
         }
-        let range = self.fl.hierarchy.edge_workers(e);
-        if self.keeps_rejoin_snapshots() {
-            self.src.registered().edge_dist[e] = self.fl.workers[range.clone()].to_vec();
-        }
         if cloud_round {
+            // The edge waits for the cloud's reply, which snapshots the
+            // distribution late joiners get from then on; until then a
+            // late upload is parked in `pending_release`.
             self.src.registered().pending_release[e] = participants;
             return;
         }
+        let range = self.fl.hierarchy.edge_workers(e);
+        let dist = self.snapshot_edge(e);
         let t = k * self.cfg.tau;
         if self.full_sync() && self.is_eval_tick(t) {
             for flat in range.clone() {
@@ -1689,9 +1705,38 @@ where
                 self.stage_eval(t, flat, x, now);
             }
         }
-        for j in participants {
-            let flat = range.start + j;
-            let payload = Box::new(self.fl.workers[flat].clone());
+        self.deliver_from(e, participants, dist.as_deref(), now);
+    }
+
+    /// Snapshots edge `e`'s post-hook worker slots as its rejoin
+    /// distribution, when the run keeps rejoin snapshots; the returned
+    /// snapshots double as the firing's payloads.
+    fn snapshot_edge(&mut self, e: usize) -> Option<Vec<Rc<WorkerState>>> {
+        if !self.keeps_rejoin_snapshots() {
+            return None;
+        }
+        let dist = snapshot(&self.fl.workers[self.fl.hierarchy.edge_workers(e)]);
+        self.src.registered().edge_dist[e] = dist.clone();
+        Some(dist)
+    }
+
+    /// Delivers edge `e`'s post-hook slots to its local workers `locals`:
+    /// the shared snapshots in `dist` when there are any, else a fresh
+    /// snapshot of each slot.
+    fn deliver_from(
+        &mut self,
+        e: usize,
+        locals: Vec<usize>,
+        dist: Option<&[Rc<WorkerState>]>,
+        now: f64,
+    ) {
+        let offset = self.edge_offset(e);
+        for j in locals {
+            let flat = offset + j;
+            let payload = match dist {
+                Some(dist) => Rc::clone(&dist[j]),
+                None => Rc::new(self.fl.workers[flat].clone()),
+            };
             self.deliver(flat, payload, now);
         }
     }
@@ -1901,16 +1946,19 @@ where
         if k.is_multiple_of(self.cfg.pi) {
             strategy.cloud_aggregate_stale(k / self.cfg.pi, &mut self.fl, &staleness);
         }
-        if self.keeps_rejoin_snapshots() {
-            for l in 0..l_count {
-                let range = self.fl.hierarchy.edge_workers(l);
-                self.src.registered().cloud_dist[l] = Some(self.fl.workers[range].to_vec());
-            }
+        let keep = self.keeps_rejoin_snapshots();
+        if keep {
+            // A participant cannot be late for this firing: no snapshot.
+            self.src.registered().cloud_dist.fill(None);
         }
-        for (l, es, ws) in saved {
+        for (l, es, mut ws) in saved {
             self.fl.edges[l] = es;
             let range = self.fl.hierarchy.edge_workers(l);
-            self.fl.workers[range].clone_from_slice(&ws);
+            self.fl.workers[range].swap_with_slice(&mut ws);
+            // `ws` now holds what the hook distributed to this edge.
+            if keep {
+                self.src.registered().cloud_dist[l] = Some(ws.into_iter().map(Rc::new).collect());
+            }
         }
         if !self.is_sampled() {
             self.evaluate_cloud_round(k, now + d);
@@ -1971,16 +2019,13 @@ where
             self.finish_round(e, self.edges[e].round - 1, now);
             return;
         }
-        let offset = self.edge_offset(e);
         let r = self.src.registered();
         let ws = r.cloud_dist[e]
             .clone()
-            .expect("late cloud submission implies a prior cloud firing");
+            .expect("a late edge missed the latest cloud firing");
         let pending = std::mem::take(&mut r.pending_release[e]);
         r.edge_dist[e] = ws.clone();
-        for j in pending {
-            self.deliver(offset + j, Box::new(ws[j].clone()), now);
-        }
+        self.deliver_from(e, pending, Some(&ws), now);
     }
 
     fn on_cloud_reply(&mut self, e: usize, now: f64) {
@@ -1989,17 +2034,10 @@ where
             self.finish_round(e, self.edges[e].round - 1, now);
             return;
         }
-        let range = self.fl.hierarchy.edge_workers(e);
-        if self.keeps_rejoin_snapshots() {
-            // Late joiners from here on get the post-cloud distribution.
-            self.src.registered().edge_dist[e] = self.fl.workers[range.clone()].to_vec();
-        }
+        // Late joiners from here on get the post-cloud distribution.
+        let dist = self.snapshot_edge(e);
         let pending = std::mem::take(&mut self.src.registered().pending_release[e]);
-        for j in pending {
-            let flat = range.start + j;
-            let payload = Box::new(self.fl.workers[flat].clone());
-            self.deliver(flat, payload, now);
-        }
+        self.deliver_from(e, pending, dist.as_deref(), now);
         match self.sim.policy {
             SyncPolicy::AsyncAge { .. } => {
                 // Arrivals queued while the submission was outstanding.
@@ -2029,7 +2067,7 @@ where
             Ev::Upload { worker, round } if sampled => self.on_slot_upload(worker, round, now),
             Ev::Upload { worker, .. } => self.on_upload(worker, now),
             Ev::EdgeTimeout { edge, round } => self.on_edge_timeout(edge, round, now),
-            Ev::Deliver { worker, state } => self.on_deliver(worker, *state, now),
+            Ev::Deliver { worker, state } => self.on_deliver(worker, state, now),
             Ev::CloudSubmit { edge, round } => self.on_cloud_submit(edge, round, now),
             Ev::CloudTimeout { round } => self.on_cloud_timeout(round, now),
             Ev::CloudReply { edge } => self.on_cloud_reply(edge, now),

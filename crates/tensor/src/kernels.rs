@@ -56,7 +56,9 @@
 //! mul-then-add, or FMA exactly where the scalar `fma` does, so both
 //! produce the same bits (NaN payloads aside: the compiler may commute an
 //! add's operands). The property suite pins it, and the level is recorded
-//! in bench output.
+//! in bench output. The worker NAG step ([`nag_step`]) dispatches the
+//! same way, but its AVX2 path is its oracle's loop compiled under
+//! `avx2`: an elementwise loop autovectorizes without reordering.
 
 /// Number of independent accumulator lanes per kernel.
 ///
@@ -595,6 +597,119 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
     for i in 0..looked.len() {
         looked[i] = fma(gamma, mean[i] - y_old[i], mean[i]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Worker NAG step
+// ---------------------------------------------------------------------------
+
+/// One worker NAG step (Algorithm 1 lines 5–6) with the edge-interval sums
+/// of line 9, in **one pass** over the seven model-width vectors:
+///
+/// ```text
+/// grad_accum += g          y_accum += y_{t−1}
+/// y_t = x − η·g            v = y_t − y_{t−1}        v_accum += v
+/// x   = y_t + γ·v          y = y_t
+/// ```
+///
+/// Per element it computes exactly what the eight-pass `Vector`
+/// composition it replaces did: each `+=` is `fma(1.0, ·, acc)` (an
+/// [`axpy`] with `alpha = 1`), `y_t = fma(−η, g, x)`, `v = y_t − y_{t−1}`
+/// and `x = fma(γ, v, y_t)`, with the crate's contraction gate, so the
+/// result is bitwise identical on both dispatch paths.
+/// [`nag_step_scalar`] is the oracle; the AVX2 path is the same loop
+/// autovectorized at 256-bit width, which keeps every mul-then-add as
+/// written (no `+fma`, no contraction).
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[allow(clippy::too_many_arguments)]
+pub fn nag_step(
+    x: &mut [f32],
+    y: &mut [f32],
+    v: &mut [f32],
+    grad_accum: &mut [f32],
+    y_accum: &mut [f32],
+    v_accum: &mut [f32],
+    g: &[f32],
+    eta: f32,
+    gamma: f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`.
+        unsafe { nag_step_avx2(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma) };
+        return;
+    }
+    nag_step_scalar(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma);
+}
+
+/// Portable oracle for [`nag_step`]. Every slice is re-cut to `x`'s
+/// length so the loop carries no bounds checks and vectorizes.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub fn nag_step_scalar(
+    x: &mut [f32],
+    y: &mut [f32],
+    v: &mut [f32],
+    grad_accum: &mut [f32],
+    y_accum: &mut [f32],
+    v_accum: &mut [f32],
+    g: &[f32],
+    eta: f32,
+    gamma: f32,
+) {
+    let n = x.len();
+    for len in [
+        y.len(),
+        v.len(),
+        grad_accum.len(),
+        y_accum.len(),
+        v_accum.len(),
+        g.len(),
+    ] {
+        assert_eq!(len, n, "kernels::nag_step length mismatch");
+    }
+    let (y, v, g) = (&mut y[..n], &mut v[..n], &g[..n]);
+    let (ga, ya, va) = (&mut grad_accum[..n], &mut y_accum[..n], &mut v_accum[..n]);
+    for i in 0..n {
+        let (gi, y_old) = (g[i], y[i]);
+        ga[i] = fma(1.0, gi, ga[i]);
+        ya[i] = fma(1.0, y_old, ya[i]);
+        let y_new = fma(-eta, gi, x[i]);
+        let vi = y_new - y_old;
+        va[i] = fma(1.0, vi, va[i]);
+        y[i] = y_new;
+        v[i] = vi;
+        x[i] = fma(gamma, vi, y_new);
+    }
+}
+
+/// AVX2 path for [`nag_step`]: the oracle inlined under AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn nag_step_avx2(
+    x: &mut [f32],
+    y: &mut [f32],
+    v: &mut [f32],
+    grad_accum: &mut [f32],
+    y_accum: &mut [f32],
+    v_accum: &mut [f32],
+    g: &[f32],
+    eta: f32,
+    gamma: f32,
+) {
+    nag_step_scalar(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,8 +28,20 @@ use crate::kernels;
 /// let b = &a + &a;
 /// assert_eq!(b.as_slice(), &[6.0, 8.0]);
 /// ```
-#[derive(Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(PartialEq, Default, Serialize, Deserialize)]
 pub struct Vector(Vec<f32>);
+
+/// `clone_from` writes into the destination's buffer (see
+/// [`Vector::copy_from`]); `#[derive(Clone)]` would allocate a fresh one.
+impl Clone for Vector {
+    fn clone(&self) -> Self {
+        Vector(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.copy_from(source);
+    }
+}
 
 impl Vector {
     /// Creates a vector of `len` zeros.
@@ -610,6 +622,31 @@ mod tests {
         let mut w = v.clone();
         w.extend([3.0]);
         assert_eq!(w.len(), 4);
+    }
+
+    #[test]
+    fn clone_from_keeps_the_destination_allocation() {
+        let src = Vector::from(vec![1.5, -0.0, 3.0, f32::INFINITY, 5.0]);
+        let mut dst = Vector::zeros(5);
+        let ptr = dst.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(
+            dst.as_slice().as_ptr(),
+            ptr,
+            "same length reuses the buffer"
+        );
+        assert_eq!(dst, src.clone());
+        assert_eq!(dst.as_slice()[1].to_bits(), (-0.0f32).to_bits());
+        // A longer destination keeps its allocation and shrinks; a shorter
+        // one grows to the source's length.
+        let mut long = Vector::zeros(9);
+        let ptr = long.as_slice().as_ptr();
+        long.clone_from(&src);
+        assert_eq!(long.as_slice().as_ptr(), ptr);
+        assert_eq!(long, src);
+        let mut short = Vector::zeros(0);
+        short.clone_from(&src);
+        assert_eq!(short, src);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use hieradmo_tensor::kernels;
+use hieradmo_tensor::{kernels, Vector};
 
 /// Backing-store length; tests slice `[..len]` out of it so every
 /// remainder residue mod `LANES` is exercised.
@@ -449,5 +449,84 @@ proptest! {
         let mut want = y0.clone();
         kernels::axpy_scalar(&mut want[offset..], alpha, &x);
         prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
+    }
+}
+
+/// The eight-pass `Vector` composition `kernels::nag_step` replaced:
+/// `+=` twice, `copy_from`, `axpy`, a buffer swap, `sub_from`, `+=`,
+/// `copy_from`, `axpy`.
+#[allow(clippy::too_many_arguments)]
+fn nag_eight_pass(
+    x: &mut Vector,
+    y: &mut Vector,
+    v: &mut Vector,
+    grad_accum: &mut Vector,
+    y_accum: &mut Vector,
+    v_accum: &mut Vector,
+    g: &Vector,
+    eta: f32,
+    gamma: f32,
+) {
+    *grad_accum += g;
+    *y_accum += &*y;
+    v.copy_from(x);
+    v.axpy(-eta, g);
+    std::mem::swap(y, v);
+    v.sub_from(y);
+    *v_accum += &*v;
+    x.copy_from(y);
+    x.axpy(gamma, v);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The fused NAG step is bitwise equal to its scalar oracle and to the
+    /// eight-pass composition it replaced, at every length remainder mod
+    /// 8 and start offset, with zeros of both signs in every vector and
+    /// `inf`/NaN gradients.
+    #[test]
+    fn nag_step_dispatch_matches_scalar_oracle_bitwise(
+        len in 0usize..120,
+        offset in 0usize..8,
+        gamma_kind in 0usize..4,
+        nonfinite in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let eta = rng.gen_range(0.0f32..0.5);
+        let gamma = match gamma_kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(0.0f32..0.99),
+        };
+        let g = entries(&mut rng, len, nonfinite);
+        let state: Vec<Vec<f32>> = (0..6).map(|_| entries(&mut rng, offset + len, false)).collect();
+
+        let mut got = state.clone();
+        let [x, y, v, ga, ya, va] = &mut got[..] else { unreachable!() };
+        kernels::nag_step(
+            &mut x[offset..], &mut y[offset..], &mut v[offset..],
+            &mut ga[offset..], &mut ya[offset..], &mut va[offset..],
+            &g, eta, gamma,
+        );
+        let mut want = state.clone();
+        let [x, y, v, ga, ya, va] = &mut want[..] else { unreachable!() };
+        kernels::nag_step_scalar(
+            &mut x[offset..], &mut y[offset..], &mut v[offset..],
+            &mut ga[offset..], &mut ya[offset..], &mut va[offset..],
+            &g, eta, gamma,
+        );
+        for (a, b) in got.iter().zip(&want) {
+            prop_assert_eq!(bits_nan_eq(a), bits_nan_eq(b));
+        }
+
+        let mut old: Vec<Vector> = state.iter().map(|s| Vector::from(&s[offset..])).collect();
+        let [x, y, v, ga, ya, va] = &mut old[..] else { unreachable!() };
+        nag_eight_pass(x, y, v, ga, ya, va, &Vector::from(g), eta, gamma);
+        for (a, b) in got.iter().zip(&old) {
+            prop_assert_eq!(bits_nan_eq(&a[offset..]), bits_nan_eq(b.as_slice()));
+        }
     }
 }

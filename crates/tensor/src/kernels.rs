@@ -690,7 +690,10 @@ pub fn nag_step_scalar(
     }
 }
 
-/// AVX2 path for [`nag_step`]: the oracle inlined under AVX2.
+/// AVX2 path for [`nag_step`]: the oracle inlined under AVX2. Its
+/// 256-bit lanes take 6–11 % less time per step than the default build's
+/// 128-bit SSE2 loop at the workloads' widths, even streaming worker
+/// states from beyond L2 (DESIGN §10).
 ///
 /// # Safety
 ///

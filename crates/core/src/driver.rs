@@ -31,10 +31,10 @@ use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
 /// Samples per evaluation chunk, fixed for every thread count.
 pub use crate::pool::EVAL_CHUNK;
-use crate::pool::{EdgeItem, ExecCtx, Pool, Segment};
+use crate::pool::{Download, EdgeItem, ExecCtx, Pool, Segment};
 use crate::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, materialize_edge_cohort,
-    virtual_global_params, CohortSampler, WorkerPopulation,
+    adversary_stream, batcher_seed, cohort_dropout_mask, draw_edge_cohort, virtual_global_params,
+    CohortSampler, WorkerPopulation,
 };
 use crate::state::{EdgeState, FlState, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
@@ -425,10 +425,13 @@ pub(crate) enum Participants<'a> {
         worker_data: &'a [Dataset],
     },
     /// Per-round client sampling over a virtual population: each round,
-    /// every edge draws a cohort into its slots
-    /// ([`materialize_edge_cohort`]), and every batch, dropout and
-    /// adversary stream re-derives from `(seed, worker, round)`, tallied
-    /// per adversary plan entry. Nothing needs replaying on resume.
+    /// every edge draws a cohort for its slots ([`draw_edge_cohort`]),
+    /// each slot materializes from its edge's download pair on the lane
+    /// that first steps it, and every batch, dropout and adversary stream
+    /// re-derives from `(seed, worker, round)`, tallied per adversary plan
+    /// entry. The slots are round-scoped
+    /// ([`FlState::scope_slots_to_rounds`]). Nothing needs replaying on
+    /// resume.
     Sampled {
         population: &'a WorkerPopulation,
         shards: &'a [Dataset],
@@ -443,10 +446,12 @@ pub(crate) enum Participants<'a> {
 type Adversary = (AttackModel, AdversarySampler, usize);
 
 /// A slot's step stream: the dataset it trains on (an index into the
-/// pool's training datasets) and its private batcher.
+/// pool's training datasets) and its private batcher, plus the download a
+/// sampled slot materializes from before its first step of the round.
 struct StepCtx {
     data: usize,
     batcher: Batcher,
+    download: Option<Arc<Download>>,
 }
 
 /// The federation a span runs, laid out by [`Participants::layout`].
@@ -509,6 +514,7 @@ impl<'a> Participants<'a> {
                             cfg.batch_size,
                             cfg.seed.wrapping_add(i as u64),
                         ),
+                        download: None,
                     })
                 });
                 // Each Byzantine worker owns a salted adversary stream
@@ -580,11 +586,11 @@ impl<'a> Participants<'a> {
         }
     }
 
-    /// Round start. Sampled edges draw and materialize their round-`k`
-    /// cohorts, which rewrites the in-edge data weights (refreshed into
-    /// `edge_weights` for the edge jobs) and hands every slot the batch and
-    /// adversary streams of its new occupant. Registered workers carry
-    /// straight on.
+    /// Round start. Sampled edges draw their round-`k` cohorts, which
+    /// rewrites the in-edge data weights (refreshed into `edge_weights` for
+    /// the edge jobs) and hands every slot the batch and adversary streams
+    /// of its new occupant and its edge's download pair, which the slot's
+    /// first step job materializes. Registered workers carry straight on.
     fn begin_round(
         &mut self,
         k: usize,
@@ -606,29 +612,24 @@ impl<'a> Participants<'a> {
         };
         slot_ids.clear();
         for e in 0..state.hierarchy.num_edges() {
-            slot_ids.extend(materialize_edge_cohort(
-                state,
-                population,
-                shard_sizes,
-                sampler,
-                e,
-                k,
-            ));
-        }
-        let slots = ctxs.iter_mut().zip(adversaries.iter_mut());
-        for ((ctx, adversary), &g) in slots.zip(slot_ids.iter()) {
-            let shard = population.shard_of(g);
-            let seed = batcher_seed(cfg.seed, g, k as u64);
-            *ctx = Some(StepCtx {
-                data: shard,
-                batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
-            });
-            let plan = &cfg.adversary.byzantine;
-            *adversary = plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
-                let stream = adversary_stream(g, k as u64);
-                let sampler = AdversarySampler::from_stream(cfg.seed, stream);
-                (plan[entry].attack, sampler, entry)
-            });
+            let ids = draw_edge_cohort(state, population, shard_sizes, sampler, e, k);
+            let download = Download::of(&state.edges[e]);
+            for (slot, &g) in state.hierarchy.edge_workers(e).zip(&ids) {
+                let shard = population.shard_of(g);
+                let seed = batcher_seed(cfg.seed, g, k as u64);
+                ctxs[slot] = Some(StepCtx {
+                    data: shard,
+                    batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
+                    download: Some(Arc::clone(&download)),
+                });
+                let plan = &cfg.adversary.byzantine;
+                adversaries[slot] = plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
+                    let stream = adversary_stream(g, k as u64);
+                    let sampler = AdversarySampler::from_stream(cfg.seed, stream);
+                    (plan[entry].attack, sampler, entry)
+                });
+            }
+            slot_ids.extend(ids);
         }
         *edge_weights = Arc::new(state.weights.clone());
     }
@@ -766,6 +767,9 @@ where
     let started = Instant::now();
     let mut state = FlState::new(hierarchy, weights, &model.params());
     state.aggregator = cfg.aggregator;
+    if matches!(participants, Participants::Sampled { .. }) {
+        state.scope_slots_to_rounds();
+    }
     if let Some(tree) = &tree {
         state.attach_tree(tree.clone());
     }
@@ -1020,8 +1024,8 @@ fn restore(
 }
 
 /// Runs one interval of local steps on the pool: every worker with ticks
-/// to step is checked out as a [`Segment`] with its step stream, and put
-/// back by index.
+/// to step, or a download to materialize, is checked out as a [`Segment`]
+/// with its step stream, and put back by index.
 fn local_steps<M, S>(
     pool: &mut Pool<'_, M, S>,
     state: &mut FlState,
@@ -1034,14 +1038,20 @@ fn local_steps<M, S>(
     let mut idxs = Vec::new();
     let mut segments = Vec::new();
     for (idx, ticks) in ticks.into_iter().enumerate() {
-        if ticks.is_empty() {
+        let pending = ctxs[idx].as_ref().is_some_and(|c| c.download.is_some());
+        if ticks.is_empty() && !pending {
             continue;
         }
-        let StepCtx { data, batcher } = ctxs[idx].take().expect("step context double checkout");
+        let StepCtx {
+            data,
+            batcher,
+            download,
+        } = ctxs[idx].take().expect("step context double checkout");
         idxs.push(idx);
         segments.push(Segment {
             ticks,
             worker: mem::take(&mut state.workers[idx]),
+            download,
             data,
             batcher,
         });
@@ -1051,6 +1061,7 @@ fn local_steps<M, S>(
         ctxs[idx] = Some(StepCtx {
             data: seg.data,
             batcher: seg.batcher,
+            download: None,
         });
     }
 }
@@ -1083,7 +1094,8 @@ fn edge_aggregations<M, S>(
     items.reverse();
 
     // `workers` is empty after the split-offs; refill it edge-major.
-    for item in pool.aggregate_edges(k, weights, items) {
+    let round_scoped = state.round_scoped();
+    for item in pool.aggregate_edges(k, weights, round_scoped, items) {
         state.edges[item.edge] = item.state;
         workers.extend(item.workers);
     }

@@ -49,7 +49,6 @@ use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
 use crate::driver::{run_span, Participants, RunError, RunResult};
-use crate::population::StatePool;
 use crate::state::{EdgeState, WorkerState};
 use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
 
@@ -107,12 +106,6 @@ pub fn remap_adversaries(plan: &AdversaryPlan, uids: &[usize]) -> AdversaryPlan 
         }
     }
     remapped
-}
-
-fn materialize_from_edge(edge: &EdgeState) -> WorkerState {
-    let mut w = WorkerState::new(&edge.x_plus);
-    StatePool::materialize(&mut w, &edge.x_plus, &edge.y_minus);
-    w
 }
 
 /// The re-parenting transform: keep `x`/`y`, damp the velocity by the
@@ -256,7 +249,9 @@ pub fn apply_churn_boundary(
                 let edge_state = edge_states
                     .get(&edge)
                     .expect("join validated the edge live");
-                states.insert(worker, materialize_from_edge(edge_state));
+                let mut w = WorkerState::default();
+                w.download(&edge_state.x_plus, &edge_state.y_minus);
+                states.insert(worker, w);
                 counters.joins += 1;
             }
             TopologyEvent::Leave { worker } => {

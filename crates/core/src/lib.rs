@@ -83,7 +83,7 @@ pub use elastic::{
 };
 pub use population::{
     run_virtual, run_virtual_tiered, run_virtual_tiered_resumed, run_virtual_tiered_until,
-    ClientSampling, CohortSampler, ShardAssignment, StatePool, WorkerPopulation,
+    ClientSampling, CohortSampler, ShardAssignment, WorkerPopulation,
 };
 pub use robust::RobustAggregator;
 pub use state::{CloudState, EdgeState, EdgeView, FlState, TierState, WorkerState};

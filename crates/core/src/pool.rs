@@ -53,6 +53,27 @@ impl<S: ?Sized> Clone for ExecCtx<'_, S> {
 
 impl<S: ?Sized> Copy for ExecCtx<'_, S> {}
 
+/// An edge's download pair for one round: the model `x_plus` and the
+/// lookahead `y_minus` every cohort slot it fills that round starts from
+/// ([`WorkerState::download`]). One shared copy per edge-round.
+#[derive(Debug)]
+pub struct Download {
+    /// The edge's model.
+    pub x: Vector,
+    /// The edge's aggregated momentum.
+    pub y: Vector,
+}
+
+impl Download {
+    /// Snapshots `edge`'s current download pair.
+    pub fn of(edge: &EdgeState) -> Arc<Self> {
+        Arc::new(Download {
+            x: edge.x_plus.clone(),
+            y: edge.y_minus.clone(),
+        })
+    }
+}
+
 /// One worker's local-step segment: its state, the ticks it steps at, and
 /// the mini-batch stream over its training dataset. A segment depends on
 /// nothing else, so segments run on any lane in any order.
@@ -61,6 +82,10 @@ pub struct Segment {
     pub ticks: Vec<usize>,
     /// The worker's state, stepped in place.
     pub worker: WorkerState,
+    /// When set, the lane first overwrites `worker` with this fresh
+    /// download: a sampled slot materializes on the lane that steps it,
+    /// not on the calling thread.
+    pub download: Option<Arc<Download>>,
     /// Index into [`ExecCtx::worker_data`].
     pub data: usize,
     /// The worker's mini-batch stream, advanced once per tick.
@@ -101,10 +126,11 @@ enum Job {
     /// Local-step segments, each at its own ticks.
     Steps(Vec<Segment>),
     /// Edge aggregations `k` for the contained edges, under the current
-    /// round's data weights.
+    /// round's data weights, over round-scoped slots or not.
     Edges {
         k: usize,
         weights: Arc<Weights>,
+        round_scoped: bool,
         items: Vec<EdgeItem>,
     },
     /// Evaluation of `params` over the contained chunks.
@@ -176,6 +202,9 @@ impl<M: Model> Lane<M> {
         match job {
             Job::Steps(mut segments) => {
                 for seg in &mut segments {
+                    if let Some(d) = &seg.download {
+                        seg.worker.download(&d.x, &d.y);
+                    }
                     for &t in &seg.ticks {
                         self.step(ctx, t, &mut seg.worker, seg.data, &mut seg.batcher);
                     }
@@ -185,6 +214,7 @@ impl<M: Model> Lane<M> {
             Job::Edges {
                 k,
                 weights,
+                round_scoped,
                 mut items,
             } => {
                 for item in &mut items {
@@ -195,6 +225,7 @@ impl<M: Model> Lane<M> {
                         state: &mut item.state,
                         weights: &weights,
                         aggregator: ctx.cfg.aggregator,
+                        round_scoped,
                     };
                     ctx.strategy.edge_aggregate(k, &mut view);
                 }
@@ -359,11 +390,14 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
     }
 
     /// Runs aggregation `k` on the edge `items` across the lanes under the
-    /// round's data `weights`; returns them in input order.
+    /// round's data `weights`, over round-scoped slots or not
+    /// ([`crate::FlState::scope_slots_to_rounds`]); returns them in input
+    /// order.
     pub(crate) fn aggregate_edges(
         &mut self,
         k: usize,
         weights: &Arc<Weights>,
+        round_scoped: bool,
         items: Vec<EdgeItem>,
     ) -> Vec<EdgeItem> {
         let jobs = chunk(items, self.lanes())
@@ -371,6 +405,7 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
             .map(|items| Job::Edges {
                 k,
                 weights: Arc::clone(weights),
+                round_scoped,
                 items,
             });
         let replies = self.exec(jobs.collect()).into_iter();

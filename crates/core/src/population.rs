@@ -11,9 +11,12 @@
 //!   memory, whatever the registered population size.
 //! - [`CohortSampler`] draws each edge's per-round cohort without
 //!   replacement from a seed that depends only on `(seed, edge, round)`.
-//! - [`materialize_edge_cohort`] overwrites an edge's cohort slots in
-//!   place from the edge's current state ([`StatePool::materialize`]), so
-//!   nothing of a slot's previous occupant survives a round boundary.
+//! - [`draw_edge_cohort`] draws an edge's round cohort and refreshes its
+//!   in-cohort data weights; the engines then overwrite each cohort slot
+//!   from the edge's download pair
+//!   ([`WorkerState::download`](crate::WorkerState::download)) on the lane
+//!   that steps it, so nothing of a slot's previous occupant survives a
+//!   round boundary.
 //! - Every per-worker RNG stream (mini-batch order, adversary draws,
 //!   network delays) re-derives from `(seed, worker_id, round)` via
 //!   [`worker_round_seed`], so trajectories are independent of population
@@ -44,7 +47,7 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
 use crate::driver::{run_span, Participants, RunError, RunResult};
-use crate::state::{FlState, WorkerState};
+use crate::state::FlState;
 use crate::strategy::Strategy;
 
 /// Largest population the full-participation path will
@@ -546,31 +549,6 @@ impl CohortSampler {
     }
 }
 
-/// Worker-state materialization for engines whose active set changes
-/// across rounds: sampled cohort slots and workers joining an elastic
-/// tree. Materialization *fully overwrites* every field of a slot, so what
-/// it previously held cannot affect results.
-#[derive(Debug, Default)]
-pub struct StatePool;
-
-impl StatePool {
-    /// Materializes a sampled worker into `slot`: the fresh-download state
-    /// of a worker joining its edge — model `x` from the edge's `x_plus`,
-    /// lookahead `y` from the edge's `y_minus`, zero velocity and
-    /// accumulators. Every field is overwritten; nothing of the slot's
-    /// previous occupant survives.
-    pub fn materialize(slot: &mut WorkerState, x: &Vector, y: &Vector) {
-        slot.x.copy_from(x);
-        slot.y.copy_from(y);
-        slot.v.fill(0.0);
-        slot.grad_accum.fill(0.0);
-        slot.y_accum.fill(0.0);
-        slot.v_accum.fill(0.0);
-        slot.steps = 0;
-        slot.scratch.fill(0.0);
-    }
-}
-
 /// Data-weighted average of per-edge vectors under the cross-edge
 /// population shares — the virtual engines' global model (equal to the
 /// post-redistribution worker average, since every cohort worker holds its
@@ -593,16 +571,18 @@ pub fn virtual_global_params(fl: &FlState) -> Vector {
     weighted_edge_average(&fl.weights, fl.edges.iter().map(|e| &e.x_plus))
 }
 
-/// Materializes edge `edge`'s round-`round` cohort in place: samples the
-/// cohort, swaps the edge's in-cohort data weights, and downloads the
-/// edge's current state into each cohort slot (model from `x_plus`,
-/// lookahead from `y_minus`, zero velocity/accumulators — exactly the
-/// state a full-participation worker holds right after any aggregation).
-/// Returns the sampled global ids, ascending.
+/// Draws edge `edge`'s round-`round` cohort and swaps the edge's
+/// in-cohort data weights; returns the sampled global ids, ascending.
 ///
-/// Touches only edge-local state, so both engines call it at their own
-/// per-edge round boundaries and stay bitwise identical.
-pub fn materialize_edge_cohort(
+/// The cohort slots themselves are left alone: each engine overwrites a
+/// slot with the edge's download pair
+/// ([`WorkerState::download`](crate::WorkerState::download): model from
+/// `x_plus`, lookahead from `y_minus`, zero velocity and accumulators —
+/// exactly the state a full-participation worker holds right after any
+/// aggregation) on the lane that steps it, just before its first local
+/// step. Touches only edge-local state, so both engines call it at their
+/// own per-edge round boundaries and stay bitwise identical.
+pub fn draw_edge_cohort(
     fl: &mut FlState,
     population: &WorkerPopulation,
     shard_sizes: &[u64],
@@ -621,14 +601,6 @@ pub fn materialize_edge_cohort(
         .map(|&g| shard_sizes[population.shard_of(g)])
         .collect();
     fl.weights.set_edge_cohort(edge, &counts);
-    let edge_state = &fl.edges[edge];
-    for slot in slots {
-        StatePool::materialize(
-            &mut fl.workers[slot],
-            &edge_state.x_plus,
-            &edge_state.y_minus,
-        );
-    }
     ids
 }
 
@@ -734,7 +706,9 @@ where
 /// the sampled-cohort counterpart of [`crate::driver::run_tiered_until`].
 /// Cohort workers re-materialize from their edge at every round start, so
 /// the snapshot needs no RNG replay on resume: every per-worker stream
-/// re-derives from `(seed, worker, round)`.
+/// re-derives from `(seed, worker, round)`. Its round-scoped worker slots
+/// ([`FlState::scope_slots_to_rounds`]) hold what the last round left in
+/// them, which a resumed run never reads.
 ///
 /// # Errors
 ///
@@ -1064,7 +1038,14 @@ mod tests {
         fl.workers[2].v = Vector::from(vec![9.0, 9.0]);
 
         let sampler = CohortSampler::new(1);
-        let ids = materialize_edge_cohort(&mut fl, &p, &shard_sizes, &sampler, 1, 7);
+        let ids = draw_edge_cohort(&mut fl, &p, &shard_sizes, &sampler, 1, 7);
+        // The draw leaves the slots alone; each materializes from the
+        // edge's download pair.
+        assert_eq!(fl.workers[2].v.as_slice(), &[9.0, 9.0]);
+        let download = crate::pool::Download::of(&fl.edges[1]);
+        for slot in 2..4 {
+            fl.workers[slot].download(&download.x, &download.y);
+        }
         assert_eq!(ids.len(), 2);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         assert!(ids.iter().all(|&g| (100..200).contains(&g)), "edge 1's ids");

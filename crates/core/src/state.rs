@@ -70,13 +70,42 @@ impl WorkerState {
     pub fn reset_accumulators(&mut self) {
         let n = self.x.len();
         for acc in [&mut self.grad_accum, &mut self.y_accum, &mut self.v_accum] {
-            if acc.len() == n {
-                acc.fill(0.0);
-            } else {
-                *acc = Vector::zeros(n);
-            }
+            zero(acc, n);
         }
         self.steps = 0;
+    }
+
+    /// Overwrites this state with the fresh download of a worker joining
+    /// an edge: model `x` (the edge's `x_plus`), lookahead `y` (its
+    /// `y_minus`), zero velocity, accumulators and scratch — exactly what
+    /// a full-participation worker holds right after any aggregation.
+    /// Every field is written, in place where the lengths allow, so
+    /// nothing of the previous occupant survives; a zero-dimensional
+    /// placeholder ends up full-size.
+    pub fn download(&mut self, x: &Vector, y: &Vector) {
+        let n = x.len();
+        self.x.copy_from(x);
+        self.y.copy_from(y);
+        for v in [
+            &mut self.v,
+            &mut self.grad_accum,
+            &mut self.y_accum,
+            &mut self.v_accum,
+            &mut self.scratch,
+        ] {
+            zero(v, n);
+        }
+        self.steps = 0;
+    }
+}
+
+/// Zero-fills `v` in place, or reallocates it at length `n` when its
+/// length differs.
+fn zero(v: &mut Vector, n: usize) {
+    if v.len() == n {
+        v.fill(0.0);
+    } else {
+        *v = Vector::zeros(n);
     }
 }
 
@@ -212,6 +241,10 @@ pub struct FlState {
     /// Runtime policy, *not* algorithm state: snapshots do not carry it —
     /// a resumed run takes the rule from its `RunConfig`.
     pub aggregator: RobustAggregator,
+    /// Whether the worker slots are round-scoped (see
+    /// [`FlState::scope_slots_to_rounds`]). Set only by a sampled
+    /// participant source; no config field or snapshot carries it.
+    round_scoped: bool,
 }
 
 impl FlState {
@@ -238,7 +271,27 @@ impl FlState {
             middle: Vec::new(),
             tree: None,
             aggregator: RobustAggregator::default(),
+            round_scoped: false,
         }
+    }
+
+    /// Marks the worker slots round-scoped: the engine rebuilds every slot
+    /// from its edge's download before the slot is read again, as both
+    /// engines do for sampled cohorts, so nothing an aggregation hook
+    /// writes into a slot can be observed. The distribution helpers —
+    /// [`FlState::for_all_workers`], [`FlState::for_edge_workers`] and
+    /// [`EdgeView::for_workers`] — then skip their closures, which saves
+    /// every hook's per-slot copies and accumulator resets without any
+    /// hook knowing which participant source it serves. Hooks must reach
+    /// slots through those helpers to benefit; reads are unaffected.
+    pub fn scope_slots_to_rounds(&mut self) {
+        self.round_scoped = true;
+    }
+
+    /// Whether the worker slots are round-scoped (see
+    /// [`FlState::scope_slots_to_rounds`]).
+    pub(crate) fn round_scoped(&self) -> bool {
+        self.round_scoped
     }
 
     /// Attaches a tier tree, allocating one [`TierState`] per middle
@@ -358,7 +411,8 @@ impl FlState {
         )
     }
 
-    /// Applies a closure to every worker under one edge.
+    /// Applies a closure to every worker under one edge — a no-op when
+    /// the slots are round-scoped ([`FlState::scope_slots_to_rounds`]).
     ///
     /// # Panics
     ///
@@ -367,16 +421,24 @@ impl FlState {
     where
         F: FnMut(&mut WorkerState),
     {
-        for i in self.hierarchy.edge_workers(edge) {
-            f(&mut self.workers[i]);
+        let range = self.hierarchy.edge_workers(edge);
+        if self.round_scoped {
+            return;
+        }
+        for w in &mut self.workers[range] {
+            f(w);
         }
     }
 
-    /// Applies a closure to every worker in the system.
+    /// Applies a closure to every worker in the system — a no-op when the
+    /// slots are round-scoped ([`FlState::scope_slots_to_rounds`]).
     pub fn for_all_workers<F>(&mut self, mut f: F)
     where
         F: FnMut(&mut WorkerState),
     {
+        if self.round_scoped {
+            return;
+        }
         for w in &mut self.workers {
             f(w);
         }
@@ -403,6 +465,7 @@ impl FlState {
             state: &mut self.edges[edge],
             weights: &self.weights,
             aggregator: self.aggregator,
+            round_scoped: self.round_scoped,
         }
     }
 }
@@ -426,6 +489,9 @@ pub struct EdgeView<'a> {
     pub state: &'a mut EdgeState,
     pub(crate) weights: &'a Weights,
     pub(crate) aggregator: RobustAggregator,
+    /// The federation's slots are round-scoped
+    /// ([`FlState::scope_slots_to_rounds`]).
+    pub(crate) round_scoped: bool,
 }
 
 impl EdgeView<'_> {
@@ -513,11 +579,16 @@ impl EdgeView<'_> {
         self.aggregator.aggregate_momentum(items, gamma, y_old)
     }
 
-    /// Applies a closure to every worker under this edge, in local order.
+    /// Applies a closure to every worker under this edge, in local order
+    /// — a no-op when the federation's slots are round-scoped
+    /// ([`FlState::scope_slots_to_rounds`]).
     pub fn for_workers<F>(&mut self, mut f: F)
     where
         F: FnMut(&mut WorkerState),
     {
+        if self.round_scoped {
+            return;
+        }
         for w in self.workers.iter_mut() {
             f(w);
         }
@@ -695,6 +766,58 @@ mod tests {
         assert_eq!(s.workers[0].x.as_slice(), &[9.0, 9.0]);
         assert_eq!(s.workers[1].x.as_slice(), &[9.0, 9.0]);
         assert_eq!(s.workers[2].x.as_slice(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn distribution_helpers_skip_round_scoped_slots_only() {
+        let nine = Vector::from(vec![9.0, 9.0]);
+        let write = |s: &mut FlState| {
+            s.for_all_workers(|w| w.x.clone_from(&nine));
+            s.for_edge_workers(1, |w| w.y.clone_from(&nine));
+            s.edge_view(0).for_workers(|w| w.reset_accumulators());
+        };
+        // Registered slots take every write.
+        let mut registered = state();
+        registered.workers[0].grad_accum = Vector::from(vec![5.0, 5.0]);
+        assert!(!registered.round_scoped());
+        write(&mut registered);
+        assert!(registered.workers.iter().all(|w| w.x == nine));
+        assert_eq!(registered.workers[2].y, nine);
+        assert_eq!(registered.workers[0].grad_accum, Vector::zeros(2));
+        // Round-scoped slots are left exactly as they were.
+        let mut scoped = state();
+        scoped.workers[0].grad_accum = Vector::from(vec![5.0, 5.0]);
+        scoped.scope_slots_to_rounds();
+        let before = scoped.workers.clone();
+        write(&mut scoped);
+        assert!(scoped.round_scoped());
+        assert_eq!(scoped.workers, before);
+        assert_eq!(scoped.edges, state().edges);
+    }
+
+    #[test]
+    fn download_overwrites_every_field() {
+        let vals = |k: f32| Vector::from(vec![k, -k]);
+        let mut w = WorkerState {
+            x: vals(1.0),
+            y: vals(2.0),
+            v: vals(3.0),
+            grad_accum: vals(4.0),
+            y_accum: vals(5.0),
+            v_accum: vals(6.0),
+            steps: 7,
+            scratch: vals(8.0),
+        };
+        let ptr = w.v.as_slice().as_ptr();
+        w.download(&vals(10.0), &vals(20.0));
+        let mut want = WorkerState::new(&vals(10.0));
+        want.y = vals(20.0);
+        assert_eq!(w, want);
+        assert_eq!(w.v.as_slice().as_ptr(), ptr, "download reallocated");
+        // A checked-out placeholder ends up full-size.
+        let mut placeholder = WorkerState::default();
+        placeholder.download(&vals(10.0), &vals(20.0));
+        assert_eq!(placeholder, want);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The [`Strategy`] trait: the hook interface every federated algorithm
 //! implements against the shared [`FlState`].
 
+use std::ops::Range;
+
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, TierAggregation};
 
@@ -232,20 +234,33 @@ pub fn default_middle_aggregate(depth: usize, node: usize, state: &mut FlState) 
             .map(|l| (weighted(l), &state.edges[l].y_minus)),
     );
     let x = state.aggregate(edges.clone().map(|l| (weighted(l), &state.edges[l].x_plus)));
+    distribute_middle(state, depth, node, edges, &y, &x);
+}
 
-    let idx = depth - 1;
-    state.middle[idx][node].y_minus = y.clone();
-    state.middle[idx][node].y_plus = y.clone();
-    state.middle[idx][node].x_plus = x.clone();
+/// Stores a middle node's subtree averages `y`/`x` as its momentum and
+/// model and redistributes them down its subtree `edges` — the edges'
+/// `y_minus`/`x_plus` and, through [`FlState::for_edge_workers`] (which
+/// skips round-scoped slots), the workers' `y`/`x` — in place.
+fn distribute_middle(
+    state: &mut FlState,
+    depth: usize,
+    node: usize,
+    edges: Range<usize>,
+    y: &Vector,
+    x: &Vector,
+) {
+    let own = &mut state.middle[depth - 1][node];
+    own.y_minus.clone_from(y);
+    own.y_plus.clone_from(y);
+    own.x_plus.clone_from(x);
     for l in edges {
-        state.edges[l].y_minus = y.clone();
-        state.edges[l].x_plus = x.clone();
-    }
-    let workers = state.hierarchy.edge_workers(node * span).start
-        ..state.hierarchy.edge_workers((node + 1) * span - 1).end;
-    for i in workers {
-        state.workers[i].y = y.clone();
-        state.workers[i].x = x.clone();
+        let edge = &mut state.edges[l];
+        edge.y_minus.clone_from(y);
+        edge.x_plus.clone_from(x);
+        state.for_edge_workers(l, |w| {
+            w.y.clone_from(y);
+            w.x.clone_from(x);
+        });
     }
 }
 
@@ -315,21 +330,7 @@ pub fn default_middle_aggregate_stale(
             .enumerate()
             .map(|(j, l)| (weighted(j, l), &state.edges[l].x_plus)),
     );
-
-    let idx = depth - 1;
-    state.middle[idx][node].y_minus = y.clone();
-    state.middle[idx][node].y_plus = y.clone();
-    state.middle[idx][node].x_plus = x.clone();
-    for l in edges {
-        state.edges[l].y_minus = y.clone();
-        state.edges[l].x_plus = x.clone();
-    }
-    let workers = state.hierarchy.edge_workers(node * span).start
-        ..state.hierarchy.edge_workers((node + 1) * span - 1).end;
-    for i in workers {
-        state.workers[i].y = y.clone();
-        state.workers[i].x = x.clone();
-    }
+    distribute_middle(state, depth, node, edges, &y, &x);
 }
 
 #[cfg(test)]

@@ -198,6 +198,15 @@ pub trait Layer: fmt::Debug + Send {
         false
     }
 
+    /// Whether the batched flat forward is the identity (every output row
+    /// equals its input row, and the input gradient equals the output
+    /// gradient) with no parameters, so [`crate::Sequential`] passes the
+    /// stacked matrix on instead of copying it through
+    /// [`Layer::forward_flat_batch`] and [`Layer::backward_flat_batch`].
+    fn flat_batch_is_identity(&self) -> bool {
+        false
+    }
+
     /// Batched flat forward: `inputs` holds one sample per row; writes one
     /// output row per sample into `out` (pre-sized by the caller). Only
     /// called when [`Layer::supports_flat_batch`] is `true`.
@@ -818,6 +827,10 @@ impl Layer for Flatten {
     /// A row-major image row already is its flattened vector, so the
     /// batched form is an identity copy.
     fn supports_flat_batch(&self, _input: SignalShape) -> bool {
+        true
+    }
+
+    fn flat_batch_is_identity(&self) -> bool {
         true
     }
 

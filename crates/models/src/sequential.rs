@@ -202,20 +202,28 @@ impl Sequential {
         x
     }
 
-    /// Batched forward through the whole stack: `acts[0]` is the stacked
-    /// input and `acts[li + 1]` the output of layer `li`, one row per
-    /// sample. Each row is bitwise identical to the per-sample flat forward
-    /// (the [`Layer::forward_flat_batch`] contract).
-    fn forward_flat_batch(&self, x: Matrix, dims: &[usize]) -> Vec<Matrix> {
+    /// Batched forward through the whole stack, one row per sample:
+    /// `acts[0]` is the stacked input, and every layer but an identity one
+    /// ([`Layer::flat_batch_is_identity`], which passes its input on
+    /// uncopied) appends its output, so the last matrix is the model
+    /// output. Also returns, per layer, the index in `acts` of its input.
+    /// Each row is bitwise identical to the per-sample flat forward (the
+    /// [`Layer::forward_flat_batch`] contract).
+    fn forward_flat_batch(&self, x: Matrix, dims: &[usize]) -> (Vec<Matrix>, Vec<usize>) {
         let n = x.rows();
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
+        let mut inputs = Vec::with_capacity(self.layers.len());
         acts.push(x);
         for (li, layer) in self.layers.iter().enumerate() {
+            inputs.push(acts.len() - 1);
+            if layer.flat_batch_is_identity() {
+                continue;
+            }
             let mut out = Matrix::zeros(n, dims[li + 1]);
             layer.forward_flat_batch(acts.last().expect("stack is non-empty"), &mut out);
             acts.push(out);
         }
-        acts
+        (acts, inputs)
     }
 }
 
@@ -265,7 +273,7 @@ impl Model for Sequential {
             // unchanged bit for bit.
             let n = indices.len();
             let x = self.stack_features(data, n, indices.iter().copied());
-            let acts = self.forward_flat_batch(x, dims);
+            let (acts, inputs) = self.forward_flat_batch(x, dims);
             let out_mat = acts.last().expect("stack is non-empty");
             let od = self.output_dim;
             let mut g = Matrix::zeros(n, od);
@@ -276,17 +284,22 @@ impl Model for Sequential {
                 g.as_mut_slice()[s * od..(s + 1) * od].copy_from_slice(g_out.as_slice());
             }
             // Layers below the lowest parametrised one contribute nothing,
-            // and that layer's input gradient has no consumer.
+            // and that layer's input gradient has no consumer. An identity
+            // layer passes the gradient down as it is.
             if let Some(lowest) = self.layers.iter().position(|l| l.param_len() > 0) {
                 for li in (lowest..self.layers.len()).rev() {
                     let layer = &self.layers[li];
+                    if layer.flat_batch_is_identity() {
+                        continue;
+                    }
                     let start = self.param_offsets[li];
                     let seg = &mut gslice[start..start + layer.param_len()];
+                    let input = &acts[inputs[li]];
                     if li == lowest {
-                        layer.backward_flat_batch(&acts[li], &g, seg, None);
+                        layer.backward_flat_batch(input, &g, seg, None);
                     } else {
                         let mut g_in = Matrix::zeros(n, dims[li]);
-                        layer.backward_flat_batch(&acts[li], &g, seg, Some(&mut g_in));
+                        layer.backward_flat_batch(input, &g, seg, Some(&mut g_in));
                         g = g_in;
                     }
                 }
@@ -333,7 +346,7 @@ impl Model for Sequential {
         while start < range.end {
             let end = (start + EVAL_GEMM_TILE).min(range.end);
             let x = self.stack_features(data, end - start, start..end);
-            let acts = self.forward_flat_batch(x, dims);
+            let (acts, _) = self.forward_flat_batch(x, dims);
             let out_mat = acts.last().expect("stack is non-empty");
             for (s, i) in (start..end).enumerate() {
                 let out = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());

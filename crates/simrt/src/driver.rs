@@ -11,16 +11,19 @@
 //!   seeded `seed + i`, the pre-drawn dropout table, crash/recover/die
 //!   events and rejoin snapshots, stepping one `Step` event at a time. A
 //!   straggler carries over into the next round.
-//! - **Sampled** — per-round cohort slots filled at round start by
-//!   [`materialize_edge_cohort`], with streams re-derived from
-//!   `(seed, worker, round)`; absence is decided when a slot is filled, and
-//!   every live slot's τ-step segment is computed right then, in parallel
-//!   on the pool, so `Step` events only advance the clock. A straggler is
-//!   waived at the end of its round (see [`crate::vpop`]).
+//! - **Sampled** — per-round cohort slots drawn at round start by
+//!   [`draw_edge_cohort`], with streams re-derived from
+//!   `(seed, worker, round)`; absence is decided when the cohort is
+//!   drawn, and every live slot's τ-step segment is computed right then,
+//!   in parallel on the pool (each lane materializes its slot from the
+//!   edge's download pair first), so `Step` events only advance the
+//!   clock. A straggler is waived at the end of its round (see
+//!   [`crate::vpop`]).
 //!
 //! The engine consults the source only at round start and step
-//! scheduling, the upload's mailbox write, the continuation after an edge
-//! fires, a late cloud submission, the barriers' per-child waivers,
+//! scheduling, the upload's mailbox write, the slots' fill before an edge's
+//! hook, the continuation after an edge fires, the slots a partial cloud
+//! firing restores, a late cloud submission, the barriers' per-child waivers,
 //! evaluation staging and the result's actor tallies. The event loop, the
 //! three edge barriers, the cloud actor with its middle tiers, γ staging,
 //! link transfers and result assembly exist once.
@@ -38,10 +41,12 @@
 //! same gradient path (batch draw, clipping, `local_step`), same
 //! aggregation order, same fixed-chunk ordered evaluation reduction — so
 //! the final model, convergence curve and γℓ diagnostics are bitwise
-//! identical; only the time axis is new. Sampled slots compute their
-//! segments on their mailbox slots, as the core driver's sampled rounds
-//! do; a relaxed firing that catches a slot mid-segment rewinds it to the
-//! steps it has taken (see `Engine::rewind_stragglers`).
+//! identical; only the time axis is new. Sampled slots are round-scoped
+//! ([`FlState::scope_slots_to_rounds`]): their segments are parked outside
+//! the mailbox until their edge fires and move in just before its hook,
+//! so no hook's distribution into them is ever read; a relaxed firing
+//! that catches a slot mid-segment rewinds it to the steps it has taken
+//! (see `Engine::fill_slots`).
 //!
 //! # Determinism
 //!
@@ -59,14 +64,14 @@ use std::error::Error;
 use std::fmt;
 use std::mem;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
 use hieradmo_core::driver::build_train_probe;
-use hieradmo_core::pool::{ExecCtx, Pool, Segment};
+use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, fault_stream,
-    materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
-    StatePool, WorkerPopulation,
+    adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, draw_edge_cohort,
+    fault_stream, virtual_global_params, weighted_edge_average, CohortSampler, WorkerPopulation,
 };
 use hieradmo_core::{
     FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
@@ -278,12 +283,17 @@ struct SlotCtx {
     dropped: Vec<bool>,
     /// The occupying worker's attack, if it is Byzantine.
     attack: Option<AttackModel>,
+    /// A live slot's end-of-round state, parked here from the round's
+    /// start until its edge fires, when it moves into the mailbox slot;
+    /// otherwise a zero-dimensional placeholder. Parked outside the
+    /// mailbox, it is out of every other edge's and tier's hooks' reach.
+    state: WorkerState,
 }
 
 impl SlotCtx {
     /// The slot's round-`k` segment over its first `steps` steps: the
-    /// non-dropped ticks among them, from `worker`, on a fresh stream of
-    /// the round's batches.
+    /// non-dropped ticks among them, on `worker` freshly materialized from
+    /// `download` by the lane, on a fresh stream of the round's batches.
     fn segment(
         &self,
         cfg: &RunConfig,
@@ -291,6 +301,7 @@ impl SlotCtx {
         k: usize,
         steps: usize,
         worker: WorkerState,
+        download: &Arc<Download>,
     ) -> Segment {
         let round_start = (k - 1) * cfg.tau;
         let ticks = (1..=steps).filter(|&st| !self.dropped[st - 1]);
@@ -298,6 +309,7 @@ impl SlotCtx {
         Segment {
             ticks: ticks.map(|st| round_start + st).collect(),
             worker,
+            download: Some(Arc::clone(download)),
             data: self.shard,
             batcher: Batcher::new(shard_sizes[self.shard] as usize, cfg.batch_size, seed),
         }
@@ -369,7 +381,10 @@ struct Sampled<'a> {
     shard_sizes: Vec<u64>,
     sampler: CohortSampler,
     slots: Vec<SlotCtx>,
-    /// Per slot: crashed at materialization, absent for the round.
+    /// Per edge: its current round's download pair, shared by the round's
+    /// segments and kept for rewinds and absent slots.
+    downloads: Vec<Arc<Download>>,
+    /// Per slot: crashed when the cohort was drawn, absent for the round.
     absent: Vec<bool>,
     /// Per edge: finished its final round.
     retired: Vec<bool>,
@@ -1083,11 +1098,12 @@ where
         }
     }
 
-    /// Round start of sampled edge `e`: draw its cohort into the slots,
-    /// decide each occupant's absence up front, charge the downloads, and
-    /// compute every live slot's local-step segment on the pool. From here
-    /// on a live slot's mailbox holds its end-of-round state; its `Step`
-    /// events only advance the virtual clock.
+    /// Round start of sampled edge `e`: draw its cohort, decide each
+    /// occupant's absence up front, charge the downloads, and compute
+    /// every live slot's local-step segment on the pool, each lane first
+    /// materializing its slot from the edge's download pair. From here on
+    /// a live slot's end-of-round state is parked in its [`SlotCtx`] until
+    /// the edge fires; its `Step` events only advance the virtual clock.
     fn start_round(&mut self, e: usize, now: f64) {
         let cfg = self.cfg;
         let sim = self.sim;
@@ -1095,8 +1111,8 @@ where
         let k = self.edges[e].round;
         let range = self.fl.hierarchy.edge_workers(e);
         let s = self.src.sampled();
-        let ids =
-            materialize_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
+        let ids = draw_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
+        let download = Download::of(&self.fl.edges[e]);
         let mut live = Vec::with_capacity(ids.len());
         let mut segments = Vec::with_capacity(ids.len());
         for (j, &g) in ids.iter().enumerate() {
@@ -1147,7 +1163,7 @@ where
             // its own batch stream, so it is checked out and computed now.
             let worker = mem::take(&mut self.fl.workers[slot]);
             live.push(slot);
-            segments.push(ctx.segment(cfg, &s.shard_sizes, k, cfg.tau, worker));
+            segments.push(ctx.segment(cfg, &s.shard_sizes, k, cfg.tau, worker, &download));
             // Model download to the freshly sampled participant.
             let d = ctx
                 .delays
@@ -1161,8 +1177,9 @@ where
                 self.queue.push(now + d + lag, to, Ev::DupArrival { to });
             }
         }
+        s.downloads[e] = download;
         for (slot, seg) in live.iter().zip(self.pool.run_segments(segments)) {
-            self.fl.workers[*slot] = seg.worker;
+            self.src.sampled().slots[*slot].state = seg.worker;
         }
         if live.is_empty() {
             // Every sampled participant is down: the round fires empty and
@@ -1173,7 +1190,7 @@ where
     }
 
     /// A slot event from a round that already fired — a straggler to be
-    /// discarded (its slot re-materializes at the next round start).
+    /// discarded (its slot re-materializes in the next round).
     fn slot_stale(&mut self, slot: usize, round: usize) -> bool {
         let e = self.src.sampled().slots[slot].edge;
         self.edges[e].round != round
@@ -1248,11 +1265,11 @@ where
         }
         let cfg = self.cfg;
         let s = self.src.sampled();
-        let ctx = &s.slots[slot];
+        let ctx = &mut s.slots[slot];
         let e = ctx.edge;
-        // The slot's segment was computed into its mailbox slot at round
-        // start, so the upload's mailbox write is a no-op; only poisoning
-        // touches it.
+        // The slot's segment was computed at round start and is parked
+        // until the edge fires, so the upload's mailbox write is deferred
+        // to the firing; only poisoning touches the parked state now.
         if let Some(attack) = ctx.attack {
             let g = ctx.gid;
             let entry = cfg
@@ -1266,7 +1283,7 @@ where
             let mut sampler =
                 AdversarySampler::from_stream(cfg.seed, adversary_stream(g, round as u64));
             corrupt_upload(
-                &mut self.fl.workers[slot],
+                &mut ctx.state,
                 &attack,
                 &mut sampler,
                 &mut s.adversaries[entry],
@@ -1591,7 +1608,7 @@ where
             Architecture::TwoTier => 0.0,
         };
         if !participants.is_empty() {
-            self.rewind_stragglers(e);
+            self.fill_slots(e);
             let mut view = self.fl.edge_view(e);
             strategy.edge_aggregate_stale(k, &mut view, &staleness);
         }
@@ -1634,36 +1651,42 @@ where
         self.after_edge_fire(e, k, cloud_round, participants, now + d);
     }
 
-    /// A relaxed firing reads each live sampled slot that has not arrived
-    /// as it stands: after the `steps` of its `Step` events processed so
-    /// far. Such a slot's mailbox holds its end-of-round state (computed at
-    /// round start), so it is rewound first: re-materialized from the
-    /// edge's download pair, then stepped through the non-dropped ticks
-    /// among those first `steps` on a fresh stream of the round's batches.
-    /// The pair still holds the round's download: a partial cloud firing
-    /// restores every edge that did not submit — an edge mid-round among
-    /// them — and its slots (see [`Engine::fire_cloud`]). A straggler never
-    /// steps again in its round, so nothing else needs rewinding; full-sync
-    /// firings have no straggler.
-    fn rewind_stragglers(&mut self, e: usize) {
-        let Participants::Sampled(s) = &self.src else {
+    /// Fills sampled edge `e`'s mailbox slots just before its hook, the
+    /// only time they are read: each slot's round state moves in from
+    /// where it was parked, so no other edge's or tier's hook since the
+    /// round started can have touched it. A slot that arrived, or has taken
+    /// all τ steps with its upload still in flight, moves its parked
+    /// end-of-round state in. An absent slot is materialized from the
+    /// round's download pair, here on the event thread. A relaxed firing
+    /// reads a live slot that has neither as it stands, after the `steps`
+    /// of its `Step` events processed so far, so that slot is rewound: its
+    /// segment is recomputed on the pool from the download pair over the
+    /// non-dropped ticks among those first `steps`, on a fresh stream of
+    /// the round's batches. A straggler never steps again in its round,
+    /// so nothing else needs rewinding; full-sync firings have no
+    /// straggler. Registered runs keep their mailbox as it is.
+    fn fill_slots(&mut self, e: usize) {
+        let Participants::Sampled(s) = &mut self.src else {
             return;
         };
         let cfg = self.cfg;
         let k = self.edges[e].round;
+        let download = Arc::clone(&s.downloads[e]);
         let range = self.fl.hierarchy.edge_workers(e);
         let mut rewound = Vec::new();
         let mut segments = Vec::new();
         for (j, slot) in range.enumerate() {
-            let ctx = &s.slots[slot];
-            if self.edges[e].arrived[j] || s.absent[slot] || ctx.steps == cfg.tau {
-                continue;
+            let ctx = &mut s.slots[slot];
+            let mailbox = &mut self.fl.workers[slot];
+            if s.absent[slot] {
+                mailbox.download(&download.x, &download.y);
+            } else if self.edges[e].arrived[j] || ctx.steps == cfg.tau {
+                mem::swap(mailbox, &mut ctx.state);
+            } else {
+                let worker = mem::take(&mut ctx.state);
+                rewound.push(slot);
+                segments.push(ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, worker, &download));
             }
-            let edge = &self.fl.edges[e];
-            let worker = &mut self.fl.workers[slot];
-            StatePool::materialize(worker, &edge.x_plus, &edge.y_minus);
-            rewound.push(slot);
-            segments.push(ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, mem::take(worker)));
         }
         for (slot, seg) in rewound.iter().zip(self.pool.run_segments(segments)) {
             self.fl.workers[*slot] = seg.worker;
@@ -1874,7 +1897,8 @@ where
     /// Fires the cloud round with whichever edges have submitted. For
     /// partial rounds the absent edges' mailbox state is snapshotted around
     /// the hook, so the global update reads their carried-over submissions
-    /// but does not overwrite state they never received.
+    /// but does not overwrite state they never received (on sampled runs
+    /// their edge states only: the slots are round-scoped).
     fn fire_cloud(&mut self, now: f64) {
         let strategy = self.strategy;
         let sim = self.sim;
@@ -1893,11 +1917,16 @@ where
         };
         let d = self.cloud.sampler.compute_ms(&sim.env.cloud_device);
         self.cloud.busy_ms += d;
+        // Sampled slots are round-scoped: the hooks do not write them and
+        // an edge fills its own just before its next firing, so only the
+        // edge states need saving.
+        let sampled = self.is_sampled();
         let saved: Vec<_> = (0..l_count)
             .filter(|l| !participants.contains(l))
             .map(|l| {
                 let range = self.fl.hierarchy.edge_workers(l);
-                (l, self.fl.edges[l].clone(), self.fl.workers[range].to_vec())
+                let slots = (!sampled).then(|| self.fl.workers[range].to_vec());
+                (l, self.fl.edges[l].clone(), slots)
             })
             .collect();
         // The edge round this submission closes; `p` counts submission
@@ -1951,8 +1980,11 @@ where
             // A participant cannot be late for this firing: no snapshot.
             self.src.registered().cloud_dist.fill(None);
         }
-        for (l, es, mut ws) in saved {
+        for (l, es, slots) in saved {
             self.fl.edges[l] = es;
+            let Some(mut ws) = slots else {
+                continue;
+            };
             let range = self.fl.hierarchy.edge_workers(l);
             self.fl.workers[range].swap_with_slice(&mut ws);
             // `ws` now holds what the hook distributed to this edge.
@@ -1960,7 +1992,7 @@ where
                 self.src.registered().cloud_dist[l] = Some(ws.into_iter().map(Rc::new).collect());
             }
         }
-        if !self.is_sampled() {
+        if !sampled {
             self.evaluate_cloud_round(k, now + d);
         }
         for &l in &participants {
@@ -2499,25 +2531,14 @@ where
             fsampler: None,
             dropped: vec![false; cfg.tau],
             attack: None,
+            state: WorkerState::default(),
         })
         .collect();
     let sampler = match &sim.tiers {
         Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
         None => CohortSampler::new(cfg.seed),
     };
-    let src = Sampled {
-        population,
-        shard_sizes,
-        sampler,
-        slots: slot_ctxs,
-        absent: vec![false; slots],
-        retired: vec![false; l_count],
-        busy_ms: 0.0,
-        faults: FaultCounters::default(),
-        permanent_counted: vec![false; sim.faults.permanent.len()],
-        adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
-    };
-    let fl = initial_state(
+    let mut fl = initial_state(
         strategy,
         &model.params(),
         hierarchy,
@@ -2526,6 +2547,20 @@ where
         cfg,
         None,
     );
+    fl.scope_slots_to_rounds();
+    let src = Sampled {
+        population,
+        shard_sizes,
+        sampler,
+        slots: slot_ctxs,
+        downloads: fl.edges.iter().map(Download::of).collect(),
+        absent: vec![false; slots],
+        retired: vec![false; l_count],
+        busy_ms: 0.0,
+        faults: FaultCounters::default(),
+        permanent_counted: vec![false; sim.faults.permanent.len()],
+        adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
+    };
     let train_probe = build_train_probe(shards, cfg.train_eval_cap);
     let ctx = ExecCtx {
         strategy,

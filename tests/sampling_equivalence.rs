@@ -25,7 +25,10 @@ use hieradmo::core::population::{
     adversary_stream, batcher_seed, delay_stream, fault_stream, run_virtual, run_virtual_tiered,
     run_virtual_tiered_until, worker_round_seed, ClientSampling, CohortSampler, WorkerPopulation,
 };
-use hieradmo::core::{run, run_tiered, FlState, RobustAggregator, RunConfig, RunError, RunResult};
+use hieradmo::core::{
+    run, run_tiered, EdgeView, FlState, RobustAggregator, RunConfig, RunError, RunResult, Strategy,
+    Tier, TierScope, WorkerState,
+};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::data::Dataset;
@@ -35,7 +38,9 @@ use hieradmo::netsim::{
 };
 use hieradmo::simrt::{simulate, simulate_virtual, SimConfig, SimError, SimResult, SyncPolicy};
 use hieradmo::tensor::Vector;
-use hieradmo::topology::{ChurnPlan, ScheduledEvent, TierSpec, TierTree, TopologyEvent, Weights};
+use hieradmo::topology::{
+    ChurnPlan, Hierarchy, ScheduledEvent, TierSpec, TierTree, TopologyEvent, Weights,
+};
 use proptest::prelude::*;
 
 /// A 2-edge federation of 100 registered workers per edge over 4 shards,
@@ -1519,5 +1524,216 @@ fn relaxed_sampled_trajectories_are_pinned() {
     assert_eq!(got.len(), pins.len());
     for (g, pin) in got.iter().zip(&pins) {
         assert_eq!(g, pin, "{}: relaxed sampled trajectory moved", pin.label);
+    }
+}
+
+/// Wraps a strategy and NaN-fills every worker slot the hook could reach
+/// after each of its edge, middle and root hooks (vectors to NaN, `steps`
+/// to `usize::MAX`), bypassing the distribution helpers. Sampled slots
+/// are round-scoped: the engines rebuild each slot from its edge's
+/// download before it is read again, so a sampled run through this
+/// wrapper must reproduce the unwrapped run bit for bit. A difference
+/// means some code reads a slot after a hook.
+struct PoisonSlots<S>(S);
+
+fn poison(workers: &mut [WorkerState]) {
+    for w in workers {
+        for v in [
+            &mut w.x,
+            &mut w.y,
+            &mut w.v,
+            &mut w.grad_accum,
+            &mut w.y_accum,
+            &mut w.v_accum,
+            &mut w.scratch,
+        ] {
+            v.fill(f32::NAN);
+        }
+        w.steps = usize::MAX;
+    }
+}
+
+impl<S: Strategy> Strategy for PoisonSlots<S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn tier(&self) -> Tier {
+        self.0.tier()
+    }
+    fn init(&self, state: &mut FlState) {
+        self.0.init(state);
+    }
+    fn local_step(
+        &self,
+        t: usize,
+        worker: &mut WorkerState,
+        grad: &mut dyn FnMut(&Vector, &mut Vector),
+    ) {
+        self.0.local_step(t, worker, grad);
+    }
+    fn edge_aggregate(&self, k: usize, view: &mut EdgeView<'_>) {
+        self.0.edge_aggregate(k, view);
+        poison(view.workers);
+    }
+    fn cloud_aggregate(&self, p: usize, state: &mut FlState) {
+        self.0.cloud_aggregate(p, state);
+        poison(&mut state.workers);
+    }
+    fn edge_aggregate_stale(&self, k: usize, view: &mut EdgeView<'_>, staleness: &[usize]) {
+        self.0.edge_aggregate_stale(k, view, staleness);
+        poison(view.workers);
+    }
+    fn cloud_aggregate_stale(&self, p: usize, state: &mut FlState, staleness: &[usize]) {
+        self.0.cloud_aggregate_stale(p, state, staleness);
+        poison(&mut state.workers);
+    }
+    fn tier_aggregate(&self, scope: TierScope<'_, '_>, round: usize) {
+        match scope {
+            TierScope::Edge(view) => {
+                self.0.tier_aggregate(TierScope::Edge(&mut *view), round);
+                poison(view.workers);
+            }
+            TierScope::Middle { depth, node, state } => {
+                let scope = TierScope::Middle {
+                    depth,
+                    node,
+                    state: &mut *state,
+                };
+                self.0.tier_aggregate(scope, round);
+                poison(&mut state.workers);
+            }
+            TierScope::Root(state) => {
+                self.0.tier_aggregate(TierScope::Root(&mut *state), round);
+                poison(&mut state.workers);
+            }
+        }
+    }
+    fn tier_aggregate_stale(&self, scope: TierScope<'_, '_>, round: usize, staleness: &[usize]) {
+        match scope {
+            TierScope::Edge(view) => {
+                self.0
+                    .tier_aggregate_stale(TierScope::Edge(&mut *view), round, staleness);
+                poison(view.workers);
+            }
+            TierScope::Middle { depth, node, state } => {
+                let scope = TierScope::Middle {
+                    depth,
+                    node,
+                    state: &mut *state,
+                };
+                self.0.tier_aggregate_stale(scope, round, staleness);
+                poison(&mut state.workers);
+            }
+            TierScope::Root(state) => {
+                self.0
+                    .tier_aggregate_stale(TierScope::Root(&mut *state), round, staleness);
+                poison(&mut state.workers);
+            }
+        }
+    }
+    fn global_params(&self, state: &FlState) -> Vector {
+        self.0.global_params(state)
+    }
+    fn check_topology(&self, hierarchy: &Hierarchy) -> Result<(), String> {
+        self.0.check_topology(hierarchy)
+    }
+}
+
+/// The round-scoped slot invariant, gated on the pinned scenarios: the
+/// depth-3 run of `sampled_trajectory_and_cohorts_are_pinned` (flat,
+/// depth-3 and pass-through tiered, and the event engine under full
+/// sync), the depth-4 tree of `relaxed_sampled_trajectories_are_pinned`
+/// under full sync in both engines (middle hooks), and its Deadline and
+/// AsyncAge cells with faults (partial cloud firings, stragglers and
+/// absent slots). Through [`PoisonSlots`] every one reproduces the
+/// unwrapped run — the run the pins hold by value — bit for bit.
+#[test]
+fn sampled_runs_never_read_a_slot_after_its_hook() {
+    let tt = SyntheticDataset::mnist_like(60, 30, 11);
+    let shards = x_class_partition(&tt.train, 4, 2, 11);
+    let population = WorkerPopulation::uniform(2, 100, 4).unwrap();
+    let cfg = RunConfig {
+        tau: 5,
+        pi: 2,
+        total_iters: 20,
+        eval_every: 10,
+        batch_size: 8,
+        seed: 42,
+        threads: Some(1),
+        sampling: ClientSampling::PerEdge { count: 3 },
+        ..RunConfig::default()
+    };
+    let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
+    let poisoned = PoisonSlots(algo.clone());
+    let model = zoo::logistic_regression(&tt.train, 1);
+    let pinned = run_virtual(&algo, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    let sum: f32 = pinned.final_params.as_slice().iter().sum();
+    assert_eq!(sum, -1.1442246, "the unwrapped run is the pinned one");
+    let flat = run_virtual(&poisoned, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    assert_same_trajectory(&pinned, &flat, "poisoned flat run_virtual");
+    let padded = TierTree::new(vec![
+        TierSpec::new(2, 2),
+        TierSpec::pass_through(1),
+        TierSpec::new(100, 5),
+    ])
+    .unwrap();
+    for tree in [TierTree::three_tier(2, 100, 5, 2), padded] {
+        let r = run_virtual_tiered(
+            &poisoned,
+            &model,
+            &population,
+            &shards,
+            &tt.test,
+            &cfg,
+            &tree,
+        )
+        .unwrap();
+        assert_same_trajectory(&pinned, &r, "poisoned run_virtual_tiered");
+    }
+    let sim = simulate_virtual(
+        &poisoned,
+        &model,
+        &population,
+        &shards,
+        &tt.test,
+        &cfg,
+        &virtual_sim_config(3),
+    )
+    .unwrap();
+    assert_core_sim_equal(&pinned, &sim, "poisoned simulate_virtual");
+
+    let tree = &sampled_matrix_trees()[1];
+    let f = sampled_tier_fixture(tree);
+    let algo = HierAdMo::adaptive(f.cfg.eta, f.cfg.gamma);
+    let poisoned = PoisonSlots(algo.clone());
+    let model = zoo::logistic_regression(&f.train, 1);
+    let core = |s: &dyn Strategy| {
+        run_virtual_tiered(s, &model, &f.population, &f.shards, &f.test, &f.cfg, tree).unwrap()
+    };
+    assert_same_trajectory(&core(&algo), &core(&poisoned), "poisoned depth-4 core");
+    for (policy, faults) in [
+        (SyncPolicy::FullSync, FaultPlan::none()),
+        (matrix_policies()[1], sampled_fault_plan()),
+        (matrix_policies()[2], sampled_fault_plan()),
+    ] {
+        let sim = SimConfig::new(
+            NetworkEnv::paper_testbed(4),
+            Architecture::ThreeTier,
+            50_000,
+            7,
+            policy,
+        )
+        .with_tiers(tree.clone())
+        .with_faults(faults);
+        let run = |s: &dyn Strategy| {
+            simulate_virtual(s, &model, &f.population, &f.shards, &f.test, &f.cfg, &sim).unwrap()
+        };
+        let (want, got) = (run(&algo), run(&poisoned));
+        let label = format!("poisoned depth-4 simulate_virtual, {policy:?}");
+        assert_eq!(want.curve, got.curve, "{label}: curve differs");
+        assert_eq!(want.final_params, got.final_params, "{label}: params");
+        assert_eq!(want.gamma_trace, got.gamma_trace, "{label}: gamma");
+        assert_eq!(want.tier_gamma, got.tier_gamma, "{label}: tier gamma");
+        assert_eq!(want.events, got.events, "{label}: events");
     }
 }

@@ -33,8 +33,8 @@ use crate::config::RunConfig;
 pub use crate::pool::EVAL_CHUNK;
 use crate::pool::{Download, EdgeItem, ExecCtx, Pool, Segment};
 use crate::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, draw_edge_cohort, virtual_global_params,
-    CohortSampler, WorkerPopulation,
+    adversary_stream, batcher_seed, cohort_dropout_mask, cohort_federation, draw_edge_cohort,
+    virtual_global_params, CohortSampler, WorkerPopulation,
 };
 use crate::state::{EdgeState, FlState, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
@@ -202,7 +202,8 @@ where
 /// generalization of [`run`]. Worker state is laid out over the tree's
 /// edge tier ([`TierTree::edge_hierarchy`]); middle tiers fire bottom-up
 /// at their interval boundaries through
-/// [`Strategy::tier_aggregate`], between the edge and root aggregations.
+/// [`Strategy::tier_aggregate_stale`] ([`aggregate_above_edges`]), between
+/// the edge and root aggregations.
 ///
 /// A depth-3 tree runs the *identical* code path as [`run`] on the
 /// corresponding hierarchy — no middle tiers exist, and the edge/root
@@ -473,7 +474,12 @@ struct Layout<'a> {
 impl<'a> Participants<'a> {
     /// Checks the participants against `cfg` and lays out the federation
     /// the loop runs.
-    fn layout(&self, cfg: &RunConfig, tiers: Option<&TierTree>) -> Result<Layout<'a>, RunError> {
+    fn layout<S: Strategy + ?Sized>(
+        &self,
+        strategy: &S,
+        cfg: &RunConfig,
+        tiers: Option<&TierTree>,
+    ) -> Result<Layout<'a>, RunError> {
         let registered = match *self {
             Participants::Registered { hierarchy, .. } => hierarchy.num_workers() as u64,
             Participants::Sampled { population, .. } => population.total_workers(),
@@ -495,16 +501,7 @@ impl<'a> Participants<'a> {
                 hierarchy,
                 worker_data,
             } => {
-                if worker_data.len() != hierarchy.num_workers() {
-                    return Err(RunError::Data(format!(
-                        "{} worker datasets for {} workers",
-                        worker_data.len(),
-                        hierarchy.num_workers()
-                    )));
-                }
-                if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
-                    return Err(RunError::Data(format!("worker {i} has no data")));
-                }
+                check_worker_data(hierarchy, worker_data)?;
                 let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
                 let ctxs = worker_data.iter().enumerate().map(|(i, d)| {
                     Some(StepCtx {
@@ -541,40 +538,11 @@ impl<'a> Participants<'a> {
                 ref shard_sizes,
                 ..
             } => {
-                if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-                    return Err(RunError::BadConfig(
-                        "legacy edges/workers_per_edge fields are not supported with a \
-                         virtual population (the population defines the topology)"
-                            .into(),
-                    ));
-                }
-                let cohort = population
-                    .cohort_sizes(&cfg.sampling)
-                    .map_err(RunError::BadConfig)?;
-                if tiers.is_some() && cohort.windows(2).any(|w| w[0] != w[1]) {
-                    return Err(RunError::BadConfig(
-                        "sampled tier trees need one uniform cohort size (the sampled \
-                         sub-tree must stay balanced); use ClientSampling::PerEdge"
-                            .into(),
-                    ));
-                }
-                // The loop runs the *sampled* sub-tree: the registered
-                // tree with its leaf fanout swapped for the cohort size.
-                // All non-leaf levels — and with them every middle
-                // boundary — are unchanged.
-                let tree = tiers.map(|tree| {
-                    let mut levels = tree.levels().to_vec();
-                    levels.last_mut().expect("trees have levels").fanout = cohort[0];
-                    TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
-                });
-                let hierarchy = Hierarchy::new(cohort);
+                let (hierarchy, weights, tree) =
+                    cohort_federation(strategy, population, shard_sizes, cfg, tiers)?;
                 let slots = hierarchy.num_workers();
                 Ok(Layout {
-                    weights: Weights::from_cohort(
-                        &hierarchy,
-                        &vec![1u64; slots],
-                        population.edge_data_samples(shard_sizes),
-                    ),
+                    weights,
                     hierarchy,
                     tree,
                     data: shards,
@@ -695,6 +663,70 @@ impl<'a> Participants<'a> {
     }
 }
 
+/// The state both engines start a run from: `x0` everywhere, the run's
+/// aggregator, `tree` attached, the slots round-scoped for sampled
+/// cohorts ([`FlState::scope_slots_to_rounds`]), then `strategy.init`.
+pub fn initial_state<S: Strategy + ?Sized>(
+    strategy: &S,
+    x0: &Vector,
+    hierarchy: Hierarchy,
+    weights: Weights,
+    tree: Option<&TierTree>,
+    cfg: &RunConfig,
+    round_scoped: bool,
+) -> FlState {
+    let mut state = FlState::new(hierarchy, weights, x0);
+    state.aggregator = cfg.aggregator;
+    if round_scoped {
+        state.scope_slots_to_rounds();
+    }
+    if let Some(tree) = tree {
+        state.attach_tree(tree.clone());
+    }
+    strategy.init(&mut state);
+    state
+}
+
+/// Both engines' check that `tree`, if any, runs on `cfg`'s `(τ, π)`.
+///
+/// # Errors
+///
+/// [`RunError::BadConfig`] naming both schedules.
+pub fn check_tree_schedule(cfg: &RunConfig, tree: Option<&TierTree>) -> Result<(), RunError> {
+    match tree {
+        Some(tree) if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() => {
+            Err(RunError::BadConfig(format!(
+                "config (tau = {}, pi = {}) disagrees with the tier tree \
+                 (tau = {}, pi_total = {})",
+                cfg.tau,
+                cfg.pi,
+                tree.tau(),
+                tree.pi_total()
+            )))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Both engines' check of one non-empty dataset per registered worker.
+///
+/// # Errors
+///
+/// [`RunError::Data`] naming the mismatch or the first empty dataset.
+pub fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Result<(), RunError> {
+    if worker_data.len() != hierarchy.num_workers() {
+        return Err(RunError::Data(format!(
+            "{} worker datasets for {} workers",
+            worker_data.len(),
+            hierarchy.num_workers()
+        )));
+    }
+    match worker_data.iter().position(Dataset::is_empty) {
+        Some(i) => Err(RunError::Data(format!("worker {i} has no data"))),
+        None => Ok(()),
+    }
+}
+
 /// The one tick loop behind every `core` entry point — [`run`] and its
 /// variants, [`crate::population::run_virtual`] and its variants, and the
 /// elastic runner's epoch segments (`crate::elastic`). Optionally lays the
@@ -724,18 +756,7 @@ where
                 .into(),
         ));
     }
-    if let Some(tree) = tiers {
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            )));
-        }
-    }
+    check_tree_schedule(cfg, tiers)?;
     if let Some(stop) = stop_at {
         if stop == 0 || stop > cfg.total_iters || !stop.is_multiple_of(cfg.tau) {
             return Err(RunError::BadConfig(format!(
@@ -759,21 +780,23 @@ where
         mut ctxs,
         mut adversaries,
         tallies,
-    } = participants.layout(cfg, tiers)?;
+    } = participants.layout(strategy, cfg, tiers)?;
     strategy
         .check_topology(&hierarchy)
         .map_err(RunError::Topology)?;
 
     let started = Instant::now();
-    let mut state = FlState::new(hierarchy, weights, &model.params());
-    state.aggregator = cfg.aggregator;
-    if matches!(participants, Participants::Sampled { .. }) {
-        state.scope_slots_to_rounds();
-    }
-    if let Some(tree) = &tree {
-        state.attach_tree(tree.clone());
-    }
-    strategy.init(&mut state);
+    let x0 = model.params();
+    let sampled = matches!(participants, Participants::Sampled { .. });
+    let mut state = initial_state(
+        strategy,
+        &x0,
+        hierarchy,
+        weights,
+        tree.as_ref(),
+        cfg,
+        sampled,
+    );
     let start = match resume {
         None => 0,
         Some(snap) => {
@@ -793,6 +816,8 @@ where
     let mut gamma_trace = Vec::new();
     let mut cos_trace = Vec::new();
     let mut tier_gamma: Vec<Vec<(usize, f32)>> = vec![Vec::new(); state.middle.len()];
+    // Every edge's staleness at the root: this loop is synchronous.
+    let in_sync = vec![0; state.edges.len()];
     let mut timings = PhaseTimings::default();
     let mut adversary_counters = vec![AdversaryCounters::default(); tallies];
 
@@ -875,41 +900,15 @@ where
                 timings.edge_agg += t0.elapsed();
 
                 let t0 = Instant::now();
-                // Middle tiers fire bottom-up whenever the edge round count
-                // divides their synchronization period, serially and without
-                // RNG, so adding (or removing) pass-through tiers cannot
-                // perturb any stream — the basis of the depth-collapse
-                // equivalence guarantee. Identity tiers neither fire the
-                // hook nor record γ, so a pass-through tree is bit-identical
-                // to its collapse, traces included.
-                if let Some(tree) = &tree {
-                    for d in tree.middle_depths().rev() {
-                        let period = tree.sync_rounds(d);
-                        let identity = tree.levels()[d].aggregation == TierAggregation::Identity;
-                        if identity || k % period != 0 {
-                            continue;
-                        }
-                        for node in 0..tree.nodes_at(d) {
-                            let scope = TierScope::Middle {
-                                depth: d,
-                                node,
-                                state: &mut state,
-                            };
-                            strategy.tier_aggregate(scope, k / period);
-                        }
-                        let tier = &state.middle[d - 1];
-                        let mean =
-                            tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                        tier_gamma[d - 1].push((k / period, mean));
-                    }
-                }
-                if k.is_multiple_of(cfg.pi) {
-                    if tree.is_some() {
-                        strategy.tier_aggregate(TierScope::Root(&mut state), k / cfg.pi);
-                    } else {
-                        strategy.cloud_aggregate(k / cfg.pi, &mut state);
-                    }
-                }
+                aggregate_above_edges(
+                    strategy,
+                    &mut state,
+                    tree.as_ref(),
+                    k,
+                    cfg.pi,
+                    &in_sync,
+                    &mut tier_gamma,
+                );
                 timings.cloud_agg += t0.elapsed();
             }
 
@@ -1063,6 +1062,50 @@ fn local_steps<M, S>(
             batcher: seg.batcher,
             download: None,
         });
+    }
+}
+
+/// Fires, for both engines, the tiers above the edges that edge round `k`
+/// closes through [`Strategy::tier_aggregate_stale`]: the middle tiers
+/// bottom-up at their periods, each appending `(round, mean γ)` to its
+/// `tier_gamma` row, then the root every `pi` rounds. `staleness` holds
+/// one age per edge (all zero when synchronous); a middle node gets its
+/// subtree's span. It draws no RNG, and identity tiers neither fire nor
+/// record, so a pass-through tree is bit-identical to its collapse.
+pub fn aggregate_above_edges<S: Strategy + ?Sized>(
+    strategy: &S,
+    state: &mut FlState,
+    tree: Option<&TierTree>,
+    k: usize,
+    pi: usize,
+    staleness: &[usize],
+    tier_gamma: &mut [Vec<(usize, f32)>],
+) {
+    if let Some(tree) = tree {
+        for d in tree.middle_depths().rev() {
+            let period = tree.sync_rounds(d);
+            if tree.levels()[d].aggregation == TierAggregation::Identity
+                || !k.is_multiple_of(period)
+            {
+                continue;
+            }
+            let span = tree.edges_per_node(d);
+            for node in 0..tree.nodes_at(d) {
+                let scope = TierScope::Middle {
+                    depth: d,
+                    node,
+                    state: &mut *state,
+                };
+                let ages = &staleness[node * span..(node + 1) * span];
+                strategy.tier_aggregate_stale(scope, k / period, ages);
+            }
+            let tier = &state.middle[d - 1];
+            let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
+            tier_gamma[d - 1].push((k / period, mean));
+        }
+    }
+    if k.is_multiple_of(pi) {
+        strategy.tier_aggregate_stale(TierScope::Root(state), k / pi, staleness);
     }
 }
 

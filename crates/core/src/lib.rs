@@ -10,13 +10,19 @@
 //!   per-worker model/momentum vectors and accumulators, per-edge momenta,
 //!   cloud aggregates.
 //! - [`strategy::Strategy`] — the hook interface an algorithm implements:
-//!   `local_step` (every iteration), `edge_aggregate` (every `τ`),
-//!   `cloud_aggregate` (every `τ·π`).
+//!   `local_step` (every iteration), `edge_aggregate` (every `τ`) and
+//!   `cloud_aggregate` (every `τ·π`), plus optional staleness-aware and
+//!   per-depth overrides. Both engines fire every aggregation — edge,
+//!   middle and root — through the one hook
+//!   [`strategy::Strategy::tier_aggregate_stale`], whose defaults chain
+//!   down to the required hooks.
 //! - [`driver`] — the one tick loop behind every entry point: walks
 //!   Algorithm 1's aggregation schedule on a persistent scoped worker pool
 //!   (see [`config::RunConfig::threads`]) for registered workers or
 //!   sampled cohorts, fires aggregation hooks, and records a
-//!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings.
+//!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings. Its
+//!   [`driver::aggregate_above_edges`] fires the middle tiers and the root
+//!   for both engines.
 //! - [`pool`] — the lane pool both training loops (this crate's tick loop
 //!   and `hieradmo-simrt`'s event engine) run local-step segments and
 //!   evaluations on, bitwise identically for any thread count.

@@ -28,7 +28,7 @@ use hieradmo_topology::Weights;
 
 use crate::config::RunConfig;
 use crate::state::{EdgeState, EdgeView, WorkerState};
-use crate::strategy::Strategy;
+use crate::strategy::{Strategy, TierScope};
 
 /// Everything a lane needs by reference: the strategy and the run-wide
 /// immutable inputs. `Copy` so each job execution can capture it by value.
@@ -217,7 +217,11 @@ impl<M: Model> Lane<M> {
                 round_scoped,
                 mut items,
             } => {
+                // Tick-loop edges fire synchronously: no child is stale.
+                let widest = items.iter().map(|item| item.workers.len()).max();
+                let in_sync = vec![0; widest.unwrap_or(0)];
                 for item in &mut items {
+                    let width = item.workers.len();
                     let mut view = EdgeView {
                         edge: item.edge,
                         offset: item.offset,
@@ -227,7 +231,9 @@ impl<M: Model> Lane<M> {
                         aggregator: ctx.cfg.aggregator,
                         round_scoped,
                     };
-                    ctx.strategy.edge_aggregate(k, &mut view);
+                    let scope = TierScope::Edge(&mut view);
+                    ctx.strategy
+                        .tier_aggregate_stale(scope, k, &in_sync[..width]);
                 }
                 Reply::Edges(items)
             }

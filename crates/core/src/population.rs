@@ -48,7 +48,7 @@ use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
 use crate::driver::{run_span, Participants, RunError, RunResult};
 use crate::state::FlState;
-use crate::strategy::Strategy;
+use crate::strategy::{Strategy, Tier};
 
 /// Largest population the full-participation path will
 /// materialize (per-worker state and shard clones). Beyond this, ask for
@@ -626,7 +626,8 @@ pub fn draw_edge_cohort(
 ///
 /// Restrictions of the sampled path (documented, validated): legacy
 /// `edges`/`workers_per_edge` config fields are not supported (the
-/// population defines the topology), and `adversary` plans must address
+/// population defines the topology), two-tier algorithms are rejected
+/// ([`cohort_federation`]), and `adversary` plans must address
 /// workers by *global* (population) ids. Dropout composes with sampling:
 /// each cohort worker draws a per-step mask from its own
 /// `(seed, worker, round)` stream ([`cohort_dropout_mask`]) and skips
@@ -659,7 +660,7 @@ where
 /// [`run_virtual`]. Each of the tree's edges samples its per-round cohort
 /// by tier path ([`CohortSampler::for_tree`]); middle tiers fire
 /// bottom-up at their interval boundaries through
-/// [`Strategy::tier_aggregate`], between the edge and root aggregations,
+/// [`Strategy::tier_aggregate_stale`], between the edge and root aggregations,
 /// exactly like the full-participation [`crate::driver::run_tiered`].
 ///
 /// The tree's leaf fanout must equal every edge's *registered* count (the
@@ -786,6 +787,93 @@ where
     .map(|(result, _)| result)
 }
 
+/// Both engines' check that `tree`, if any, describes the registered
+/// population: one leaf per edge, each edge's count as the leaf fanout.
+///
+/// # Errors
+///
+/// [`RunError::BadConfig`] naming the mismatch.
+pub fn check_population_tree(
+    population: &WorkerPopulation,
+    tree: Option<&TierTree>,
+) -> Result<(), RunError> {
+    if let Some(tree) = tree {
+        if tree.num_edges() != population.num_edges() {
+            return Err(RunError::BadConfig(format!(
+                "tier tree spans {} edges, the population registers {}",
+                tree.num_edges(),
+                population.num_edges()
+            )));
+        }
+        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
+        if let Some(e) =
+            (0..population.num_edges()).find(|&e| population.workers_in_edge(e) != leaf)
+        {
+            return Err(RunError::BadConfig(format!(
+                "tier tree registers {leaf} workers per edge, edge {e} \
+                 registers {}",
+                population.workers_in_edge(e)
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The federation both engines run a sampled run of `strategy` on: each
+/// edge holding its cohort slots, [`Weights::from_cohort`] weights, and on
+/// N-tier runs `tiers` with the leaf fanout swapped for the (uniform)
+/// cohort size, so every middle boundary is unchanged.
+///
+/// # Errors
+///
+/// [`RunError::BadConfig`] for legacy `edges`/`workers_per_edge` fields, a
+/// sampling policy the population cannot serve, non-uniform cohorts under
+/// a tree, or a two-tier algorithm: its hooks never write the edges'
+/// `x_plus`/`y_minus`, all a cohort downloads and
+/// [`virtual_global_params`] evaluates, so its model would never move.
+pub fn cohort_federation<S: Strategy + ?Sized>(
+    strategy: &S,
+    population: &WorkerPopulation,
+    shard_sizes: &[u64],
+    cfg: &RunConfig,
+    tiers: Option<&TierTree>,
+) -> Result<(Hierarchy, Weights, Option<TierTree>), RunError> {
+    if strategy.tier() == Tier::Two {
+        return Err(RunError::BadConfig(format!(
+            "{} is a two-tier algorithm and never updates the edge model a \
+             sampled cohort downloads; run it under ClientSampling::Full",
+            strategy.name()
+        )));
+    }
+    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
+        return Err(RunError::BadConfig(
+            "legacy edges/workers_per_edge fields are not supported with a \
+             virtual population (the population defines the topology)"
+                .into(),
+        ));
+    }
+    let cohort = population
+        .cohort_sizes(&cfg.sampling)
+        .map_err(RunError::BadConfig)?;
+    if tiers.is_some() && cohort.windows(2).any(|w| w[0] != w[1]) {
+        return Err(RunError::BadConfig(
+            "sampled tier trees need one uniform cohort size (the sampled \
+             sub-tree must stay balanced); use ClientSampling::PerEdge"
+                .into(),
+        ));
+    }
+    let tree = tiers.map(|tree| {
+        let mut levels = tree.levels().to_vec();
+        levels.last_mut().expect("trees have levels").fanout = cohort[0];
+        TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
+    });
+    let hierarchy = Hierarchy::new(cohort);
+    let slots = vec![1u64; hierarchy.num_workers()];
+    let edge_totals = population.edge_data_samples(shard_sizes);
+    let weights = Weights::from_cohort(&hierarchy, &slots, edge_totals);
+    Ok((hierarchy, weights, tree))
+}
+
 /// The shared entry behind [`run_virtual`] and its tiered variants:
 /// checks the population against its shards and the registered tree, then
 /// runs the tick loop on the materialized population under full
@@ -807,25 +895,7 @@ where
     S: Strategy + ?Sized,
 {
     population.validate_shards(shards).map_err(RunError::Data)?;
-    if let Some(tree) = tiers {
-        if tree.num_edges() != population.num_edges() {
-            return Err(RunError::BadConfig(format!(
-                "tier tree spans {} edges, the population registers {}",
-                tree.num_edges(),
-                population.num_edges()
-            )));
-        }
-        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
-        if let Some(e) =
-            (0..population.num_edges()).find(|&e| population.workers_in_edge(e) != leaf)
-        {
-            return Err(RunError::BadConfig(format!(
-                "tier tree registers {leaf} workers per edge, edge {e} \
-                 registers {}",
-                population.workers_in_edge(e)
-            )));
-        }
-    }
+    check_population_tree(population, tiers)?;
     let materialized;
     let participants = if cfg.sampling.is_full() {
         let hierarchy = population.materialize_hierarchy().map_err(RunError::Data)?;

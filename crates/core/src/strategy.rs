@@ -19,9 +19,9 @@ pub enum Tier {
 }
 
 /// The tier a depth-indexed aggregation targets — the argument of
-/// [`Strategy::tier_aggregate`].
+/// [`Strategy::tier_aggregate_stale`] and [`Strategy::tier_aggregate`].
 ///
-/// On the seed three-tier path only `Edge` and `Root` occur; `Middle`
+/// On three-tier runs only `Edge` and `Root` occur; `Middle`
 /// appears on depth ≥ 4 [`hieradmo_topology::TierTree`] runs, once per
 /// middle node at that tier's boundary. Edge scopes may be dispatched
 /// concurrently (one view per edge, disjoint by construction); middle
@@ -45,13 +45,40 @@ pub enum TierScope<'a, 'b> {
     Root(&'b mut FlState),
 }
 
-/// A federated-learning algorithm as a set of hooks called by
-/// [`crate::driver::run`]:
+/// A federated-learning algorithm as a set of hooks called by both
+/// engines — the tick loop ([`crate::driver`]) and the event engine in
+/// `hieradmo-simrt`.
 ///
-/// 1. [`Strategy::local_step`] once per worker per local iteration
-///    (possibly on parallel threads, hence `&self` + `Sync`);
-/// 2. [`Strategy::edge_aggregate`] for every edge at `t = kτ`;
-/// 3. [`Strategy::cloud_aggregate`] at `t = pτπ`.
+/// # Which hook the engines call
+///
+/// Local steps go through [`Strategy::local_step`], once per worker per
+/// local iteration (possibly on parallel threads, hence `&self` + `Sync`).
+/// Every aggregation — each edge at `t = kτ`, each middle node of an
+/// N-tier tree at its boundary, the root at `t = pτπ` — goes through one
+/// hook, [`Strategy::tier_aggregate_stale`], in both engines. Synchronous
+/// firings pass all-zero staleness.
+///
+/// # What an algorithm implements
+///
+/// [`Strategy::edge_aggregate`] and [`Strategy::cloud_aggregate`] are
+/// required; every other aggregation hook has a default, and the defaults
+/// chain down to them:
+///
+/// ```text
+/// tier_aggregate_stale(scope, round, staleness)
+/// ├─ staleness all zero → tier_aggregate(scope, round)
+/// │   ├─ Edge   → edge_aggregate
+/// │   ├─ Middle → default_middle_aggregate
+/// │   └─ Root   → cloud_aggregate
+/// └─ otherwise
+///     ├─ Edge   → edge_aggregate_stale  (default: edge_aggregate)
+///     ├─ Middle → default_middle_aggregate_stale
+///     └─ Root   → cloud_aggregate_stale (default: cloud_aggregate)
+/// ```
+///
+/// Override the `_stale` twins to weigh carried-over contributions, and
+/// [`Strategy::tier_aggregate`] to give an algorithm per-depth semantics;
+/// either override is reached by every engine.
 ///
 /// Algorithms keep *all* mutable run state inside [`FlState`]; the strategy
 /// object itself only holds hyper-parameters, which keeps every algorithm
@@ -91,26 +118,23 @@ pub trait Strategy: Send + Sync {
     /// Edge aggregation `k` (at `t = kτ`) for the edge behind `view`.
     ///
     /// The view scopes the hook to exactly one edge's workers and state, so
-    /// the driver may run all edges concurrently; implementations needing
+    /// an engine may run all edges concurrently; implementations needing
     /// the edge index use [`EdgeView::edge`].
     fn edge_aggregate(&self, k: usize, view: &mut EdgeView<'_>);
 
     /// Cloud aggregation `p` (at `t = pτπ`).
     fn cloud_aggregate(&self, p: usize, state: &mut FlState);
 
-    /// Staleness-aware edge aggregation, called by relaxed-synchrony
-    /// drivers (the event-driven runtime in `hieradmo-simrt` under its
-    /// `Deadline`/`AsyncAge` policies) instead of
-    /// [`Strategy::edge_aggregate`].
+    /// Staleness-aware edge aggregation, reached through
+    /// [`Strategy::tier_aggregate_stale`] when some child is stale (the
+    /// event engine's `Deadline` and `AsyncAge` policies).
     ///
     /// `staleness[j]` is the number of edge rounds since local worker `j`'s
     /// server-side state was refreshed by an upload: `0` means the worker
     /// participated in this round, larger values mean the edge is merging a
     /// carried-over (stale) model/momentum. The all-zero case **must** be
-    /// exactly equivalent to [`Strategy::edge_aggregate`] — the default
-    /// implementation guarantees this by delegating unconditionally, which
-    /// keeps every synchronous algorithm compiling and semantically
-    /// unchanged (stale entries are then merged at full weight).
+    /// exactly equivalent to [`Strategy::edge_aggregate`]; the default
+    /// delegates unconditionally (stale entries merged at full weight).
     fn edge_aggregate_stale(&self, k: usize, view: &mut EdgeView<'_>, staleness: &[usize]) {
         let _ = staleness;
         self.edge_aggregate(k, view);
@@ -126,20 +150,19 @@ pub trait Strategy: Send + Sync {
         self.cloud_aggregate(p, state);
     }
 
-    /// Depth-indexed aggregation dispatch: one hook for every tier of an
-    /// N-tier tree. `round` is the firing tier's own aggregation index
-    /// (`k` at the edges, `p` at the root, the node tier's round for
-    /// middles).
+    /// Synchronous depth-indexed aggregation: what
+    /// [`Strategy::tier_aggregate_stale`] runs when no child is stale.
+    /// `round` is the firing tier's own aggregation index (`k` at the
+    /// edges, `p` at the root, the node tier's round for middles).
     ///
-    /// The default is exactly today's three-tier behavior — edge scopes
-    /// delegate to [`Strategy::edge_aggregate`], the root to
-    /// [`Strategy::cloud_aggregate`] — so every existing algorithm runs
-    /// the N-tier path bitwise identically to the seed code (pinned by
+    /// The default is the three-tier behavior — edge scopes delegate to
+    /// [`Strategy::edge_aggregate`], the root to
+    /// [`Strategy::cloud_aggregate`] — so every algorithm runs the N-tier
+    /// path bitwise identically to the three-tier one (pinned by
     /// `tests/tier_equivalence.rs`). Middle scopes run
     /// [`default_middle_aggregate`]: subtree-weighted averaging through
     /// the federation's robust aggregator, or a no-op for
-    /// [`TierAggregation::Identity`] levels. Override to give an
-    /// algorithm genuine per-depth semantics.
+    /// [`TierAggregation::Identity`] levels.
     fn tier_aggregate(&self, scope: TierScope<'_, '_>, round: usize) {
         match scope {
             TierScope::Edge(view) => self.edge_aggregate(round, view),
@@ -150,17 +173,22 @@ pub trait Strategy: Send + Sync {
         }
     }
 
-    /// Staleness-aware variant of [`Strategy::tier_aggregate`], with the
-    /// same contract as the edge/cloud stale hooks: all-zero staleness
-    /// must be equivalent to the synchronous hook, which the default
-    /// guarantees by delegating per scope. For middle scopes `staleness`
-    /// is indexed by the node's *local* edge span (its `edges_per_node`
-    /// subtree leaves, in order), counting cloud boundaries since that
-    /// edge last submitted; the default runs
-    /// [`default_middle_aggregate_stale`], which down-weights stale
-    /// subtree edges by bounded age (carry-over past
-    /// [`MIDDLE_AGE_CAP`] rounds stops decaying further).
+    /// The one aggregation hook both engines call, for every edge, middle
+    /// and root firing.
+    ///
+    /// `staleness` has one entry per child of the firing node: per local
+    /// worker at an edge, per subtree edge (its `edges_per_node` leaves, in
+    /// order, counting cloud boundaries since that edge last submitted) at
+    /// a middle node, per edge at the root. All zero is the synchronous
+    /// case: the default then runs [`Strategy::tier_aggregate`]. Otherwise
+    /// it runs the scope's stale hook — [`Strategy::edge_aggregate_stale`],
+    /// [`default_middle_aggregate_stale`] (which down-weights stale subtree
+    /// edges by bounded age, see [`MIDDLE_AGE_CAP`]) or
+    /// [`Strategy::cloud_aggregate_stale`].
     fn tier_aggregate_stale(&self, scope: TierScope<'_, '_>, round: usize, staleness: &[usize]) {
+        if staleness.iter().all(|&a| a == 0) {
+            return self.tier_aggregate(scope, round);
+        }
         match scope {
             TierScope::Edge(view) => self.edge_aggregate_stale(round, view, staleness),
             TierScope::Middle { depth, node, state } => {
@@ -420,5 +448,59 @@ mod tests {
         s.cloud_aggregate_stale(1, &mut state, &[2]);
         assert_eq!(s.edge_calls.load(Ordering::SeqCst), 1);
         assert_eq!(s.cloud_calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn default_tier_hook_routes_zero_staleness_to_the_synchronous_hook() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts which hook the default `tier_aggregate_stale` reaches:
+        /// `[tier_aggregate, edge_aggregate_stale, cloud_aggregate_stale]`.
+        #[derive(Default)]
+        struct Routing([AtomicUsize; 3]);
+        impl Strategy for Routing {
+            fn name(&self) -> &'static str {
+                "Routing"
+            }
+            fn tier(&self) -> Tier {
+                Tier::Three
+            }
+            fn local_step(
+                &self,
+                _t: usize,
+                _w: &mut WorkerState,
+                _g: &mut dyn FnMut(&Vector, &mut Vector),
+            ) {
+            }
+            fn edge_aggregate(&self, _k: usize, _v: &mut EdgeView<'_>) {
+                unreachable!("the tier_aggregate override replaces it");
+            }
+            fn cloud_aggregate(&self, _p: usize, _s: &mut FlState) {
+                unreachable!("the tier_aggregate override replaces it");
+            }
+            fn tier_aggregate(&self, _scope: TierScope<'_, '_>, _round: usize) {
+                self.0[0].fetch_add(1, Ordering::SeqCst);
+            }
+            fn edge_aggregate_stale(&self, _k: usize, _v: &mut EdgeView<'_>, _s: &[usize]) {
+                self.0[1].fetch_add(1, Ordering::SeqCst);
+            }
+            fn cloud_aggregate_stale(&self, _p: usize, _s: &mut FlState, _st: &[usize]) {
+                self.0[2].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let counts = |s: &Routing| s.0.each_ref().map(|c| c.load(Ordering::SeqCst));
+
+        use hieradmo_topology::Weights;
+        let h = Hierarchy::balanced(1, 2);
+        let w = Weights::from_samples(&h, &[1, 1]);
+        let mut state = FlState::new(h, w, &Vector::from(vec![0.0]));
+        let s = Routing::default();
+        s.tier_aggregate_stale(TierScope::Edge(&mut state.edge_view(0)), 1, &[0, 0]);
+        s.tier_aggregate_stale(TierScope::Root(&mut state), 1, &[0]);
+        assert_eq!(counts(&s), [2, 0, 0], "all-zero staleness is synchronous");
+        s.tier_aggregate_stale(TierScope::Edge(&mut state.edge_view(0)), 2, &[0, 1]);
+        assert_eq!(counts(&s), [2, 1, 0], "a stale edge reaches its stale hook");
+        s.tier_aggregate_stale(TierScope::Root(&mut state), 2, &[3]);
+        assert_eq!(counts(&s), [2, 1, 1], "a stale root reaches its stale hook");
     }
 }

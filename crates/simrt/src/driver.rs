@@ -25,8 +25,10 @@
 //! hook, the continuation after an edge fires, the slots a partial cloud
 //! firing restores, a late cloud submission, the barriers' per-child waivers,
 //! evaluation staging and the result's actor tallies. The event loop, the
-//! three edge barriers, the cloud actor with its middle tiers, γ staging,
-//! link transfers and result assembly exist once.
+//! round barrier the edges and the cloud share (`barrier::Barrier`), the
+//! cloud actor with its middle tiers, γ staging, link transfers and result
+//! assembly exist once. Every firing reaches the strategy through
+//! `Strategy::tier_aggregate_stale`.
 //!
 //! # How the trajectory stays bitwise-faithful
 //!
@@ -67,7 +69,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
-use hieradmo_core::driver::build_train_probe;
+use hieradmo_core::driver::{
+    aggregate_above_edges, build_train_probe, check_tree_schedule, check_worker_data, initial_state,
+};
 use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, draw_edge_cohort,
@@ -86,10 +90,11 @@ use hieradmo_netsim::{
     AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkFaults,
 };
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, Schedule, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::barrier::{Arrival, Barrier};
 use crate::event::{ActorId, EventQueue};
 use crate::policy::{SimConfig, SyncPolicy};
 
@@ -316,20 +321,10 @@ impl SlotCtx {
     }
 }
 
-/// An edge actor: round-collection state for the current aggregation.
+/// An edge actor: its workers' round barrier plus its clock and link
+/// bookkeeping.
 struct EdgeSim {
-    /// Round currently being collected (1-based); advances at every
-    /// firing under every policy.
-    round: usize,
-    /// Which children have arrived for the current round.
-    arrived: Vec<bool>,
-    /// Last round each child's upload refreshed its slot (Deadline
-    /// staleness bookkeeping).
-    last_round: Vec<usize>,
-    /// Firings since each child's slot was refreshed (AsyncAge).
-    age: Vec<usize>,
-    /// The current round's timeout has expired (Deadline).
-    timed_out: bool,
+    barrier: Barrier,
     /// A cloud submission is outstanding; firing is paused.
     waiting_cloud: bool,
     sampler: DelaySampler,
@@ -340,13 +335,11 @@ struct EdgeSim {
     faults: FaultCounters,
 }
 
-/// The cloud actor: the edge-level analogue of [`EdgeSim`].
+/// The cloud actor: the edges' parent, collecting their submissions
+/// through the same [`Barrier`] an edge collects its workers' uploads
+/// with.
 struct CloudSim {
-    round: usize,
-    arrived: Vec<bool>,
-    last_round: Vec<usize>,
-    age: Vec<usize>,
-    timed_out: bool,
+    barrier: Barrier,
     sampler: DelaySampler,
     busy_ms: f64,
     faults: FaultCounters,
@@ -434,11 +427,6 @@ struct EvalRec {
     at_ms: f64,
     test: Evaluation,
     train: Evaluation,
-}
-
-/// `ceil(quorum · n)`, clamped to `[1, n]`.
-fn quorum_count(quorum: f64, n: usize) -> usize {
-    ((quorum * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// Runs the link-fault retry protocol for one transfer of `delay_ms`:
@@ -567,34 +555,6 @@ struct Engine<'a, M, S: ?Sized> {
 /// carries and what a rejoining worker restores from.
 fn snapshot(workers: &[WorkerState]) -> Vec<Rc<WorkerState>> {
     workers.iter().map(|w| Rc::new(w.clone())).collect()
-}
-
-/// The mailbox a run starts from: `hierarchy` with `weights`, the tier
-/// tree attached, the strategy's initial state, and `resume`'s tier
-/// vectors when the span continues a run.
-fn initial_state<S: Strategy + ?Sized>(
-    strategy: &S,
-    x0: &Vector,
-    hierarchy: Hierarchy,
-    weights: Weights,
-    tree: Option<&TierTree>,
-    cfg: &RunConfig,
-    resume: Option<&TrainingSnapshot>,
-) -> FlState {
-    let mut fl = FlState::new(hierarchy, weights, x0);
-    fl.aggregator = cfg.aggregator;
-    if let Some(tree) = tree {
-        fl.attach_tree(tree.clone());
-    }
-    strategy.init(&mut fl);
-    if let Some(snap) = resume {
-        // All algorithm state lives in the tier vectors (same rule the
-        // core driver's resume path relies on).
-        fl.workers = snap.workers.clone();
-        fl.edges = snap.edges.clone();
-        fl.cloud = snap.cloud.clone();
-    }
-    fl
 }
 
 impl Registered {
@@ -739,11 +699,7 @@ where
                 let c = fl.hierarchy.workers_in_edge(e);
                 let stream = (edge_base + e) as u64;
                 EdgeSim {
-                    round: edge_rounds_done + 1,
-                    arrived: vec![false; c],
-                    last_round: vec![edge_rounds_done; c],
-                    age: vec![0; c],
-                    timed_out: false,
+                    barrier: Barrier::new(sim.policy, c, edge_rounds_done),
                     waiting_cloud: false,
                     sampler: DelaySampler::from_stream(edge_seed, stream),
                     busy_ms: 0.0,
@@ -753,11 +709,7 @@ where
             })
             .collect();
         let cloud = CloudSim {
-            round: cloud_rounds_done + 1,
-            arrived: vec![false; l_count],
-            last_round: vec![cloud_rounds_done; l_count],
-            age: vec![0; l_count],
-            timed_out: false,
+            barrier: Barrier::new(sim.policy, l_count, cloud_rounds_done),
             sampler: DelaySampler::from_stream(cloud_seed, cloud_stream as u64),
             busy_ms: 0.0,
             faults: FaultCounters::default(),
@@ -1072,30 +1024,20 @@ where
         w.dead = true;
         w.down = false;
         w.faults.crashes += 1;
-        match self.sim.policy {
-            SyncPolicy::FullSync => {
-                // Stages first (they evaluate at `now`), then barriers
-                // (their evaluations land after aggregation compute).
-                let ts: Vec<usize> = self.pending_evals.keys().copied().collect();
-                for t in ts {
-                    self.try_finish_eval(t, now);
-                }
-                let ks: Vec<usize> = self.gamma_stage.keys().copied().collect();
-                for k in ks {
-                    self.try_finish_gamma(k);
-                }
-                self.maybe_fire_edge_full(e, now);
-                self.maybe_fire_cloud_full(now);
+        if self.full_sync() {
+            // Stages first (they evaluate at `now`), then barriers (their
+            // evaluations land after aggregation compute).
+            let ts: Vec<usize> = self.pending_evals.keys().copied().collect();
+            for t in ts {
+                self.try_finish_eval(t, now);
             }
-            SyncPolicy::Deadline { .. } => {
-                self.maybe_fire_edge_deadline(e, now);
-                self.maybe_fire_cloud_deadline(now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.maybe_fire_edge_async(e, now);
-                self.maybe_fire_cloud_async(now);
+            let ks: Vec<usize> = self.gamma_stage.keys().copied().collect();
+            for k in ks {
+                self.try_finish_gamma(k);
             }
         }
+        self.maybe_fire_edge(e, now);
+        self.maybe_fire_cloud(now);
     }
 
     /// Round start of sampled edge `e`: draw its cohort, decide each
@@ -1108,7 +1050,7 @@ where
         let cfg = self.cfg;
         let sim = self.sim;
         let faults_on = self.faults_on;
-        let k = self.edges[e].round;
+        let k = self.edges[e].barrier.round();
         let range = self.fl.hierarchy.edge_workers(e);
         let s = self.src.sampled();
         let ids = draw_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
@@ -1146,7 +1088,7 @@ where
             // The slot carries the edge model of the previous round: its
             // upload refreshes it to `k`, a straggler's Deadline staleness
             // is 1.
-            self.edges[e].last_round[j] = k - 1;
+            self.edges[e].barrier.refill(j);
             let ctx = &mut s.slots[slot];
             ctx.gid = g;
             ctx.shard = s.population.shard_of(g);
@@ -1193,7 +1135,7 @@ where
     /// discarded (its slot re-materializes in the next round).
     fn slot_stale(&mut self, slot: usize, round: usize) -> bool {
         let e = self.src.sampled().slots[slot].edge;
-        self.edges[e].round != round
+        self.edges[e].barrier.round() != round
     }
 
     fn schedule_slot_step(&mut self, slot: usize, now: f64) {
@@ -1202,7 +1144,7 @@ where
         let ctx = &mut s.slots[slot];
         let step = Ev::Step {
             worker: slot,
-            round: self.edges[ctx.edge].round,
+            round: self.edges[ctx.edge].barrier.round(),
         };
         if ctx.dropped[ctx.steps] {
             // Dropped step: the device sits idle — no compute draw, and
@@ -1444,49 +1386,25 @@ where
         });
     }
 
-    /// Child `j`'s round-`k` upload landed in edge `e`'s mailbox slot.
+    /// Child `j`'s round-`k` upload landed in edge `e`'s mailbox slot. A
+    /// late upload (registered workers only; a sampled straggler is
+    /// dropped before it lands) carries over and releases its worker.
     fn edge_arrival(&mut self, e: usize, j: usize, k: usize, now: f64) {
-        let edge = &mut self.edges[e];
-        match self.sim.policy {
-            SyncPolicy::FullSync => {
-                edge.arrived[j] = true;
-                self.maybe_fire_edge_full(e, now);
+        match self.edges[e].barrier.arrive(j, k) {
+            Arrival::Late => return self.release_late_worker(e, j, now),
+            Arrival::ArmTimeout { round, timeout_ms } => {
+                let timeout = Ev::EdgeTimeout { edge: e, round };
+                self.queue.push(now + timeout_ms, ActorId::Edge(e), timeout);
             }
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                edge.last_round[j] = k;
-                if k < edge.round {
-                    // Late (registered workers only; a sampled straggler
-                    // is dropped before it lands): the round fired
-                    // without this worker.
-                    self.release_late_worker(e, j, now);
-                    return;
-                }
-                let first = !edge.arrived.iter().any(|&a| a);
-                edge.arrived[j] = true;
-                if first {
-                    let round = edge.round;
-                    self.queue.push(
-                        now + timeout_ms,
-                        ActorId::Edge(e),
-                        Ev::EdgeTimeout { edge: e, round },
-                    );
-                }
-                self.maybe_fire_edge_deadline(e, now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                edge.arrived[j] = true;
-                edge.age[j] = 0;
-                self.maybe_fire_edge_async(e, now);
-            }
+            Arrival::Counted => {}
         }
+        self.maybe_fire_edge(e, now);
     }
 
     fn on_edge_timeout(&mut self, e: usize, round: usize, now: f64) {
-        if self.edges[e].round != round {
-            return; // stale timer for an already-fired round
+        if self.edges[e].barrier.expire(round) {
+            self.maybe_fire_edge(e, now);
         }
-        self.edges[e].timed_out = true;
-        self.maybe_fire_edge_deadline(e, now);
     }
 
     /// Child `j` of edge `e` will not arrive this round and is waived at
@@ -1511,92 +1429,31 @@ where
         }
     }
 
-    /// Full-sync edge barrier with a fault waiver: fires once every child
-    /// has arrived or is gone (at least one arrival). With no faults this
-    /// is exactly the all-arrived barrier.
-    fn maybe_fire_edge_full(&mut self, e: usize, now: f64) {
+    /// Fires edge `e` when its barrier is ready and no cloud submission of
+    /// its is outstanding. With no faults the full-sync barrier is exactly
+    /// "all arrived".
+    fn maybe_fire_edge(&mut self, e: usize, now: f64) {
         let edge = &self.edges[e];
-        if edge.waiting_cloud || !edge.arrived.iter().any(|&a| a) {
-            return;
-        }
-        let all = edge
-            .arrived
-            .iter()
-            .enumerate()
-            .all(|(j, &a)| a || self.child_gone(e, j));
-        if all {
-            self.fire_edge(e, now);
-        }
-    }
-
-    fn maybe_fire_edge_deadline(&mut self, e: usize, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.waiting_cloud {
-            return;
-        }
-        let have = edge.arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        // Quorum re-derivation: gone absentees leave the denominator, so
-        // a strict minority dying can never deadlock the round.
-        // `live_total >= have >= 1` keeps the clamp well-defined.
-        let absent_gone = edge
-            .arrived
-            .iter()
-            .enumerate()
-            .filter(|&(j, &a)| !a && self.child_gone(e, j))
-            .count();
-        let live_total = edge.arrived.len() - absent_gone;
-        if have == live_total || (edge.timed_out && have >= quorum_count(quorum, live_total)) {
-            self.fire_edge(e, now);
-        }
-    }
-
-    fn maybe_fire_edge_async(&mut self, e: usize, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.waiting_cloud || !edge.arrived.iter().any(|&a| a) {
-            return;
-        }
-        // A too-stale absent child blocks the firing — unless it cannot
-        // catch up: the staleness cap is waived for exhausted children.
-        let blocked =
-            edge.arrived.iter().enumerate().any(|(j, &arr)| {
-                !arr && edge.age[j] >= max_staleness && !self.child_exhausted(e, j)
-            });
-        if !blocked {
+        let gone = |j| self.child_gone(e, j);
+        let exhausted = |j| self.child_exhausted(e, j);
+        if !edge.waiting_cloud && edge.barrier.ready(gone, exhausted) {
             self.fire_edge(e, now);
         }
     }
 
     /// Fires the edge's current round with whoever has arrived: runs the
-    /// strategy's (staleness-aware) edge hook against the mailbox (an
-    /// empty sampled round skips it and relays the carried state), submits
+    /// strategy's one aggregation hook on the edge's scope with the
+    /// barrier's staleness (an empty sampled round skips it and relays the
+    /// carried state), submits
     /// to the cloud on boundary rounds, and hands the rest to the
     /// participant source.
     fn fire_edge(&mut self, e: usize, now: f64) {
         let strategy = self.strategy;
         let sim = self.sim;
-        let edge = &self.edges[e];
-        let k = edge.round;
-        let participants: Vec<usize> = (0..edge.arrived.len())
-            .filter(|&j| edge.arrived[j])
-            .collect();
-        let staleness: Vec<usize> = match sim.policy {
-            SyncPolicy::FullSync => vec![0; edge.arrived.len()],
-            SyncPolicy::Deadline { .. } => edge
-                .last_round
-                .iter()
-                .map(|&r| k.saturating_sub(r))
-                .collect(),
-            SyncPolicy::AsyncAge { .. } => edge.age.clone(),
-        };
+        let barrier = &self.edges[e].barrier;
+        let k = barrier.round();
+        let participants = barrier.arrivals();
+        let staleness = barrier.staleness();
         // Aggregation compute (three-tier only: a two-tier "edge" is the
         // cloud's frontend and charges nothing of its own).
         let d = match sim.architecture {
@@ -1610,7 +1467,7 @@ where
         if !participants.is_empty() {
             self.fill_slots(e);
             let mut view = self.fl.edge_view(e);
-            strategy.edge_aggregate_stale(k, &mut view, &staleness);
+            strategy.tier_aggregate_stale(TierScope::Edge(&mut view), k, &staleness);
         }
         let (gamma, cos) = (self.fl.edges[e].gamma_edge, self.fl.edges[e].cos_theta);
         if self.staged_rounds() {
@@ -1635,19 +1492,7 @@ where
                 self.queue.push(at + lag, to, Ev::DupArrival { to });
             }
         }
-        let edge = &mut self.edges[e];
-        edge.round += 1;
-        edge.arrived.fill(false);
-        edge.timed_out = false;
-        if let SyncPolicy::AsyncAge { .. } = sim.policy {
-            for (j, a) in edge.age.iter_mut().enumerate() {
-                if participants.contains(&j) {
-                    *a = 0;
-                } else {
-                    *a += 1;
-                }
-            }
-        }
+        self.edges[e].barrier.close();
         self.after_edge_fire(e, k, cloud_round, participants, now + d);
     }
 
@@ -1670,7 +1515,7 @@ where
             return;
         };
         let cfg = self.cfg;
-        let k = self.edges[e].round;
+        let k = self.edges[e].barrier.round();
         let download = Arc::clone(&s.downloads[e]);
         let range = self.fl.hierarchy.edge_workers(e);
         let mut rewound = Vec::new();
@@ -1680,7 +1525,7 @@ where
             let mailbox = &mut self.fl.workers[slot];
             if s.absent[slot] {
                 mailbox.download(&download.x, &download.y);
-            } else if self.edges[e].arrived[j] || ctx.steps == cfg.tau {
+            } else if self.edges[e].barrier.arrived(j) || ctx.steps == cfg.tau {
                 mem::swap(mailbox, &mut ctx.state);
             } else {
                 let worker = mem::take(&mut ctx.state);
@@ -1782,55 +1627,38 @@ where
         (d, dup)
     }
 
+    /// Edge `e`'s round-`p` submission reached the cloud. A late one (its
+    /// cloud round fired without it: a dead-waived full-sync round, or a
+    /// Deadline quorum) carries over in the mailbox and releases the edge.
     fn on_cloud_submit(&mut self, e: usize, p: usize, now: f64) {
-        let cloud = &mut self.cloud;
-        cloud.last_round[e] = p;
-        match self.sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } if p < cloud.round => {
-                // Late: the cloud round fired without this edge (a
-                // dead-waived full-sync round, or a Deadline quorum). Its
-                // submission carries over in the mailbox.
-                self.release_late_edge(e, now);
+        match self.cloud.barrier.arrive(e, p) {
+            Arrival::Late => return self.release_late_edge(e, now),
+            Arrival::ArmTimeout { round, timeout_ms } => {
+                let timeout = Ev::CloudTimeout { round };
+                self.queue.push(now + timeout_ms, ActorId::Cloud, timeout);
             }
-            SyncPolicy::FullSync => {
-                cloud.arrived[e] = true;
-                self.maybe_fire_cloud_full(now);
-            }
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                let first = !cloud.arrived.iter().any(|&a| a);
-                cloud.arrived[e] = true;
-                if first {
-                    let round = cloud.round;
-                    self.queue
-                        .push(now + timeout_ms, ActorId::Cloud, Ev::CloudTimeout { round });
-                }
-                self.maybe_fire_cloud_deadline(now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                cloud.arrived[e] = true;
-                cloud.age[e] = 0;
-                self.maybe_fire_cloud_async(now);
-            }
+            Arrival::Counted => {}
         }
+        self.maybe_fire_cloud(now);
     }
 
     fn on_cloud_timeout(&mut self, round: usize, now: f64) {
-        if self.cloud.round != round {
-            return;
+        if self.cloud.barrier.expire(round) {
+            self.maybe_fire_cloud(now);
         }
-        self.cloud.timed_out = true;
-        self.maybe_fire_cloud_deadline(now);
     }
 
     /// An edge that will never submit again because every one of its
-    /// workers died permanently (and nothing of its is in flight).
+    /// workers died permanently (and nothing of its is in flight): waived
+    /// at the full-sync and Deadline cloud barriers.
     fn edge_perma_dead(&self, l: usize) -> bool {
         !self.edges[l].waiting_cloud && self.edge_all_dead(l)
     }
 
-    /// An edge that can never submit again: a sampled edge that finished
-    /// its final round, or a registered one whose workers all hold their
-    /// final model (or died permanently) with nothing of its in flight.
+    /// An edge that can never submit again, exempt from the AsyncAge
+    /// staleness cap: a sampled edge that finished its final round, or a
+    /// registered one whose workers all hold their final model (or died
+    /// permanently) with nothing of its in flight.
     fn edge_exhausted(&self, l: usize) -> bool {
         match &self.src {
             Participants::Registered(r) => {
@@ -1845,76 +1673,27 @@ where
         }
     }
 
-    /// Full-sync cloud barrier with a fault waiver: fires once every edge
-    /// has submitted or is permanently dead (at least one submission).
-    fn maybe_fire_cloud_full(&mut self, now: f64) {
-        let arrived = &self.cloud.arrived;
-        if !arrived.iter().any(|&a| a) {
-            return;
-        }
-        let all = (0..arrived.len()).all(|l| arrived[l] || self.edge_perma_dead(l));
-        if all {
+    /// Fires the cloud when its barrier is ready.
+    fn maybe_fire_cloud(&mut self, now: f64) {
+        let gone = |l| self.edge_perma_dead(l);
+        let exhausted = |l| self.edge_exhausted(l);
+        if self.cloud.barrier.ready(gone, exhausted) {
             self.fire_cloud(now);
         }
     }
 
-    fn maybe_fire_cloud_deadline(&mut self, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let arrived = &self.cloud.arrived;
-        let have = arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        // Same quorum re-derivation as the edge barrier: permanently-dead
-        // edges leave the denominator.
-        let absent_dead = (0..arrived.len())
-            .filter(|&l| !arrived[l] && self.edge_perma_dead(l))
-            .count();
-        let live_total = arrived.len() - absent_dead;
-        if have == live_total || (self.cloud.timed_out && have >= quorum_count(quorum, live_total))
-        {
-            self.fire_cloud(now);
-        }
-    }
-
-    fn maybe_fire_cloud_async(&mut self, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        let cloud = &self.cloud;
-        if !cloud.arrived.iter().any(|&a| a) {
-            return;
-        }
-        let blocked = (0..cloud.arrived.len())
-            .any(|l| !cloud.arrived[l] && cloud.age[l] >= max_staleness && !self.edge_exhausted(l));
-        if !blocked {
-            self.fire_cloud(now);
-        }
-    }
-
-    /// Fires the cloud round with whichever edges have submitted. For
+    /// Fires the cloud round with whichever edges have submitted: the
+    /// tiers above the edges, through [`aggregate_above_edges`]. For
     /// partial rounds the absent edges' mailbox state is snapshotted around
     /// the hook, so the global update reads their carried-over submissions
     /// but does not overwrite state they never received (on sampled runs
     /// their edge states only: the slots are round-scoped).
     fn fire_cloud(&mut self, now: f64) {
-        let strategy = self.strategy;
         let sim = self.sim;
-        let l_count = self.cloud.arrived.len();
-        let participants: Vec<usize> = (0..l_count).filter(|&l| self.cloud.arrived[l]).collect();
-        let p = self.cloud.round;
-        let staleness: Vec<usize> = match sim.policy {
-            SyncPolicy::FullSync => vec![0; l_count],
-            SyncPolicy::Deadline { .. } => self
-                .cloud
-                .last_round
-                .iter()
-                .map(|&r| p.saturating_sub(r))
-                .collect(),
-            SyncPolicy::AsyncAge { .. } => self.cloud.age.clone(),
-        };
+        let l_count = self.edges.len();
+        let p = self.cloud.barrier.round();
+        let participants = self.cloud.barrier.arrivals();
+        let staleness = self.cloud.barrier.staleness();
         let d = self.cloud.sampler.compute_ms(&sim.env.cloud_device);
         self.cloud.busy_ms += d;
         // Sampled slots are round-scoped: the hooks do not write them and
@@ -1932,49 +1711,20 @@ where
         // The edge round this submission closes; `p` counts submission
         // boundaries, which fall every `submit_period` edge rounds.
         let k = p * self.submit_period;
-        // Middle tiers (co-hosted here, at the cloud actor) fire bottom-up
-        // at their own interval boundaries, exactly as the tick-driven
-        // driver does between its edge and cloud phases. They draw no RNG
-        // and identity tiers touch no state, so three-tier and
-        // pass-through runs are unaffected draw for draw. Each node sees
-        // the staleness of its own subtree's edges (its contiguous span of
-        // the per-edge vector); all-zero — every FullSync round — is
-        // bitwise the synchronous hook, otherwise stale subtree edges are
-        // carried over at bounded age (`default_middle_aggregate_stale`).
-        if let Some(tree) = &self.tree {
-            for td in tree.middle_depths().rev() {
-                // Identity tiers fire nothing and record nothing — a
-                // pass-through tree must match its collapse bitwise,
-                // γ traces included.
-                if tree.levels()[td].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(td);
-                if k.is_multiple_of(period) {
-                    let round = k / period;
-                    let span = tree.edges_per_node(td);
-                    for node in 0..tree.nodes_at(td) {
-                        strategy.tier_aggregate_stale(
-                            TierScope::Middle {
-                                depth: td,
-                                node,
-                                state: &mut self.fl,
-                            },
-                            round,
-                            &staleness[node * span..(node + 1) * span],
-                        );
-                    }
-                    let tier = &self.fl.middle[td - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    self.tier_gamma[td - 1].push((round, mean));
-                }
-            }
-        }
-        // The root fires only on its own boundary — every submission on
-        // three-tier runs, every `π / submit_period`-th on N-tier runs.
-        if k.is_multiple_of(self.cfg.pi) {
-            strategy.cloud_aggregate_stale(k / self.cfg.pi, &mut self.fl, &staleness);
-        }
+        // The tiers above the edges are co-hosted here, at the cloud actor:
+        // middle tiers fire at their own boundaries, the root every
+        // `π / submit_period`-th submission (every one on three-tier runs).
+        // Each middle node sees its subtree's span of the per-edge
+        // staleness.
+        aggregate_above_edges(
+            self.strategy,
+            &mut self.fl,
+            self.tree.as_ref(),
+            k,
+            self.cfg.pi,
+            &staleness,
+            &mut self.tier_gamma,
+        );
         let keep = self.keeps_rejoin_snapshots();
         if keep {
             // A participant cannot be late for this firing: no snapshot.
@@ -2005,19 +1755,7 @@ where
                     .push(now + d + dd + lag, to, Ev::DupArrival { to });
             }
         }
-        let cloud = &mut self.cloud;
-        cloud.round += 1;
-        cloud.arrived.fill(false);
-        cloud.timed_out = false;
-        if let SyncPolicy::AsyncAge { .. } = sim.policy {
-            for (l, a) in cloud.age.iter_mut().enumerate() {
-                if participants.contains(&l) {
-                    *a = 0;
-                } else {
-                    *a += 1;
-                }
-            }
-        }
+        self.cloud.barrier.close();
     }
 
     /// Registered evaluation at a cloud firing closing edge round `k`:
@@ -2048,7 +1786,7 @@ where
     fn release_late_edge(&mut self, e: usize, now: f64) {
         self.edges[e].waiting_cloud = false;
         if self.is_sampled() {
-            self.finish_round(e, self.edges[e].round - 1, now);
+            self.finish_round(e, self.edges[e].barrier.round() - 1, now);
             return;
         }
         let r = self.src.registered();
@@ -2063,7 +1801,7 @@ where
     fn on_cloud_reply(&mut self, e: usize, now: f64) {
         self.edges[e].waiting_cloud = false;
         if self.is_sampled() {
-            self.finish_round(e, self.edges[e].round - 1, now);
+            self.finish_round(e, self.edges[e].barrier.round() - 1, now);
             return;
         }
         // Late joiners from here on get the post-cloud distribution.
@@ -2073,13 +1811,13 @@ where
         match self.sim.policy {
             SyncPolicy::AsyncAge { .. } => {
                 // Arrivals queued while the submission was outstanding.
-                self.maybe_fire_edge_async(e, now);
+                self.maybe_fire_edge(e, now);
             }
             SyncPolicy::FullSync if self.faults_on => {
                 // A death while the submission was outstanding may have
                 // satisfied the waived barrier.
-                self.maybe_fire_edge_full(e, now);
-                self.maybe_fire_cloud_full(now);
+                self.maybe_fire_edge(e, now);
+                self.maybe_fire_cloud(now);
             }
             _ => {}
         }
@@ -2123,12 +1861,12 @@ where
     /// worker is released and the run terminates.
     fn drain_stalled(&mut self) -> bool {
         for e in 0..self.edges.len() {
-            if !self.edges[e].waiting_cloud && self.edges[e].arrived.iter().any(|&a| a) {
+            if !self.edges[e].waiting_cloud && self.edges[e].barrier.any_arrived() {
                 self.fire_edge(e, self.now);
                 return true;
             }
         }
-        if self.cloud.arrived.iter().any(|&a| a) {
+        if self.cloud.barrier.any_arrived() {
             self.fire_cloud(self.now);
             return true;
         }
@@ -2163,8 +1901,8 @@ where
             // otherwise a generous deadline inflates the run's end time
             // long after the last real event; a sampled run counts it.
             let stale = match &payload {
-                Ev::EdgeTimeout { edge, round } => self.edges[*edge].round != *round,
-                Ev::CloudTimeout { round } => self.cloud.round != *round,
+                Ev::EdgeTimeout { edge, round } => self.edges[*edge].barrier.round() != *round,
+                Ev::CloudTimeout { round } => self.cloud.barrier.round() != *round,
                 _ => false,
             };
             if stale && !sampled {
@@ -2343,19 +2081,7 @@ pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimEr
                 .into(),
         )));
     }
-    if let Some(tree) = &sim.tiers {
-        if tree.tau() != cfg.tau || tree.pi_total() != cfg.pi {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            ))));
-        }
-    }
-    Ok(())
+    check_tree_schedule(cfg, sim.tiers.as_ref()).map_err(SimError::Run)
 }
 
 /// The registered-worker pre-flight checks: everything
@@ -2375,20 +2101,7 @@ where
     strategy
         .check_topology(hierarchy)
         .map_err(|m| SimError::Run(RunError::Topology(m)))?;
-    if worker_data.len() != hierarchy.num_workers() {
-        return Err(SimError::Run(RunError::Data(format!(
-            "{} worker datasets for {} workers",
-            worker_data.len(),
-            hierarchy.num_workers()
-        ))));
-    }
-    if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
-        return Err(SimError::Run(RunError::Data(format!(
-            "worker {i} has no data"
-        ))));
-    }
-    Schedule::three_tier(cfg.tau, cfg.pi, cfg.total_iters)
-        .map_err(|e| SimError::Run(RunError::Schedule(e)))?;
+    check_worker_data(hierarchy, worker_data).map_err(SimError::Run)?;
     sim.faults.validate().map_err(SimError::Fault)?;
     for p in &sim.faults.permanent {
         if p.worker >= hierarchy.num_workers() {
@@ -2465,15 +2178,16 @@ where
     validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
     let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
     let weights = Weights::from_samples(hierarchy, &samples);
-    let fl = initial_state(
-        strategy,
-        &model.params(),
-        hierarchy.clone(),
-        weights,
-        sim.tiers.as_ref(),
-        cfg,
-        span.resume,
-    );
+    let x0 = model.params();
+    let tree = sim.tiers.as_ref();
+    let mut fl = initial_state(strategy, &x0, hierarchy.clone(), weights, tree, cfg, false);
+    if let Some(snap) = span.resume {
+        // All algorithm state lives in the tier vectors (same rule the
+        // core driver's resume path relies on).
+        fl.workers = snap.workers.clone();
+        fl.edges = snap.edges.clone();
+        fl.cloud = snap.cloud.clone();
+    }
     let src = Participants::Registered(Registered::new(worker_data, &fl, cfg, sim, span.start));
     let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
     let ctx = ExecCtx {
@@ -2494,9 +2208,9 @@ where
 }
 
 /// Runs sampled cohorts of `population` — already validated by
-/// [`crate::simulate_virtual`] — over the per-edge `cohort` sizes, on
-/// `tree` (the registered tree with its leaf fanout swapped for the
-/// uniform cohort size) when this is an N-tier run.
+/// [`crate::simulate_virtual`] — on the cohort federation
+/// `(hierarchy, weights, tree)` of
+/// [`hieradmo_core::population::cohort_federation`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_sampled<M, S>(
     strategy: &S,
@@ -2506,18 +2220,15 @@ pub(crate) fn simulate_sampled<M, S>(
     test_data: &Dataset,
     cfg: &RunConfig,
     sim: &SimConfig,
-    hierarchy: Hierarchy,
-    tree: Option<TierTree>,
+    (hierarchy, weights, tree): (Hierarchy, Weights, Option<TierTree>),
 ) -> SimResult
 where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
     let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
-    let edge_totals = population.edge_data_samples(&shard_sizes);
     let slots = hierarchy.num_workers();
     let l_count = hierarchy.num_edges();
-    let weights = Weights::from_cohort(&hierarchy, &vec![1u64; slots], edge_totals);
     // Placeholder slot contexts; every field but the edge is rebuilt at
     // each round's materialization.
     let slot_ctxs = (0..l_count)
@@ -2538,16 +2249,8 @@ where
         Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
         None => CohortSampler::new(cfg.seed),
     };
-    let mut fl = initial_state(
-        strategy,
-        &model.params(),
-        hierarchy,
-        weights,
-        tree.as_ref(),
-        cfg,
-        None,
-    );
-    fl.scope_slots_to_rounds();
+    let x0 = model.params();
+    let fl = initial_state(strategy, &x0, hierarchy, weights, tree.as_ref(), cfg, true);
     let src = Sampled {
         population,
         shard_sizes,
@@ -2575,18 +2278,4 @@ where
         engine.run();
         engine.finish().0
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quorum_count_ceils_and_clamps() {
-        assert_eq!(quorum_count(0.5, 4), 2);
-        assert_eq!(quorum_count(0.5, 3), 2);
-        assert_eq!(quorum_count(0.01, 4), 1);
-        assert_eq!(quorum_count(1.0, 4), 4);
-        assert_eq!(quorum_count(0.0, 4), 1, "clamped to at least one");
-    }
 }

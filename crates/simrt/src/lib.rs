@@ -40,6 +40,7 @@
 
 #![deny(missing_docs)]
 
+mod barrier;
 pub mod driver;
 pub mod elastic;
 pub mod event;

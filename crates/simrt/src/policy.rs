@@ -16,7 +16,7 @@ pub enum SyncPolicy {
     /// `timeout_ms` of virtual time has passed since the round's first
     /// arrival. Stragglers' uploads carry over into the next round; the
     /// aggregation hook sees their staleness and may down-weight them
-    /// (see `Strategy::edge_aggregate_stale`).
+    /// (see `Strategy::tier_aggregate_stale`).
     Deadline {
         /// Fraction of children required before the timeout can fire the
         /// round, in `(0, 1]`.

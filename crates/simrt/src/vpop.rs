@@ -56,12 +56,11 @@
 //! bitwise identical to the fault-free run; duplicates arrive as separate
 //! events and are tallied at the receiving actor.
 
-use hieradmo_core::population::WorkerPopulation;
+use hieradmo_core::population::{check_population_tree, cohort_federation, WorkerPopulation};
 use hieradmo_core::{RunConfig, RunError, Strategy};
 use hieradmo_data::Dataset;
 use hieradmo_models::Model;
 use hieradmo_netsim::Architecture;
-use hieradmo_topology::{Hierarchy, TierTree};
 
 use crate::driver::{simulate_sampled, validate_run, SimError, SimResult};
 use crate::policy::SimConfig;
@@ -101,9 +100,9 @@ use crate::policy::SimConfig;
 ///
 /// Remaining sampled-path restrictions (validated):
 /// [`Architecture::ThreeTier`] only, a non-empty device pool, no legacy
-/// `edges`/`workers_per_edge` fields, no [`RunConfig::churn`] plan, and
-/// N-tier trees need a uniform cohort size that matches the population's
-/// registered shape.
+/// `edges`/`workers_per_edge` fields, no [`RunConfig::churn`] plan, no
+/// two-tier algorithm ([`cohort_federation`]), and N-tier trees need a
+/// uniform cohort size that matches the population's registered shape.
 ///
 /// # Errors
 ///
@@ -154,13 +153,6 @@ where
             sim,
         );
     }
-    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-        return Err(SimError::Run(RunError::BadConfig(
-            "legacy edges/workers_per_edge fields are not supported with a \
-             virtual population (the population defines the topology)"
-                .into(),
-        )));
-    }
     if sim.architecture != Architecture::ThreeTier {
         return Err(SimError::Net(
             "client sampling requires Architecture::ThreeTier".into(),
@@ -174,51 +166,19 @@ where
     sim.faults
         .validate_for_population(population.total_workers())
         .map_err(SimError::Fault)?;
-    if let Some(tree) = &sim.tiers {
-        if tree.num_edges() != population.num_edges() {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "tier tree spans {} edges, the population registers {}",
-                tree.num_edges(),
-                population.num_edges()
-            ))));
-        }
-        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
-        if let Some(e) =
-            (0..population.num_edges()).find(|&e| population.workers_in_edge(e) != leaf)
-        {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "tier tree registers {leaf} workers per edge, edge {e} \
-                 registers {}",
-                population.workers_in_edge(e)
-            ))));
-        }
-    }
-
-    let cohort = population
-        .cohort_sizes(&cfg.sampling)
-        .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
-    if sim.tiers.is_some() && cohort.windows(2).any(|w| w[0] != w[1]) {
-        return Err(SimError::Run(RunError::BadConfig(
-            "sampled tier trees need one uniform cohort size (the sampled \
-             sub-tree must stay balanced); use ClientSampling::PerEdge"
-                .into(),
-        )));
-    }
-    sim.validate(cohort.iter().copied().min())
-        .map_err(SimError::Policy)?;
-    // The engine runs the *sampled* sub-tree: the registered tree with its
-    // leaf fanout swapped for the (uniform) cohort size. All non-leaf
-    // levels — and with them every middle boundary — are unchanged.
-    let tree = sim.tiers.as_ref().map(|tree| {
-        let mut levels = tree.levels().to_vec();
-        levels.last_mut().expect("trees have levels").fanout = cohort[0];
-        TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
-    });
-    let hierarchy = Hierarchy::new(cohort);
+    check_population_tree(population, sim.tiers.as_ref()).map_err(SimError::Run)?;
+    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
+    let federation = cohort_federation(strategy, population, &shard_sizes, cfg, sim.tiers.as_ref())
+        .map_err(SimError::Run)?;
+    let cohort = &federation.0;
+    let smallest = (0..cohort.num_edges())
+        .map(|e| cohort.workers_in_edge(e))
+        .min();
+    sim.validate(smallest).map_err(SimError::Policy)?;
     strategy
-        .check_topology(&hierarchy)
+        .check_topology(cohort)
         .map_err(|m| SimError::Run(RunError::Topology(m)))?;
     Ok(simulate_sampled(
-        strategy, model, population, shards, test_data, cfg, sim, hierarchy, tree,
+        strategy, model, population, shards, test_data, cfg, sim, federation,
     ))
 }

@@ -20,7 +20,7 @@ use common::{
     matrix_policies, sampled_fault_plan, sampled_matrix_trees, sampled_tier_fixture, sim_config,
     sim_fixture, small_tier_trees,
 };
-use hieradmo::core::algorithms::HierAdMo;
+use hieradmo::core::algorithms::{FedAvg, HierAdMo};
 use hieradmo::core::population::{
     adversary_stream, batcher_seed, delay_stream, fault_stream, run_virtual, run_virtual_tiered,
     run_virtual_tiered_until, worker_round_seed, ClientSampling, CohortSampler, WorkerPopulation,
@@ -32,7 +32,7 @@ use hieradmo::core::{
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::data::Dataset;
-use hieradmo::models::zoo;
+use hieradmo::models::{zoo, Model};
 use hieradmo::netsim::{
     AdversaryPlan, Architecture, AttackModel, FaultPlan, LinkFaults, NetworkEnv, PermanentCrash,
 };
@@ -588,6 +588,71 @@ fn sampled_paths_validate_their_restrictions() {
             "{label}: message should mention {needle:?}: {msg}"
         );
     }
+}
+
+/// A two-tier algorithm never writes the edge model a sampled cohort
+/// downloads (nor the edge models a sampled run evaluates), so a sampled
+/// run of one could never train: both engines reject it with a typed
+/// error. The same run under full participation trains, and both engines
+/// agree on it.
+#[test]
+fn sampled_runs_reject_two_tier_algorithms() {
+    let tt = SyntheticDataset::mnist_like(60, 30, 11);
+    let shards = x_class_partition(&tt.train, 4, 2, 11);
+    let population = WorkerPopulation::uniform(1, 8, 4).unwrap();
+    let sampled = RunConfig {
+        tau: 5,
+        pi: 1,
+        total_iters: 40,
+        eval_every: 10,
+        batch_size: 8,
+        seed: 42,
+        threads: Some(1),
+        sampling: ClientSampling::PerEdge { count: 4 },
+        ..RunConfig::default()
+    };
+    let algo = FedAvg::new(sampled.eta);
+    let model = zoo::logistic_regression(&tt.train, 7);
+    let sim = SimConfig::new(
+        NetworkEnv::paper_testbed(8),
+        Architecture::ThreeTier,
+        50_000,
+        9,
+        SyncPolicy::FullSync,
+    );
+    let two_tier = |m: &str| m.contains("FedAvg is a two-tier algorithm");
+
+    let e = run_virtual(&algo, &model, &population, &shards, &tt.test, &sampled).unwrap_err();
+    assert!(matches!(&e, RunError::BadConfig(m) if two_tier(m)), "{e}");
+    let e = simulate_virtual(
+        &algo,
+        &model,
+        &population,
+        &shards,
+        &tt.test,
+        &sampled,
+        &sim,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&e, SimError::Run(RunError::BadConfig(m)) if two_tier(m)),
+        "{e}"
+    );
+
+    let full = RunConfig {
+        sampling: ClientSampling::Full,
+        ..sampled
+    };
+    let core = run_virtual(&algo, &model, &population, &shards, &tt.test, &full).unwrap();
+    assert_ne!(core.final_params, model.params(), "the full run trains");
+    let losses: Vec<f64> = core.curve.points().iter().map(|p| p.test_loss).collect();
+    assert!(
+        losses.windows(2).any(|w| w[0] != w[1]),
+        "loss moves: {losses:?}"
+    );
+    let event =
+        simulate_virtual(&algo, &model, &population, &shards, &tt.test, &full, &sim).unwrap();
+    assert_core_sim_equal(&core, &event, "full participation");
 }
 
 /// The pinning gate of the per-tier-path sampler: Floyd's cohorts and

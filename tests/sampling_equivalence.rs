@@ -1592,6 +1592,108 @@ fn relaxed_sampled_trajectories_are_pinned() {
     }
 }
 
+/// Byzantine stragglers on the relaxed-policy sampled cells, pinned by
+/// value: the depth-4 tree of [`relaxed_sampled_trajectories_are_pinned`]
+/// under Deadline and AsyncAge with the fault plan and a sign-flip stripe
+/// over every third registered worker. The firings there catch Byzantine
+/// slots mid-round, which must aggregate unpoisoned: only an upload that
+/// reached its edge is corrupted. Each cell pins the parameter bit hash,
+/// its sum, the γ trace, the accuracies and the poisoned-upload count.
+#[test]
+fn relaxed_sampled_byzantine_trajectories_are_pinned() {
+    use common::MlpPin;
+
+    let tree = &sampled_matrix_trees()[1];
+    let f = sampled_tier_fixture(tree);
+    let stripe: Vec<usize> = (0..tree.num_workers()).step_by(3).collect();
+    let cfg = RunConfig {
+        adversary: AdversaryPlan::uniform(stripe, AttackModel::SignFlip { scale: 2.0 }),
+        ..f.cfg.clone()
+    };
+    let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
+    let model = zoo::logistic_regression(&f.train, 1);
+    let [_, deadline, async_age] = matrix_policies();
+    let got: Vec<(MlpPin, u64)> = [
+        (
+            "simulate_virtual, depth 4, Deadline, faults, stripe",
+            deadline,
+        ),
+        (
+            "simulate_virtual, depth 4, AsyncAge, faults, stripe",
+            async_age,
+        ),
+    ]
+    .into_iter()
+    .map(|(label, policy)| {
+        let sim = SimConfig::new(
+            NetworkEnv::paper_testbed(4),
+            Architecture::ThreeTier,
+            50_000,
+            7,
+            policy,
+        )
+        .with_tiers(tree.clone())
+        .with_faults(sampled_fault_plan());
+        let r = simulate_virtual(&algo, &model, &f.population, &f.shards, &f.test, &cfg, &sim)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let accuracy: Vec<f64> = r.curve.points().iter().map(|p| p.test_accuracy).collect();
+        let poisoned = r.adversaries.iter().map(|a| a.counters.poisoned_uploads);
+        (
+            MlpPin::of(label, r.final_params.as_slice(), &r.gamma_trace, &accuracy),
+            poisoned.sum(),
+        )
+    })
+    .collect();
+    let pins = [
+        (
+            MlpPin {
+                label: "simulate_virtual, depth 4, Deadline, faults, stripe",
+                params_hash: 12351989513912717593,
+                sum: 0.85026205,
+                gamma: vec![
+                    (1, 0.0),
+                    (2, 0.01711174),
+                    (3, 0.23097736),
+                    (4, 0.27861887),
+                    (5, 0.028753787),
+                    (6, 0.12772015),
+                    (7, 0.03354321),
+                    (8, 0.0037096124),
+                ],
+                accuracy: vec![0.484375, 0.171875],
+            },
+            13,
+        ),
+        (
+            MlpPin {
+                label: "simulate_virtual, depth 4, AsyncAge, faults, stripe",
+                params_hash: 14858740326967329185,
+                sum: -0.45951164,
+                gamma: vec![
+                    (1, 0.0),
+                    (2, 0.010395189),
+                    (3, 0.028049268),
+                    (4, 0.07498198),
+                    (5, 0.11406975),
+                    (6, 0.3859832),
+                    (7, 0.14633816),
+                    (8, 0.16605224),
+                ],
+                accuracy: vec![0.640625, 0.96875],
+            },
+            9,
+        ),
+    ];
+    assert_eq!(got.len(), pins.len());
+    for (g, pin) in got.iter().zip(&pins) {
+        assert_eq!(
+            g, pin,
+            "{}: Byzantine relaxed trajectory moved",
+            pin.0.label
+        );
+    }
+}
+
 /// Wraps a strategy and NaN-fills every worker slot the hook could reach
 /// after each of its edge, middle and root hooks (vectors to NaN, `steps`
 /// to `usize::MAX`), bypassing the distribution helpers. Sampled slots

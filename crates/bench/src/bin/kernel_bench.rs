@@ -23,6 +23,10 @@
 //! full-size shapes and fails if any kernel's speedup regressed more than
 //! 10% against the committed number.
 //!
+//! Every speedup is the median of per-pair ratios over interleaved
+//! old/new calls (`time_pair`), so host load that comes and goes during a
+//! run weighs on both sides of a ratio alike.
+//!
 //! Full runs append a dated one-line summary to
 //! `results/bench_history.jsonl`, so the perf trajectory is recorded
 //! across PRs, with the runtime-dispatched CPU-feature level
@@ -30,7 +34,7 @@
 //! the machine's `nproc` and that dispatch level.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hieradmo_bench::cli::Cli;
 use hieradmo_core::algorithms::HierAdMo;
@@ -260,15 +264,54 @@ fn old_nag_step(s: &mut [Vector; 6], g: &Vector, eta: f32, gamma: f32) {
 // Harness
 // ---------------------------------------------------------------------------
 
-/// Minimum-of-`reps` wall time of `f`, in nanoseconds.
-fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+/// The least wall time one side of a [`time_pair`] pair runs for.
+/// Longer than the warm-up of the wide SIMD units after a stretch of
+/// scalar code (tens of microseconds), so a kernel timed right after its
+/// scalar baseline still reaches its steady speed within the block.
+const BLOCK: Duration = Duration::from_millis(5);
+
+/// The fastest of back-to-back calls of `f` over at least [`BLOCK`] and
+/// at least three calls, in nanoseconds.
+fn block_ns<F: FnMut()>(f: &mut F) -> f64 {
+    let start = Instant::now();
     let mut best = f64::INFINITY;
-    for _ in 0..reps {
+    let mut calls = 0;
+    while calls < 3 || start.elapsed() < BLOCK {
         let t = Instant::now();
         f();
         best = best.min(t.elapsed().as_nanos() as f64);
+        calls += 1;
     }
     best
+}
+
+/// Times `old` against `new` in `reps` interleaved pairs: each pair
+/// times a block of calls of `old` and then one of `new`, each block
+/// reduced to its fastest call ([`block_ns`]). Returns each side's
+/// fastest call overall, in nanoseconds, and the median of the per-pair
+/// ratios `old / new` as the speedup. Load on a shared host comes and
+/// goes on a longer scale than one pair, so both halves of a pair run
+/// under about the same load, and the median discards the pairs a burst
+/// hit on one side only; two minima taken in separate runs each see
+/// whatever load their own run saw.
+fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut old: A, mut new: B) -> (f64, f64, f64) {
+    let (mut old_min, mut new_min) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let (o, n) = (block_ns(&mut old), block_ns(&mut new));
+            old_min = old_min.min(o);
+            new_min = new_min.min(n);
+            o / n.max(1.0)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median = if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    };
+    (old_min, new_min, median)
 }
 
 #[derive(Serialize)]
@@ -327,18 +370,17 @@ fn bench_matmul(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: u
     old_matmul_bt(&a, &bt, &mut out_old, n, m, k);
     kernels::matmul_bt(&a, &bt, &mut out_new, n, m, k);
     assert_close("matmul", &out_new, &out_old);
-    let baseline_ns = time_ns(reps, || {
-        old_matmul_bt(black_box(&a), black_box(&bt), &mut out_old, n, m, k)
-    });
-    let kernel_ns = time_ns(reps, || {
-        kernels::matmul_bt(black_box(&a), black_box(&bt), &mut out_new, n, m, k)
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || old_matmul_bt(black_box(&a), black_box(&bt), &mut out_old, n, m, k),
+        || kernels::matmul_bt(black_box(&a), black_box(&bt), &mut out_new, n, m, k),
+    );
     rows.push(KernelRow {
         name: "matmul_bt".into(),
         shape: format!("{n}x{k}·{k}x{m}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -364,25 +406,26 @@ fn bench_matmul_acc(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, 
     old_dense_grad(&mut w_old, &g, &x, n, m, k);
     kernels::matmul_acc(&mut w_new, &gt, &x, m, n, k);
     assert_close("matmul_acc", &w_new, &w_old);
-    let baseline_ns = time_ns(reps, || {
-        old_dense_grad(black_box(&mut w_old), black_box(&g), black_box(&x), n, m, k)
-    });
-    let kernel_ns = time_ns(reps, || {
-        kernels::matmul_acc(
-            black_box(&mut w_new),
-            black_box(&gt),
-            black_box(&x),
-            m,
-            n,
-            k,
-        )
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || old_dense_grad(black_box(&mut w_old), black_box(&g), black_box(&x), n, m, k),
+        || {
+            kernels::matmul_acc(
+                black_box(&mut w_new),
+                black_box(&gt),
+                black_box(&x),
+                m,
+                n,
+                k,
+            )
+        },
+    );
     rows.push(KernelRow {
         name: "matmul_acc".into(),
         shape: format!("{m}x{n}·{n}x{k}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -417,18 +460,21 @@ fn bench_loss_and_grad(
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "{label}: batched gradient differs from the per-sample composition"
     );
-    let baseline_ns = time_ns(reps, || {
-        black_box(per_sample.loss_and_grad(black_box(data), &indices, &mut g_old));
-    });
-    let kernel_ns = time_ns(reps, || {
-        black_box(model.loss_and_grad_into(black_box(data), &indices, &mut g_new));
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            black_box(per_sample.loss_and_grad(black_box(data), &indices, &mut g_old));
+        },
+        || {
+            black_box(model.loss_and_grad_into(black_box(data), &indices, &mut g_new));
+        },
+    );
     rows.push(KernelRow {
         name: "loss_and_grad_into".into(),
         shape: format!("{label} batch {batch}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -473,18 +519,21 @@ fn bench_dot(rows: &mut Vec<KernelRow>, reps: usize, len: usize) {
     let want = old_dot(&a, &b);
     let got = kernels::dot(&a, &b);
     assert_close("dot", &[got], &[want]);
-    let baseline_ns = time_ns(reps, || {
-        black_box(old_dot(black_box(&a), black_box(&b)));
-    });
-    let kernel_ns = time_ns(reps, || {
-        black_box(kernels::dot(black_box(&a), black_box(&b)));
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            black_box(old_dot(black_box(&a), black_box(&b)));
+        },
+        || {
+            black_box(kernels::dot(black_box(&a), black_box(&b)));
+        },
+    );
     rows.push(KernelRow {
         name: "dot".into(),
         shape: format!("{len}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -495,16 +544,17 @@ fn bench_axpy(rows: &mut Vec<KernelRow>, reps: usize, len: usize) {
     old_axpy(&mut y_old, 0.5, &x);
     kernels::axpy(&mut y_new, 0.5, &x);
     assert_close("axpy", &y_new, &y_old);
-    let baseline_ns = time_ns(reps, || old_axpy(black_box(&mut y_old), 0.5, black_box(&x)));
-    let kernel_ns = time_ns(reps, || {
-        kernels::axpy(black_box(&mut y_new), 0.5, black_box(&x))
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || old_axpy(black_box(&mut y_old), 0.5, black_box(&x)),
+        || kernels::axpy(black_box(&mut y_new), 0.5, black_box(&x)),
+    );
     rows.push(KernelRow {
         name: "axpy".into(),
         shape: format!("{len}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -520,18 +570,21 @@ fn bench_weighted_average(rows: &mut Vec<KernelRow>, reps: usize, workers: usize
     let want = old_weighted_average(&items);
     let got = Vector::weighted_average(items.iter().copied());
     assert_close("weighted_average", got.as_slice(), want.as_slice());
-    let baseline_ns = time_ns(reps, || {
-        black_box(old_weighted_average(black_box(&items)));
-    });
-    let kernel_ns = time_ns(reps, || {
-        black_box(Vector::weighted_average(black_box(&items).iter().copied()));
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            black_box(old_weighted_average(black_box(&items)));
+        },
+        || {
+            black_box(Vector::weighted_average(black_box(&items).iter().copied()));
+        },
+    );
     rows.push(KernelRow {
         name: "weighted_average".into(),
         shape: format!("{workers}x{dim}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -552,26 +605,29 @@ fn bench_weighted_sum_batch(rows: &mut Vec<KernelRow>, reps: usize, workers: usi
     let old32: Vec<f32> = acc_old.iter().map(|&a| a as f32).collect();
     let new32: Vec<f32> = acc_new.iter().map(|&a| a as f32).collect();
     assert_close("weighted_sum_batch", &new32, &old32);
-    let baseline_ns = time_ns(reps, || {
-        acc_old.fill(0.0);
-        for (w, v) in weights.iter().zip(&views) {
-            kernels::weighted_accumulate(black_box(&mut acc_old), *w, black_box(v));
-        }
-    });
-    let kernel_ns = time_ns(reps, || {
-        acc_new.fill(0.0);
-        kernels::weighted_sum_batch(
-            black_box(&mut acc_new),
-            black_box(&weights),
-            black_box(&views),
-        );
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            acc_old.fill(0.0);
+            for (w, v) in weights.iter().zip(&views) {
+                kernels::weighted_accumulate(black_box(&mut acc_old), *w, black_box(v));
+            }
+        },
+        || {
+            acc_new.fill(0.0);
+            kernels::weighted_sum_batch(
+                black_box(&mut acc_new),
+                black_box(&weights),
+                black_box(&views),
+            );
+        },
+    );
     rows.push(KernelRow {
         name: "weighted_sum_batch".into(),
         shape: format!("{workers}x{dim}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -588,30 +644,33 @@ fn bench_fused_momentum(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
     kernels::fused_aggregate_momentum(&acc, total, gamma, &y_old, &mut mean, &mut looked);
     assert_close("fused_aggregate_momentum mean", &mean, &want_mean);
     assert_close("fused_aggregate_momentum looked", &looked, &want_looked);
-    let baseline_ns = time_ns(reps, || {
-        black_box(old_finalize_momentum(
-            black_box(&acc),
-            total,
-            gamma,
-            black_box(&y_old),
-        ));
-    });
-    let kernel_ns = time_ns(reps, || {
-        kernels::fused_aggregate_momentum(
-            black_box(&acc),
-            total,
-            gamma,
-            black_box(&y_old),
-            &mut mean,
-            &mut looked,
-        );
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            black_box(old_finalize_momentum(
+                black_box(&acc),
+                total,
+                gamma,
+                black_box(&y_old),
+            ));
+        },
+        || {
+            kernels::fused_aggregate_momentum(
+                black_box(&acc),
+                total,
+                gamma,
+                black_box(&y_old),
+                &mut mean,
+                &mut looked,
+            );
+        },
+    );
     rows.push(KernelRow {
         name: "fused_aggregate_momentum".into(),
         shape: format!("{dim}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -655,22 +714,26 @@ fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
         );
     }
     let per_step = NAG_WORKERS as f64;
-    let baseline_ns = time_ns(reps, || {
-        for s in &mut old {
-            old_nag_step(black_box(s), &g, eta, gamma);
-        }
-    }) / per_step;
-    let kernel_ns = time_ns(reps, || {
-        for s in &mut new {
-            fused(black_box(s));
-        }
-    }) / per_step;
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            for s in &mut old {
+                old_nag_step(black_box(s), &g, eta, gamma);
+            }
+        },
+        || {
+            for s in &mut new {
+                fused(black_box(s));
+            }
+        },
+    );
+    let (baseline_ns, kernel_ns) = (baseline_ns / per_step, kernel_ns / per_step);
     rows.push(KernelRow {
         name: "nag_step".into(),
         shape: format!("{dim}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -691,30 +754,33 @@ fn bench_conv(
     let mut out = Tensor4::zeros(0, 0, 0, 0);
     conv::conv2d_forward_into(&input, &weight, &bias, pad, &mut scratch, &mut out);
     assert_close("conv2d", out.as_slice(), want.as_slice());
-    let baseline_ns = time_ns(reps, || {
-        black_box(old_conv2d_forward(
-            black_box(&input),
-            black_box(&weight),
-            &bias,
-            pad,
-        ));
-    });
-    let kernel_ns = time_ns(reps, || {
-        conv::conv2d_forward_into(
-            black_box(&input),
-            black_box(&weight),
-            &bias,
-            pad,
-            &mut scratch,
-            &mut out,
-        );
-    });
+    let (baseline_ns, kernel_ns, speedup) = time_pair(
+        reps,
+        || {
+            black_box(old_conv2d_forward(
+                black_box(&input),
+                black_box(&weight),
+                &bias,
+                pad,
+            ));
+        },
+        || {
+            conv::conv2d_forward_into(
+                black_box(&input),
+                black_box(&weight),
+                &bias,
+                pad,
+                &mut scratch,
+                &mut out,
+            );
+        },
+    );
     rows.push(KernelRow {
         name: "conv2d_forward".into(),
         shape: format!("{c_in}->{c_out} {hw}x{hw} k{k} p{pad}"),
         baseline_ns,
         kernel_ns,
-        speedup: baseline_ns / kernel_ns,
+        speedup,
     });
 }
 
@@ -850,15 +916,16 @@ fn speedup_violations<'a>(
 /// below the committed baseline's (matched by name and shape).
 ///
 /// Timing on a shared box is noisy in both the numerator and the
-/// denominator of a speedup, so the gate keeps the best per-shape speedup
-/// across up to three measurement passes and only fails a kernel that
-/// stays below the floor in all of them — a real regression is persistent,
-/// a scheduling hiccup is not.
-fn enforce_speedup_floor(reps: usize, baseline: &[(String, String, f64)]) {
+/// denominator of a speedup. Each speedup is therefore the median ratio
+/// of `pairs` interleaved old/new pairs ([`time_pair`]), and the gate
+/// keeps the best per-shape speedup across up to three measurement passes
+/// and only fails a kernel that stays below the floor in all of them — a
+/// real regression is persistent, a scheduling hiccup is not.
+fn enforce_speedup_floor(pairs: usize, baseline: &[(String, String, f64)]) {
     let mut best: Vec<KernelRow> = Vec::new();
     for attempt in 0..3 {
         let mut tracked = Vec::new();
-        full_kernel_shapes(&mut tracked, reps);
+        full_kernel_shapes(&mut tracked, pairs);
         for row in tracked {
             match best
                 .iter_mut()
@@ -1018,9 +1085,9 @@ fn main() {
     if smoke {
         match baseline_speedups(&baseline_path) {
             Some(baseline) => {
-                // Re-time the tracked shapes at full size (a few reps keep
-                // this quick) and hold them to the committed speedups.
-                enforce_speedup_floor(reps.max(5), &baseline);
+                // Re-time the tracked shapes at full size and hold their
+                // median paired speedups to the committed ones.
+                enforce_speedup_floor(reps.max(15), &baseline);
             }
             None => println!("no committed full baseline at {baseline_path}; gate skipped"),
         }

@@ -431,7 +431,7 @@ pub(crate) enum Participants<'a> {
     /// that first steps it, and every batch, dropout and adversary stream
     /// re-derives from `(seed, worker, round)`, tallied per adversary plan
     /// entry. The slots are round-scoped
-    /// ([`FlState::scope_slots_to_rounds`]). Nothing needs replaying on
+    /// ([`FlState::with_round_scoped_slots`]). Nothing needs replaying on
     /// resume.
     Sampled {
         population: &'a WorkerPopulation,
@@ -663,9 +663,10 @@ impl<'a> Participants<'a> {
     }
 }
 
-/// The state both engines start a run from: `x0` everywhere, the run's
-/// aggregator, `tree` attached, the slots round-scoped for sampled
-/// cohorts ([`FlState::scope_slots_to_rounds`]), then `strategy.init`.
+/// The state both engines start a run from: `x0` in every tier, the
+/// run's aggregator, `tree` attached, then `strategy.init`. Sampled
+/// cohorts get round-scoped slots that start zero-dimensional
+/// ([`FlState::with_round_scoped_slots`]); every other slot starts at `x0`.
 pub fn initial_state<S: Strategy + ?Sized>(
     strategy: &S,
     x0: &Vector,
@@ -675,11 +676,12 @@ pub fn initial_state<S: Strategy + ?Sized>(
     cfg: &RunConfig,
     round_scoped: bool,
 ) -> FlState {
-    let mut state = FlState::new(hierarchy, weights, x0);
+    let mut state = if round_scoped {
+        FlState::with_round_scoped_slots(hierarchy, weights, x0)
+    } else {
+        FlState::new(hierarchy, weights, x0)
+    };
     state.aggregator = cfg.aggregator;
-    if round_scoped {
-        state.scope_slots_to_rounds();
-    }
     if let Some(tree) = tree {
         state.attach_tree(tree.clone());
     }

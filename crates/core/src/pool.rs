@@ -397,7 +397,7 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
 
     /// Runs aggregation `k` on the edge `items` across the lanes under the
     /// round's data `weights`, over round-scoped slots or not
-    /// ([`crate::FlState::scope_slots_to_rounds`]); returns them in input
+    /// ([`crate::FlState::with_round_scoped_slots`]); returns them in input
     /// order.
     pub(crate) fn aggregate_edges(
         &mut self,

@@ -708,7 +708,7 @@ where
 /// Cohort workers re-materialize from their edge at every round start, so
 /// the snapshot needs no RNG replay on resume: every per-worker stream
 /// re-derives from `(seed, worker, round)`. Its round-scoped worker slots
-/// ([`FlState::scope_slots_to_rounds`]) hold what the last round left in
+/// ([`FlState::with_round_scoped_slots`]) hold what the last round left in
 /// them, which a resumed run never reads.
 ///
 /// # Errors

@@ -242,7 +242,7 @@ pub struct FlState {
     /// a resumed run takes the rule from its `RunConfig`.
     pub aggregator: RobustAggregator,
     /// Whether the worker slots are round-scoped (see
-    /// [`FlState::scope_slots_to_rounds`]). Set only by a sampled
+    /// [`FlState::with_round_scoped_slots`]). Set only by a sampled
     /// participant source; no config field or snapshot carries it.
     round_scoped: bool,
 }
@@ -255,9 +255,38 @@ impl FlState {
     ///
     /// Panics if `x0` is empty.
     pub fn new(hierarchy: Hierarchy, weights: Weights, x0: &Vector) -> Self {
+        FlState::with_slots(hierarchy, weights, x0, false)
+    }
+
+    /// Like [`FlState::new`], but with round-scoped worker slots: the
+    /// engine rebuilds every slot from its edge's download before the slot
+    /// is read, as both engines do for sampled cohorts, so nothing an
+    /// aggregation hook writes into a slot can be observed. The slots
+    /// start zero-dimensional, and the event engine keeps them so outside
+    /// an edge's firing. The distribution helpers —
+    /// [`FlState::for_all_workers`], [`FlState::for_edge_workers`] and
+    /// [`EdgeView::for_workers`] — skip their closures, which saves every
+    /// hook's per-slot copies and accumulator resets without any hook
+    /// knowing which participant source it serves. Hooks must reach slots
+    /// through those helpers to benefit; reads are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0` is empty.
+    pub fn with_round_scoped_slots(hierarchy: Hierarchy, weights: Weights, x0: &Vector) -> Self {
+        FlState::with_slots(hierarchy, weights, x0, true)
+    }
+
+    fn with_slots(hierarchy: Hierarchy, weights: Weights, x0: &Vector, round_scoped: bool) -> Self {
         assert!(!x0.is_empty(), "initial model must be non-empty");
         let workers = (0..hierarchy.num_workers())
-            .map(|_| WorkerState::new(x0))
+            .map(|_| {
+                if round_scoped {
+                    WorkerState::default()
+                } else {
+                    WorkerState::new(x0)
+                }
+            })
             .collect();
         let edges = (0..hierarchy.num_edges())
             .map(|_| EdgeState::new(x0))
@@ -271,25 +300,12 @@ impl FlState {
             middle: Vec::new(),
             tree: None,
             aggregator: RobustAggregator::default(),
-            round_scoped: false,
+            round_scoped,
         }
     }
 
-    /// Marks the worker slots round-scoped: the engine rebuilds every slot
-    /// from its edge's download before the slot is read again, as both
-    /// engines do for sampled cohorts, so nothing an aggregation hook
-    /// writes into a slot can be observed. The distribution helpers —
-    /// [`FlState::for_all_workers`], [`FlState::for_edge_workers`] and
-    /// [`EdgeView::for_workers`] — then skip their closures, which saves
-    /// every hook's per-slot copies and accumulator resets without any
-    /// hook knowing which participant source it serves. Hooks must reach
-    /// slots through those helpers to benefit; reads are unaffected.
-    pub fn scope_slots_to_rounds(&mut self) {
-        self.round_scoped = true;
-    }
-
     /// Whether the worker slots are round-scoped (see
-    /// [`FlState::scope_slots_to_rounds`]).
+    /// [`FlState::with_round_scoped_slots`]).
     pub(crate) fn round_scoped(&self) -> bool {
         self.round_scoped
     }
@@ -412,7 +428,7 @@ impl FlState {
     }
 
     /// Applies a closure to every worker under one edge — a no-op when
-    /// the slots are round-scoped ([`FlState::scope_slots_to_rounds`]).
+    /// the slots are round-scoped ([`FlState::with_round_scoped_slots`]).
     ///
     /// # Panics
     ///
@@ -431,7 +447,7 @@ impl FlState {
     }
 
     /// Applies a closure to every worker in the system — a no-op when the
-    /// slots are round-scoped ([`FlState::scope_slots_to_rounds`]).
+    /// slots are round-scoped ([`FlState::with_round_scoped_slots`]).
     pub fn for_all_workers<F>(&mut self, mut f: F)
     where
         F: FnMut(&mut WorkerState),
@@ -490,7 +506,7 @@ pub struct EdgeView<'a> {
     pub(crate) weights: &'a Weights,
     pub(crate) aggregator: RobustAggregator,
     /// The federation's slots are round-scoped
-    /// ([`FlState::scope_slots_to_rounds`]).
+    /// ([`FlState::with_round_scoped_slots`]).
     pub(crate) round_scoped: bool,
 }
 
@@ -581,7 +597,7 @@ impl EdgeView<'_> {
 
     /// Applies a closure to every worker under this edge, in local order
     /// — a no-op when the federation's slots are round-scoped
-    /// ([`FlState::scope_slots_to_rounds`]).
+    /// ([`FlState::with_round_scoped_slots`]).
     pub fn for_workers<F>(&mut self, mut f: F)
     where
         F: FnMut(&mut WorkerState),
@@ -784,10 +800,13 @@ mod tests {
         assert!(registered.workers.iter().all(|w| w.x == nine));
         assert_eq!(registered.workers[2].y, nine);
         assert_eq!(registered.workers[0].grad_accum, Vector::zeros(2));
-        // Round-scoped slots are left exactly as they were.
-        let mut scoped = state();
+        // Round-scoped slots start zero-dimensional and are left exactly
+        // as they were.
+        let s = state();
+        let mut scoped = FlState::with_round_scoped_slots(s.hierarchy, s.weights, &s.cloud.x_plus);
+        assert!(scoped.workers.iter().all(|w| *w == WorkerState::default()));
+        scoped.workers[0] = registered.workers[0].clone();
         scoped.workers[0].grad_accum = Vector::from(vec![5.0, 5.0]);
-        scoped.scope_slots_to_rounds();
         let before = scoped.workers.clone();
         write(&mut scoped);
         assert!(scoped.round_scoped());

@@ -14,15 +14,14 @@
 //! - **Sampled** — per-round cohort slots drawn at round start by
 //!   [`draw_edge_cohort`], with streams re-derived from
 //!   `(seed, worker, round)`; absence is decided when the cohort is
-//!   drawn, and every live slot's τ-step segment is computed right then,
-//!   in parallel on the pool (each lane materializes its slot from the
-//!   edge's download pair first), so `Step` events only advance the
-//!   clock. A straggler is waived at the end of its round (see
-//!   [`crate::vpop`]).
+//!   drawn, and `Step` events only advance the clock. The slots' segments
+//!   are computed when their edge fires, in parallel on the pool, each
+//!   lane materializing its slot from the edge's download pair first. A
+//!   straggler is waived at the end of its round (see [`crate::vpop`]).
 //!
 //! The engine consults the source only at round start and step
 //! scheduling, the upload's mailbox write, the slots' fill before an edge's
-//! hook, the continuation after an edge fires, the slots a partial cloud
+//! hook and their release after it, the continuation after an edge fires, the slots a partial cloud
 //! firing restores, a late cloud submission, the barriers' per-child waivers,
 //! evaluation staging and the result's actor tallies. The event loop, the
 //! round barrier the edges and the cloud share (`barrier::Barrier`), the
@@ -44,11 +43,11 @@
 //! aggregation order, same fixed-chunk ordered evaluation reduction — so
 //! the final model, convergence curve and γℓ diagnostics are bitwise
 //! identical; only the time axis is new. Sampled slots are round-scoped
-//! ([`FlState::scope_slots_to_rounds`]): their segments are parked outside
-//! the mailbox until their edge fires and move in just before its hook,
-//! so no hook's distribution into them is ever read; a relaxed firing
-//! that catches a slot mid-segment rewinds it to the steps it has taken
-//! (see `Engine::fill_slots`).
+//! ([`FlState::with_round_scoped_slots`]) and zero-dimensional outside
+//! their edge's firing: it computes each slot's segment over the steps
+//! the slot has taken, its buffers are released right after the hook, so
+//! no hook's distribution into them is ever read and only one edge's
+//! cohort is resident at a time (see `Engine::fill_slots`).
 //!
 //! # Determinism
 //!
@@ -276,8 +275,8 @@ struct SlotCtx {
     edge: usize,
     /// The worker's shard index this round.
     shard: usize,
-    /// `Step` events processed this round (the slot's segment itself is
-    /// computed when the round starts).
+    /// `Step` events processed this round: the length of the segment the
+    /// edge's firing computes for the slot.
     steps: usize,
     /// This round's private delay stream.
     delays: DelaySampler,
@@ -286,13 +285,9 @@ struct SlotCtx {
     fsampler: Option<FaultSampler>,
     /// Per-step dropout mask for this round (all-false without dropout).
     dropped: Vec<bool>,
-    /// The occupying worker's attack, if it is Byzantine.
-    attack: Option<AttackModel>,
-    /// A live slot's end-of-round state, parked here from the round's
-    /// start until its edge fires, when it moves into the mailbox slot;
-    /// otherwise a zero-dimensional placeholder. Parked outside the
-    /// mailbox, it is out of every other edge's and tier's hooks' reach.
-    state: WorkerState,
+    /// The occupying worker's attack and its adversary-plan index, if it
+    /// is Byzantine.
+    attack: Option<(AttackModel, usize)>,
 }
 
 impl SlotCtx {
@@ -374,9 +369,12 @@ struct Sampled<'a> {
     shard_sizes: Vec<u64>,
     sampler: CohortSampler,
     slots: Vec<SlotCtx>,
-    /// Per edge: its current round's download pair, shared by the round's
-    /// segments and kept for rewinds and absent slots.
+    /// Per edge: its current round's download pair, every segment's start
+    /// when the edge fires.
     downloads: Vec<Arc<Download>>,
+    /// Slot buffers between firings: an edge's firing pops one per slot
+    /// and returns them after its hook.
+    spare: Vec<WorkerState>,
     /// Per slot: crashed when the cohort was drawn, absent for the round.
     absent: Vec<bool>,
     /// Per edge: finished its final round.
@@ -1041,11 +1039,9 @@ where
     }
 
     /// Round start of sampled edge `e`: draw its cohort, decide each
-    /// occupant's absence up front, charge the downloads, and compute
-    /// every live slot's local-step segment on the pool, each lane first
-    /// materializing its slot from the edge's download pair. From here on
-    /// a live slot's end-of-round state is parked in its [`SlotCtx`] until
-    /// the edge fires; its `Step` events only advance the virtual clock.
+    /// occupant's absence up front, snapshot the edge's download pair and
+    /// charge the downloads. The slots' `Step` events only advance the
+    /// virtual clock; their segments are computed when the edge fires.
     fn start_round(&mut self, e: usize, now: f64) {
         let cfg = self.cfg;
         let sim = self.sim;
@@ -1054,9 +1050,8 @@ where
         let range = self.fl.hierarchy.edge_workers(e);
         let s = self.src.sampled();
         let ids = draw_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
-        let download = Download::of(&self.fl.edges[e]);
-        let mut live = Vec::with_capacity(ids.len());
-        let mut segments = Vec::with_capacity(ids.len());
+        s.downloads[e] = Download::of(&self.fl.edges[e]);
+        let mut live = false;
         for (j, &g) in ids.iter().enumerate() {
             let slot = range.start + j;
             let mut fsampler = faults_on
@@ -1096,16 +1091,14 @@ where
             ctx.delays = DelaySampler::from_stream(sim.net_seed, delay_stream(g, k as u64));
             ctx.fsampler = fsampler;
             ctx.dropped = cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
-            ctx.attack = cfg.adversary.attack_for(g as usize);
+            let plan = &cfg.adversary.byzantine;
+            let entry = plan.iter().position(|b| b.worker as u64 == g);
+            ctx.attack = entry.map(|entry| (plan[entry].attack, entry));
             if absent {
                 s.faults.lost_uploads += 1;
                 continue; // down for the round: no download, no steps
             }
-            // The slot's whole segment depends only on the download and
-            // its own batch stream, so it is checked out and computed now.
-            let worker = mem::take(&mut self.fl.workers[slot]);
-            live.push(slot);
-            segments.push(ctx.segment(cfg, &s.shard_sizes, k, cfg.tau, worker, &download));
+            live = true;
             // Model download to the freshly sampled participant.
             let d = ctx
                 .delays
@@ -1119,11 +1112,7 @@ where
                 self.queue.push(now + d + lag, to, Ev::DupArrival { to });
             }
         }
-        s.downloads[e] = download;
-        for (slot, seg) in live.iter().zip(self.pool.run_segments(segments)) {
-            self.src.sampled().slots[*slot].state = seg.worker;
-        }
-        if live.is_empty() {
+        if !live {
             // Every sampled participant is down: the round fires empty and
             // the edge relays its carried state at the boundaries, so no
             // barrier above can deadlock on it.
@@ -1205,32 +1194,9 @@ where
             // and the rejoin happens at the next round start for free.
             return;
         }
-        let cfg = self.cfg;
-        let s = self.src.sampled();
-        let ctx = &mut s.slots[slot];
-        let e = ctx.edge;
-        // The slot's segment was computed at round start and is parked
-        // until the edge fires, so the upload's mailbox write is deferred
-        // to the firing; only poisoning touches the parked state now.
-        if let Some(attack) = ctx.attack {
-            let g = ctx.gid;
-            let entry = cfg
-                .adversary
-                .byzantine
-                .iter()
-                .position(|b| b.worker as u64 == g)
-                .expect("attack implies a plan entry");
-            // A fresh per-(worker, round) stream: the draw is independent
-            // of event interleaving and of every other corruption.
-            let mut sampler =
-                AdversarySampler::from_stream(cfg.seed, adversary_stream(g, round as u64));
-            corrupt_upload(
-                &mut ctx.state,
-                &attack,
-                &mut sampler,
-                &mut s.adversaries[entry],
-            );
-        }
+        // The upload's mailbox write, and a Byzantine slot's poisoning,
+        // happen when the edge fires (`fill_slots`).
+        let e = self.src.sampled().slots[slot].edge;
         let j = slot - self.edge_offset(e);
         self.edge_arrival(e, j, round, now);
     }
@@ -1468,6 +1434,11 @@ where
             self.fill_slots(e);
             let mut view = self.fl.edge_view(e);
             strategy.tier_aggregate_stale(TierScope::Edge(&mut view), k, &staleness);
+            if let Participants::Sampled(s) = &mut self.src {
+                let range = self.fl.hierarchy.edge_workers(e);
+                s.spare
+                    .extend(self.fl.workers[range].iter_mut().map(mem::take));
+            }
         }
         let (gamma, cos) = (self.fl.edges[e].gamma_edge, self.fl.edges[e].cos_theta);
         if self.staged_rounds() {
@@ -1497,44 +1468,43 @@ where
     }
 
     /// Fills sampled edge `e`'s mailbox slots just before its hook, the
-    /// only time they are read: each slot's round state moves in from
-    /// where it was parked, so no other edge's or tier's hook since the
-    /// round started can have touched it. A slot that arrived, or has taken
-    /// all τ steps with its upload still in flight, moves its parked
-    /// end-of-round state in. An absent slot is materialized from the
-    /// round's download pair, here on the event thread. A relaxed firing
-    /// reads a live slot that has neither as it stands, after the `steps`
-    /// of its `Step` events processed so far, so that slot is rewound: its
-    /// segment is recomputed on the pool from the download pair over the
-    /// non-dropped ticks among those first `steps`, on a fresh stream of
-    /// the round's batches. A straggler never steps again in its round,
-    /// so nothing else needs rewinding; full-sync firings have no
-    /// straggler. Registered runs keep their mailbox as it is.
+    /// only time they are read, and hands the buffers back to the spare
+    /// list right after it (`fire_edge`), so one edge's cohort is resident
+    /// at a time. Every slot's segment is computed here on the pool, from
+    /// the round's download pair over the non-dropped ticks among the
+    /// `steps` its `Step` events reached, on a fresh stream of the round's
+    /// batches: τ for a slot that arrived (or has its upload in flight),
+    /// fewer for a straggler a relaxed firing catches mid-round, none for
+    /// an absent slot, which holds the download itself. A straggler never
+    /// steps again in its round, and full-sync firings have none. The
+    /// arrived Byzantine slots are then poisoned in slot order, each from
+    /// a fresh per-(worker, round) stream, so the draw is independent of
+    /// event interleaving and of every other corruption. Registered runs
+    /// keep their mailbox as it is.
     fn fill_slots(&mut self, e: usize) {
         let Participants::Sampled(s) = &mut self.src else {
             return;
         };
         let cfg = self.cfg;
-        let k = self.edges[e].barrier.round();
-        let download = Arc::clone(&s.downloads[e]);
+        let barrier = &self.edges[e].barrier;
+        let k = barrier.round();
         let range = self.fl.hierarchy.edge_workers(e);
-        let mut rewound = Vec::new();
-        let mut segments = Vec::new();
-        for (j, slot) in range.enumerate() {
-            let ctx = &mut s.slots[slot];
-            let mailbox = &mut self.fl.workers[slot];
-            if s.absent[slot] {
-                mailbox.download(&download.x, &download.y);
-            } else if self.edges[e].barrier.arrived(j) || ctx.steps == cfg.tau {
-                mem::swap(mailbox, &mut ctx.state);
-            } else {
-                let worker = mem::take(&mut ctx.state);
-                rewound.push(slot);
-                segments.push(ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, worker, &download));
+        let segments = s.slots[range.clone()]
+            .iter()
+            .map(|ctx| {
+                let worker = s.spare.pop().unwrap_or_default();
+                ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, worker, &s.downloads[e])
+            })
+            .collect();
+        let segments = self.pool.run_segments(segments);
+        for (j, (slot, seg)) in range.zip(segments).enumerate() {
+            let (mailbox, ctx) = (&mut self.fl.workers[slot], &s.slots[slot]);
+            *mailbox = seg.worker;
+            if let Some((attack, entry)) = ctx.attack.filter(|_| barrier.arrived(j)) {
+                let stream = adversary_stream(ctx.gid, k as u64);
+                let mut sampler = AdversarySampler::from_stream(cfg.seed, stream);
+                corrupt_upload(mailbox, &attack, &mut sampler, &mut s.adversaries[entry]);
             }
-        }
-        for (slot, seg) in rewound.iter().zip(self.pool.run_segments(segments)) {
-            self.fl.workers[*slot] = seg.worker;
         }
     }
 
@@ -2242,7 +2212,6 @@ where
             fsampler: None,
             dropped: vec![false; cfg.tau],
             attack: None,
-            state: WorkerState::default(),
         })
         .collect();
     let sampler = match &sim.tiers {
@@ -2257,6 +2226,7 @@ where
         sampler,
         slots: slot_ctxs,
         downloads: fl.edges.iter().map(Download::of).collect(),
+        spare: Vec::new(),
         absent: vec![false; slots],
         retired: vec![false; l_count],
         busy_ms: 0.0,

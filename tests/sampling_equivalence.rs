@@ -15,6 +15,7 @@
 mod common;
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::{
     matrix_policies, sampled_fault_plan, sampled_matrix_trees, sampled_tier_fixture, sim_config,
@@ -1511,9 +1512,9 @@ fn full_participation_sampled_runs_delegate_at_every_depth() {
 /// compares their replays only with each other (replay, thread count), so
 /// a change that moved every replay alike would pass it. One Deadline and
 /// one AsyncAge cell of the depth-4 tree under the fault plan — the
-/// faults leave stragglers that a relaxed firing rewinds — each pinned by
-/// a bit hash of the whole parameter vector, its sum, the γ trace and the
-/// accuracies.
+/// faults leave stragglers that a relaxed firing computes over the steps
+/// they took — each pinned by a bit hash of the whole parameter vector,
+/// its sum, the γ trace and the accuracies.
 #[test]
 fn relaxed_sampled_trajectories_are_pinned() {
     use common::MlpPin;
@@ -1901,6 +1902,142 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
         assert_eq!(want.final_params, got.final_params, "{label}: params");
         assert_eq!(want.gamma_trace, got.gamma_trace, "{label}: gamma");
         assert_eq!(want.tier_gamma, got.tier_gamma, "{label}: tier gamma");
+        assert_eq!(want.events, got.events, "{label}: events");
+    }
+}
+
+/// Wraps a strategy and checks, at every hook the engines call, which
+/// worker slots hold state: an edge hook must see all of its slots at the
+/// model's width, while a middle or root hook must find every slot of the
+/// federation zero-dimensional. The event engine computes a sampled
+/// edge's cohort when the edge fires and releases the buffers right after
+/// its hook, so no slot is resident outside its edge's firing.
+struct SlotLifetime<S> {
+    inner: S,
+    dim: usize,
+    edge_hooks: AtomicUsize,
+    upper_hooks: AtomicUsize,
+}
+
+fn slot_widths(w: &WorkerState) -> [usize; 7] {
+    [
+        w.x.len(),
+        w.y.len(),
+        w.v.len(),
+        w.grad_accum.len(),
+        w.y_accum.len(),
+        w.v_accum.len(),
+        w.scratch.len(),
+    ]
+}
+
+impl<S: Strategy> Strategy for SlotLifetime<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn tier(&self) -> Tier {
+        self.inner.tier()
+    }
+    fn local_step(
+        &self,
+        t: usize,
+        worker: &mut WorkerState,
+        grad: &mut dyn FnMut(&Vector, &mut Vector),
+    ) {
+        self.inner.local_step(t, worker, grad);
+    }
+    fn edge_aggregate(&self, k: usize, view: &mut EdgeView<'_>) {
+        self.inner.edge_aggregate(k, view);
+    }
+    fn cloud_aggregate(&self, p: usize, state: &mut FlState) {
+        self.inner.cloud_aggregate(p, state);
+    }
+    fn tier_aggregate_stale(&self, scope: TierScope<'_, '_>, round: usize, staleness: &[usize]) {
+        let workers = match &scope {
+            TierScope::Edge(view) => {
+                for w in view.workers.iter() {
+                    assert_eq!(slot_widths(w), [self.dim; 7], "edge hook, round {round}");
+                }
+                self.edge_hooks.fetch_add(1, Ordering::Relaxed);
+                return self.inner.tier_aggregate_stale(scope, round, staleness);
+            }
+            TierScope::Middle { state, .. } | TierScope::Root(state) => &state.workers,
+        };
+        for w in workers {
+            assert_eq!(slot_widths(w), [0; 7], "middle or root hook, round {round}");
+        }
+        self.upper_hooks.fetch_add(1, Ordering::Relaxed);
+        self.inner.tier_aggregate_stale(scope, round, staleness);
+    }
+    fn global_params(&self, state: &FlState) -> Vector {
+        self.inner.global_params(state)
+    }
+    fn check_topology(&self, hierarchy: &Hierarchy) -> Result<(), String> {
+        self.inner.check_topology(hierarchy)
+    }
+}
+
+/// Sampled slots live only while their edge fires: on the depth-4 tree of
+/// `relaxed_sampled_trajectories_are_pinned`, under full sync, Deadline
+/// and AsyncAge, with the fault plan (absent slots, stragglers, partial
+/// cloud firings) and one Byzantine worker, every edge hook of
+/// `simulate_virtual` sees model-size slots and every middle and root
+/// hook sees only zero-dimensional ones (see [`SlotLifetime`]); each run
+/// reproduces the unwrapped run bit for bit.
+#[test]
+fn sampled_slots_live_only_during_their_edge_firing() {
+    use hieradmo::netsim::ByzantineWorker;
+
+    let tree = &sampled_matrix_trees()[1];
+    let f = sampled_tier_fixture(tree);
+    let cfg = RunConfig {
+        adversary: AdversaryPlan {
+            byzantine: vec![ByzantineWorker {
+                worker: 2,
+                attack: AttackModel::SignFlip { scale: 2.0 },
+            }],
+        },
+        ..f.cfg.clone()
+    };
+    let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
+    let model = zoo::logistic_regression(&f.train, 1);
+    for policy in matrix_policies() {
+        let sim = SimConfig::new(
+            NetworkEnv::paper_testbed(4),
+            Architecture::ThreeTier,
+            50_000,
+            7,
+            policy,
+        )
+        .with_tiers(tree.clone())
+        .with_faults(sampled_fault_plan());
+        let checked = SlotLifetime {
+            inner: algo.clone(),
+            dim: model.params().len(),
+            edge_hooks: AtomicUsize::new(0),
+            upper_hooks: AtomicUsize::new(0),
+        };
+        let run = |s: &dyn Strategy| {
+            simulate_virtual(s, &model, &f.population, &f.shards, &f.test, &cfg, &sim).unwrap()
+        };
+        let (want, got) = (run(&algo), run(&checked));
+        let label = format!("slot lifetime, depth-4 simulate_virtual, {policy:?}");
+        assert!(checked.edge_hooks.into_inner() > 0, "{label}: no edge hook");
+        assert!(
+            checked.upper_hooks.into_inner() > 0,
+            "{label}: no upper hook"
+        );
+        let poisoned: u64 = want
+            .adversaries
+            .iter()
+            .map(|a| a.counters.poisoned_uploads)
+            .sum();
+        assert!(poisoned > 0, "{label}: the Byzantine worker never uploaded");
+        assert_eq!(want.curve, got.curve, "{label}: curve differs");
+        assert_eq!(want.final_params, got.final_params, "{label}: params");
+        assert_eq!(want.gamma_trace, got.gamma_trace, "{label}: gamma");
+        assert_eq!(want.tier_gamma, got.tier_gamma, "{label}: tier gamma");
+        assert_eq!(want.adversaries, got.adversaries, "{label}: adversaries");
         assert_eq!(want.events, got.events, "{label}: events");
     }
 }

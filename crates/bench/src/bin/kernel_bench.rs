@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use hieradmo_bench::cli::Cli;
 use hieradmo_core::algorithms::HierAdMo;
-use hieradmo_core::{run, RunConfig};
+use hieradmo_core::{run, RunConfig, RunSpec};
 use hieradmo_data::partition::x_class_partition;
 use hieradmo_data::synthetic::SyntheticDataset;
 use hieradmo_data::{Dataset, Target};
@@ -803,8 +803,7 @@ fn end_to_end(total_iters: usize) -> EndToEnd {
     let res = run(
         &algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &tt.test,
         &cfg,
     )

@@ -44,7 +44,7 @@
 //! depth, not across depths.
 //!
 //! `--churn` attaches a named topology-churn scenario and routes the cell
-//! through the elastic runtime (`simulate_elastic`):
+//! through the elastic runtime (`simulate` under a non-empty churn plan):
 //!
 //! - `flaky_edges`: the minority edge dies at the one-third mark (its
 //!   workers re-home onto the survivor) and the live edges re-form every
@@ -68,7 +68,7 @@ use hieradmo_metrics::export::SimRunRecord;
 use hieradmo_models::Model;
 use hieradmo_netsim::payload::payload_bytes;
 use hieradmo_netsim::{Architecture, NetworkEnv};
-use hieradmo_simrt::{simulate, simulate_elastic, SimConfig, SyncPolicy};
+use hieradmo_simrt::{simulate, SimConfig, SyncPolicy};
 use hieradmo_topology::{ChurnPlan, Hierarchy, ScheduledEvent, TierSpec, TierTree, TopologyEvent};
 
 const EDGES: usize = 2;
@@ -224,12 +224,8 @@ fn main() {
             );
             let sim = SimConfig::new(env.clone(), arch, payload, seed.wrapping_add(7), policy)
                 .with_faults(scenario.plan());
-            let res = if churn_on {
-                simulate_elastic(&algo, &model, &hierarchy, &shards, &tt.test, &cfg, &sim)
-            } else {
-                simulate(&algo, &model, &hierarchy, &shards, &tt.test, &cfg, &sim)
-            }
-            .expect("co-simulation failed");
+            let res = simulate(&algo, &model, &hierarchy, &shards, &tt.test, &cfg, &sim)
+                .expect("co-simulation failed");
             let final_acc = res
                 .timed_curve
                 .points()

@@ -1,7 +1,7 @@
 //! Assembly code: partition → topology → run, for both architectures.
 
 use hieradmo_core::strategy::Tier;
-use hieradmo_core::{run, RunConfig, RunResult, Strategy};
+use hieradmo_core::{run, RunConfig, RunResult, RunSpec, Strategy};
 use hieradmo_data::partition::x_class_partition;
 use hieradmo_data::Dataset;
 use hieradmo_metrics::ConvergenceCurve;
@@ -99,9 +99,15 @@ pub fn run_partitioned(
         }
         Tier::Two => (Hierarchy::two_tier(n), cfg.two_tier_equivalent()),
     };
-    run(strategy, model, &hierarchy, shards, test, &cfg)
-        .unwrap_or_else(|e| panic!("{} run failed: {e}", strategy.name()))
-        .into()
+    run(
+        strategy,
+        model,
+        &RunSpec::hierarchy(&hierarchy, shards),
+        test,
+        &cfg,
+    )
+    .unwrap_or_else(|e| panic!("{} run failed: {e}", strategy.name()))
+    .into()
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn rejects_three_tier_topology() {
         use crate::algorithms::testutil::small_problem;
-        use crate::driver::run;
+        use crate::driver::{run, RunSpec};
         let (_, test, shards, model) = small_problem(4);
         let cfg = RunConfig {
             pi: 1,
@@ -102,8 +102,7 @@ mod tests {
         let err = run(
             &FedAvg::new(0.05),
             &model,
-            &Hierarchy::balanced(2, 2),
-            &shards,
+            &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
             &test,
             &cfg,
         )

@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn workers_synchronize_at_edge_aggregation() {
         use crate::algorithms::testutil::small_problem;
-        use crate::driver::run;
+        use crate::driver::{run, RunSpec};
         use crate::RunConfig;
         // One edge interval exactly: after the run's single edge+cloud
         // aggregation, all workers hold the same model.
@@ -425,7 +425,7 @@ mod tests {
         };
         let algo = HierAdMo::adaptive(0.05, 0.5);
         let h = Hierarchy::balanced(2, 2);
-        let res = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let res = run(&algo, &model, &RunSpec::hierarchy(&h, &shards), &test, &cfg).unwrap();
         assert_eq!(res.curve.len(), 1);
     }
 

@@ -87,11 +87,18 @@ mod tests {
     fn no_momentum_state_is_touched() {
         // HierFAVG never writes y/v; they must keep their initial values.
         use crate::algorithms::testutil::small_problem;
-        use crate::driver::run;
+        use crate::driver::{run, RunSpec};
         let (_, test, shards, model) = small_problem(4);
         let cfg = quick_cfg();
         let h = Hierarchy::balanced(2, 2);
-        let res = run(&HierFavg::new(0.05), &model, &h, &shards, &test, &cfg).unwrap();
+        let res = run(
+            &HierFavg::new(0.05),
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg,
+        )
+        .unwrap();
         // Indirect check: it still converges (y/v untouched is structural,
         // asserted by the strategy not reading them).
         assert!(res.curve.final_accuracy().unwrap() > 0.5);

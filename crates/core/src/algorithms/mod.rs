@@ -125,7 +125,7 @@ pub(crate) mod testutil {
     use hieradmo_topology::Hierarchy;
 
     use crate::config::RunConfig;
-    use crate::driver::{run, RunResult};
+    use crate::driver::{run, RunResult, RunSpec};
     use crate::strategy::Strategy;
 
     /// A small 4-class flat classification problem, 2-class non-iid over
@@ -148,7 +148,14 @@ pub(crate) mod testutil {
     /// Runs a strategy on [`small_problem`] with a short schedule.
     pub fn quick_run(strategy: &dyn Strategy, hierarchy: Hierarchy, cfg: RunConfig) -> RunResult {
         let (_, test, shards, model) = small_problem(hierarchy.num_workers());
-        run(strategy, &model, &hierarchy, &shards, &test, &cfg).expect("run should succeed")
+        run(
+            strategy,
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &test,
+            &cfg,
+        )
+        .expect("run should succeed")
     }
 
     /// Default quick config: η=0.05 for fast convergence on the small

@@ -8,8 +8,9 @@
 //! * [`Checkpoint`] — the *outcome* of a run (curve + final parameters),
 //!   enough to regenerate report numbers but not to continue training;
 //! * [`TrainingSnapshot`] — the full mid-run federation state at an edge
-//!   boundary, enough to resume training bitwise identically via
-//!   [`crate::run_resumed`]. This is also the state shape the
+//!   boundary, enough to resume training bitwise identically: a
+//!   [`crate::run`] with [`crate::RunSpec::stop_at`] returns one, a run
+//!   with [`crate::RunSpec::resume`] continues from it. This is also the state shape the
 //!   co-simulation runtime's crash-recovery path restores workers from.
 
 use std::fs;
@@ -24,7 +25,7 @@ use hieradmo_topology::ElasticSnapshot;
 
 use crate::config::RunConfig;
 use crate::driver::RunResult;
-use crate::state::{CloudState, EdgeState, TierState, WorkerState};
+use crate::state::{TierState, WorkerState};
 
 /// The serializable snapshot of one training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,9 +96,9 @@ impl Checkpoint {
     }
 }
 
-/// The complete federation state at a tick boundary — everything
-/// [`crate::run_resumed`] needs to continue a run exactly where
-/// [`crate::run_until`] stopped it.
+/// The complete federation state at a tick boundary — everything a
+/// [`crate::run`] with [`crate::RunSpec::resume`] needs to continue a run
+/// exactly where one with [`crate::RunSpec::stop_at`] stopped it.
 ///
 /// The batcher and dropout RNG streams are *not* stored: both are seeded
 /// from `RunConfig::seed` alone, so the resuming driver replays their
@@ -113,16 +114,16 @@ pub struct TrainingSnapshot {
     /// Worker states in flat (edge-major) order.
     pub workers: Vec<WorkerState>,
     /// Edge states.
-    pub edges: Vec<EdgeState>,
+    pub edges: Vec<TierState>,
     /// Cloud state.
-    pub cloud: CloudState,
+    pub cloud: TierState,
     /// Middle-tier states on N-tier runs, one vector per middle depth in
     /// [`hieradmo_topology::TierTree::middle_depths`] order. Empty on
     /// three-tier runs, so depth-3 snapshots keep their seed wire format.
     #[serde(default)]
     pub middle: Vec<Vec<TierState>>,
-    /// The elastic topology version in force at `tick`, on elastic runs
-    /// ([`crate::elastic::run_elastic_until`]): which stable edge ids are
+    /// The elastic topology version in force at `tick`, on churn runs
+    /// ([`crate::elastic`]): which stable edge ids are
     /// live and which registered worker sits where, so a resume replays
     /// the remaining churn boundaries against the identical tree. `None`
     /// on frozen-tree runs, keeping their seed wire format.

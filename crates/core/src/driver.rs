@@ -1,5 +1,6 @@
-//! The tick-driven engine: one training loop, `run_span`, behind every
-//! `core` entry point. It walks Algorithm 1 — local steps, edge
+//! The tick-driven engine: one training loop, `run_span`, behind the one
+//! entry point [`run`], which takes its participants and span as a
+//! [`RunSpec`]. It walks Algorithm 1 — local steps, edge
 //! aggregation every `τ`, middle tiers at their boundaries, the root every
 //! `τ·π`, evaluation every `eval_every` — on a persistent worker pool, and
 //! records a convergence curve. Who takes part is the private
@@ -33,10 +34,10 @@ use crate::config::RunConfig;
 pub use crate::pool::EVAL_CHUNK;
 use crate::pool::{Download, EdgeItem, ExecCtx, Pool, Segment};
 use crate::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, cohort_federation, draw_edge_cohort,
-    virtual_global_params, CohortSampler, WorkerPopulation,
+    adversary_stream, batcher_seed, check_population_tree, cohort_dropout_mask, cohort_federation,
+    draw_edge_cohort, virtual_global_params, CohortSampler, WorkerPopulation,
 };
-use crate::state::{EdgeState, FlState, TierState, WorkerState};
+use crate::state::{FlState, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
 
 /// Errors a run can fail with before any training happens.
@@ -139,42 +140,159 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Per-phase wall-clock breakdown of `elapsed`.
     pub timings: PhaseTimings,
-    /// Byzantine corruption tallies. Materialized runs ([`run`] and its
-    /// variants, and full-participation virtual runs) index them by flat
-    /// worker, one entry per worker; sampled virtual runs
-    /// ([`crate::population::run_virtual`]) by entry of
-    /// [`RunConfig::adversary`](crate::RunConfig); elastic runs
-    /// ([`crate::elastic::run_elastic`]) by registered uid. Entries of
-    /// honest workers stay all-zero.
+    /// Byzantine corruption tallies. Registered runs (hierarchies, trees
+    /// and full-participation populations) index them by flat worker, one
+    /// entry per worker; sampled populations by entry of
+    /// [`RunConfig::adversary`](crate::RunConfig); churn runs
+    /// ([`crate::elastic`]) by registered uid. Entries of honest workers
+    /// stay all-zero.
     pub adversaries: Vec<AdversaryCounters>,
-    /// Churn tallies from the elastic topology layer
-    /// ([`crate::elastic::run_elastic`]). All-zero on frozen-tree runs.
+    /// Churn tallies from the elastic topology layer ([`crate::elastic`]).
+    /// All-zero on frozen-tree runs.
     pub topology: TopologyCounters,
+    /// The federation state at [`RunSpec::stop_at`], for a later run to
+    /// resume from; `None` on runs without a `stop_at`.
+    pub snapshot: Option<TrainingSnapshot>,
 }
 
-/// Runs `strategy` on the given topology/data with the paper's training
-/// loop (Algorithm 1's skeleton):
+/// Who trains in a run: the topology input and its data.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// A three-tier [`Hierarchy`] with one dataset per worker in flat
+    /// order. Under a non-empty [`RunConfig::churn`] plan the datasets
+    /// register the whole uid space: the first `num_workers()` fill the
+    /// initial tree, trailing ones belong to join candidates.
+    Hierarchy {
+        /// The initial tree.
+        hierarchy: &'a Hierarchy,
+        /// One dataset per registered worker.
+        worker_data: &'a [Dataset],
+    },
+    /// An arbitrary-depth [`TierTree`] with one dataset per leaf worker.
+    Tree {
+        /// The tree; its `(τ, π)` must match the config's.
+        tree: &'a TierTree,
+        /// One dataset per leaf worker, in flat order.
+        worker_data: &'a [Dataset],
+    },
+    /// A virtual population, optionally laid out on a tree whose leaf
+    /// fanout is every edge's registered count; [`RunConfig::sampling`]
+    /// picks full participation or per-round cohorts.
+    Population {
+        /// The registered workers.
+        population: &'a WorkerPopulation,
+        /// The distinct data shards the population maps onto.
+        shards: &'a [Dataset],
+        /// The tier tree, if deeper than three tiers.
+        tree: Option<&'a TierTree>,
+    },
+}
+
+/// Everything one [`run`] takes that [`RunConfig`] does not hold: who
+/// trains, and the span. Build one with [`RunSpec::hierarchy`],
+/// [`RunSpec::tree`] or [`RunSpec::population`]; a span is written
+/// `RunSpec { stop_at: Some(t), ..RunSpec::hierarchy(&h, &data) }`.
+#[derive(Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Who trains.
+    pub source: Source<'a>,
+    /// Continue from this snapshot, captured by a `stop_at` run with the
+    /// same source, strategy, model and config.
+    pub resume: Option<&'a TrainingSnapshot>,
+    /// Stop after this tick (a positive multiple of `τ` no larger than
+    /// `T`, past the resumed tick) and return the state there in
+    /// [`RunResult::snapshot`].
+    pub stop_at: Option<usize>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A whole run of `hierarchy`'s workers on `worker_data`.
+    pub fn hierarchy(hierarchy: &'a Hierarchy, worker_data: &'a [Dataset]) -> Self {
+        RunSpec::whole(Source::Hierarchy {
+            hierarchy,
+            worker_data,
+        })
+    }
+
+    /// A whole run of `tree`'s leaf workers on `worker_data`.
+    pub fn tree(tree: &'a TierTree, worker_data: &'a [Dataset]) -> Self {
+        RunSpec::whole(Source::Tree { tree, worker_data })
+    }
+
+    /// A whole run of `population` on `shards`, over `tree` if given.
+    pub fn population(
+        population: &'a WorkerPopulation,
+        shards: &'a [Dataset],
+        tree: Option<&'a TierTree>,
+    ) -> Self {
+        RunSpec::whole(Source::Population {
+            population,
+            shards,
+            tree,
+        })
+    }
+
+    fn whole(source: Source<'a>) -> Self {
+        RunSpec {
+            source,
+            resume: None,
+            stop_at: None,
+        }
+    }
+}
+
+/// Runs `strategy` with the paper's training loop (Algorithm 1's
+/// skeleton) over the participants `spec` names:
 ///
 /// 1. every tick, each worker takes one local step on its own mini-batch;
 /// 2. at `t = kτ`, every edge aggregates (edges run in parallel on the
 ///    pool);
-/// 3. at `t = pτπ`, the cloud aggregates;
-/// 4. every `eval_every` ticks (and at `t = T`) the global model is
+/// 3. middle tiers of a deeper [`TierTree`] fire bottom-up at their
+///    interval boundaries ([`aggregate_above_edges`]);
+/// 4. at `t = pτπ`, the cloud aggregates;
+/// 5. every `eval_every` ticks (and at `t = T`) the global model is
 ///    evaluated on the test set and a capped training probe.
 ///
 /// The worker pool is created once and lives for the whole loop; see
 /// [`RunConfig::threads`] for the parallelism knob and the determinism
-/// guarantee.
+/// guarantee. A depth-3 tree runs the identical code path as the
+/// corresponding hierarchy, bitwise (`tests/tier_equivalence.rs`).
+///
+/// # Sources, churn and spans
+///
+/// - **Hierarchy, empty churn plan**: one dataset per worker. Any span.
+/// - **Hierarchy, non-empty [`RunConfig::churn`]**: the elastic runtime
+///   ([`crate::elastic`]) segments the loop at every churn boundary;
+///   trailing datasets are join candidates. Any span; a `stop_at`
+///   snapshot carries the topology version in force.
+/// - **Tree**: like a hierarchy, plus `(τ, π)` must match the tree. Any
+///   span. A non-empty churn plan is [`RunError::BadConfig`].
+/// - **Population**: under full participation
+///   ([`crate::ClientSampling::is_full`]) the population materializes and
+///   runs as registered workers; otherwise every edge samples a cohort per
+///   round (see [`crate::population`]). Any span, flat or over a tree. A
+///   non-empty churn plan is [`RunError::BadConfig`].
+///
+/// A registered source (hierarchy or tree) with a sampling policy that is
+/// not full is [`RunError::BadConfig`]: only a population can be sampled.
+///
+/// A `stop_at` run stops at that edge boundary and returns the state
+/// there in [`RunResult::snapshot`]; a run with `resume` set to that
+/// snapshot continues bitwise identically, so the two partial curves (and
+/// traces) concatenate to the uninterrupted run's. A resumed registered
+/// run replays the dropout and mini-batch draws of the trained prefix
+/// without computing any step; sampled streams re-derive from
+/// `(seed, worker, round)` and need no replay.
 ///
 /// # Errors
 ///
-/// Returns [`RunError`] if the config, schedule, topology or data are
-/// inconsistent.
+/// [`RunError`] if the config, schedule, topology, data, span or snapshot
+/// are inconsistent, or a churn event is invalid against the live
+/// topology when it applies.
 pub fn run<M, S>(
     strategy: &S,
     model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
+    spec: &RunSpec<'_>,
     test_data: &Dataset,
     cfg: &RunConfig,
 ) -> Result<RunResult, RunError>
@@ -182,40 +300,96 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
+    let RunSpec {
+        source,
+        resume,
+        stop_at,
+    } = *spec;
+    // What a tree or a full-participation population materializes.
+    let (edge_hierarchy, materialized);
+    let (participants, tiers) = match source {
+        Source::Hierarchy {
+            hierarchy,
+            worker_data,
+        } if !cfg.churn.is_empty() => {
+            return crate::elastic::run_elastic(
+                strategy,
+                model,
+                hierarchy,
+                worker_data,
+                test_data,
+                cfg,
+                resume,
+                stop_at,
+            )
+        }
+        Source::Hierarchy {
+            hierarchy,
+            worker_data,
+        } => (
+            Participants::Registered {
+                hierarchy,
+                worker_data,
+            },
+            None,
+        ),
+        Source::Tree { tree, worker_data } => {
+            edge_hierarchy = tree.edge_hierarchy();
+            let hierarchy = &edge_hierarchy;
+            let registered = Participants::Registered {
+                hierarchy,
+                worker_data,
+            };
+            (registered, Some(tree))
+        }
+        Source::Population {
+            population,
+            shards,
+            tree,
+        } => {
+            population.validate_shards(shards).map_err(RunError::Data)?;
+            check_population_tree(population, tree)?;
+            if cfg.sampling.is_full() {
+                let hierarchy = population.materialize_hierarchy().map_err(RunError::Data)?;
+                materialized = (hierarchy, population.materialize_shards(shards));
+                let registered = Participants::Registered {
+                    hierarchy: &materialized.0,
+                    worker_data: &materialized.1,
+                };
+                (registered, tree)
+            } else {
+                let sampled = Participants::Sampled {
+                    population,
+                    shards,
+                    shard_sizes: shards.iter().map(|d| d.len() as u64).collect(),
+                    sampler: tree.map_or_else(
+                        || CohortSampler::new(cfg.seed),
+                        |tree| CohortSampler::for_tree(cfg.seed, tree),
+                    ),
+                    slot_ids: Vec::new(),
+                };
+                (sampled, tree)
+            }
+        }
+    };
     run_span(
         strategy,
         model,
-        Participants::Registered {
-            hierarchy,
-            worker_data,
-        },
+        participants,
         test_data,
         cfg,
-        None,
-        None,
-        None,
+        tiers,
+        resume,
+        stop_at,
     )
-    .map(|(result, _)| result)
 }
 
-/// Runs `strategy` over an arbitrary-depth [`TierTree`]: the N-tier
-/// generalization of [`run`]. Worker state is laid out over the tree's
-/// edge tier ([`TierTree::edge_hierarchy`]); middle tiers fire bottom-up
-/// at their interval boundaries through
-/// [`Strategy::tier_aggregate_stale`] ([`aggregate_above_edges`]), between
-/// the edge and root aggregations.
-///
-/// A depth-3 tree runs the *identical* code path as [`run`] on the
-/// corresponding hierarchy — no middle tiers exist, and the edge/root
-/// hooks default to the seed behavior — so results are bitwise equal
-/// (pinned by `tests/tier_equivalence.rs`).
+/// A one-line call of [`run`] with [`RunSpec::tree`], kept because the
+/// repository benchmark calls it.
 ///
 /// # Errors
 ///
-/// Everything [`run`] rejects, plus a config whose `(τ, π)` disagree
-/// with the tree (`cfg.tau` must equal [`TierTree::tau`], `cfg.pi` must
-/// equal [`TierTree::pi_total`]) or worker data that does not span the
-/// tree's leaves.
+/// Everything [`run`] rejects.
 pub fn run_tiered<M, S>(
     strategy: &S,
     model: &M,
@@ -228,188 +402,13 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    let hierarchy = tree.edge_hierarchy();
-    run_span(
+    run(
         strategy,
         model,
-        Participants::Registered {
-            hierarchy: &hierarchy,
-            worker_data,
-        },
+        &RunSpec::tree(tree, worker_data),
         test_data,
         cfg,
-        Some(tree),
-        None,
-        None,
     )
-    .map(|(result, _)| result)
-}
-
-/// The N-tier counterpart of [`run_until`]: stops at an edge boundary
-/// and returns the snapshot (which carries every middle tier's state —
-/// see [`TrainingSnapshot::middle`]) alongside the partial result.
-///
-/// # Errors
-///
-/// Everything [`run_tiered`] and [`run_until`] reject.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tiered_until<M, S>(
-    strategy: &S,
-    model: &M,
-    tree: &TierTree,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let hierarchy = tree.edge_hierarchy();
-    let (result, snapshot) = run_span(
-        strategy,
-        model,
-        Participants::Registered {
-            hierarchy: &hierarchy,
-            worker_data,
-        },
-        test_data,
-        cfg,
-        Some(tree),
-        None,
-        Some(stop_at),
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// The N-tier counterpart of [`run_resumed`]: continues from a snapshot
-/// captured by [`run_tiered_until`] with the same tree, strategy, model,
-/// data and config, bitwise identically to the uninterrupted
-/// [`run_tiered`].
-///
-/// # Errors
-///
-/// Everything [`run_tiered`] and [`run_resumed`] reject, plus a
-/// snapshot whose middle-tier shape does not match the tree.
-pub fn run_tiered_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    tree: &TierTree,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let hierarchy = tree.edge_hierarchy();
-    run_span(
-        strategy,
-        model,
-        Participants::Registered {
-            hierarchy: &hierarchy,
-            worker_data,
-        },
-        test_data,
-        cfg,
-        Some(tree),
-        Some(snapshot),
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// Like [`run`], but stops after tick `stop_at` (which must be a positive
-/// multiple of `τ` no larger than `T`) and returns the federation state at
-/// that edge boundary alongside the partial result. Feeding the snapshot
-/// to [`run_resumed`] continues the run bitwise identically: concatenating
-/// the two partial curves (and γℓ traces) reproduces an uninterrupted
-/// [`run`] exactly.
-///
-/// # Errors
-///
-/// Everything [`run`] rejects, plus a `stop_at` that is zero, past `T`, or
-/// not on an edge-aggregation boundary ([`RunError::BadConfig`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_until<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let (result, snapshot) = run_span(
-        strategy,
-        model,
-        Participants::Registered {
-            hierarchy,
-            worker_data,
-        },
-        test_data,
-        cfg,
-        None,
-        None,
-        Some(stop_at),
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// Continues a run from a [`TrainingSnapshot`] captured by [`run_until`],
-/// with the *same* strategy, model, data and config, through the remaining
-/// ticks `snapshot.tick + 1 ..= T`. The resumed trajectory is bitwise
-/// identical to the corresponding suffix of an uninterrupted [`run`]: the
-/// driver replays the dropout and mini-batch RNG draws of the completed
-/// prefix (without recomputing any steps), so every stream resumes at the
-/// exact position it held at the snapshot. The returned curve and traces
-/// cover only the resumed span.
-///
-/// # Errors
-///
-/// Everything [`run`] rejects, plus a snapshot whose algorithm, tick or
-/// shapes do not match this run ([`RunError::BadConfig`] /
-/// [`RunError::Data`]).
-pub fn run_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_span(
-        strategy,
-        model,
-        Participants::Registered {
-            hierarchy,
-            worker_data,
-        },
-        test_data,
-        cfg,
-        None,
-        Some(snapshot),
-        None,
-    )
-    .map(|(result, _)| result)
 }
 
 /// Who takes part in a span of the tick loop: the only thing that differs
@@ -501,6 +500,7 @@ impl<'a> Participants<'a> {
                 hierarchy,
                 worker_data,
             } => {
+                check_registered_sampling(cfg)?;
                 check_worker_data(hierarchy, worker_data)?;
                 let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
                 let ctxs = worker_data.iter().enumerate().map(|(i, d)| {
@@ -710,6 +710,25 @@ pub fn check_tree_schedule(cfg: &RunConfig, tree: Option<&TierTree>) -> Result<(
     }
 }
 
+/// Both engines' check that a registered run is not asked to sample:
+/// only a population draws cohorts, so a sampling policy that is not full
+/// would otherwise be silently ignored.
+///
+/// # Errors
+///
+/// [`RunError::BadConfig`] naming the policy.
+pub fn check_registered_sampling(cfg: &RunConfig) -> Result<(), RunError> {
+    if cfg.sampling.is_full() {
+        Ok(())
+    } else {
+        Err(RunError::BadConfig(format!(
+            "client sampling ({:?}) needs a population source; registered \
+             workers all train every round",
+            cfg.sampling
+        )))
+    }
+}
+
 /// Both engines' check of one non-empty dataset per registered worker.
 ///
 /// # Errors
@@ -729,12 +748,11 @@ pub fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Resu
     }
 }
 
-/// The one tick loop behind every `core` entry point — [`run`] and its
-/// variants, [`crate::population::run_virtual`] and its variants, and the
-/// elastic runner's epoch segments (`crate::elastic`). Optionally lays the
-/// run over a [`TierTree`] (`tiers`), starts from a mid-run snapshot
-/// (`resume`), and stops at an edge boundary (`stop_at`, which also makes
-/// it return the state there).
+/// The one tick loop behind [`run`]: every source, and every epoch
+/// segment of a churn run (`crate::elastic`). Optionally lays the run over
+/// a [`TierTree`] (`tiers`), starts from a mid-run snapshot (`resume`),
+/// and stops at an edge boundary (`stop_at`, which also makes it return
+/// the state there in [`RunResult::snapshot`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_span<M, S>(
     strategy: &S,
@@ -745,7 +763,7 @@ pub(crate) fn run_span<M, S>(
     tiers: Option<&TierTree>,
     resume: Option<&TrainingSnapshot>,
     stop_at: Option<usize>,
-) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
+) -> Result<RunResult, RunError>
 where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
@@ -753,8 +771,8 @@ where
     cfg.validate().map_err(RunError::BadConfig)?;
     if !cfg.churn.is_empty() {
         return Err(RunError::BadConfig(
-            "the frozen-tree engine cannot apply a non-empty ChurnPlan; \
-             run it through crate::elastic::run_elastic"
+            "a ChurnPlan applies to a Hierarchy source only; tier trees and \
+             populations run on a frozen tree"
                 .into(),
         ));
     }
@@ -939,21 +957,19 @@ where
         middle: state.middle.clone(),
         topology: None,
     });
-    Ok((
-        RunResult {
-            algorithm: strategy.name().to_string(),
-            curve,
-            gamma_trace,
-            cos_trace,
-            tier_gamma,
-            final_params,
-            elapsed: started.elapsed(),
-            timings,
-            adversaries: adversary_counters,
-            topology: TopologyCounters::default(),
-        },
+    Ok(RunResult {
+        algorithm: strategy.name().to_string(),
+        curve,
+        gamma_trace,
+        cos_trace,
+        tier_gamma,
+        final_params,
+        elapsed: started.elapsed(),
+        timings,
+        adversaries: adversary_counters,
+        topology: TopologyCounters::default(),
         snapshot,
-    ))
+    })
 }
 
 /// Checks `snap` against the freshly initialized `state` — algorithm,
@@ -1133,7 +1149,7 @@ fn edge_aggregations<M, S>(
             edge,
             offset,
             workers: workers.split_off(offset),
-            state: mem::replace(&mut state.edges[edge], EdgeState::placeholder()),
+            state: mem::replace(&mut state.edges[edge], TierState::placeholder()),
         });
     }
     items.reverse();
@@ -1206,7 +1222,14 @@ mod tests {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let algo = HierAdMo::adaptive(0.05, 0.5);
-        let res = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
+        let res = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
         let iters: Vec<usize> = res.curve.points().iter().map(|p| p.iteration).collect();
         assert_eq!(iters, vec![25, 50, 75, 100]);
         assert_eq!(res.algorithm, "HierAdMo");
@@ -1223,12 +1246,26 @@ mod tests {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let algo = HierAdMo::adaptive(0.05, 0.5);
-        let serial = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
+        let serial = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
         let par_cfg = RunConfig {
             threads: None,
             ..cfg()
         };
-        let parallel = run(&algo, &model, &h, &shards, &test, &par_cfg).unwrap();
+        let parallel = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &par_cfg,
+        )
+        .unwrap();
         assert_eq!(
             serial.curve, parallel.curve,
             "determinism across threading modes"
@@ -1241,13 +1278,27 @@ mod tests {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let algo = HierAdMo::adaptive(0.05, 0.5);
-        let base = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
+        let base = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
         for threads in [2, 3, 8] {
             let t_cfg = RunConfig {
                 threads: Some(threads),
                 ..cfg()
             };
-            let res = run(&algo, &model, &h, &shards, &test, &t_cfg).unwrap();
+            let res = run(
+                &algo,
+                &model,
+                &RunSpec::hierarchy(&h, &shards),
+                &test,
+                &t_cfg,
+            )
+            .unwrap();
             assert_eq!(base.curve, res.curve, "threads = {threads}");
             assert_eq!(base.final_params, res.final_params, "threads = {threads}");
         }
@@ -1258,11 +1309,32 @@ mod tests {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let algo = HierAdMo::adaptive(0.05, 0.5);
-        let a = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
-        let b = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
+        let a = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
+        let b = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
         assert_eq!(a.curve, b.curve);
         let other_seed = RunConfig { seed: 99, ..cfg() };
-        let c = run(&algo, &model, &h, &shards, &test, &other_seed).unwrap();
+        let c = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &other_seed,
+        )
+        .unwrap();
         // The tiny fixture can saturate to identical (zero-loss) curves on
         // any seed, so distinguish runs by the exact final parameters.
         assert_ne!(
@@ -1276,7 +1348,14 @@ mod tests {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let algo = HierAdMo::adaptive(0.05, 0.5);
-        let res = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap();
+        let res = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap();
         assert!(res.timings.local_steps > Duration::ZERO);
         assert!(res.timings.edge_agg > Duration::ZERO);
         assert!(res.timings.cloud_agg > Duration::ZERO);
@@ -1290,18 +1369,39 @@ mod tests {
         let h = Hierarchy::balanced(2, 2);
         let algo = FedAvg::new(0.05);
         // Two-tier algorithm on three-tier topology.
-        let err = run(&algo, &model, &h, &shards, &test, &cfg()).unwrap_err();
+        let err = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &cfg(),
+        )
+        .unwrap_err();
         assert!(matches!(err, RunError::Topology(_)));
         // Wrong shard count.
         let algo3 = HierAdMo::adaptive(0.05, 0.5);
-        let err = run(&algo3, &model, &h, &shards[..3], &test, &cfg()).unwrap_err();
+        let err = run(
+            &algo3,
+            &model,
+            &RunSpec::hierarchy(&h, &shards[..3]),
+            &test,
+            &cfg(),
+        )
+        .unwrap_err();
         assert!(matches!(err, RunError::Data(_)));
         // Bad config.
         let bad = RunConfig {
             total_iters: 101,
             ..cfg()
         };
-        let err = run(&algo3, &model, &h, &shards, &test, &bad).unwrap_err();
+        let err = run(
+            &algo3,
+            &model,
+            &RunSpec::hierarchy(&h, &shards),
+            &test,
+            &bad,
+        )
+        .unwrap_err();
         assert!(matches!(err, RunError::BadConfig(_)));
         // Errors display non-trivially.
         assert!(!err.to_string().is_empty());

@@ -3,21 +3,21 @@
 //!
 //! The frozen-tree invariant — every `TierPath` stable for the life of a
 //! run — relaxes here to *stable within a topology epoch*. A
-//! [`ChurnPlan`] schedules [`TopologyEvent`]s at cloud-round boundaries
-//! (ticks `r·τ·π`); [`run_elastic`] splits the run into epoch segments,
-//! executes each segment through the unchanged frozen-tree engine
-//! ([`crate::run`]'s internals, with resume + stop), and applies the
-//! boundary's events to the [`TrainingSnapshot`] between segments via
-//! [`apply_churn_boundary`] — a pure function of `(snapshot, plan, seed)`
-//! that the event-driven runtime (`hieradmo-simrt`) calls too, so both
-//! engines evolve the identical topology and carry identical state across
-//! every epoch.
+//! [`ChurnPlan`] in [`RunConfig::churn`] schedules [`TopologyEvent`]s at
+//! cloud-round boundaries (ticks `r·τ·π`). Given a hierarchy source and a
+//! non-empty plan, [`crate::run`] splits the run into epoch segments,
+//! executes each segment through the unchanged frozen-tree loop (with
+//! resume + stop), and applies the boundary's events to the
+//! [`TrainingSnapshot`] between segments via [`apply_churn_boundary`] — a
+//! pure function of `(snapshot, plan, seed)` that the event-driven
+//! runtime (`hieradmo-simrt`) calls too, so both engines evolve the
+//! identical topology and carry identical state across every epoch.
 //!
 //! Consequences of the segmented design, all deterministic and gated by
 //! `tests/elastic_topology.rs`:
 //!
-//! * an **empty plan** runs one segment through the same loop and is
-//!   *bitwise identical* to the frozen-tree engine;
+//! * an **empty plan** never reaches this module: it is the frozen-tree
+//!   run itself;
 //! * per-worker RNG streams (mini-batch order, adversary draws) are keyed
 //!   by *flat position within the epoch's tree*, so a worker that changes
 //!   parents continues on the stream of its new position — a pure
@@ -49,7 +49,7 @@ use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
 use crate::driver::{run_span, Participants, RunError, RunResult};
-use crate::state::{EdgeState, WorkerState};
+use crate::state::{TierState, WorkerState};
 use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
 
 /// The initial [`TopologyVersion`] of an elastic run: the configured
@@ -216,7 +216,7 @@ pub fn apply_churn_boundary(
         .copied()
         .zip(snapshot.workers.iter().cloned())
         .collect();
-    let mut edge_states: BTreeMap<usize, EdgeState> = version
+    let mut edge_states: BTreeMap<usize, TierState> = version
         .live_edges()
         .into_iter()
         .zip(snapshot.edges.iter().cloned())
@@ -226,7 +226,7 @@ pub fn apply_churn_boundary(
     fn reform(
         version: &mut TopologyVersion,
         states: &mut BTreeMap<usize, WorkerState>,
-        edge_states: &mut BTreeMap<usize, EdgeState>,
+        edge_states: &mut BTreeMap<usize, TierState>,
         counters: &mut TopologyCounters,
     ) -> Result<(), String> {
         let assignment = reform_assignment(version, states);
@@ -354,9 +354,22 @@ fn validate_elastic(
     Ok(())
 }
 
-/// The shared segmented driver behind the elastic entry points.
+/// [`crate::run`] over a hierarchy under a non-empty [`ChurnPlan`]: the
+/// frozen-tree loop segmented at every boundary in `cfg.churn`, with
+/// workers joining, leaving, migrating, edges failing (members re-homed
+/// live) and re-forming between segments.
+///
+/// `worker_data` registers the whole uid space: the first
+/// `hierarchy.num_workers()` datasets fill the initial tree in flat
+/// order, trailing datasets belong to registered-but-absent workers that
+/// [`TopologyEvent::Join`] can bring in. `cfg.adversary` is keyed by uid.
+/// A `stop_at` snapshot carries the topology version in force there
+/// ([`TrainingSnapshot::topology`]); a stop exactly at a churn boundary
+/// captures the *post*-transform tree, so resuming never re-applies it.
+/// `hierarchy` and `worker_data` stay the *initial* tree and the full
+/// registered table on resume.
 #[allow(clippy::too_many_arguments)]
-fn run_elastic_span<M, S>(
+pub(crate) fn run_elastic<M, S>(
     strategy: &S,
     model: &M,
     hierarchy: &Hierarchy,
@@ -365,7 +378,7 @@ fn run_elastic_span<M, S>(
     cfg: &RunConfig,
     resume: Option<&TrainingSnapshot>,
     stop_at: Option<usize>,
-) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
+) -> Result<RunResult, RunError>
 where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
@@ -373,20 +386,14 @@ where
     validate_elastic(hierarchy, worker_data, cfg)?;
     let plan = cfg.churn.clone();
     let mut version = match resume {
-        Some(snap) => match &snap.topology {
-            Some(v) => v.clone(),
-            None if plan.is_empty() => {
-                initial_version(hierarchy, worker_data.len()).map_err(RunError::Topology)?
-            }
-            None => {
-                return Err(RunError::BadConfig(
-                    "snapshot carries no topology version; it was not captured \
-                     by an elastic run and cannot resume under a non-empty \
-                     ChurnPlan"
-                        .into(),
-                ))
-            }
-        },
+        Some(snap) => snap.topology.clone().ok_or_else(|| {
+            RunError::BadConfig(
+                "snapshot carries no topology version; it was not captured \
+                 by an elastic run and cannot resume under a non-empty \
+                 ChurnPlan"
+                    .into(),
+            )
+        })?,
         None => initial_version(hierarchy, worker_data.len()).map_err(RunError::Topology)?,
     };
     if version.registered() != worker_data.len() {
@@ -418,7 +425,7 @@ where
         let data: Vec<Dataset> = uids.iter().map(|&u| worker_data[u].clone()).collect();
         let mut seg_cfg = frozen.clone();
         seg_cfg.adversary = remap_adversaries(&cfg.adversary, &uids);
-        let (res, snap) = run_span(
+        let mut res = run_span(
             strategy,
             model,
             Participants::Registered {
@@ -431,6 +438,7 @@ where
             cur.as_ref(),
             stop,
         )?;
+        let snap = res.snapshot.take();
         results.push(res);
         uid_maps.push(uids);
         Ok(snap)
@@ -445,8 +453,7 @@ where
         cur = Some(next);
     }
     if cuts.last() != Some(&end) {
-        let stop = stop_at;
-        let snap = run_segment(&cur, stop, &version, &mut results, &mut uid_maps)?;
+        let snap = run_segment(&cur, stop_at, &version, &mut results, &mut uid_maps)?;
         cur = snap.map(|mut s| {
             s.topology = Some(version.clone());
             s
@@ -455,7 +462,8 @@ where
 
     let mut stitched = stitch(results, &uid_maps, worker_data.len());
     stitched.topology = counters;
-    Ok((stitched, cur))
+    stitched.snapshot = cur.filter(|_| stop_at.is_some());
+    Ok(stitched)
 }
 
 /// Concatenates per-segment results into one run-shaped result. The
@@ -490,129 +498,12 @@ fn stitch(results: Vec<RunResult>, uid_maps: &[Vec<usize>], registered: usize) -
     out
 }
 
-/// Runs `strategy` under the elastic topology runtime: the frozen-tree
-/// training loop ([`crate::run`]) segmented at every
-/// [`ChurnPlan`] boundary in `cfg.churn`, with workers joining, leaving,
-/// migrating, edges failing (members re-homed live) and re-forming
-/// between segments.
-///
-/// `worker_data` registers the whole uid space: the first
-/// `hierarchy.num_workers()` datasets fill the initial tree in flat
-/// order, trailing datasets belong to registered-but-absent workers that
-/// [`TopologyEvent::Join`] can bring in. `cfg.adversary` is keyed by uid.
-///
-/// An empty plan runs one segment, bitwise identical to the frozen-tree
-/// engine (gated by `tests/elastic_topology.rs`); any plan replays
-/// bitwise across thread counts and engines for the same `(plan, seed)`.
-///
-/// # Errors
-///
-/// Everything [`crate::run`] rejects, plus churn events that are invalid
-/// against the live topology when they apply.
-pub fn run_elastic<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        None,
-    )
-    .map(|(res, _)| res)
-}
-
-/// Runs the elastic runtime up to tick `stop_at` (an edge boundary) and
-/// returns the state there: the elastic counterpart of
-/// [`crate::run_until`]. The snapshot carries the topology version in
-/// force at `stop_at` ([`TrainingSnapshot::topology`]); a stop exactly at
-/// a churn boundary captures the *post*-transform tree, so resuming never
-/// re-applies the boundary.
-///
-/// # Errors
-///
-/// Everything [`run_elastic`] rejects, plus a `stop_at` that is not a
-/// positive multiple of `τ` within the run.
-pub fn run_elastic_until<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        Some(stop_at),
-    )
-    .map(|(res, snap)| (res, snap.expect("stop_at returns a snapshot")))
-}
-
-/// Resumes an elastic run from a [`run_elastic_until`] snapshot and runs
-/// it to completion, replaying the remaining churn boundaries: the
-/// elastic counterpart of [`crate::run_resumed`]. `hierarchy` and
-/// `worker_data` are the *initial* tree and full registered data table,
-/// exactly as passed to the original run.
-///
-/// # Errors
-///
-/// Everything [`run_elastic`] rejects, plus a snapshot without a topology
-/// version when the plan is non-empty.
-pub fn run_elastic_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        Some(snapshot),
-        None,
-    )
-    .map(|(res, _)| res)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::testutil::small_problem;
     use crate::algorithms::HierAdMo;
-    use crate::driver::run;
+    use crate::driver::{run, RunSpec};
     use hieradmo_topology::ScheduledEvent;
 
     fn churn_cfg(threads: usize) -> RunConfig {
@@ -654,8 +545,9 @@ mod tests {
         let h = Hierarchy::balanced(2, 2);
         let cfg = churn_cfg(1);
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let frozen = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
-        let elastic = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let spec = RunSpec::hierarchy(&h, &shards);
+        let frozen = run(&algo, &model, &spec, &test, &cfg).unwrap();
+        let elastic = run(&algo, &model, &spec, &test, &cfg).unwrap();
         assert_eq!(frozen.final_params, elastic.final_params);
         assert_eq!(frozen.curve, elastic.curve);
         assert_eq!(frozen.gamma_trace, elastic.gamma_trace);
@@ -669,7 +561,8 @@ mod tests {
         let mut cfg = churn_cfg(1);
         cfg.churn = churn_plan();
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let one = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let spec = RunSpec::hierarchy(&h, &shards);
+        let one = run(&algo, &model, &spec, &test, &cfg).unwrap();
         // Join at r5, edge 1 fails at r10 (2 orphans re-homed), reform of
         // the single surviving edge at r15 (no moves possible).
         assert_eq!(one.topology.joins, 1);
@@ -681,7 +574,7 @@ mod tests {
 
         let mut cfg4 = cfg.clone();
         cfg4.threads = Some(4);
-        let four = run_elastic(&algo, &model, &h, &shards, &test, &cfg4).unwrap();
+        let four = run(&algo, &model, &spec, &test, &cfg4).unwrap();
         assert_eq!(one.final_params, four.final_params);
         assert_eq!(one.curve, four.curve);
         assert_eq!(one.topology, four.topology);
@@ -694,15 +587,27 @@ mod tests {
         let mut cfg = churn_cfg(1);
         cfg.churn = churn_plan();
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let full = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let spec = RunSpec::hierarchy(&h, &shards);
+        let full = run(&algo, &model, &spec, &test, &cfg).unwrap();
         // Tick 100 is round 10 — exactly the EdgeFail boundary, so the
         // snapshot must carry the post-failure tree (one live edge, five
         // workers) and the resume must not re-apply the event.
-        let (_, snap) = run_elastic_until(&algo, &model, &h, &shards, &test, &cfg, 100).unwrap();
+        let until = RunSpec {
+            stop_at: Some(100),
+            ..spec
+        };
+        let snap = run(&algo, &model, &until, &test, &cfg)
+            .unwrap()
+            .snapshot
+            .unwrap();
         let topo = snap.topology.as_ref().expect("elastic snapshot");
         assert_eq!(topo.live_edges(), vec![0]);
         assert_eq!(snap.workers.len(), 5);
-        let resumed = run_elastic_resumed(&algo, &model, &h, &shards, &test, &cfg, &snap).unwrap();
+        let resume = RunSpec {
+            resume: Some(&snap),
+            ..spec
+        };
+        let resumed = run(&algo, &model, &resume, &test, &cfg).unwrap();
         assert_eq!(resumed.final_params, full.final_params);
         // The resumed span re-applies only the reform boundary.
         assert_eq!(resumed.topology.reformations, 1);

@@ -11,7 +11,7 @@ use hieradmo_models::Model;
 use hieradmo_topology::Hierarchy;
 
 use crate::config::RunConfig;
-use crate::driver::{run, RunError, RunResult};
+use crate::driver::{run, RunError, RunResult, RunSpec};
 use crate::strategy::Strategy;
 
 /// Aggregated outcome of repeated seeded runs of one algorithm.
@@ -70,8 +70,7 @@ where
         results.push(run(
             strategy,
             model,
-            hierarchy,
-            worker_data,
+            &RunSpec::hierarchy(hierarchy, worker_data),
             test_data,
             &cfg,
         )?);

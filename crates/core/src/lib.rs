@@ -16,7 +16,7 @@
 //!   middle and root — through the one hook
 //!   [`strategy::Strategy::tier_aggregate_stale`], whose defaults chain
 //!   down to the required hooks.
-//! - [`driver`] — the one tick loop behind every entry point: walks
+//! - [`driver`] — [`run`] and the one tick loop behind it: walks
 //!   Algorithm 1's aggregation schedule on a persistent scoped worker pool
 //!   (see [`config::RunConfig::threads`]) for registered workers or
 //!   sampled cohorts, fires aggregation hooks, and records a
@@ -38,10 +38,13 @@
 //!
 //! # Example
 //!
+//! One entry point, [`run`], takes who trains and the span as a
+//! [`RunSpec`]; sampling and churn stay in [`RunConfig`]. A run stopped
+//! at an edge boundary resumes bitwise:
+//!
 //! ```
 //! use hieradmo_core::algorithms::HierAdMo;
-//! use hieradmo_core::config::RunConfig;
-//! use hieradmo_core::driver::run;
+//! use hieradmo_core::{run, RunConfig, RunSpec};
 //! use hieradmo_data::partition::iid_partition;
 //! use hieradmo_data::synthetic::SyntheticDataset;
 //! use hieradmo_models::zoo;
@@ -53,9 +56,15 @@
 //! let model = zoo::logistic_regression(&tt.train, 1);
 //! let cfg = RunConfig { tau: 5, pi: 2, total_iters: 20, eval_every: 10, ..RunConfig::default() };
 //! let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-//! let result = run(&algo, &model, &hierarchy, &shards, &tt.test, &cfg)?;
-//! assert!(result.curve.final_accuracy().is_some());
-//! # Ok::<(), hieradmo_core::driver::RunError>(())
+//! let spec = RunSpec::hierarchy(&hierarchy, &shards);
+//! let whole = run(&algo, &model, &spec, &tt.test, &cfg)?;
+//! assert!(whole.curve.final_accuracy().is_some());
+//!
+//! let first = run(&algo, &model, &RunSpec { stop_at: Some(10), ..spec }, &tt.test, &cfg)?;
+//! let snap = first.snapshot.expect("a stop_at run returns its snapshot");
+//! let rest = run(&algo, &model, &RunSpec { resume: Some(&snap), ..spec }, &tt.test, &cfg)?;
+//! assert_eq!(rest.final_params, whole.final_params);
+//! # Ok::<(), hieradmo_core::RunError>(())
 //! ```
 
 #![deny(missing_docs)]
@@ -79,20 +88,13 @@ pub mod virtual_update;
 
 pub use checkpoint::{Checkpoint, TrainingSnapshot};
 pub use config::RunConfig;
-pub use driver::{
-    run, run_resumed, run_tiered, run_tiered_resumed, run_tiered_until, run_until, PhaseTimings,
-    RunError, RunResult,
-};
+pub use driver::{run, run_tiered, PhaseTimings, RunError, RunResult, RunSpec, Source};
 pub use elastic::{
-    apply_churn_boundary, epoch_cuts, epoch_tree, initial_version, remap_adversaries, run_elastic,
-    run_elastic_resumed, run_elastic_until,
+    apply_churn_boundary, epoch_cuts, epoch_tree, initial_version, remap_adversaries,
 };
-pub use population::{
-    run_virtual, run_virtual_tiered, run_virtual_tiered_resumed, run_virtual_tiered_until,
-    ClientSampling, CohortSampler, ShardAssignment, WorkerPopulation,
-};
+pub use population::{ClientSampling, CohortSampler, ShardAssignment, WorkerPopulation};
 pub use robust::RobustAggregator;
-pub use state::{CloudState, EdgeState, EdgeView, FlState, TierState, WorkerState};
+pub use state::{EdgeView, FlState, TierState, WorkerState};
 pub use strategy::{
     default_middle_aggregate, default_middle_aggregate_stale, Strategy, Tier, TierScope,
     MIDDLE_AGE_CAP,

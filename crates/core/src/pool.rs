@@ -27,7 +27,7 @@ use hieradmo_tensor::Vector;
 use hieradmo_topology::Weights;
 
 use crate::config::RunConfig;
-use crate::state::{EdgeState, EdgeView, WorkerState};
+use crate::state::{EdgeView, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
 
 /// Everything a lane needs by reference: the strategy and the run-wide
@@ -66,7 +66,7 @@ pub struct Download {
 
 impl Download {
     /// Snapshots `edge`'s current download pair.
-    pub fn of(edge: &EdgeState) -> Arc<Self> {
+    pub fn of(edge: &TierState) -> Arc<Self> {
         Arc::new(Download {
             x: edge.x_plus.clone(),
             y: edge.y_minus.clone(),
@@ -100,7 +100,7 @@ pub(crate) struct EdgeItem {
     /// Flat index of the edge's first worker.
     pub offset: usize,
     pub workers: Vec<WorkerState>,
-    pub state: EdgeState,
+    pub state: TierState,
 }
 
 /// Which dataset an evaluation chunk reads.

@@ -21,14 +21,32 @@
 //!   network delays) re-derives from `(seed, worker_id, round)` via
 //!   [`worker_round_seed`], so trajectories are independent of population
 //!   size, thread count, and scheduling.
-//! - [`run_virtual`] and its tiered variants run through the one
-//!   tick-driven loop (`crate::driver`), which takes sampled cohorts as
-//!   one of its two participant sources; the event-driven counterpart
-//!   lives in `hieradmo_simrt::simulate_virtual`. Under
+//! - [`crate::run`] with a [`crate::RunSpec::population`] source runs
+//!   through the one tick-driven loop (`crate::driver`), which takes
+//!   sampled cohorts as one of its two participant sources; the
+//!   event-driven counterpart is `hieradmo_simrt::simulate_virtual`. Under
 //!   [`ClientSampling::Full`] (or a fraction ≥ 1) both run the
 //!   materialized population as registered workers, reproducing the
 //!   classic trajectories bitwise (gated by
 //!   `tests/sampling_equivalence.rs`).
+//!
+//! A sampled run, round `k` of `T / τ`: every edge samples a cohort, each
+//! slot materializes from its edge's download pair, runs `τ` local steps
+//! on per-round streams, Byzantine members poison their uploads, and the
+//! edge aggregates the cohort with in-cohort renormalized weights; the
+//! cloud fires every `π` rounds over population-weighted edge shares, and
+//! middle tiers of a tree at their boundaries. Evaluation happens at round
+//! boundaries on the grid of `eval_every` (and at the final round), on the
+//! population-weighted edge average ([`virtual_global_params`]). Dropout
+//! composes: each cohort worker skips the steps its
+//! [`cohort_dropout_mask`] drops. A `stop_at` snapshot needs no RNG replay
+//! on resume, since every stream re-derives from `(seed, worker, round)`.
+//!
+//! Restrictions of the sampled path, all typed errors: two-tier
+//! algorithms ([`cohort_federation`]), adversary plans addressing workers
+//! by anything but *global* ids, a tree whose leaf fanout is not every
+//! edge's registered count ([`check_population_tree`]), and non-uniform
+//! cohort sizes under a tree.
 //!
 //! Aggregation weights follow the partition-of-unity split of
 //! [`Weights::from_cohort`]: within an edge, data shares renormalize over
@@ -36,7 +54,6 @@
 //! population's proportions.
 
 use hieradmo_data::Dataset;
-use hieradmo_models::Model;
 use hieradmo_netsim::stream_seed;
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, TierTree, Weights};
@@ -44,9 +61,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{run_span, Participants, RunError, RunResult};
+use crate::driver::RunError;
 use crate::state::FlState;
 use crate::strategy::{Strategy, Tier};
 
@@ -604,189 +620,6 @@ pub fn draw_edge_cohort(
     ids
 }
 
-/// Runs `strategy` over a virtual population with per-round client
-/// sampling — the tick-driven engine's cross-device mode.
-///
-/// Under full participation ([`ClientSampling::is_full`]) this
-/// materializes the population and runs it like [`crate::driver::run`],
-/// reproducing the classic trajectory bitwise. Otherwise each round `k`
-/// (of `T / τ`): every edge samples a cohort ([`CohortSampler`]), the
-/// cohort materializes from its edge's state, runs `τ` local steps on
-/// per-round RNG streams, Byzantine members poison their uploads, and the
-/// edge aggregates the cohort with in-cohort renormalized weights; the
-/// cloud fires every `π` rounds over population-weighted edge shares.
-///
-/// Evaluation happens at round boundaries where `k·τ` is a multiple of
-/// `eval_every` (and always at the final round), on the
-/// population-weighted edge average ([`virtual_global_params`]).
-///
-/// Results are bitwise identical across thread counts, and bitwise equal
-/// to the event-driven `hieradmo_simrt::simulate_virtual` under full sync
-/// (both gated by `tests/sampling_equivalence.rs`).
-///
-/// Restrictions of the sampled path (documented, validated): legacy
-/// `edges`/`workers_per_edge` config fields are not supported (the
-/// population defines the topology), two-tier algorithms are rejected
-/// ([`cohort_federation`]), and `adversary` plans must address
-/// workers by *global* (population) ids. Dropout composes with sampling:
-/// each cohort worker draws a per-step mask from its own
-/// `(seed, worker, round)` stream ([`cohort_dropout_mask`]) and skips
-/// dropped steps entirely.
-///
-/// # Errors
-///
-/// Everything [`crate::driver::run`] rejects, plus the
-/// population/sampling/shard consistency checks above.
-pub fn run_virtual<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_population(
-        strategy, model, population, shards, test_data, cfg, None, None, None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// Runs `strategy` over a virtual population laid out on an
-/// arbitrary-depth [`TierTree`]: the N-tier generalization of
-/// [`run_virtual`]. Each of the tree's edges samples its per-round cohort
-/// by tier path ([`CohortSampler::for_tree`]); middle tiers fire
-/// bottom-up at their interval boundaries through
-/// [`Strategy::tier_aggregate_stale`], between the edge and root aggregations,
-/// exactly like the full-participation [`crate::driver::run_tiered`].
-///
-/// The tree's leaf fanout must equal every edge's *registered* count (the
-/// tree describes the registered population; the engine runs its sampled
-/// sub-tree, whose leaf fanout is the cohort size). Under full
-/// participation this runs like [`crate::driver::run_tiered`] bitwise,
-/// at every depth.
-///
-/// # Errors
-///
-/// Everything [`run_virtual`] rejects, plus a tree whose shape or
-/// `(τ, π)` disagree with the population/config, and non-uniform cohort
-/// sizes (middle tiers need a balanced sampled sub-tree).
-pub fn run_virtual_tiered<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_population(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        None,
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// Like [`run_virtual_tiered`], but stops after tick `stop_at` (a
-/// positive multiple of `τ` no larger than `T`) and returns the
-/// federation state at that edge boundary alongside the partial result —
-/// the sampled-cohort counterpart of [`crate::driver::run_tiered_until`].
-/// Cohort workers re-materialize from their edge at every round start, so
-/// the snapshot needs no RNG replay on resume: every per-worker stream
-/// re-derives from `(seed, worker, round)`. Its round-scoped worker slots
-/// ([`FlState::with_round_scoped_slots`]) hold what the last round left in
-/// them, which a resumed run never reads.
-///
-/// # Errors
-///
-/// Everything [`run_virtual_tiered`] rejects, plus a `stop_at` off the
-/// edge-boundary grid.
-#[allow(clippy::too_many_arguments)]
-pub fn run_virtual_tiered_until<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let (result, snapshot) = run_population(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        None,
-        Some(stop_at),
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// Continues a sampled tiered run from a snapshot captured by
-/// [`run_virtual_tiered_until`] with the same strategy, model,
-/// population, shards and config, bitwise identically to the
-/// uninterrupted [`run_virtual_tiered`] — at *any* thread count (gated by
-/// `tests/checkpoint_restore.rs`). The returned curve and traces cover
-/// only the resumed span.
-///
-/// # Errors
-///
-/// Everything [`run_virtual_tiered`] rejects, plus a snapshot whose
-/// algorithm, tick or shapes do not match this run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_virtual_tiered_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_population(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        Some(snapshot),
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
 /// Both engines' check that `tree`, if any, describes the registered
 /// population: one leaf per edge, each edge's count as the leaf fanout.
 ///
@@ -826,8 +659,8 @@ pub fn check_population_tree(
 ///
 /// # Errors
 ///
-/// [`RunError::BadConfig`] for legacy `edges`/`workers_per_edge` fields, a
-/// sampling policy the population cannot serve, non-uniform cohorts under
+/// [`RunError::BadConfig`] for a sampling policy the population cannot
+/// serve, non-uniform cohorts under
 /// a tree, or a two-tier algorithm: its hooks never write the edges'
 /// `x_plus`/`y_minus`, all a cohort downloads and
 /// [`virtual_global_params`] evaluates, so its model would never move.
@@ -844,13 +677,6 @@ pub fn cohort_federation<S: Strategy + ?Sized>(
              sampled cohort downloads; run it under ClientSampling::Full",
             strategy.name()
         )));
-    }
-    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-        return Err(RunError::BadConfig(
-            "legacy edges/workers_per_edge fields are not supported with a \
-             virtual population (the population defines the topology)"
-                .into(),
-        ));
     }
     let cohort = population
         .cohort_sizes(&cfg.sampling)
@@ -872,60 +698,6 @@ pub fn cohort_federation<S: Strategy + ?Sized>(
     let edge_totals = population.edge_data_samples(shard_sizes);
     let weights = Weights::from_cohort(&hierarchy, &slots, edge_totals);
     Ok((hierarchy, weights, tree))
-}
-
-/// The shared entry behind [`run_virtual`] and its tiered variants:
-/// checks the population against its shards and the registered tree, then
-/// runs the tick loop on the materialized population under full
-/// participation and on per-round cohorts otherwise.
-#[allow(clippy::too_many_arguments)]
-fn run_population<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tiers: Option<&TierTree>,
-    resume: Option<&TrainingSnapshot>,
-    stop_at: Option<usize>,
-) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    population.validate_shards(shards).map_err(RunError::Data)?;
-    check_population_tree(population, tiers)?;
-    let materialized;
-    let participants = if cfg.sampling.is_full() {
-        let hierarchy = population.materialize_hierarchy().map_err(RunError::Data)?;
-        materialized = (hierarchy, population.materialize_shards(shards));
-        Participants::Registered {
-            hierarchy: &materialized.0,
-            worker_data: &materialized.1,
-        }
-    } else {
-        Participants::Sampled {
-            population,
-            shards,
-            shard_sizes: shards.iter().map(|d| d.len() as u64).collect(),
-            sampler: tiers.map_or_else(
-                || CohortSampler::new(cfg.seed),
-                |tree| CohortSampler::for_tree(cfg.seed, tree),
-            ),
-            slot_ids: Vec::new(),
-        }
-    };
-    run_span(
-        strategy,
-        model,
-        participants,
-        test_data,
-        cfg,
-        tiers,
-        resume,
-        stop_at,
-    )
 }
 
 #[cfg(test)]

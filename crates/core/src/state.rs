@@ -188,13 +188,6 @@ pub struct TierState {
     pub cos_theta: f32,
 }
 
-/// Per-edge state: the leaf-parent instance of [`TierState`].
-pub type EdgeState = TierState;
-
-/// Cloud (root) state: the root instance of [`TierState`]. The root's
-/// model and momentum live in [`TierState::x_plus`] / [`TierState::y_plus`].
-pub type CloudState = TierState;
-
 impl TierState {
     pub(crate) fn new(x0: &Vector) -> Self {
         TierState {
@@ -225,9 +218,9 @@ pub struct FlState {
     /// Worker states in flat order.
     pub workers: Vec<WorkerState>,
     /// Edge (leaf-parent tier) states.
-    pub edges: Vec<EdgeState>,
+    pub edges: Vec<TierState>,
     /// Cloud (root) state.
-    pub cloud: CloudState,
+    pub cloud: TierState,
     /// Middle-tier states for depth ≥ 4 trees, outer-indexed by tier
     /// depth in [`TierTree::middle_depths`] order (top-down), inner by
     /// node. Empty — and never touched by any hook — on three-tier runs.
@@ -289,14 +282,14 @@ impl FlState {
             })
             .collect();
         let edges = (0..hierarchy.num_edges())
-            .map(|_| EdgeState::new(x0))
+            .map(|_| TierState::new(x0))
             .collect();
         FlState {
             hierarchy,
             weights,
             workers,
             edges,
-            cloud: CloudState::new(x0),
+            cloud: TierState::new(x0),
             middle: Vec::new(),
             tree: None,
             aggregator: RobustAggregator::default(),
@@ -395,7 +388,7 @@ impl FlState {
     /// [`FlState::aggregator`].
     pub fn cloud_average<F>(&self, f: F) -> Vector
     where
-        F: Fn(&EdgeState) -> &Vector,
+        F: Fn(&TierState) -> &Vector,
     {
         self.aggregator.aggregate(
             self.edges
@@ -461,7 +454,7 @@ impl FlState {
     }
 
     /// Borrows one edge's slice of the federation: its workers, its
-    /// [`EdgeState`], and the data weights — everything
+    /// edge [`TierState`], and the data weights — everything
     /// [`crate::Strategy::edge_aggregate`] may touch.
     ///
     /// Views of distinct edges are disjoint (workers are stored in
@@ -491,7 +484,7 @@ impl FlState {
 ///
 /// Everything an edge aggregator is allowed to read or write lives here —
 /// the edge's own workers (local indices `0..num_workers()`), its
-/// [`EdgeState`], and read-only data weights. Cross-edge and cloud state
+/// edge [`TierState`], and read-only data weights. Cross-edge and cloud state
 /// are deliberately out of reach, making data-race freedom of parallel
 /// edge aggregation a type-level fact rather than a convention.
 #[derive(Debug)]
@@ -502,7 +495,7 @@ pub struct EdgeView<'a> {
     /// This edge's workers, locally indexed from 0.
     pub workers: &'a mut [WorkerState],
     /// This edge's aggregation state.
-    pub state: &'a mut EdgeState,
+    pub state: &'a mut TierState,
     pub(crate) weights: &'a Weights,
     pub(crate) aggregator: RobustAggregator,
     /// The federation's slots are round-scoped

@@ -3,9 +3,10 @@
 //!
 //! # One engine, two participant sources
 //!
-//! [`simulate`], every topology epoch of [`crate::simulate_elastic`] and
-//! [`crate::simulate_virtual`] run through one event engine. Who takes
-//! part in a round is its private participant source:
+//! [`simulate`], every topology epoch of its churn runs
+//! ([`crate::elastic`]) and [`crate::simulate_virtual`] run through one
+//! event engine. Who takes part in a round is its private participant
+//! source:
 //!
 //! - **Registered** — persistent worker actors, each with a batcher
 //!   seeded `seed + i`, the pre-drawn dropout table, crash/recover/die
@@ -69,7 +70,8 @@ use std::sync::Arc;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
 use hieradmo_core::driver::{
-    aggregate_above_edges, build_train_probe, check_tree_schedule, check_worker_data, initial_state,
+    aggregate_above_edges, build_train_probe, check_registered_sampling, check_tree_schedule,
+    check_worker_data, initial_state,
 };
 use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
@@ -188,9 +190,9 @@ pub struct SimResult {
     pub adversaries: Vec<ActorAdversaries>,
     /// Number of discrete events processed.
     pub events: u64,
-    /// Topology-churn tallies. All-zero on frozen-tree runs; populated by
-    /// [`crate::simulate_elastic`] when a
-    /// [`hieradmo_core::RunConfig::churn`] plan mutates the tree mid-run.
+    /// Topology-churn tallies. All-zero on frozen-tree runs; populated
+    /// when a [`hieradmo_core::RunConfig::churn`] plan mutates the tree
+    /// mid-run ([`crate::elastic`]).
     pub topology: TopologyCounters,
 }
 
@@ -452,7 +454,7 @@ fn link_transfer(
 }
 
 /// One topology-epoch slice of a virtual-clock run (see
-/// [`crate::simulate_elastic`]): the engine executes ticks
+/// [`crate::elastic`]): the engine executes ticks
 /// `(start, limit]` against a frozen tree, restoring the mailbox from
 /// `resume` and fast-forwarding every training RNG stream over the prefix
 /// exactly as the core driver's resume path does. A plain
@@ -2005,11 +2007,19 @@ where
 /// virtual time drawn from `sim.env`, and aggregation fires per
 /// `sim.policy` rather than at a global barrier.
 ///
+/// Like the core engine, it honours [`RunConfig::churn`]: a non-empty
+/// plan runs the elastic co-simulation ([`crate::elastic`]), where
+/// `worker_data` registers the whole uid space (initial tree first, join
+/// candidates after). Under an empty plan `worker_data` holds exactly one
+/// dataset per worker.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if the config, schedule, topology, data, network
 /// environment or policy are inconsistent — the same pre-flight checks as
-/// the core driver plus the network/policy ones.
+/// the core driver plus the network/policy ones. A sampling policy that
+/// is not full is [`RunError::BadConfig`]: only
+/// [`crate::simulate_virtual`] samples.
 pub fn simulate<M, S>(
     strategy: &S,
     model: &M,
@@ -2023,6 +2033,17 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
+    if !cfg.churn.is_empty() {
+        return crate::elastic::simulate_churn(
+            strategy,
+            model,
+            hierarchy,
+            worker_data,
+            test_data,
+            cfg,
+            sim,
+        );
+    }
     let span = Span::full(cfg);
     simulate_span(
         strategy,
@@ -2038,16 +2059,15 @@ where
 }
 
 /// The checks every entry point shares: the config itself, a frozen tree
-/// (churn runs through [`crate::simulate_elastic`], whose epochs arrive
-/// here with an empty plan), and the tier tree's `(τ, π)` against the
-/// config.
+/// (a churn run's epochs arrive here with an empty plan; populations do
+/// not churn), and the tier tree's `(τ, π)` against the config.
 pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimError> {
     cfg.validate()
         .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
     if !cfg.churn.is_empty() {
         return Err(SimError::Run(RunError::BadConfig(
-            "the frozen-tree co-simulation cannot apply a non-empty ChurnPlan; \
-             run registered workers through crate::simulate_elastic"
+            "a ChurnPlan applies to registered workers only; a population \
+             runs on a frozen tree"
                 .into(),
         )));
     }
@@ -2068,6 +2088,7 @@ where
     S: Strategy + ?Sized,
 {
     validate_run(cfg, sim)?;
+    check_registered_sampling(cfg).map_err(SimError::Run)?;
     strategy
         .check_topology(hierarchy)
         .map_err(|m| SimError::Run(RunError::Topology(m)))?;

@@ -1,9 +1,10 @@
 //! Elastic topology over the event-driven runtime: the virtual-clock
-//! counterpart of [`hieradmo_core::elastic::run_elastic`].
+//! counterpart of [`hieradmo_core::elastic`].
 //!
-//! [`simulate_elastic`] splits the run at every [`ChurnPlan`] boundary
-//! into topology-epoch segments, runs each through the unchanged
-//! co-simulation engine against that epoch's frozen tree (resuming the
+//! Given a non-empty [`RunConfig::churn`] plan, [`crate::simulate`]
+//! splits the run at every [`ChurnPlan`] boundary into topology-epoch
+//! segments, runs each through the unchanged co-simulation engine
+//! against that epoch's frozen tree (resuming the
 //! mailbox from the previous segment's end state), and applies the
 //! boundary's events between segments via the *same*
 //! [`hieradmo_core::elastic::apply_churn_boundary`] transform the
@@ -148,23 +149,12 @@ fn segment_sim(sim: &SimConfig, uids: &[usize], clock_base_ms: f64) -> SimConfig
     seg
 }
 
-/// Runs `strategy` under the elastic topology runtime on the virtual
-/// clock: the event-driven counterpart of
-/// [`hieradmo_core::elastic::run_elastic`], composing churn with delay
-/// environments, sync policies, fault plans and adversary plans.
-///
-/// `worker_data` registers the whole uid space (initial tree first, join
-/// candidates after), `cfg.adversary` and `sim.faults.permanent` are
-/// keyed by uid, and `sim.env.worker_devices` is a device pool (worker
-/// `g` computes on profile `g mod pool size`). An empty
-/// [`RunConfig::churn`] plan with a fully-present uid space delegates to
-/// [`simulate`] unchanged. N-tier trees ([`SimConfig::tiers`]) do not
-/// compose with churn yet and are rejected.
+/// A one-line call of [`crate::simulate`], kept because the repository
+/// benchmark calls it.
 ///
 /// # Errors
 ///
-/// Everything [`simulate`] rejects, plus churn events invalid against the
-/// live topology when they apply.
+/// Everything [`crate::simulate`] rejects.
 pub fn simulate_elastic<M, S>(
     strategy: &S,
     model: &M,
@@ -178,22 +168,35 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
+    simulate(strategy, model, hierarchy, worker_data, test_data, cfg, sim)
+}
+
+/// [`crate::simulate`] under a non-empty [`RunConfig::churn`] plan: the
+/// event-driven counterpart of the core elastic runtime, composing churn
+/// with delay environments, sync policies, fault plans and adversary
+/// plans.
+///
+/// `worker_data` registers the whole uid space (initial tree first, join
+/// candidates after), `cfg.adversary` and `sim.faults.permanent` are
+/// keyed by uid, and `sim.env.worker_devices` is a device pool (worker
+/// `g` computes on profile `g mod pool size`). N-tier trees
+/// ([`SimConfig::tiers`]) do not compose with churn yet and are rejected.
+pub(crate) fn simulate_churn<M, S>(
+    strategy: &S,
+    model: &M,
+    hierarchy: &Hierarchy,
+    worker_data: &[Dataset],
+    test_data: &Dataset,
+    cfg: &RunConfig,
+    sim: &SimConfig,
+) -> Result<SimResult, SimError>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
     let bad = |m: String| SimError::Run(RunError::BadConfig(m));
-    cfg.validate().map_err(|m| bad(m.clone()))?;
+    cfg.validate().map_err(bad)?;
     let plan = cfg.churn.clone();
-    if plan.is_empty() && worker_data.len() == hierarchy.num_workers() {
-        let mut frozen = cfg.clone();
-        frozen.churn = ChurnPlan::none();
-        return simulate(
-            strategy,
-            model,
-            hierarchy,
-            worker_data,
-            test_data,
-            &frozen,
-            sim,
-        );
-    }
     if sim.tiers.is_some() {
         return Err(bad(
             "N-tier trees do not compose with a ChurnPlan yet; elastic \

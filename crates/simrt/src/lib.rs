@@ -24,9 +24,12 @@
 //!   per arrival unless some participant's state is older than
 //!   `max_staleness` rounds, in which case the round waits for it.
 //!
-//! One event engine ([`driver`]) runs every entry point — [`simulate`],
-//! each topology epoch of [`simulate_elastic`], and [`simulate_virtual`]
-//! over a sampled population ([`vpop`]). Who takes part in a round is its
+//! One event engine ([`driver`]) runs both entry points — [`simulate`]
+//! over registered workers (each topology epoch of a churn run, when
+//! [`hieradmo_core::RunConfig::churn`] is non-empty, see [`elastic`]),
+//! and [`simulate_virtual`] over a sampled population ([`vpop`]).
+//! [`simulate_elastic`] is a one-line call of [`simulate`], kept for the
+//! repository benchmark. Who takes part in a round is its
 //! private participant source: persistent registered worker actors, or
 //! cohort slots sampled per round, whose stragglers are waived at the end
 //! of their round instead of carrying over.

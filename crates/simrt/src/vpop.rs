@@ -3,7 +3,7 @@
 //! events processed are all `O(active)`, never `O(registered)`.
 //!
 //! [`simulate_virtual`] is the event-driven counterpart of
-//! [`hieradmo_core::population::run_virtual`] and its tiered variants. It
+//! [`hieradmo_core::run`] over a population source. It
 //! validates the population and runs it through the one co-simulation
 //! engine (`crate::driver`). Under full participation the engine runs the
 //! materialized population as registered workers, exactly as
@@ -12,8 +12,8 @@
 //! adversary draws, network delays, fault draws, dropout masks — all
 //! re-derive from `(seed, worker_id, round)`. Under
 //! [`SyncPolicy::FullSync`](crate::SyncPolicy::FullSync) the model
-//! trajectory is therefore bitwise identical to `run_virtual`'s /
-//! `run_virtual_tiered`'s and independent of thread count (gated by
+//! trajectory is therefore bitwise identical to the tick engine's and
+//! independent of thread count (gated by
 //! `tests/sampling_equivalence.rs`).
 //!
 //! Sampled edges progress their rounds independently between cloud
@@ -66,9 +66,8 @@ use crate::driver::{simulate_sampled, validate_run, SimError, SimResult};
 use crate::policy::SimConfig;
 
 /// Runs `strategy` over a virtual population under the co-simulation: the
-/// event-driven counterpart of
-/// [`hieradmo_core::population::run_virtual`] and
-/// [`hieradmo_core::population::run_virtual_tiered`], with the same
+/// event-driven counterpart of [`hieradmo_core::run`] over a
+/// [`hieradmo_core::RunSpec::population`] source, with the same
 /// sampled model trajectory bit for bit under
 /// [`SyncPolicy::FullSync`](crate::SyncPolicy::FullSync) (gated by
 /// `tests/sampling_equivalence.rs`) and an honest virtual-time axis on
@@ -99,16 +98,15 @@ use crate::policy::SimConfig;
 /// ([`hieradmo_core::population::cohort_dropout_mask`]).
 ///
 /// Remaining sampled-path restrictions (validated):
-/// [`Architecture::ThreeTier`] only, a non-empty device pool, no legacy
-/// `edges`/`workers_per_edge` fields, no [`RunConfig::churn`] plan, no
+/// [`Architecture::ThreeTier`] only, a non-empty device pool, no
+/// [`RunConfig::churn`] plan, no
 /// two-tier algorithm ([`cohort_federation`]), and N-tier trees need a
 /// uniform cohort size that matches the population's registered shape.
 ///
 /// # Errors
 ///
 /// [`SimError`] on any inconsistency above, plus everything the
-/// population/sampling validation in
-/// [`hieradmo_core::population::run_virtual`] rejects.
+/// population/sampling validation of [`hieradmo_core::run`] rejects.
 pub fn simulate_virtual<M, S>(
     strategy: &S,
     model: &M,

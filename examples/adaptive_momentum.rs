@@ -8,7 +8,7 @@
 //! ```
 
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{run, RunConfig, RunError};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -30,7 +30,13 @@ fn main() -> Result<(), RunError> {
 
     // Adaptive run: print the γℓ trace.
     let adaptive = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-    let result = run(&adaptive, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+    let result = run(
+        &adaptive,
+        &model,
+        &RunSpec::hierarchy(&hierarchy, &shards),
+        &tt.test,
+        &cfg,
+    )?;
     println!("adaptive γℓ per edge aggregation (mean over edges):");
     for ((k, gamma), (_, cos)) in result.gamma_trace.iter().zip(&result.cos_trace) {
         let bar = "#".repeat((gamma * 40.0) as usize);
@@ -44,7 +50,13 @@ fn main() -> Result<(), RunError> {
     let mut best = (0.0f32, 0.0f64);
     for ge in [0.1f32, 0.3, 0.5, 0.7, 0.9] {
         let reduced = HierAdMo::reduced(cfg.eta, cfg.gamma, ge);
-        let r = run(&reduced, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+        let r = run(
+            &reduced,
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &tt.test,
+            &cfg,
+        )?;
         let acc = r.curve.final_accuracy().unwrap_or(0.0);
         if acc > best.1 {
             best = (ge, acc);

@@ -9,7 +9,7 @@
 
 use hieradmo::core::algorithms::HierAdMo;
 use hieradmo::core::theory::{estimate_beta, estimate_divergence, estimate_rho, BoundConstants};
-use hieradmo::core::{run, RunConfig, RunError};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::{zoo, Model};
@@ -31,7 +31,13 @@ fn main() -> Result<(), RunError> {
         ..RunConfig::default()
     };
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-    let result = run(&algo, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+    let result = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&hierarchy, &shards),
+        &tt.test,
+        &cfg,
+    )?;
     println!("{:>6}  {:>10}  {:>8}", "iter", "test loss", "acc %");
     for p in result.curve.points() {
         println!(

@@ -13,7 +13,7 @@
 use hieradmo::core::algorithms::HierFavg;
 use hieradmo::core::state::{EdgeView, FlState, WorkerState};
 use hieradmo::core::strategy::{Strategy, Tier};
-use hieradmo::core::{run, RunConfig, RunError};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -105,7 +105,13 @@ fn main() -> Result<(), RunError> {
             },
         ),
     ] {
-        let res = run(strategy, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+        let res = run(
+            strategy,
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &tt.test,
+            &cfg,
+        )?;
         println!(
             "{:<12} {:>8.2} {:>12.4}",
             name,

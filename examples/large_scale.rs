@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use hieradmo::core::algorithms::{FedAvg, HierAdMo};
 use hieradmo::core::strategy::Tier;
-use hieradmo::core::{run, RunConfig, RunError, Strategy};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -46,7 +46,13 @@ fn main() -> Result<(), RunError> {
             Tier::Two => (Hierarchy::two_tier(WORKERS), cfg.two_tier_equivalent()),
         };
         let started = Instant::now();
-        let result = run(algo, &model, &hierarchy, &shards, &tt.test, &run_cfg)?;
+        let result = run(
+            algo,
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &tt.test,
+            &run_cfg,
+        )?;
         println!(
             "{:<10} final accuracy {:>6.2}%  ({} eval points, {:.1}s simulation)",
             result.algorithm,

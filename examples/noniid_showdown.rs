@@ -8,7 +8,7 @@
 
 use hieradmo::core::algorithms::{FedAvg, FedNag, HierAdMo, HierFavg};
 use hieradmo::core::strategy::Tier;
-use hieradmo::core::{run, RunConfig, RunError, Strategy};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -46,7 +46,13 @@ fn main() -> Result<(), RunError> {
                 Tier::Three => (Hierarchy::balanced(2, 2), cfg.clone()),
                 Tier::Two => (Hierarchy::two_tier(4), cfg.two_tier_equivalent()),
             };
-            let result = run(algo.as_ref(), &model, &hierarchy, &shards, &tt.test, &cfg)?;
+            let result = run(
+                algo.as_ref(),
+                &model,
+                &RunSpec::hierarchy(&hierarchy, &shards),
+                &tt.test,
+                &cfg,
+            )?;
             print!(
                 " {:>12.2}",
                 result.curve.final_accuracy().unwrap_or(0.0) * 100.0

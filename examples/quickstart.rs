@@ -6,7 +6,7 @@
 //! ```
 
 use hieradmo::core::algorithms::{HierAdMo, HierFavg};
-use hieradmo::core::{run, RunConfig, RunError, Strategy};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -33,7 +33,13 @@ fn main() -> Result<(), RunError> {
         &HierAdMo::adaptive(cfg.eta, cfg.gamma) as &dyn Strategy,
         &HierFavg::new(cfg.eta),
     ] {
-        let result = run(algo, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+        let result = run(
+            algo,
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &tt.test,
+            &cfg,
+        )?;
         println!("=== {} ===", result.algorithm);
         println!("{:>6}  {:>10}  {:>8}", "iter", "test loss", "acc %");
         for p in result.curve.points() {

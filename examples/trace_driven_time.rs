@@ -8,7 +8,7 @@
 //! ```
 
 use hieradmo::core::algorithms::{FedNag, HierAdMo};
-use hieradmo::core::{run, RunConfig, RunError};
+use hieradmo::core::{run, RunConfig, RunError, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::{zoo, Model};
@@ -38,8 +38,7 @@ fn main() -> Result<(), RunError> {
     let res3 = run(
         &HierAdMo::adaptive(cfg3.eta, cfg3.gamma),
         &model,
-        &h3,
-        &shards,
+        &RunSpec::hierarchy(&h3, &shards),
         &tt.test,
         &cfg3,
     )?;
@@ -59,8 +58,7 @@ fn main() -> Result<(), RunError> {
     let res2 = run(
         &FedNag::new(cfg2.eta, cfg2.gamma),
         &model,
-        &h2,
-        &shards,
+        &RunSpec::hierarchy(&h2, &shards),
         &tt.test,
         &cfg2,
     )?;

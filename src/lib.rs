@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use hieradmo::core::algorithms::HierAdMo;
-//! use hieradmo::core::{run, RunConfig};
+//! use hieradmo::core::{run, RunConfig, RunSpec};
 //! use hieradmo::data::partition::x_class_partition;
 //! use hieradmo::data::synthetic::SyntheticDataset;
 //! use hieradmo::models::zoo;
@@ -40,7 +40,7 @@
 //!
 //! let cfg = RunConfig { tau: 5, pi: 2, total_iters: 20, eval_every: 20, ..RunConfig::default() };
 //! let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-//! let result = run(&algo, &model, &hierarchy, &shards, &tt.test, &cfg)?;
+//! let result = run(&algo, &model, &RunSpec::hierarchy(&hierarchy, &shards), &tt.test, &cfg)?;
 //! println!("accuracy: {:?}", result.curve.final_accuracy());
 //! # Ok::<(), hieradmo::core::RunError>(())
 //! ```
@@ -69,7 +69,7 @@ pub use hieradmo_topology as topology;
 /// let model = zoo::logistic_regression(&tt.train, 1);
 /// let cfg = RunConfig { tau: 5, pi: 2, total_iters: 10, eval_every: 10, ..RunConfig::default() };
 /// let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-/// let res = run(&algo, &model, &Hierarchy::balanced(2, 2), &shards, &tt.test, &cfg)?;
+/// let res = run(&algo, &model, &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards), &tt.test, &cfg)?;
 /// assert!(res.curve.final_accuracy().is_some());
 /// # Ok::<(), hieradmo::core::RunError>(())
 /// ```
@@ -78,7 +78,7 @@ pub mod prelude {
         Cfl, FastSlowMo, FedAdc, FedAvg, FedMom, FedNag, GammaMode, HierAdMo, HierFavg, Mime,
         SlowMo,
     };
-    pub use hieradmo_core::{run, RunConfig, RunError, RunResult, Strategy};
+    pub use hieradmo_core::{run, RunConfig, RunError, RunResult, RunSpec, Strategy};
     pub use hieradmo_data::partition::{dirichlet_partition, iid_partition, x_class_partition};
     pub use hieradmo_data::synthetic::SyntheticDataset;
     pub use hieradmo_data::{Batcher, Dataset, FeatureShape, Sample, Target};

@@ -23,7 +23,7 @@ use common::{
     tiered_sim_config, wide_sim_fixture,
 };
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{run, RobustAggregator, RunConfig, RunError};
+use hieradmo::core::{run, RobustAggregator, RunConfig, RunError, RunSpec};
 use hieradmo::metrics::export::{sim_run_from_json, sim_run_to_json, SimRunRecord};
 use hieradmo::models::zoo;
 use hieradmo::netsim::{
@@ -77,7 +77,14 @@ fn adversarial_full_sync_is_bitwise_identical_to_core_driver() {
             ..f.cfg.clone()
         };
         let model = zoo::logistic_regression(&f.train, 1);
-        let reference = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
+        let reference = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+            &f.test,
+            &cfg,
+        )
+        .unwrap();
         for threads in [1usize, 4] {
             let cfg = RunConfig {
                 threads: Some(threads),
@@ -115,7 +122,14 @@ fn degenerate_defenses_match_plain_mean_bitwise() {
     let f = sim_fixture(0.0);
     let algo = HierAdMo::adaptive(0.01, 0.5);
     let model = zoo::logistic_regression(&f.train, 1);
-    let base = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &f.cfg).unwrap();
+    let base = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
     for aggregator in [
         // trim_ratio 0.1 over at most 2 children trims ⌊0.2⌋ = 0 entries.
         RobustAggregator::TrimmedMean { trim_ratio: 0.1 },
@@ -125,7 +139,14 @@ fn degenerate_defenses_match_plain_mean_bitwise() {
             aggregator,
             ..f.cfg.clone()
         };
-        let r = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
+        let r = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+            &f.test,
+            &cfg,
+        )
+        .unwrap();
         let label = aggregator.label();
         assert_eq!(base.curve, r.curve, "{label}: curve differs");
         assert_eq!(
@@ -156,7 +177,14 @@ fn minority_sign_flip_is_defended_by_trimmed_mean_and_median() {
             adversary,
             ..f.cfg.clone()
         };
-        let r = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
+        let r = run(
+            &algo,
+            &model,
+            &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+            &f.test,
+            &cfg,
+        )
+        .unwrap();
         assert!(
             r.final_params.is_finite(),
             "{}: non-finite model",
@@ -198,7 +226,14 @@ fn momentum_poison_keeps_adaptive_gamma_in_range() {
         adversary: AdversaryPlan::uniform([0usize], AttackModel::MomentumPoison { scale: 50.0 }),
         ..f.cfg.clone()
     };
-    let r = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
+    let r = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
     assert!(r.final_params.is_finite());
     for &(k, g) in &r.gamma_trace {
         assert!(
@@ -341,8 +376,7 @@ fn invalid_adversary_plans_are_rejected_before_the_run() {
     let err = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
         &f.test,
         &out_of_range,
     )
@@ -370,7 +404,14 @@ fn invalid_adversary_plans_are_rejected_before_the_run() {
         ),
         ..f.cfg.clone()
     };
-    let err = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &bad_scale).unwrap_err();
+    let err = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &bad_scale,
+    )
+    .unwrap_err();
     assert!(matches!(err, RunError::BadConfig(_)), "got {err}");
     let err = simulate(
         &algo,
@@ -395,8 +436,7 @@ fn invalid_adversary_plans_are_rejected_before_the_run() {
     let err = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
         &f.test,
         &bad_defense,
     )
@@ -411,7 +451,6 @@ fn invalid_adversary_plans_are_rejected_before_the_run() {
 /// RNG draws.
 #[test]
 fn depth_4_adversary_smoke() {
-    use hieradmo::core::run_tiered;
     use hieradmo::topology::{TierPath, TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -438,7 +477,14 @@ fn depth_4_adversary_smoke() {
     };
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.01, 0.5);
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+    let reference = run(
+        &algo,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -478,7 +524,7 @@ proptest! {
     /// included.
     #[test]
     fn path_addressed_attacks_are_bitwise_on_random_trees(tree in small_tier_trees()) {
-        use hieradmo::core::run_tiered;
+
         use hieradmo::topology::TierPath;
 
         let f = tiered_fixture(&tree);
@@ -497,7 +543,7 @@ proptest! {
         };
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+        let reference = run(&algo, &model, &RunSpec::tree(&tree, &f.shards), &f.test, &cfg).unwrap();
         let sim = simulate(
             &algo,
             &model,

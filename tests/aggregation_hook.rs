@@ -4,8 +4,8 @@
 //! [`Strategy::tier_aggregate_stale`]. [`OneHook`] wraps HierAdMo and
 //! overrides only that aggregation hook: it counts the calls per scope
 //! and checks that each staleness slice has one entry per child of the
-//! firing node. Run through it, the tick loop (`run`, `run_tiered`,
-//! `run_virtual_tiered`) and the event engine (`simulate` under every
+//! firing node. Run through it, the tick loop (`run` over a hierarchy, a
+//! tree and a sampled population) and the event engine (`simulate` under every
 //! policy, `simulate_virtual`) fire the hook exactly once per aggregation
 //! and reproduce the unwrapped run bit for bit. An engine that called any
 //! other hook would bypass the counts — and, on a stale firing, the
@@ -20,9 +20,9 @@ use common::{
     tiered_sim_config,
 };
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::population::run_virtual_tiered;
+
 use hieradmo::core::{
-    run, run_tiered, EdgeView, FlState, RunResult, Strategy, Tier, TierScope, WorkerState,
+    run, EdgeView, FlState, RunResult, RunSpec, Strategy, Tier, TierScope, WorkerState,
 };
 use hieradmo::models::zoo;
 use hieradmo::netsim::{Architecture, NetworkEnv};
@@ -162,12 +162,18 @@ fn the_tick_loop_fires_every_tier_through_the_one_hook() {
     let f = sim_fixture(0.0);
     let model = zoo::logistic_regression(&f.train, 1);
     let hooked = OneHook::new();
-    let got = run(&hooked, &model, &f.hierarchy, &f.shards, &f.test, &f.cfg).unwrap();
+    let got = run(
+        &hooked,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
     let want = run(
         &hooked.inner,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
         &f.test,
         &f.cfg,
     )
@@ -178,25 +184,46 @@ fn the_tick_loop_fires_every_tier_through_the_one_hook() {
     assert_eq!(hooked.counts(), synchronous_firings(&tree, rounds), "run");
     assert_eq!(hooked.stale.load(Ordering::SeqCst), 0, "run is synchronous");
 
-    // `run_tiered` at depth 4.
+    // A depth-4 tree source.
     let tree = depth4_tree();
     let f = tiered_fixture(&tree);
     let model = zoo::logistic_regression(&f.train, 1);
     let hooked = OneHook::new();
-    let got = run_tiered(&hooked, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
-    let want = run_tiered(&hooked.inner, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+    let got = run(
+        &hooked,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
+    let want = run(
+        &hooked.inner,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
     assert_runs_equal(&got, &want, "run_tiered");
     let rounds = f.cfg.total_iters / f.cfg.tau;
     assert_eq!(hooked.counts(), synchronous_firings(&tree, rounds));
     assert!(hooked.counts()[1] > 0, "the middle tier fires");
 
-    // `run_virtual_tiered` over a sampled depth-4 population.
+    // A sampled depth-4 population source.
     let tree = &sampled_matrix_trees()[1];
     let f = sampled_tier_fixture(tree);
     let model = zoo::logistic_regression(&f.train, 1);
     let hooked = OneHook::new();
     let go = |s: &dyn Strategy| {
-        run_virtual_tiered(s, &model, &f.population, &f.shards, &f.test, &f.cfg, tree).unwrap()
+        run(
+            s,
+            &model,
+            &RunSpec::population(&f.population, &f.shards, Some(tree)),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap()
     };
     let (got, want) = (go(&hooked), go(&hooked.inner));
     assert_runs_equal(&got, &want, "run_virtual_tiered");

@@ -20,7 +20,7 @@ use common::{
     tiered_sim_config,
 };
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{run, RunConfig, Strategy};
+use hieradmo::core::{run, RunConfig, RunSpec, Strategy};
 use hieradmo::metrics::export::{sim_run_from_json, sim_run_to_json, SimRunRecord};
 use hieradmo::models::zoo;
 use hieradmo::netsim::{CrashProfile, DelaySpikes, FaultPlan, LinkFaults, PermanentCrash};
@@ -99,7 +99,14 @@ fn empty_plan_full_sync_is_bitwise_identical_to_core_driver() {
     let algos: [&dyn Strategy; 2] = [&adaptive, &reduced];
     for algo in algos {
         let model = zoo::logistic_regression(&f.train, 1);
-        let reference = run(algo, &model, &f.hierarchy, &f.shards, &f.test, &f.cfg).unwrap();
+        let reference = run(
+            algo,
+            &model,
+            &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap();
         for threads in [1usize, 4] {
             let cfg = RunConfig {
                 threads: Some(threads),
@@ -512,7 +519,6 @@ fn chaos_smoke_small_fixed_plan() {
 /// faults.
 #[test]
 fn depth_4_chaos_smoke() {
-    use hieradmo::core::run_tiered;
     use hieradmo::topology::{TierPath, TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -526,7 +532,14 @@ fn depth_4_chaos_smoke() {
     let algo = HierAdMo::adaptive(0.01, 0.5);
 
     // Empty plan: bitwise the tiered core driver, clock included.
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+    let reference = run(
+        &algo,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -602,12 +615,12 @@ proptest! {
     /// tiered core driver and takes zero fault draws.
     #[test]
     fn empty_plans_are_bitwise_on_random_trees(tree in small_tier_trees()) {
-        use hieradmo::core::run_tiered;
+
 
         let f = tiered_fixture(&tree);
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+        let reference = run(&algo, &model, &RunSpec::tree(&tree, &f.shards), &f.test, &f.cfg).unwrap();
         let sim = simulate(
             &algo,
             &model,

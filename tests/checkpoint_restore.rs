@@ -6,9 +6,7 @@ mod common;
 
 use common::sim_fixture;
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{
-    run, run_resumed, run_until, RunConfig, RunError, RunResult, TrainingSnapshot,
-};
+use hieradmo::core::{run, RunConfig, RunError, RunResult, RunSpec, TrainingSnapshot};
 use hieradmo::models::zoo;
 use hieradmo::tensor::Vector;
 
@@ -29,9 +27,26 @@ fn check_restore_round_trip(dropout: f64, resumed_threads: Option<usize>) {
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
 
-    let full = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
-    let (first, snap) =
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 15).unwrap();
+    let full = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
+    let first = run(
+        &algo,
+        &model,
+        &RunSpec {
+            stop_at: Some(15),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
+    let snap = first.snapshot.clone().unwrap();
     assert_eq!(snap.tick, 15);
     assert_eq!(snap.algorithm, "HierAdMo");
 
@@ -42,14 +57,15 @@ fn check_restore_round_trip(dropout: f64, resumed_threads: Option<usize>) {
         threads: resumed_threads,
         ..cfg.clone()
     };
-    let resumed = run_resumed(
+    let resumed = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
         &f.test,
         &resumed_cfg,
-        &snap,
     )
     .unwrap();
 
@@ -135,13 +151,39 @@ fn restore_replays_adversary_streams_exactly() {
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
 
-    let full = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
-    let (first, snap) =
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 15).unwrap();
+    let full = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
+    let first = run(
+        &algo,
+        &model,
+        &RunSpec {
+            stop_at: Some(15),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
+    let snap = first.snapshot.clone().unwrap();
     // The adversary draws from replayable streams; nothing of it is stored.
     let snap = TrainingSnapshot::from_json(&snap.to_json()).unwrap();
-    let resumed =
-        run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &snap).unwrap();
+    let resumed = run(
+        &algo,
+        &model,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
 
     let concat: Vec<_> = first
         .curve
@@ -170,7 +212,7 @@ fn restore_replays_adversary_streams_exactly() {
 #[test]
 fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
     use common::tiered_fixture;
-    use hieradmo::core::{run_tiered, run_tiered_resumed, run_tiered_until};
+    use hieradmo::core::{run, RunSpec};
     use hieradmo::topology::{TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -189,9 +231,26 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
     assert_eq!(stop % (f.cfg.tau * tree.sync_rounds(1)), 0);
     assert_ne!(stop % (f.cfg.tau * tree.pi_total()), 0);
 
-    let full = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
-    let (first, snap) =
-        run_tiered_until(&algo, &model, &tree, &f.shards, &f.test, &f.cfg, stop).unwrap();
+    let full = run(
+        &algo,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
+    let first = run(
+        &algo,
+        &model,
+        &RunSpec {
+            stop_at: Some(stop),
+            ..RunSpec::tree(&tree, &f.shards)
+        },
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
+    let snap = first.snapshot.clone().unwrap();
     assert_eq!(snap.tick, stop);
     assert_eq!(
         snap.middle.len(),
@@ -207,14 +266,15 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
         threads: Some(4),
         ..f.cfg.clone()
     };
-    let resumed = run_tiered_resumed(
+    let resumed = run(
         &algo,
         &model,
-        &tree,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::tree(&tree, &f.shards)
+        },
         &f.test,
         &resumed_cfg,
-        &snap,
     )
     .unwrap();
 
@@ -256,7 +316,16 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
     // rejected before any training step.
     let mut wrong = snap.clone();
     wrong.middle.clear();
-    let err = run_tiered_resumed(&algo, &model, &tree, &f.shards, &f.test, &f.cfg, &wrong);
+    let err = run(
+        &algo,
+        &model,
+        &RunSpec {
+            resume: Some(&wrong),
+            ..RunSpec::tree(&tree, &f.shards)
+        },
+        &f.test,
+        &f.cfg,
+    );
     assert!(matches!(err, Err(RunError::Data(_))));
 }
 
@@ -265,7 +334,19 @@ fn file_round_trip_preserves_the_snapshot() {
     let (f, cfg) = cfg(0.0);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let (_, snap) = run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 20).unwrap();
+    let snap = run(
+        &algo,
+        &model,
+        &RunSpec {
+            stop_at: Some(20),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
+        &f.test,
+        &cfg,
+    )
+    .unwrap()
+    .snapshot
+    .unwrap();
 
     let dir = std::env::temp_dir().join("hieradmo-restore-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -281,8 +362,17 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
     let (f, cfg) = cfg(0.0);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let go_until = |stop: usize| -> Result<(RunResult, TrainingSnapshot), RunError> {
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, stop)
+    let go_until = |stop: usize| -> Result<RunResult, RunError> {
+        run(
+            &algo,
+            &model,
+            &RunSpec {
+                stop_at: Some(stop),
+                ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+            },
+            &f.test,
+            &cfg,
+        )
     };
 
     // Off-boundary, zero and past-the-end stop points.
@@ -290,37 +380,48 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
     assert!(matches!(go_until(0), Err(RunError::BadConfig(_))));
     assert!(matches!(go_until(45), Err(RunError::BadConfig(_))));
 
-    let (_, snap) = go_until(15).unwrap();
+    let snap = go_until(15).unwrap().snapshot.unwrap();
 
     // Wrong algorithm: HierAdMo-R is a different strategy.
     let other = HierAdMo::reduced(0.05, 0.5, 0.5);
-    let err = run_resumed(
+    let err = run(
         &other,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
         &f.test,
         &cfg,
-        &snap,
     );
     assert!(matches!(err, Err(RunError::BadConfig(_))));
 
     // A snapshot at (or past) the end of the run cannot be resumed.
-    let (_, done) = go_until(40).unwrap();
-    let err = run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &done);
+    let done = go_until(40).unwrap().snapshot.unwrap();
+    let err = run(
+        &algo,
+        &model,
+        &RunSpec {
+            resume: Some(&done),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
+        &f.test,
+        &cfg,
+    );
     assert!(matches!(err, Err(RunError::BadConfig(_))));
 
     // Shape mismatch: snapshot against a smaller hierarchy.
     let mut short = snap.clone();
     short.workers.truncate(2);
-    let err = run_resumed(
+    let err = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&short),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
         &f.test,
         &cfg,
-        &short,
     );
     assert!(matches!(err, Err(RunError::Data(_))));
 
@@ -328,7 +429,16 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
     // typed data error from the snapshot check, never a panic mid-run.
     let snap = TrainingSnapshot::from_json(&snap.to_json()).unwrap();
     for (label, bad) in malformed_snapshots(&snap) {
-        let err = run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &bad);
+        let err = run(
+            &algo,
+            &model,
+            &RunSpec {
+                resume: Some(&bad),
+                ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+            },
+            &f.test,
+            &cfg,
+        );
         assert!(
             matches!(err, Err(RunError::Data(_))),
             "run_resumed with {label}: {err:?}"
@@ -337,20 +447,22 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
 
     // The same check guards the sampled resume path.
     use common::{sampled_matrix_trees, sampled_tier_fixture};
-    use hieradmo::core::population::{run_virtual_tiered_resumed, run_virtual_tiered_until};
+
     let tree = sampled_matrix_trees()[1].clone();
     let sf = sampled_tier_fixture(&tree);
     let sampled_model = zoo::logistic_regression(&sf.train, 1);
-    let (_, sampled) = run_virtual_tiered_until(
+    let sampled = run(
         &algo,
         &sampled_model,
-        &sf.population,
-        &sf.shards,
+        &RunSpec {
+            stop_at: Some(2 * sf.cfg.tau),
+            ..RunSpec::population(&sf.population, &sf.shards, Some(&tree))
+        },
         &sf.test,
         &sf.cfg,
-        &tree,
-        2 * sf.cfg.tau,
     )
+    .unwrap()
+    .snapshot
     .unwrap();
     let sampled = TrainingSnapshot::from_json(&sampled.to_json()).unwrap();
     let mut cases = malformed_snapshots(&sampled);
@@ -358,15 +470,15 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
     middle.middle[0][1].y_plus = Vector::zeros(3);
     cases.push(("a shortened middle-tier y_plus", middle));
     for (label, bad) in cases {
-        let err = run_virtual_tiered_resumed(
+        let err = run(
             &algo,
             &sampled_model,
-            &sf.population,
-            &sf.shards,
+            &RunSpec {
+                resume: Some(&bad),
+                ..RunSpec::population(&sf.population, &sf.shards, Some(&tree))
+            },
             &sf.test,
             &sf.cfg,
-            &tree,
-            &bad,
         );
         assert!(
             matches!(err, Err(RunError::Data(_))),
@@ -411,9 +523,6 @@ fn malformed_snapshots(snap: &TrainingSnapshot) -> Vec<(&'static str, TrainingSn
 #[test]
 fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     use common::{sampled_matrix_trees, sampled_tier_fixture};
-    use hieradmo::core::population::{
-        run_virtual_tiered, run_virtual_tiered_resumed, run_virtual_tiered_until,
-    };
 
     // The depth-4 matrix tree: tau = 2, region tier syncing every 2 edge
     // rounds, root every 4. eval_every = 4 puts eval points in both
@@ -432,27 +541,26 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     assert_eq!(stop % (cfg.tau * tree.sync_rounds(1)), 0);
     assert_ne!(stop % (cfg.tau * tree.pi_total()), 0);
 
-    let full = run_virtual_tiered(
+    let full = run(
         &algo,
         &model,
-        &f.population,
-        &f.shards,
+        &RunSpec::population(&f.population, &f.shards, Some(&tree)),
         &f.test,
         &cfg,
-        &tree,
     )
     .unwrap();
-    let (first, snap) = run_virtual_tiered_until(
+    let first = run(
         &algo,
         &model,
-        &f.population,
-        &f.shards,
+        &RunSpec {
+            stop_at: Some(stop),
+            ..RunSpec::population(&f.population, &f.shards, Some(&tree))
+        },
         &f.test,
         &cfg,
-        &tree,
-        stop,
     )
     .unwrap();
+    let snap = first.snapshot.clone().unwrap();
     assert_eq!(snap.tick, stop);
     assert_eq!(
         snap.middle.len(),
@@ -468,15 +576,15 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
         threads: Some(4),
         ..cfg.clone()
     };
-    let resumed = run_virtual_tiered_resumed(
+    let resumed = run(
         &algo,
         &model,
-        &f.population,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::population(&f.population, &f.shards, Some(&tree))
+        },
         &f.test,
         &resumed_cfg,
-        &tree,
-        &snap,
     )
     .unwrap();
 
@@ -519,15 +627,15 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     // A snapshot that lost its middle tier is rejected before training.
     let mut wrong = snap.clone();
     wrong.middle.clear();
-    let err = run_virtual_tiered_resumed(
+    let err = run(
         &algo,
         &model,
-        &f.population,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&wrong),
+            ..RunSpec::population(&f.population, &f.shards, Some(&tree))
+        },
         &f.test,
         &cfg,
-        &tree,
-        &wrong,
     );
     assert!(matches!(err, Err(RunError::Data(_))));
 }

@@ -270,7 +270,7 @@ impl GenStrategy for TierTreeStrategy {
 
 /// A training fixture sized to `tree`: non-iid shards over its workers
 /// and a [`RunConfig`] whose `(τ, π)` match the tree, running two full
-/// root rounds. Usable with `run_tiered` directly or with `simulate` via
+/// root rounds. Usable as a `RunSpec::tree` source directly or with `simulate` via
 /// [`tiered_sim_config`] and [`TierTree::edge_hierarchy`].
 pub fn tiered_fixture(tree: &TierTree) -> SimFixture {
     let n = tree.num_workers();

@@ -4,7 +4,7 @@
 //! communication.
 
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{run, RunConfig};
+use hieradmo::core::{run, RunConfig, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::{generate, SyntheticSpec};
 use hieradmo::models::{zoo, Model};
@@ -54,8 +54,22 @@ fn compressed_federation_learns_and_saves_wire_time() {
             k: model.dim() / 10,
         },
     );
-    let dense_res = run(&dense, &model, &h, &shards, &test, &cfg).unwrap();
-    let sparse_res = run(&sparse, &model, &h, &shards, &test, &cfg).unwrap();
+    let dense_res = run(
+        &dense,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg,
+    )
+    .unwrap();
+    let sparse_res = run(
+        &sparse,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg,
+    )
+    .unwrap();
 
     let dense_acc = dense_res.curve.final_accuracy().unwrap();
     let sparse_acc = sparse_res.curve.final_accuracy().unwrap();
@@ -118,7 +132,14 @@ fn error_feedback_matters_under_aggressive_compression() {
     let h = Hierarchy::balanced(2, 2);
     let k = (model.dim() / 100).max(1);
     let aggressive = QuantizedHierFavg::new(cfg.eta, Compression::TopK { k });
-    let res = run(&aggressive, &model, &h, &shards, &test, &cfg).unwrap();
+    let res = run(
+        &aggressive,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg,
+    )
+    .unwrap();
     let acc = res.curve.final_accuracy().unwrap();
     assert!(
         acc > 0.4,
@@ -146,7 +167,14 @@ fn centralized_optimizers_agree_with_federated_limit() {
     };
     let h = Hierarchy::two_tier(1);
     let shards = vec![train.clone()];
-    let fed = run(&HierFavg::new(0.05), &model, &h, &shards, &test, &cfg).unwrap();
+    let fed = run(
+        &HierFavg::new(0.05),
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg,
+    )
+    .unwrap();
 
     let mut central = model.clone();
     let mut opt = Sgd::new(0.05);

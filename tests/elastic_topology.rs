@@ -3,8 +3,8 @@
 //! Four guarantees are pinned here, mirroring the depth-equivalence
 //! suite's structure for the topology-churn axis:
 //!
-//! 1. **Empty-plan identity** — `run_elastic` / `simulate_elastic` with
-//!    an empty [`ChurnPlan`] are *bitwise* the frozen-tree engines for
+//! 1. **Empty-plan identity** — `run` / `simulate` with an empty
+//!    [`ChurnPlan`] are *bitwise* the frozen-tree engines for
 //!    every algorithm in the five-algorithm lineup: same curve, final
 //!    parameters, diagnostics traces and simulated clock, with all-zero
 //!    topology counters. Elasticity must cost nothing when nothing
@@ -27,15 +27,13 @@ use common::{
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{
-    run, run_elastic, run_elastic_resumed, run_elastic_until, Strategy, TrainingSnapshot,
-};
+use hieradmo::core::{run, RunSpec, Strategy, TrainingSnapshot};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::netsim::{
     stream_seed, AdversaryPlan, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
     PermanentCrash,
 };
-use hieradmo::simrt::{simulate, simulate_elastic, SyncPolicy};
+use hieradmo::simrt::{simulate, SyncPolicy};
 use hieradmo::topology::{churn_stream_seed, ChurnPlan, ScheduledEvent, TopologyEvent};
 
 /// The five-algorithm lineup every equivalence gate runs.
@@ -90,17 +88,15 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
         let frozen = run(
             strategy.as_ref(),
             &model,
-            &fx.hierarchy,
-            &fx.shards,
+            &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
             &fx.test,
             &fx.cfg,
         )
         .unwrap();
-        let elastic = run_elastic(
+        let elastic = run(
             strategy.as_ref(),
             &model,
-            &fx.hierarchy,
-            &fx.shards,
+            &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
             &fx.test,
             &fx.cfg,
         )
@@ -129,7 +125,7 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
             &sim_cfg,
         )
         .unwrap();
-        let elastic_sim = simulate_elastic(
+        let elastic_sim = simulate(
             strategy.as_ref(),
             &model,
             &fx.hierarchy,
@@ -164,20 +160,7 @@ fn churn_replays_bitwise_across_thread_counts_and_engines() {
     let core1 = run(
         &strategy,
         &model,
-        &fx.hierarchy,
-        &fx.shards,
-        &fx.test,
-        &cfg1,
-    );
-    assert!(
-        core1.is_err(),
-        "the frozen core driver must reject a non-empty churn plan"
-    );
-    let core1 = run_elastic(
-        &strategy,
-        &model,
-        &fx.hierarchy,
-        &fx.shards,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
         &fx.test,
         &cfg1,
     )
@@ -185,11 +168,10 @@ fn churn_replays_bitwise_across_thread_counts_and_engines() {
 
     let mut cfg4 = cfg1.clone();
     cfg4.threads = Some(4);
-    let core4 = run_elastic(
+    let core4 = run(
         &strategy,
         &model,
-        &fx.hierarchy,
-        &fx.shards,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
         &fx.test,
         &cfg4,
     )
@@ -208,20 +190,7 @@ fn churn_replays_bitwise_across_thread_counts_and_engines() {
     );
 
     let sim_cfg = sim_config(7, SyncPolicy::FullSync);
-    let frozen_sim = simulate(
-        &strategy,
-        &model,
-        &fx.hierarchy,
-        &fx.shards,
-        &fx.test,
-        &cfg1,
-        &sim_cfg,
-    );
-    assert!(
-        frozen_sim.is_err(),
-        "the frozen co-simulation must reject a non-empty churn plan"
-    );
-    let sim = simulate_elastic(
+    let sim = simulate(
         &strategy,
         &model,
         &fx.hierarchy,
@@ -243,8 +212,7 @@ fn edge_failure_with_live_reparenting_degrades_gracefully() {
     let clean = run(
         &strategy,
         &model,
-        &fx.hierarchy,
-        &fx.shards,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
         &fx.test,
         &fx.cfg,
     )
@@ -260,8 +228,14 @@ fn edge_failure_with_live_reparenting_degrades_gracefully() {
         }],
         reform_every: None,
     };
-    let churned =
-        run_elastic(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
+    let churned = run(
+        &strategy,
+        &model,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
+        &fx.test,
+        &cfg,
+    )
+    .unwrap();
     assert_eq!(churned.topology.orphaned_rounds, 4);
     assert_eq!(churned.topology.migrations, 4);
 
@@ -302,7 +276,7 @@ fn churn_composes_with_faults_and_adversaries_under_every_policy() {
 
     for policy in matrix_policies() {
         let sim_cfg = sim_config(11, policy).with_faults(faults.clone());
-        let a = simulate_elastic(
+        let a = simulate(
             &strategy,
             &model,
             &fx.hierarchy,
@@ -326,7 +300,7 @@ fn churn_composes_with_faults_and_adversaries_under_every_policy() {
 
         // The same chaos cell replays bitwise: determinism survives the
         // full fault × adversary × churn composition.
-        let b = simulate_elastic(
+        let b = simulate(
             &strategy,
             &model,
             &fx.hierarchy,
@@ -350,20 +324,30 @@ fn checkpoint_resumes_across_a_topology_epoch_boundary() {
     let mut cfg = fx.cfg.clone();
     cfg.churn = plan;
 
-    let full = run_elastic(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
+    let full = run(
+        &strategy,
+        &model,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
+        &fx.test,
+        &cfg,
+    )
+    .unwrap();
 
     // Stop mid-epoch at tick 25: the Join (tick 10) and EdgeFail (tick
     // 20) epochs are behind the snapshot, the EdgeReform (tick 30) still
     // ahead of it.
-    let (_, snap) = run_elastic_until(
+    let snap = run(
         &strategy,
         &model,
-        &fx.hierarchy,
-        &fx.shards,
+        &RunSpec {
+            stop_at: Some(25),
+            ..RunSpec::hierarchy(&fx.hierarchy, &fx.shards)
+        },
         &fx.test,
         &cfg,
-        25,
     )
+    .unwrap()
+    .snapshot
     .unwrap();
     let topo = snap.topology.as_ref().expect("elastic snapshot");
     assert_eq!(topo.live_edges(), vec![0], "edge 1 failed before the cut");
@@ -381,14 +365,15 @@ fn checkpoint_resumes_across_a_topology_epoch_boundary() {
     for threads in [1usize, 4] {
         let mut resume_cfg = cfg.clone();
         resume_cfg.threads = Some(threads);
-        let resumed = run_elastic_resumed(
+        let resumed = run(
             &strategy,
             &model,
-            &fx.hierarchy,
-            &fx.shards,
+            &RunSpec {
+                resume: Some(&restored),
+                ..RunSpec::hierarchy(&fx.hierarchy, &fx.shards)
+            },
             &fx.test,
             &resume_cfg,
-            &restored,
         )
         .unwrap();
         assert_eq!(
@@ -432,7 +417,7 @@ fn deadline_policy_survives_a_minority_edge_failure_without_deadlock() {
     };
     for policy in matrix_policies() {
         let sim_cfg = sim_config(3, policy);
-        let out = simulate_elastic(
+        let out = simulate(
             &strategy,
             &model,
             &fx.hierarchy,

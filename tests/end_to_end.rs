@@ -8,7 +8,7 @@
 
 use hieradmo::core::algorithms::{FedAvg, FedNag, HierAdMo, HierFavg};
 use hieradmo::core::strategy::Tier;
-use hieradmo::core::{run, RunConfig, Strategy};
+use hieradmo::core::{run, RunConfig, RunSpec, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::{generate, SyntheticSpec};
 use hieradmo::data::{Dataset, FeatureShape};
@@ -50,7 +50,14 @@ fn final_loss(strategy: &dyn Strategy) -> (f64, f64) {
         Tier::Three => (Hierarchy::balanced(2, 2), cfg()),
         Tier::Two => (Hierarchy::two_tier(4), cfg().two_tier_equivalent()),
     };
-    let res = run(strategy, &model, &hierarchy, &shards, &test, &cfg).expect("run");
+    let res = run(
+        strategy,
+        &model,
+        &RunSpec::hierarchy(&hierarchy, &shards),
+        &test,
+        &cfg,
+    )
+    .expect("run");
     (
         res.curve.final_train_loss().expect("has points"),
         res.curve.final_accuracy().expect("has points"),
@@ -127,8 +134,14 @@ fn all_eleven_algorithms_complete_a_run() {
             Tier::Three => (Hierarchy::balanced(2, 2), short.clone()),
             Tier::Two => (Hierarchy::two_tier(4), short.two_tier_equivalent()),
         };
-        let res = run(algo.as_ref(), &model, &hierarchy, &shards, &test, &run_cfg)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
+        let res = run(
+            algo.as_ref(),
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &test,
+            &run_cfg,
+        )
+        .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
         assert!(
             res.final_params.is_finite(),
             "{} produced non-finite parameters",
@@ -170,8 +183,7 @@ fn cnn_federation_end_to_end() {
     let res = run(
         &algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &tt.test,
         &cfg,
     )
@@ -196,8 +208,7 @@ fn run_result_timings_round_trip_through_metrics_export() {
     let res = run(
         &algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &test,
         &cfg,
     )

@@ -6,7 +6,7 @@ mod common;
 
 use common::{dropout_cfg as cfg, synthetic_setup as setup};
 use hieradmo::core::algorithms::{HierAdMo, HierFavg};
-use hieradmo::core::{run, RunConfig};
+use hieradmo::core::{run, RunConfig, RunSpec};
 use hieradmo::topology::Hierarchy;
 
 #[test]
@@ -14,11 +14,25 @@ fn zero_dropout_is_bit_identical_to_fault_free() {
     let (test, shards, model) = setup();
     let h = Hierarchy::balanced(2, 2);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let clean = run(&algo, &model, &h, &shards, &test, &cfg(0.0)).unwrap();
+    let clean = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg(0.0),
+    )
+    .unwrap();
     // Default config has dropout = 0.0 implicitly.
     let mut default_cfg = cfg(0.0);
     default_cfg.dropout = 0.0;
-    let default_run = run(&algo, &model, &h, &shards, &test, &default_cfg).unwrap();
+    let default_run = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &default_cfg,
+    )
+    .unwrap();
     assert_eq!(clean.curve, default_run.curve);
 }
 
@@ -27,7 +41,14 @@ fn moderate_dropout_still_learns() {
     let (test, shards, model) = setup();
     let h = Hierarchy::balanced(2, 2);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let res = run(&algo, &model, &h, &shards, &test, &cfg(0.3)).unwrap();
+    let res = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg(0.3),
+    )
+    .unwrap();
     let acc = res.curve.final_accuracy().unwrap();
     assert!(
         acc > 0.6,
@@ -41,7 +62,14 @@ fn total_dropout_freezes_the_model() {
     let (test, shards, model) = setup();
     let h = Hierarchy::balanced(2, 2);
     let algo = HierFavg::new(0.05);
-    let res = run(&algo, &model, &h, &shards, &test, &cfg(1.0)).unwrap();
+    let res = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg(1.0),
+    )
+    .unwrap();
     // No worker ever computes: the global model stays at initialization.
     use hieradmo::models::Model;
     let gap = res.final_params.distance(&model.params());
@@ -65,7 +93,7 @@ fn dropout_hurts_monotonically_in_expectation() {
                     dropout,
                     ..cfg(dropout)
                 };
-                run(&algo, &model, &h, &shards, &test, &c)
+                run(&algo, &model, &RunSpec::hierarchy(&h, &shards), &test, &c)
                     .unwrap()
                     .curve
                     .final_train_loss()
@@ -87,7 +115,21 @@ fn dropout_runs_are_deterministic_per_seed() {
     let (test, shards, model) = setup();
     let h = Hierarchy::balanced(2, 2);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let a = run(&algo, &model, &h, &shards, &test, &cfg(0.4)).unwrap();
-    let b = run(&algo, &model, &h, &shards, &test, &cfg(0.4)).unwrap();
+    let a = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg(0.4),
+    )
+    .unwrap();
+    let b = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&h, &shards),
+        &test,
+        &cfg(0.4),
+    )
+    .unwrap();
     assert_eq!(a.curve, b.curve, "same seed, same fault pattern");
 }

@@ -2,7 +2,7 @@
 //! full Fig. 2(h)/(l) pipeline (train → curve → timeline → time-to-acc).
 
 use hieradmo::core::algorithms::{FedNag, HierAdMo};
-use hieradmo::core::{run, RunConfig};
+use hieradmo::core::{run, RunConfig, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::{generate, SyntheticSpec};
 use hieradmo::models::{zoo, Model};
@@ -42,8 +42,7 @@ fn full_trace_driven_pipeline_produces_times() {
     let res3 = run(
         &HierAdMo::adaptive(0.05, 0.5),
         &model,
-        &h3,
-        &shards,
+        &RunSpec::hierarchy(&h3, &shards),
         &tt.test,
         &cfg3,
     )
@@ -66,8 +65,7 @@ fn full_trace_driven_pipeline_produces_times() {
     let res2 = run(
         &FedNag::new(0.05, 0.5),
         &model,
-        &h2,
-        &shards,
+        &RunSpec::hierarchy(&h2, &shards),
         &tt.test,
         &cfg2,
     )

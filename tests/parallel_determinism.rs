@@ -8,7 +8,7 @@
 use hieradmo::core::algorithms::HierAdMo;
 use hieradmo::core::driver::build_train_probe;
 use hieradmo::core::pool::{ExecCtx, Pool};
-use hieradmo::core::{run, RunConfig, RunResult, Strategy};
+use hieradmo::core::{run, RunConfig, RunResult, RunSpec, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::models::zoo;
@@ -32,8 +32,7 @@ fn run_with(algo: &dyn Strategy, threads: usize, dropout: f64) -> RunResult {
     run(
         algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &tt.test,
         &cfg,
     )
@@ -112,8 +111,7 @@ fn deprecated_parallel_flag_matches_explicit_threads() {
     let legacy = run(
         &algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &tt.test,
         &cfg,
     )

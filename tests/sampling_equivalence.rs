@@ -23,11 +23,11 @@ use common::{
 };
 use hieradmo::core::algorithms::{FedAvg, HierAdMo};
 use hieradmo::core::population::{
-    adversary_stream, batcher_seed, delay_stream, fault_stream, run_virtual, run_virtual_tiered,
-    run_virtual_tiered_until, worker_round_seed, ClientSampling, CohortSampler, WorkerPopulation,
+    adversary_stream, batcher_seed, delay_stream, fault_stream, worker_round_seed, ClientSampling,
+    CohortSampler, WorkerPopulation,
 };
 use hieradmo::core::{
-    run, run_tiered, EdgeView, FlState, RobustAggregator, RunConfig, RunError, RunResult, Strategy,
+    run, EdgeView, FlState, RobustAggregator, RunConfig, RunError, RunResult, RunSpec, Strategy,
     Tier, TierScope, WorkerState,
 };
 use hieradmo::data::partition::x_class_partition;
@@ -97,7 +97,14 @@ fn full_participation_delegates_to_classic_run_bitwise() {
     let f = sim_fixture(0.0);
     let algo = HierAdMo::adaptive(f.cfg.eta, f.cfg.gamma);
     let model = zoo::logistic_regression(&f.train, 7);
-    let legacy = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &f.cfg).unwrap();
+    let legacy = run(
+        &algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .unwrap();
 
     // The population whose edges mirror the fixture's hierarchy; with 4
     // round-robin shards over 4 workers, worker g holds shard g — the
@@ -111,7 +118,14 @@ fn full_participation_delegates_to_classic_run_bitwise() {
             sampling,
             ..f.cfg.clone()
         };
-        let virt = run_virtual(&algo, &model, &population, &f.shards, &f.test, &cfg).unwrap();
+        let virt = run(
+            &algo,
+            &model,
+            &RunSpec::population(&population, &f.shards, None),
+            &f.test,
+            &cfg,
+        )
+        .unwrap();
         assert_same_trajectory(&legacy, &virt, "full-participation delegation");
     }
 }
@@ -152,7 +166,14 @@ fn sampled_runs_agree_across_engines_bitwise() {
     let (population, shards, test, cfg) = virtual_fixture();
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&shards[0], 7);
-    let core = run_virtual(&algo, &model, &population, &shards, &test, &cfg).unwrap();
+    let core = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &test,
+        &cfg,
+    )
+    .unwrap();
     let sim = simulate_virtual(
         &algo,
         &model,
@@ -191,12 +212,26 @@ fn sampled_runs_are_thread_count_invariant() {
     let (population, shards, test, cfg) = virtual_fixture();
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&shards[0], 7);
-    let one = run_virtual(&algo, &model, &population, &shards, &test, &cfg).unwrap();
+    let one = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &test,
+        &cfg,
+    )
+    .unwrap();
     let cfg4 = RunConfig {
         threads: Some(4),
         ..cfg.clone()
     };
-    let four = run_virtual(&algo, &model, &population, &shards, &test, &cfg4).unwrap();
+    let four = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &test,
+        &cfg4,
+    )
+    .unwrap();
     assert_same_trajectory(&one, &four, "threads 1 vs 4");
 
     let s1 = simulate_virtual(
@@ -238,7 +273,14 @@ fn sampling_composes_with_robustness_and_adversaries() {
     cfg.adversary = AdversaryPlan::uniform(byzantine, AttackModel::SignFlip { scale: 2.0 });
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&shards[0], 7);
-    let core = run_virtual(&algo, &model, &population, &shards, &test, &cfg).unwrap();
+    let core = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &test,
+        &cfg,
+    )
+    .unwrap();
     let sim = simulate_virtual(
         &algo,
         &model,
@@ -270,7 +312,14 @@ fn link_faults_compose_with_sampling() {
     let (population, shards, test, cfg) = virtual_fixture();
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&shards[0], 7);
-    let core = run_virtual(&algo, &model, &population, &shards, &test, &cfg).unwrap();
+    let core = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &test,
+        &cfg,
+    )
+    .unwrap();
     let clean = simulate_virtual(
         &algo,
         &model,
@@ -337,12 +386,26 @@ fn scale_smoke_100k_registered_512_sampled_is_deterministic() {
     };
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&tt.train, 3);
-    let one = run_virtual(&algo, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    let one = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &cfg,
+    )
+    .unwrap();
     let cfg4 = RunConfig {
         threads: Some(4),
         ..cfg.clone()
     };
-    let four = run_virtual(&algo, &model, &population, &shards, &tt.test, &cfg4).unwrap();
+    let four = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &cfg4,
+    )
+    .unwrap();
     assert_same_trajectory(&one, &four, "scale smoke threads 1 vs 4");
 
     let sim = simulate_virtual(
@@ -396,12 +459,25 @@ fn sampled_paths_validate_their_restrictions() {
     }
 
     let core_err = |cfg: &RunConfig, pop: &WorkerPopulation| {
-        let e = run_virtual(&algo, &model, pop, &shards, &test, cfg).unwrap_err();
+        let e = run(
+            &algo,
+            &model,
+            &RunSpec::population(pop, &shards, None),
+            &test,
+            cfg,
+        )
+        .unwrap_err();
         (run_kind(&e), e.to_string())
     };
     let core_tiered_err = |cfg: &RunConfig, tree: &TierTree| {
-        let e =
-            run_virtual_tiered(&algo, &model, &population, &shards, &test, cfg, tree).unwrap_err();
+        let e = run(
+            &algo,
+            &model,
+            &RunSpec::population(&population, &shards, Some(tree)),
+            &test,
+            cfg,
+        )
+        .unwrap_err();
         (run_kind(&e), e.to_string())
     };
     let sim_err = |cfg: &RunConfig, sim: &SimConfig| {
@@ -487,30 +563,6 @@ fn sampled_paths_validate_their_restrictions() {
             sim_err(&cfg, &sim)
         }),
         (
-            "legacy edges/workers_per_edge fields (tick engine)",
-            "bad-config",
-            "legacy",
-            core_err(
-                &RunConfig {
-                    edges: Some(2),
-                    ..cfg.clone()
-                },
-                &population,
-            ),
-        ),
-        (
-            "legacy edges/workers_per_edge fields (event engine)",
-            "bad-config",
-            "legacy",
-            sim_err(
-                &RunConfig {
-                    edges: Some(2),
-                    ..cfg.clone()
-                },
-                &virtual_sim_config(9),
-            ),
-        ),
-        (
             "tier tree spanning the wrong edge count",
             "bad-config",
             "tier tree spans",
@@ -566,15 +618,15 @@ fn sampled_paths_validate_their_restrictions() {
             "stop_at",
             {
                 let tree = TierTree::three_tier(2, 100, 5, 2);
-                let e = run_virtual_tiered_until(
+                let e = run(
                     &algo,
                     &model,
-                    &population,
-                    &shards,
+                    &RunSpec {
+                        stop_at: Some(7),
+                        ..RunSpec::population(&population, &shards, Some(&tree))
+                    },
                     &test,
                     &cfg,
-                    &tree,
-                    7,
                 )
                 .unwrap_err();
                 (run_kind(&e), e.to_string())
@@ -623,7 +675,14 @@ fn sampled_runs_reject_two_tier_algorithms() {
     );
     let two_tier = |m: &str| m.contains("FedAvg is a two-tier algorithm");
 
-    let e = run_virtual(&algo, &model, &population, &shards, &tt.test, &sampled).unwrap_err();
+    let e = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &sampled,
+    )
+    .unwrap_err();
     assert!(matches!(&e, RunError::BadConfig(m) if two_tier(m)), "{e}");
     let e = simulate_virtual(
         &algo,
@@ -644,7 +703,14 @@ fn sampled_runs_reject_two_tier_algorithms() {
         sampling: ClientSampling::Full,
         ..sampled
     };
-    let core = run_virtual(&algo, &model, &population, &shards, &tt.test, &full).unwrap();
+    let core = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &full,
+    )
+    .unwrap();
     assert_ne!(core.final_params, model.params(), "the full run trains");
     let losses: Vec<f64> = core.curve.points().iter().map(|p| p.test_loss).collect();
     assert!(
@@ -719,7 +785,14 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
     };
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let model = zoo::logistic_regression(&tt.train, 1);
-    let flat_run = run_virtual(&algo, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    let flat_run = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &cfg,
+    )
+    .unwrap();
     assert_eq!(
         &flat_run.final_params.as_slice()[..4],
         &[0.04330813, 0.002263323, 0.0059279623, -0.028702375],
@@ -740,14 +813,12 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
 
     // And the tiered spellings of the same shape reproduce it bitwise.
     let d3_tree = TierTree::three_tier(2, 100, 5, 2);
-    let tiered = run_virtual_tiered(
+    let tiered = run(
         &algo,
         &model,
-        &population,
-        &shards,
+        &RunSpec::population(&population, &shards, Some(&d3_tree)),
         &tt.test,
         &cfg,
-        &d3_tree,
     )
     .unwrap();
     assert_same_trajectory(&flat_run, &tiered, "depth-3 tiered vs flat sampled");
@@ -757,14 +828,12 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
         TierSpec::new(100, 5),
     ])
     .unwrap();
-    let padded_run = run_virtual_tiered(
+    let padded_run = run(
         &algo,
         &model,
-        &population,
-        &shards,
+        &RunSpec::population(&population, &shards, Some(&padded_tree)),
         &tt.test,
         &cfg,
-        &padded_tree,
     )
     .unwrap();
     assert_same_trajectory(
@@ -792,7 +861,7 @@ struct TrajectoryPin {
 #[test]
 fn full_participation_trajectories_are_pinned() {
     use common::tiered_fixture;
-    use hieradmo::core::{run_resumed, run_until};
+    use hieradmo::core::{run, RunSpec};
     use hieradmo::netsim::ByzantineWorker;
 
     let algo = HierAdMo::adaptive(0.05, 0.5);
@@ -802,8 +871,7 @@ fn full_participation_trajectories_are_pinned() {
     let dropout_run = run(
         &algo,
         &dropout_model,
-        &dropout.hierarchy,
-        &dropout.shards,
+        &RunSpec::hierarchy(&dropout.hierarchy, &dropout.shards),
         &dropout.test,
         &dropout.cfg,
     )
@@ -823,8 +891,7 @@ fn full_participation_trajectories_are_pinned() {
     let byzantine_run = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
         &f.test,
         &byzantine_cfg,
     )
@@ -838,32 +905,42 @@ fn full_participation_trajectories_are_pinned() {
     .unwrap();
     let tf = tiered_fixture(&deep);
     let tiered_model = zoo::logistic_regression(&tf.train, 7);
-    let tiered_run =
-        run_tiered(&algo, &tiered_model, &deep, &tf.shards, &tf.test, &tf.cfg).unwrap();
+    let tiered_run = run(
+        &algo,
+        &tiered_model,
+        &RunSpec::tree(&deep, &tf.shards),
+        &tf.test,
+        &tf.cfg,
+    )
+    .unwrap();
 
     let resume_cfg = RunConfig {
         total_iters: 40,
         dropout: 0.3,
         ..f.cfg.clone()
     };
-    let (_, snap) = run_until(
+    let snap = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec {
+            stop_at: Some(15),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
         &f.test,
         &resume_cfg,
-        15,
     )
+    .unwrap()
+    .snapshot
     .unwrap();
-    let resumed_run = run_resumed(
+    let resumed_run = run(
         &algo,
         &model,
-        &f.hierarchy,
-        &f.shards,
+        &RunSpec {
+            resume: Some(&snap),
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        },
         &f.test,
         &resume_cfg,
-        &snap,
     )
     .unwrap();
 
@@ -872,8 +949,14 @@ fn full_participation_trajectories_are_pinned() {
         ..f.cfg.clone()
     };
     let population = WorkerPopulation::from_hierarchy(&f.hierarchy, 4).unwrap();
-    let virtual_run =
-        run_virtual(&algo, &model, &population, &f.shards, &f.test, &full_cfg).unwrap();
+    let virtual_run = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &f.shards, None),
+        &f.test,
+        &full_cfg,
+    )
+    .unwrap();
 
     let matrix_tree = sampled_matrix_trees()[1].clone();
     let sf = sampled_tier_fixture(&matrix_tree);
@@ -882,14 +965,12 @@ fn full_participation_trajectories_are_pinned() {
         ..sf.cfg.clone()
     };
     let sf_model = zoo::logistic_regression(&sf.train, 7);
-    let virtual_tiered_run = run_virtual_tiered(
+    let virtual_tiered_run = run(
         &algo,
         &sf_model,
-        &sf.population,
-        &sf.shards,
+        &RunSpec::population(&sf.population, &sf.shards, Some(&matrix_tree)),
         &sf.test,
         &sf_cfg,
-        &matrix_tree,
     )
     .unwrap();
 
@@ -1075,8 +1156,7 @@ fn mlp_trajectories_are_pinned() {
             run(
                 &algo,
                 &mnist_model,
-                &mnist.hierarchy,
-                &mnist.shards,
+                &RunSpec::hierarchy(&mnist.hierarchy, &mnist.shards),
                 &mnist.test,
                 &mnist.cfg,
             )
@@ -1087,8 +1167,7 @@ fn mlp_trajectories_are_pinned() {
             run(
                 &algo,
                 &har_model,
-                &har.hierarchy,
-                &har.shards,
+                &RunSpec::hierarchy(&har.hierarchy, &har.shards),
                 &har.test,
                 &har.cfg,
             )
@@ -1096,11 +1175,10 @@ fn mlp_trajectories_are_pinned() {
         ),
         (
             "run_virtual, sampled mlp on MNIST-like",
-            run_virtual(
+            run(
                 &algo,
                 &mnist_model,
-                &population,
-                &mnist.shards,
+                &RunSpec::population(&population, &mnist.shards, None),
                 &mnist.test,
                 &sampled_cfg,
             )
@@ -1409,14 +1487,12 @@ fn depth_policy_chaos_matrix() {
                     );
                 }
                 if matches!(policy, SyncPolicy::FullSync) && faults.is_empty() {
-                    let core = run_virtual_tiered(
+                    let core = run(
                         &algo,
                         &model,
-                        &f.population,
-                        &f.shards,
+                        &RunSpec::population(&f.population, &f.shards, Some(&tree)),
                         &f.test,
                         cfg,
-                        &tree,
                     )
                     .unwrap_or_else(|e| panic!("{label}: core engine: {e}"));
                     assert_core_sim_equal(&core, &s1, &label);
@@ -1437,8 +1513,8 @@ fn depth_policy_chaos_matrix() {
 }
 
 /// Full participation at every matrix depth delegates to the seed
-/// engines bitwise: the tick-driven virtual path reproduces
-/// `run_tiered`, and the event-driven virtual path reproduces `simulate`
+/// engines bitwise: the tick-driven virtual path reproduces the tree
+/// source, and the event-driven virtual path reproduces `simulate`
 /// — trajectory, per-tier γ, event count and clock all identical.
 #[test]
 fn full_participation_sampled_runs_delegate_at_every_depth() {
@@ -1453,15 +1529,20 @@ fn full_participation_sampled_runs_delegate_at_every_depth() {
         let worker_shards = f.population.materialize_shards(&f.shards);
         let label = format!("depth={} full participation", tree.depth());
 
-        let reference = run_tiered(&algo, &model, &tree, &worker_shards, &f.test, &cfg).unwrap();
-        let virt = run_virtual_tiered(
+        let reference = run(
             &algo,
             &model,
-            &f.population,
-            &f.shards,
+            &RunSpec::tree(&tree, &worker_shards),
             &f.test,
             &cfg,
-            &tree,
+        )
+        .unwrap();
+        let virt = run(
+            &algo,
+            &model,
+            &RunSpec::population(&f.population, &f.shards, Some(&tree)),
+            &f.test,
+            &cfg,
         )
         .unwrap();
         assert_same_trajectory(&reference, &virt, &label);
@@ -1834,10 +1915,24 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
     let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
     let poisoned = PoisonSlots(algo.clone());
     let model = zoo::logistic_regression(&tt.train, 1);
-    let pinned = run_virtual(&algo, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    let pinned = run(
+        &algo,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &cfg,
+    )
+    .unwrap();
     let sum: f32 = pinned.final_params.as_slice().iter().sum();
     assert_eq!(sum, -1.1442246, "the unwrapped run is the pinned one");
-    let flat = run_virtual(&poisoned, &model, &population, &shards, &tt.test, &cfg).unwrap();
+    let flat = run(
+        &poisoned,
+        &model,
+        &RunSpec::population(&population, &shards, None),
+        &tt.test,
+        &cfg,
+    )
+    .unwrap();
     assert_same_trajectory(&pinned, &flat, "poisoned flat run_virtual");
     let padded = TierTree::new(vec![
         TierSpec::new(2, 2),
@@ -1846,14 +1941,12 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
     ])
     .unwrap();
     for tree in [TierTree::three_tier(2, 100, 5, 2), padded] {
-        let r = run_virtual_tiered(
+        let r = run(
             &poisoned,
             &model,
-            &population,
-            &shards,
+            &RunSpec::population(&population, &shards, Some(&tree)),
             &tt.test,
             &cfg,
-            &tree,
         )
         .unwrap();
         assert_same_trajectory(&pinned, &r, "poisoned run_virtual_tiered");
@@ -1876,7 +1969,14 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
     let poisoned = PoisonSlots(algo.clone());
     let model = zoo::logistic_regression(&f.train, 1);
     let core = |s: &dyn Strategy| {
-        run_virtual_tiered(s, &model, &f.population, &f.shards, &f.test, &f.cfg, tree).unwrap()
+        run(
+            s,
+            &model,
+            &RunSpec::population(&f.population, &f.shards, Some(tree)),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap()
     };
     assert_same_trajectory(&core(&algo), &core(&poisoned), "poisoned depth-4 core");
     for (policy, faults) in [

@@ -13,7 +13,7 @@ mod common;
 
 use common::{assert_bitwise_equal, sim_config, sim_fixture};
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{run, RunConfig, Strategy};
+use hieradmo::core::{run, RunConfig, RunSpec, Strategy};
 use hieradmo::models::zoo;
 use hieradmo::simrt::{simulate, SimConfig, SimResult, SyncPolicy};
 
@@ -24,8 +24,14 @@ fn full_sync_config(net_seed: u64) -> SimConfig {
 fn check_equivalence<S: Strategy>(algo: &S, dropout: f64) {
     let f = sim_fixture(dropout);
     let model = zoo::logistic_regression(&f.train, 1);
-    let reference =
-        run(algo, &model, &f.hierarchy, &f.shards, &f.test, &f.cfg).expect("reference run failed");
+    let reference = run(
+        algo,
+        &model,
+        &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+        &f.test,
+        &f.cfg,
+    )
+    .expect("reference run failed");
 
     for threads in [1usize, 4] {
         let cfg = RunConfig {
@@ -147,7 +153,7 @@ fn event_engine_runs() -> Vec<(&'static str, SimResult)> {
         AdversaryPlan, Architecture, AttackModel, ByzantineWorker, CrashProfile, FaultPlan,
         LinkFaults, NetworkEnv, PermanentCrash,
     };
-    use hieradmo::simrt::{simulate_elastic, simulate_virtual};
+    use hieradmo::simrt::{simulate, simulate_virtual};
     use hieradmo::topology::{ChurnPlan, ScheduledEvent, TierSpec, TierTree, TopologyEvent};
 
     let algo = HierAdMo::adaptive(0.05, 0.5);
@@ -222,7 +228,7 @@ fn event_engine_runs() -> Vec<(&'static str, SimResult)> {
     };
     runs.push((
         "simulate_elastic, Deadline, EdgeFail + reform_every",
-        simulate_elastic(
+        simulate(
             &algo,
             &model,
             &f.hierarchy,
@@ -570,7 +576,7 @@ fn event_engine_trajectories_are_pinned() {
 fn event_engine_mlp_trajectories_are_pinned() {
     use common::{har_fixture, MlpPin};
     use hieradmo::netsim::{CrashProfile, FaultPlan, LinkFaults};
-    use hieradmo::simrt::simulate_elastic;
+    use hieradmo::simrt::simulate;
     use hieradmo::topology::{ChurnPlan, ScheduledEvent, TopologyEvent};
 
     let algo = HierAdMo::adaptive(0.05, 0.5);
@@ -620,7 +626,7 @@ fn event_engine_mlp_trajectories_are_pinned() {
         ),
         (
             "simulate_elastic, Deadline, EdgeFail + reform_every, mlp on HAR-like (flat)",
-            simulate_elastic(
+            simulate(
                 &algo,
                 &har_model,
                 &har.hierarchy,

@@ -7,7 +7,7 @@ use hieradmo::core::theory::{
     estimate_beta, estimate_divergence, estimate_rho, weighted_delta, BoundConstants,
 };
 use hieradmo::core::virtual_update::{merge_shards, virtual_trajectory};
-use hieradmo::core::{run, RunConfig};
+use hieradmo::core::{run, RunConfig, RunSpec};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::{generate, SyntheticSpec};
 use hieradmo::data::Dataset;
@@ -140,7 +140,7 @@ fn theorem2_edge_momentum_displacement_is_bounded_by_s() {
     let gamma_edge = 0.5f32;
     let algo = HierAdMo::reduced(eta, gamma, gamma_edge);
     let h = Hierarchy::balanced(2, 2);
-    let res = run(&algo, &model, &h, &shards, &test, &cfg).expect("run");
+    let res = run(&algo, &model, &RunSpec::hierarchy(&h, &shards), &test, &cfg).expect("run");
     // ‖x_{ℓ+} − x_{ℓ−}‖ = γℓ‖x̄_kτ − x̄_{(k−1)τ}‖ is what the algorithm
     // actually produced; we can't observe it post-hoc from RunResult, so
     // bound the *global* displacement instead: the final model is within
@@ -184,8 +184,7 @@ fn theorem4_larger_tau_hurts_both_measured_and_bound() {
         run(
             &algo,
             &model,
-            &Hierarchy::balanced(2, 2),
-            &shards,
+            &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
             &test,
             &cfg,
         )
@@ -228,8 +227,7 @@ fn theorem5_adapted_gamma_mean_is_moderate() {
     let res = run(
         &algo,
         &model,
-        &Hierarchy::balanced(2, 2),
-        &shards,
+        &RunSpec::hierarchy(&Hierarchy::balanced(2, 2), &shards),
         &test,
         &cfg,
     )

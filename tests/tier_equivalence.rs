@@ -4,7 +4,7 @@
 //!
 //! 1. **Depth-3 identity** — running any algorithm over
 //!    `TierTree::three_tier` is *bitwise* the seed three-tier code path,
-//!    in both engines (`run` vs `run_tiered`, `simulate` with and
+//!    in both engines (a hierarchy vs a tree source, `simulate` with and
 //!    without an attached tree), for clean, dropout/fault and
 //!    adversarial runs. The N-tier machinery must cost nothing when the
 //!    tree is the classic shape — no extra RNG draws, no event-flow
@@ -31,7 +31,7 @@ use common::{
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{default_middle_aggregate, run, run_tiered, FlState, RunConfig, RunResult};
+use hieradmo::core::{default_middle_aggregate, run, FlState, RunConfig, RunResult, RunSpec};
 use hieradmo::core::{RobustAggregator, Strategy};
 use hieradmo::models::zoo;
 use hieradmo::netsim::{
@@ -123,7 +123,7 @@ fn assert_sims_equal(a: &SimResult, b: &SimResult, label: &str) {
 // 1. Depth-3 identity.
 // ---------------------------------------------------------------------
 
-/// `run_tiered` over the seed-shaped tree is `run`, bitwise, for all
+/// A seed-shaped tree source is a hierarchy source, bitwise, for all
 /// five algorithms under clean, dropout and adversarial configurations.
 #[test]
 fn depth_3_tree_matches_the_seed_core_driver() {
@@ -143,9 +143,22 @@ fn depth_3_tree_matches_the_seed_core_driver() {
     ];
     for algo in lineup() {
         for (label, cfg) in &variants {
-            let seed_path =
-                run(algo.as_ref(), &model, &f.hierarchy, &f.shards, &f.test, cfg).unwrap();
-            let tiered = run_tiered(algo.as_ref(), &model, &tree, &f.shards, &f.test, cfg).unwrap();
+            let seed_path = run(
+                algo.as_ref(),
+                &model,
+                &RunSpec::hierarchy(&f.hierarchy, &f.shards),
+                &f.test,
+                cfg,
+            )
+            .unwrap();
+            let tiered = run(
+                algo.as_ref(),
+                &model,
+                &RunSpec::tree(&tree, &f.shards),
+                &f.test,
+                cfg,
+            )
+            .unwrap();
             let tag = format!("{} / {label}", algo.name());
             assert_runs_equal(&seed_path, &tiered, &tag);
             assert!(
@@ -222,8 +235,14 @@ fn depth_4_average_middles_match_across_engines() {
     let model = zoo::logistic_regression(&f.train, 1);
     let edge_rounds = f.cfg.total_iters / f.cfg.tau;
     for algo in lineup() {
-        let reference =
-            run_tiered(algo.as_ref(), &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+        let reference = run(
+            algo.as_ref(),
+            &model,
+            &RunSpec::tree(&tree, &f.shards),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap();
         assert_eq!(reference.tier_gamma.len(), 1, "one middle tier");
         assert_eq!(
             reference.tier_gamma[0].len(),
@@ -262,7 +281,14 @@ fn depth_4_adversarial_runs_match_across_engines() {
     let cfg = adversarial(&f.cfg);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.01, 0.5);
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+    let reference = run(
+        &algo,
+        &model,
+        &RunSpec::tree(&tree, &f.shards),
+        &f.test,
+        &cfg,
+    )
+    .unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -305,13 +331,26 @@ fn pass_through_middles_are_semantically_free() {
     let f = tiered_fixture(&deep);
     let model = zoo::logistic_regression(&f.train, 1);
     for algo in lineup() {
-        let on_deep = run_tiered(algo.as_ref(), &model, &deep, &f.shards, &f.test, &f.cfg).unwrap();
-        let on_flat = run_tiered(algo.as_ref(), &model, &flat, &f.shards, &f.test, &f.cfg).unwrap();
+        let on_deep = run(
+            algo.as_ref(),
+            &model,
+            &RunSpec::tree(&deep, &f.shards),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap();
+        let on_flat = run(
+            algo.as_ref(),
+            &model,
+            &RunSpec::tree(&flat, &f.shards),
+            &f.test,
+            &f.cfg,
+        )
+        .unwrap();
         let plain = run(
             algo.as_ref(),
             &model,
-            &f.hierarchy,
-            &f.shards,
+            &RunSpec::hierarchy(&f.hierarchy, &f.shards),
             &f.test,
             &f.cfg,
         )
@@ -463,9 +502,9 @@ proptest! {
         let f = tiered_fixture(&tree);
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let on_tree = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+        let on_tree = run(&algo, &model, &RunSpec::tree(&tree, &f.shards), &f.test, &f.cfg).unwrap();
         let on_collapse =
-            run_tiered(&algo, &model, &tree.collapse(), &f.shards, &f.test, &f.cfg).unwrap();
+            run(&algo, &model, &RunSpec::tree(&tree.collapse(), &f.shards), &f.test, &f.cfg).unwrap();
         prop_assert_eq!(on_tree.curve, on_collapse.curve);
         prop_assert_eq!(on_tree.final_params, on_collapse.final_params);
         prop_assert_eq!(on_tree.gamma_trace, on_collapse.gamma_trace);

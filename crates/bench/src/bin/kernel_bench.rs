@@ -87,19 +87,29 @@ fn old_matmul_bt(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: 
     }
 }
 
-/// Old dense weight gradient: one [`old_axpy`] per sample per nonzero
-/// upstream-gradient entry, samples outermost. `g` is `n × m` (one row per
-/// sample), `x` is `n × k`, `grad_w` is `m × k`.
-fn old_dense_grad(grad_w: &mut [f32], g: &[f32], x: &[f32], n: usize, m: usize, k: usize) {
-    for s in 0..n {
-        for r in 0..m {
-            let gr = g[s * m + r];
-            if gr == 0.0 {
+/// The three-pass scaled product `matmul_scaled` replaced: zero-fill
+/// `out` (`p × k`), one zero-skipping [`kernels::axpy`] per coefficient of
+/// `c` (`p × q`) into its row, then [`kernels::scal`] by `scale`.
+fn three_pass_scaled(
+    out: &mut [f32],
+    c: &[f32],
+    b: &[f32],
+    p: usize,
+    q: usize,
+    k: usize,
+    scale: f32,
+) {
+    out.fill(0.0);
+    for i in 0..p {
+        for j in 0..q {
+            let cij = c[i * q + j];
+            if cij == 0.0 {
                 continue;
             }
-            old_axpy(&mut grad_w[r * k..(r + 1) * k], gr, &x[s * k..(s + 1) * k]);
+            kernels::axpy(&mut out[i * k..(i + 1) * k], cij, &b[j * k..(j + 1) * k]);
         }
     }
+    kernels::scal(out, scale);
 }
 
 /// The per-sample composition that `Sequential`'s batched path replaced:
@@ -151,7 +161,7 @@ impl PerSampleModel {
                 panic!("classification data expected");
             };
             let out = sig.expect_flat();
-            loss_sum += ops::cross_entropy_loss(out, c);
+            loss_sum += ops::cross_entropy_loss(out.as_slice(), c);
             let mut g = Signal::Flat(ops::cross_entropy_grad(out, c));
             let mut end = self.dim;
             for (l, cache) in self.layers.iter().zip(&caches).rev() {
@@ -343,6 +353,9 @@ struct BenchReport {
     /// reports with the same dispatch level.
     dispatch: &'static str,
     kernels: Vec<KernelRow>,
+    /// Report-only bandwidth rows ([`bench_nag_bandwidth`]), outside the
+    /// smoke gate.
+    bandwidth: Vec<BandwidthRow>,
     end_to_end: Option<EndToEnd>,
     peak_rss_bytes: Option<u64>,
 }
@@ -384,44 +397,57 @@ fn bench_matmul(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: u
     });
 }
 
-/// The batched dense weight gradient `grad_W += Gᵀ·X` over an `n`-sample
-/// batch into an `m × k` weight, against the per-sample axpy loop it
-/// replaced. One upstream-gradient entry in seven is zero, as behind a
+/// The batched dense weight gradient `grad_W = Gᵀ·X / n` over an
+/// `n`-sample batch into an `m × k` weight, against the three-pass
+/// composition it replaced ([`three_pass_scaled`]); the two must agree
+/// bitwise. One upstream-gradient entry in seven is zero, as behind a
 /// ReLU mask.
-fn bench_matmul_acc(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: usize) {
+fn bench_matmul_scaled(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: usize) {
     let x = seq(n * k, 0.013);
-    let g: Vec<f32> = seq(n * m, 0.029)
+    let gt: Vec<f32> = seq(m * n, 0.029)
         .into_iter()
         .enumerate()
         .map(|(i, v)| if i % 7 == 0 { 0.0 } else { v })
         .collect();
-    let mut gt = vec![0.0f32; m * n];
-    for s in 0..n {
-        for r in 0..m {
-            gt[r * n + s] = g[s * m + r];
-        }
-    }
+    let scale = 1.0 / n as f32;
     let mut w_old = vec![0.0f32; m * k];
     let mut w_new = vec![0.0f32; m * k];
-    old_dense_grad(&mut w_old, &g, &x, n, m, k);
-    kernels::matmul_acc(&mut w_new, &gt, &x, m, n, k);
-    assert_close("matmul_acc", &w_new, &w_old);
+    three_pass_scaled(&mut w_old, &gt, &x, m, n, k, scale);
+    kernels::matmul_scaled(&mut w_new, &gt, &x, m, n, k, scale);
+    assert!(
+        w_old
+            .iter()
+            .zip(&w_new)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "matmul_scaled: not bitwise equal to the three-pass composition"
+    );
     let (baseline_ns, kernel_ns, speedup) = time_pair(
         reps,
-        || old_dense_grad(black_box(&mut w_old), black_box(&g), black_box(&x), n, m, k),
         || {
-            kernels::matmul_acc(
+            three_pass_scaled(
+                black_box(&mut w_old),
+                black_box(&gt),
+                black_box(&x),
+                m,
+                n,
+                k,
+                scale,
+            )
+        },
+        || {
+            kernels::matmul_scaled(
                 black_box(&mut w_new),
                 black_box(&gt),
                 black_box(&x),
                 m,
                 n,
                 k,
+                scale,
             )
         },
     );
     rows.push(KernelRow {
-        name: "matmul_acc".into(),
+        name: "matmul_scaled".into(),
         shape: format!("{m}x{n}·{n}x{k}"),
         baseline_ns,
         kernel_ns,
@@ -737,6 +763,72 @@ fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
     });
 }
 
+/// Report-only memory-bandwidth row: how many bytes per second a kernel
+/// moves, next to a plain `copy` over the same footprint. No speedup and
+/// no smoke floor; it says whether a kernel already runs at the host's
+/// streaming bandwidth.
+#[derive(Serialize)]
+struct BandwidthRow {
+    name: String,
+    width: usize,
+    /// Bytes read plus bytes written per worker step.
+    bytes_per_step: usize,
+    ns_per_step: f64,
+    gib_per_s: f64,
+}
+
+/// `nag_step` bytes/s against a `copy` over the same buffers: the
+/// [`NAG_WORKERS`] six-vector worker states at width `dim`. A `nag_step`
+/// reads six vectors (`x`, `y`, `g` and the three interval sums) and
+/// writes six (`x`, `y`, `v` and the sums); the `copy` row copies three
+/// of each worker's vectors onto the other three, so both touch the same
+/// footprint. Each figure is the fastest of `reps` blocks ([`block_ns`]).
+fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
+    const F32: usize = std::mem::size_of::<f32>();
+    let g = Vector::from(seq(dim, 0.013));
+    let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(|s| Vector::from(seq(dim, s)));
+    let mut workers = vec![state; NAG_WORKERS];
+    let mut timed = |name: &str, streams: usize, f: &mut dyn FnMut(&mut [Vector; 6])| {
+        let mut step = || {
+            for s in workers.iter_mut() {
+                f(black_box(s));
+            }
+        };
+        let ns = (0..reps.max(1))
+            .map(|_| block_ns(&mut step))
+            .fold(f64::INFINITY, f64::min)
+            / NAG_WORKERS as f64;
+        let bytes = streams * dim * F32;
+        rows.push(BandwidthRow {
+            name: name.into(),
+            width: dim,
+            bytes_per_step: bytes,
+            ns_per_step: ns,
+            gib_per_s: bytes as f64 / ns * 1e9 / (1u64 << 30) as f64,
+        });
+    };
+    timed("nag_step", 12, &mut |s| {
+        let [x, y, v, grad_accum, y_accum, v_accum] = s;
+        kernels::nag_step(
+            x.as_mut_slice(),
+            y.as_mut_slice(),
+            v.as_mut_slice(),
+            grad_accum.as_mut_slice(),
+            y_accum.as_mut_slice(),
+            v_accum.as_mut_slice(),
+            g.as_slice(),
+            0.01,
+            0.5,
+        );
+    });
+    timed("copy", 6, &mut |s| {
+        let [x, y, v, grad_accum, y_accum, v_accum] = s;
+        y.copy_from(x);
+        grad_accum.copy_from(v);
+        v_accum.copy_from(y_accum);
+    });
+}
+
 fn bench_conv(
     rows: &mut Vec<KernelRow>,
     reps: usize,
@@ -835,9 +927,9 @@ fn full_kernel_shapes(rows: &mut Vec<KernelRow>, reps: usize) {
     bench_matmul(rows, reps, 16, 64, 784);
     bench_matmul(rows, reps, 8, 32, 561);
     // …their batched weight gradients…
-    bench_matmul_acc(rows, reps, 16, 10, 784);
-    bench_matmul_acc(rows, reps, 16, 64, 784);
-    bench_matmul_acc(rows, reps, 8, 32, 561);
+    bench_matmul_scaled(rows, reps, 16, 10, 784);
+    bench_matmul_scaled(rows, reps, 16, 64, 784);
+    bench_matmul_scaled(rows, reps, 8, 32, 561);
     // …and whole mini-batch gradients of each model.
     bench_models(rows, reps);
     // Aggregation-width vectors: logistic-MNIST (7850) and MLP (~100k).
@@ -1033,7 +1125,7 @@ fn main() {
     if smoke {
         // Tiny shapes: correctness + schema only, so CI stays fast.
         bench_matmul(&mut rows, reps, 9, 7, 33);
-        bench_matmul_acc(&mut rows, reps, 5, 7, 37);
+        bench_matmul_scaled(&mut rows, reps, 5, 7, 37);
         bench_dot(&mut rows, reps, 100);
         bench_axpy(&mut rows, reps, 100);
         bench_weighted_average(&mut rows, reps, 3, 64);
@@ -1092,6 +1184,18 @@ fn main() {
         }
     }
 
+    // The worker NAG step at the benchmark workloads' model widths (see
+    // `full_kernel_shapes`), or one tiny width in smoke mode.
+    let mut bandwidth = Vec::new();
+    let widths: &[usize] = if smoke {
+        &[100]
+    } else {
+        &[7850, 18_182, 50_890]
+    };
+    for &dim in widths {
+        bench_nag_bandwidth(&mut bandwidth, reps, dim);
+    }
+
     let e2e = Some(end_to_end(if smoke { 20 } else { 200 }));
 
     let report = BenchReport {
@@ -1101,6 +1205,7 @@ fn main() {
         nproc: std::thread::available_parallelism().map_or(1, usize::from),
         dispatch,
         kernels: rows,
+        bandwidth,
         end_to_end: e2e,
         peak_rss_bytes: hieradmo_bench::peak_rss_bytes(),
     };
@@ -1113,6 +1218,12 @@ fn main() {
         println!(
             "{:>18} {:>24}  old {:>12.0} ns  new {:>12.0} ns  speedup {:>5.2}x",
             r.name, r.shape, r.baseline_ns, r.kernel_ns, r.speedup
+        );
+    }
+    for r in &report.bandwidth {
+        println!(
+            "{:>18} {:>24}  {:>12.0} ns/step  {:>6.2} GiB/s",
+            r.name, r.width, r.ns_per_step, r.gib_per_s
         );
     }
     if let Some(e) = &report.end_to_end {

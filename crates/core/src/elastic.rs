@@ -539,15 +539,26 @@ mod tests {
         }
     }
 
+    /// A plan whose periodic reform would first fire after the run's last
+    /// cloud round sends the run through the elastic segmenter as one
+    /// segment, which must be bitwise the frozen engine's run.
     #[test]
-    fn empty_plan_is_bitwise_identical_to_the_frozen_engine() {
+    fn never_firing_plan_is_bitwise_identical_to_the_frozen_engine() {
         let (_, test, shards, model) = small_problem(4);
         let h = Hierarchy::balanced(2, 2);
         let cfg = churn_cfg(1);
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
         let spec = RunSpec::hierarchy(&h, &shards);
         let frozen = run(&algo, &model, &spec, &test, &cfg).unwrap();
-        let elastic = run(&algo, &model, &spec, &test, &cfg).unwrap();
+        let rounds = cfg.total_iters / (cfg.tau * cfg.pi);
+        let mut idle = cfg.clone();
+        idle.churn = ChurnPlan {
+            events: Vec::new(),
+            reform_every: Some(rounds + 1),
+        };
+        assert!(!idle.churn.is_empty());
+        assert!(idle.churn.boundary_rounds(rounds).is_empty());
+        let elastic = run(&algo, &model, &spec, &test, &idle).unwrap();
         assert_eq!(frozen.final_params, elastic.final_params);
         assert_eq!(frozen.curve, elastic.curve);
         assert_eq!(frozen.gamma_trace, elastic.gamma_trace);

@@ -41,9 +41,14 @@ pub struct WorkerState {
     /// Number of local steps accumulated since the last reset (lets
     /// aggregators normalize the sums without knowing τ).
     pub steps: usize,
-    /// Gradient scratch buffer, reused across local steps so the steady
-    /// state allocates nothing. Transient working memory, *not* algorithm
-    /// state: its contents after a step (the last mini-batch gradient) are
+    /// Gradient buffer, reused across local steps:
+    /// [`Model::loss_and_grad_into`](hieradmo_models::Model::loss_and_grad_into)
+    /// writes each mini-batch gradient into it. On a dense `Sequential`
+    /// the model's own per-replica workspace holds the rest of the
+    /// gradient's buffers, so the steady-state gradient allocates nothing;
+    /// a model on the per-sample (convolutional) path still allocates per
+    /// sample. Transient working memory, *not* algorithm state: its
+    /// contents after a step (the last mini-batch gradient) are
     /// deterministic but carry no meaning to aggregators.
     pub scratch: Vector,
 }

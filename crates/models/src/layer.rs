@@ -6,7 +6,9 @@
 //! a [`Cache`] holding exactly what the backward pass needs. Flat layers
 //! also run a whole mini-batch at once, one sample per matrix row
 //! ([`Layer::forward_flat_batch`], [`Layer::backward_flat_batch`]), with
-//! the same bits as the per-sample passes.
+//! the same bits as the per-sample passes; the batched backward overwrites
+//! its gradient segment with the already-scaled batch mean instead of
+//! accumulating.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -141,6 +143,8 @@ pub enum Cache {
 ///
 /// `backward` **accumulates** (`+=`) into `grad_params` — callers zero the
 /// buffer once per mini-batch and divide by the batch size afterwards.
+/// The batched [`Layer::backward_flat_batch`] instead overwrites its
+/// segment with the already-divided batch mean.
 pub trait Layer: fmt::Debug + Send {
     /// Number of trainable parameters in this layer.
     fn param_len(&self) -> usize;
@@ -190,10 +194,10 @@ pub trait Layer: fmt::Debug + Send {
     /// A layer may opt in only if (a) it maps `input` to a flat signal,
     /// (b) every row of [`Layer::forward_flat_batch`]'s output is bitwise
     /// identical to [`Layer::forward`] of that row, and (c)
-    /// [`Layer::backward_flat_batch`] accumulates bitwise what
-    /// [`Layer::backward`] would over the rows in ascending order — the
-    /// determinism suites pin full-run bit equality on top of this
-    /// contract.
+    /// [`Layer::backward_flat_batch`] writes bitwise what accumulating
+    /// [`Layer::backward`] over the rows in ascending order into a zeroed
+    /// segment, then scaling it, would leave there — the determinism
+    /// suites pin full-run bit equality on top of this contract.
     fn supports_flat_batch(&self, _input: SignalShape) -> bool {
         false
     }
@@ -219,13 +223,19 @@ pub trait Layer: fmt::Debug + Send {
     }
 
     /// Batched flat backward over the rows of `inputs` (this layer's
-    /// forward inputs) and `grad_out` (the upstream gradient rows):
-    /// accumulates parameter gradients into `grad_params` exactly as
-    /// [`Layer::backward`] would over the samples in ascending row order,
-    /// and writes the input-gradient rows into `grad_in` (pre-sized by the
-    /// caller) when given — callers pass `None` where no lower layer
-    /// consumes it. Only called when [`Layer::supports_flat_batch`] is
-    /// `true`.
+    /// forward inputs) and `grad_out` (the upstream gradient rows).
+    ///
+    /// **Overwrites** `grad_params` with `scale ·` the batch sum of the
+    /// parameter gradients: each element starts from `+0.0`, receives the
+    /// samples' contributions in ascending row order exactly as
+    /// [`Layer::backward`] would accumulate them, and is multiplied by
+    /// `scale` once at the end (the caller passes `1 / n` for a batch
+    /// mean). It writes the unscaled input-gradient rows into `grad_in`
+    /// (pre-sized by the caller) when given — callers pass `None` where no
+    /// lower layer consumes it. `scratch` is a buffer the layer may resize
+    /// and overwrite, so a caller that keeps it across calls lets the
+    /// backward run without allocating. Only called when
+    /// [`Layer::supports_flat_batch`] is `true`.
     ///
     /// # Panics
     ///
@@ -234,8 +244,10 @@ pub trait Layer: fmt::Debug + Send {
         &self,
         _inputs: &Matrix,
         _grad_out: &Matrix,
+        _scale: f32,
         _grad_params: &mut [f32],
         _grad_in: Option<&mut Matrix>,
+        _scratch: &mut Matrix,
     ) {
         panic!("layer has no batched flat backward");
     }
@@ -377,8 +389,10 @@ impl Layer for Dense {
         &self,
         inputs: &Matrix,
         grad_out: &Matrix,
+        scale: f32,
         grad_params: &mut [f32],
         grad_in: Option<&mut Matrix>,
+        scratch: &mut Matrix,
     ) {
         let (n, k, m) = (inputs.rows(), inputs.cols(), self.w.rows());
         assert_eq!(k, self.w.cols(), "dense batch input width mismatch");
@@ -389,29 +403,39 @@ impl Layer for Dense {
         );
         assert_eq!(grad_params.len(), self.param_len(), "dense grad segment");
         let (grad_w, grad_b) = grad_params.split_at_mut(self.w.len());
-        // grad_W += Gᵀ·X: row `r` receives `g[s][r] · x_s` for samples `s`
-        // ascending, skipping zero entries — `backward`'s per-sample axpy
-        // sequence, element for element.
-        let gt = grad_out.transposed();
-        kernels::matmul_acc(grad_w, gt.as_slice(), inputs.as_slice(), m, n, k);
-        // grad_b += g, one sample at a time.
+        // grad_W = scale · Gᵀ·X: row `r` sums `g[s][r] · x_s` for samples
+        // `s` ascending from `+0.0`, skipping zero entries — `backward`'s
+        // per-sample axpy sequence, element for element — then scales.
+        grad_out.transpose_into(scratch);
+        kernels::matmul_scaled(
+            grad_w,
+            scratch.as_slice(),
+            inputs.as_slice(),
+            m,
+            n,
+            k,
+            scale,
+        );
+        // grad_b = scale · Σ g, summed one sample at a time from `+0.0`.
+        grad_b.fill(0.0);
         for g in grad_out.as_slice().chunks_exact(m) {
             for (dst, &gv) in grad_b.iter_mut().zip(g) {
                 *dst += gv;
             }
         }
+        kernels::scal(grad_b, scale);
         // Input gradient: row `s` is `matvec_transposed(g_s)` — the same
-        // zero-skipping axpy sequence from a zeroed row.
+        // zero-skipping axpy sequence from a zeroed row, unscaled.
         if let Some(gi) = grad_in {
             assert_eq!((gi.rows(), gi.cols()), (n, k), "dense batch grad_in shape");
-            gi.as_mut_slice().fill(0.0);
-            kernels::matmul_acc(
+            kernels::matmul_scaled(
                 gi.as_mut_slice(),
                 grad_out.as_slice(),
                 self.w.as_slice(),
                 n,
                 m,
                 k,
+                1.0,
             );
         }
     }
@@ -503,8 +527,10 @@ impl Layer for Relu {
         &self,
         inputs: &Matrix,
         grad_out: &Matrix,
+        _scale: f32,
         _grad_params: &mut [f32],
         grad_in: Option<&mut Matrix>,
+        _scratch: &mut Matrix,
     ) {
         let Some(gi) = grad_in else { return };
         assert_eq!(
@@ -842,8 +868,10 @@ impl Layer for Flatten {
         &self,
         _inputs: &Matrix,
         grad_out: &Matrix,
+        _scale: f32,
         _grad_params: &mut [f32],
         grad_in: Option<&mut Matrix>,
+        _scratch: &mut Matrix,
     ) {
         if let Some(gi) = grad_in {
             gi.as_mut_slice().copy_from_slice(grad_out.as_slice());

@@ -84,10 +84,13 @@ pub trait Model: Send {
     ///
     /// The default implementation delegates to [`Model::loss_and_grad`] and
     /// copies, so existing models keep working unchanged; allocation-aware
-    /// models (e.g. `Sequential`) override it to accumulate directly into
-    /// the buffer, making the training loop's gradient path allocation-free
-    /// in steady state. The numeric result must be identical to
-    /// [`Model::loss_and_grad`].
+    /// models override it to write straight into the buffer. `Sequential`
+    /// does, and on its batched flat path (dense layers, with `Relu` and a
+    /// leading `Flatten`) it also keeps the stacked input, activations and
+    /// gradient rows in a per-replica workspace, so a same-shaped batch
+    /// allocates nothing after the first call; its per-sample path
+    /// (convolutional layers) still allocates per sample. The numeric
+    /// result must be identical to [`Model::loss_and_grad`].
     ///
     /// # Panics
     ///
@@ -141,7 +144,7 @@ pub fn evaluate_range_serial<M: Model + ?Sized>(
     for i in range {
         let sample = data.sample(i);
         let out = model.output(&sample.features);
-        score_sample(&mut sums, &out, &sample.target);
+        score_sample(&mut sums, out.as_slice(), &sample.target);
     }
     sums
 }
@@ -149,8 +152,10 @@ pub fn evaluate_range_serial<M: Model + ?Sized>(
 /// Scores one model output against its target into `sums` — the shared
 /// per-sample accumulation step of serial and batched evaluation (the
 /// accumulation order over samples is what makes chunked parallel eval
-/// bitwise reproducible, so every eval path must run exactly this).
-pub fn score_sample(sums: &mut EvalSums, out: &Vector, target: &Target) {
+/// bitwise reproducible, so every eval path must run exactly this). It
+/// allocates nothing, so a batched evaluation can score the rows of its
+/// output matrix in place.
+pub fn score_sample(sums: &mut EvalSums, out: &[f32], target: &Target) {
     match target {
         Target::Class(c) => {
             sums.loss_sum += f64::from(ops::cross_entropy_loss(out, *c));
@@ -159,7 +164,7 @@ pub fn score_sample(sums: &mut EvalSums, out: &Vector, target: &Target) {
             }
         }
         Target::Regression(y) => {
-            sums.loss_sum += f64::from(ops::mse_loss(out, y));
+            sums.loss_sum += f64::from(ops::mse_loss(out, y.as_slice()));
             let close = out.iter().zip(y.iter()).all(|(p, t)| (p - t).abs() < 0.5);
             if close {
                 sums.correct += 1;
@@ -200,7 +205,7 @@ mod tests {
                 let s = data.sample(i);
                 let out = self.output(&s.features);
                 let c = s.target.class().expect("toy is classification-only");
-                loss += ops::cross_entropy_loss(&out, c);
+                loss += ops::cross_entropy_loss(out.as_slice(), c);
                 let gl = ops::cross_entropy_grad(&out, c);
                 // d out0/dw = x0, d out1/dw = -x0
                 g += (gl[0] - gl[1]) * s.features[0];

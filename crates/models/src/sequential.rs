@@ -1,6 +1,8 @@
 //! [`Sequential`]: a validated stack of layers plus a loss head, exposing
 //! the flat-parameter [`Model`] interface.
 
+use std::cell::Cell;
+use std::fmt;
 use std::ops::Range;
 
 use hieradmo_data::{Dataset, FeatureShape, Target};
@@ -27,10 +29,55 @@ pub enum LossHead {
     Mse,
 }
 
+/// The buffers of the batched flat path, kept across calls so that a
+/// steady stream of same-shaped batches allocates nothing. Every buffer
+/// is resized in place ([`Matrix::reshape`]) and fully overwritten before
+/// it is read.
+#[derive(Default)]
+struct Workspace {
+    /// `acts[0]` is the stacked input, one sample per row; every layer
+    /// but an identity one appends its output rows, so `acts[out]` (see
+    /// [`Sequential::forward_flat_batch`]) is the model output.
+    acts: Vec<Matrix>,
+    /// Per layer, the index in `acts` of its input.
+    inputs: Vec<usize>,
+    /// The upstream gradient rows of the layer being differentiated; the
+    /// loss head writes its rows first.
+    g: Matrix,
+    /// The input-gradient rows a layer writes, swapped into `g` for the
+    /// layer below.
+    g_in: Matrix,
+    /// A layer's backward scratch (`Gᵀ` for [`crate::layer::Dense`]).
+    scratch: Matrix,
+}
+
+/// A model replica's [`Workspace`], taken out for the length of a call
+/// and put back after it: a nested call on the same replica finds it
+/// empty and allocates a fresh one instead of panicking. A clone starts
+/// empty, so each replica (and each pool lane, which owns one) grows its
+/// own.
+#[derive(Default)]
+struct WorkspaceCell(Cell<Workspace>);
+
+impl Clone for WorkspaceCell {
+    fn clone(&self) -> Self {
+        WorkspaceCell::default()
+    }
+}
+
+impl fmt::Debug for WorkspaceCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Workspace")
+    }
+}
+
 /// A feed-forward stack of [`Layer`]s with a [`LossHead`].
 ///
 /// Construction validates the full shape pipeline once, so any conv/dense
-/// size mismatch fails fast rather than mid-training.
+/// size mismatch fails fast rather than mid-training. When every layer
+/// has a batched flat form, the model keeps a private workspace for it,
+/// so [`Model::loss_and_grad_into`] and [`Model::evaluate_range`] on
+/// same-shaped batches allocate nothing after the first call.
 ///
 /// # Example
 ///
@@ -63,6 +110,7 @@ pub struct Sequential {
     /// (see [`Layer::supports_flat_batch`]): `[0]` is the input width and
     /// `[li + 1]` the output width of layer `li`.
     flat_dims: Option<Vec<usize>>,
+    workspace: WorkspaceCell,
 }
 
 impl Sequential {
@@ -117,6 +165,7 @@ impl Sequential {
             param_offsets,
             dim,
             flat_dims,
+            workspace: WorkspaceCell::default(),
         }
     }
 
@@ -160,70 +209,153 @@ impl Sequential {
         (sig.expect_flat().clone(), caches)
     }
 
-    /// Head loss and gradient w.r.t. the model output.
-    fn head_loss_grad(&self, output: &Vector, target: &Target) -> (f32, Vector) {
+    /// Head loss of one model output row, with its gradient w.r.t. the
+    /// output written into `grad` (same length). The same bits as the
+    /// `ops` loss and gradient pairs: [`ops::cross_entropy_into`] for the
+    /// softmax head, `pred - target` and `0.5 ‖pred - target‖²` for the
+    /// MSE heads.
+    fn head_loss_grad_into(&self, output: &[f32], target: &Target, grad: &mut [f32]) -> f32 {
         match (self.head, target) {
-            (LossHead::SoftmaxCrossEntropy, Target::Class(c)) => (
-                ops::cross_entropy_loss(output, *c),
-                ops::cross_entropy_grad(output, *c),
-            ),
+            (LossHead::SoftmaxCrossEntropy, Target::Class(c)) => {
+                return ops::cross_entropy_into(output, *c, grad);
+            }
             (LossHead::MseOneHot, Target::Class(c)) => {
                 assert!(*c < output.len(), "one-hot class out of range");
-                let mut one_hot = Vector::zeros(output.len());
-                one_hot[*c] = 1.0;
-                (
-                    ops::mse_loss(output, &one_hot),
-                    ops::mse_grad(output, &one_hot),
-                )
+                for (j, (g, &p)) in grad.iter_mut().zip(output).enumerate() {
+                    *g = p - if j == *c { 1.0 } else { 0.0 };
+                }
             }
             (LossHead::Mse, Target::Regression(y)) => {
-                (ops::mse_loss(output, y), ops::mse_grad(output, y))
+                assert_eq!(output.len(), y.len(), "mse length mismatch");
+                for ((g, &p), &t) in grad.iter_mut().zip(output).zip(y.iter()) {
+                    *g = p - t;
+                }
             }
             (head, target) => {
                 panic!("loss head {head:?} is incompatible with target {target:?}")
             }
         }
+        // The MSE heads' rows now hold `pred - target`.
+        0.5 * grad.iter().map(|&d| d * d).sum::<f32>()
     }
 
-    /// Stacks `n` samples (in iteration order) into one row-major feature
-    /// matrix, one sample per row.
-    fn stack_features<I>(&self, data: &Dataset, n: usize, indices: I) -> Matrix
+    /// Runs `f` on this replica's workspace, taken out of its cell for the
+    /// call and put back after.
+    fn with_workspace<R>(&self, f: impl FnOnce(&mut Workspace) -> R) -> R {
+        let mut ws = self.workspace.0.take();
+        let out = f(&mut ws);
+        self.workspace.0.set(ws);
+        out
+    }
+
+    /// Stacks `n` samples (in iteration order) into `ws.acts[0]`, one
+    /// sample per row.
+    fn stack_features<I>(&self, ws: &mut Workspace, data: &Dataset, n: usize, indices: I)
     where
         I: Iterator<Item = usize>,
     {
         let d = self.input_shape.len();
-        let mut x = Matrix::zeros(n, d);
+        if ws.acts.is_empty() {
+            ws.acts.push(Matrix::default());
+        }
+        let x = &mut ws.acts[0];
+        x.reshape(n, d);
         let xs = x.as_mut_slice();
         for (s, i) in indices.enumerate() {
             let f = data.sample(i).features.as_slice();
             assert_eq!(f.len(), d, "feature length mismatch");
             xs[s * d..(s + 1) * d].copy_from_slice(f);
         }
-        x
     }
 
-    /// Batched forward through the whole stack, one row per sample:
-    /// `acts[0]` is the stacked input, and every layer but an identity one
+    /// Batched forward through the whole stack from the stacked input in
+    /// `ws.acts[0]`, one row per sample: every layer but an identity one
     /// ([`Layer::flat_batch_is_identity`], which passes its input on
-    /// uncopied) appends its output, so the last matrix is the model
-    /// output. Also returns, per layer, the index in `acts` of its input.
-    /// Each row is bitwise identical to the per-sample flat forward (the
-    /// [`Layer::forward_flat_batch`] contract).
-    fn forward_flat_batch(&self, x: Matrix, dims: &[usize]) -> (Vec<Matrix>, Vec<usize>) {
-        let n = x.rows();
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        acts.push(x);
+    /// uncopied) writes its output into the next matrix of `ws.acts`, and
+    /// `ws.inputs` records, per layer, the index of its input. Returns the
+    /// index of the model output. Each row is bitwise identical to the
+    /// per-sample flat forward (the [`Layer::forward_flat_batch`]
+    /// contract).
+    fn forward_flat_batch(&self, ws: &mut Workspace, dims: &[usize]) -> usize {
+        let n = ws.acts[0].rows();
+        ws.inputs.clear();
+        let mut last = 0;
         for (li, layer) in self.layers.iter().enumerate() {
-            inputs.push(acts.len() - 1);
+            ws.inputs.push(last);
             if layer.flat_batch_is_identity() {
                 continue;
             }
-            let mut out = Matrix::zeros(n, dims[li + 1]);
-            layer.forward_flat_batch(acts.last().expect("stack is non-empty"), &mut out);
-            acts.push(out);
+            if ws.acts.len() == last + 1 {
+                ws.acts.push(Matrix::default());
+            }
+            let (below, above) = ws.acts.split_at_mut(last + 1);
+            above[0].reshape(n, dims[li + 1]);
+            layer.forward_flat_batch(&below[last], &mut above[0]);
+            last += 1;
         }
-        (acts, inputs)
+        last
+    }
+
+    /// The batched flat path of [`Model::loss_and_grad_into`]: one GEMM per
+    /// dense layer forward and two backward, with the head scored per
+    /// sample in ascending order as the per-sample path does. Every
+    /// parametrised layer overwrites its segment of `grad` with the
+    /// already-scaled batch mean (the [`Layer::backward_flat_batch`]
+    /// contract), so the gradient is the per-sample path's bit for bit
+    /// without a zero fill or a scaling pass over `grad`.
+    fn batched_loss_and_grad(
+        &self,
+        ws: &mut Workspace,
+        dims: &[usize],
+        data: &Dataset,
+        indices: &[usize],
+        grad: &mut [f32],
+    ) -> f32 {
+        let n = indices.len();
+        self.stack_features(ws, data, n, indices.iter().copied());
+        let out = self.forward_flat_batch(ws, dims);
+        let od = self.output_dim;
+        ws.g.reshape(n, od);
+        let mut loss_sum = 0.0f32;
+        let (outputs, g) = (ws.acts[out].as_slice(), ws.g.as_mut_slice());
+        for (s, &i) in indices.iter().enumerate() {
+            let rows = s * od..(s + 1) * od;
+            loss_sum += self.head_loss_grad_into(
+                &outputs[rows.clone()],
+                &data.sample(i).target,
+                &mut g[rows],
+            );
+        }
+        let inv = 1.0 / n as f32;
+        // Layers below the lowest parametrised one contribute nothing,
+        // and that layer's input gradient has no consumer. An identity
+        // layer passes the gradient down as it is.
+        if let Some(lowest) = self.layers.iter().position(|l| l.param_len() > 0) {
+            for li in (lowest..self.layers.len()).rev() {
+                let layer = &self.layers[li];
+                if layer.flat_batch_is_identity() {
+                    continue;
+                }
+                let start = self.param_offsets[li];
+                let seg = &mut grad[start..start + layer.param_len()];
+                let input = &ws.acts[ws.inputs[li]];
+                if li == lowest {
+                    layer.backward_flat_batch(input, &ws.g, inv, seg, None, &mut ws.scratch);
+                } else {
+                    ws.g_in.reshape(n, dims[li]);
+                    layer.backward_flat_batch(
+                        input,
+                        &ws.g,
+                        inv,
+                        seg,
+                        Some(&mut ws.g_in),
+                        &mut ws.scratch,
+                    );
+                    std::mem::swap(&mut ws.g, &mut ws.g_in);
+                }
+            }
+        }
+        loss_sum * inv
     }
 }
 
@@ -259,63 +391,28 @@ impl Model for Sequential {
         assert!(!indices.is_empty(), "loss_and_grad needs a non-empty batch");
         if grad.len() != self.dim {
             *grad = Vector::zeros(self.dim);
-        } else {
-            grad.fill(0.0);
         }
+        if let Some(dims) = &self.flat_dims {
+            return self.with_workspace(|ws| {
+                self.batched_loss_and_grad(ws, dims, data, indices, grad.as_mut_slice())
+            });
+        }
+        // Per-sample path: every layer accumulates into its zeroed segment,
+        // then the sum is scaled to the batch mean.
+        grad.fill(0.0);
         let gslice = grad.as_mut_slice();
         let mut loss_sum = 0.0f32;
-        if let Some(dims) = &self.flat_dims {
-            // Batched path: one GEMM per dense layer forward and two
-            // backward, with the head scored per sample in ascending order
-            // as the serial path does. Every layer segment of `grad`
-            // receives its samples' contributions in ascending order (the
-            // [`Layer::backward_flat_batch`] contract), so the gradient is
-            // unchanged bit for bit.
-            let n = indices.len();
-            let x = self.stack_features(data, n, indices.iter().copied());
-            let (acts, inputs) = self.forward_flat_batch(x, dims);
-            let out_mat = acts.last().expect("stack is non-empty");
-            let od = self.output_dim;
-            let mut g = Matrix::zeros(n, od);
-            for (s, &i) in indices.iter().enumerate() {
-                let output = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
-                let (loss, g_out) = self.head_loss_grad(&output, &data.sample(i).target);
-                loss_sum += loss;
-                g.as_mut_slice()[s * od..(s + 1) * od].copy_from_slice(g_out.as_slice());
-            }
-            // Layers below the lowest parametrised one contribute nothing,
-            // and that layer's input gradient has no consumer. An identity
-            // layer passes the gradient down as it is.
-            if let Some(lowest) = self.layers.iter().position(|l| l.param_len() > 0) {
-                for li in (lowest..self.layers.len()).rev() {
-                    let layer = &self.layers[li];
-                    if layer.flat_batch_is_identity() {
-                        continue;
-                    }
-                    let start = self.param_offsets[li];
-                    let seg = &mut gslice[start..start + layer.param_len()];
-                    let input = &acts[inputs[li]];
-                    if li == lowest {
-                        layer.backward_flat_batch(input, &g, seg, None);
-                    } else {
-                        let mut g_in = Matrix::zeros(n, dims[li]);
-                        layer.backward_flat_batch(input, &g, seg, Some(&mut g_in));
-                        g = g_in;
-                    }
-                }
-            }
-        } else {
-            for &i in indices {
-                let sample = data.sample(i);
-                let (output, caches) = self.forward_with_caches(&sample.features);
-                let (loss, g_out) = self.head_loss_grad(&output, &sample.target);
-                loss_sum += loss;
-                let mut g = Signal::Flat(g_out);
-                for (li, layer) in self.layers.iter().enumerate().rev() {
-                    let start = self.param_offsets[li];
-                    let end = start + layer.param_len();
-                    g = layer.backward(&caches[li], &g, &mut gslice[start..end]);
-                }
+        for &i in indices {
+            let sample = data.sample(i);
+            let (output, caches) = self.forward_with_caches(&sample.features);
+            let mut g_out = Vector::zeros(output.len());
+            loss_sum +=
+                self.head_loss_grad_into(output.as_slice(), &sample.target, g_out.as_mut_slice());
+            let mut g = Signal::Flat(g_out);
+            for (li, layer) in self.layers.iter().enumerate().rev() {
+                let start = self.param_offsets[li];
+                let end = start + layer.param_len();
+                g = layer.backward(&caches[li], &g, &mut gslice[start..end]);
             }
         }
         let inv = 1.0 / indices.len() as f32;
@@ -340,21 +437,26 @@ impl Model for Sequential {
         // layer, then score rows in ascending sample order — the exact
         // accumulation sequence of the serial path, so chunked parallel
         // eval stays bitwise reproducible.
-        let mut sums = EvalSums::default();
         let od = self.output_dim;
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + EVAL_GEMM_TILE).min(range.end);
-            let x = self.stack_features(data, end - start, start..end);
-            let (acts, _) = self.forward_flat_batch(x, dims);
-            let out_mat = acts.last().expect("stack is non-empty");
-            for (s, i) in (start..end).enumerate() {
-                let out = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
-                score_sample(&mut sums, &out, &data.sample(i).target);
+        self.with_workspace(|ws| {
+            let mut sums = EvalSums::default();
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + EVAL_GEMM_TILE).min(range.end);
+                self.stack_features(ws, data, end - start, start..end);
+                let out = self.forward_flat_batch(ws, dims);
+                let outputs = ws.acts[out].as_slice();
+                for (s, i) in (start..end).enumerate() {
+                    score_sample(
+                        &mut sums,
+                        &outputs[s * od..(s + 1) * od],
+                        &data.sample(i).target,
+                    );
+                }
+                start = end;
             }
-            start = end;
-        }
-        sums
+            sums
+        })
     }
 }
 
@@ -536,7 +638,13 @@ mod tests {
         for &i in &idx {
             let sample = data.sample(i);
             let (output, caches) = m.forward_with_caches(&sample.features);
-            let (loss, g_out) = m.head_loss_grad(&output, &sample.target);
+            let Target::Class(c) = sample.target else {
+                unreachable!("classification fixture")
+            };
+            let (loss, g_out) = (
+                ops::cross_entropy_loss(output.as_slice(), c),
+                ops::cross_entropy_grad(&output, c),
+            );
             loss_sum += loss;
             let mut g = Signal::Flat(g_out);
             for (li, layer) in m.layers.iter().enumerate().rev() {

@@ -163,13 +163,16 @@ fn per_sample_loss_and_grad(
         };
         let (loss, g_out) = match head {
             LossHead::SoftmaxCrossEntropy => (
-                ops::cross_entropy_loss(out, c),
+                ops::cross_entropy_loss(out.as_slice(), c),
                 ops::cross_entropy_grad(out, c),
             ),
             LossHead::MseOneHot => {
                 let mut one_hot = Vector::zeros(out.len());
                 one_hot[c] = 1.0;
-                (ops::mse_loss(out, &one_hot), ops::mse_grad(out, &one_hot))
+                (
+                    ops::mse_loss(out.as_slice(), one_hot.as_slice()),
+                    ops::mse_grad(out, &one_hot),
+                )
             }
             LossHead::Mse => unreachable!("classification fixtures only"),
         };

@@ -30,9 +30,10 @@
 //! with *exactly* the same per-element order as [`dot`], whether the
 //! element lands in a full register tile or on a remainder edge, so
 //! `matmul` results never depend on how the output space was tiled.
-//! [`matmul_acc`], the dense layer's batched backward, builds each output
-//! row as the ascending, zero-skipping sequence of [`axpy`] calls the
-//! per-sample backward issues.
+//! [`matmul_scaled`], the dense layer's batched backward, builds each
+//! output element from `+0.0` as the ascending, zero-skipping sequence of
+//! [`axpy`] calls the per-sample backward issues, and scales it once as
+//! it is stored.
 //!
 //! # Batched aggregation kernels and runtime dispatch
 //!
@@ -48,7 +49,7 @@
 //! operation sequence unchanged.
 //!
 //! These kernels and the dense ones ([`axpy`], [`matmul_bt`],
-//! [`matmul_acc`]) carry explicit intrinsics: [`dispatch_level`] probes
+//! [`matmul_scaled`]) carry explicit intrinsics: [`dispatch_level`] probes
 //! the CPU once per process (overridable via
 //! `HIERADMO_KERNEL_DISPATCH=scalar|avx2`) and selects AVX2 or the
 //! portable scalar oracle (`*_scalar`, public). Each AVX2 path performs
@@ -844,60 +845,69 @@ fn micro_2x2(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, r: usiz
     out[(r + 1) * m + c + 1] = reduce_lanes(acc11) + t11;
 }
 
-/// Zero-skipping accumulating product `out += c · b` on raw row-major
+/// Zero-skipping scaled product `out = scale · (c · b)` on raw row-major
 /// slices: the batched backward of a dense layer.
 ///
-/// * `out` is `p × k`, `c` is `p × q`, `b` is `q × k`, all row-major.
-/// * Row `i` of `out` receives, for `j` ascending, the [`axpy`]
-///   `out[i] += c[i][j] · b[j]`, and skips every `c[i][j] == 0.0` (both
-///   zeros), exactly like a loop of per-row [`axpy`] calls that skips zero
-///   coefficients. Each element therefore sees the same operation
-///   sequence as that loop, on both dispatch paths, so the AVX2 path is
-///   bitwise identical to [`matmul_acc_scalar`].
+/// * `out` is `p × k`, `c` is `p × q`, `b` is `q × k`, all row-major;
+///   `out` is overwritten, its prior contents never read.
+/// * Element `out[i][e]` starts from `+0.0` and receives, for `j`
+///   ascending, `fma(c[i][j], b[j][e], ·)`, skipping every
+///   `c[i][j] == 0.0` (both zeros); the finished sum is multiplied by
+///   `scale` once, as it is stored. That is, element for element, the
+///   three-pass composition "fill `out` with `0.0`, a loop of per-row
+///   [`axpy`] calls that skips zero coefficients, then [`scal`] by
+///   `scale`", so the AVX2 path, [`matmul_scaled_scalar`] and that
+///   composition give the same bits — signed zeros included: a row with
+///   no nonzero coefficient stores `+0.0 · scale`.
 ///
-/// With `c = Gᵀ` (upstream gradients, one column per sample) and `b = X`
-/// (inputs, one row per sample) this is the weight gradient
-/// `grad_W += Gᵀ·X` with samples ascending per element; with `c = G`,
-/// `b = W` and a zeroed `out` it is the input gradient `G·W`, row for row
-/// the per-sample transposed product.
+/// With `c = Gᵀ` (upstream gradients, one column per sample), `b = X`
+/// (inputs, one row per sample) and `scale = 1/n` this is the mean weight
+/// gradient `Gᵀ·X / n` with samples ascending per element; with `c = G`,
+/// `b = W` and `scale = 1` it is the input gradient `G·W`, row for row the
+/// per-sample transposed product.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
-pub fn matmul_acc(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
-    assert_eq!(out.len(), p * k, "kernels::matmul_acc out size mismatch");
-    assert_eq!(
-        c.len(),
-        p * q,
-        "kernels::matmul_acc coefficient size mismatch"
-    );
-    assert_eq!(b.len(), q * k, "kernels::matmul_acc rhs size mismatch");
+pub fn matmul_scaled(
+    out: &mut [f32],
+    c: &[f32],
+    b: &[f32],
+    p: usize,
+    q: usize,
+    k: usize,
+    scale: f32,
+) {
+    check_matmul_scaled(out, c, b, p, q, k);
     #[cfg(target_arch = "x86_64")]
     if dispatch_level() == DispatchLevel::Avx2 {
         // SAFETY: AVX2 presence was verified by `dispatch_level`; the
         // slice lengths were checked above.
-        unsafe { matmul_acc_avx2(out, c, b, p, q, k) };
+        unsafe { matmul_scaled_avx2(out, c, b, p, q, k, scale) };
         return;
     }
-    matmul_acc_scalar(out, c, b, p, q, k);
+    matmul_scaled_scalar(out, c, b, p, q, k, scale);
 }
 
-/// Portable oracle for [`matmul_acc`]: the per-row [`axpy_scalar`] loop
-/// itself.
+/// Portable oracle for [`matmul_scaled`]: per output row, the zero fill,
+/// the zero-skipping [`axpy_scalar`] loop and the [`scal`] pass.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
-pub fn matmul_acc_scalar(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
-    assert_eq!(out.len(), p * k, "kernels::matmul_acc out size mismatch");
-    assert_eq!(
-        c.len(),
-        p * q,
-        "kernels::matmul_acc coefficient size mismatch"
-    );
-    assert_eq!(b.len(), q * k, "kernels::matmul_acc rhs size mismatch");
+pub fn matmul_scaled_scalar(
+    out: &mut [f32],
+    c: &[f32],
+    b: &[f32],
+    p: usize,
+    q: usize,
+    k: usize,
+    scale: f32,
+) {
+    check_matmul_scaled(out, c, b, p, q, k);
     for i in 0..p {
         let row = &mut out[i * k..(i + 1) * k];
+        row.fill(0.0);
         for j in 0..q {
             let cij = c[i * q + j];
             if cij == 0.0 {
@@ -905,7 +915,18 @@ pub fn matmul_acc_scalar(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usi
             }
             axpy_scalar(row, cij, &b[j * k..(j + 1) * k]);
         }
+        scal(row, scale);
     }
+}
+
+fn check_matmul_scaled(out: &[f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
+    assert_eq!(out.len(), p * k, "kernels::matmul_scaled out size mismatch");
+    assert_eq!(
+        c.len(),
+        p * q,
+        "kernels::matmul_scaled coefficient size mismatch"
+    );
+    assert_eq!(b.len(), q * k, "kernels::matmul_scaled rhs size mismatch");
 }
 
 /// `a * b + c` at vector width, with the contraction gate of [`fma`]:
@@ -1075,16 +1096,17 @@ unsafe fn micro_bt_avx2<const R: usize, const C: usize>(
     }
 }
 
-/// Columns per register strip of [`matmul_acc_avx2`]: four `ymm`
+/// Columns per register strip of [`matmul_scaled_avx2`]: four `ymm`
 /// accumulators.
 #[cfg(target_arch = "x86_64")]
 const ACC_STRIP: usize = 4 * LANES;
 
-/// AVX2 path for [`matmul_acc`]: for each 32-column strip (then 8-column
-/// strips, then a scalar tail), each output row's strip stays in
-/// registers while the `q` coefficients of that row fold in, in ascending
-/// order with the zero skip. The strip of `b` (`q` rows) stays in L1
-/// across all `p` output rows.
+/// AVX2 path for [`matmul_scaled`]: for each 32-column strip (then
+/// 8-column strips, then a scalar tail), each output row's strip starts
+/// from `+0.0` in registers, folds in the `q` coefficients of that row in
+/// ascending order with the zero skip, and is multiplied by `scale` on
+/// the way to memory. The strip of `b` (`q` rows) stays in L1 across all
+/// `p` output rows.
 ///
 /// # Safety
 ///
@@ -1092,20 +1114,23 @@ const ACC_STRIP: usize = 4 * LANES;
 /// and `q × k` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_acc_avx2(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: usize, k: usize) {
+unsafe fn matmul_scaled_avx2(
+    out: &mut [f32],
+    c: &[f32],
+    b: &[f32],
+    p: usize,
+    q: usize,
+    k: usize,
+    scale: f32,
+) {
     use std::arch::x86_64::*;
     let (op, bp) = (out.as_mut_ptr(), b.as_ptr());
+    let sv = _mm256_set1_ps(scale);
     let wide = k / ACC_STRIP * ACC_STRIP;
     let narrow = k / LANES * LANES;
     for s in (0..wide).step_by(ACC_STRIP) {
         for i in 0..p {
-            let o = op.add(i * k + s);
-            let mut acc = [
-                _mm256_loadu_ps(o),
-                _mm256_loadu_ps(o.add(LANES)),
-                _mm256_loadu_ps(o.add(2 * LANES)),
-                _mm256_loadu_ps(o.add(3 * LANES)),
-            ];
+            let mut acc = [_mm256_setzero_ps(); 4];
             for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
                 if cij == 0.0 {
                     continue;
@@ -1116,31 +1141,32 @@ unsafe fn matmul_acc_avx2(out: &mut [f32], c: &[f32], b: &[f32], p: usize, q: us
                     *v = fma_ps(cv, _mm256_loadu_ps(bs.add(t * LANES)), *v);
                 }
             }
+            let o = op.add(i * k + s);
             for (t, &v) in acc.iter().enumerate() {
-                _mm256_storeu_ps(o.add(t * LANES), v);
+                _mm256_storeu_ps(o.add(t * LANES), _mm256_mul_ps(v, sv));
             }
         }
     }
     for s in (wide..narrow).step_by(LANES) {
         for i in 0..p {
-            let o = op.add(i * k + s);
-            let mut acc = _mm256_loadu_ps(o);
+            let mut acc = _mm256_setzero_ps();
             for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
                 if cij != 0.0 {
                     acc = fma_ps(_mm256_set1_ps(cij), _mm256_loadu_ps(bp.add(j * k + s)), acc);
                 }
             }
-            _mm256_storeu_ps(o, acc);
+            _mm256_storeu_ps(op.add(i * k + s), _mm256_mul_ps(acc, sv));
         }
     }
     for i in 0..p {
-        for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
-            if cij == 0.0 {
-                continue;
+        for e in narrow..k {
+            let mut acc = 0.0f32;
+            for (j, &cij) in c[i * q..(i + 1) * q].iter().enumerate() {
+                if cij != 0.0 {
+                    acc = fma(cij, b[j * k + e], acc);
+                }
             }
-            for e in narrow..k {
-                out[i * k + e] = fma(cij, b[j * k + e], out[i * k + e]);
-            }
+            out[i * k + e] = acc * scale;
         }
     }
 }

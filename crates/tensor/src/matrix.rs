@@ -12,7 +12,8 @@ use crate::{kernels, Vector};
 /// passes are `W·x + b` ([`Matrix::matvec`]) and backward passes need the
 /// transposed product ([`Matrix::matvec_transposed`]); the batched path
 /// runs the same products over stacked rows through
-/// [`kernels::matmul_bt`] and [`kernels::matmul_acc`].
+/// [`kernels::matmul_bt`] and [`kernels::matmul_scaled`]. The
+/// [`Default`] matrix is the empty `0 × 0` one.
 ///
 /// # Example
 ///
@@ -23,7 +24,7 @@ use crate::{kernels, Vector};
 /// let x = Vector::from(vec![1.0, 1.0]);
 /// assert_eq!(m.matvec(&x).as_slice(), &[3.0, 7.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -223,9 +224,10 @@ impl Matrix {
         }
     }
 
-    /// Resizes to `rows × cols` reusing the existing allocation; contents
-    /// afterwards are unspecified (every element is overwritten by callers).
-    fn reshape(&mut self, rows: usize, cols: usize) {
+    /// Resizes to `rows × cols`, reusing the existing allocation (it grows
+    /// only past the largest size held so far); contents afterwards are
+    /// unspecified, so callers overwrite every element.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);

@@ -56,14 +56,46 @@ pub fn log_softmax(logits: &Vector) -> Vector {
     logits.iter().map(|&v| v - log_sum).collect()
 }
 
-/// Cross-entropy loss of one sample given raw logits and the true class.
+/// Cross-entropy loss of one sample given raw logits and the true class:
+/// `-log_softmax(logits)[label]`, computed without materializing the
+/// log-softmax vector (same `max` fold, same sequential sum of the
+/// shifted exponentials, same bits).
 ///
 /// # Panics
 ///
 /// Panics if `label >= logits.len()`.
-pub fn cross_entropy_loss(logits: &Vector, label: usize) -> f32 {
+pub fn cross_entropy_loss(logits: &[f32], label: usize) -> f32 {
     assert!(label < logits.len(), "label {label} out of range");
-    -log_softmax(logits)[label]
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let sum: f32 = logits.iter().map(|&v| (v - max).exp()).sum();
+    -(logits[label] - (sum.ln() + max))
+}
+
+/// Cross-entropy loss and its logit gradient in one softmax pass, the
+/// gradient written into `grad`: one `exp` per logit, stored in `grad`
+/// and summed from there, then divided by the sum, with `1` taken off at
+/// the label.
+///
+/// The result is bitwise [`cross_entropy_loss`] and
+/// [`cross_entropy_grad`]: the same `max` fold, the same exponentials
+/// summed in the same order, the same divisions.
+///
+/// # Panics
+///
+/// Panics if `label >= logits.len()` or the lengths differ.
+pub fn cross_entropy_into(logits: &[f32], label: usize, grad: &mut [f32]) -> f32 {
+    assert!(label < logits.len(), "label {label} out of range");
+    assert_eq!(logits.len(), grad.len(), "cross-entropy gradient length");
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for (e, &v) in grad.iter_mut().zip(logits) {
+        *e = (v - max).exp();
+    }
+    let sum: f32 = grad.iter().sum();
+    for e in grad.iter_mut() {
+        *e /= sum;
+    }
+    grad[label] -= 1.0;
+    -(logits[label] - (sum.ln() + max))
 }
 
 /// Gradient of the cross-entropy loss w.r.t. the logits:
@@ -87,11 +119,11 @@ pub fn cross_entropy_grad(logits: &Vector, label: usize) -> Vector {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn mse_loss(pred: &Vector, target: &Vector) -> f32 {
+pub fn mse_loss(pred: &[f32], target: &[f32]) -> f32 {
     assert_eq!(pred.len(), target.len(), "mse length mismatch");
     0.5 * pred
         .iter()
-        .zip(target.iter())
+        .zip(target)
         .map(|(p, t)| {
             let d = p - t;
             d * d
@@ -114,7 +146,7 @@ pub fn mse_grad(pred: &Vector, target: &Vector) -> Vector {
 /// # Panics
 ///
 /// Panics if `v` is empty.
-pub fn argmax(v: &Vector) -> usize {
+pub fn argmax(v: &[f32]) -> usize {
     assert!(!v.is_empty(), "argmax of empty vector");
     let mut best = 0;
     let mut best_val = v[0];
@@ -174,8 +206,8 @@ mod tests {
     fn cross_entropy_of_confident_correct_is_small() {
         let good = Vector::from(vec![10.0, -10.0]);
         let bad = Vector::from(vec![-10.0, 10.0]);
-        assert!(cross_entropy_loss(&good, 0) < 1e-3);
-        assert!(cross_entropy_loss(&bad, 0) > 5.0);
+        assert!(cross_entropy_loss(good.as_slice(), 0) < 1e-3);
+        assert!(cross_entropy_loss(bad.as_slice(), 0) > 5.0);
     }
 
     #[test]
@@ -196,7 +228,8 @@ mod tests {
             xp[i] += eps;
             let mut xm = x.clone();
             xm[i] -= eps;
-            let fd = (cross_entropy_loss(&xp, 2) - cross_entropy_loss(&xm, 2)) / (2.0 * eps);
+            let fd = (cross_entropy_loss(xp.as_slice(), 2) - cross_entropy_loss(xm.as_slice(), 2))
+                / (2.0 * eps);
             assert_close(g[i], fd, 1e-3);
         }
     }
@@ -205,14 +238,14 @@ mod tests {
     fn mse_and_grad() {
         let p = Vector::from(vec![1.0, 2.0]);
         let t = Vector::from(vec![0.0, 0.0]);
-        assert_close(mse_loss(&p, &t), 2.5, 1e-6);
+        assert_close(mse_loss(p.as_slice(), t.as_slice()), 2.5, 1e-6);
         assert_eq!(mse_grad(&p, &t).as_slice(), &[1.0, 2.0]);
     }
 
     #[test]
     fn argmax_picks_first_max() {
-        assert_eq!(argmax(&Vector::from(vec![1.0, 3.0, 3.0])), 1);
-        assert_eq!(argmax(&Vector::from(vec![-5.0])), 0);
+        assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
+        assert_eq!(argmax(&[-5.0]), 0);
     }
 
     #[test]

@@ -395,31 +395,51 @@ proptest! {
         prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
     }
 
-    /// `matmul_acc` accumulates onto `out` exactly as its oracle does, and
-    /// skips the same zero coefficients: an `inf` or NaN row of `b` behind
-    /// a `0.0`/`-0.0` coefficient leaves `out` untouched.
+    /// `matmul_scaled` overwrites `out` with the same bits as its oracle
+    /// and as the three-pass composition it replaced — zero fill, a
+    /// zero-skipping per-row `axpy_scalar` loop, then `scal` — whatever
+    /// `out` held before. `k` spans every `k % 8` and `k % 32` remainder
+    /// of the AVX2 strips at one, two and three full strips; coefficients
+    /// and inputs hold `±0.0`, and with `nonfinite` also `±inf` and NaN
+    /// (an `inf` or NaN row of `b` behind a zero coefficient is skipped).
     #[test]
-    fn matmul_acc_dispatch_matches_scalar_oracle_bitwise(
+    fn matmul_scaled_dispatch_matches_scalar_oracle_and_three_pass_bitwise(
         p in 0usize..10,
         q in 0usize..6,
-        k in 0usize..80,
+        k in 0usize..100,
+        scale_kind in 0usize..3,
         nonfinite in any::<bool>(),
         seed in 0u64..1000,
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let scale = [1.0f32, 1.0 / 16.0, 1.0 / 3.0][scale_kind];
         let c = entries(&mut rng, p * q, nonfinite);
         let b = entries(&mut rng, q * k, nonfinite);
-        let out0 = entries(&mut rng, p * k, false);
-        let mut got = out0.clone();
-        kernels::matmul_acc(&mut got, &c, &b, p, q, k);
-        let mut want = out0.clone();
-        kernels::matmul_acc_scalar(&mut want, &c, &b, p, q, k);
+        let stale = entries(&mut rng, p * k, true);
+
+        let mut three_pass = stale.clone();
+        three_pass.fill(0.0);
+        for i in 0..p {
+            for j in 0..q {
+                let cij = c[i * q + j];
+                if cij != 0.0 {
+                    kernels::axpy_scalar(&mut three_pass[i * k..(i + 1) * k], cij, &b[j * k..(j + 1) * k]);
+                }
+            }
+        }
+        kernels::scal(&mut three_pass, scale);
+
+        let mut got = stale.clone();
+        kernels::matmul_scaled(&mut got, &c, &b, p, q, k, scale);
+        let mut want = stale;
+        kernels::matmul_scaled_scalar(&mut want, &c, &b, p, q, k, scale);
         prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&want));
-        // A row whose coefficients are all zero is never touched.
+        prop_assert_eq!(bits_nan_eq(&got), bits_nan_eq(&three_pass));
+        // A row whose coefficients are all zero stores `+0.0`.
         for i in 0..p {
             if c[i * q..(i + 1) * q].iter().all(|&v| v == 0.0) {
-                prop_assert_eq!(bits(&got[i * k..(i + 1) * k]), bits(&out0[i * k..(i + 1) * k]));
+                prop_assert!(got[i * k..(i + 1) * k].iter().all(|v| v.to_bits() == 0));
             }
         }
     }

@@ -179,6 +179,30 @@ proptest! {
         prop_assert!(g.iter().sum::<f32>().abs() < 1e-4);
         prop_assert!(g[label] <= 0.0);
     }
+
+    /// The fused head `cross_entropy_into` and the non-allocating
+    /// `cross_entropy_loss` give the bits of the two-pass composition:
+    /// `-log_softmax(logits)[label]` and `cross_entropy_grad`.
+    #[test]
+    fn fused_cross_entropy_is_bitwise_the_two_pass_composition(
+        logits in vec_strategy(7),
+        label in 0usize..7,
+        wide in any::<bool>(),
+    ) {
+        // `wide` spreads the logits to ±400, where the shifted
+        // exponentials underflow to zero.
+        let scale = if wide { 40.0 } else { 1.0 };
+        let v: Vector = logits.iter().map(|&x| x * scale).collect();
+        let want_loss = -ops::log_softmax(&v)[label];
+        let want_grad = ops::cross_entropy_grad(&v, label);
+        prop_assert_eq!(ops::cross_entropy_loss(v.as_slice(), label).to_bits(), want_loss.to_bits());
+        let mut grad = vec![7.0f32; v.len()];
+        let loss = ops::cross_entropy_into(v.as_slice(), label, &mut grad);
+        prop_assert_eq!(loss.to_bits(), want_loss.to_bits());
+        for (g, w) in grad.iter().zip(want_grad.iter()) {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
 }
 
 proptest! {

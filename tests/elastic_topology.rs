@@ -3,12 +3,13 @@
 //! Four guarantees are pinned here, mirroring the depth-equivalence
 //! suite's structure for the topology-churn axis:
 //!
-//! 1. **Empty-plan identity** — `run` / `simulate` with an empty
-//!    [`ChurnPlan`] are *bitwise* the frozen-tree engines for
-//!    every algorithm in the five-algorithm lineup: same curve, final
-//!    parameters, diagnostics traces and simulated clock, with all-zero
-//!    topology counters. Elasticity must cost nothing when nothing
-//!    churns.
+//! 1. **Idle-plan identity** — `run` / `simulate` with a non-empty
+//!    [`ChurnPlan`] that never fires (its events fall at or after the
+//!    final cloud round) take the churn path as one segment and are
+//!    *bitwise* the frozen-tree engines for every algorithm in the
+//!    five-algorithm lineup: same curve, final parameters, diagnostics
+//!    traces and simulated clock, with all-zero topology counters.
+//!    Elasticity must cost nothing when nothing churns.
 //! 2. **Churn determinism** — a non-trivial `(plan, seed)` pair replays
 //!    bitwise across thread counts *and* across engines (core driver vs
 //!    FullSync co-simulation), topology counters included.
@@ -81,8 +82,24 @@ fn churn_plan() -> ChurnPlan {
 }
 
 #[test]
-fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
+fn never_firing_plan_is_bitwise_identical_to_the_frozen_engines() {
     let fx = sim_fixture(0.0);
+    // Non-empty, so `run` and `simulate` take their churn paths, but
+    // nothing fires: the explicit event is scheduled at the run's final
+    // cloud round (nothing left to act on) and the periodic reform first
+    // falls after it. Each engine runs the whole span as one segment.
+    let rounds = fx.cfg.total_iters / (fx.cfg.tau * fx.cfg.pi);
+    let idle = ChurnPlan {
+        events: vec![ScheduledEvent {
+            round: rounds,
+            event: TopologyEvent::EdgeReform,
+        }],
+        reform_every: Some(rounds + 1),
+    };
+    assert!(!idle.is_empty());
+    assert!(idle.boundary_rounds(rounds).is_empty());
+    let mut idle_cfg = fx.cfg.clone();
+    idle_cfg.churn = idle;
     for strategy in lineup() {
         let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
         let frozen = run(
@@ -98,7 +115,7 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
             &model,
             &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
             &fx.test,
-            &fx.cfg,
+            &idle_cfg,
         )
         .unwrap();
         let label = strategy.name();
@@ -111,7 +128,7 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
         assert_eq!(frozen.cos_trace, elastic.cos_trace, "{label}: cos");
         assert!(
             elastic.topology.is_zero(),
-            "{label}: empty plan tallied topology counters"
+            "{label}: a plan that never fires tallied topology counters"
         );
 
         let sim_cfg = sim_config(7, SyncPolicy::FullSync);
@@ -131,7 +148,7 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
             &fx.hierarchy,
             &fx.shards,
             &fx.test,
-            &fx.cfg,
+            &idle_cfg,
             &sim_cfg,
         )
         .unwrap();

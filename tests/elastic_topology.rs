@@ -20,11 +20,16 @@
 //!    adversary plan under every [`SyncPolicy`] without deadlock, and a
 //!    checkpoint taken mid-plan resumes across the remaining topology
 //!    epochs bitwise, through a JSON round-trip, at any thread count.
+//!
+//! The relaxed-policy chaos cells and one tick-engine churn run are also
+//! pinned by value, so a change that moved both engines the same way
+//! would still fail.
 
 mod common;
 
 use common::{
-    assert_bitwise_equal, matrix_policies, sim_config, sim_fixture, wide_sim_fixture, SimFixture,
+    assert_bitwise_equal, bits_hash, matrix_policies, sim_config, sim_fixture, wide_sim_fixture,
+    SimFixture,
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
@@ -447,4 +452,307 @@ fn deadline_policy_survives_a_minority_edge_failure_without_deadlock() {
         assert_eq!(out.topology.orphaned_rounds, 2, "{policy:?}");
         assert!(!out.curve.is_empty(), "{policy:?}: no eval points");
     }
+}
+
+/// One churn run pinned by value: the parameters by bit hash and sum, the
+/// γ trace, the accuracies, the topology counters and, for the event
+/// engine, the timed axis, the event count and every actor's utilization.
+#[derive(Debug, PartialEq)]
+struct ChurnPin {
+    label: &'static str,
+    params_hash: u64,
+    sum: f32,
+    gamma: Vec<(usize, f32)>,
+    accuracy: Vec<f64>,
+    /// `[joins, leaves, migrations, reformations, orphaned_rounds]`.
+    topology: [u64; 5],
+    /// Bits of each timed point's seconds (empty for the tick engine).
+    seconds: Vec<u64>,
+    simulated_seconds: u64,
+    events: u64,
+    /// `(actor, utilization bits, poisoned uploads)` per actor; the tick
+    /// engine reports `(uid, 0, poisoned uploads)` per registered worker.
+    actors: Vec<(String, u64, u64)>,
+}
+
+fn topology_row(t: &hieradmo::metrics::TopologyCounters) -> [u64; 5] {
+    [
+        t.joins,
+        t.leaves,
+        t.migrations,
+        t.reformations,
+        t.orphaned_rounds,
+    ]
+}
+
+/// The composition test's chaos cell: churn plan, sign-flip adversary on
+/// uid 0, and a fault plan with transient and permanent crashes, link
+/// faults and delay spikes.
+fn chaos_cell() -> (SimFixture, hieradmo::core::RunConfig, FaultPlan) {
+    let fx = churn_fixture();
+    let mut cfg = fx.cfg.clone();
+    cfg.churn = churn_plan();
+    cfg.adversary = AdversaryPlan::uniform([0], AttackModel::SignFlip { scale: 3.0 });
+    let faults = FaultPlan {
+        crash: Some(CrashProfile {
+            per_step: 0.2,
+            min_downtime_ms: 10.0,
+            max_downtime_ms: 50.0,
+        }),
+        permanent: vec![PermanentCrash {
+            worker: 1,
+            at_ms: 150.0,
+        }],
+        link: Some(LinkFaults::flaky()),
+        spikes: Some(DelaySpikes {
+            prob: 0.2,
+            factor: 3.0,
+        }),
+    };
+    (fx, cfg, faults)
+}
+
+#[test]
+fn relaxed_churn_trajectories_are_pinned() {
+    let (fx, cfg, faults) = chaos_cell();
+    let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
+    let strategy = HierAdMo::adaptive(0.01, 0.5);
+    let [_, deadline, async_age] = matrix_policies();
+    let got: Vec<ChurnPin> = [
+        ("simulate, churn, Deadline, faults, sign-flip", deadline),
+        ("simulate, churn, AsyncAge, faults, sign-flip", async_age),
+    ]
+    .into_iter()
+    .map(|(label, policy)| {
+        let sim_cfg = sim_config(11, policy).with_faults(faults.clone());
+        let r = simulate(
+            &strategy,
+            &model,
+            &fx.hierarchy,
+            &fx.shards,
+            &fx.test,
+            &cfg,
+            &sim_cfg,
+        )
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let actors = r.utilization.iter().zip(&r.adversaries).map(|(u, a)| {
+            assert_eq!(u.actor, a.actor, "{label}: actor order");
+            (
+                u.actor.clone(),
+                u.utilization.to_bits(),
+                a.counters.poisoned_uploads,
+            )
+        });
+        ChurnPin {
+            label,
+            params_hash: bits_hash(r.final_params.as_slice()),
+            sum: r.final_params.iter().sum(),
+            gamma: r.gamma_trace.clone(),
+            accuracy: r.curve.points().iter().map(|p| p.test_accuracy).collect(),
+            topology: topology_row(&r.topology),
+            seconds: r
+                .timed_curve
+                .points()
+                .iter()
+                .map(|p| p.seconds.to_bits())
+                .collect(),
+            simulated_seconds: r.simulated_seconds.to_bits(),
+            events: r.events,
+            actors: actors.collect(),
+        }
+    })
+    .collect();
+    let actors = |rows: [(&str, u64, u64); 8]| {
+        rows.iter()
+            .map(|&(a, u, p)| (a.to_string(), u, p))
+            .collect::<Vec<_>>()
+    };
+    let pins = [
+        ChurnPin {
+            label: "simulate, churn, Deadline, faults, sign-flip",
+            params_hash: 15614383120938724460,
+            sum: 0.73428965,
+            gamma: vec![
+                (1, 0.015684357),
+                (2, 0.05146321),
+                (3, 0.022793999),
+                (4, 0.0),
+                (5, 0.06085687),
+                (6, 0.075992815),
+                (7, 0.0),
+                (8, 0.0),
+                (9, 0.02891232),
+                (10, 0.0258375),
+                (11, 0.052609004),
+                (12, 0.1043358),
+            ],
+            accuracy: vec![
+                0.11666666666666667,
+                0.09333333333333334,
+                0.3333333333333333,
+                0.45666666666666667,
+                0.14,
+            ],
+            topology: [1, 0, 2, 1, 2],
+            seconds: vec![
+                4609541740025438636,
+                4620920897976658867,
+                4625061480507629087,
+                4627086723520702675,
+                4628540719743112671,
+            ],
+            simulated_seconds: 4628540719743112671,
+            events: 527,
+            actors: actors([
+                ("worker-0", 4606683648234277791, 8),
+                ("worker-1", 4573562289648292496, 0),
+                ("worker-2", 4595351627792718279, 0),
+                ("worker-3", 4595298083474258691, 0),
+                ("worker-4", 4599316550735761265, 0),
+                ("edge-0", 4577716608103636556, 0),
+                ("edge-1", 4575816744725383690, 0),
+                ("cloud", 4554185085011846179, 0),
+            ]),
+        },
+        ChurnPin {
+            label: "simulate, churn, AsyncAge, faults, sign-flip",
+            params_hash: 18391106325930593714,
+            sum: 0.005720241,
+            gamma: vec![
+                (1, 0.007842178),
+                (2, 0.045715522),
+                (3, 0.013728554),
+                (4, 0.056337588),
+                (5, 0.0113969995),
+                (6, 0.0),
+                (7, 0.030368667),
+                (8, 0.013458767),
+                (9, 0.037009053),
+                (10, 0.013132814),
+                (11, 0.0),
+                (12, 0.0068282597),
+                (13, 0.0),
+                (14, 0.0),
+                (15, 0.005811293),
+                (16, 0.0),
+                (17, 0.007333654),
+                (18, 0.088482395),
+                (19, 0.0),
+                (20, 0.04575855),
+                (21, 0.043652523),
+                (22, 0.006916065),
+                (23, 0.08391255),
+                (24, 0.0),
+            ],
+            accuracy: vec![
+                0.08333333333333333,
+                0.14666666666666667,
+                0.16,
+                0.13666666666666666,
+                0.14666666666666667,
+                0.19,
+                0.14666666666666667,
+                0.14666666666666667,
+                0.39666666666666667,
+                0.21333333333333335,
+                0.29,
+                0.07,
+            ],
+            topology: [1, 0, 2, 1, 2],
+            seconds: vec![
+                4607515120193121913,
+                4610260261142242632,
+                4619590452836779982,
+                4620355310342997485,
+                4621270097591636905,
+                4621911575755629782,
+                4624116458401030518,
+                4624736511596253919,
+                4626386071543098720,
+                4626927078291042662,
+                4628346485381264726,
+                4628597293310498148,
+            ],
+            simulated_seconds: 4628597293310498147,
+            events: 528,
+            actors: actors([
+                ("worker-0", 4606622748998691777, 8),
+                ("worker-1", 4573512814965954036, 0),
+                ("worker-2", 4595307368507741998, 0),
+                ("worker-3", 4595254207433731338, 0),
+                ("worker-4", 4599276147039108355, 0),
+                ("edge-0", 4583531902446395191, 0),
+                ("edge-1", 4580320869980175591, 0),
+                ("cloud", 4560309407089350907, 0),
+            ]),
+        },
+    ];
+    assert_eq!(got.len(), pins.len());
+    for (g, pin) in got.iter().zip(&pins) {
+        assert_eq!(g, pin, "{}: relaxed churn trajectory moved", pin.label);
+    }
+}
+
+#[test]
+fn core_churn_trajectory_is_pinned() {
+    let (fx, cfg, _) = chaos_cell();
+    let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
+    let strategy = HierAdMo::adaptive(0.01, 0.5);
+    let r = run(
+        &strategy,
+        &model,
+        &RunSpec::hierarchy(&fx.hierarchy, &fx.shards),
+        &fx.test,
+        &cfg,
+    )
+    .unwrap();
+    let got = ChurnPin {
+        label: "run, churn, sign-flip",
+        params_hash: bits_hash(r.final_params.as_slice()),
+        sum: r.final_params.iter().sum(),
+        gamma: r.gamma_trace.clone(),
+        accuracy: r.curve.points().iter().map(|p| p.test_accuracy).collect(),
+        topology: topology_row(&r.topology),
+        seconds: Vec::new(),
+        simulated_seconds: 0,
+        events: 0,
+        actors: r
+            .adversaries
+            .iter()
+            .enumerate()
+            .map(|(uid, a)| (uid.to_string(), 0, a.poisoned_uploads))
+            .collect(),
+    };
+    let pin = ChurnPin {
+        label: "run, churn, sign-flip",
+        params_hash: 2114127491397126035,
+        sum: -0.0048784018,
+        gamma: vec![
+            (1, 0.017854601),
+            (2, 0.024208803),
+            (3, 0.023152415),
+            (4, 0.032607067),
+            (5, 0.045624986),
+            (6, 0.088705055),
+            (7, 0.10375598),
+            (8, 0.0540633),
+        ],
+        accuracy: vec![
+            0.52,
+            0.3,
+            0.3566666666666667,
+            0.5666666666666667,
+            0.24666666666666667,
+            0.2633333333333333,
+        ],
+        topology: [1, 0, 2, 1, 2],
+        seconds: Vec::new(),
+        simulated_seconds: 0,
+        events: 0,
+        actors: [("0", 8), ("1", 0), ("2", 0), ("3", 0), ("4", 0)]
+            .iter()
+            .map(|&(uid, p)| (uid.to_string(), 0, p))
+            .collect(),
+    };
+    assert_eq!(got, pin, "core churn trajectory moved");
 }

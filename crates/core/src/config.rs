@@ -98,9 +98,9 @@ pub struct RunConfig {
     pub sampling: ClientSampling,
     /// Deterministic topology churn. The empty plan (default) freezes the
     /// tree and is bitwise identical to runs that predate this field; a
-    /// non-empty plan runs a hierarchy source under the elastic runtime
-    /// ([`crate::elastic`]), and is a [`crate::RunError::BadConfig`] on a
-    /// tree or population source.
+    /// non-empty plan re-shapes a hierarchy source's tree at its
+    /// boundaries ([`crate::elastic`]), and is a
+    /// [`crate::RunError::BadConfig`] on a tree or population source.
     #[serde(default)]
     pub churn: ChurnPlan,
 }

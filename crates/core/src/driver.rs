@@ -30,6 +30,7 @@ use rand::{Rng, SeedableRng};
 use crate::byzantine::{corrupt_upload, replay_upload};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
+use crate::elastic::Churn;
 /// Samples per evaluation chunk, fixed for every thread count.
 pub use crate::pool::EVAL_CHUNK;
 use crate::pool::{Download, EdgeItem, ExecCtx, Pool, Segment};
@@ -141,10 +142,10 @@ pub struct RunResult {
     /// Per-phase wall-clock breakdown of `elapsed`.
     pub timings: PhaseTimings,
     /// Byzantine corruption tallies. Registered runs (hierarchies, trees
-    /// and full-participation populations) index them by flat worker, one
-    /// entry per worker; sampled populations by entry of
-    /// [`RunConfig::adversary`](crate::RunConfig); churn runs
-    /// ([`crate::elastic`]) by registered uid. Entries of honest workers
+    /// and full-participation populations) index them by uid, one entry
+    /// per registered worker — its flat position on a frozen tree;
+    /// sampled populations by entry of
+    /// [`RunConfig::adversary`](crate::RunConfig). Entries of honest workers
     /// stay all-zero.
     pub adversaries: Vec<AdversaryCounters>,
     /// Churn tallies from the elastic topology layer ([`crate::elastic`]).
@@ -261,10 +262,12 @@ impl<'a> RunSpec<'a> {
 /// # Sources, churn and spans
 ///
 /// - **Hierarchy, empty churn plan**: one dataset per worker. Any span.
-/// - **Hierarchy, non-empty [`RunConfig::churn`]**: the elastic runtime
-///   ([`crate::elastic`]) segments the loop at every churn boundary;
-///   trailing datasets are join candidates. Any span; a `stop_at`
-///   snapshot carries the topology version in force.
+/// - **Hierarchy, non-empty [`RunConfig::churn`]**: at every churn
+///   boundary the loop moves its live state into the next topology
+///   epoch's tree ([`crate::elastic`]) and re-derives the epoch's streams
+///   as a resume there would; trailing datasets are join candidates. Any
+///   span; a `stop_at` snapshot carries the topology version in force,
+///   and a malformed one is [`RunError::Data`].
 /// - **Tree**: like a hierarchy, plus `(τ, π)` must match the tree. Any
 ///   span. A non-empty churn plan is [`RunError::BadConfig`].
 /// - **Population**: under full participation
@@ -311,34 +314,22 @@ where
         Source::Hierarchy {
             hierarchy,
             worker_data,
-        } if !cfg.churn.is_empty() => {
-            return crate::elastic::run_elastic(
-                strategy,
-                model,
+        } => {
+            cfg.validate().map_err(RunError::BadConfig)?;
+            let registered = Participants::Registered {
                 hierarchy,
                 worker_data,
-                test_data,
-                cfg,
-                resume,
-                stop_at,
-            )
+                churn: Churn::start(hierarchy, worker_data, cfg, resume)?,
+            };
+            (registered, None)
         }
-        Source::Hierarchy {
-            hierarchy,
-            worker_data,
-        } => (
-            Participants::Registered {
-                hierarchy,
-                worker_data,
-            },
-            None,
-        ),
         Source::Tree { tree, worker_data } => {
             edge_hierarchy = tree.edge_hierarchy();
             let hierarchy = &edge_hierarchy;
             let registered = Participants::Registered {
                 hierarchy,
                 worker_data,
+                churn: None,
             };
             (registered, Some(tree))
         }
@@ -355,6 +346,7 @@ where
                 let registered = Participants::Registered {
                     hierarchy: &materialized.0,
                     worker_data: &materialized.1,
+                    churn: None,
                 };
                 (registered, tree)
             } else {
@@ -415,14 +407,20 @@ where
 /// between a materialized run and a sampled one.
 pub(crate) enum Participants<'a> {
     /// Full participation: every hierarchy worker steps every tick and
-    /// keeps its state and streams for the whole span — a batcher seeded
-    /// `seed + i`, the run-wide dropout RNG drawn tick by tick in flat
-    /// order, and a persistent adversary sampler per Byzantine worker,
-    /// tallied per worker. A resumed span replays these streams over the
-    /// trained prefix.
+    /// keeps its state and streams for the whole topology epoch — a
+    /// batcher seeded `seed + i`, the run-wide dropout RNG drawn tick by
+    /// tick in flat order, and a persistent adversary sampler per
+    /// Byzantine worker, tallied per uid. A resumed span, and every epoch
+    /// after a churn boundary, replays these streams over the trained
+    /// prefix.
     Registered {
+        /// The (initial) tree.
         hierarchy: &'a Hierarchy,
+        /// One dataset per registered uid.
         worker_data: &'a [Dataset],
+        /// The topology under a non-empty churn plan; `None` on a frozen
+        /// tree, whose uids are its flat positions.
+        churn: Option<Churn>,
     },
     /// Per-round client sampling over a virtual population: each round,
     /// every edge draws a cohort for its slots ([`draw_edge_cohort`]),
@@ -462,12 +460,19 @@ struct Layout<'a> {
     tree: Option<TierTree>,
     /// The datasets step contexts index into.
     data: &'a [Dataset],
+    /// Number of adversary tallies in the result.
+    tallies: usize,
+}
+
+/// The per-slot streams of one topology epoch, positioned at a tick by
+/// [`Participants::streams`].
+struct Streams {
     /// Per-slot step contexts; sampled slots get theirs each round.
     ctxs: Vec<Option<StepCtx>>,
     /// Per-slot adversaries; sampled slots get theirs each round.
     adversaries: Vec<Option<Adversary>>,
-    /// Number of adversary tallies in the result.
-    tallies: usize,
+    /// The run-wide dropout RNG of registered workers.
+    dropout: StdRng,
 }
 
 impl<'a> Participants<'a> {
@@ -479,7 +484,10 @@ impl<'a> Participants<'a> {
         cfg: &RunConfig,
         tiers: Option<&TierTree>,
     ) -> Result<Layout<'a>, RunError> {
-        let registered = match *self {
+        let registered = match self {
+            Participants::Registered {
+                churn: Some(churn), ..
+            } => churn.version().registered() as u64,
             Participants::Registered { hierarchy, .. } => hierarchy.num_workers() as u64,
             Participants::Sampled { population, .. } => population.total_workers(),
         };
@@ -499,37 +507,25 @@ impl<'a> Participants<'a> {
             Participants::Registered {
                 hierarchy,
                 worker_data,
+                ref churn,
             } => {
                 check_registered_sampling(cfg)?;
-                check_worker_data(hierarchy, worker_data)?;
-                let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
-                let ctxs = worker_data.iter().enumerate().map(|(i, d)| {
-                    Some(StepCtx {
-                        data: i,
-                        batcher: Batcher::new(
-                            d.len(),
-                            cfg.batch_size,
-                            cfg.seed.wrapping_add(i as u64),
-                        ),
-                        download: None,
-                    })
-                });
-                // Each Byzantine worker owns a salted adversary stream
-                // derived from the *training* seed, so the same poisoned
-                // trajectory replays under any network seed and any
-                // thread count.
-                let adversaries = (0..hierarchy.num_workers()).map(|i| {
-                    let attack = cfg.adversary.attack_for(i)?;
-                    Some((attack, AdversarySampler::from_stream(cfg.seed, i as u64), i))
-                });
+                let (hierarchy, weights) = match churn {
+                    Some(churn) => churn.tree(),
+                    None => {
+                        check_worker_data(hierarchy, worker_data)?;
+                        let samples: Vec<u64> =
+                            worker_data.iter().map(|d| d.len() as u64).collect();
+                        let weights = Weights::from_samples(hierarchy, &samples);
+                        (hierarchy.clone(), weights)
+                    }
+                };
                 Ok(Layout {
-                    weights: Weights::from_samples(hierarchy, &samples),
-                    hierarchy: hierarchy.clone(),
+                    weights,
+                    hierarchy,
                     tree: tiers.cloned(),
                     data: worker_data,
-                    ctxs: ctxs.collect(),
-                    adversaries: adversaries.collect(),
-                    tallies: hierarchy.num_workers(),
+                    tallies: worker_data.len(),
                 })
             }
             Participants::Sampled {
@@ -540,17 +536,107 @@ impl<'a> Participants<'a> {
             } => {
                 let (hierarchy, weights, tree) =
                     cohort_federation(strategy, population, shard_sizes, cfg, tiers)?;
-                let slots = hierarchy.num_workers();
                 Ok(Layout {
                     weights,
                     hierarchy,
                     tree,
                     data: shards,
-                    ctxs: (0..slots).map(|_| None).collect(),
-                    adversaries: (0..slots).map(|_| None).collect(),
                     tallies: cfg.adversary.byzantine.len(),
                 })
             }
+        }
+    }
+
+    /// The uid at each flat position of a registered run's current tree.
+    fn uids(&self, slots: usize) -> Vec<usize> {
+        match self {
+            Participants::Registered {
+                churn: Some(churn), ..
+            } => churn.uids(),
+            _ => (0..slots).collect(),
+        }
+    }
+
+    /// The streams of the federation `state` positioned at tick `t`: the
+    /// draws an uninterrupted run would have made by then — every dropout
+    /// decision, one mini-batch per active step, one upload per Byzantine
+    /// worker — replayed without computing any step. Registered slot `i`
+    /// trains on its uid's dataset with a batcher seeded `seed + i`, and a
+    /// Byzantine uid owns a salted adversary stream keyed by `i` and
+    /// derived from the *training* seed, so the same poisoned trajectory
+    /// replays under any network seed and any thread count. Sampled slots
+    /// hold no streams before their first round, so they replay nothing.
+    fn streams(&self, cfg: &RunConfig, state: &FlState, t: usize) -> Streams {
+        let slots = state.workers.len();
+        let mut streams = Streams {
+            ctxs: (0..slots).map(|_| None).collect(),
+            adversaries: (0..slots).map(|_| None).collect(),
+            dropout: StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f),
+        };
+        let Participants::Registered { worker_data, .. } = self else {
+            return streams;
+        };
+        for (i, uid) in self.uids(slots).into_iter().enumerate() {
+            let seed = cfg.seed.wrapping_add(i as u64);
+            streams.ctxs[i] = Some(StepCtx {
+                data: uid,
+                batcher: Batcher::new(worker_data[uid].len(), cfg.batch_size, seed),
+                download: None,
+            });
+            streams.adversaries[i] = cfg.adversary.attack_for(uid).map(|attack| {
+                let sampler = AdversarySampler::from_stream(cfg.seed, i as u64);
+                (attack, sampler, uid)
+            });
+        }
+        let mut batch = Vec::new();
+        for k in 1..=t / cfg.tau {
+            let (from, to) = ((k - 1) * cfg.tau, k * cfg.tau);
+            let ticks = self.step_ticks(k, from, to, cfg, &mut streams.dropout, slots);
+            for (ctx, ticks) in streams.ctxs.iter_mut().flatten().zip(ticks) {
+                for _ in ticks {
+                    ctx.batcher.next_batch_into(&mut batch);
+                }
+            }
+            for (attack, sampler, _) in streams.adversaries.iter_mut().flatten() {
+                replay_upload(state.dim(), attack, sampler);
+            }
+        }
+        streams
+    }
+
+    /// The capped training probe of the current tree's workers.
+    fn train_probe(&self, cfg: &RunConfig, slots: usize) -> Dataset {
+        match self {
+            Participants::Registered { worker_data, .. } => {
+                let members = self.uids(slots).into_iter().map(|u| &worker_data[u]);
+                build_train_probe(members, cfg.train_eval_cap)
+            }
+            Participants::Sampled { shards, .. } => build_train_probe(*shards, cfg.train_eval_cap),
+        }
+    }
+
+    /// The churn plan's boundary step after tick `t`, if one falls there:
+    /// transforms `state` into the next topology epoch (see
+    /// [`Churn::cross`]) and returns `true`.
+    fn cross<S: Strategy + ?Sized>(
+        &mut self,
+        t: usize,
+        state: &mut FlState,
+        strategy: &S,
+    ) -> Result<bool, RunError> {
+        match self {
+            Participants::Registered {
+                churn: Some(churn), ..
+            } if churn.is_boundary(t) => churn.cross(t, state, strategy).map(|()| true),
+            _ => Ok(false),
+        }
+    }
+
+    /// The churn state, on a churn run.
+    fn churn(&self) -> Option<&Churn> {
+        match self {
+            Participants::Registered { churn, .. } => churn.as_ref(),
+            Participants::Sampled { .. } => None,
         }
     }
 
@@ -748,8 +834,8 @@ pub fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Resu
     }
 }
 
-/// The one tick loop behind [`run`]: every source, and every epoch
-/// segment of a churn run (`crate::elastic`). Optionally lays the run over
+/// The one tick loop behind [`run`]: every source, with a churn run's
+/// boundaries as a step of the loop. Optionally lays the run over
 /// a [`TierTree`] (`tiers`), starts from a mid-run snapshot (`resume`),
 /// and stops at an edge boundary (`stop_at`, which also makes it return
 /// the state there in [`RunResult::snapshot`]).
@@ -769,7 +855,7 @@ where
     S: Strategy + ?Sized,
 {
     cfg.validate().map_err(RunError::BadConfig)?;
-    if !cfg.churn.is_empty() {
+    if !cfg.churn.is_empty() && participants.churn().is_none() {
         return Err(RunError::BadConfig(
             "a ChurnPlan applies to a Hierarchy source only; tier trees and \
              populations run on a frozen tree"
@@ -797,8 +883,6 @@ where
         weights,
         tree,
         data,
-        mut ctxs,
-        mut adversaries,
         tallies,
     } = participants.layout(strategy, cfg, tiers)?;
     strategy
@@ -825,11 +909,16 @@ where
         }
     };
 
-    let train_probe = build_train_probe(data, cfg.train_eval_cap);
-    let slots = state.workers.len();
-    let mut dropout_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f);
+    let mut slots = state.workers.len();
+    let train_probe = participants.train_probe(cfg, slots);
+    let Streams {
+        mut ctxs,
+        mut adversaries,
+        mut dropout,
+    } = participants.streams(cfg, &state, start);
     // Edge jobs read the data weights by shared reference while the loop
-    // holds `&mut state`; sampled rounds refresh this copy.
+    // holds `&mut state`; sampled rounds and churn boundaries refresh this
+    // copy.
     let mut edge_weights = Arc::new(state.weights.clone());
 
     let mut curve = ConvergenceCurve::new();
@@ -837,29 +926,9 @@ where
     let mut cos_trace = Vec::new();
     let mut tier_gamma: Vec<Vec<(usize, f32)>> = vec![Vec::new(); state.middle.len()];
     // Every edge's staleness at the root: this loop is synchronous.
-    let in_sync = vec![0; state.edges.len()];
+    let mut in_sync = vec![0; state.edges.len()];
     let mut timings = PhaseTimings::default();
     let mut adversary_counters = vec![AdversaryCounters::default(); tallies];
-
-    // Fast-forward over the already-trained prefix: replay exactly the
-    // draws an uninterrupted run would make — every dropout decision, one
-    // mini-batch per active step, one upload per Byzantine worker —
-    // without computing any step, so every registered stream resumes at
-    // the position it held at the snapshot. Sampled slots hold no streams
-    // before their first round, so they replay nothing.
-    let mut batch = Vec::new();
-    for k in 1..=start / cfg.tau {
-        let (from, to) = ((k - 1) * cfg.tau, k * cfg.tau);
-        let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout_rng, slots);
-        for (ctx, ticks) in ctxs.iter_mut().flatten().zip(ticks) {
-            for _ in ticks {
-                ctx.batcher.next_batch_into(&mut batch);
-            }
-        }
-        for (attack, sampler, _) in adversaries.iter_mut().flatten() {
-            replay_upload(state.dim(), attack, sampler);
-        }
-    }
 
     // Local steps run in intervals ending wherever something reads worker
     // state: a round's end (edge aggregation) or a mid-round evaluation.
@@ -875,7 +944,7 @@ where
         train_probe: &train_probe,
     };
 
-    std::thread::scope(|scope| {
+    std::thread::scope(|scope| -> Result<(), RunError> {
         let mut pool = Pool::new(scope, ctx, model, slots);
 
         let mut from = start;
@@ -892,7 +961,7 @@ where
                     &mut edge_weights,
                 );
             }
-            let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout_rng, slots);
+            let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout, slots);
             local_steps(&mut pool, &mut state, &mut ctxs, ticks);
             timings.local_steps += t0.elapsed();
             from = to;
@@ -944,10 +1013,29 @@ where
                 });
                 timings.eval += t0.elapsed();
             }
+
+            // A churn boundary opens the next topology epoch, whose
+            // streams, probe and weights re-derive as a resume at `to`
+            // would. The one at `end` applies after the loop.
+            if to < end && participants.cross(to, &mut state, strategy)? {
+                slots = state.workers.len();
+                Streams {
+                    ctxs,
+                    adversaries,
+                    dropout,
+                } = participants.streams(cfg, &state, to);
+                pool.set_train_probe(participants.train_probe(cfg, slots));
+                edge_weights = Arc::new(state.weights.clone());
+                in_sync = vec![0; state.edges.len()];
+            }
         }
-    });
+        Ok(())
+    })?;
 
     let final_params = participants.global_params(strategy, &state);
+    // A stop exactly at a churn boundary captures the post-transform tree,
+    // so the resume never re-applies it.
+    participants.cross(end, &mut state, strategy)?;
     let snapshot = stop_at.map(|stop| TrainingSnapshot {
         algorithm: strategy.name().to_string(),
         tick: stop,
@@ -955,7 +1043,7 @@ where
         edges: state.edges.clone(),
         cloud: state.cloud.clone(),
         middle: state.middle.clone(),
-        topology: None,
+        topology: participants.churn().map(|c| c.version().clone()),
     });
     Ok(RunResult {
         algorithm: strategy.name().to_string(),
@@ -967,7 +1055,10 @@ where
         elapsed: started.elapsed(),
         timings,
         adversaries: adversary_counters,
-        topology: TopologyCounters::default(),
+        topology: participants
+            .churn()
+            .map(Churn::counters)
+            .unwrap_or_default(),
         snapshot,
     })
 }
@@ -1170,8 +1261,12 @@ fn edge_aggregations<M, S>(
 /// Public so alternative drivers (the event-driven co-simulation runtime in
 /// `hieradmo-simrt`) can build the *same* probe and keep their evaluation
 /// bitwise comparable to [`run`].
-pub fn build_train_probe(worker_data: &[Dataset], cap: usize) -> Dataset {
-    let total: usize = worker_data.iter().map(Dataset::len).sum();
+pub fn build_train_probe<'d>(
+    worker_data: impl IntoIterator<Item = &'d Dataset>,
+    cap: usize,
+) -> Dataset {
+    let worker_data: Vec<&Dataset> = worker_data.into_iter().collect();
+    let total: usize = worker_data.iter().map(|d| d.len()).sum();
     let take = cap.min(total).max(1);
     let mut samples = Vec::with_capacity(take);
     let mut cursors = vec![0usize; worker_data.len()];

@@ -1,31 +1,31 @@
-//! Elastic hierarchy runtime: churn, live re-parenting, and graceful
-//! degradation over the tick-driven engine.
+//! Elastic hierarchy: churn, live re-parenting, and graceful
+//! degradation, as a boundary step of both training loops.
 //!
 //! The frozen-tree invariant — every `TierPath` stable for the life of a
 //! run — relaxes here to *stable within a topology epoch*. A
 //! [`ChurnPlan`] in [`RunConfig::churn`] schedules [`TopologyEvent`]s at
-//! cloud-round boundaries (ticks `r·τ·π`). Given a hierarchy source and a
-//! non-empty plan, [`crate::run`] splits the run into epoch segments,
-//! executes each segment through the unchanged frozen-tree loop (with
-//! resume + stop), and applies the boundary's events to the
-//! [`TrainingSnapshot`] between segments via [`apply_churn_boundary`] — a
-//! pure function of `(snapshot, plan, seed)` that the event-driven
-//! runtime (`hieradmo-simrt`) calls too, so both engines evolve the
-//! identical topology and carry identical state across every epoch.
+//! cloud-round boundaries (ticks `r·τ·π`). A registered run under a
+//! non-empty plan carries a [`Churn`]: the tick loop
+//! (`crate::driver::run_span`) and the event engine (`hieradmo-simrt`)
+//! each call [`Churn::cross`] at every boundary, which transforms the
+//! live [`FlState`] in place — a pure function of `(state, plan, seed)`,
+//! so both engines evolve the identical topology and carry identical
+//! state across every epoch. Each loop then re-derives the epoch's
+//! streams and actors exactly as a resume at that tick does.
 //!
-//! Consequences of the segmented design, all deterministic and gated by
+//! Consequences, all deterministic and gated by
 //! `tests/elastic_topology.rs`:
 //!
-//! * an **empty plan** never reaches this module: it is the frozen-tree
-//!   run itself;
+//! * an **empty plan** carries no [`Churn`]: it is the frozen-tree run
+//!   itself;
 //! * per-worker RNG streams (mini-batch order, adversary draws) are keyed
 //!   by *flat position within the epoch's tree*, so a worker that changes
 //!   parents continues on the stream of its new position — a pure
 //!   function of `(plan, seed)`, replayed identically by every engine and
 //!   thread count;
 //! * the adversary plan is keyed by **uid** (registered data index) and
-//!   re-mapped to flat positions per epoch, so a Byzantine worker stays
-//!   Byzantine wherever it migrates;
+//!   looked up per flat position through the epoch's uid map, so a
+//!   Byzantine worker stays Byzantine wherever it migrates;
 //! * weight shares re-derive per epoch from the members' sample counts —
 //!   re-parenting renormalizes `D_{i,ℓ}/D_ℓ` and `D_ℓ/D` automatically.
 //!
@@ -40,73 +40,15 @@
 use std::collections::BTreeMap;
 
 use hieradmo_data::Dataset;
-use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, TopologyCounters};
-use hieradmo_models::Model;
-use hieradmo_netsim::AdversaryPlan;
+use hieradmo_metrics::TopologyCounters;
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion};
+use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion, Weights};
 
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{run_span, Participants, RunError, RunResult};
-use crate::state::{TierState, WorkerState};
+use crate::driver::RunError;
+use crate::state::{FlState, TierState, WorkerState};
 use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
-
-/// The initial [`TopologyVersion`] of an elastic run: the configured
-/// hierarchy's edges all live, uids dealt in flat order, and
-/// `registered − hierarchy.num_workers()` trailing uids registered but
-/// absent (join candidates).
-///
-/// # Errors
-///
-/// Everything [`TopologyVersion::initial`] rejects, as a human-readable
-/// message.
-pub fn initial_version(
-    hierarchy: &Hierarchy,
-    registered: usize,
-) -> Result<TopologyVersion, String> {
-    let sizes: Vec<usize> = (0..hierarchy.num_edges())
-        .map(|e| hierarchy.workers_in_edge(e))
-        .collect();
-    TopologyVersion::initial(&sizes, registered)
-}
-
-/// The frozen tree of one topology epoch: the `Hierarchy` the engines
-/// execute against plus the flat-position → uid map behind it.
-pub fn epoch_tree(version: &TopologyVersion) -> (Hierarchy, Vec<usize>) {
-    (
-        Hierarchy::new(version.live_edge_sizes()),
-        version.flat_members(),
-    )
-}
-
-/// The ticks in `(start, end]` at which `plan` mutates the topology: one
-/// per scheduled cloud-round boundary, `round · τ · π` each. `end` is
-/// included so a checkpoint taken exactly at a boundary carries the
-/// *post*-transform tree (the resume never re-applies the boundary).
-pub fn epoch_cuts(plan: &ChurnPlan, cfg: &RunConfig, start: usize, end: usize) -> Vec<usize> {
-    let interval = cfg.tau * cfg.pi;
-    plan.boundary_rounds(cfg.total_iters / interval)
-        .into_iter()
-        .map(|r| r * interval)
-        .filter(|&t| t > start && t <= end)
-        .collect()
-}
-
-/// Re-keys a uid-keyed adversary plan onto the flat positions of one
-/// epoch's tree: entries whose worker is present map to its flat
-/// position; absent Byzantine workers corrupt nothing this epoch.
-pub fn remap_adversaries(plan: &AdversaryPlan, uids: &[usize]) -> AdversaryPlan {
-    let mut remapped = AdversaryPlan::none();
-    for b in &plan.byzantine {
-        if let Some(flat) = uids.iter().position(|&u| u == b.worker) {
-            let mut entry = *b;
-            entry.worker = flat;
-            remapped.byzantine.push(entry);
-        }
-    }
-    remapped
-}
 
 /// The re-parenting transform: keep `x`/`y`, damp the velocity by the
 /// bounded-age rule `1/(1 + min(age, MIDDLE_AGE_CAP))`, drop interval
@@ -180,322 +122,261 @@ fn reform_assignment(
     assignment
 }
 
-/// Applies one churn boundary to an end-of-segment snapshot: the round's
-/// scheduled events in plan order, then the periodic re-formation if its
-/// cadence fires. Returns the next epoch's snapshot — worker states in
-/// the *new* tree's flat order, live edge states in stable-id order, the
-/// cloud untouched, and [`TrainingSnapshot::topology`] stamped with the
-/// advanced [`TopologyVersion`] — and tallies every mutation into
-/// `counters`.
-///
-/// This is the single transform both engines call between epoch segments,
-/// so a churn run replays bitwise across engines and thread counts.
-///
-/// # Errors
-///
-/// A human-readable message when an event is invalid against the live
-/// topology (absent worker, dead edge, failing the last edge, …).
-pub fn apply_churn_boundary(
-    snapshot: &TrainingSnapshot,
-    version: &mut TopologyVersion,
-    plan: &ChurnPlan,
-    round: usize,
+/// The topology of a registered run under a non-empty [`ChurnPlan`]: the
+/// [`TopologyVersion`] in force, the plan, and the churn tallies so far.
+/// Both training loops hold one and call [`Churn::cross`] at every
+/// boundary.
+#[derive(Debug, Clone)]
+pub struct Churn {
+    plan: ChurnPlan,
+    version: TopologyVersion,
+    /// Sample count of every registered worker, by uid.
+    samples: Vec<u64>,
+    /// Ticks per cloud round, `τ·π`.
+    interval: usize,
+    /// Cloud rounds in the whole run.
+    rounds: usize,
     seed: u64,
-    counters: &mut TopologyCounters,
-) -> Result<TrainingSnapshot, String> {
-    let uids = version.flat_members();
-    if snapshot.workers.len() != uids.len() {
-        return Err(format!(
-            "snapshot holds {} workers, the topology version {}",
-            snapshot.workers.len(),
-            uids.len()
-        ));
-    }
-    let mut states: BTreeMap<usize, WorkerState> = uids
-        .iter()
-        .copied()
-        .zip(snapshot.workers.iter().cloned())
-        .collect();
-    let mut edge_states: BTreeMap<usize, TierState> = version
-        .live_edges()
-        .into_iter()
-        .zip(snapshot.edges.iter().cloned())
-        .collect();
-    version.begin_epoch(round as u64);
+    counters: TopologyCounters,
+}
 
-    fn reform(
-        version: &mut TopologyVersion,
-        states: &mut BTreeMap<usize, WorkerState>,
-        edge_states: &mut BTreeMap<usize, TierState>,
-        counters: &mut TopologyCounters,
-    ) -> Result<(), String> {
-        let assignment = reform_assignment(version, states);
-        let moves = version.reform(&assignment)?;
-        for m in &moves {
-            rehome(states.get_mut(&m.worker).expect("mover is present"), m.age);
+impl Churn {
+    /// The churn state of a run of `hierarchy` under `cfg.churn`, or
+    /// `None` when the plan is empty. `worker_data` registers the whole
+    /// uid space: the first `hierarchy.num_workers()` datasets fill the
+    /// initial tree in flat order, trailing ones belong to join
+    /// candidates. A resumed run takes its topology from the snapshot,
+    /// whose tick may itself be a boundary already applied.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Data`] when the datasets cannot register the initial
+    /// tree, one is empty, or the snapshot's topology is malformed or
+    /// registers a different uid count; [`RunError::BadConfig`] when a
+    /// snapshot carries no topology; [`RunError::Topology`] when the
+    /// initial tree is invalid.
+    pub fn start(
+        hierarchy: &Hierarchy,
+        worker_data: &[Dataset],
+        cfg: &RunConfig,
+        resume: Option<&TrainingSnapshot>,
+    ) -> Result<Option<Self>, RunError> {
+        if cfg.churn.is_empty() {
+            return Ok(None);
         }
-        counters.reformations += 1;
-        counters.migrations += moves.len() as u64;
-        // Edges emptied by the re-formation failed in place; drop their
-        // state so the snapshot matches the live tree.
-        edge_states.retain(|&e, _| version.is_live(e));
-        Ok(())
+        if worker_data.len() < hierarchy.num_workers() {
+            return Err(RunError::Data(format!(
+                "{} worker datasets cannot register an initial tree of {}",
+                worker_data.len(),
+                hierarchy.num_workers()
+            )));
+        }
+        if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
+            return Err(RunError::Data(format!("worker {i} has no data")));
+        }
+        let version = match resume {
+            Some(snap) => {
+                let version = snap.topology.clone().ok_or_else(|| {
+                    RunError::BadConfig(
+                        "snapshot carries no topology version; it was not captured \
+                         by an elastic run and cannot resume under a non-empty \
+                         ChurnPlan"
+                            .into(),
+                    )
+                })?;
+                version
+                    .validate()
+                    .map_err(|m| RunError::Data(format!("snapshot topology: {m}")))?;
+                version
+            }
+            None => {
+                let sizes: Vec<usize> = (0..hierarchy.num_edges())
+                    .map(|e| hierarchy.workers_in_edge(e))
+                    .collect();
+                TopologyVersion::initial(&sizes, worker_data.len()).map_err(RunError::Topology)?
+            }
+        };
+        if version.registered() != worker_data.len() {
+            return Err(RunError::Data(format!(
+                "snapshot topology registers {} uids, {} datasets supplied",
+                version.registered(),
+                worker_data.len()
+            )));
+        }
+        let interval = cfg.tau * cfg.pi;
+        Ok(Some(Churn {
+            plan: cfg.churn.clone(),
+            version,
+            samples: worker_data.iter().map(|d| d.len() as u64).collect(),
+            interval,
+            rounds: cfg.total_iters / interval,
+            seed: cfg.seed,
+            counters: TopologyCounters::default(),
+        }))
     }
 
-    for event in plan.events_at(round) {
-        match *event {
-            TopologyEvent::Join { worker, edge } => {
-                version.join(worker, edge)?;
-                let edge_state = edge_states
-                    .get(&edge)
-                    .expect("join validated the edge live");
-                let mut w = WorkerState::default();
-                w.download(&edge_state.x_plus, &edge_state.y_minus);
-                states.insert(worker, w);
-                counters.joins += 1;
+    /// The topology version in force.
+    pub fn version(&self) -> &TopologyVersion {
+        &self.version
+    }
+
+    /// Churn tallies of the boundaries crossed so far.
+    pub fn counters(&self) -> TopologyCounters {
+        self.counters
+    }
+
+    /// The uid at each flat position of the epoch's tree.
+    pub fn uids(&self) -> Vec<usize> {
+        self.version.flat_members()
+    }
+
+    /// The epoch's frozen tree and its data weights.
+    pub fn tree(&self) -> (Hierarchy, Weights) {
+        let hierarchy = Hierarchy::new(self.version.live_edge_sizes());
+        let samples: Vec<u64> = self.uids().iter().map(|&u| self.samples[u]).collect();
+        let weights = Weights::from_samples(&hierarchy, &samples);
+        (hierarchy, weights)
+    }
+
+    /// Whether the plan mutates the topology right after tick `t`: the end
+    /// of a scheduled cloud round before the run's last.
+    pub fn is_boundary(&self, t: usize) -> bool {
+        let round = t / self.interval;
+        t > 0
+            && t.is_multiple_of(self.interval)
+            && round < self.rounds
+            && self.plan.is_boundary(round)
+    }
+
+    /// The first boundary after tick `t`, if the plan schedules one.
+    pub fn next_boundary(&self, t: usize) -> Option<usize> {
+        (t / self.interval + 1..self.rounds)
+            .map(|r| r * self.interval)
+            .find(|&b| self.is_boundary(b))
+    }
+
+    /// Applies the boundary after tick `t` to the live mailbox `state`:
+    /// the round's scheduled events in plan order, then the periodic
+    /// re-formation if its cadence fires. Afterwards `state` holds the new
+    /// epoch's tree and weights, worker states in its flat order and live
+    /// edge states in stable-id order; the cloud is untouched, and
+    /// `strategy` has checked the new tree.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::BadConfig`] when an event is invalid against the live
+    /// topology (absent worker, dead edge, failing the last edge, …);
+    /// [`RunError::Topology`] when `strategy` rejects the new tree.
+    pub fn cross<S: Strategy + ?Sized>(
+        &mut self,
+        t: usize,
+        state: &mut FlState,
+        strategy: &S,
+    ) -> Result<(), RunError> {
+        let round = t / self.interval;
+        let Churn {
+            plan,
+            version,
+            seed,
+            counters,
+            ..
+        } = self;
+        let mut states: BTreeMap<usize, WorkerState> = version
+            .flat_members()
+            .into_iter()
+            .zip(std::mem::take(&mut state.workers))
+            .collect();
+        let mut edge_states: BTreeMap<usize, TierState> = version
+            .live_edges()
+            .into_iter()
+            .zip(std::mem::take(&mut state.edges))
+            .collect();
+        version.begin_epoch(round as u64);
+
+        fn reform(
+            version: &mut TopologyVersion,
+            states: &mut BTreeMap<usize, WorkerState>,
+            edge_states: &mut BTreeMap<usize, TierState>,
+            counters: &mut TopologyCounters,
+        ) -> Result<(), String> {
+            let assignment = reform_assignment(version, states);
+            let moves = version.reform(&assignment)?;
+            for m in &moves {
+                rehome(states.get_mut(&m.worker).expect("mover is present"), m.age);
             }
-            TopologyEvent::Leave { worker } => {
-                let edge = version.leave(worker)?;
-                states.remove(&worker);
-                if !version.is_live(edge) {
+            counters.reformations += 1;
+            counters.migrations += moves.len() as u64;
+            // Edges emptied by the re-formation failed in place; drop their
+            // state so the mailbox matches the live tree.
+            edge_states.retain(|&e, _| version.is_live(e));
+            Ok(())
+        }
+
+        let bad = RunError::BadConfig;
+        for event in plan.events_at(round) {
+            match *event {
+                TopologyEvent::Join { worker, edge } => {
+                    version.join(worker, edge).map_err(bad)?;
+                    let edge_state = edge_states
+                        .get(&edge)
+                        .expect("join validated the edge live");
+                    let mut w = WorkerState::default();
+                    w.download(&edge_state.x_plus, &edge_state.y_minus);
+                    states.insert(worker, w);
+                    counters.joins += 1;
+                }
+                TopologyEvent::Leave { worker } => {
+                    let edge = version.leave(worker).map_err(bad)?;
+                    states.remove(&worker);
+                    if !version.is_live(edge) {
+                        edge_states.remove(&edge);
+                    }
+                    counters.leaves += 1;
+                }
+                TopologyEvent::Migrate { worker, edge } => {
+                    let from = version
+                        .parent_of(worker)
+                        .ok_or_else(|| bad(format!("worker {worker} is not in the tree")))?;
+                    let m = version.migrate(worker, edge).map_err(bad)?;
+                    rehome(states.get_mut(&worker).expect("migrant is present"), m.age);
+                    if !version.is_live(from) {
+                        edge_states.remove(&from);
+                    }
+                    counters.migrations += 1;
+                }
+                TopologyEvent::EdgeFail { edge } => {
+                    let moves = version.fail_edge(edge, *seed).map_err(bad)?;
                     edge_states.remove(&edge);
+                    for m in &moves {
+                        rehome(states.get_mut(&m.worker).expect("orphan is present"), m.age);
+                    }
+                    counters.migrations += moves.len() as u64;
+                    counters.orphaned_rounds += moves.len() as u64;
                 }
-                counters.leaves += 1;
-            }
-            TopologyEvent::Migrate { worker, edge } => {
-                let from = version
-                    .parent_of(worker)
-                    .ok_or_else(|| format!("worker {worker} is not in the tree"))?;
-                let m = version.migrate(worker, edge)?;
-                rehome(states.get_mut(&worker).expect("migrant is present"), m.age);
-                if !version.is_live(from) {
-                    edge_states.remove(&from);
+                TopologyEvent::EdgeReform => {
+                    reform(version, &mut states, &mut edge_states, counters).map_err(bad)?;
                 }
-                counters.migrations += 1;
-            }
-            TopologyEvent::EdgeFail { edge } => {
-                let moves = version.fail_edge(edge, seed)?;
-                edge_states.remove(&edge);
-                for m in &moves {
-                    rehome(states.get_mut(&m.worker).expect("orphan is present"), m.age);
-                }
-                counters.migrations += moves.len() as u64;
-                counters.orphaned_rounds += moves.len() as u64;
-            }
-            TopologyEvent::EdgeReform => {
-                reform(version, &mut states, &mut edge_states, counters)?;
             }
         }
-    }
-    if plan.reform_at(round) {
-        reform(version, &mut states, &mut edge_states, counters)?;
-    }
-
-    let workers = version
-        .flat_members()
-        .into_iter()
-        .map(|uid| states.remove(&uid).expect("flat members have state"))
-        .collect();
-    let edges = version
-        .live_edges()
-        .into_iter()
-        .map(|e| edge_states.remove(&e).expect("live edges have state"))
-        .collect();
-    Ok(TrainingSnapshot {
-        algorithm: snapshot.algorithm.clone(),
-        tick: snapshot.tick,
-        workers,
-        edges,
-        cloud: snapshot.cloud.clone(),
-        middle: Vec::new(),
-        topology: Some(version.clone()),
-    })
-}
-
-fn merge_adversaries(out: &mut [AdversaryCounters], uids: &[usize], segment: &[AdversaryCounters]) {
-    for (flat, c) in segment.iter().enumerate() {
-        let o = &mut out[uids[flat]];
-        o.poisoned_uploads += c.poisoned_uploads;
-        o.poisoned_models += c.poisoned_models;
-        o.poisoned_momenta += c.poisoned_momenta;
-        o.noise_injections += c.noise_injections;
-    }
-}
-
-fn validate_elastic(
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    cfg: &RunConfig,
-) -> Result<(), RunError> {
-    cfg.validate().map_err(RunError::BadConfig)?;
-    if worker_data.len() < hierarchy.num_workers() {
-        return Err(RunError::Data(format!(
-            "{} worker datasets cannot register an initial tree of {}",
-            worker_data.len(),
-            hierarchy.num_workers()
-        )));
-    }
-    if let Some(i) = worker_data.iter().position(Dataset::is_empty) {
-        return Err(RunError::Data(format!("worker {i} has no data")));
-    }
-    if let Some(b) = cfg
-        .adversary
-        .byzantine
-        .iter()
-        .find(|b| b.worker >= worker_data.len())
-    {
-        return Err(RunError::BadConfig(format!(
-            "adversary plan marks uid {} Byzantine, but only {} workers are \
-             registered (elastic adversary plans are keyed by uid)",
-            b.worker,
-            worker_data.len()
-        )));
-    }
-    Ok(())
-}
-
-/// [`crate::run`] over a hierarchy under a non-empty [`ChurnPlan`]: the
-/// frozen-tree loop segmented at every boundary in `cfg.churn`, with
-/// workers joining, leaving, migrating, edges failing (members re-homed
-/// live) and re-forming between segments.
-///
-/// `worker_data` registers the whole uid space: the first
-/// `hierarchy.num_workers()` datasets fill the initial tree in flat
-/// order, trailing datasets belong to registered-but-absent workers that
-/// [`TopologyEvent::Join`] can bring in. `cfg.adversary` is keyed by uid.
-/// A `stop_at` snapshot carries the topology version in force there
-/// ([`TrainingSnapshot::topology`]); a stop exactly at a churn boundary
-/// captures the *post*-transform tree, so resuming never re-applies it.
-/// `hierarchy` and `worker_data` stay the *initial* tree and the full
-/// registered table on resume.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_elastic<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    resume: Option<&TrainingSnapshot>,
-    stop_at: Option<usize>,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    validate_elastic(hierarchy, worker_data, cfg)?;
-    let plan = cfg.churn.clone();
-    let mut version = match resume {
-        Some(snap) => snap.topology.clone().ok_or_else(|| {
-            RunError::BadConfig(
-                "snapshot carries no topology version; it was not captured \
-                 by an elastic run and cannot resume under a non-empty \
-                 ChurnPlan"
-                    .into(),
-            )
-        })?,
-        None => initial_version(hierarchy, worker_data.len()).map_err(RunError::Topology)?,
-    };
-    if version.registered() != worker_data.len() {
-        return Err(RunError::Data(format!(
-            "snapshot topology registers {} uids, {} datasets supplied",
-            version.registered(),
-            worker_data.len()
-        )));
-    }
-
-    let start = resume.map_or(0, |s| s.tick);
-    let end = stop_at.unwrap_or(cfg.total_iters);
-    let cuts = epoch_cuts(&plan, cfg, start, end);
-
-    let mut frozen = cfg.clone();
-    frozen.churn = ChurnPlan::none();
-    let mut counters = TopologyCounters::default();
-    let mut cur: Option<TrainingSnapshot> = resume.cloned();
-    let mut results: Vec<RunResult> = Vec::new();
-    let mut uid_maps: Vec<Vec<usize>> = Vec::new();
-
-    let run_segment = |cur: &Option<TrainingSnapshot>,
-                       stop: Option<usize>,
-                       version: &TopologyVersion,
-                       results: &mut Vec<RunResult>,
-                       uid_maps: &mut Vec<Vec<usize>>|
-     -> Result<Option<TrainingSnapshot>, RunError> {
-        let (tree, uids) = epoch_tree(version);
-        let data: Vec<Dataset> = uids.iter().map(|&u| worker_data[u].clone()).collect();
-        let mut seg_cfg = frozen.clone();
-        seg_cfg.adversary = remap_adversaries(&cfg.adversary, &uids);
-        let mut res = run_span(
-            strategy,
-            model,
-            Participants::Registered {
-                hierarchy: &tree,
-                worker_data: &data,
-            },
-            test_data,
-            &seg_cfg,
-            None,
-            cur.as_ref(),
-            stop,
-        )?;
-        let snap = res.snapshot.take();
-        results.push(res);
-        uid_maps.push(uids);
-        Ok(snap)
-    };
-
-    for &t in &cuts {
-        let snap = run_segment(&cur, Some(t), &version, &mut results, &mut uid_maps)?
-            .expect("stop_at segments return their snapshot");
-        let round = t / (cfg.tau * cfg.pi);
-        let next = apply_churn_boundary(&snap, &mut version, &plan, round, cfg.seed, &mut counters)
-            .map_err(RunError::BadConfig)?;
-        cur = Some(next);
-    }
-    if cuts.last() != Some(&end) {
-        let snap = run_segment(&cur, stop_at, &version, &mut results, &mut uid_maps)?;
-        cur = snap.map(|mut s| {
-            s.topology = Some(version.clone());
-            s
-        });
-    }
-
-    let mut stitched = stitch(results, &uid_maps, worker_data.len());
-    stitched.topology = counters;
-    stitched.snapshot = cur.filter(|_| stop_at.is_some());
-    Ok(stitched)
-}
-
-/// Concatenates per-segment results into one run-shaped result. The
-/// `adversaries` tallies come back keyed by **uid** (one slot per
-/// registered worker), since flat positions are only meaningful within an
-/// epoch.
-fn stitch(results: Vec<RunResult>, uid_maps: &[Vec<usize>], registered: usize) -> RunResult {
-    let mut iter = results.into_iter();
-    let mut out = iter.next().expect("at least one segment runs");
-    let mut adversaries = vec![AdversaryCounters::default(); registered];
-    let mut curve = ConvergenceCurve::new();
-    for p in out.curve.points() {
-        curve.push(*p);
-    }
-    merge_adversaries(&mut adversaries, &uid_maps[0], &out.adversaries);
-    for (res, uids) in iter.zip(&uid_maps[1..]) {
-        for p in res.curve.points() {
-            curve.push(*p);
+        if plan.reform_at(round) {
+            reform(version, &mut states, &mut edge_states, counters).map_err(bad)?;
         }
-        out.gamma_trace.extend(res.gamma_trace);
-        out.cos_trace.extend(res.cos_trace);
-        out.final_params = res.final_params;
-        out.elapsed += res.elapsed;
-        out.timings.local_steps += res.timings.local_steps;
-        out.timings.edge_agg += res.timings.edge_agg;
-        out.timings.cloud_agg += res.timings.cloud_agg;
-        out.timings.eval += res.timings.eval;
-        merge_adversaries(&mut adversaries, uids, &res.adversaries);
+
+        state.workers = version
+            .flat_members()
+            .into_iter()
+            .map(|uid| states.remove(&uid).expect("flat members have state"))
+            .collect();
+        state.edges = version
+            .live_edges()
+            .into_iter()
+            .map(|e| edge_states.remove(&e).expect("live edges have state"))
+            .collect();
+        (state.hierarchy, state.weights) = self.tree();
+        strategy
+            .check_topology(&state.hierarchy)
+            .map_err(RunError::Topology)
     }
-    out.curve = curve;
-    out.adversaries = adversaries;
-    out
 }
 
 #[cfg(test)]
@@ -540,8 +421,8 @@ mod tests {
     }
 
     /// A plan whose periodic reform would first fire after the run's last
-    /// cloud round sends the run through the elastic segmenter as one
-    /// segment, which must be bitwise the frozen engine's run.
+    /// cloud round carries churn state that never crosses a boundary, so
+    /// the run must be bitwise the frozen engine's run.
     #[test]
     fn never_firing_plan_is_bitwise_identical_to_the_frozen_engine() {
         let (_, test, shards, model) = small_problem(4);

@@ -89,9 +89,6 @@ pub mod virtual_update;
 pub use checkpoint::{Checkpoint, TrainingSnapshot};
 pub use config::RunConfig;
 pub use driver::{run, run_tiered, PhaseTimings, RunError, RunResult, RunSpec, Source};
-pub use elastic::{
-    apply_churn_boundary, epoch_cuts, epoch_tree, initial_version, remap_adversaries,
-};
 pub use population::{ClientSampling, CohortSampler, ShardAssignment, WorkerPopulation};
 pub use robust::RobustAggregator;
 pub use state::{EdgeView, FlState, TierState, WorkerState};

@@ -41,7 +41,8 @@ pub struct ExecCtx<'a, S: ?Sized> {
     pub worker_data: &'a [Dataset],
     /// Held-out test set for evaluation.
     pub test_data: &'a Dataset,
-    /// Capped training probe for evaluation.
+    /// Capped training probe for evaluation, until
+    /// [`Pool::set_train_probe`] replaces it.
     pub train_probe: &'a Dataset,
 }
 
@@ -133,9 +134,11 @@ enum Job {
         round_scoped: bool,
         items: Vec<EdgeItem>,
     },
-    /// Evaluation of `params` over the contained chunks.
+    /// Evaluation of `params` over the contained chunks, with the pool's
+    /// replacement training probe, if any.
     Eval {
         params: Vector,
+        probe: Option<Arc<Dataset>>,
         chunks: Vec<EvalChunk>,
     },
 }
@@ -237,12 +240,16 @@ impl<M: Model> Lane<M> {
                 }
                 Reply::Edges(items)
             }
-            Job::Eval { params, chunks } => {
+            Job::Eval {
+                params,
+                probe,
+                chunks,
+            } => {
                 self.model.set_params(&params);
                 let sums = chunks.into_iter().map(|c| {
                     let data = match c.target {
                         EvalTarget::Test => ctx.test_data,
-                        EvalTarget::Probe => ctx.train_probe,
+                        EvalTarget::Probe => probe.as_deref().unwrap_or(ctx.train_probe),
                     };
                     (c.target, self.model.evaluate_range(data, c.range))
                 });
@@ -286,6 +293,8 @@ impl<M: Model> Lane<M> {
 /// the calling thread is lane 0, with the pool's own lane.
 pub struct Pool<'env, M, S: ?Sized> {
     ctx: ExecCtx<'env, S>,
+    /// The training probe that replaced `ctx.train_probe`, if any.
+    probe: Option<Arc<Dataset>>,
     lane: Lane<M>,
     /// One `(job sender, reply receiver)` pair per spawned lane.
     spawned: Vec<(Sender<Job>, Receiver<Reply>)>,
@@ -331,6 +340,7 @@ where
             .collect();
         Pool {
             ctx,
+            probe: None,
             lane: lane(),
             spawned,
         }
@@ -369,16 +379,26 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
         self.lane.step(self.ctx, t, worker, data, batcher);
     }
 
+    /// Replaces the training probe every later evaluation reads: a churn
+    /// run's loops rebuild it from each topology epoch's members.
+    pub fn set_train_probe(&mut self, probe: Dataset) {
+        self.probe = Some(Arc::new(probe));
+    }
+
     /// Evaluates `params` on the test set and the training probe, split
     /// into fixed [`EVAL_CHUNK`]-sample chunks fanned out across the lanes.
     /// Partial sums are merged in chunk order, so the result is identical
     /// for every lane count — including one, which uses the same chunking.
     pub fn evaluate(&mut self, params: &Vector) -> (Evaluation, Evaluation) {
-        let chunks = eval_chunks(self.ctx.test_data.len(), self.ctx.train_probe.len());
-        let jobs = chunk(chunks, self.lanes()).into_iter().map(|chunks| {
-            let params = params.clone();
-            Job::Eval { params, chunks }
-        });
+        let probe_len = self.probe.as_deref().unwrap_or(self.ctx.train_probe).len();
+        let chunks = eval_chunks(self.ctx.test_data.len(), probe_len);
+        let jobs = chunk(chunks, self.lanes())
+            .into_iter()
+            .map(|chunks| Job::Eval {
+                params: params.clone(),
+                probe: self.probe.clone(),
+                chunks,
+            });
         let mut test = EvalSums::default();
         let mut probe = EvalSums::default();
         for reply in self.exec(jobs.collect()) {

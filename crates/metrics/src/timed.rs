@@ -178,6 +178,20 @@ impl FaultCounters {
             self.messages_duplicated += 1;
         }
     }
+
+    /// Folds another tally of the same actor into this one (additive over
+    /// topology epochs).
+    pub fn merge(&mut self, other: &FaultCounters) {
+        self.crashes += other.crashes;
+        self.recovery_ms += other.recovery_ms;
+        self.messages_lost += other.messages_lost;
+        self.messages_duplicated += other.messages_duplicated;
+        self.duplicates_received += other.duplicates_received;
+        self.transfer_failures += other.transfer_failures;
+        self.retries += other.retries;
+        self.lost_uploads += other.lost_uploads;
+        self.delay_spikes += other.delay_spikes;
+    }
 }
 
 /// [`FaultCounters`] stamped with the actor they belong to, in the same
@@ -253,6 +267,15 @@ impl AdversaryCounters {
     /// Returns `true` when this actor never corrupted anything.
     pub fn is_zero(&self) -> bool {
         *self == AdversaryCounters::default()
+    }
+
+    /// Folds another tally of the same actor into this one (additive over
+    /// topology epochs).
+    pub fn merge(&mut self, other: &AdversaryCounters) {
+        self.poisoned_uploads += other.poisoned_uploads;
+        self.poisoned_models += other.poisoned_models;
+        self.poisoned_momenta += other.poisoned_momenta;
+        self.noise_injections += other.noise_injections;
     }
 }
 

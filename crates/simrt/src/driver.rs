@@ -3,10 +3,8 @@
 //!
 //! # One engine, two participant sources
 //!
-//! [`simulate`], every topology epoch of its churn runs
-//! ([`crate::elastic`]) and [`crate::simulate_virtual`] run through one
-//! event engine. Who takes part in a round is its private participant
-//! source:
+//! [`simulate`] and [`crate::simulate_virtual`] run through one event
+//! engine. Who takes part in a round is its private participant source:
 //!
 //! - **Registered** — persistent worker actors, each with a batcher
 //!   seeded `seed + i`, the pre-drawn dropout table, crash/recover/die
@@ -73,14 +71,13 @@ use hieradmo_core::driver::{
     aggregate_above_edges, build_train_probe, check_registered_sampling, check_tree_schedule,
     check_worker_data, initial_state,
 };
+use hieradmo_core::elastic::Churn;
 use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, draw_edge_cohort,
     fault_stream, virtual_global_params, weighted_edge_average, CohortSampler, WorkerPopulation,
 };
-use hieradmo_core::{
-    FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
-};
+use hieradmo_core::{FlState, RunConfig, RunError, Strategy, TierScope, WorkerState};
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
     ActorAdversaries, ActorFaults, ActorUtilization, AdversaryCounters, ConvergenceCurve,
@@ -192,7 +189,7 @@ pub struct SimResult {
     pub events: u64,
     /// Topology-churn tallies. All-zero on frozen-tree runs; populated
     /// when a [`hieradmo_core::RunConfig::churn`] plan mutates the tree
-    /// mid-run ([`crate::elastic`]).
+    /// mid-run ([`hieradmo_core::elastic`]).
     pub topology: TopologyCounters,
 }
 
@@ -346,6 +343,9 @@ struct CloudSim {
 /// hierarchy.
 struct Registered {
     workers: Vec<WorkerSim>,
+    /// Flat-worker → uid: the worker's dataset, device profile, attack
+    /// and tally identity (the flat position itself on a frozen tree).
+    uids: Vec<usize>,
     /// Flat-worker → edge index.
     edge_of: Vec<usize>,
     /// Pre-drawn dropout table, `(tick - 1) * N + worker`, in the core
@@ -453,45 +453,6 @@ fn link_transfer(
     (delay_ms + out.penalty_ms, out.duplicate_lag_ms)
 }
 
-/// One topology-epoch slice of a virtual-clock run (see
-/// [`crate::elastic`]): the engine executes ticks
-/// `(start, limit]` against a frozen tree, restoring the mailbox from
-/// `resume` and fast-forwarding every training RNG stream over the prefix
-/// exactly as the core driver's resume path does. A plain
-/// [`crate::simulate`] is the full span.
-pub(crate) struct Span<'a> {
-    /// Ticks already trained when the span begins (a multiple of `τ·π`).
-    pub start: usize,
-    /// The tick the span runs to (a multiple of `τ·π`; the whole run on
-    /// frozen-tree simulations).
-    pub limit: usize,
-    /// Mid-run federation state to restore the mailbox from.
-    pub resume: Option<&'a TrainingSnapshot>,
-    /// Last curve iteration issued by the previous span (relaxed-policy
-    /// index continuity).
-    pub iter_base: usize,
-    /// Global edge-firing counter carried over from the previous span
-    /// (relaxed-policy trace index continuity).
-    pub firing_base: usize,
-    /// This span runs to the end of the whole run: record the final
-    /// relaxed-policy evaluation in `finish`.
-    pub final_segment: bool,
-}
-
-impl Span<'_> {
-    /// The whole run as one span.
-    fn full(cfg: &RunConfig) -> Self {
-        Span {
-            start: 0,
-            limit: cfg.total_iters,
-            resume: None,
-            iter_base: 0,
-            firing_base: 0,
-            final_segment: true,
-        }
-    }
-}
-
 /// Stream salts keeping a sampled run's edge/cloud aggregator delay
 /// streams disjoint from every per-(worker, round) stream whatever the
 /// population size.
@@ -545,10 +506,53 @@ struct Engine<'a, M, S: ?Sized> {
     /// The fault plan injects something; `false` guarantees zero fault
     /// draws and a run bitwise identical to one without fault injection.
     faults_on: bool,
-    /// Tick this span runs to (`total_iters` on frozen-tree runs).
+    /// Tick the current topology epoch runs to (`total_iters` on
+    /// frozen-tree runs).
     limit: usize,
-    /// Whether `finish` records the final relaxed-policy evaluation.
-    final_segment: bool,
+    /// Evaluations of the closed topology epochs, on the run's clock.
+    curve: ConvergenceCurve,
+    timed_curve: TimedCurve,
+    /// The topology of a churn run and the tallies of its closed epochs.
+    elastic: Option<Elastic>,
+}
+
+/// A churn run's topology and what its closed epochs leave behind. Every
+/// epoch's virtual clock restarts at 0; `base_ms` is where it starts on
+/// the run's clock.
+struct Elastic {
+    churn: Churn,
+    /// Virtual time of the closed epochs.
+    base_ms: f64,
+    /// Per-actor tallies of the closed epochs, by stable identity.
+    totals: BTreeMap<ActorKey, ActorTotals>,
+}
+
+/// Stable actor identity across topology epochs: workers by uid sort
+/// before edges by stable id, edges before the cloud.
+type ActorKey = (u8, usize);
+
+/// One actor's tallies summed over topology epochs.
+#[derive(Default)]
+struct ActorTotals {
+    busy_seconds: f64,
+    faults: FaultCounters,
+    adversaries: AdversaryCounters,
+}
+
+impl ActorTotals {
+    fn add(&mut self, busy_ms: f64, faults: &FaultCounters, adversaries: &AdversaryCounters) {
+        self.busy_seconds += busy_ms / 1000.0;
+        self.faults.merge(faults);
+        self.adversaries.merge(adversaries);
+    }
+}
+
+fn actor_label(&(kind, id): &ActorKey) -> String {
+    match kind {
+        0 => format!("worker-{id}"),
+        1 => format!("edge-{id}"),
+        _ => "cloud".to_string(),
+    }
 }
 
 /// One shared, immutable snapshot per worker slot: what a download
@@ -558,15 +562,16 @@ fn snapshot(workers: &[WorkerState]) -> Vec<Rc<WorkerState>> {
 }
 
 impl Registered {
-    /// One worker actor per mailbox slot, every training RNG stream
-    /// fast-forwarded over the span's first `start` ticks exactly as the
-    /// core driver's resume path does.
+    /// One worker actor per mailbox slot, flat slot `i` holding uid
+    /// `uids[i]`, every training RNG stream fast-forwarded over the first
+    /// `start` ticks exactly as the core driver's resume path does.
     fn new(
         worker_data: &[Dataset],
         fl: &FlState,
         cfg: &RunConfig,
         sim: &SimConfig,
         start: usize,
+        uids: Vec<usize>,
     ) -> Self {
         let hierarchy = &fl.hierarchy;
         let n = hierarchy.num_workers();
@@ -592,13 +597,15 @@ impl Registered {
         let mut batch = Vec::new();
         // The starting mailbox is every worker's first rejoin point.
         let snapshots = snapshot(&fl.workers);
-        let workers = (0..n)
-            .map(|i| {
+        let workers = uids
+            .iter()
+            .enumerate()
+            .map(|(i, &uid)| {
                 // One mini-batch draw per *active* prefix tick (the
                 // dropout table above already replayed those draws) and
                 // one adversary draw per edge boundary.
                 let mut batcher = Batcher::new(
-                    worker_data[i].len(),
+                    worker_data[uid].len(),
                     cfg.batch_size,
                     cfg.seed.wrapping_add(i as u64),
                 );
@@ -607,7 +614,7 @@ impl Registered {
                         batcher.next_batch_into(&mut batch);
                     }
                 }
-                let attack = cfg.adversary.attack_for(i);
+                let attack = cfg.adversary.attack_for(uid);
                 let mut asampler = AdversarySampler::from_stream(cfg.seed, i as u64);
                 if let Some(a) = attack {
                     for _ in 0..edge_rounds_done {
@@ -634,6 +641,7 @@ impl Registered {
             .collect();
         Registered {
             workers,
+            uids,
             edge_of,
             active,
             pending_release: vec![Vec::new(); l_count],
@@ -651,17 +659,16 @@ where
     S: Strategy + ?Sized,
 {
     /// Lays the edge and cloud actors out around the mailbox `fl` and its
-    /// participant source, for the ticks `span` covers, on `pool`.
+    /// participant source, on `pool`, for a run of `churn`'s topology
+    /// when it has one.
     fn new(
         pool: Pool<'a, M, S>,
         fl: FlState,
         src: Participants<'a>,
         sim: &'a SimConfig,
-        span: Span<'_>,
+        churn: Option<Churn>,
     ) -> Self {
         let ExecCtx { strategy, cfg, .. } = pool.ctx();
-        let n = fl.workers.len();
-        let l_count = fl.hierarchy.num_edges();
         let tree = fl.tree.clone();
         // Edges submit cloud-wards at every boundary where some tier above
         // them mutates state; identity middles are free, so a pure
@@ -676,22 +683,75 @@ where
                     .min()
             })
             .unwrap_or(cfg.pi);
-        // Registered actors number their delay and fault streams flat
-        // (workers, then edges, then the cloud); sampled runs key the
-        // edges and the cloud off salted seeds, so no stream depends on
-        // the population size.
+        let tier_gamma = vec![Vec::new(); fl.middle.len()];
+        let limit = churn
+            .as_ref()
+            .and_then(|c| c.next_boundary(0))
+            .unwrap_or(cfg.total_iters);
+        let sampled = matches!(src, Participants::Sampled(_));
+        let (edges, cloud) = Engine::<M, S>::actors(&fl, sampled, cfg, sim, submit_period, 0);
+        Engine {
+            strategy,
+            cfg,
+            sim,
+            pool,
+            src,
+            fl,
+            tree,
+            edges,
+            cloud,
+            queue: EventQueue::new(),
+            now: 0.0,
+            events: 0,
+            evals: Vec::new(),
+            pending_evals: BTreeMap::new(),
+            completed_evals: BTreeSet::new(),
+            gamma_stage: BTreeMap::new(),
+            gamma_trace: Vec::new(),
+            cos_trace: Vec::new(),
+            tier_gamma,
+            submit_period,
+            firing_seq: 0,
+            last_iter: 0,
+            faults_on: !sim.faults.is_empty(),
+            limit,
+            curve: ConvergenceCurve::new(),
+            timed_curve: TimedCurve::new(),
+            elastic: churn.map(|churn| Elastic {
+                churn,
+                base_ms: 0.0,
+                totals: BTreeMap::new(),
+            }),
+        }
+    }
+
+    /// The edge and cloud actors of the tree in `fl`, their barriers
+    /// positioned at tick `start`. Registered actors number their delay
+    /// and fault streams flat (workers, then edges, then the cloud);
+    /// sampled runs key the edges and the cloud off salted seeds, so no
+    /// stream depends on the population size.
+    fn actors(
+        fl: &FlState,
+        sampled: bool,
+        cfg: &RunConfig,
+        sim: &SimConfig,
+        submit_period: usize,
+        start: usize,
+    ) -> (Vec<EdgeSim>, CloudSim) {
+        let n = fl.workers.len();
+        let l_count = fl.hierarchy.num_edges();
         let net = sim.net_seed;
-        let (edge_seed, edge_fault_seed, edge_base, cloud_seed, cloud_stream) = match src {
-            Participants::Registered(_) => (net, net, n, net, n + l_count),
-            Participants::Sampled(_) => (
+        let (edge_seed, edge_fault_seed, edge_base, cloud_seed, cloud_stream) = if sampled {
+            (
                 net ^ SALT_EDGE_STREAM,
                 net ^ SALT_EDGE_FAULT_STREAM,
                 0,
                 net ^ SALT_CLOUD_STREAM,
                 0,
-            ),
+            )
+        } else {
+            (net, net, n, net, n + l_count)
         };
-        let start = span.start;
         let edge_rounds_done = start / cfg.tau;
         let cloud_rounds_done = start / (cfg.tau * submit_period);
         let edges = (0..l_count)
@@ -714,34 +774,7 @@ where
             busy_ms: 0.0,
             faults: FaultCounters::default(),
         };
-        let tier_gamma = vec![Vec::new(); fl.middle.len()];
-        Engine {
-            strategy,
-            cfg,
-            sim,
-            pool,
-            src,
-            fl,
-            tree,
-            edges,
-            cloud,
-            queue: EventQueue::new(),
-            now: 0.0,
-            events: 0,
-            evals: Vec::new(),
-            pending_evals: BTreeMap::new(),
-            completed_evals: BTreeSet::new(),
-            gamma_stage: BTreeMap::new(),
-            gamma_trace: Vec::new(),
-            cos_trace: Vec::new(),
-            tier_gamma,
-            submit_period,
-            firing_seq: span.firing_base,
-            last_iter: span.iter_base,
-            faults_on: !sim.faults.is_empty(),
-            limit: span.limit,
-            final_segment: span.final_segment,
-        }
+        (edges, cloud)
     }
 
     fn full_sync(&self) -> bool {
@@ -839,8 +872,12 @@ where
             return;
         }
         let sim = self.sim;
-        let w = &mut self.src.registered().workers[i];
-        let mut d = w.sampler.compute_ms(&sim.env.worker_devices[i]);
+        let r = self.src.registered();
+        // Device profiles form a pool: uid `u` computes on profile
+        // `u mod pool size` (one profile per worker on a frozen tree).
+        let device = &sim.env.worker_devices[r.uids[i] % sim.env.worker_devices.len()];
+        let w = &mut r.workers[i];
+        let mut d = w.sampler.compute_ms(device);
         if let Some(sp) = sim.faults.spikes {
             if let Some(factor) = w.fsampler.spike_factor(&sp) {
                 d *= factor;
@@ -887,7 +924,7 @@ where
         w.tick += 1;
         let t = w.tick;
         if r.active[(t - 1) * n + i] {
-            self.pool.step(t, &mut w.state, i, &mut w.batcher);
+            self.pool.step(t, &mut w.state, r.uids[i], &mut w.batcher);
         }
         if t.is_multiple_of(cfg.tau) {
             // End of interval: upload (dropout skips the step, never the
@@ -1845,20 +1882,41 @@ where
         false
     }
 
-    fn run(&mut self) {
-        let sampled = self.is_sampled();
-        if sampled {
-            for e in 0..self.edges.len() {
-                let start = Ev::StartRound { edge: e };
-                self.queue.push(0.0, ActorId::Edge(e), start);
+    /// Runs every topology epoch to its end: the events of one epoch
+    /// until the queue drains, then the churn boundary into the next.
+    fn run(&mut self) -> Result<(), SimError> {
+        loop {
+            self.run_epoch();
+            if self.limit == self.cfg.total_iters {
+                return Ok(());
             }
-        } else {
-            for p in &self.sim.faults.permanent {
-                let die = Ev::Die { worker: p.worker };
-                self.queue.push(p.at_ms, ActorId::Worker(p.worker), die);
+            self.cross()?;
+        }
+    }
+
+    fn run_epoch(&mut self) {
+        let sampled = self.is_sampled();
+        if let Participants::Registered(r) = &self.src {
+            // Permanent crashes are keyed by uid and land on the epoch's
+            // clock: a death already past strikes again at its start.
+            let base_ms = self.elastic.as_ref().map_or(0.0, |el| el.base_ms);
+            let dies: Vec<(usize, f64)> = (self.sim.faults.permanent.iter())
+                .filter_map(|p| {
+                    let flat = r.uids.iter().position(|&u| u == p.worker)?;
+                    Some((flat, (p.at_ms - base_ms).max(0.0)))
+                })
+                .collect();
+            for (worker, at_ms) in dies {
+                self.queue
+                    .push(at_ms, ActorId::Worker(worker), Ev::Die { worker });
             }
             for i in 0..self.fl.workers.len() {
                 self.schedule_step(i, 0.0);
+            }
+        } else {
+            for e in 0..self.edges.len() {
+                let start = Ev::StartRound { edge: e };
+                self.queue.push(0.0, ActorId::Edge(e), start);
             }
         }
         loop {
@@ -1892,112 +1950,173 @@ where
         }
     }
 
-    /// The mailbox federation state at the span's end tick — what an
-    /// elastic run's churn transform (and the next span's resume) reads.
-    fn final_snapshot(&self) -> TrainingSnapshot {
-        TrainingSnapshot {
-            algorithm: self.strategy.name().to_string(),
-            tick: self.limit,
-            workers: self.fl.workers.clone(),
-            edges: self.fl.edges.clone(),
-            cloud: self.fl.cloud.clone(),
-            middle: Vec::new(),
-            topology: None,
-        }
+    /// The churn boundary at the drained epoch's end, an epoch barrier:
+    /// closes the epoch, transforms the mailbox into the next epoch's
+    /// tree ([`Churn::cross`]) and lays out fresh actors for it, as a
+    /// resume at the boundary tick would — every stream re-keyed by flat
+    /// position and fast-forwarded, the barriers' ages, carry-overs and
+    /// pending releases reset, the training probe rebuilt and the clock
+    /// restarted at 0.
+    fn cross(&mut self) -> Result<(), SimError> {
+        let t = self.limit;
+        self.close_epoch();
+        let el = self.elastic.as_mut().expect("only churn runs cross");
+        el.churn.cross(t, &mut self.fl, self.strategy)?;
+        let uids = el.churn.uids();
+        self.limit = el.churn.next_boundary(t).unwrap_or(self.cfg.total_iters);
+        let worker_data = self.pool.ctx().worker_data;
+        let members = uids.iter().map(|&u| &worker_data[u]);
+        self.pool
+            .set_train_probe(build_train_probe(members, self.cfg.train_eval_cap));
+        let registered = Registered::new(worker_data, &self.fl, self.cfg, self.sim, t, uids);
+        self.src = Participants::Registered(registered);
+        (self.edges, self.cloud) =
+            Engine::<M, S>::actors(&self.fl, false, self.cfg, self.sim, self.submit_period, t);
+        self.now = 0.0;
+        self.pending_evals.clear();
+        self.completed_evals.clear();
+        self.gamma_stage.clear();
+        Ok(())
     }
 
-    /// Builds the result; also returns `(last_iter, firing_seq)` so an
-    /// elastic run's next span can continue the relaxed-policy indices.
-    fn finish(mut self) -> (SimResult, usize, usize) {
+    /// Closes the current topology epoch: its evaluations join the curves
+    /// on the run's clock and, on a churn run, its actor tallies fold into
+    /// the run's by stable identity and its duration into the clock base.
+    fn close_epoch(&mut self) {
+        let base_ms = self.elastic.as_ref().map_or(0.0, |el| el.base_ms);
+        self.evals.sort_by_key(|r| r.iter);
+        for r in self.evals.drain(..) {
+            self.curve.push(EvalPoint {
+                iteration: r.iter,
+                train_loss: r.train.loss,
+                test_loss: r.test.loss,
+                test_accuracy: r.test.accuracy,
+            });
+            self.timed_curve.push(TimedPoint {
+                seconds: r.at_ms / 1000.0 + base_ms / 1000.0,
+                iteration: r.iter,
+                train_loss: r.train.loss,
+                test_loss: r.test.loss,
+                test_accuracy: r.test.accuracy,
+            });
+        }
+        let (Some(el), Participants::Registered(r)) = (&mut self.elastic, &self.src) else {
+            return;
+        };
+        let none = AdversaryCounters::default();
+        for (w, &uid) in r.workers.iter().zip(&r.uids) {
+            let t = el.totals.entry((0, uid)).or_default();
+            t.add(w.busy_ms, &w.faults, &w.advers);
+        }
+        for (edge, id) in self.edges.iter().zip(el.churn.version().live_edges()) {
+            let t = el.totals.entry((1, id)).or_default();
+            t.add(edge.busy_ms, &edge.faults, &none);
+        }
+        let t = el.totals.entry((2, 0)).or_default();
+        t.add(self.cloud.busy_ms, &self.cloud.faults, &none);
+        el.base_ms += (self.now / 1000.0) * 1000.0;
+    }
+
+    /// Closes the last topology epoch and builds the result.
+    fn finish(mut self) -> SimResult {
         let strategy = self.strategy;
-        if !self.staged_rounds() && self.final_segment {
+        if !self.staged_rounds() {
             // Final state after all deliveries (late arrivals may have
             // landed after the last cloud firing).
             self.record_relaxed_eval(self.now);
         }
-        self.evals.sort_by_key(|r| r.iter);
-        let mut curve = ConvergenceCurve::new();
-        let mut timed = TimedCurve::new();
-        for r in &self.evals {
-            curve.push(EvalPoint {
-                iteration: r.iter,
-                train_loss: r.train.loss,
-                test_loss: r.test.loss,
-                test_accuracy: r.test.accuracy,
-            });
-            timed.push(TimedPoint {
-                seconds: r.at_ms / 1000.0,
-                iteration: r.iter,
-                train_loss: r.train.loss,
-                test_loss: r.test.loss,
-                test_accuracy: r.test.accuracy,
-            });
-        }
+        self.close_epoch();
         let end_ms = self.now;
         let mut utilization = Vec::new();
         let mut faults = Vec::new();
-        let mut tally = |actor: String, busy_ms: f64, counters: FaultCounters| {
-            utilization.push(ActorUtilization {
-                actor: actor.clone(),
-                busy_seconds: busy_ms / 1000.0,
-                utilization: if end_ms > 0.0 {
-                    (busy_ms / end_ms).min(1.0)
-                } else {
-                    0.0
-                },
-            });
-            faults.push(ActorFaults { actor, counters });
-        };
-        // Registered runs tally every actor; sampled runs are O(edges):
-        // the slots report as one aggregate "workers" entry and
-        // adversaries as one entry per plan entry.
         let mut adversaries = Vec::new();
         let adversary = |actor: String, counters| ActorAdversaries { actor, counters };
-        match &self.src {
-            Participants::Registered(r) => {
-                for (i, w) in r.workers.iter().enumerate() {
-                    tally(format!("worker-{i}"), w.busy_ms, w.faults);
-                    adversaries.push(adversary(format!("worker-{i}"), w.advers));
+        let simulated_seconds = if let Some(el) = &self.elastic {
+            // Per-actor tallies over the whole run, by stable identity.
+            let end_s = el.base_ms / 1000.0;
+            for (key, t) in &el.totals {
+                utilization.push(ActorUtilization {
+                    actor: actor_label(key),
+                    busy_seconds: t.busy_seconds,
+                    utilization: if end_s > 0.0 {
+                        (t.busy_seconds / end_s).min(1.0)
+                    } else {
+                        0.0
+                    },
+                });
+                faults.push(ActorFaults {
+                    actor: actor_label(key),
+                    counters: t.faults,
+                });
+                adversaries.push(adversary(actor_label(key), t.adversaries));
+            }
+            end_s
+        } else {
+            let mut tally = |actor: String, busy_ms: f64, counters: FaultCounters| {
+                utilization.push(ActorUtilization {
+                    actor: actor.clone(),
+                    busy_seconds: busy_ms / 1000.0,
+                    utilization: if end_ms > 0.0 {
+                        (busy_ms / end_ms).min(1.0)
+                    } else {
+                        0.0
+                    },
+                });
+                faults.push(ActorFaults { actor, counters });
+            };
+            // Registered runs tally every actor; sampled runs are
+            // O(edges): the slots report as one aggregate "workers" entry
+            // and adversaries as one entry per plan entry.
+            match &self.src {
+                Participants::Registered(r) => {
+                    for (i, w) in r.workers.iter().enumerate() {
+                        tally(format!("worker-{i}"), w.busy_ms, w.faults);
+                        adversaries.push(adversary(format!("worker-{i}"), w.advers));
+                    }
+                }
+                Participants::Sampled(s) => {
+                    tally("workers".to_string(), s.busy_ms, s.faults);
+                    let plan = self.cfg.adversary.byzantine.iter().zip(&s.adversaries);
+                    adversaries
+                        .extend(plan.map(|(b, c)| adversary(format!("worker-{}", b.worker), *c)));
                 }
             }
-            Participants::Sampled(s) => {
-                tally("workers".to_string(), s.busy_ms, s.faults);
-                let plan = self.cfg.adversary.byzantine.iter().zip(&s.adversaries);
-                adversaries
-                    .extend(plan.map(|(b, c)| adversary(format!("worker-{}", b.worker), *c)));
+            for (l, e) in self.edges.iter().enumerate() {
+                tally(format!("edge-{l}"), e.busy_ms, e.faults);
             }
-        }
-        for (l, e) in self.edges.iter().enumerate() {
-            tally(format!("edge-{l}"), e.busy_ms, e.faults);
-        }
-        tally("cloud".to_string(), self.cloud.busy_ms, self.cloud.faults);
-        if !self.is_sampled() {
-            let idle = (0..self.edges.len())
-                .map(|l| format!("edge-{l}"))
-                .chain(["cloud".to_string()]);
-            adversaries.extend(idle.map(|actor| adversary(actor, AdversaryCounters::default())));
-        }
+            tally("cloud".to_string(), self.cloud.busy_ms, self.cloud.faults);
+            if !self.is_sampled() {
+                let idle = (0..self.edges.len())
+                    .map(|l| format!("edge-{l}"))
+                    .chain(["cloud".to_string()]);
+                adversaries
+                    .extend(idle.map(|actor| adversary(actor, AdversaryCounters::default())));
+            }
+            end_ms / 1000.0
+        };
         let final_params = match self.src {
             Participants::Registered(_) => strategy.global_params(&self.fl),
             Participants::Sampled(_) => virtual_global_params(&self.fl),
         };
-        let result = SimResult {
+        SimResult {
             algorithm: strategy.name().to_string(),
             policy: self.sim.policy.label(),
-            curve,
-            timed_curve: timed,
+            curve: self.curve,
+            timed_curve: self.timed_curve,
             gamma_trace: self.gamma_trace,
             cos_trace: self.cos_trace,
             tier_gamma: self.tier_gamma,
             final_params,
-            simulated_seconds: end_ms / 1000.0,
+            simulated_seconds,
             utilization,
             faults,
             adversaries,
             events: self.events,
-            topology: TopologyCounters::default(),
-        };
-        (result, self.last_iter, self.firing_seq)
+            topology: self
+                .elastic
+                .map(|el| el.churn.counters())
+                .unwrap_or_default(),
+        }
     }
 }
 
@@ -2007,18 +2126,25 @@ where
 /// virtual time drawn from `sim.env`, and aggregation fires per
 /// `sim.policy` rather than at a global barrier.
 ///
-/// Like the core engine, it honours [`RunConfig::churn`]: a non-empty
-/// plan runs the elastic co-simulation ([`crate::elastic`]), where
-/// `worker_data` registers the whole uid space (initial tree first, join
-/// candidates after). Under an empty plan `worker_data` holds exactly one
-/// dataset per worker.
+/// Like the core engine, it honours [`RunConfig::churn`]. Under an empty
+/// plan `worker_data` holds exactly one dataset per worker. Under a
+/// non-empty one it registers the whole uid space (initial tree first,
+/// join candidates after); `cfg.adversary` and `sim.faults.permanent` are
+/// keyed by uid; `sim.env.worker_devices` is a device pool (uid `u`
+/// computes on profile `u mod pool size`); and every churn boundary is an
+/// epoch barrier inside the one event loop: every worker drains to the
+/// boundary tick, the mailbox moves into the next epoch's tree
+/// ([`hieradmo_core::elastic`]), and the epoch starts on fresh actors
+/// with its clock at 0, its times offset by the epochs before it.
+/// [`SimConfig::tiers`] does not compose with churn yet.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the config, schedule, topology, data, network
 /// environment or policy are inconsistent — the same pre-flight checks as
-/// the core driver plus the network/policy ones. A sampling policy that
-/// is not full is [`RunError::BadConfig`]: only
+/// the core driver plus the network/policy ones — or a churn event is
+/// invalid against the live topology when it applies. A sampling policy
+/// that is not full is [`RunError::BadConfig`]: only
 /// [`crate::simulate_virtual`] samples.
 pub fn simulate<M, S>(
     strategy: &S,
@@ -2033,34 +2159,64 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    if !cfg.churn.is_empty() {
-        return crate::elastic::simulate_churn(
-            strategy,
-            model,
-            hierarchy,
-            worker_data,
-            test_data,
-            cfg,
-            sim,
-        );
-    }
-    let span = Span::full(cfg);
-    simulate_span(
+    let churn = validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
+    let (hierarchy, weights, uids) = match &churn {
+        Some(churn) => {
+            let (hierarchy, weights) = churn.tree();
+            (hierarchy, weights, churn.uids())
+        }
+        None => {
+            let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
+            let weights = Weights::from_samples(hierarchy, &samples);
+            (hierarchy.clone(), weights, (0..worker_data.len()).collect())
+        }
+    };
+    let x0 = model.params();
+    let tree = sim.tiers.as_ref();
+    let fl = initial_state(strategy, &x0, hierarchy, weights, tree, cfg, false);
+    let members = uids.iter().map(|&u| &worker_data[u]);
+    let train_probe = build_train_probe(members, cfg.train_eval_cap);
+    let src = Participants::Registered(Registered::new(worker_data, &fl, cfg, sim, 0, uids));
+    let ctx = ExecCtx {
         strategy,
-        model,
-        hierarchy,
+        cfg,
         worker_data,
         test_data,
-        cfg,
-        sim,
-        span,
-    )
-    .map(|(result, ..)| result)
+        train_probe: &train_probe,
+    };
+    std::thread::scope(|scope| {
+        let pool = Pool::new(scope, ctx, model, fl.workers.len());
+        let mut engine = Engine::new(pool, fl, src, sim, churn);
+        engine.run()?;
+        Ok(engine.finish())
+    })
+}
+
+/// A one-line call of [`simulate`], kept because the repository
+/// benchmark calls it.
+///
+/// # Errors
+///
+/// Everything [`simulate`] rejects.
+pub fn simulate_elastic<M, S>(
+    strategy: &S,
+    model: &M,
+    hierarchy: &Hierarchy,
+    worker_data: &[Dataset],
+    test_data: &Dataset,
+    cfg: &RunConfig,
+    sim: &SimConfig,
+) -> Result<SimResult, SimError>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
+    simulate(strategy, model, hierarchy, worker_data, test_data, cfg, sim)
 }
 
 /// The checks every entry point shares: the config itself, a frozen tree
-/// (a churn run's epochs arrive here with an empty plan; populations do
-/// not churn), and the tier tree's `(τ, π)` against the config.
+/// (populations do not churn), and the tier tree's `(τ, π)` against the
+/// config.
 pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimError> {
     cfg.validate()
         .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
@@ -2074,41 +2230,63 @@ pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimEr
     check_tree_schedule(cfg, sim.tiers.as_ref()).map_err(SimError::Run)
 }
 
-/// The registered-worker pre-flight checks: everything
-/// [`validate_run`] checks, plus the hierarchy against its data, tree,
-/// fault and adversary plans, policy and device profiles.
+/// The registered-worker pre-flight checks: the config, the hierarchy
+/// against its data, tree, fault and adversary plans, policy and device
+/// profiles — for a churn run, the registered uid table, the initial tree
+/// and a non-empty device pool instead. Returns the churn state of a
+/// non-empty plan.
 fn validate_registered<S>(
     strategy: &S,
     hierarchy: &Hierarchy,
     worker_data: &[Dataset],
     cfg: &RunConfig,
     sim: &SimConfig,
-) -> Result<(), SimError>
+) -> Result<Option<Churn>, SimError>
 where
     S: Strategy + ?Sized,
 {
-    validate_run(cfg, sim)?;
+    let bad = |m: &str| SimError::Run(RunError::BadConfig(m.into()));
+    let churn = if cfg.churn.is_empty() {
+        validate_run(cfg, sim)?;
+        None
+    } else {
+        cfg.validate().map_err(|m| bad(&m))?;
+        if sim.tiers.is_some() {
+            return Err(bad("N-tier trees do not compose with a ChurnPlan yet; \
+                 elastic co-simulations are three-tier"));
+        }
+        if sim.env.worker_devices.is_empty() {
+            return Err(SimError::Net(
+                "elastic runs need at least one worker device profile in the pool".into(),
+            ));
+        }
+        Churn::start(hierarchy, worker_data, cfg, None)?
+    };
+    let tree = churn.as_ref().map(|c| c.tree().0);
+    let hierarchy = tree.as_ref().unwrap_or(hierarchy);
     check_registered_sampling(cfg).map_err(SimError::Run)?;
     strategy
         .check_topology(hierarchy)
         .map_err(|m| SimError::Run(RunError::Topology(m)))?;
-    check_worker_data(hierarchy, worker_data).map_err(SimError::Run)?;
+    if churn.is_none() {
+        check_worker_data(hierarchy, worker_data).map_err(SimError::Run)?;
+    }
     sim.faults.validate().map_err(SimError::Fault)?;
+    // Plans are keyed by uid: the flat position on a frozen tree.
+    let registered = worker_data.len();
     for p in &sim.faults.permanent {
-        if p.worker >= hierarchy.num_workers() {
+        if p.worker >= registered {
             return Err(SimError::Fault(format!(
-                "permanent crash targets worker {} but the topology has {} workers",
-                p.worker,
-                hierarchy.num_workers()
+                "permanent crash targets worker {} but only {registered} are registered",
+                p.worker
             )));
         }
     }
     for b in &cfg.adversary.byzantine {
-        if b.worker >= hierarchy.num_workers() {
+        if b.worker >= registered {
             return Err(SimError::Adversary(format!(
-                "attack targets worker {} but the topology has {} workers",
-                b.worker,
-                hierarchy.num_workers()
+                "attack targets worker {} but only {registered} are registered",
+                b.worker
             )));
         }
     }
@@ -2135,67 +2313,14 @@ where
     sim.policy
         .validate_for_children(hierarchy.num_edges())
         .map_err(SimError::Policy)?;
-    if sim.env.worker_devices.len() != hierarchy.num_workers() {
+    if churn.is_none() && sim.env.worker_devices.len() != hierarchy.num_workers() {
         return Err(SimError::Net(format!(
             "{} device profiles for {} workers",
             sim.env.worker_devices.len(),
             hierarchy.num_workers()
         )));
     }
-    Ok(())
-}
-
-/// Runs one span of registered workers: the whole of a [`simulate`], or
-/// one topology-epoch segment of an elastic co-simulation — ticks
-/// `(span.start, span.limit]` against `hierarchy` (the segment's frozen
-/// tree), resuming the mailbox from `span.resume`. Returns the span's
-/// result, the end-of-span snapshot (what the churn transform mutates),
-/// and the relaxed-policy index carry-overs `(iter_base, firing_base)`.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub(crate) fn simulate_span<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    sim: &SimConfig,
-    span: Span<'_>,
-) -> Result<(SimResult, TrainingSnapshot, usize, usize), SimError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
-    let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
-    let weights = Weights::from_samples(hierarchy, &samples);
-    let x0 = model.params();
-    let tree = sim.tiers.as_ref();
-    let mut fl = initial_state(strategy, &x0, hierarchy.clone(), weights, tree, cfg, false);
-    if let Some(snap) = span.resume {
-        // All algorithm state lives in the tier vectors (same rule the
-        // core driver's resume path relies on).
-        fl.workers = snap.workers.clone();
-        fl.edges = snap.edges.clone();
-        fl.cloud = snap.cloud.clone();
-    }
-    let src = Participants::Registered(Registered::new(worker_data, &fl, cfg, sim, span.start));
-    let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
-    let ctx = ExecCtx {
-        strategy,
-        cfg,
-        worker_data,
-        test_data,
-        train_probe: &train_probe,
-    };
-    std::thread::scope(|scope| {
-        let pool = Pool::new(scope, ctx, model, fl.workers.len());
-        let mut engine = Engine::new(pool, fl, src, sim, span);
-        engine.run();
-        let snapshot = engine.final_snapshot();
-        let (result, iter_base, firing_base) = engine.finish();
-        Ok((result, snapshot, iter_base, firing_base))
-    })
+    Ok(churn)
 }
 
 /// Runs sampled cohorts of `population` — already validated by
@@ -2265,8 +2390,10 @@ where
     };
     std::thread::scope(|scope| {
         let pool = Pool::new(scope, ctx, model, slots);
-        let mut engine = Engine::new(pool, fl, Participants::Sampled(src), sim, Span::full(cfg));
-        engine.run();
-        engine.finish().0
+        let mut engine = Engine::new(pool, fl, Participants::Sampled(src), sim, None);
+        engine
+            .run()
+            .expect("a run without churn has no boundary to fail at");
+        engine.finish()
     })
 }

@@ -25,9 +25,11 @@
 //!   `max_staleness` rounds, in which case the round waits for it.
 //!
 //! One event engine ([`driver`]) runs both entry points — [`simulate`]
-//! over registered workers (each topology epoch of a churn run, when
-//! [`hieradmo_core::RunConfig::churn`] is non-empty, see [`elastic`]),
-//! and [`simulate_virtual`] over a sampled population ([`vpop`]).
+//! over registered workers, and [`simulate_virtual`] over a sampled
+//! population ([`vpop`]). Under a non-empty
+//! [`hieradmo_core::RunConfig::churn`] plan the registered loop crosses
+//! every churn boundary as an epoch barrier, moving its mailbox into the
+//! next topology epoch's tree ([`hieradmo_core::elastic`]).
 //! [`simulate_elastic`] is a one-line call of [`simulate`], kept for the
 //! repository benchmark. Who takes part in a round is its
 //! private participant source: persistent registered worker actors, or
@@ -45,13 +47,11 @@
 
 mod barrier;
 pub mod driver;
-pub mod elastic;
 pub mod event;
 pub mod policy;
 pub mod vpop;
 
-pub use driver::{simulate, SimError, SimResult};
-pub use elastic::simulate_elastic;
+pub use driver::{simulate, simulate_elastic, SimError, SimResult};
 pub use event::{ActorId, EventQueue};
 pub use policy::{SimConfig, SyncPolicy};
 pub use vpop::simulate_virtual;

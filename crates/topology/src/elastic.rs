@@ -251,6 +251,57 @@ impl TopologyVersion {
         })
     }
 
+    /// Checks the invariants every operation keeps, for a version read
+    /// from an untrusted source such as a deserialized checkpoint: one
+    /// liveness flag per member list, at least one live edge, every live
+    /// edge non-empty and every failed one empty, member lists sorted,
+    /// every uid registered and present at most once, and no present
+    /// worker placed after the version's epoch.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.members.len() != self.live.len() {
+            return Err(format!(
+                "{} member lists for {} liveness flags",
+                self.members.len(),
+                self.live.len()
+            ));
+        }
+        if !self.live.contains(&true) {
+            return Err("no live edge".to_string());
+        }
+        let mut seen = vec![false; self.registered()];
+        for (e, (members, &live)) in self.members.iter().zip(&self.live).enumerate() {
+            if live == members.is_empty() {
+                return Err(format!(
+                    "edge {e} is {} with {} members",
+                    if live { "live" } else { "failed" },
+                    members.len()
+                ));
+            }
+            for &u in members {
+                if u >= seen.len() {
+                    return Err(format!(
+                        "edge {e} holds uid {u}, but only {} are registered",
+                        seen.len()
+                    ));
+                }
+                if std::mem::replace(&mut seen[u], true) {
+                    return Err(format!("uid {u} is present twice"));
+                }
+                if self.parent_since[u] > self.epoch {
+                    return Err(format!("uid {u} was placed after epoch {}", self.epoch));
+                }
+            }
+            if !members.is_sorted() {
+                return Err(format!("edge {e}'s members are not sorted"));
+            }
+        }
+        Ok(())
+    }
+
     /// The cloud round at which this version took effect.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -634,6 +685,30 @@ mod tests {
         plan.reform_every = None;
         plan.events[0].round = 0;
         assert!(plan.validate().is_err());
+    }
+
+    #[test]
+    fn validate_accepts_reachable_versions_and_names_violations() {
+        let mut v = v3();
+        v.validate().expect("initial version");
+        v.begin_epoch(2);
+        v.join(7, 0).expect("join");
+        v.fail_edge(1, 42).expect("fail");
+        v.validate().expect("after churn");
+
+        let broken = |f: fn(&mut TopologyVersion)| {
+            let mut w = v3();
+            f(&mut w);
+            w.validate().expect_err("violation")
+        };
+        assert!(broken(|w| w.live.insert(0, true)).contains("liveness"));
+        assert!(broken(|w| w.members[0].insert(0, 99)).contains("registered"));
+        assert!(broken(|w| w.members[1].push(0)).contains("twice"));
+        assert!(broken(|w| w.members[0].reverse()).contains("sorted"));
+        assert!(broken(|w| w.live[2] = false).contains("failed"));
+        assert!(broken(|w| w.members[2].clear()).contains("live"));
+        assert!(broken(|w| w.live.fill(false)).contains("no live edge"));
+        assert!(broken(|w| w.parent_since[0] = 5).contains("placed after"));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use common::{
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{run, RunSpec, Strategy, TrainingSnapshot};
+use hieradmo::core::{run, RunError, RunSpec, Strategy, TrainingSnapshot};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::netsim::{
     stream_seed, AdversaryPlan, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
@@ -755,4 +755,49 @@ fn core_churn_trajectory_is_pinned() {
             .collect(),
     };
     assert_eq!(got, pin, "core churn trajectory moved");
+}
+
+/// A checkpoint is untrusted input: a resumed snapshot whose topology was
+/// edited into an impossible tree is a typed error, never a panic.
+#[test]
+fn malformed_snapshot_topology_is_a_typed_error() {
+    let fx = churn_fixture();
+    let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
+    let strategy = HierAdMo::adaptive(0.01, 0.5);
+    let mut cfg = fx.cfg.clone();
+    cfg.churn = churn_plan();
+    let spec = RunSpec::hierarchy(&fx.hierarchy, &fx.shards);
+    let json = run(
+        &strategy,
+        &model,
+        &RunSpec {
+            stop_at: Some(25),
+            ..spec
+        },
+        &fx.test,
+        &cfg,
+    )
+    .unwrap()
+    .snapshot
+    .unwrap()
+    .to_json();
+    for (edit, from, to) in [
+        ("unregistered uid", "\"members\":[[", "\"members\":[[99,"),
+        ("extra liveness flag", "\"live\":[", "\"live\":[true,"),
+    ] {
+        assert_eq!(json.matches(from).count(), 1, "{edit}: {from} not found");
+        let snap = TrainingSnapshot::from_json(&json.replace(from, to)).unwrap();
+        let err = run(
+            &strategy,
+            &model,
+            &RunSpec {
+                resume: Some(&snap),
+                ..spec
+            },
+            &fx.test,
+            &cfg,
+        )
+        .expect_err(edit);
+        assert!(matches!(err, RunError::Data(_)), "{edit}: {err:?}");
+    }
 }

@@ -205,6 +205,7 @@ proptest! {
     /// The same `(FaultPlan, net_seed)` replays the entire simulation
     /// bitwise: trajectory, virtual clock, event count and every per-actor
     /// fault counter.
+    #[test]
     fn identical_plan_and_seed_replay_bitwise(
         crash_on in any::<bool>(),
         per_step in 0.01..0.25f64,

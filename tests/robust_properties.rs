@@ -40,6 +40,7 @@ proptest! {
     /// span. (With every input honest this is the formal version of "the
     /// defense cannot invent values"; with Byzantine inputs it bounds the
     /// attacker's reach to the input span.)
+    #[test]
     fn trimmed_and_median_stay_inside_the_coordinate_span(
         n in 2usize..6,
         dim in 1usize..6,
@@ -69,6 +70,7 @@ proptest! {
     /// Norm-clipping bounds the aggregate: scaling every offending input
     /// to the threshold makes the weighted average a convex combination of
     /// vectors of norm <= threshold, so the output norm is <= threshold.
+    #[test]
     fn norm_clip_bounds_the_aggregate_norm(
         n in 1usize..6,
         dim in 1usize..6,
@@ -87,6 +89,7 @@ proptest! {
     /// Untriggered defenses are the identity: a trim depth of zero and an
     /// unreachable clip threshold return the plain data-weighted mean
     /// bit-for-bit.
+    #[test]
     fn untriggered_rules_equal_the_weighted_mean_bitwise(
         n in 1usize..6,
         dim in 1usize..6,
@@ -104,6 +107,7 @@ proptest! {
 
     /// With a single input, every rule returns that input's value: there
     /// is nothing to trim, outvote or outweigh.
+    #[test]
     fn single_input_is_returned_by_every_rule(
         dim in 1usize..6,
         seed in 0u64..10_000,

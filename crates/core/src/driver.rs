@@ -910,7 +910,6 @@ where
     };
 
     let mut slots = state.workers.len();
-    let train_probe = participants.train_probe(cfg, slots);
     let Streams {
         mut ctxs,
         mut adversaries,
@@ -941,11 +940,11 @@ where
         cfg,
         worker_data: data,
         test_data,
-        train_probe: &train_probe,
     };
 
     std::thread::scope(|scope| -> Result<(), RunError> {
-        let mut pool = Pool::new(scope, ctx, model, slots);
+        let probe = participants.train_probe(cfg, slots);
+        let mut pool = Pool::new(scope, ctx, model, slots, probe);
 
         let mut from = start;
         for to in stops {

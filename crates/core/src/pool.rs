@@ -32,6 +32,8 @@ use crate::strategy::{Strategy, TierScope};
 
 /// Everything a lane needs by reference: the strategy and the run-wide
 /// immutable inputs. `Copy` so each job execution can capture it by value.
+/// The training probe is not among them: a churn run rebuilds it per
+/// topology epoch, so the pool owns it ([`Pool::set_train_probe`]).
 pub struct ExecCtx<'a, S: ?Sized> {
     /// The algorithm under execution.
     pub strategy: &'a S,
@@ -41,9 +43,6 @@ pub struct ExecCtx<'a, S: ?Sized> {
     pub worker_data: &'a [Dataset],
     /// Held-out test set for evaluation.
     pub test_data: &'a Dataset,
-    /// Capped training probe for evaluation, until
-    /// [`Pool::set_train_probe`] replaces it.
-    pub train_probe: &'a Dataset,
 }
 
 impl<S: ?Sized> Clone for ExecCtx<'_, S> {
@@ -134,11 +133,11 @@ enum Job {
         round_scoped: bool,
         items: Vec<EdgeItem>,
     },
-    /// Evaluation of `params` over the contained chunks, with the pool's
-    /// replacement training probe, if any.
+    /// Evaluation of `params` over the contained chunks of the test set
+    /// and `probe`.
     Eval {
         params: Vector,
-        probe: Option<Arc<Dataset>>,
+        probe: Arc<Dataset>,
         chunks: Vec<EvalChunk>,
     },
 }
@@ -249,7 +248,7 @@ impl<M: Model> Lane<M> {
                 let sums = chunks.into_iter().map(|c| {
                     let data = match c.target {
                         EvalTarget::Test => ctx.test_data,
-                        EvalTarget::Probe => probe.as_deref().unwrap_or(ctx.train_probe),
+                        EvalTarget::Probe => &probe,
                     };
                     (c.target, self.model.evaluate_range(data, c.range))
                 });
@@ -293,8 +292,8 @@ impl<M: Model> Lane<M> {
 /// the calling thread is lane 0, with the pool's own lane.
 pub struct Pool<'env, M, S: ?Sized> {
     ctx: ExecCtx<'env, S>,
-    /// The training probe that replaced `ctx.train_probe`, if any.
-    probe: Option<Arc<Dataset>>,
+    /// Capped training probe for evaluation.
+    probe: Arc<Dataset>,
     lane: Lane<M>,
     /// One `(job sender, reply receiver)` pair per spawned lane.
     spawned: Vec<(Sender<Job>, Receiver<Reply>)>,
@@ -308,16 +307,18 @@ where
     /// Spawns the pool's lanes on `scope`; the caller is lane 0. It runs
     /// `ctx.cfg.resolved_threads()` lanes, capped by the widest batch the
     /// run can issue: `width` step segments or edge items (the run's
-    /// workers or cohort slots) or one evaluation pass's chunks. Each lane
-    /// gets its own clone of `model`. Dropping the pool closes the job
-    /// channels, which ends every lane's loop; the scope then joins them.
+    /// workers or cohort slots) or one evaluation pass's chunks over the
+    /// test set and `train_probe`. Each lane gets its own clone of
+    /// `model`. Dropping the pool closes the job channels, which ends
+    /// every lane's loop; the scope then joins them.
     pub fn new<'scope>(
         scope: &'scope Scope<'scope, 'env>,
         ctx: ExecCtx<'env, S>,
         model: &M,
         width: usize,
+        train_probe: Dataset,
     ) -> Self {
-        let chunks = eval_chunks(ctx.test_data.len(), ctx.train_probe.len()).len();
+        let chunks = eval_chunks(ctx.test_data.len(), train_probe.len()).len();
         let lanes = lane_count(ctx.cfg.resolved_threads(), width, chunks);
         let lane = || Lane {
             model: model.clone(),
@@ -340,7 +341,7 @@ where
             .collect();
         Pool {
             ctx,
-            probe: None,
+            probe: Arc::new(train_probe),
             lane: lane(),
             spawned,
         }
@@ -382,7 +383,7 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
     /// Replaces the training probe every later evaluation reads: a churn
     /// run's loops rebuild it from each topology epoch's members.
     pub fn set_train_probe(&mut self, probe: Dataset) {
-        self.probe = Some(Arc::new(probe));
+        self.probe = Arc::new(probe);
     }
 
     /// Evaluates `params` on the test set and the training probe, split
@@ -390,13 +391,12 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
     /// Partial sums are merged in chunk order, so the result is identical
     /// for every lane count — including one, which uses the same chunking.
     pub fn evaluate(&mut self, params: &Vector) -> (Evaluation, Evaluation) {
-        let probe_len = self.probe.as_deref().unwrap_or(self.ctx.train_probe).len();
-        let chunks = eval_chunks(self.ctx.test_data.len(), probe_len);
+        let chunks = eval_chunks(self.ctx.test_data.len(), self.probe.len());
         let jobs = chunk(chunks, self.lanes())
             .into_iter()
             .map(|chunks| Job::Eval {
                 params: params.clone(),
-                probe: self.probe.clone(),
+                probe: Arc::clone(&self.probe),
                 chunks,
             });
         let mut test = EvalSums::default();

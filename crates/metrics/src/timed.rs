@@ -231,15 +231,6 @@ impl TopologyCounters {
     pub fn is_zero(&self) -> bool {
         *self == TopologyCounters::default()
     }
-
-    /// Folds another tally into this one (additive over run segments).
-    pub fn merge(&mut self, other: &TopologyCounters) {
-        self.joins += other.joins;
-        self.leaves += other.leaves;
-        self.migrations += other.migrations;
-        self.reformations += other.reformations;
-        self.orphaned_rounds += other.orphaned_rounds;
-    }
 }
 
 /// Adversary-event tallies for one Byzantine actor, accumulated wherever

@@ -2182,10 +2182,9 @@ where
         cfg,
         worker_data,
         test_data,
-        train_probe: &train_probe,
     };
     std::thread::scope(|scope| {
-        let pool = Pool::new(scope, ctx, model, fl.workers.len());
+        let pool = Pool::new(scope, ctx, model, fl.workers.len(), train_probe);
         let mut engine = Engine::new(pool, fl, src, sim, churn);
         engine.run()?;
         Ok(engine.finish())
@@ -2386,10 +2385,9 @@ where
         cfg,
         worker_data: shards,
         test_data,
-        train_probe: &train_probe,
     };
     std::thread::scope(|scope| {
-        let pool = Pool::new(scope, ctx, model, slots);
+        let pool = Pool::new(scope, ctx, model, slots, train_probe);
         let mut engine = Engine::new(pool, fl, Participants::Sampled(src), sim, None);
         engine
             .run()

@@ -146,10 +146,9 @@ fn oversized_thread_requests_are_capped_by_the_work() {
         cfg: &cfg,
         worker_data: &shards,
         test_data: &tt.test,
-        train_probe: &probe,
     };
     std::thread::scope(|scope| {
-        let pool = Pool::new(scope, ctx, &model, shards.len());
+        let pool = Pool::new(scope, ctx, &model, shards.len(), probe);
         assert_eq!(pool.lanes(), 4, "64 threads capped at the 4 workers");
     });
 }

@@ -126,7 +126,7 @@ fn reform_assignment(
 /// [`TopologyVersion`] in force, the plan, and the churn tallies so far.
 /// Both training loops hold one and call [`Churn::cross`] at every
 /// boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Churn {
     plan: ChurnPlan,
     version: TopologyVersion,

@@ -5,7 +5,7 @@
 //!
 //! 1. **Idle-plan identity** — `run` / `simulate` with a non-empty
 //!    [`ChurnPlan`] that never fires (its events fall at or after the
-//!    final cloud round) take the churn path as one segment and are
+//!    final cloud round) carry churn state that crosses no boundary and are
 //!    *bitwise* the frozen-tree engines for every algorithm in the
 //!    five-algorithm lineup: same curve, final parameters, diagnostics
 //!    traces and simulated clock, with all-zero topology counters.
@@ -92,7 +92,7 @@ fn never_firing_plan_is_bitwise_identical_to_the_frozen_engines() {
     // Non-empty, so `run` and `simulate` take their churn paths, but
     // nothing fires: the explicit event is scheduled at the run's final
     // cloud round (nothing left to act on) and the periodic reform first
-    // falls after it. Each engine runs the whole span as one segment.
+    // falls after it. Neither engine ever crosses a boundary.
     let rounds = fx.cfg.total_iters / (fx.cfg.tau * fx.cfg.pi);
     let idle = ChurnPlan {
         events: vec![ScheduledEvent {

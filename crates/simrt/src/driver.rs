@@ -1900,15 +1900,12 @@ where
             // Permanent crashes are keyed by uid and land on the epoch's
             // clock: a death already past strikes again at its start.
             let base_ms = self.elastic.as_ref().map_or(0.0, |el| el.base_ms);
-            let dies: Vec<(usize, f64)> = (self.sim.faults.permanent.iter())
-                .filter_map(|p| {
-                    let flat = r.uids.iter().position(|&u| u == p.worker)?;
-                    Some((flat, (p.at_ms - base_ms).max(0.0)))
-                })
-                .collect();
-            for (worker, at_ms) in dies {
-                self.queue
-                    .push(at_ms, ActorId::Worker(worker), Ev::Die { worker });
+            for p in &self.sim.faults.permanent {
+                if let Some(worker) = r.uids.iter().position(|&u| u == p.worker) {
+                    let at_ms = (p.at_ms - base_ms).max(0.0);
+                    self.queue
+                        .push(at_ms, ActorId::Worker(worker), Ev::Die { worker });
+                }
             }
             for i in 0..self.fl.workers.len() {
                 self.schedule_step(i, 0.0);

@@ -120,6 +120,17 @@ pub fn sim_config(net_seed: u64, policy: SyncPolicy) -> SimConfig {
     )
 }
 
+/// [`sim_fixture`] stretched for churn: five registered workers over the
+/// 2 × 2 tree (uid 4 starts absent, available to `Join`) and 40 ticks,
+/// so cloud rounds 1–3 are usable churn boundaries (ticks 10, 20, 30).
+pub fn churn_fixture() -> SimFixture {
+    let mut fx = sim_fixture(0.0);
+    fx.shards = x_class_partition(&fx.train, 5, 2, 11);
+    fx.cfg.total_iters = 40;
+    fx.cfg.eval_every = 7;
+    fx
+}
+
 /// A wider 2-edge × 4-worker federation for Byzantine-robustness checks:
 /// with four workers per edge a coordinate-wise trimmed mean
 /// (`trim_ratio = 0.25`) can drop exactly one corrupted upload per edge,

@@ -28,13 +28,12 @@
 mod common;
 
 use common::{
-    assert_bitwise_equal, bits_hash, matrix_policies, sim_config, sim_fixture, wide_sim_fixture,
-    SimFixture,
+    assert_bitwise_equal, bits_hash, churn_fixture, matrix_policies, sim_config, sim_fixture,
+    wide_sim_fixture, SimFixture,
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
 use hieradmo::core::{run, RunError, RunSpec, Strategy, TrainingSnapshot};
-use hieradmo::data::partition::x_class_partition;
 use hieradmo::netsim::{
     stream_seed, AdversaryPlan, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
     PermanentCrash,
@@ -51,17 +50,6 @@ fn lineup() -> Vec<Box<dyn Strategy>> {
         Box::new(Cfl::new(0.01, 0.5)),
         Box::new(QuantizedHierFavg::new(0.01, Compression::TopK { k: 8 })),
     ]
-}
-
-/// [`sim_fixture`] stretched for churn: five registered workers over the
-/// 2 × 2 tree (uid 4 starts absent, available to `Join`) and 40 ticks,
-/// so cloud rounds 1–3 are usable churn boundaries (ticks 10, 20, 30).
-fn churn_fixture() -> SimFixture {
-    let mut fx = sim_fixture(0.0);
-    fx.shards = x_class_partition(&fx.train, 5, 2, 11);
-    fx.cfg.total_iters = 40;
-    fx.cfg.eval_every = 7;
-    fx
 }
 
 /// Join the spare worker, fail an edge (re-homing its members), then

@@ -223,3 +223,107 @@ fn run_result_timings_round_trip_through_metrics_export() {
     let back = run_from_json(&run_to_json(&rec)).unwrap();
     assert_eq!(back, rec);
 }
+
+/// One pinned short core run: the whole parameter vector by its bit hash,
+/// its sum, and the per-edge-aggregation γℓ and cos θ traces.
+#[derive(Debug, PartialEq)]
+struct NagPin {
+    label: &'static str,
+    params_hash: u64,
+    sum: f32,
+    gamma: Vec<(usize, f32)>,
+    cos: Vec<(usize, f32)>,
+}
+
+/// FNV-1a over the bit patterns of `values`, signs of zeros included.
+fn bits_hash(values: &[f32]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Hard-coded trajectories of every strategy whose local step is the
+/// fused NAG pass, besides `HierAdMo::adaptive` (pinned elsewhere). Each
+/// γ mode reads a different pair of interval sums, so a sum the step
+/// stops updating, or one a hook reads without the step writing it,
+/// moves a pin; the equivalence suites compare engines with each other
+/// and would move with it.
+#[test]
+fn nag_strategy_trajectories_are_pinned() {
+    use hieradmo::core::algorithms::FastSlowMo;
+    let (_, test, shards, model) = problem();
+    let short = RunConfig {
+        total_iters: 40,
+        eval_every: 10,
+        ..cfg()
+    };
+    let strategies: [Box<dyn Strategy>; 5] = [
+        Box::new(HierAdMo::adaptive_agreement(0.05, 0.5)),
+        Box::new(HierAdMo::adaptive_gradient_alignment(0.05, 0.5)),
+        Box::new(HierAdMo::reduced(0.05, 0.5, 0.5)),
+        Box::new(FedNag::new(0.05, 0.5)),
+        Box::new(FastSlowMo::new(0.05, 0.5, 0.5)),
+    ];
+    let pins = [
+        NagPin {
+            label: "HierAdMo-AG",
+            params_hash: 2672966325061889445,
+            sum: -6.057393,
+            gamma: vec![(1, 0.7363474), (2, 0.98790216), (3, 0.99), (4, 0.99)],
+            cos: vec![(1, 0.7363474), (2, 0.98790216), (3, 0.999584), (4, 0.99870557)],
+        },
+        NagPin {
+            label: "HierAdMo-GA",
+            params_hash: 14241129631836585256,
+            sum: -6.0574026,
+            gamma: vec![(1, 0.99), (2, 0.6495136), (3, 0.269041), (4, 0.0)],
+            cos: vec![(1, 0.9999407), (2, 0.6495136), (3, 0.269041), (4, -0.058998935)],
+        },
+        NagPin {
+            label: "HierAdMo-R",
+            params_hash: 17893838897373293970,
+            sum: -6.057412,
+            gamma: vec![(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)],
+            cos: vec![(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)],
+        },
+        NagPin {
+            label: "FedNAG",
+            params_hash: 7223070139468686699,
+            sum: -6.057409,
+            gamma: vec![(1, 0.0), (2, 0.0)],
+            cos: vec![(1, 0.0), (2, 0.0)],
+        },
+        NagPin {
+            label: "FastSlowMo",
+            params_hash: 10514589722036130820,
+            sum: -6.0574064,
+            gamma: vec![(1, 0.0), (2, 0.0)],
+            cos: vec![(1, 0.0), (2, 0.0)],
+        },
+    ];
+    for (algo, pin) in strategies.iter().zip(pins) {
+        let (hierarchy, run_cfg) = match algo.tier() {
+            Tier::Three => (Hierarchy::balanced(2, 2), short.clone()),
+            Tier::Two => (Hierarchy::two_tier(4), short.two_tier_equivalent()),
+        };
+        let r = run(
+            algo.as_ref(),
+            &model,
+            &RunSpec::hierarchy(&hierarchy, &shards),
+            &test,
+            &run_cfg,
+        )
+        .unwrap();
+        let got = NagPin {
+            label: algo.name(),
+            params_hash: bits_hash(r.final_params.as_slice()),
+            sum: r.final_params.iter().sum(),
+            gamma: r.gamma_trace.clone(),
+            cos: r.cos_trace.clone(),
+        };
+        assert_eq!(got, pin, "{}: trajectory moved", pin.label);
+    }
+}

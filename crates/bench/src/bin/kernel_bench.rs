@@ -712,20 +712,7 @@ fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
     let init = |scale: f32| Vector::from(seq(dim, scale));
     let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(init);
     let (eta, gamma) = (0.01f32, 0.5f32);
-    let fused = |s: &mut [Vector; 6]| {
-        let [x, y, v, grad_accum, y_accum, v_accum] = s;
-        kernels::nag_step(
-            x.as_mut_slice(),
-            y.as_mut_slice(),
-            v.as_mut_slice(),
-            grad_accum.as_mut_slice(),
-            y_accum.as_mut_slice(),
-            v_accum.as_mut_slice(),
-            g.as_slice(),
-            eta,
-            gamma,
-        );
-    };
+    let fused = |s: &mut [Vector; 6]| nag_step_selected(s, [true; 3], &g, eta, gamma);
     let mut old = vec![state.clone(); NAG_WORKERS];
     let mut new = old.clone();
     old_nag_step(&mut old[0], &g, eta, gamma);
@@ -777,16 +764,47 @@ struct BandwidthRow {
     gib_per_s: f64,
 }
 
+/// One [`kernels::nag_step`] on `s = [x, y, v, grad_accum, y_accum,
+/// v_accum]`, updating the interval sums `sums` selects in that order.
+fn nag_step_selected(s: &mut [Vector; 6], sums: [bool; 3], g: &Vector, eta: f32, gamma: f32) {
+    let [x, y, v, grad_accum, y_accum, v_accum] = s;
+    kernels::nag_step(
+        x.as_mut_slice(),
+        y.as_mut_slice(),
+        v.as_mut_slice(),
+        sums[0].then(|| grad_accum.as_mut_slice()),
+        sums[1].then(|| y_accum.as_mut_slice()),
+        sums[2].then(|| v_accum.as_mut_slice()),
+        g.as_slice(),
+        eta,
+        gamma,
+    );
+}
+
 /// `nag_step` bytes/s against a `copy` over the same buffers: the
-/// [`NAG_WORKERS`] six-vector worker states at width `dim`. A `nag_step`
-/// reads six vectors (`x`, `y`, `g` and the three interval sums) and
-/// writes six (`x`, `y`, `v` and the sums); the `copy` row copies three
-/// of each worker's vectors onto the other three, so both touch the same
-/// footprint. Each figure is the fastest of `reps` blocks ([`block_ns`]).
+/// [`NAG_WORKERS`] six-vector worker states at width `dim`. The
+/// all-three `nag_step` reads six vectors (`x`, `y`, `g` and the three
+/// interval sums) and writes six (`x`, `y`, `v` and the sums);
+/// `nag_step_adaptive` is the selection HierAdMo's Eq. 6 mode runs
+/// (`Σ∇F`, `Σy`), five and five, checked bitwise equal to the all-three
+/// pass on every vector it writes first. The `copy` row copies three of
+/// each worker's vectors onto the other three, so it touches the
+/// all-three footprint. Each figure is the fastest of `reps` blocks
+/// ([`block_ns`]).
 fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
     const F32: usize = std::mem::size_of::<f32>();
+    const ADAPTIVE: [bool; 3] = [true, true, false];
     let g = Vector::from(seq(dim, 0.013));
     let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(|s| Vector::from(seq(dim, s)));
+    let (mut all, mut adaptive) = (state.clone(), state.clone());
+    nag_step_selected(&mut all, [true; 3], &g, 0.01, 0.5);
+    nag_step_selected(&mut adaptive, ADAPTIVE, &g, 0.01, 0.5);
+    for (i, (a, b)) in all[..5].iter().zip(&adaptive[..5]).enumerate() {
+        assert!(
+            a.iter().zip(b.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+            "nag_step_adaptive: state vector {i} differs from the all-three pass"
+        );
+    }
     let mut workers = vec![state; NAG_WORKERS];
     let mut timed = |name: &str, streams: usize, f: &mut dyn FnMut(&mut [Vector; 6])| {
         let mut step = || {
@@ -808,18 +826,10 @@ fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
         });
     };
     timed("nag_step", 12, &mut |s| {
-        let [x, y, v, grad_accum, y_accum, v_accum] = s;
-        kernels::nag_step(
-            x.as_mut_slice(),
-            y.as_mut_slice(),
-            v.as_mut_slice(),
-            grad_accum.as_mut_slice(),
-            y_accum.as_mut_slice(),
-            v_accum.as_mut_slice(),
-            g.as_slice(),
-            0.01,
-            0.5,
-        );
+        nag_step_selected(s, [true; 3], &g, 0.01, 0.5)
+    });
+    timed("nag_step_adaptive", 10, &mut |s| {
+        nag_step_selected(s, ADAPTIVE, &g, 0.01, 0.5)
     });
     timed("copy", 6, &mut |s| {
         let [x, y, v, grad_accum, y_accum, v_accum] = s;

@@ -56,7 +56,10 @@ where
 {
     let mut acc = 0.0f64;
     for (weight, grad_accum, y_accum) in items {
-        let cos = (-grad_accum).cosine(y_accum);
+        // `cos(−a, b) = −cos(a, b)` bit for bit, with no negated copy of
+        // `a`: IEEE rounding is sign-symmetric, so the two differ at most
+        // in the sign of a zero cosine, which the f64 sum from +0.0 drops.
+        let cos = -grad_accum.cosine(y_accum);
         acc += weight * f64::from(cos);
     }
     acc as f32
@@ -140,6 +143,52 @@ mod tests {
         // 75% of the data agrees, 25% disagrees: cos = 0.75 - 0.25 = 0.5.
         let cos = weighted_cosine([(0.75, &g, &agree), (0.25, &g, &disagree)]);
         assert!((cos - 0.5).abs() < 1e-6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The cosine of the negated gradient sum equals the negated
+        /// cosine bit for bit once summed, for zero, near-zero, huge and
+        /// non-finite accumulators alike.
+        #[test]
+        fn negated_cosine_matches_cosine_of_the_negation_bitwise(
+            len in 0usize..24,
+            workers in 1usize..5,
+            seed in 0u64..10_000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let entry = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0u32..12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                3 => -1e-30,
+                4 => 3e38,
+                5 => f32::INFINITY,
+                6 => f32::NAN,
+                _ => rng.gen_range(-2.0f32..2.0),
+            };
+            let vector = |rng: &mut rand::rngs::StdRng| {
+                let kind = rng.gen_range(0u32..4);
+                (0..len)
+                    .map(|_| match kind {
+                        0 => 0.0,
+                        1 => rng.gen_range(-1e-20f32..1e-20),
+                        _ => entry(rng),
+                    })
+                    .collect::<Vector>()
+            };
+            let items: Vec<(f64, Vector, Vector)> = (0..workers)
+                .map(|_| (rng.gen_range(0.0f64..1.0), vector(&mut rng), vector(&mut rng)))
+                .collect();
+            let mut allocating = 0.0f64;
+            for (weight, g, y) in &items {
+                allocating += weight * f64::from((-g).cosine(y));
+            }
+            let got = weighted_cosine(items.iter().map(|(w, g, y)| (*w, g, y)));
+            proptest::prop_assert_eq!(got.to_bits(), (allocating as f32).to_bits());
+        }
     }
 
     #[test]

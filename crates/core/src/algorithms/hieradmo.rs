@@ -7,7 +7,7 @@ use crate::adaptive::{clamp_gamma, weighted_cosine};
 use crate::state::{EdgeView, FlState, WorkerState};
 use crate::strategy::{Strategy, Tier};
 
-use super::nag_local_step;
+use super::{nag_local_step, IntervalSums};
 
 /// How the edge momentum factor `γℓ` is chosen at each edge aggregation.
 ///
@@ -149,6 +149,22 @@ impl HierAdMo {
     }
 }
 
+impl GammaMode {
+    /// The interval sums this mode's cosine reads in the edge hooks below,
+    /// and so the ones the local step updates: Eq. 6 verbatim pairs `Σ∇F`
+    /// with `Σy`, agreement compares `Σv` with its edge average, gradient
+    /// alignment pairs `Σ∇F` with `Σv`, and a fixed `γℓ` reads none.
+    fn interval_sums(self) -> IntervalSums {
+        let (grad, y, v) = match self {
+            GammaMode::Adaptive => (true, true, false),
+            GammaMode::AdaptiveAgreement => (false, false, true),
+            GammaMode::AdaptiveGradientAlignment => (true, false, true),
+            GammaMode::Fixed(_) => (false, false, false),
+        };
+        IntervalSums { grad, y, v }
+    }
+}
+
 impl Strategy for HierAdMo {
     fn name(&self) -> &'static str {
         match self.mode {
@@ -169,7 +185,8 @@ impl Strategy for HierAdMo {
         worker: &mut WorkerState,
         grad: &mut dyn FnMut(&Vector, &mut Vector),
     ) {
-        nag_local_step(self.eta, self.gamma, worker, grad);
+        let sums = self.mode.interval_sums();
+        nag_local_step(self.eta, self.gamma, sums, worker, grad);
     }
 
     fn edge_aggregate(&self, _k: usize, view: &mut EdgeView<'_>) {

@@ -41,8 +41,8 @@ use crate::state::WorkerState;
 use crate::strategy::Strategy;
 
 /// Plain SGD local step: `x ← x − η·∇F(x)` (no momentum, used by FedAvg,
-/// HierFAVG, CFL). Allocation-free: the gradient lands in the worker's
-/// scratch buffer.
+/// HierFAVG, CFL). Allocation-free: the gradient lands in the scratch
+/// buffer the lane lends the worker for the step.
 pub(crate) fn sgd_local_step(
     eta: f32,
     worker: &mut WorkerState,
@@ -52,6 +52,28 @@ pub(crate) fn sgd_local_step(
     grad(&worker.x, &mut g);
     worker.x.axpy(-eta, &g);
     worker.scratch = g;
+}
+
+/// Which edge-interval sums a NAG local step updates: the ones its
+/// strategy's aggregation hooks read. An unselected sum keeps the zero
+/// its last reset wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IntervalSums {
+    /// `Σ ∇F` ([`WorkerState::grad_accum`]).
+    pub grad: bool,
+    /// `Σ y` ([`WorkerState::y_accum`]).
+    pub y: bool,
+    /// `Σ v` ([`WorkerState::v_accum`]).
+    pub v: bool,
+}
+
+impl IntervalSums {
+    /// No sum: a strategy whose hooks read only `x` and `y`.
+    pub const NONE: Self = IntervalSums {
+        grad: false,
+        y: false,
+        v: false,
+    };
 }
 
 /// Worker NAG step (Algorithm 1 lines 5–6) with edge-interval accumulation
@@ -65,26 +87,29 @@ pub(crate) fn sgd_local_step(
 /// Also maintains `v = y_t − y_{t−1}`, the velocity form of Appendix A
 /// (Eqs. 24–25). The sums `Σ ∇F_{i,ℓ}(x^t)` and `Σ y^t` run over
 /// t = (k−1)τ … kτ−1, so they take the gradient and `y_{t−1}` *before*
-/// the update.
+/// the update; only the `sums` selected are updated.
 ///
-/// Allocation-free: the gradient lands in the worker's scratch buffer and
-/// [`kernels::nag_step`] updates all six state vectors in place in one
-/// pass, bitwise identical to the textbook clone-based formulation.
+/// Allocation-free: the gradient lands in the scratch buffer the lane
+/// lends the worker, and [`kernels::nag_step`] updates the state and the
+/// selected sums in place in one pass, bitwise identical to the textbook
+/// clone-based formulation.
 pub(crate) fn nag_local_step(
     eta: f32,
     gamma: f32,
+    sums: IntervalSums,
     worker: &mut WorkerState,
     grad: &mut dyn FnMut(&Vector, &mut Vector),
 ) {
     let mut g = std::mem::take(&mut worker.scratch);
     grad(&worker.x, &mut g);
+    let w = &mut *worker;
     kernels::nag_step(
-        worker.x.as_mut_slice(),
-        worker.y.as_mut_slice(),
-        worker.v.as_mut_slice(),
-        worker.grad_accum.as_mut_slice(),
-        worker.y_accum.as_mut_slice(),
-        worker.v_accum.as_mut_slice(),
+        w.x.as_mut_slice(),
+        w.y.as_mut_slice(),
+        w.v.as_mut_slice(),
+        sums.grad.then(|| w.grad_accum.as_mut_slice()),
+        sums.y.then(|| w.y_accum.as_mut_slice()),
+        sums.v.then(|| w.v_accum.as_mut_slice()),
         g.as_slice(),
         eta,
         gamma,

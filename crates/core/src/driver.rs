@@ -1063,8 +1063,9 @@ where
 }
 
 /// Checks `snap` against the freshly initialized `state` — algorithm,
-/// tick, tier shapes and the length of every state vector — and restores
-/// every tier from it. All algorithm state lives in the tier vectors, so
+/// tick, tier shapes and the length of every state vector, a worker's
+/// scratch being empty or model-width — and restores every tier from it,
+/// each scratch cleared. All algorithm state lives in the tier vectors, so
 /// restoring them overwrites everything `init` set up. A malformed
 /// snapshot is a typed error, never a panic mid-run; non-finite values
 /// pass, since a diverged run legitimately snapshots them.
@@ -1100,17 +1101,22 @@ fn restore(
         )));
     }
     let dim = state.dim();
-    let workers = snap.workers.iter().flat_map(|w| {
-        [
-            &w.x,
-            &w.y,
-            &w.v,
-            &w.grad_accum,
-            &w.y_accum,
-            &w.v_accum,
-            &w.scratch,
-        ]
-    });
+    // A worker's scratch is empty between steps; a snapshot written while
+    // workers still kept a gradient buffer holds a model-width one.
+    if let Some(w) = snap
+        .workers
+        .iter()
+        .find(|w| !w.scratch.is_empty() && w.scratch.len() != dim)
+    {
+        return Err(RunError::Data(format!(
+            "snapshot holds a worker scratch of length {} for model dimension {dim}",
+            w.scratch.len()
+        )));
+    }
+    let workers = snap
+        .workers
+        .iter()
+        .flat_map(|w| [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum]);
     let tiers = snap
         .edges
         .iter()
@@ -1124,6 +1130,9 @@ fn restore(
         )));
     }
     state.workers = snap.workers.clone();
+    for w in &mut state.workers {
+        w.scratch = Vector::default();
+    }
     state.edges = snap.edges.clone();
     state.cloud = snap.cloud.clone();
     state.middle = snap.middle.clone();

@@ -32,8 +32,10 @@
 //! Worker state across a parent change keeps its model `x` and lookahead
 //! `y`, damps its velocity by `1/(1 + min(age, MIDDLE_AGE_CAP))` (age =
 //! cloud rounds under the previous parent — the bounded-age carry-over
-//! rule middle tiers already use for stale subtrees), and drops interval
-//! accumulators (they describe sums the new edge never requested).
+//! rule middle tiers already use for stale subtrees; only a strategy whose
+//! local step reads the previous velocity feels it, see `rehome`), and
+//! drops interval accumulators (they describe sums the new edge never
+//! requested).
 //! Workers joining fresh materialize from their edge's `(x₊, y₋)` exactly
 //! like sampled-cohort slots do.
 
@@ -52,7 +54,15 @@ use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
 
 /// The re-parenting transform: keep `x`/`y`, damp the velocity by the
 /// bounded-age rule `1/(1 + min(age, MIDDLE_AGE_CAP))`, drop interval
-/// accumulators and scratch.
+/// accumulators.
+///
+/// The damping reaches training only through a strategy that reads the
+/// `v` a worker carries over (FedADC's and Mime's local steps, the
+/// compressed HierFAVG's error feedback). The NAG step of HierAdMo,
+/// HierAdMo-R, FedNAG and FastSlowMo overwrites `v` with `y_t − y_{t−1}`
+/// before reading it, so for them the damped `v` is read only by a
+/// re-formation later in the same boundary ([`reform_assignment`]'s
+/// centroids).
 fn rehome(state: &mut WorkerState, age: u64) {
     let damp = 1.0 / (1 + (age as usize).min(MIDDLE_AGE_CAP)) as f32;
     state.v.scale_in_place(damp);
@@ -60,7 +70,6 @@ fn rehome(state: &mut WorkerState, age: u64) {
     state.y_accum.fill(0.0);
     state.v_accum.fill(0.0);
     state.steps = 0;
-    state.scratch.fill(0.0);
 }
 
 /// The re-formation assignment: greedy capacity-bounded clustering of

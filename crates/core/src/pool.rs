@@ -11,9 +11,11 @@
 //! Together with per-worker RNG streams and fixed-size evaluation chunks
 //! this makes every run bitwise identical for any thread count.
 //!
-//! Each lane owns one model replica and one batch-index buffer: every
-//! gradient call sets the replica's parameters first, so it carries no
-//! worker state. A pool never runs more lanes than its widest batch can
+//! Each lane owns one model replica, one batch-index buffer and one
+//! model-width gradient buffer: every gradient call sets the replica's
+//! parameters first, so it carries no worker state, and the lane lends its
+//! gradient buffer to each worker for exactly one local step
+//! ([`WorkerState::scratch`]), so worker state carries no gradient. A pool never runs more lanes than its widest batch can
 //! fill (see [`Pool::new`]), however large `RunConfig::threads` is.
 
 use std::ops::Range;
@@ -195,6 +197,18 @@ fn lane_count(threads: usize, width: usize, eval_chunks: usize) -> usize {
 struct Lane<M> {
     model: M,
     batch: Vec<usize>,
+    /// The gradient buffer lent to each worker for one local step.
+    grad: Vector,
+}
+
+impl<M> Lane<M> {
+    fn new(model: M) -> Self {
+        Lane {
+            model,
+            batch: Vec::new(),
+            grad: Vector::default(),
+        }
+    }
 }
 
 impl<M: Model> Lane<M> {
@@ -258,9 +272,10 @@ impl<M: Model> Lane<M> {
     }
 
     /// One local step at tick `t`: draw the next batch into the lane's
-    /// buffer, then hand the strategy a gradient hook that runs on the
-    /// lane's replica and the worker's scratch vector — no per-step heap
-    /// allocation.
+    /// buffer, lend the lane's gradient buffer to `worker.scratch`, and
+    /// hand the strategy a gradient hook that runs on the lane's replica;
+    /// then take the buffer back, leaving `worker.scratch` empty. No
+    /// per-step heap allocation.
     fn step<S: Strategy + ?Sized>(
         &mut self,
         ctx: ExecCtx<'_, S>,
@@ -269,7 +284,7 @@ impl<M: Model> Lane<M> {
         data: usize,
         batcher: &mut Batcher,
     ) {
-        let Lane { model, batch } = self;
+        let Lane { model, batch, grad } = self;
         let data = &ctx.worker_data[data];
         let clip = ctx.cfg.clip_norm;
         batcher.next_batch_into(batch);
@@ -283,7 +298,9 @@ impl<M: Model> Lane<M> {
                 }
             }
         };
+        std::mem::swap(&mut worker.scratch, grad);
         ctx.strategy.local_step(t, worker, &mut grad_fn);
+        *grad = std::mem::take(&mut worker.scratch);
     }
 }
 
@@ -320,10 +337,7 @@ where
     ) -> Self {
         let chunks = eval_chunks(ctx.test_data.len(), train_probe.len()).len();
         let lanes = lane_count(ctx.cfg.resolved_threads(), width, chunks);
-        let lane = || Lane {
-            model: model.clone(),
-            batch: Vec::new(),
-        };
+        let lane = || Lane::new(model.clone());
         let spawned = (1..lanes)
             .map(|_| {
                 let (job_tx, job_rx) = channel::<Job>();
@@ -471,7 +485,92 @@ impl<'env, M: Model, S: Strategy + ?Sized> Pool<'env, M, S> {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use hieradmo_data::synthetic::SyntheticDataset;
+    use hieradmo_models::zoo;
+
     use super::*;
+    use crate::algorithms::HierAdMo;
+
+    /// Counts this thread's heap allocations, so the other tests of the
+    /// binary, on their own threads, do not disturb a count.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn count() {
+        // `try_with`: the allocator also runs while thread-locals are
+        // torn down.
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    // SAFETY: every method forwards to `System` unchanged; the counter is
+    // a const-initialized thread-local `Cell`, which never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Heap allocations `f` makes on this thread.
+    fn allocations_in(f: impl FnOnce()) -> usize {
+        let before = ALLOCATIONS.with(Cell::get);
+        f();
+        ALLOCATIONS.with(Cell::get) - before
+    }
+
+    #[test]
+    fn warm_lane_steps_allocate_nothing_and_leave_scratch_empty() {
+        let tt = SyntheticDataset::mnist_like(6, 3, 11);
+        let model = zoo::logistic_regression(&tt.train, 7);
+        let strategy = HierAdMo::adaptive(0.05, 0.5);
+        let cfg = RunConfig {
+            clip_norm: Some(0.5),
+            ..RunConfig::default()
+        };
+        let data = [tt.train];
+        let ctx = ExecCtx {
+            strategy: &strategy,
+            cfg: &cfg,
+            worker_data: &data,
+            test_data: &tt.test,
+        };
+        let mut lane = Lane::new(model.clone());
+        let mut worker = WorkerState::new(&model.params());
+        assert!(worker.scratch.is_empty());
+        let mut batcher = Batcher::new(data[0].len(), 8, 3);
+        lane.step(ctx, 1, &mut worker, 0, &mut batcher);
+        assert_eq!(lane.grad.len(), model.dim(), "the lane keeps the buffer");
+        // Enough steps to cross several epochs of the batcher.
+        for t in 2..40 {
+            let n = allocations_in(|| lane.step(ctx, t, &mut worker, 0, &mut batcher));
+            assert_eq!(n, 0, "step {t} allocated");
+            assert!(worker.scratch.is_empty(), "step {t} left a scratch");
+        }
+        assert_eq!(worker.steps, 39);
+    }
 
     #[test]
     fn lanes_are_capped_by_the_widest_batch() {

@@ -41,15 +41,19 @@ pub struct WorkerState {
     /// Number of local steps accumulated since the last reset (lets
     /// aggregators normalize the sums without knowing τ).
     pub steps: usize,
-    /// Gradient buffer, reused across local steps:
+    /// The gradient buffer of the current local step, lent by the pool
+    /// lane that runs it: empty between steps, model-width only inside
+    /// [`Strategy::local_step`](crate::strategy::Strategy::local_step),
+    /// where
     /// [`Model::loss_and_grad_into`](hieradmo_models::Model::loss_and_grad_into)
-    /// writes each mini-batch gradient into it. On a dense `Sequential`
-    /// the model's own per-replica workspace holds the rest of the
-    /// gradient's buffers, so the steady-state gradient allocates nothing;
-    /// a model on the per-sample (convolutional) path still allocates per
-    /// sample. Transient working memory, *not* algorithm state: its
-    /// contents after a step (the last mini-batch gradient) are
-    /// deterministic but carry no meaning to aggregators.
+    /// writes each mini-batch gradient into it. The lane takes it back
+    /// after the call, so clones, snapshots, deliveries and checkpoints
+    /// carry no gradient, and the steady-state gradient lands in a buffer
+    /// that stays in the lane's cache. On a dense `Sequential` the model's
+    /// own per-replica workspace holds the rest of the gradient's buffers,
+    /// so the steady-state step allocates nothing; a model on the
+    /// per-sample (convolutional) path still allocates per sample.
+    /// Transient working memory, *not* algorithm state.
     pub scratch: Vector,
 }
 
@@ -65,7 +69,7 @@ impl WorkerState {
             y_accum: Vector::zeros(x0.len()),
             v_accum: Vector::zeros(x0.len()),
             steps: 0,
-            scratch: Vector::zeros(x0.len()),
+            scratch: Vector::default(),
         }
     }
 
@@ -82,11 +86,11 @@ impl WorkerState {
 
     /// Overwrites this state with the fresh download of a worker joining
     /// an edge: model `x` (the edge's `x_plus`), lookahead `y` (its
-    /// `y_minus`), zero velocity, accumulators and scratch — exactly what
-    /// a full-participation worker holds right after any aggregation.
-    /// Every field is written, in place where the lengths allow, so
-    /// nothing of the previous occupant survives; a zero-dimensional
-    /// placeholder ends up full-size.
+    /// `y_minus`), zero velocity and accumulators, and an empty scratch —
+    /// exactly what a full-participation worker holds right after any
+    /// aggregation. Every field is written, in place where the lengths
+    /// allow, so nothing of the previous occupant survives; a
+    /// zero-dimensional placeholder ends up full-size.
     pub fn download(&mut self, x: &Vector, y: &Vector) {
         let n = x.len();
         self.x.copy_from(x);
@@ -96,11 +100,11 @@ impl WorkerState {
             &mut self.grad_accum,
             &mut self.y_accum,
             &mut self.v_accum,
-            &mut self.scratch,
         ] {
             zero(v, n);
         }
         self.steps = 0;
+        self.scratch = Vector::default();
     }
 }
 
@@ -748,20 +752,14 @@ mod tests {
             y_accum: vals(5.0),
             v_accum: vals(6.0),
             steps: 7,
-            scratch: vals(8.0),
+            // Between local steps the scratch is empty: the lane holds
+            // the gradient buffer.
+            scratch: Vector::default(),
         };
         let mut dst = WorkerState::new(&Vector::zeros(3));
         let ptrs = |w: &WorkerState| {
-            [
-                &w.x,
-                &w.y,
-                &w.v,
-                &w.grad_accum,
-                &w.y_accum,
-                &w.v_accum,
-                &w.scratch,
-            ]
-            .map(|v| v.as_slice().as_ptr())
+            [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum]
+                .map(|v| v.as_slice().as_ptr())
         };
         let before = ptrs(&dst);
         dst.clone_from(&src);

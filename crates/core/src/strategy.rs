@@ -105,9 +105,12 @@ pub trait Strategy: Send + Sync {
 
     /// One local iteration on one worker. `grad(params, out)` evaluates the
     /// worker's mini-batch gradient at arbitrary parameters (the batch is
-    /// fixed for this call), writing it into `out` — typically the worker's
-    /// [`WorkerState::scratch`] buffer, so the steady state allocates
-    /// nothing.
+    /// fixed for this call), writing it into `out`, resized to the model's
+    /// width if needed. Pass it [`WorkerState::scratch`]: for this call
+    /// the engine lends it the lane's model-width gradient buffer, so the
+    /// steady state allocates nothing. Leave the buffer in `scratch` when
+    /// done (take it and put it back); the engine takes it back after the
+    /// call, and between calls `scratch` is empty.
     fn local_step(
         &self,
         t: usize,

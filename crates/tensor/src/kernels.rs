@@ -605,7 +605,7 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 // ---------------------------------------------------------------------------
 
 /// One worker NAG step (Algorithm 1 lines 5–6) with the edge-interval sums
-/// of line 9, in **one pass** over the seven model-width vectors:
+/// of line 9, in **one pass** over the model-width vectors it touches:
 ///
 /// ```text
 /// grad_accum += g          y_accum += y_{t−1}
@@ -613,26 +613,32 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 /// x   = y_t + γ·v          y = y_t
 /// ```
 ///
+/// Each interval sum is optional: a `None` accumulator is neither read
+/// nor written, so a strategy whose hooks never read a sum does not pay
+/// for streaming it. Every selection is its own monomorphized loop, with
+/// no per-element branch.
+///
 /// Per element it computes exactly what the eight-pass `Vector`
 /// composition it replaces did: each `+=` is `fma(1.0, ·, acc)` (an
 /// [`axpy`] with `alpha = 1`), `y_t = fma(−η, g, x)`, `v = y_t − y_{t−1}`
-/// and `x = fma(γ, v, y_t)`, with the crate's contraction gate, so the
-/// result is bitwise identical on both dispatch paths.
-/// [`nag_step_scalar`] is the oracle; the AVX2 path is the same loop
-/// autovectorized at 256-bit width, which keeps every mul-then-add as
-/// written (no `+fma`, no contraction).
+/// and `x = fma(γ, v, y_t)`, with the crate's contraction gate, so every
+/// selected sum and the state are bitwise identical on both dispatch
+/// paths and under every selection. [`nag_step_scalar`] is the oracle;
+/// the AVX2 path is the same loop autovectorized at 256-bit width, which
+/// keeps every mul-then-add as written (no `+fma`, no contraction).
 ///
 /// # Panics
 ///
-/// Panics if the lengths differ.
+/// Panics if the lengths of `y`, `v`, `g` or a selected accumulator
+/// differ from `x`'s.
 #[allow(clippy::too_many_arguments)]
 pub fn nag_step(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: &mut [f32],
-    y_accum: &mut [f32],
-    v_accum: &mut [f32],
+    grad_accum: Option<&mut [f32]>,
+    y_accum: Option<&mut [f32]>,
+    v_accum: Option<&mut [f32]>,
     g: &[f32],
     eta: f32,
     gamma: f32,
@@ -646,45 +652,89 @@ pub fn nag_step(
     nag_step_scalar(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma);
 }
 
-/// Portable oracle for [`nag_step`]. Every slice is re-cut to `x`'s
-/// length so the loop carries no bounds checks and vectorizes.
+/// Portable oracle for [`nag_step`]: picks the loop compiled for the
+/// accumulator selection.
 ///
 /// # Panics
 ///
-/// Panics if the lengths differ.
+/// Panics if the lengths of `y`, `v`, `g` or a selected accumulator
+/// differ from `x`'s.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn nag_step_scalar(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: &mut [f32],
-    y_accum: &mut [f32],
-    v_accum: &mut [f32],
+    grad_accum: Option<&mut [f32]>,
+    y_accum: Option<&mut [f32]>,
+    v_accum: Option<&mut [f32]>,
     g: &[f32],
     eta: f32,
     gamma: f32,
 ) {
+    let selection = (grad_accum.is_some(), y_accum.is_some(), v_accum.is_some());
+    let (ga, ya, va) = (
+        grad_accum.unwrap_or_default(),
+        y_accum.unwrap_or_default(),
+        v_accum.unwrap_or_default(),
+    );
+    let args = (x, y, v, ga, ya, va, g, eta, gamma);
+    match selection {
+        (false, false, false) => nag_loop::<false, false, false>(args),
+        (true, false, false) => nag_loop::<true, false, false>(args),
+        (false, true, false) => nag_loop::<false, true, false>(args),
+        (false, false, true) => nag_loop::<false, false, true>(args),
+        (true, true, false) => nag_loop::<true, true, false>(args),
+        (true, false, true) => nag_loop::<true, false, true>(args),
+        (false, true, true) => nag_loop::<false, true, true>(args),
+        (true, true, true) => nag_loop::<true, true, true>(args),
+    }
+}
+
+/// `(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma)`, an
+/// unselected accumulator empty.
+type NagArgs<'a> = (
+    &'a mut [f32],
+    &'a mut [f32],
+    &'a mut [f32],
+    &'a mut [f32],
+    &'a mut [f32],
+    &'a mut [f32],
+    &'a [f32],
+    f32,
+    f32,
+);
+
+/// The [`nag_step`] loop for one accumulator selection: `GA`, `YA` and
+/// `VA` say whether `grad_accum`, `y_accum` and `v_accum` are updated.
+/// Every used slice is re-cut to `x`'s length so the loop carries no
+/// bounds checks and vectorizes.
+#[inline(always)]
+fn nag_loop<const GA: bool, const YA: bool, const VA: bool>(args: NagArgs<'_>) {
+    let (x, y, v, ga, ya, va, g, eta, gamma) = args;
     let n = x.len();
-    for len in [
-        y.len(),
-        v.len(),
-        grad_accum.len(),
-        y_accum.len(),
-        v_accum.len(),
-        g.len(),
-    ] {
+    let selected = [(GA, ga.len()), (YA, ya.len()), (VA, va.len())];
+    let used = selected.iter().filter(|(on, _)| *on).map(|&(_, len)| len);
+    for len in [y.len(), v.len(), g.len()].into_iter().chain(used) {
         assert_eq!(len, n, "kernels::nag_step length mismatch");
     }
     let (y, v, g) = (&mut y[..n], &mut v[..n], &g[..n]);
-    let (ga, ya, va) = (&mut grad_accum[..n], &mut y_accum[..n], &mut v_accum[..n]);
+    let ga = if GA { &mut ga[..n] } else { ga };
+    let ya = if YA { &mut ya[..n] } else { ya };
+    let va = if VA { &mut va[..n] } else { va };
     for i in 0..n {
         let (gi, y_old) = (g[i], y[i]);
-        ga[i] = fma(1.0, gi, ga[i]);
-        ya[i] = fma(1.0, y_old, ya[i]);
+        if GA {
+            ga[i] = fma(1.0, gi, ga[i]);
+        }
+        if YA {
+            ya[i] = fma(1.0, y_old, ya[i]);
+        }
         let y_new = fma(-eta, gi, x[i]);
         let vi = y_new - y_old;
-        va[i] = fma(1.0, vi, va[i]);
+        if VA {
+            va[i] = fma(1.0, vi, va[i]);
+        }
         y[i] = y_new;
         v[i] = vi;
         x[i] = fma(gamma, vi, y_new);
@@ -706,9 +756,9 @@ unsafe fn nag_step_avx2(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: &mut [f32],
-    y_accum: &mut [f32],
-    v_accum: &mut [f32],
+    grad_accum: Option<&mut [f32]>,
+    y_accum: Option<&mut [f32]>,
+    v_accum: Option<&mut [f32]>,
     g: &[f32],
     eta: f32,
     gamma: f32,

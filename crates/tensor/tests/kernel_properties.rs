@@ -498,13 +498,70 @@ fn nag_eight_pass(
     x.axpy(gamma, v);
 }
 
+/// Every accumulator selection `(Σ∇F, Σy, Σv)` of `kernels::nag_step`.
+const SELECTIONS: [[bool; 3]; 8] = [
+    [false, false, false],
+    [true, false, false],
+    [false, true, false],
+    [false, false, true],
+    [true, true, false],
+    [true, false, true],
+    [false, true, true],
+    [true, true, true],
+];
+
+/// Runs `step` on `state = [x, y, v, Σ∇F, Σy, Σv]` cut at `offset`, with
+/// the sums `selection` picks; every other sum is first overwritten with
+/// NaN sentinels, which the call must leave bit for bit alone.
+fn nag_selected(
+    state: &[Vec<f32>],
+    offset: usize,
+    selection: [bool; 3],
+    step: impl FnOnce(
+        &mut [f32],
+        &mut [f32],
+        &mut [f32],
+        Option<&mut [f32]>,
+        Option<&mut [f32]>,
+        Option<&mut [f32]>,
+    ),
+) -> Vec<Vec<f32>> {
+    let mut out = state.to_vec();
+    let sentinel = f32::from_bits(0x7fc0_1234);
+    for (on, acc) in selection.iter().zip(&mut out[3..]) {
+        if !on {
+            acc.fill(sentinel);
+        }
+    }
+    let [x, y, v, ga, ya, va] = &mut out[..] else { unreachable!() };
+    step(
+        &mut x[offset..],
+        &mut y[offset..],
+        &mut v[offset..],
+        selection[0].then_some(&mut ga[offset..]),
+        selection[1].then_some(&mut ya[offset..]),
+        selection[2].then_some(&mut va[offset..]),
+    );
+    for (on, acc) in selection.iter().zip(&out[3..]) {
+        if !on {
+            assert!(
+                acc.iter().all(|a| a.to_bits() == sentinel.to_bits()),
+                "an unselected accumulator was touched"
+            );
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The fused NAG step is bitwise equal to its scalar oracle and to the
-    /// eight-pass composition it replaced, at every length remainder mod
-    /// 8 and start offset, with zeros of both signs in every vector and
-    /// `inf`/NaN gradients.
+    /// eight-pass composition it replaced, under every accumulator
+    /// selection, at every length remainder mod 8 and start offset, with
+    /// zeros of both signs in every vector and `inf`/NaN gradients. The
+    /// state and each selected sum match the composition; an unselected
+    /// sum is neither read nor written.
     #[test]
     fn nag_step_dispatch_matches_scalar_oracle_bitwise(
         len in 0usize..120,
@@ -524,29 +581,57 @@ proptest! {
         let g = entries(&mut rng, len, nonfinite);
         let state: Vec<Vec<f32>> = (0..6).map(|_| entries(&mut rng, offset + len, false)).collect();
 
-        let mut got = state.clone();
-        let [x, y, v, ga, ya, va] = &mut got[..] else { unreachable!() };
-        kernels::nag_step(
-            &mut x[offset..], &mut y[offset..], &mut v[offset..],
-            &mut ga[offset..], &mut ya[offset..], &mut va[offset..],
-            &g, eta, gamma,
-        );
-        let mut want = state.clone();
-        let [x, y, v, ga, ya, va] = &mut want[..] else { unreachable!() };
-        kernels::nag_step_scalar(
-            &mut x[offset..], &mut y[offset..], &mut v[offset..],
-            &mut ga[offset..], &mut ya[offset..], &mut va[offset..],
-            &g, eta, gamma,
-        );
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert_eq!(bits_nan_eq(a), bits_nan_eq(b));
-        }
-
         let mut old: Vec<Vector> = state.iter().map(|s| Vector::from(&s[offset..])).collect();
         let [x, y, v, ga, ya, va] = &mut old[..] else { unreachable!() };
-        nag_eight_pass(x, y, v, ga, ya, va, &Vector::from(g), eta, gamma);
-        for (a, b) in got.iter().zip(&old) {
-            prop_assert_eq!(bits_nan_eq(&a[offset..]), bits_nan_eq(b.as_slice()));
+        nag_eight_pass(x, y, v, ga, ya, va, &Vector::from(g.clone()), eta, gamma);
+
+        for selection in SELECTIONS {
+            let got = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
+                kernels::nag_step(x, y, v, ga, ya, va, &g, eta, gamma)
+            });
+            let want = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
+                kernels::nag_step_scalar(x, y, v, ga, ya, va, &g, eta, gamma)
+            });
+            for (a, b) in got.iter().zip(&want) {
+                prop_assert_eq!(bits_nan_eq(a), bits_nan_eq(b));
+            }
+            let written = [true, true, true].into_iter().chain(selection);
+            for ((a, b), on) in got.iter().zip(&old).zip(written) {
+                if on {
+                    prop_assert_eq!(bits_nan_eq(&a[offset..]), bits_nan_eq(b.as_slice()));
+                }
+            }
+        }
+    }
+}
+
+/// The dispatched NAG step against its oracle over every length 0–119,
+/// start offset 0–7 and accumulator selection, with zeros of both signs,
+/// infinities and NaN in the gradient and the state.
+#[test]
+fn nag_step_dispatch_matches_oracle_at_every_length_and_offset() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    for len in 0..120 {
+        for offset in 0..8 {
+            let g = entries(&mut rng, len, true);
+            let state: Vec<Vec<f32>> =
+                (0..6).map(|_| entries(&mut rng, offset + len, true)).collect();
+            for selection in SELECTIONS {
+                let got = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
+                    kernels::nag_step(x, y, v, ga, ya, va, &g, 0.125, 0.5)
+                });
+                let want = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
+                    kernels::nag_step_scalar(x, y, v, ga, ya, va, &g, 0.125, 0.5)
+                });
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(
+                        bits_nan_eq(a),
+                        bits_nan_eq(b),
+                        "len {len}, offset {offset}, selection {selection:?}"
+                    );
+                }
+            }
         }
     }
 }

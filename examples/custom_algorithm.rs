@@ -44,8 +44,9 @@ impl Strategy for HierProx {
         worker: &mut WorkerState,
         grad: &mut dyn FnMut(&Vector, &mut Vector),
     ) {
-        // The gradient lands in the worker's scratch buffer, so the step
-        // stays allocation-free apart from the proximal drift term.
+        // The gradient lands in the scratch buffer the engine's lane lends
+        // the worker for this call; put it back so the lane gets it again,
+        // and the step stays allocation-free apart from the drift term.
         let mut g = std::mem::take(&mut worker.scratch);
         grad(&worker.x, &mut g);
         // The anchor (last distributed edge model) lives in `y`, which

@@ -639,3 +639,74 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     );
     assert!(matches!(err, Err(RunError::Data(_))));
 }
+
+/// A worker's scratch is the lane's gradient buffer, lent for one local
+/// step, so a snapshot holds it empty; a snapshot written while workers
+/// still kept a model-width gradient buffer between steps holds that
+/// instead. Resume accepts both, clears the scratch, and lands bitwise on
+/// the uninterrupted run; any other scratch length is a typed error.
+#[test]
+fn resume_accepts_an_empty_or_model_width_scratch_and_clears_it() {
+    let (f, cfg) = cfg(0.1);
+    let model = zoo::logistic_regression(&f.train, 1);
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+    let spec = RunSpec::hierarchy(&f.hierarchy, &f.shards);
+    let full = run(&algo, &model, &spec, &f.test, &cfg).unwrap();
+    fn stop<'a>(
+        f: &'a common::SimFixture,
+        at: usize,
+        resume: Option<&'a TrainingSnapshot>,
+    ) -> RunSpec<'a> {
+        RunSpec {
+            stop_at: Some(at),
+            resume,
+            ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+        }
+    }
+    let snap = run(&algo, &model, &stop(&f, 15, None), &f.test, &cfg)
+        .unwrap()
+        .snapshot
+        .unwrap();
+    assert!(snap.workers.iter().all(|w| w.scratch.is_empty()));
+
+    let dim = snap.workers[0].x.len();
+    let mut wide = snap.clone();
+    for (i, w) in wide.workers.iter_mut().enumerate() {
+        w.scratch = Vector::filled(dim, i as f32 - 1.5);
+    }
+    let wide = TrainingSnapshot::from_json(&wide.to_json()).unwrap();
+    for (label, snap) in [("empty scratch", &snap), ("model-width scratch", &wide)] {
+        let resumed = run(
+            &algo,
+            &model,
+            &RunSpec {
+                resume: Some(snap),
+                ..RunSpec::hierarchy(&f.hierarchy, &f.shards)
+            },
+            &f.test,
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(resumed.final_params, full.final_params, "{label}: params");
+        let tail = &full.curve.points()[full.curve.len() - resumed.curve.len()..];
+        assert_eq!(resumed.curve.points(), tail, "{label}: curve");
+        let again = run(&algo, &model, &stop(&f, 25, Some(snap)), &f.test, &cfg)
+            .unwrap()
+            .snapshot
+            .unwrap();
+        assert!(
+            again.workers.iter().all(|w| w.scratch.is_empty()),
+            "{label}: resume must clear the scratch"
+        );
+    }
+
+    for len in [1, dim - 1, dim + 1] {
+        let mut bad = snap.clone();
+        bad.workers[2].scratch = Vector::zeros(len);
+        let err = run(&algo, &model, &stop(&f, 25, Some(&bad)), &f.test, &cfg);
+        assert!(
+            matches!(err, Err(RunError::Data(_))),
+            "a scratch of length {len} must be a typed Data error"
+        );
+    }
+}

@@ -2008,7 +2008,7 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
 
 /// Wraps a strategy and checks, at every hook the engines call, which
 /// worker slots hold state: an edge hook must see all of its slots at the
-/// model's width, while a middle or root hook must find every slot of the
+/// model's width (the scratch empty), while a middle or root hook must find every slot of the
 /// federation zero-dimensional. The event engine computes a sampled
 /// edge's cohort when the edge fires and releases the buffers right after
 /// its hook, so no slot is resident outside its edge's firing.
@@ -2055,8 +2055,11 @@ impl<S: Strategy> Strategy for SlotLifetime<S> {
     fn tier_aggregate_stale(&self, scope: TierScope<'_, '_>, round: usize, staleness: &[usize]) {
         let workers = match &scope {
             TierScope::Edge(view) => {
+                // Six model-width vectors; the scratch is the lane's
+                // gradient buffer, lent for a local step only.
+                let d = self.dim;
                 for w in view.workers.iter() {
-                    assert_eq!(slot_widths(w), [self.dim; 7], "edge hook, round {round}");
+                    assert_eq!(slot_widths(w), [d, d, d, d, d, d, 0], "edge hook, round {round}");
                 }
                 self.edge_hooks.fetch_add(1, Ordering::Relaxed);
                 return self.inner.tier_aggregate_stale(scope, round, staleness);

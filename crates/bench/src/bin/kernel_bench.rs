@@ -801,7 +801,9 @@ fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
     nag_step_selected(&mut adaptive, ADAPTIVE, &g, 0.01, 0.5);
     for (i, (a, b)) in all[..5].iter().zip(&adaptive[..5]).enumerate() {
         assert!(
-            a.iter().zip(b.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+            a.iter()
+                .zip(b.iter())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
             "nag_step_adaptive: state vector {i} differs from the all-three pass"
         );
     }

@@ -102,14 +102,13 @@ pub(crate) fn nag_local_step(
 ) {
     let mut g = std::mem::take(&mut worker.scratch);
     grad(&worker.x, &mut g);
-    let w = &mut *worker;
     kernels::nag_step(
-        w.x.as_mut_slice(),
-        w.y.as_mut_slice(),
-        w.v.as_mut_slice(),
-        sums.grad.then(|| w.grad_accum.as_mut_slice()),
-        sums.y.then(|| w.y_accum.as_mut_slice()),
-        sums.v.then(|| w.v_accum.as_mut_slice()),
+        worker.x.as_mut_slice(),
+        worker.y.as_mut_slice(),
+        worker.v.as_mut_slice(),
+        sums.grad.then(|| worker.grad_accum.as_mut_slice()),
+        sums.y.then(|| worker.y_accum.as_mut_slice()),
+        sums.v.then(|| worker.v_accum.as_mut_slice()),
         g.as_slice(),
         eta,
         gamma,

@@ -32,9 +32,9 @@
 //! Worker state across a parent change keeps its model `x` and lookahead
 //! `y`, damps its velocity by `1/(1 + min(age, MIDDLE_AGE_CAP))` (age =
 //! cloud rounds under the previous parent — the bounded-age carry-over
-//! rule middle tiers already use for stale subtrees; only a strategy whose
-//! local step reads the previous velocity feels it, see `rehome`), and
-//! drops interval accumulators (they describe sums the new edge never
+//! rule middle tiers already use for stale subtrees; only a strategy that
+//! reads the carried-over velocity feels it, see `rehome`), and drops
+//! interval accumulators (they describe sums the new edge never
 //! requested).
 //! Workers joining fresh materialize from their edge's `(x₊, y₋)` exactly
 //! like sampled-cohort slots do.

@@ -15,8 +15,9 @@
 //! model-width gradient buffer: every gradient call sets the replica's
 //! parameters first, so it carries no worker state, and the lane lends its
 //! gradient buffer to each worker for exactly one local step
-//! ([`WorkerState::scratch`]), so worker state carries no gradient. A pool never runs more lanes than its widest batch can
-//! fill (see [`Pool::new`]), however large `RunConfig::threads` is.
+//! ([`WorkerState::scratch`]), so worker state carries no gradient. A
+//! pool never runs more lanes than its widest batch can fill (see
+//! [`Pool::new`]), however large `RunConfig::threads` is.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};

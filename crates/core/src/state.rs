@@ -758,8 +758,7 @@ mod tests {
         };
         let mut dst = WorkerState::new(&Vector::zeros(3));
         let ptrs = |w: &WorkerState| {
-            [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum]
-                .map(|v| v.as_slice().as_ptr())
+            [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum].map(|v| v.as_slice().as_ptr())
         };
         let before = ptrs(&dst);
         dst.clone_from(&src);

@@ -533,7 +533,9 @@ fn nag_selected(
             acc.fill(sentinel);
         }
     }
-    let [x, y, v, ga, ya, va] = &mut out[..] else { unreachable!() };
+    let [x, y, v, ga, ya, va] = &mut out[..] else {
+        unreachable!()
+    };
     step(
         &mut x[offset..],
         &mut y[offset..],
@@ -615,8 +617,9 @@ fn nag_step_dispatch_matches_oracle_at_every_length_and_offset() {
     for len in 0..120 {
         for offset in 0..8 {
             let g = entries(&mut rng, len, true);
-            let state: Vec<Vec<f32>> =
-                (0..6).map(|_| entries(&mut rng, offset + len, true)).collect();
+            let state: Vec<Vec<f32>> = (0..6)
+                .map(|_| entries(&mut rng, offset + len, true))
+                .collect();
             for selection in SELECTIONS {
                 let got = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
                     kernels::nag_step(x, y, v, ga, ya, va, &g, 0.125, 0.5)

@@ -273,14 +273,24 @@ fn nag_strategy_trajectories_are_pinned() {
             params_hash: 2672966325061889445,
             sum: -6.057393,
             gamma: vec![(1, 0.7363474), (2, 0.98790216), (3, 0.99), (4, 0.99)],
-            cos: vec![(1, 0.7363474), (2, 0.98790216), (3, 0.999584), (4, 0.99870557)],
+            cos: vec![
+                (1, 0.7363474),
+                (2, 0.98790216),
+                (3, 0.999584),
+                (4, 0.99870557),
+            ],
         },
         NagPin {
             label: "HierAdMo-GA",
             params_hash: 14241129631836585256,
             sum: -6.0574026,
             gamma: vec![(1, 0.99), (2, 0.6495136), (3, 0.269041), (4, 0.0)],
-            cos: vec![(1, 0.9999407), (2, 0.6495136), (3, 0.269041), (4, -0.058998935)],
+            cos: vec![
+                (1, 0.9999407),
+                (2, 0.6495136),
+                (3, 0.269041),
+                (4, -0.058998935),
+            ],
         },
         NagPin {
             label: "HierAdMo-R",

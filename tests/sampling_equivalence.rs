@@ -2059,7 +2059,11 @@ impl<S: Strategy> Strategy for SlotLifetime<S> {
                 // gradient buffer, lent for a local step only.
                 let d = self.dim;
                 for w in view.workers.iter() {
-                    assert_eq!(slot_widths(w), [d, d, d, d, d, d, 0], "edge hook, round {round}");
+                    assert_eq!(
+                        slot_widths(w),
+                        [d, d, d, d, d, d, 0],
+                        "edge hook, round {round}"
+                    );
                 }
                 self.edge_hooks.fetch_add(1, Ordering::Relaxed);
                 return self.inner.tier_aggregate_stale(scope, round, staleness);

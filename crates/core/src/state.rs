@@ -48,11 +48,11 @@ pub struct WorkerState {
     /// [`Model::loss_and_grad_into`](hieradmo_models::Model::loss_and_grad_into)
     /// writes each mini-batch gradient into it. The lane takes it back
     /// after the call, so clones, snapshots, deliveries and checkpoints
-    /// carry no gradient, and the steady-state gradient lands in a buffer
-    /// that stays in the lane's cache. On a dense `Sequential` the model's
-    /// own per-replica workspace holds the rest of the gradient's buffers,
-    /// so the steady-state step allocates nothing; a model on the
-    /// per-sample (convolutional) path still allocates per sample.
+    /// carry six model-width vectors instead of seven. On a dense
+    /// `Sequential` the model's own per-replica workspace holds the rest
+    /// of the gradient's buffers, so the steady-state step allocates
+    /// nothing; a model on the per-sample (convolutional) path still
+    /// allocates per sample.
     /// Transient working memory, *not* algorithm state.
     pub scratch: Vector,
 }
@@ -752,13 +752,23 @@ mod tests {
             y_accum: vals(5.0),
             v_accum: vals(6.0),
             steps: 7,
-            // Between local steps the scratch is empty: the lane holds
-            // the gradient buffer.
-            scratch: Vector::default(),
+            scratch: vals(8.0),
         };
         let mut dst = WorkerState::new(&Vector::zeros(3));
+        // `new` leaves the scratch empty (the lane lends it); give it an
+        // allocation so the reuse check covers every field.
+        dst.scratch = Vector::zeros(3);
         let ptrs = |w: &WorkerState| {
-            [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum].map(|v| v.as_slice().as_ptr())
+            [
+                &w.x,
+                &w.y,
+                &w.v,
+                &w.grad_accum,
+                &w.y_accum,
+                &w.v_accum,
+                &w.scratch,
+            ]
+            .map(|v| v.as_slice().as_ptr())
         };
         let before = ptrs(&dst);
         dst.clone_from(&src);

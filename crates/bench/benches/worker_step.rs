@@ -7,10 +7,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hieradmo_bench::harness::run_partitioned;
 use hieradmo_bench::{Scale, Workload};
 use hieradmo_core::algorithms::HierAdMo;
-use hieradmo_core::{state::WorkerState, RunConfig, Strategy};
+use hieradmo_core::{FlState, RunConfig, Strategy};
 use hieradmo_data::partition::x_class_partition;
 use hieradmo_models::Model;
 use hieradmo_tensor::Vector;
+use hieradmo_topology::{Hierarchy, Weights};
 
 fn bench_local_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("worker_local_step");
@@ -23,7 +24,12 @@ fn bench_local_step(c: &mut Criterion) {
         let model = workload.model(&tt.train, 1);
         let batch: Vec<usize> = (0..8).collect();
         group.bench_function(label, |b| {
-            let mut worker = WorkerState::new(&model.params());
+            // One worker laid out as the strategy declares in `init`.
+            let h = Hierarchy::two_tier(1);
+            let weights = Weights::uniform(&h);
+            let mut state = FlState::new(h, weights, &model.params());
+            algo.init(&mut state);
+            let mut worker = state.workers.pop().expect("one worker");
             let mut m = model.clone();
             b.iter(|| {
                 let mut grad = |p: &Vector, out: &mut Vector| {

@@ -253,19 +253,18 @@ fn old_finalize_momentum(
     (mean, looked)
 }
 
-/// The worker NAG step before fusion: eight `Vector` passes — `+=`
-/// twice, `copy_from`, `axpy`, a buffer swap, `sub_from`, `+=`,
-/// `copy_from`, `axpy`. `s` holds `[x, y, v, grad_accum, y_accum,
-/// v_accum]`.
-fn old_nag_step(s: &mut [Vector; 6], g: &Vector, eta: f32, gamma: f32) {
-    let [x, y, v, grad_accum, y_accum, v_accum] = s;
+/// The worker NAG step before fusion, under HierAdMo's Eq. 6 selection
+/// (`Σ∇F`, `Σy`): seven `Vector` passes — `+=` twice, `copy_from`,
+/// `axpy`, a buffer swap, `sub_from`, `copy_from`, `axpy`. `s` holds
+/// `[x, y, v, grad_accum, y_accum]`.
+fn old_nag_step(s: &mut [Vector; 5], g: &Vector, eta: f32, gamma: f32) {
+    let [x, y, v, grad_accum, y_accum] = s;
     *grad_accum += g;
     *y_accum += &*y;
     v.copy_from(x);
     v.axpy(-eta, g);
     std::mem::swap(y, v);
     v.sub_from(y);
-    *v_accum += &*v;
     x.copy_from(y);
     x.axpy(gamma, v);
 }
@@ -705,25 +704,25 @@ fn bench_fused_momentum(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
 /// each step streams its vectors in as it does in a run.
 const NAG_WORKERS: usize = 32;
 
-/// The fused worker NAG step vs the eight-pass composition it replaced,
-/// checked bitwise equal on one step first; times are per worker step.
+/// The fused worker NAG step vs the seven-pass composition it replaced,
+/// both under HierAdMo's Eq. 6 selection (`Σ∇F`, `Σy`), checked bitwise
+/// equal on one step first; times are per worker step.
 fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
     let g = Vector::from(seq(dim, 0.013));
     let init = |scale: f32| Vector::from(seq(dim, scale));
-    let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(init);
+    let state = [0.017, 0.019, 0.023, 0.029, 0.031].map(init);
     let (eta, gamma) = (0.01f32, 0.5f32);
-    let fused = |s: &mut [Vector; 6]| nag_step_selected(s, [true; 3], &g, eta, gamma);
     let mut old = vec![state.clone(); NAG_WORKERS];
     let mut new = old.clone();
     old_nag_step(&mut old[0], &g, eta, gamma);
-    fused(&mut new[0]);
+    nag_step_adaptive(&mut new[0], &g, eta, gamma);
     for (o, n) in old[0].iter().zip(&new[0]) {
         assert_close("nag_step", n.as_slice(), o.as_slice());
         assert!(
             o.iter()
                 .zip(n.iter())
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "nag_step: fused step is not bitwise equal to the eight-pass composition"
+            "nag_step: fused step is not bitwise equal to the seven-pass composition"
         );
     }
     let per_step = NAG_WORKERS as f64;
@@ -736,7 +735,7 @@ fn bench_nag_step(rows: &mut Vec<KernelRow>, reps: usize, dim: usize) {
         },
         || {
             for s in &mut new {
-                fused(black_box(s));
+                nag_step_adaptive(black_box(s), &g, eta, gamma);
             }
         },
     );
@@ -764,51 +763,34 @@ struct BandwidthRow {
     gib_per_s: f64,
 }
 
-/// One [`kernels::nag_step`] on `s = [x, y, v, grad_accum, y_accum,
-/// v_accum]`, updating the interval sums `sums` selects in that order.
-fn nag_step_selected(s: &mut [Vector; 6], sums: [bool; 3], g: &Vector, eta: f32, gamma: f32) {
-    let [x, y, v, grad_accum, y_accum, v_accum] = s;
+/// One [`kernels::nag_step`] on `s = [x, y, v, grad_accum, y_accum]`
+/// under HierAdMo's Eq. 6 selection, the one every benchmark workload
+/// runs.
+fn nag_step_adaptive(s: &mut [Vector; 5], g: &Vector, eta: f32, gamma: f32) {
+    let [x, y, v, grad_accum, y_accum] = s;
     kernels::nag_step(
         x.as_mut_slice(),
         y.as_mut_slice(),
         v.as_mut_slice(),
-        sums[0].then(|| grad_accum.as_mut_slice()),
-        sums[1].then(|| y_accum.as_mut_slice()),
-        sums[2].then(|| v_accum.as_mut_slice()),
+        kernels::NagSums::GradY(grad_accum.as_mut_slice(), y_accum.as_mut_slice()),
         g.as_slice(),
         eta,
         gamma,
     );
 }
 
-/// `nag_step` bytes/s against a `copy` over the same buffers: the
-/// [`NAG_WORKERS`] six-vector worker states at width `dim`. The
-/// all-three `nag_step` reads six vectors (`x`, `y`, `g` and the three
-/// interval sums) and writes six (`x`, `y`, `v` and the sums);
-/// `nag_step_adaptive` is the selection HierAdMo's Eq. 6 mode runs
-/// (`Σ∇F`, `Σy`), five and five, checked bitwise equal to the all-three
-/// pass on every vector it writes first. The `copy` row copies three of
-/// each worker's vectors onto the other three, so it touches the
-/// all-three footprint. Each figure is the fastest of `reps` blocks
-/// ([`block_ns`]).
+/// `nag_step_adaptive` bytes/s against a `copy` over the same buffers:
+/// the [`NAG_WORKERS`] five-vector worker states at width `dim`. The
+/// step reads five vectors (`x`, `y`, `g`, `Σ∇F`, `Σy`) and writes five
+/// (`x`, `y`, `v`, `Σ∇F`, `Σy`). The `copy` row copies two of each
+/// worker's vectors onto two others. Each figure is the fastest of
+/// `reps` blocks ([`block_ns`]).
 fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
     const F32: usize = std::mem::size_of::<f32>();
-    const ADAPTIVE: [bool; 3] = [true, true, false];
     let g = Vector::from(seq(dim, 0.013));
-    let state = [0.017, 0.019, 0.023, 0.029, 0.031, 0.037].map(|s| Vector::from(seq(dim, s)));
-    let (mut all, mut adaptive) = (state.clone(), state.clone());
-    nag_step_selected(&mut all, [true; 3], &g, 0.01, 0.5);
-    nag_step_selected(&mut adaptive, ADAPTIVE, &g, 0.01, 0.5);
-    for (i, (a, b)) in all[..5].iter().zip(&adaptive[..5]).enumerate() {
-        assert!(
-            a.iter()
-                .zip(b.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "nag_step_adaptive: state vector {i} differs from the all-three pass"
-        );
-    }
+    let state = [0.017, 0.019, 0.023, 0.029, 0.031].map(|s| Vector::from(seq(dim, s)));
     let mut workers = vec![state; NAG_WORKERS];
-    let mut timed = |name: &str, streams: usize, f: &mut dyn FnMut(&mut [Vector; 6])| {
+    let mut timed = |name: &str, streams: usize, f: &mut dyn FnMut(&mut [Vector; 5])| {
         let mut step = || {
             for s in workers.iter_mut() {
                 f(black_box(s));
@@ -827,17 +809,13 @@ fn bench_nag_bandwidth(rows: &mut Vec<BandwidthRow>, reps: usize, dim: usize) {
             gib_per_s: bytes as f64 / ns * 1e9 / (1u64 << 30) as f64,
         });
     };
-    timed("nag_step", 12, &mut |s| {
-        nag_step_selected(s, [true; 3], &g, 0.01, 0.5)
-    });
     timed("nag_step_adaptive", 10, &mut |s| {
-        nag_step_selected(s, ADAPTIVE, &g, 0.01, 0.5)
+        nag_step_adaptive(s, &g, 0.01, 0.5)
     });
-    timed("copy", 6, &mut |s| {
-        let [x, y, v, grad_accum, y_accum, v_accum] = s;
+    timed("copy", 4, &mut |s| {
+        let [x, y, v, grad_accum, _] = s;
         y.copy_from(x);
         grad_accum.copy_from(v);
-        v_accum.copy_from(y_accum);
     });
 }
 

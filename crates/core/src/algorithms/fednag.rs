@@ -6,7 +6,7 @@ use hieradmo_tensor::Vector;
 use crate::state::{EdgeView, FlState, WorkerState};
 use crate::strategy::{Strategy, Tier};
 
-use super::{nag_local_step, IntervalSums};
+use super::nag_local_step;
 
 /// Two-tier FL with NAG at the workers and plain weighted averaging of
 /// both model `x` and momentum `y` at the aggregator.
@@ -57,7 +57,7 @@ impl Strategy for FedNag {
         worker: &mut WorkerState,
         grad: &mut dyn FnMut(&Vector, &mut Vector),
     ) {
-        nag_local_step(self.eta, self.gamma, IntervalSums::NONE, worker, grad);
+        nag_local_step(self.eta, self.gamma, worker, grad);
     }
 
     fn edge_aggregate(&self, _k: usize, _view: &mut EdgeView<'_>) {}

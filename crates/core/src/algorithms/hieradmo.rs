@@ -4,10 +4,10 @@
 use hieradmo_tensor::Vector;
 
 use crate::adaptive::{clamp_gamma, weighted_cosine};
-use crate::state::{EdgeView, FlState, WorkerState};
+use crate::state::{EdgeView, FlState, IntervalSums, WorkerState};
 use crate::strategy::{Strategy, Tier};
 
-use super::{nag_local_step, IntervalSums};
+use super::nag_local_step;
 
 /// How the edge momentum factor `γℓ` is chosen at each edge aggregation.
 ///
@@ -151,9 +151,10 @@ impl HierAdMo {
 
 impl GammaMode {
     /// The interval sums this mode's cosine reads in the edge hooks below,
-    /// and so the ones the local step updates: Eq. 6 verbatim pairs `Σ∇F`
-    /// with `Σy`, agreement compares `Σv` with its edge average, gradient
-    /// alignment pairs `Σ∇F` with `Σv`, and a fixed `γℓ` reads none.
+    /// declared in [`Strategy::init`] and so the ones every worker holds
+    /// and the local step updates: Eq. 6 verbatim pairs `Σ∇F` with `Σy`,
+    /// agreement compares `Σv` with its edge average, gradient alignment
+    /// pairs `Σ∇F` with `Σv`, and a fixed `γℓ` reads none.
     fn interval_sums(self) -> IntervalSums {
         let (grad, y, v) = match self {
             GammaMode::Adaptive => (true, true, false),
@@ -179,14 +180,19 @@ impl Strategy for HierAdMo {
         Tier::Three
     }
 
+    fn init(&self, state: &mut FlState) {
+        state.declare_sums(self.mode.interval_sums());
+    }
+
     fn local_step(
         &self,
         _t: usize,
         worker: &mut WorkerState,
         grad: &mut dyn FnMut(&Vector, &mut Vector),
     ) {
-        let sums = self.mode.interval_sums();
-        nag_local_step(self.eta, self.gamma, sums, worker, grad);
+        // Holds unless a wrapper strategy failed to forward `init`.
+        debug_assert_eq!(worker.interval_sums(), self.mode.interval_sums());
+        nag_local_step(self.eta, self.gamma, worker, grad);
     }
 
     fn edge_aggregate(&self, _k: usize, view: &mut EdgeView<'_>) {

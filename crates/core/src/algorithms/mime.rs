@@ -10,7 +10,7 @@
 
 use hieradmo_tensor::Vector;
 
-use crate::state::{EdgeView, FlState, WorkerState};
+use crate::state::{EdgeView, FlState, IntervalSums, WorkerState};
 use crate::strategy::{Strategy, Tier};
 
 /// Two-tier Mime-style FL.
@@ -53,6 +53,14 @@ impl Strategy for Mime {
 
     fn tier(&self) -> Tier {
         Tier::Two
+    }
+
+    fn init(&self, state: &mut FlState) {
+        // The local step sums the round's gradients for the statistic.
+        state.declare_sums(IntervalSums {
+            grad: true,
+            ..Default::default()
+        });
     }
 
     fn local_step(

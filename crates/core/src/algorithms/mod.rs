@@ -35,7 +35,8 @@ pub use hierfavg::HierFavg;
 pub use mime::Mime;
 pub use slowmo::SlowMo;
 
-use hieradmo_tensor::{kernels, Vector};
+use hieradmo_tensor::kernels::{self, NagSums};
+use hieradmo_tensor::Vector;
 
 use crate::state::WorkerState;
 use crate::strategy::Strategy;
@@ -54,28 +55,6 @@ pub(crate) fn sgd_local_step(
     worker.scratch = g;
 }
 
-/// Which edge-interval sums a NAG local step updates: the ones its
-/// strategy's aggregation hooks read. An unselected sum keeps the zero
-/// its last reset wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IntervalSums {
-    /// `Σ ∇F` ([`WorkerState::grad_accum`]).
-    pub grad: bool,
-    /// `Σ y` ([`WorkerState::y_accum`]).
-    pub y: bool,
-    /// `Σ v` ([`WorkerState::v_accum`]).
-    pub v: bool,
-}
-
-impl IntervalSums {
-    /// No sum: a strategy whose hooks read only `x` and `y`.
-    pub const NONE: Self = IntervalSums {
-        grad: false,
-        y: false,
-        v: false,
-    };
-}
-
 /// Worker NAG step (Algorithm 1 lines 5–6) with edge-interval accumulation
 /// (line 9's sums):
 ///
@@ -87,32 +66,39 @@ impl IntervalSums {
 /// Also maintains `v = y_t − y_{t−1}`, the velocity form of Appendix A
 /// (Eqs. 24–25). The sums `Σ ∇F_{i,ℓ}(x^t)` and `Σ y^t` run over
 /// t = (k−1)τ … kτ−1, so they take the gradient and `y_{t−1}` *before*
-/// the update; only the `sums` selected are updated.
+/// the update. The step updates the sums the worker holds, which are the
+/// ones its strategy declared ([`crate::state::IntervalSums`]).
 ///
 /// Allocation-free: the gradient lands in the scratch buffer the lane
 /// lends the worker, and [`kernels::nag_step`] updates the state and the
-/// selected sums in place in one pass, bitwise identical to the textbook
+/// held sums in place in one pass, bitwise identical to the textbook
 /// clone-based formulation.
+///
+/// # Panics
+///
+/// Panics if the worker holds a combination of sums no NAG strategy
+/// declares (`Σ∇F` alone, say).
 pub(crate) fn nag_local_step(
     eta: f32,
     gamma: f32,
-    sums: IntervalSums,
     worker: &mut WorkerState,
     grad: &mut dyn FnMut(&Vector, &mut Vector),
 ) {
     let mut g = std::mem::take(&mut worker.scratch);
     grad(&worker.x, &mut g);
-    kernels::nag_step(
-        worker.x.as_mut_slice(),
-        worker.y.as_mut_slice(),
-        worker.v.as_mut_slice(),
-        sums.grad.then(|| worker.grad_accum.as_mut_slice()),
-        sums.y.then(|| worker.y_accum.as_mut_slice()),
-        sums.v.then(|| worker.v_accum.as_mut_slice()),
-        g.as_slice(),
-        eta,
-        gamma,
-    );
+    let held = worker.interval_sums();
+    let w = &mut *worker;
+    let [ga, ya, va] =
+        [&mut w.grad_accum, &mut w.y_accum, &mut w.v_accum].map(Vector::as_mut_slice);
+    let sums = match (held.grad, held.y, held.v) {
+        (false, false, false) => NagSums::None,
+        (true, true, false) => NagSums::GradY(ga, ya),
+        (false, false, true) => NagSums::V(va),
+        (true, false, true) => NagSums::GradV(ga, va),
+        _ => panic!("no NAG step updates the interval sums {held:?}"),
+    };
+    let [x, y, v] = [&mut w.x, &mut w.y, &mut w.v].map(Vector::as_mut_slice);
+    kernels::nag_step(x, y, v, sums, g.as_slice(), eta, gamma);
     worker.steps += 1;
     worker.scratch = g;
 }

@@ -92,10 +92,11 @@ pub fn replay_upload(dim: usize, attack: &AttackModel, sampler: &mut AdversarySa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::IntervalSums;
     use hieradmo_tensor::Vector;
 
     fn worker() -> WorkerState {
-        let mut w = WorkerState::new(&Vector::from(vec![1.0, -2.0, 3.0]));
+        let mut w = WorkerState::new(&Vector::from(vec![1.0, -2.0, 3.0]), IntervalSums::default());
         w.y = Vector::from(vec![0.5, 0.5, 0.5]);
         w.v = Vector::from(vec![0.1, 0.2, 0.3]);
         w.grad_accum = Vector::from(vec![1.0, 1.0, 1.0]);

@@ -667,7 +667,7 @@ impl<'a> Participants<'a> {
         slot_ids.clear();
         for e in 0..state.hierarchy.num_edges() {
             let ids = draw_edge_cohort(state, population, shard_sizes, sampler, e, k);
-            let download = Download::of(&state.edges[e]);
+            let download = Download::of(state, e);
             for (slot, &g) in state.hierarchy.edge_workers(e).zip(&ids) {
                 let shard = population.shard_of(g);
                 let seed = batcher_seed(cfg.seed, g, k as u64);
@@ -1063,12 +1063,16 @@ where
 }
 
 /// Checks `snap` against the freshly initialized `state` — algorithm,
-/// tick, tier shapes and the length of every state vector, a worker's
-/// scratch being empty or model-width — and restores every tier from it,
-/// each scratch cleared. All algorithm state lives in the tier vectors, so
-/// restoring them overwrites everything `init` set up. A malformed
-/// snapshot is a typed error, never a panic mid-run; non-finite values
-/// pass, since a diverged run legitimately snapshots them.
+/// tick, tier shapes and the length of every state vector — and restores
+/// every tier from it. A worker's `x`, `y`, `v` and declared interval
+/// sums ([`FlState::interval_sums`]) must have the model's width; its
+/// undeclared sums and its scratch are dropped, and each may arrive
+/// empty or at the model's width (a snapshot written before the
+/// declaration held all three sums and a gradient buffer). All algorithm
+/// state lives in the tier vectors, so restoring them overwrites
+/// everything `init` set up. A malformed snapshot is a typed error, never
+/// a panic mid-run; non-finite values pass, since a diverged run
+/// legitimately snapshots them.
 fn restore(
     state: &mut FlState,
     snap: &TrainingSnapshot,
@@ -1101,29 +1105,24 @@ fn restore(
         )));
     }
     let dim = state.dim();
-    // A worker's scratch is empty between steps; a snapshot written while
-    // workers still kept a gradient buffer holds a model-width one.
-    if let Some(w) = snap
-        .workers
-        .iter()
-        .find(|w| !w.scratch.is_empty() && w.scratch.len() != dim)
-    {
-        return Err(RunError::Data(format!(
-            "snapshot holds a worker scratch of length {} for model dimension {dim}",
-            w.scratch.len()
-        )));
-    }
-    let workers = snap
-        .workers
-        .iter()
-        .flat_map(|w| [&w.x, &w.y, &w.v, &w.grad_accum, &w.y_accum, &w.v_accum]);
+    let sums = state.interval_sums();
+    let declared = [true, true, true, sums.grad, sums.y, sums.v, false];
+    let workers = snap.workers.iter().flat_map(|w| {
+        let [grad, y, v] = [&w.grad_accum, &w.y_accum, &w.v_accum];
+        [&w.x, &w.y, &w.v, grad, y, v, &w.scratch]
+            .into_iter()
+            .zip(declared)
+    });
     let tiers = snap
         .edges
         .iter()
         .chain([&snap.cloud])
         .chain(snap.middle.iter().flatten());
-    let tiers = tiers.flat_map(|s| [&s.x_plus, &s.y_plus, &s.y_minus, &s.v, &s.x_prev]);
-    if let Some(v) = workers.chain(tiers).find(|v| v.len() != dim) {
+    let tiers =
+        tiers.flat_map(|s| [&s.x_plus, &s.y_plus, &s.y_minus, &s.v, &s.x_prev].map(|v| (v, true)));
+    // An undeclared vector is dropped, so it may also arrive empty.
+    let misfit = |&(v, declared): &(&Vector, bool)| v.len() != dim && (declared || !v.is_empty());
+    if let Some((v, _)) = workers.chain(tiers).find(misfit) {
         return Err(RunError::Data(format!(
             "snapshot holds a state vector of length {} for model dimension {dim}",
             v.len()
@@ -1131,6 +1130,7 @@ fn restore(
     }
     state.workers = snap.workers.clone();
     for w in &mut state.workers {
+        w.lay_out(sums);
         w.scratch = Vector::default();
     }
     state.edges = snap.edges.clone();

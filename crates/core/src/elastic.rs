@@ -66,10 +66,7 @@ use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
 fn rehome(state: &mut WorkerState, age: u64) {
     let damp = 1.0 / (1 + (age as usize).min(MIDDLE_AGE_CAP)) as f32;
     state.v.scale_in_place(damp);
-    state.grad_accum.fill(0.0);
-    state.y_accum.fill(0.0);
-    state.v_accum.fill(0.0);
-    state.steps = 0;
+    state.reset_accumulators();
 }
 
 /// The re-formation assignment: greedy capacity-bounded clustering of
@@ -283,6 +280,7 @@ impl Churn {
         strategy: &S,
     ) -> Result<(), RunError> {
         let round = t / self.interval;
+        let sums = state.interval_sums();
         let Churn {
             plan,
             version,
@@ -330,7 +328,7 @@ impl Churn {
                         .get(&edge)
                         .expect("join validated the edge live");
                     let mut w = WorkerState::default();
-                    w.download(&edge_state.x_plus, &edge_state.y_minus);
+                    w.download(&edge_state.x_plus, &edge_state.y_minus, sums);
                     states.insert(worker, w);
                     counters.joins += 1;
                 }

@@ -91,7 +91,7 @@ pub use config::RunConfig;
 pub use driver::{run, run_tiered, PhaseTimings, RunError, RunResult, RunSpec, Source};
 pub use population::{ClientSampling, CohortSampler, ShardAssignment, WorkerPopulation};
 pub use robust::RobustAggregator;
-pub use state::{EdgeView, FlState, TierState, WorkerState};
+pub use state::{EdgeView, FlState, IntervalSums, TierState, WorkerState};
 pub use strategy::{
     default_middle_aggregate, default_middle_aggregate_stale, Strategy, Tier, TierScope,
     MIDDLE_AGE_CAP,

@@ -30,7 +30,7 @@ use hieradmo_tensor::Vector;
 use hieradmo_topology::Weights;
 
 use crate::config::RunConfig;
-use crate::state::{EdgeView, TierState, WorkerState};
+use crate::state::{EdgeView, FlState, IntervalSums, TierState, WorkerState};
 use crate::strategy::{Strategy, TierScope};
 
 /// Everything a lane needs by reference: the strategy and the run-wide
@@ -58,21 +58,25 @@ impl<S: ?Sized> Copy for ExecCtx<'_, S> {}
 
 /// An edge's download pair for one round: the model `x_plus` and the
 /// lookahead `y_minus` every cohort slot it fills that round starts from
-/// ([`WorkerState::download`]). One shared copy per edge-round.
+/// ([`WorkerState::download`]), with the interval sums the strategy
+/// declared. One shared copy per edge-round.
 #[derive(Debug)]
 pub struct Download {
     /// The edge's model.
     pub x: Vector,
     /// The edge's aggregated momentum.
     pub y: Vector,
+    /// The sums each slot holds ([`FlState::interval_sums`]).
+    pub sums: IntervalSums,
 }
 
 impl Download {
-    /// Snapshots `edge`'s current download pair.
-    pub fn of(edge: &TierState) -> Arc<Self> {
+    /// Snapshots edge `edge`'s current download pair.
+    pub fn of(state: &FlState, edge: usize) -> Arc<Self> {
         Arc::new(Download {
-            x: edge.x_plus.clone(),
-            y: edge.y_minus.clone(),
+            x: state.edges[edge].x_plus.clone(),
+            y: state.edges[edge].y_minus.clone(),
+            sums: state.interval_sums(),
         })
     }
 }
@@ -220,7 +224,7 @@ impl<M: Model> Lane<M> {
             Job::Steps(mut segments) => {
                 for seg in &mut segments {
                     if let Some(d) = &seg.download {
-                        seg.worker.download(&d.x, &d.y);
+                        seg.worker.download(&d.x, &d.y, d.sums);
                     }
                     for &t in &seg.ticks {
                         self.step(ctx, t, &mut seg.worker, seg.data, &mut seg.batcher);
@@ -559,7 +563,13 @@ mod tests {
             test_data: &tt.test,
         };
         let mut lane = Lane::new(model.clone());
-        let mut worker = WorkerState::new(&model.params());
+        // The sums `HierAdMo::adaptive` declares.
+        let sums = IntervalSums {
+            grad: true,
+            y: true,
+            v: false,
+        };
+        let mut worker = WorkerState::new(&model.params(), sums);
         assert!(worker.scratch.is_empty());
         let mut batcher = Batcher::new(data[0].len(), 8, 3);
         lane.step(ctx, 1, &mut worker, 0, &mut batcher);

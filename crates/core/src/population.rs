@@ -884,9 +884,9 @@ mod tests {
         // The draw leaves the slots alone; each materializes from the
         // edge's download pair.
         assert_eq!(fl.workers[2].v.as_slice(), &[9.0, 9.0]);
-        let download = crate::pool::Download::of(&fl.edges[1]);
+        let download = crate::pool::Download::of(&fl, 1);
         for slot in 2..4 {
-            fl.workers[slot].download(&download.x, &download.y);
+            fl.workers[slot].download(&download.x, &download.y, download.sums);
         }
         assert_eq!(ids.len(), 2);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));

@@ -13,13 +13,40 @@ use serde::{Deserialize, Serialize};
 
 use crate::robust::RobustAggregator;
 
+/// The optional edge-interval sums a strategy's hooks read: `Σ∇F`
+/// ([`WorkerState::grad_accum`]), `Σy` ([`WorkerState::y_accum`]) and
+/// `Σv` ([`WorkerState::v_accum`]). A strategy declares them once, in
+/// [`Strategy::init`](crate::Strategy::init), through
+/// [`FlState::declare_sums`]. Every worker copy then holds the declared
+/// sums at the model's width and the others zero-width, and a NAG local
+/// step updates exactly the declared ones. The default declares none: a
+/// strategy whose hooks read only `x`, `y` and `v`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct IntervalSums {
+    /// `Σ ∇F`.
+    pub grad: bool,
+    /// `Σ y`.
+    pub y: bool,
+    /// `Σ v`.
+    pub v: bool,
+}
+
 /// Per-worker state.
+///
+/// `x`, `y` and `v` have the model's width. Of the three interval sums,
+/// only those the strategy declared in
+/// [`Strategy::init`](crate::Strategy::init) (see [`IntervalSums`]) do;
+/// the others are zero-width, and so is `scratch` outside a local step.
+/// A wrapper strategy must forward `init`, or its workers hold no sum.
 ///
 /// Serializable so a run can be snapshotted mid-training and resumed
 /// bitwise-identically (see [`crate::checkpoint::TrainingSnapshot`]).
 /// `clone_from` copies every field into the destination's existing
-/// buffers, so the engines move worker state without allocating.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+/// buffers, so the engines move worker state without allocating. The
+/// default is the zero-dimensional stand-in an execution engine leaves
+/// behind while the real state is checked out (`std::mem::take`); no
+/// algorithm observes it.
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerState {
     /// Model parameters `x_{i,ℓ}`.
     pub x: Vector,
@@ -48,72 +75,77 @@ pub struct WorkerState {
     /// [`Model::loss_and_grad_into`](hieradmo_models::Model::loss_and_grad_into)
     /// writes each mini-batch gradient into it. The lane takes it back
     /// after the call, so clones, snapshots, deliveries and checkpoints
-    /// carry six model-width vectors instead of seven. On a dense
-    /// `Sequential` the model's own per-replica workspace holds the rest
-    /// of the gradient's buffers, so the steady-state step allocates
-    /// nothing; a model on the per-sample (convolutional) path still
-    /// allocates per sample.
+    /// carry no gradient. On a dense `Sequential` the model's own
+    /// per-replica workspace holds the rest of the gradient's buffers, so
+    /// the steady-state step allocates nothing; a model on the per-sample
+    /// (convolutional) path still allocates per sample.
     /// Transient working memory, *not* algorithm state.
     pub scratch: Vector,
 }
 
 impl WorkerState {
     /// Fresh worker state at initial model `x0` (`y⁰ = x⁰`, zero velocity
-    /// and accumulators — Algorithm 1 line 1).
-    pub fn new(x0: &Vector) -> Self {
-        WorkerState {
-            x: x0.clone(),
-            y: x0.clone(),
-            v: Vector::zeros(x0.len()),
-            grad_accum: Vector::zeros(x0.len()),
-            y_accum: Vector::zeros(x0.len()),
-            v_accum: Vector::zeros(x0.len()),
-            steps: 0,
-            scratch: Vector::default(),
-        }
+    /// and declared sums — Algorithm 1 line 1).
+    pub fn new(x0: &Vector, sums: IntervalSums) -> Self {
+        let mut w = WorkerState::default();
+        w.download(x0, x0, sums);
+        w
     }
 
-    /// Clears the edge-interval accumulators (done at every aggregation),
-    /// zero-filling in place; an accumulator whose length differs from
-    /// the model's (a checked-out placeholder's) is reallocated.
+    /// Zero-fills the interval sums in place (done at every aggregation);
+    /// undeclared ones are zero-width and stay so.
     pub fn reset_accumulators(&mut self) {
-        let n = self.x.len();
-        for acc in [&mut self.grad_accum, &mut self.y_accum, &mut self.v_accum] {
-            zero(acc, n);
+        for sum in self.sums_mut() {
+            sum.fill(0.0);
         }
         self.steps = 0;
     }
 
     /// Overwrites this state with the fresh download of a worker joining
     /// an edge: model `x` (the edge's `x_plus`), lookahead `y` (its
-    /// `y_minus`), zero velocity and accumulators, and an empty scratch —
-    /// exactly what a full-participation worker holds right after any
-    /// aggregation. Every field is written, in place where the lengths
-    /// allow, so nothing of the previous occupant survives; a
-    /// zero-dimensional placeholder ends up full-size.
-    pub fn download(&mut self, x: &Vector, y: &Vector) {
-        let n = x.len();
+    /// `y_minus`), zero velocity, the `sums` declared zero-filled and the
+    /// rest zero-width, and an empty scratch — exactly what a
+    /// full-participation worker holds right after any aggregation. Every
+    /// field is written, in place where the lengths allow, so nothing of
+    /// the previous occupant survives; a zero-dimensional placeholder ends
+    /// up full-size.
+    pub fn download(&mut self, x: &Vector, y: &Vector, sums: IntervalSums) {
         self.x.copy_from(x);
         self.y.copy_from(y);
-        for v in [
-            &mut self.v,
-            &mut self.grad_accum,
-            &mut self.y_accum,
-            &mut self.v_accum,
-        ] {
-            zero(v, n);
-        }
-        self.steps = 0;
+        fit(&mut self.v, x.len());
+        self.v.fill(0.0);
+        self.lay_out(sums);
+        self.reset_accumulators();
         self.scratch = Vector::default();
+    }
+
+    /// Sizes the interval sums to `sums`: a declared sum keeps its values
+    /// at the model's width (zeros if it had another width), every other
+    /// sum becomes zero-width.
+    pub(crate) fn lay_out(&mut self, sums: IntervalSums) {
+        let n = self.x.len();
+        let widths = [sums.grad, sums.y, sums.v].map(|declared| if declared { n } else { 0 });
+        for (sum, width) in self.sums_mut().into_iter().zip(widths) {
+            fit(sum, width);
+        }
+    }
+
+    /// The interval sums this worker holds: the ones its strategy
+    /// declared, read off their widths.
+    pub(crate) fn interval_sums(&self) -> IntervalSums {
+        let [grad, y, v] = [&self.grad_accum, &self.y_accum, &self.v_accum].map(|s| !s.is_empty());
+        IntervalSums { grad, y, v }
+    }
+
+    /// `[Σ∇F, Σy, Σv]`, in [`IntervalSums`] field order.
+    fn sums_mut(&mut self) -> [&mut Vector; 3] {
+        [&mut self.grad_accum, &mut self.y_accum, &mut self.v_accum]
     }
 }
 
-/// Zero-fills `v` in place, or reallocates it at length `n` when its
-/// length differs.
-fn zero(v: &mut Vector, n: usize) {
-    if v.len() == n {
-        v.fill(0.0);
-    } else {
+/// Reallocates `v` as `n` zeros unless it already has length `n`.
+fn fit(v: &mut Vector, n: usize) {
+    if v.len() != n {
         *v = Vector::zeros(n);
     }
 }
@@ -151,15 +183,6 @@ impl Clone for WorkerState {
         v_accum.clone_from(&source.v_accum);
         *steps = source.steps;
         scratch.clone_from(&source.scratch);
-    }
-}
-
-/// The zero-dimensional stand-in an execution engine leaves behind while
-/// the real state is checked out (`std::mem::take`). Never observed by
-/// algorithms.
-impl Default for WorkerState {
-    fn default() -> Self {
-        WorkerState::new(&Vector::zeros(0))
     }
 }
 
@@ -247,6 +270,8 @@ pub struct FlState {
     /// [`FlState::with_round_scoped_slots`]). Set only by a sampled
     /// participant source; no config field or snapshot carries it.
     round_scoped: bool,
+    /// The interval sums the strategy declared ([`FlState::declare_sums`]).
+    sums: IntervalSums,
 }
 
 impl FlState {
@@ -281,15 +306,12 @@ impl FlState {
 
     fn with_slots(hierarchy: Hierarchy, weights: Weights, x0: &Vector, round_scoped: bool) -> Self {
         assert!(!x0.is_empty(), "initial model must be non-empty");
-        let workers = (0..hierarchy.num_workers())
-            .map(|_| {
-                if round_scoped {
-                    WorkerState::default()
-                } else {
-                    WorkerState::new(x0)
-                }
-            })
-            .collect();
+        let slot = if round_scoped {
+            WorkerState::default()
+        } else {
+            WorkerState::new(x0, IntervalSums::default())
+        };
+        let workers = vec![slot; hierarchy.num_workers()];
         let edges = (0..hierarchy.num_edges())
             .map(|_| TierState::new(x0))
             .collect();
@@ -303,7 +325,26 @@ impl FlState {
             tree: None,
             aggregator: RobustAggregator::default(),
             round_scoped,
+            sums: IntervalSums::default(),
         }
+    }
+
+    /// Declares the interval sums the strategy's hooks read, the one
+    /// source for both the width of every worker copy and the NAG step's
+    /// selection: every registered worker gets each declared sum at the
+    /// model's width (zeros where it had none) and the others zero-width,
+    /// and every later download, join, sampled slot and restore follows.
+    /// Called from [`Strategy::init`](crate::Strategy::init); a federation
+    /// nobody declares for holds no sum.
+    pub fn declare_sums(&mut self, sums: IntervalSums) {
+        self.sums = sums;
+        self.for_all_workers(|w| w.lay_out(sums));
+    }
+
+    /// The interval sums the strategy declared (see
+    /// [`FlState::declare_sums`]).
+    pub fn interval_sums(&self) -> IntervalSums {
+        self.sums
     }
 
     /// Whether the worker slots are round-scoped (see
@@ -617,6 +658,14 @@ impl EdgeView<'_> {
 mod tests {
     use super::*;
 
+    /// Every interval sum: a layout no strategy declares, so each field
+    /// of a worker has an allocation.
+    const ALL: IntervalSums = IntervalSums {
+        grad: true,
+        y: true,
+        v: true,
+    };
+
     fn state() -> FlState {
         let h = Hierarchy::new(vec![2, 1]);
         let w = Weights::from_samples(&h, &[10, 30, 20]);
@@ -677,6 +726,32 @@ mod tests {
     }
 
     #[test]
+    fn declared_sums_alone_have_the_model_width() {
+        let mut s = state();
+        assert_eq!(s.interval_sums(), IntervalSums::default());
+        let widths = |w: &WorkerState| [&w.grad_accum, &w.y_accum, &w.v_accum].map(Vector::len);
+        assert!(s.workers.iter().all(|w| widths(w) == [0; 3]));
+        let adaptive = IntervalSums {
+            grad: true,
+            y: true,
+            v: false,
+        };
+        s.declare_sums(adaptive);
+        assert_eq!(s.interval_sums(), adaptive);
+        for w in &s.workers {
+            assert_eq!(widths(w), [2, 2, 0]);
+            assert_eq!(w.interval_sums(), adaptive);
+            assert!(w.grad_accum.iter().all(|a| a.to_bits() == 0));
+        }
+        // Round-scoped slots stay zero-dimensional; their downloads carry
+        // the declaration instead.
+        let s = state();
+        let mut scoped = FlState::with_round_scoped_slots(s.hierarchy, s.weights, &s.cloud.x_plus);
+        scoped.declare_sums(adaptive);
+        assert!(scoped.workers.iter().all(|w| *w == WorkerState::default()));
+    }
+
+    #[test]
     fn edge_average_respects_data_weights() {
         let mut s = state();
         s.workers[0].x = Vector::from(vec![0.0, 0.0]);
@@ -731,14 +806,12 @@ mod tests {
             assert!(acc.iter().all(|a| a.to_bits() == 0));
         }
         assert_eq!(w.steps, 0);
-        // An accumulator off the model's length (a checked-out
-        // placeholder's) is reallocated at the model's length.
-        w.grad_accum = Vector::zeros(0);
-        w.v_accum = Vector::from(vec![1.0, 2.0, 3.0]);
+        // An undeclared (zero-width) sum stays zero-width.
+        w.v_accum = Vector::default();
         w.reset_accumulators();
         assert_eq!(w.grad_accum, Vector::zeros(2));
         assert_eq!(w.y_accum, Vector::zeros(2));
-        assert_eq!(w.v_accum, Vector::zeros(2));
+        assert!(w.v_accum.is_empty());
     }
 
     #[test]
@@ -754,7 +827,7 @@ mod tests {
             steps: 7,
             scratch: vals(8.0),
         };
-        let mut dst = WorkerState::new(&Vector::zeros(3));
+        let mut dst = WorkerState::new(&Vector::zeros(3), ALL);
         // `new` leaves the scratch empty (the lane lends it); give it an
         // allocation so the reuse check covers every field.
         dst.scratch = Vector::zeros(3);
@@ -833,15 +906,19 @@ mod tests {
             scratch: vals(8.0),
         };
         let ptr = w.v.as_slice().as_ptr();
-        w.download(&vals(10.0), &vals(20.0));
-        let mut want = WorkerState::new(&vals(10.0));
+        w.download(&vals(10.0), &vals(20.0), ALL);
+        let mut want = WorkerState::new(&vals(10.0), ALL);
         want.y = vals(20.0);
         assert_eq!(w, want);
         assert_eq!(w.v.as_slice().as_ptr(), ptr, "download reallocated");
         // A checked-out placeholder ends up full-size.
         let mut placeholder = WorkerState::default();
-        placeholder.download(&vals(10.0), &vals(20.0));
+        placeholder.download(&vals(10.0), &vals(20.0), ALL);
         assert_eq!(placeholder, want);
+        // Undeclared sums end up zero-width.
+        w.download(&vals(10.0), &vals(20.0), IntervalSums::default());
+        assert_eq!(w.interval_sums(), IntervalSums::default());
+        assert_eq!((&w.x, &w.y, &w.v), (&want.x, &want.y, &want.v));
     }
 
     #[test]

@@ -100,7 +100,11 @@ pub trait Strategy: Send + Sync {
     fn tier(&self) -> Tier;
 
     /// Hook called once before training begins (after [`FlState::new`]'s
-    /// common initialization). Most algorithms need nothing extra.
+    /// common initialization). An algorithm whose hooks read interval
+    /// sums declares them here with [`FlState::declare_sums`]: that one
+    /// declaration sizes every worker copy and picks the NAG step's
+    /// selection (see [`crate::state::IntervalSums`]). Without it workers
+    /// hold no sum. A wrapper strategy must forward `init`.
     fn init(&self, _state: &mut FlState) {}
 
     /// One local iteration on one worker. `grad(params, out)` evaluates the

@@ -1089,7 +1089,7 @@ where
         let range = self.fl.hierarchy.edge_workers(e);
         let s = self.src.sampled();
         let ids = draw_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
-        s.downloads[e] = Download::of(&self.fl.edges[e]);
+        s.downloads[e] = Download::of(&self.fl, e);
         let mut live = false;
         for (j, &g) in ids.iter().enumerate() {
             let slot = range.start + j;
@@ -2367,7 +2367,7 @@ where
         shard_sizes,
         sampler,
         slots: slot_ctxs,
-        downloads: fl.edges.iter().map(Download::of).collect(),
+        downloads: (0..l_count).map(|e| Download::of(&fl, e)).collect(),
         spare: Vec::new(),
         absent: vec![false; slots],
         retired: vec![false; l_count],

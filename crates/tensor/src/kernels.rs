@@ -604,6 +604,24 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 // Worker NAG step
 // ---------------------------------------------------------------------------
 
+/// The edge-interval sums one [`nag_step`] updates beside the state:
+/// exactly the four selections a NAG strategy can declare, so no other
+/// combination can be asked for. In `hieradmo-core` a strategy declares
+/// its sums once, in `Strategy::init` (a wrapper strategy must forward
+/// it), and the NAG local step reads the selection off the worker's
+/// state.
+#[derive(Debug)]
+pub enum NagSums<'a> {
+    /// No sum.
+    None,
+    /// `Σ∇F` and `Σy`, in that order.
+    GradY(&'a mut [f32], &'a mut [f32]),
+    /// `Σv`.
+    V(&'a mut [f32]),
+    /// `Σ∇F` and `Σv`, in that order.
+    GradV(&'a mut [f32], &'a mut [f32]),
+}
+
 /// One worker NAG step (Algorithm 1 lines 5–6) with the edge-interval sums
 /// of line 9, in **one pass** over the model-width vectors it touches:
 ///
@@ -613,10 +631,10 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 /// x   = y_t + γ·v          y = y_t
 /// ```
 ///
-/// Each interval sum is optional: a `None` accumulator is neither read
-/// nor written, so a strategy whose hooks never read a sum does not pay
-/// for streaming it. Every selection is its own monomorphized loop, with
-/// no per-element branch.
+/// Only the sums `sums` carries are read and written, so a strategy
+/// whose hooks never read a sum does not pay for streaming it. Each of
+/// the four selections is its own monomorphized loop, with no
+/// per-element branch.
 ///
 /// Per element it computes exactly what the eight-pass `Vector`
 /// composition it replaces did: each `+=` is `fma(1.0, ·, acc)` (an
@@ -629,16 +647,13 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 ///
 /// # Panics
 ///
-/// Panics if the lengths of `y`, `v`, `g` or a selected accumulator
-/// differ from `x`'s.
-#[allow(clippy::too_many_arguments)]
+/// Panics if the lengths of `y`, `v`, `g` or a selected sum differ from
+/// `x`'s.
 pub fn nag_step(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: Option<&mut [f32]>,
-    y_accum: Option<&mut [f32]>,
-    v_accum: Option<&mut [f32]>,
+    sums: NagSums<'_>,
     g: &[f32],
     eta: f32,
     gamma: f32,
@@ -646,72 +661,56 @@ pub fn nag_step(
     #[cfg(target_arch = "x86_64")]
     if dispatch_level() == DispatchLevel::Avx2 {
         // SAFETY: AVX2 presence was verified by `dispatch_level`.
-        unsafe { nag_step_avx2(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma) };
+        unsafe { nag_step_avx2(x, y, v, sums, g, eta, gamma) };
         return;
     }
-    nag_step_scalar(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma);
+    nag_step_scalar(x, y, v, sums, g, eta, gamma);
 }
 
 /// Portable oracle for [`nag_step`]: picks the loop compiled for the
-/// accumulator selection.
+/// selection.
 ///
 /// # Panics
 ///
-/// Panics if the lengths of `y`, `v`, `g` or a selected accumulator
-/// differ from `x`'s.
+/// Panics if the lengths of `y`, `v`, `g` or a selected sum differ from
+/// `x`'s.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub fn nag_step_scalar(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: Option<&mut [f32]>,
-    y_accum: Option<&mut [f32]>,
-    v_accum: Option<&mut [f32]>,
+    sums: NagSums<'_>,
     g: &[f32],
     eta: f32,
     gamma: f32,
 ) {
-    let selection = (grad_accum.is_some(), y_accum.is_some(), v_accum.is_some());
-    let (ga, ya, va) = (
-        grad_accum.unwrap_or_default(),
-        y_accum.unwrap_or_default(),
-        v_accum.unwrap_or_default(),
-    );
-    let args = (x, y, v, ga, ya, va, g, eta, gamma);
-    match selection {
-        (false, false, false) => nag_loop::<false, false, false>(args),
-        (true, false, false) => nag_loop::<true, false, false>(args),
-        (false, true, false) => nag_loop::<false, true, false>(args),
-        (false, false, true) => nag_loop::<false, false, true>(args),
-        (true, true, false) => nag_loop::<true, true, false>(args),
-        (true, false, true) => nag_loop::<true, false, true>(args),
-        (false, true, true) => nag_loop::<false, true, true>(args),
-        (true, true, true) => nag_loop::<true, true, true>(args),
+    let e = || -> &mut [f32] { &mut [] };
+    match sums {
+        NagSums::None => nag_loop::<false, false, false>(x, y, v, [e(), e(), e()], g, eta, gamma),
+        NagSums::GradY(ga, ya) => {
+            nag_loop::<true, true, false>(x, y, v, [ga, ya, e()], g, eta, gamma)
+        }
+        NagSums::V(va) => nag_loop::<false, false, true>(x, y, v, [e(), e(), va], g, eta, gamma),
+        NagSums::GradV(ga, va) => {
+            nag_loop::<true, false, true>(x, y, v, [ga, e(), va], g, eta, gamma)
+        }
     }
 }
 
-/// `(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma)`, an
-/// unselected accumulator empty.
-type NagArgs<'a> = (
-    &'a mut [f32],
-    &'a mut [f32],
-    &'a mut [f32],
-    &'a mut [f32],
-    &'a mut [f32],
-    &'a mut [f32],
-    &'a [f32],
-    f32,
-    f32,
-);
-
-/// The [`nag_step`] loop for one accumulator selection: `GA`, `YA` and
-/// `VA` say whether `grad_accum`, `y_accum` and `v_accum` are updated.
-/// Every used slice is re-cut to `x`'s length so the loop carries no
-/// bounds checks and vectorizes.
+/// The [`nag_step`] loop for one selection: `GA`, `YA` and `VA` say
+/// whether `Σ∇F`, `Σy` and `Σv` (`sums`, in that order; an unselected one
+/// empty) are updated. Every used slice is re-cut to `x`'s length so the
+/// loop carries no bounds checks and vectorizes.
 #[inline(always)]
-fn nag_loop<const GA: bool, const YA: bool, const VA: bool>(args: NagArgs<'_>) {
-    let (x, y, v, ga, ya, va, g, eta, gamma) = args;
+fn nag_loop<const GA: bool, const YA: bool, const VA: bool>(
+    x: &mut [f32],
+    y: &mut [f32],
+    v: &mut [f32],
+    [ga, ya, va]: [&mut [f32]; 3],
+    g: &[f32],
+    eta: f32,
+    gamma: f32,
+) {
     let n = x.len();
     let selected = [(GA, ga.len()), (YA, ya.len()), (VA, va.len())];
     let used = selected.iter().filter(|(on, _)| *on).map(|&(_, len)| len);
@@ -751,19 +750,16 @@ fn nag_loop<const GA: bool, const YA: bool, const VA: bool>(args: NagArgs<'_>) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn nag_step_avx2(
     x: &mut [f32],
     y: &mut [f32],
     v: &mut [f32],
-    grad_accum: Option<&mut [f32]>,
-    y_accum: Option<&mut [f32]>,
-    v_accum: Option<&mut [f32]>,
+    sums: NagSums<'_>,
     g: &[f32],
     eta: f32,
     gamma: f32,
 ) {
-    nag_step_scalar(x, y, v, grad_accum, y_accum, v_accum, g, eta, gamma);
+    nag_step_scalar(x, y, v, sums, g, eta, gamma);
 }
 
 // ---------------------------------------------------------------------------

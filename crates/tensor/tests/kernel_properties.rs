@@ -13,7 +13,8 @@
 
 use proptest::prelude::*;
 
-use hieradmo_tensor::{kernels, Vector};
+use hieradmo_tensor::kernels::{self, NagSums};
+use hieradmo_tensor::Vector;
 
 /// Backing-store length; tests slice `[..len]` out of it so every
 /// remainder residue mod `LANES` is exercised.
@@ -498,17 +499,29 @@ fn nag_eight_pass(
     x.axpy(gamma, v);
 }
 
-/// Every accumulator selection `(Σ∇F, Σy, Σv)` of `kernels::nag_step`.
-const SELECTIONS: [[bool; 3]; 8] = [
+/// Every selection `(Σ∇F, Σy, Σv)` [`NagSums`] can express.
+const SELECTIONS: [[bool; 3]; 4] = [
     [false, false, false],
-    [true, false, false],
-    [false, true, false],
-    [false, false, true],
     [true, true, false],
+    [false, false, true],
     [true, false, true],
-    [false, true, true],
-    [true, true, true],
 ];
+
+/// The [`NagSums`] for `selection` over the sums `ga`, `ya`, `va`.
+fn nag_sums<'a>(
+    selection: [bool; 3],
+    ga: &'a mut [f32],
+    ya: &'a mut [f32],
+    va: &'a mut [f32],
+) -> NagSums<'a> {
+    match selection {
+        [false, false, false] => NagSums::None,
+        [true, true, false] => NagSums::GradY(ga, ya),
+        [false, false, true] => NagSums::V(va),
+        [true, false, true] => NagSums::GradV(ga, va),
+        _ => unreachable!("not a selection of SELECTIONS"),
+    }
+}
 
 /// Runs `step` on `state = [x, y, v, Σ∇F, Σy, Σv]` cut at `offset`, with
 /// the sums `selection` picks; every other sum is first overwritten with
@@ -517,14 +530,7 @@ fn nag_selected(
     state: &[Vec<f32>],
     offset: usize,
     selection: [bool; 3],
-    step: impl FnOnce(
-        &mut [f32],
-        &mut [f32],
-        &mut [f32],
-        Option<&mut [f32]>,
-        Option<&mut [f32]>,
-        Option<&mut [f32]>,
-    ),
+    step: impl FnOnce(&mut [f32], &mut [f32], &mut [f32], NagSums<'_>),
 ) -> Vec<Vec<f32>> {
     let mut out = state.to_vec();
     let sentinel = f32::from_bits(0x7fc0_1234);
@@ -540,9 +546,12 @@ fn nag_selected(
         &mut x[offset..],
         &mut y[offset..],
         &mut v[offset..],
-        selection[0].then_some(&mut ga[offset..]),
-        selection[1].then_some(&mut ya[offset..]),
-        selection[2].then_some(&mut va[offset..]),
+        nag_sums(
+            selection,
+            &mut ga[offset..],
+            &mut ya[offset..],
+            &mut va[offset..],
+        ),
     );
     for (on, acc) in selection.iter().zip(&out[3..]) {
         if !on {
@@ -559,8 +568,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The fused NAG step is bitwise equal to its scalar oracle and to the
-    /// eight-pass composition it replaced, under every accumulator
-    /// selection, at every length remainder mod 8 and start offset, with
+    /// eight-pass composition it replaced, under each of the four
+    /// selections, at every length remainder mod 8 and start offset, with
     /// zeros of both signs in every vector and `inf`/NaN gradients. The
     /// state and each selected sum match the composition; an unselected
     /// sum is neither read nor written.
@@ -588,11 +597,11 @@ proptest! {
         nag_eight_pass(x, y, v, ga, ya, va, &Vector::from(g.clone()), eta, gamma);
 
         for selection in SELECTIONS {
-            let got = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
-                kernels::nag_step(x, y, v, ga, ya, va, &g, eta, gamma)
+            let got = nag_selected(&state, offset, selection, |x, y, v, sums| {
+                kernels::nag_step(x, y, v, sums, &g, eta, gamma)
             });
-            let want = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
-                kernels::nag_step_scalar(x, y, v, ga, ya, va, &g, eta, gamma)
+            let want = nag_selected(&state, offset, selection, |x, y, v, sums| {
+                kernels::nag_step_scalar(x, y, v, sums, &g, eta, gamma)
             });
             for (a, b) in got.iter().zip(&want) {
                 prop_assert_eq!(bits_nan_eq(a), bits_nan_eq(b));
@@ -608,7 +617,7 @@ proptest! {
 }
 
 /// The dispatched NAG step against its oracle over every length 0–119,
-/// start offset 0–7 and accumulator selection, with zeros of both signs,
+/// start offset 0–7 and selection, with zeros of both signs,
 /// infinities and NaN in the gradient and the state.
 #[test]
 fn nag_step_dispatch_matches_oracle_at_every_length_and_offset() {
@@ -621,11 +630,11 @@ fn nag_step_dispatch_matches_oracle_at_every_length_and_offset() {
                 .map(|_| entries(&mut rng, offset + len, true))
                 .collect();
             for selection in SELECTIONS {
-                let got = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
-                    kernels::nag_step(x, y, v, ga, ya, va, &g, 0.125, 0.5)
+                let got = nag_selected(&state, offset, selection, |x, y, v, sums| {
+                    kernels::nag_step(x, y, v, sums, &g, 0.125, 0.5)
                 });
-                let want = nag_selected(&state, offset, selection, |x, y, v, ga, ya, va| {
-                    kernels::nag_step_scalar(x, y, v, ga, ya, va, &g, 0.125, 0.5)
+                let want = nag_selected(&state, offset, selection, |x, y, v, sums| {
+                    kernels::nag_step_scalar(x, y, v, sums, &g, 0.125, 0.5)
                 });
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(

@@ -50,7 +50,10 @@ impl Strategy for HierProx {
         let mut g = std::mem::take(&mut worker.scratch);
         grad(&worker.x, &mut g);
         // The anchor (last distributed edge model) lives in `y`, which
-        // this algorithm repurposes since it runs no worker momentum.
+        // this algorithm repurposes since it runs no worker momentum. It
+        // reads no interval sum, so it overrides no `init`: its workers
+        // hold `x`, `y` and `v` only. An algorithm that reads `Σ∇F`, `Σy`
+        // or `Σv` declares them in `init` with `FlState::declare_sums`.
         let mut drift = worker.x.clone();
         drift -= &worker.y;
         g.axpy(self.mu, &drift);

@@ -641,10 +641,13 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
 }
 
 /// A worker's scratch is the lane's gradient buffer, lent for one local
-/// step, so a snapshot holds it empty; a snapshot written while workers
-/// still kept a model-width gradient buffer between steps holds that
-/// instead. Resume accepts both, clears the scratch, and lands bitwise on
-/// the uninterrupted run; any other scratch length is a typed error.
+/// step, so a snapshot holds it empty. HierAdMo declares `Σ∇F` and `Σy`,
+/// so its workers hold no `Σv` either. A snapshot written while workers
+/// kept all three sums and a model-width gradient buffer holds `Σv` and
+/// the scratch at the model's width instead. Resume accepts both formats,
+/// drops the undeclared vectors, and lands bitwise on the uninterrupted
+/// run. A scratch or undeclared sum of any other length, and a declared
+/// sum off the model's width, are typed errors.
 #[test]
 fn resume_accepts_an_empty_or_model_width_scratch_and_clears_it() {
     let (f, cfg) = cfg(0.1);
@@ -667,15 +670,22 @@ fn resume_accepts_an_empty_or_model_width_scratch_and_clears_it() {
         .unwrap()
         .snapshot
         .unwrap();
-    assert!(snap.workers.iter().all(|w| w.scratch.is_empty()));
-
     let dim = snap.workers[0].x.len();
+    for w in &snap.workers {
+        assert!(w.scratch.is_empty() && w.v_accum.is_empty());
+        assert_eq!((w.grad_accum.len(), w.y_accum.len()), (dim, dim));
+    }
+
     let mut wide = snap.clone();
     for (i, w) in wide.workers.iter_mut().enumerate() {
+        w.v_accum = Vector::filled(dim, 0.25 * i as f32);
         w.scratch = Vector::filled(dim, i as f32 - 1.5);
     }
     let wide = TrainingSnapshot::from_json(&wide.to_json()).unwrap();
-    for (label, snap) in [("empty scratch", &snap), ("model-width scratch", &wide)] {
+    for (label, snap) in [
+        ("declared layout", &snap),
+        ("all vectors model-width", &wide),
+    ] {
         let resumed = run(
             &algo,
             &model,
@@ -695,18 +705,40 @@ fn resume_accepts_an_empty_or_model_width_scratch_and_clears_it() {
             .snapshot
             .unwrap();
         assert!(
-            again.workers.iter().all(|w| w.scratch.is_empty()),
-            "{label}: resume must clear the scratch"
+            again
+                .workers
+                .iter()
+                .all(|w| w.scratch.is_empty() && w.v_accum.is_empty()),
+            "{label}: resume must drop the scratch and the undeclared Σv"
         );
     }
 
-    for len in [1, dim - 1, dim + 1] {
+    type Edit = fn(&mut hieradmo::core::WorkerState, usize);
+    let bad: [(&str, Edit); 6] = [
+        ("a scratch of length 1", |w, _| w.scratch = Vector::zeros(1)),
+        ("a scratch one short", |w, d| {
+            w.scratch = Vector::zeros(d - 1)
+        }),
+        ("a scratch one long", |w, d| {
+            w.scratch = Vector::zeros(d + 1)
+        }),
+        ("an undeclared Σv one short", |w, d| {
+            w.v_accum = Vector::zeros(d - 1)
+        }),
+        ("a declared Σ∇F one long", |w, d| {
+            w.grad_accum = Vector::zeros(d + 1)
+        }),
+        ("an empty declared Σy", |w, _| {
+            w.y_accum = Vector::default()
+        }),
+    ];
+    for (label, edit) in bad {
         let mut bad = snap.clone();
-        bad.workers[2].scratch = Vector::zeros(len);
+        edit(&mut bad.workers[2], dim);
         let err = run(&algo, &model, &stop(&f, 25, Some(&bad)), &f.test, &cfg);
         assert!(
             matches!(err, Err(RunError::Data(_))),
-            "a scratch of length {len} must be a typed Data error"
+            "{label} must be a typed Data error"
         );
     }
 }

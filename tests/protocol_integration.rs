@@ -17,6 +17,7 @@ fn state_before_aggregation() -> FlState {
     let weights = Weights::uniform(&hierarchy);
     let mut state = FlState::new(hierarchy, weights, &Vector::filled(8, 0.5));
     let algo = HierAdMo::adaptive(0.05, 0.5);
+    algo.init(&mut state);
     for t in 1..=5 {
         for i in 0..4 {
             let centre: Vector = (0..8).map(|d| ((i + d) % 3) as f32).collect();

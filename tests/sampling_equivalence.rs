@@ -16,26 +16,28 @@ mod common;
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use common::{
     matrix_policies, sampled_fault_plan, sampled_matrix_trees, sampled_tier_fixture, sim_config,
     sim_fixture, small_tier_trees,
 };
-use hieradmo::core::algorithms::{FedAvg, HierAdMo};
+use hieradmo::core::algorithms::{table2_lineup, FedAvg, HierAdMo};
 use hieradmo::core::population::{
     adversary_stream, batcher_seed, delay_stream, fault_stream, worker_round_seed, ClientSampling,
     CohortSampler, WorkerPopulation,
 };
 use hieradmo::core::{
-    run, EdgeView, FlState, RobustAggregator, RunConfig, RunError, RunResult, RunSpec, Strategy,
-    Tier, TierScope, WorkerState,
+    run, EdgeView, FlState, IntervalSums, RobustAggregator, RunConfig, RunError, RunResult,
+    RunSpec, Strategy, Tier, TierScope, WorkerState,
 };
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::data::Dataset;
 use hieradmo::models::{zoo, Model};
 use hieradmo::netsim::{
-    AdversaryPlan, Architecture, AttackModel, FaultPlan, LinkFaults, NetworkEnv, PermanentCrash,
+    AdversaryPlan, Architecture, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
+    NetworkEnv, PermanentCrash,
 };
 use hieradmo::simrt::{simulate, simulate_virtual, SimConfig, SimError, SimResult, SyncPolicy};
 use hieradmo::tensor::Vector;
@@ -2006,17 +2008,45 @@ fn sampled_runs_never_read_a_slot_after_its_hook() {
     }
 }
 
-/// Wraps a strategy and checks, at every hook the engines call, which
-/// worker slots hold state: an edge hook must see all of its slots at the
-/// model's width (the scratch empty), while a middle or root hook must find every slot of the
-/// federation zero-dimensional. The event engine computes a sampled
+/// Wraps a strategy and checks, at every hook the engines call, the width
+/// of every worker slot the hook reaches. A resident slot holds `x`, `y`,
+/// `v` and the interval sums the strategy declared in `init` at the
+/// model's width, every undeclared sum zero-width, and an empty scratch.
+/// Every edge hook sees only resident slots. So does every middle and
+/// root hook of a registered run; on a sampled run they must find every
+/// slot zero-dimensional instead: the event engine computes a sampled
 /// edge's cohort when the edge fires and releases the buffers right after
 /// its hook, so no slot is resident outside its edge's firing.
-struct SlotLifetime<S> {
-    inner: S,
+struct SlotLifetime<'a> {
+    inner: &'a dyn Strategy,
     dim: usize,
+    /// Whether the run samples its cohorts (round-scoped slots).
+    sampled: bool,
+    /// The sums the inner strategy declared, recorded by `init`.
+    declared: Mutex<Option<IntervalSums>>,
     edge_hooks: AtomicUsize,
     upper_hooks: AtomicUsize,
+}
+
+impl<'a> SlotLifetime<'a> {
+    fn new(inner: &'a dyn Strategy, dim: usize, sampled: bool) -> Self {
+        SlotLifetime {
+            inner,
+            dim,
+            sampled,
+            declared: Mutex::new(None),
+            edge_hooks: AtomicUsize::new(0),
+            upper_hooks: AtomicUsize::new(0),
+        }
+    }
+
+    /// The widths of a resident slot, as [`slot_widths`] lists them.
+    fn resident(&self) -> [usize; 7] {
+        let sums = self.declared.lock().unwrap().expect("init ran first");
+        let d = self.dim;
+        let width = |declared: bool| if declared { d } else { 0 };
+        [d, d, d, width(sums.grad), width(sums.y), width(sums.v), 0]
+    }
 }
 
 fn slot_widths(w: &WorkerState) -> [usize; 7] {
@@ -2031,12 +2061,16 @@ fn slot_widths(w: &WorkerState) -> [usize; 7] {
     ]
 }
 
-impl<S: Strategy> Strategy for SlotLifetime<S> {
+impl Strategy for SlotLifetime<'_> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
     fn tier(&self) -> Tier {
         self.inner.tier()
+    }
+    fn init(&self, state: &mut FlState) {
+        self.inner.init(state);
+        *self.declared.lock().unwrap() = Some(state.interval_sums());
     }
     fn local_step(
         &self,
@@ -2053,25 +2087,20 @@ impl<S: Strategy> Strategy for SlotLifetime<S> {
         self.inner.cloud_aggregate(p, state);
     }
     fn tier_aggregate_stale(&self, scope: TierScope<'_, '_>, round: usize, staleness: &[usize]) {
+        let resident = self.resident();
         let workers = match &scope {
             TierScope::Edge(view) => {
-                // Six model-width vectors; the scratch is the lane's
-                // gradient buffer, lent for a local step only.
-                let d = self.dim;
                 for w in view.workers.iter() {
-                    assert_eq!(
-                        slot_widths(w),
-                        [d, d, d, d, d, d, 0],
-                        "edge hook, round {round}"
-                    );
+                    assert_eq!(slot_widths(w), resident, "edge hook, round {round}");
                 }
                 self.edge_hooks.fetch_add(1, Ordering::Relaxed);
                 return self.inner.tier_aggregate_stale(scope, round, staleness);
             }
             TierScope::Middle { state, .. } | TierScope::Root(state) => &state.workers,
         };
+        let want = if self.sampled { [0; 7] } else { resident };
         for w in workers {
-            assert_eq!(slot_widths(w), [0; 7], "middle or root hook, round {round}");
+            assert_eq!(slot_widths(w), want, "middle or root hook, round {round}");
         }
         self.upper_hooks.fetch_add(1, Ordering::Relaxed);
         self.inner.tier_aggregate_stale(scope, round, staleness);
@@ -2088,9 +2117,15 @@ impl<S: Strategy> Strategy for SlotLifetime<S> {
 /// `relaxed_sampled_trajectories_are_pinned`, under full sync, Deadline
 /// and AsyncAge, with the fault plan (absent slots, stragglers, partial
 /// cloud firings) and one Byzantine worker, every edge hook of
-/// `simulate_virtual` sees model-size slots and every middle and root
-/// hook sees only zero-dimensional ones (see [`SlotLifetime`]); each run
-/// reproduces the unwrapped run bit for bit.
+/// `simulate_virtual` sees resident slots, holding HierAdMo's declared
+/// sums, and every middle and root hook sees only zero-dimensional ones
+/// (see [`SlotLifetime`]). And every registered worker copy holds what
+/// its strategy declares: for each of the 11 Table II strategies, on
+/// `core::run` over a hierarchy and over a depth-4 tree, and on
+/// `simulate` under the flaky fault plan (crashes, lossy links, delay
+/// spikes), every hook sees only resident slots. Each run reproduces the
+/// unwrapped run bit for bit. Two-tier strategies run on one edge, the
+/// tree's middle tier a pass-through.
 #[test]
 fn sampled_slots_live_only_during_their_edge_firing() {
     use hieradmo::netsim::ByzantineWorker;
@@ -2118,12 +2153,7 @@ fn sampled_slots_live_only_during_their_edge_firing() {
         )
         .with_tiers(tree.clone())
         .with_faults(sampled_fault_plan());
-        let checked = SlotLifetime {
-            inner: algo.clone(),
-            dim: model.params().len(),
-            edge_hooks: AtomicUsize::new(0),
-            upper_hooks: AtomicUsize::new(0),
-        };
+        let checked = SlotLifetime::new(&algo, model.params().len(), true);
         let run = |s: &dyn Strategy| {
             simulate_virtual(s, &model, &f.population, &f.shards, &f.test, &cfg, &sim).unwrap()
         };
@@ -2147,4 +2177,114 @@ fn sampled_slots_live_only_during_their_edge_firing() {
         assert_eq!(want.adversaries, got.adversaries, "{label}: adversaries");
         assert_eq!(want.events, got.events, "{label}: events");
     }
+
+    let flaky = FaultPlan {
+        crash: Some(CrashProfile {
+            per_step: 0.02,
+            min_downtime_ms: 50.0,
+            max_downtime_ms: 400.0,
+        }),
+        permanent: Vec::new(),
+        link: Some(LinkFaults::flaky()),
+        spikes: Some(DelaySpikes {
+            prob: 0.1,
+            factor: 4.0,
+        }),
+    };
+    let f = sim_fixture(0.0);
+    let model = zoo::logistic_regression(&f.train, 1);
+    let dim = model.params().len();
+    let mut crashes = 0;
+    for algo in table2_lineup(0.05, 0.5, 0.5) {
+        let algo = algo.as_ref();
+        let name = algo.name();
+        let (hierarchy, pi, levels, architecture) = match algo.tier() {
+            Tier::Three => (
+                f.hierarchy.clone(),
+                f.cfg.pi,
+                vec![
+                    TierSpec::new(2, 2),
+                    TierSpec::new(2, 2),
+                    TierSpec::new(2, 2),
+                ],
+                Architecture::ThreeTier,
+            ),
+            Tier::Two => (
+                Hierarchy::two_tier(4),
+                1,
+                vec![
+                    TierSpec::new(1, 2),
+                    TierSpec::pass_through(1),
+                    TierSpec::new(4, 2),
+                ],
+                Architecture::TwoTier,
+            ),
+        };
+        let cfg = RunConfig {
+            pi,
+            ..f.cfg.clone()
+        };
+        assert_slots_resident(
+            &format!("{name}, core::run on a hierarchy"),
+            algo,
+            dim,
+            |s| {
+                let spec = RunSpec::hierarchy(&hierarchy, &f.shards);
+                let r = run(s, &model, &spec, &f.test, &cfg).unwrap();
+                (r.curve, r.final_params, r.gamma_trace)
+            },
+        );
+
+        let tree = TierTree::new(levels).unwrap();
+        let tf = common::tiered_fixture(&tree);
+        let tree_model = zoo::logistic_regression(&tf.train, 1);
+        let tree_dim = tree_model.params().len();
+        assert_slots_resident(
+            &format!("{name}, core::run on a depth-4 tree"),
+            algo,
+            tree_dim,
+            |s| {
+                let spec = RunSpec::tree(&tree, &tf.shards);
+                let r = run(s, &tree_model, &spec, &tf.test, &tf.cfg).unwrap();
+                (r.curve, r.final_params, r.tier_gamma)
+            },
+        );
+
+        let mut sim = sim_config(3, SyncPolicy::FullSync).with_faults(flaky.clone());
+        sim.architecture = architecture;
+        assert_slots_resident(
+            &format!("{name}, simulate with flaky faults"),
+            algo,
+            dim,
+            |s| {
+                let r = simulate(s, &model, &hierarchy, &f.shards, &f.test, &cfg, &sim).unwrap();
+                (r.curve, r.final_params, r.gamma_trace, r.events, r.faults)
+            },
+        );
+        let r = simulate(algo, &model, &hierarchy, &f.shards, &f.test, &cfg, &sim).unwrap();
+        crashes += r.faults.iter().map(|a| a.counters.crashes).sum::<u64>();
+    }
+    assert!(
+        crashes > 0,
+        "no worker crashed: no slot was restored from a rejoin point"
+    );
+}
+
+/// Runs `inner` plainly and through a registered-slot [`SlotLifetime`]:
+/// the wrapped run must reach edge and upper hooks and reproduce the
+/// plain run's `R`.
+fn assert_slots_resident<R: PartialEq + std::fmt::Debug>(
+    label: &str,
+    inner: &dyn Strategy,
+    dim: usize,
+    run: impl Fn(&dyn Strategy) -> R,
+) {
+    let checked = SlotLifetime::new(inner, dim, false);
+    let (want, got) = (run(inner), run(&checked));
+    assert!(checked.edge_hooks.into_inner() > 0, "{label}: no edge hook");
+    assert!(
+        checked.upper_hooks.into_inner() > 0,
+        "{label}: no upper hook"
+    );
+    assert_eq!(want, got, "{label}: the wrapped run differs");
 }

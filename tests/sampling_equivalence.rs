@@ -2252,7 +2252,7 @@ fn sampled_slots_live_only_during_their_edge_firing() {
 
         let mut sim = sim_config(3, SyncPolicy::FullSync).with_faults(flaky.clone());
         sim.architecture = architecture;
-        assert_slots_resident(
+        let (.., faults) = assert_slots_resident(
             &format!("{name}, simulate with flaky faults"),
             algo,
             dim,
@@ -2261,8 +2261,7 @@ fn sampled_slots_live_only_during_their_edge_firing() {
                 (r.curve, r.final_params, r.gamma_trace, r.events, r.faults)
             },
         );
-        let r = simulate(algo, &model, &hierarchy, &f.shards, &f.test, &cfg, &sim).unwrap();
-        crashes += r.faults.iter().map(|a| a.counters.crashes).sum::<u64>();
+        crashes += faults.iter().map(|a| a.counters.crashes).sum::<u64>();
     }
     assert!(
         crashes > 0,
@@ -2272,13 +2271,13 @@ fn sampled_slots_live_only_during_their_edge_firing() {
 
 /// Runs `inner` plainly and through a registered-slot [`SlotLifetime`]:
 /// the wrapped run must reach edge and upper hooks and reproduce the
-/// plain run's `R`.
+/// plain run's `R`, which is returned.
 fn assert_slots_resident<R: PartialEq + std::fmt::Debug>(
     label: &str,
     inner: &dyn Strategy,
     dim: usize,
     run: impl Fn(&dyn Strategy) -> R,
-) {
+) -> R {
     let checked = SlotLifetime::new(inner, dim, false);
     let (want, got) = (run(inner), run(&checked));
     assert!(checked.edge_hooks.into_inner() > 0, "{label}: no edge hook");
@@ -2287,4 +2286,5 @@ fn assert_slots_resident<R: PartialEq + std::fmt::Debug>(
         "{label}: no upper hook"
     );
     assert_eq!(want, got, "{label}: the wrapped run differs");
+    want
 }

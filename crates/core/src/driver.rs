@@ -3,9 +3,10 @@
 //! [`RunSpec`]. It walks Algorithm 1 — local steps, edge
 //! aggregation every `τ`, middle tiers at their boundaries, the root every
 //! `τ·π`, evaluation every `eval_every` — on a persistent worker pool, and
-//! records a convergence curve. Who takes part is the private
-//! `Participants` enum: the workers of a materialized hierarchy, or
-//! cohorts sampled per round from a virtual population.
+//! records a convergence curve. Who takes part is the [`Participants`]
+//! source, the workers of a materialized hierarchy or cohorts sampled per
+//! round from a virtual population; the event engine of `hieradmo-simrt`
+//! holds the same source for its layout, streams and churn epochs.
 //!
 //! Parallelism is governed by [`RunConfig::resolved_threads`]. The engine
 //! chunks every phase — local steps, per-edge aggregation, evaluation — in
@@ -316,11 +317,7 @@ where
             worker_data,
         } => {
             cfg.validate().map_err(RunError::BadConfig)?;
-            let registered = Participants::Registered {
-                hierarchy,
-                worker_data,
-                churn: Churn::start(hierarchy, worker_data, cfg, resume)?,
-            };
+            let registered = Participants::registered(hierarchy, worker_data, cfg, resume)?;
             (registered, None)
         }
         Source::Tree { tree, worker_data } => {
@@ -350,20 +347,14 @@ where
                 };
                 (registered, tree)
             } else {
-                let sampled = Participants::Sampled {
-                    population,
-                    shards,
-                    shard_sizes: shards.iter().map(|d| d.len() as u64).collect(),
-                    sampler: tree.map_or_else(
-                        || CohortSampler::new(cfg.seed),
-                        |tree| CohortSampler::for_tree(cfg.seed, tree),
-                    ),
-                    slot_ids: Vec::new(),
-                };
-                (sampled, tree)
+                (Participants::sampled(population, shards, cfg, tree), tree)
             }
         }
     };
+    // A hierarchy's config is validated above, before its churn starts.
+    if !matches!(source, Source::Hierarchy { .. }) {
+        cfg.validate().map_err(RunError::BadConfig)?;
+    }
     run_span(
         strategy,
         model,
@@ -403,9 +394,14 @@ where
     )
 }
 
-/// Who takes part in a span of the tick loop: the only thing that differs
-/// between a materialized run and a sampled one.
-pub(crate) enum Participants<'a> {
+/// Who takes part in a run, for both engines: the one thing that differs
+/// between a materialized run and a sampled one. It lays out the
+/// federation ([`Participants::layout`]), owns a churn run's topology
+/// ([`Participants::cross`]), and derives every slot's training streams
+/// at any tick ([`Participants::streams`]); the tick loop and
+/// `hieradmo-simrt`'s event engine hold one each and keep only their own
+/// scheduling beside it.
+pub enum Participants<'a> {
     /// Full participation: every hierarchy worker steps every tick and
     /// keeps its state and streams for the whole topology epoch — a
     /// batcher seeded `seed + i`, the run-wide dropout RNG drawn tick by
@@ -431,79 +427,121 @@ pub(crate) enum Participants<'a> {
     /// ([`FlState::with_round_scoped_slots`]). Nothing needs replaying on
     /// resume.
     Sampled {
+        /// The registered workers.
         population: &'a WorkerPopulation,
+        /// The distinct data shards the population maps onto.
         shards: &'a [Dataset],
+        /// Sample count of each shard.
         shard_sizes: Vec<u64>,
+        /// The per-edge, per-round cohort draw.
         sampler: CohortSampler,
-        /// Global id of each slot's occupant this round, flat order.
+        /// Global id of each slot's occupant this round, flat order (the
+        /// tick loop's; the event engine keeps its own per slot).
         slot_ids: Vec<u64>,
     },
 }
 
 /// A Byzantine slot's attack, adversary stream and tally index.
-type Adversary = (AttackModel, AdversarySampler, usize);
+pub type Adversary = (AttackModel, AdversarySampler, usize);
 
 /// A slot's step stream: the dataset it trains on (an index into the
-/// pool's training datasets) and its private batcher, plus the download a
+/// layout's datasets) and its private batcher, plus the download a
 /// sampled slot materializes from before its first step of the round.
-struct StepCtx {
-    data: usize,
-    batcher: Batcher,
-    download: Option<Arc<Download>>,
+pub struct StepCtx {
+    /// Index of the slot's dataset in [`Layout::data`]: a registered
+    /// slot's uid, a sampled slot's shard.
+    pub data: usize,
+    /// The slot's mini-batch stream.
+    pub batcher: Batcher,
+    /// The download a sampled slot materializes from; `None` once it has.
+    pub download: Option<Arc<Download>>,
 }
 
-/// The federation a span runs, laid out by [`Participants::layout`].
-struct Layout<'a> {
-    hierarchy: Hierarchy,
-    weights: Weights,
+/// The federation a run lays out, from [`Participants::layout`].
+pub struct Layout<'a> {
+    /// The tree the federation state is built on (a sampled run's cohort
+    /// slots).
+    pub hierarchy: Hierarchy,
+    /// Its data weights.
+    pub weights: Weights,
     /// The tier tree to attach; a sampled run gets its cohort sub-tree.
-    tree: Option<TierTree>,
+    pub tree: Option<TierTree>,
     /// The datasets step contexts index into.
-    data: &'a [Dataset],
-    /// Number of adversary tallies in the result.
-    tallies: usize,
+    pub data: &'a [Dataset],
+    /// Number of adversary tallies in the tick loop's result.
+    pub tallies: usize,
 }
 
 /// The per-slot streams of one topology epoch, positioned at a tick by
 /// [`Participants::streams`].
-struct Streams {
+pub struct Streams {
     /// Per-slot step contexts; sampled slots get theirs each round.
-    ctxs: Vec<Option<StepCtx>>,
+    pub ctxs: Vec<Option<StepCtx>>,
     /// Per-slot adversaries; sampled slots get theirs each round.
-    adversaries: Vec<Option<Adversary>>,
-    /// The run-wide dropout RNG of registered workers.
-    dropout: StdRng,
+    pub adversaries: Vec<Option<Adversary>>,
+    /// The run-wide dropout RNG of registered workers, positioned after
+    /// the decisions of every tick before the streams' tick.
+    pub dropout: StdRng,
 }
 
 impl<'a> Participants<'a> {
-    /// Checks the participants against `cfg` and lays out the federation
-    /// the loop runs.
-    fn layout<S: Strategy + ?Sized>(
+    /// `hierarchy`'s workers on `worker_data`, under `cfg`'s churn plan
+    /// when it is non-empty ([`Churn::start`]; a resumed run takes its
+    /// topology from `resume`).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Churn::start`] rejects.
+    pub fn registered(
+        hierarchy: &'a Hierarchy,
+        worker_data: &'a [Dataset],
+        cfg: &RunConfig,
+        resume: Option<&TrainingSnapshot>,
+    ) -> Result<Self, RunError> {
+        Ok(Participants::Registered {
+            hierarchy,
+            worker_data,
+            churn: Churn::start(hierarchy, worker_data, cfg, resume)?,
+        })
+    }
+
+    /// Cohorts sampled from `population` on `shards`, over `tree` if
+    /// given.
+    pub fn sampled(
+        population: &'a WorkerPopulation,
+        shards: &'a [Dataset],
+        cfg: &RunConfig,
+        tree: Option<&TierTree>,
+    ) -> Self {
+        Participants::Sampled {
+            population,
+            shards,
+            shard_sizes: shards.iter().map(|d| d.len() as u64).collect(),
+            sampler: tree.map_or_else(
+                || CohortSampler::new(cfg.seed),
+                |tree| CohortSampler::for_tree(cfg.seed, tree),
+            ),
+            slot_ids: Vec::new(),
+        }
+    }
+
+    /// Checks the participants against `cfg` and `strategy` and lays out
+    /// the federation a run of them trains, with `tiers` attached:
+    /// registered workers refuse a sampling policy, then data that does
+    /// not register the tree; sampled ones build their cohort federation
+    /// ([`cohort_federation`]). Last, `strategy` checks the tree.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::BadConfig`], [`RunError::Data`] or
+    /// [`RunError::Topology`] naming the first failed check.
+    pub fn layout<S: Strategy + ?Sized>(
         &self,
         strategy: &S,
         cfg: &RunConfig,
         tiers: Option<&TierTree>,
     ) -> Result<Layout<'a>, RunError> {
-        let registered = match self {
-            Participants::Registered {
-                churn: Some(churn), ..
-            } => churn.version().registered() as u64,
-            Participants::Registered { hierarchy, .. } => hierarchy.num_workers() as u64,
-            Participants::Sampled { population, .. } => population.total_workers(),
-        };
-        if let Some(b) = cfg
-            .adversary
-            .byzantine
-            .iter()
-            .find(|b| b.worker as u64 >= registered)
-        {
-            return Err(RunError::BadConfig(format!(
-                "adversary plan marks worker {} Byzantine, but the run registers only \
-                 {registered} workers",
-                b.worker
-            )));
-        }
-        match *self {
+        let layout = match *self {
             Participants::Registered {
                 hierarchy,
                 worker_data,
@@ -520,13 +558,13 @@ impl<'a> Participants<'a> {
                         (hierarchy.clone(), weights)
                     }
                 };
-                Ok(Layout {
+                Layout {
                     weights,
                     hierarchy,
                     tree: tiers.cloned(),
                     data: worker_data,
                     tallies: worker_data.len(),
-                })
+                }
             }
             Participants::Sampled {
                 population,
@@ -536,19 +574,48 @@ impl<'a> Participants<'a> {
             } => {
                 let (hierarchy, weights, tree) =
                     cohort_federation(strategy, population, shard_sizes, cfg, tiers)?;
-                Ok(Layout {
+                Layout {
                     weights,
                     hierarchy,
                     tree,
                     data: shards,
                     tallies: cfg.adversary.byzantine.len(),
-                })
+                }
             }
+        };
+        strategy
+            .check_topology(&layout.hierarchy)
+            .map_err(RunError::Topology)?;
+        Ok(layout)
+    }
+
+    /// The tick loop's check that the adversary plan names registered
+    /// workers only.
+    fn check_adversaries(&self, cfg: &RunConfig) -> Result<(), RunError> {
+        let registered = match self {
+            Participants::Registered {
+                churn: Some(churn), ..
+            } => churn.version().registered() as u64,
+            Participants::Registered { hierarchy, .. } => hierarchy.num_workers() as u64,
+            Participants::Sampled { population, .. } => population.total_workers(),
+        };
+        match cfg
+            .adversary
+            .byzantine
+            .iter()
+            .find(|b| b.worker as u64 >= registered)
+        {
+            Some(b) => Err(RunError::BadConfig(format!(
+                "adversary plan marks worker {} Byzantine, but the run registers only \
+                 {registered} workers",
+                b.worker
+            ))),
+            None => Ok(()),
         }
     }
 
     /// The uid at each flat position of a registered run's current tree.
-    fn uids(&self, slots: usize) -> Vec<usize> {
+    pub fn uids(&self, slots: usize) -> Vec<usize> {
         match self {
             Participants::Registered {
                 churn: Some(churn), ..
@@ -564,9 +631,10 @@ impl<'a> Participants<'a> {
     /// trains on its uid's dataset with a batcher seeded `seed + i`, and a
     /// Byzantine uid owns a salted adversary stream keyed by `i` and
     /// derived from the *training* seed, so the same poisoned trajectory
-    /// replays under any network seed and any thread count. Sampled slots
-    /// hold no streams before their first round, so they replay nothing.
-    fn streams(&self, cfg: &RunConfig, state: &FlState, t: usize) -> Streams {
+    /// replays under any network seed, thread count and engine. Sampled
+    /// slots hold no streams before their first round, so they replay
+    /// nothing.
+    pub fn streams(&self, cfg: &RunConfig, state: &FlState, t: usize) -> Streams {
         let slots = state.workers.len();
         let mut streams = Streams {
             ctxs: (0..slots).map(|_| None).collect(),
@@ -605,7 +673,7 @@ impl<'a> Participants<'a> {
     }
 
     /// The capped training probe of the current tree's workers.
-    fn train_probe(&self, cfg: &RunConfig, slots: usize) -> Dataset {
+    pub fn train_probe(&self, cfg: &RunConfig, slots: usize) -> Dataset {
         match self {
             Participants::Registered { worker_data, .. } => {
                 let members = self.uids(slots).into_iter().map(|u| &worker_data[u]);
@@ -618,7 +686,11 @@ impl<'a> Participants<'a> {
     /// The churn plan's boundary step after tick `t`, if one falls there:
     /// transforms `state` into the next topology epoch (see
     /// [`Churn::cross`]) and returns `true`.
-    fn cross<S: Strategy + ?Sized>(
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Churn::cross`] rejects.
+    pub fn cross<S: Strategy + ?Sized>(
         &mut self,
         t: usize,
         state: &mut FlState,
@@ -633,7 +705,7 @@ impl<'a> Participants<'a> {
     }
 
     /// The churn state, on a churn run.
-    fn churn(&self) -> Option<&Churn> {
+    pub fn churn(&self) -> Option<&Churn> {
         match self {
             Participants::Registered { churn, .. } => churn.as_ref(),
             Participants::Sampled { .. } => None,
@@ -739,9 +811,9 @@ impl<'a> Participants<'a> {
         on_grid && (matches!(self, Participants::Registered { .. }) || t.is_multiple_of(cfg.tau))
     }
 
-    /// The global model the loop evaluates and returns: the strategy's
-    /// own, or the population-weighted edge average of a sampled run.
-    fn global_params<S: Strategy + ?Sized>(&self, strategy: &S, state: &FlState) -> Vector {
+    /// The global model a run evaluates and returns: the strategy's own,
+    /// or the population-weighted edge average of a sampled run.
+    pub fn global_params<S: Strategy + ?Sized>(&self, strategy: &S, state: &FlState) -> Vector {
         match self {
             Participants::Registered { .. } => strategy.global_params(state),
             Participants::Sampled { .. } => virtual_global_params(state),
@@ -796,14 +868,10 @@ pub fn check_tree_schedule(cfg: &RunConfig, tree: Option<&TierTree>) -> Result<(
     }
 }
 
-/// Both engines' check that a registered run is not asked to sample:
-/// only a population draws cohorts, so a sampling policy that is not full
-/// would otherwise be silently ignored.
-///
-/// # Errors
-///
-/// [`RunError::BadConfig`] naming the policy.
-pub fn check_registered_sampling(cfg: &RunConfig) -> Result<(), RunError> {
+/// The registered source's check that it is not asked to sample: only a
+/// population draws cohorts, so a sampling policy that is not full would
+/// otherwise be silently ignored.
+fn check_registered_sampling(cfg: &RunConfig) -> Result<(), RunError> {
     if cfg.sampling.is_full() {
         Ok(())
     } else {
@@ -815,12 +883,9 @@ pub fn check_registered_sampling(cfg: &RunConfig) -> Result<(), RunError> {
     }
 }
 
-/// Both engines' check of one non-empty dataset per registered worker.
-///
-/// # Errors
-///
-/// [`RunError::Data`] naming the mismatch or the first empty dataset.
-pub fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Result<(), RunError> {
+/// The registered source's check of one non-empty dataset per worker of
+/// a frozen tree.
+fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Result<(), RunError> {
     if worker_data.len() != hierarchy.num_workers() {
         return Err(RunError::Data(format!(
             "{} worker datasets for {} workers",
@@ -835,7 +900,8 @@ pub fn check_worker_data(hierarchy: &Hierarchy, worker_data: &[Dataset]) -> Resu
 }
 
 /// The one tick loop behind [`run`]: every source, with a churn run's
-/// boundaries as a step of the loop. Optionally lays the run over
+/// boundaries as a step of the loop, on a config [`run`] has validated.
+/// Optionally lays the run over
 /// a [`TierTree`] (`tiers`), starts from a mid-run snapshot (`resume`),
 /// and stops at an edge boundary (`stop_at`, which also makes it return
 /// the state there in [`RunResult::snapshot`]).
@@ -854,7 +920,6 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    cfg.validate().map_err(RunError::BadConfig)?;
     if !cfg.churn.is_empty() && participants.churn().is_none() {
         return Err(RunError::BadConfig(
             "a ChurnPlan applies to a Hierarchy source only; tier trees and \
@@ -878,6 +943,7 @@ where
             )));
         }
     }
+    participants.check_adversaries(cfg)?;
     let Layout {
         hierarchy,
         weights,
@@ -885,9 +951,6 @@ where
         data,
         tallies,
     } = participants.layout(strategy, cfg, tiers)?;
-    strategy
-        .check_topology(&hierarchy)
-        .map_err(RunError::Topology)?;
 
     let started = Instant::now();
     let x0 = model.params();
@@ -988,15 +1051,7 @@ where
                 timings.edge_agg += t0.elapsed();
 
                 let t0 = Instant::now();
-                aggregate_above_edges(
-                    strategy,
-                    &mut state,
-                    tree.as_ref(),
-                    k,
-                    cfg.pi,
-                    &in_sync,
-                    &mut tier_gamma,
-                );
+                aggregate_above_edges(strategy, &mut state, k, cfg.pi, &in_sync, &mut tier_gamma);
                 timings.cloud_agg += t0.elapsed();
             }
 
@@ -1183,43 +1238,46 @@ fn local_steps<M, S>(
 }
 
 /// Fires, for both engines, the tiers above the edges that edge round `k`
-/// closes through [`Strategy::tier_aggregate_stale`]: the middle tiers
-/// bottom-up at their periods, each appending `(round, mean γ)` to its
-/// `tier_gamma` row, then the root every `pi` rounds. `staleness` holds
-/// one age per edge (all zero when synchronous); a middle node gets its
-/// subtree's span. It draws no RNG, and identity tiers neither fire nor
-/// record, so a pass-through tree is bit-identical to its collapse.
+/// closes through [`Strategy::tier_aggregate_stale`]: the middle tiers of
+/// the tree attached to `state` bottom-up at their periods, each
+/// appending `(round, mean γ)` to its `tier_gamma` row, then the root
+/// every `pi` rounds. `staleness` holds one age per edge (all zero when
+/// synchronous); a middle node gets its subtree's span. It draws no RNG,
+/// and identity tiers neither fire nor record, so a pass-through tree is
+/// bit-identical to its collapse.
 pub fn aggregate_above_edges<S: Strategy + ?Sized>(
     strategy: &S,
     state: &mut FlState,
-    tree: Option<&TierTree>,
     k: usize,
     pi: usize,
     staleness: &[usize],
     tier_gamma: &mut [Vec<(usize, f32)>],
 ) {
-    if let Some(tree) = tree {
+    // `(depth, period, span, nodes)` of each middle tier that fires, read
+    // before the hooks borrow the state the tree is attached to.
+    let mut firing = Vec::new();
+    if let Some(tree) = &state.tree {
         for d in tree.middle_depths().rev() {
             let period = tree.sync_rounds(d);
-            if tree.levels()[d].aggregation == TierAggregation::Identity
-                || !k.is_multiple_of(period)
-            {
-                continue;
+            let identity = tree.levels()[d].aggregation == TierAggregation::Identity;
+            if !identity && k.is_multiple_of(period) {
+                firing.push((d, period, tree.edges_per_node(d), tree.nodes_at(d)));
             }
-            let span = tree.edges_per_node(d);
-            for node in 0..tree.nodes_at(d) {
-                let scope = TierScope::Middle {
-                    depth: d,
-                    node,
-                    state: &mut *state,
-                };
-                let ages = &staleness[node * span..(node + 1) * span];
-                strategy.tier_aggregate_stale(scope, k / period, ages);
-            }
-            let tier = &state.middle[d - 1];
-            let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-            tier_gamma[d - 1].push((k / period, mean));
         }
+    }
+    for (d, period, span, nodes) in firing {
+        for node in 0..nodes {
+            let scope = TierScope::Middle {
+                depth: d,
+                node,
+                state: &mut *state,
+            };
+            let ages = &staleness[node * span..(node + 1) * span];
+            strategy.tier_aggregate_stale(scope, k / period, ages);
+        }
+        let tier = &state.middle[d - 1];
+        let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
+        tier_gamma[d - 1].push((k / period, mean));
     }
     if k.is_multiple_of(pi) {
         strategy.tier_aggregate_stale(TierScope::Root(state), k / pi, staleness);
@@ -1266,9 +1324,8 @@ fn edge_aggregations<M, S>(
 /// round-robin over the worker shards up to `cap` samples total (always at
 /// least one sample).
 ///
-/// Public so alternative drivers (the event-driven co-simulation runtime in
-/// `hieradmo-simrt`) can build the *same* probe and keep their evaluation
-/// bitwise comparable to [`run`].
+/// [`Participants::train_probe`] builds every run's probe with it; it is
+/// public for callers that build a [`Pool`] of their own.
 pub fn build_train_probe<'d>(
     worker_data: impl IntoIterator<Item = &'d Dataset>,
     cap: usize,

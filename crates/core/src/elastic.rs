@@ -5,13 +5,15 @@
 //! run — relaxes here to *stable within a topology epoch*. A
 //! [`ChurnPlan`] in [`RunConfig::churn`] schedules [`TopologyEvent`]s at
 //! cloud-round boundaries (ticks `r·τ·π`). A registered run under a
-//! non-empty plan carries a [`Churn`]: the tick loop
+//! non-empty plan carries a [`Churn`] in its participant source
+//! ([`crate::driver::Participants`]), which the tick loop
 //! (`crate::driver::run_span`) and the event engine (`hieradmo-simrt`)
-//! each call [`Churn::cross`] at every boundary, which transforms the
-//! live [`FlState`] in place — a pure function of `(state, plan, seed)`,
-//! so both engines evolve the identical topology and carry identical
-//! state across every epoch. Each loop then re-derives the epoch's
-//! streams and actors exactly as a resume at that tick does.
+//! both hold: at every boundary it calls [`Churn::cross`], which
+//! transforms the live [`FlState`] in place — a pure function of
+//! `(state, plan, seed)`, so both engines evolve the identical topology
+//! and carry identical state across every epoch. Each loop then takes
+//! the epoch's streams from the same source, exactly as a resume at that
+//! tick does, and lays out its own actors.
 //!
 //! Consequences, all deterministic and gated by
 //! `tests/elastic_topology.rs`:
@@ -130,8 +132,8 @@ fn reform_assignment(
 
 /// The topology of a registered run under a non-empty [`ChurnPlan`]: the
 /// [`TopologyVersion`] in force, the plan, and the churn tallies so far.
-/// Both training loops hold one and call [`Churn::cross`] at every
-/// boundary.
+/// The participant source of both training loops holds one and calls
+/// [`Churn::cross`] at every boundary.
 #[derive(Debug)]
 pub struct Churn {
     plan: ChurnPlan,

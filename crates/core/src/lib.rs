@@ -20,9 +20,12 @@
 //!   Algorithm 1's aggregation schedule on a persistent scoped worker pool
 //!   (see [`config::RunConfig::threads`]) for registered workers or
 //!   sampled cohorts, fires aggregation hooks, and records a
-//!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings. Its
-//!   [`driver::aggregate_above_edges`] fires the middle tiers and the root
-//!   for both engines.
+//!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings. Both
+//!   engines share its helpers: [`driver::Participants`], the participant
+//!   source that lays out the federation, positions every slot's streams
+//!   at a tick and owns a churn run's topology epochs;
+//!   [`driver::initial_state`]; and [`driver::aggregate_above_edges`],
+//!   which fires the middle tiers and the root.
 //! - [`pool`] — the lane pool both training loops (this crate's tick loop
 //!   and `hieradmo-simrt`'s event engine) run local-step segments and
 //!   evaluations on, bitwise identically for any thread count.

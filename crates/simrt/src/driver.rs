@@ -4,36 +4,43 @@
 //! # One engine, two participant sources
 //!
 //! [`simulate`] and [`crate::simulate_virtual`] run through one event
-//! engine. Who takes part in a round is its private participant source:
+//! engine over core's participant source, [`Participants`], the one the
+//! tick loop holds too. The source lays out the federation, positions
+//! every registered worker's batcher, dropout RNG and adversary stream at
+//! a topology epoch's first tick ([`Participants::streams`]), owns a churn
+//! run's topology and crosses its boundaries ([`Participants::cross`]),
+//! and names the global model. Beside it the engine keeps only its worker
+//! actors:
 //!
-//! - **Registered** — persistent worker actors, each with a batcher
-//!   seeded `seed + i`, the pre-drawn dropout table, crash/recover/die
-//!   events and rejoin snapshots, stepping one `Step` event at a time. A
-//!   straggler carries over into the next round.
+//! - **Registered** — persistent worker actors, each stepping on the
+//!   batcher the source positioned and the epoch's dropout table drawn
+//!   from the source's dropout RNG, with crash/recover/die events and
+//!   rejoin snapshots, one `Step` event at a time. A straggler carries
+//!   over into the next round.
 //! - **Sampled** — per-round cohort slots drawn at round start by
-//!   [`draw_edge_cohort`], with streams re-derived from
-//!   `(seed, worker, round)`; absence is decided when the cohort is
-//!   drawn, and `Step` events only advance the clock. The slots' segments
-//!   are computed when their edge fires, in parallel on the pool, each
-//!   lane materializing its slot from the edge's download pair first. A
-//!   straggler is waived at the end of its round (see [`crate::vpop`]).
+//!   [`draw_edge_cohort`] from the source's population, with streams
+//!   re-derived from `(seed, worker, round)`; absence is decided when the
+//!   cohort is drawn, and `Step` events only advance the clock. The slots'
+//!   segments are computed when their edge fires, in parallel on the pool,
+//!   each lane materializing its slot from the edge's download pair first.
+//!   A straggler is waived at the end of its round (see [`crate::vpop`]).
 //!
-//! The engine consults the source only at round start and step
-//! scheduling, the upload's mailbox write, the slots' fill before an edge's
-//! hook and their release after it, the continuation after an edge fires, the slots a partial cloud
-//! firing restores, a late cloud submission, the barriers' per-child waivers,
-//! evaluation staging and the result's actor tallies. The event loop, the
-//! round barrier the edges and the cloud share (`barrier::Barrier`), the
-//! cloud actor with its middle tiers, γ staging, link transfers and result
-//! assembly exist once. Every firing reaches the strategy through
-//! `Strategy::tier_aggregate_stale`.
+//! The engine consults its actors only at round start and step
+//! scheduling, the upload's mailbox write, the slots' fill before an
+//! edge's hook and their release after it, the continuation after an edge
+//! fires, the slots a partial cloud firing restores, a late cloud
+//! submission, the barriers' per-child waivers, evaluation staging and the
+//! result's actor tallies. The event loop, the round barrier the edges and
+//! the cloud share (`barrier::Barrier`), the cloud actor with its middle
+//! tiers, γ staging, link transfers and result assembly exist once. Every
+//! firing reaches the strategy through `Strategy::tier_aggregate_stale`.
 //!
 //! # How the trajectory stays bitwise-faithful
 //!
 //! The engine keeps the canonical [`FlState`] as the *server-side mailbox*:
-//! registered worker actors own private training state (a private batch
-//! stream seeded exactly like the core driver's, and their
-//! [`WorkerState`]); an upload moves the actor's state into its `FlState`
+//! registered worker actors own private training state (the batch stream
+//! the shared participant source positions, and their [`WorkerState`]);
+//! an upload moves the actor's state into its `FlState`
 //! slot; aggregation hooks run against `FlState` through the same
 //! `EdgeView` the core driver uses; and a download ships a snapshot of the
 //! post-hook slot back to the actor. Under [`SyncPolicy::FullSync`] the mailbox therefore
@@ -66,16 +73,16 @@ use std::mem;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
+use hieradmo_core::byzantine::corrupt_upload;
 use hieradmo_core::driver::{
-    aggregate_above_edges, build_train_probe, check_registered_sampling, check_tree_schedule,
-    check_worker_data, initial_state,
+    aggregate_above_edges, check_tree_schedule, initial_state, Adversary, Layout, Participants,
+    StepCtx, Streams,
 };
 use hieradmo_core::elastic::Churn;
 use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
 use hieradmo_core::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, draw_edge_cohort,
-    fault_stream, virtual_global_params, weighted_edge_average, CohortSampler, WorkerPopulation,
+    fault_stream, weighted_edge_average,
 };
 use hieradmo_core::{FlState, RunConfig, RunError, Strategy, TierScope, WorkerState};
 use hieradmo_data::{Batcher, Dataset};
@@ -88,9 +95,8 @@ use hieradmo_netsim::{
     AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkFaults,
 };
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hieradmo_topology::{Hierarchy, TierAggregation};
+use rand::Rng;
 
 use crate::barrier::{Arrival, Barrier};
 use crate::event::{ActorId, EventQueue};
@@ -238,6 +244,10 @@ enum Ev {
 /// virtual-clock bookkeeping. It steps on the pool's lane-0 replica.
 struct WorkerSim {
     state: WorkerState,
+    /// The registered uid: the worker's dataset, device profile, permanent
+    /// crashes and tally identity (the flat position on a frozen tree).
+    uid: usize,
+    /// The mini-batch stream the participant source positioned.
     batcher: Batcher,
     /// Completed local steps.
     tick: usize,
@@ -257,11 +267,9 @@ struct WorkerSim {
     chain: Option<(usize, Rc<WorkerState>)>,
     faults: FaultCounters,
     /// `Some` when this worker is Byzantine: every upload it lands is
-    /// corrupted in the server-side mailbox before aggregation.
-    attack: Option<AttackModel>,
-    /// Noise draws for this worker's attacks (same stream the core driver
-    /// uses, so trajectories are comparable run-for-run).
-    asampler: AdversarySampler,
+    /// corrupted in the server-side mailbox before aggregation, from the
+    /// adversary stream the participant source positioned.
+    adversary: Option<Adversary>,
     advers: AdversaryCounters,
 }
 
@@ -343,13 +351,12 @@ struct CloudSim {
 /// hierarchy.
 struct Registered {
     workers: Vec<WorkerSim>,
-    /// Flat-worker → uid: the worker's dataset, device profile, attack
-    /// and tally identity (the flat position itself on a frozen tree).
-    uids: Vec<usize>,
     /// Flat-worker → edge index.
     edge_of: Vec<usize>,
-    /// Pre-drawn dropout table, `(tick - 1) * N + worker`, in the core
-    /// driver's exact draw order.
+    /// The tick the topology epoch starts at.
+    start: usize,
+    /// The epoch's dropout decisions, `(tick - start - 1) * N + worker`,
+    /// in the tick loop's draw order; empty when dropout is zero.
     active: Vec<bool>,
     /// Per edge: local workers to release when the cloud replies.
     pending_release: Vec<Vec<usize>>,
@@ -363,13 +370,10 @@ struct Registered {
     cloud_dist: Vec<Option<Vec<Rc<WorkerState>>>>,
 }
 
-/// Sampled participants: per-round cohort slots over a virtual
-/// population. Actor tallies are `O(edges)`: the slots report as one
-/// aggregate worker entry, adversaries as one entry per plan entry.
-struct Sampled<'a> {
-    population: &'a WorkerPopulation,
-    shard_sizes: Vec<u64>,
-    sampler: CohortSampler,
+/// Sampled participants: per-round cohort slots over the source's
+/// virtual population. Actor tallies are `O(edges)`: the slots report as
+/// one aggregate worker entry, adversaries as one entry per plan entry.
+struct Sampled {
     slots: Vec<SlotCtx>,
     /// Per edge: its current round's download pair, every segment's start
     /// when the edge fires.
@@ -390,25 +394,26 @@ struct Sampled<'a> {
     adversaries: Vec<AdversaryCounters>,
 }
 
-/// Who takes part in a round: the only thing that differs between a
-/// materialized co-simulation and a sampled one.
-enum Participants<'a> {
+/// The worker actors of the participant source's current topology epoch:
+/// the one thing the engine schedules differently for a materialized
+/// co-simulation and a sampled one.
+enum Actors {
     Registered(Registered),
-    Sampled(Sampled<'a>),
+    Sampled(Sampled),
 }
 
-impl<'a> Participants<'a> {
+impl Actors {
     fn registered(&mut self) -> &mut Registered {
         match self {
-            Participants::Registered(r) => r,
-            Participants::Sampled(_) => unreachable!("registered-worker event in a sampled run"),
+            Actors::Registered(r) => r,
+            Actors::Sampled(_) => unreachable!("registered-worker event in a sampled run"),
         }
     }
 
-    fn sampled(&mut self) -> &mut Sampled<'a> {
+    fn sampled(&mut self) -> &mut Sampled {
         match self {
-            Participants::Sampled(s) => s,
-            Participants::Registered(_) => unreachable!("cohort-slot event in a registered run"),
+            Actors::Sampled(s) => s,
+            Actors::Registered(_) => unreachable!("cohort-slot event in a registered run"),
         }
     }
 }
@@ -470,11 +475,11 @@ struct Engine<'a, M, S: ?Sized> {
     /// The lanes that run sampled segments and evaluation, and whose
     /// lane-0 replica steps registered workers.
     pool: Pool<'a, M, S>,
-    src: Participants<'a>,
+    /// Who takes part: the layout, streams and churn epochs.
+    source: Participants<'a>,
+    /// The source's worker actors in the current topology epoch.
+    actors: Actors,
     fl: FlState,
-    /// The tier tree the middle tiers fire over (a sampled run's cohort
-    /// sub-tree); `None` on three-tier runs.
-    tree: Option<TierTree>,
     edges: Vec<EdgeSim>,
     cloud: CloudSim,
     queue: EventQueue<Ev>,
@@ -512,15 +517,14 @@ struct Engine<'a, M, S: ?Sized> {
     /// Evaluations of the closed topology epochs, on the run's clock.
     curve: ConvergenceCurve,
     timed_curve: TimedCurve,
-    /// The topology of a churn run and the tallies of its closed epochs.
+    /// The tallies of a churn run's closed epochs.
     elastic: Option<Elastic>,
 }
 
-/// A churn run's topology and what its closed epochs leave behind. Every
-/// epoch's virtual clock restarts at 0; `base_ms` is where it starts on
-/// the run's clock.
+/// What a churn run's closed epochs leave behind. Every epoch's virtual
+/// clock restarts at 0; `base_ms` is where it starts on the run's clock.
+#[derive(Default)]
 struct Elastic {
-    churn: Churn,
     /// Virtual time of the closed epochs.
     base_ms: f64,
     /// Per-actor tallies of the closed epochs, by stable identity.
@@ -562,16 +566,20 @@ fn snapshot(workers: &[WorkerState]) -> Vec<Rc<WorkerState>> {
 }
 
 impl Registered {
-    /// One worker actor per mailbox slot, flat slot `i` holding uid
-    /// `uids[i]`, every training RNG stream fast-forwarded over the first
-    /// `start` ticks exactly as the core driver's resume path does.
+    /// One worker actor per mailbox slot of `fl`, for the topology epoch
+    /// from tick `start` to `limit`. Every actor trains on the step stream
+    /// and adversary stream that `source` positions at `start`
+    /// ([`Participants::streams`]), exactly as a core resume there would;
+    /// the epoch's dropout table continues the dropout RNG the streams
+    /// leave behind, for the epoch's ticks only, and stays empty at
+    /// dropout zero, where the tick loop draws nothing either.
     fn new(
-        worker_data: &[Dataset],
+        source: &Participants<'_>,
         fl: &FlState,
         cfg: &RunConfig,
         sim: &SimConfig,
         start: usize,
-        uids: Vec<usize>,
+        limit: usize,
     ) -> Self {
         let hierarchy = &fl.hierarchy;
         let n = hierarchy.num_workers();
@@ -579,50 +587,30 @@ impl Registered {
         let edge_of = (0..l_count)
             .flat_map(|e| hierarchy.edge_workers(e).map(move |_| e))
             .collect();
-        // Dropout table, pre-drawn in the core driver's (tick-major,
-        // worker-minor) order; when dropout is zero the driver draws
-        // nothing, and neither does the table.
-        let total = cfg.total_iters;
-        let active: Vec<bool> = if cfg.dropout == 0.0 {
-            vec![true; total * n]
+        let Streams {
+            ctxs,
+            adversaries,
+            mut dropout,
+        } = source.streams(cfg, fl, start);
+        let active = if cfg.dropout == 0.0 {
+            Vec::new()
         } else {
-            let mut fault_rng = StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f);
-            (0..total * n)
-                .map(|_| fault_rng.gen_range(0.0..1.0) >= cfg.dropout)
+            (0..(limit - start) * n)
+                .map(|_| dropout.gen_range(0.0..1.0) >= cfg.dropout)
                 .collect()
         };
         let faults_on = !sim.faults.is_empty();
-        let dim = fl.dim();
-        let edge_rounds_done = start / cfg.tau;
-        let mut batch = Vec::new();
         // The starting mailbox is every worker's first rejoin point.
         let snapshots = snapshot(&fl.workers);
-        let workers = uids
-            .iter()
+        let workers = ctxs
+            .into_iter()
+            .zip(adversaries)
             .enumerate()
-            .map(|(i, &uid)| {
-                // One mini-batch draw per *active* prefix tick (the
-                // dropout table above already replayed those draws) and
-                // one adversary draw per edge boundary.
-                let mut batcher = Batcher::new(
-                    worker_data[uid].len(),
-                    cfg.batch_size,
-                    cfg.seed.wrapping_add(i as u64),
-                );
-                for t in 1..=start {
-                    if active[(t - 1) * n + i] {
-                        batcher.next_batch_into(&mut batch);
-                    }
-                }
-                let attack = cfg.adversary.attack_for(uid);
-                let mut asampler = AdversarySampler::from_stream(cfg.seed, i as u64);
-                if let Some(a) = attack {
-                    for _ in 0..edge_rounds_done {
-                        replay_upload(dim, &a, &mut asampler);
-                    }
-                }
+            .map(|(i, (ctx, adversary))| {
+                let StepCtx { data, batcher, .. } = ctx.expect("registered slots hold a stream");
                 WorkerSim {
                     state: fl.workers[i].clone(),
+                    uid: data,
                     batcher,
                     tick: start,
                     sampler: DelaySampler::from_stream(sim.net_seed, i as u64),
@@ -633,16 +621,15 @@ impl Registered {
                     dead: false,
                     chain: faults_on.then(|| (start, Rc::clone(&snapshots[i]))),
                     faults: FaultCounters::default(),
-                    attack,
-                    asampler,
+                    adversary,
                     advers: AdversaryCounters::default(),
                 }
             })
             .collect();
         Registered {
             workers,
-            uids,
             edge_of,
+            start,
             active,
             pending_release: vec![Vec::new(); l_count],
             edge_dist: (0..l_count)
@@ -651,6 +638,54 @@ impl Registered {
             cloud_dist: vec![None; l_count],
         }
     }
+
+    /// Whether worker `i` steps at tick `t` rather than drop out.
+    fn active(&self, t: usize, i: usize) -> bool {
+        self.active.is_empty() || self.active[(t - self.start - 1) * self.workers.len() + i]
+    }
+}
+
+impl Sampled {
+    /// The cohort slots of `fl`'s edges, their contexts placeholders
+    /// until each round's materialization rebuilds every field but the
+    /// edge.
+    fn new(fl: &FlState, cfg: &RunConfig, sim: &SimConfig) -> Self {
+        let hierarchy = &fl.hierarchy;
+        let l_count = hierarchy.num_edges();
+        let slots = (0..l_count)
+            .flat_map(|e| hierarchy.edge_workers(e).map(move |_| e))
+            .map(|edge| SlotCtx {
+                gid: 0,
+                edge,
+                shard: 0,
+                steps: 0,
+                delays: DelaySampler::from_stream(sim.net_seed, 0),
+                fsampler: None,
+                dropped: vec![false; cfg.tau],
+                attack: None,
+            })
+            .collect();
+        Sampled {
+            slots,
+            downloads: (0..l_count).map(|e| Download::of(fl, e)).collect(),
+            spare: Vec::new(),
+            absent: vec![false; hierarchy.num_workers()],
+            retired: vec![false; l_count],
+            busy_ms: 0.0,
+            faults: FaultCounters::default(),
+            permanent_counted: vec![false; sim.faults.permanent.len()],
+            adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
+        }
+    }
+}
+
+/// The tick a topology epoch starting after tick `t` runs to: the churn
+/// plan's next boundary, or the run's end.
+fn epoch_end(source: &Participants<'_>, t: usize, cfg: &RunConfig) -> usize {
+    source
+        .churn()
+        .and_then(|c| c.next_boundary(t))
+        .unwrap_or(cfg.total_iters)
 }
 
 impl<'a, M, S> Engine<'a, M, S>
@@ -658,23 +693,22 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    /// Lays the edge and cloud actors out around the mailbox `fl` and its
-    /// participant source, on `pool`, for a run of `churn`'s topology
-    /// when it has one.
+    /// Lays the worker, edge and cloud actors out around the mailbox `fl`
+    /// and its participant `source`, on `pool`, for the source's first
+    /// topology epoch.
     fn new(
         pool: Pool<'a, M, S>,
         fl: FlState,
-        src: Participants<'a>,
+        source: Participants<'a>,
         sim: &'a SimConfig,
-        churn: Option<Churn>,
     ) -> Self {
         let ExecCtx { strategy, cfg, .. } = pool.ctx();
-        let tree = fl.tree.clone();
         // Edges submit cloud-wards at every boundary where some tier above
         // them mutates state; identity middles are free, so a pure
         // pass-through tree keeps the three-tier submission cadence (and
         // every delay stream) untouched.
-        let submit_period = tree
+        let submit_period = fl
+            .tree
             .as_ref()
             .and_then(|tree| {
                 tree.middle_depths()
@@ -684,20 +718,24 @@ where
             })
             .unwrap_or(cfg.pi);
         let tier_gamma = vec![Vec::new(); fl.middle.len()];
-        let limit = churn
-            .as_ref()
-            .and_then(|c| c.next_boundary(0))
-            .unwrap_or(cfg.total_iters);
-        let sampled = matches!(src, Participants::Sampled(_));
-        let (edges, cloud) = Engine::<M, S>::actors(&fl, sampled, cfg, sim, submit_period, 0);
+        let limit = epoch_end(&source, 0, cfg);
+        let actors = match source {
+            Participants::Registered { .. } => {
+                Actors::Registered(Registered::new(&source, &fl, cfg, sim, 0, limit))
+            }
+            Participants::Sampled { .. } => Actors::Sampled(Sampled::new(&fl, cfg, sim)),
+        };
+        let sampled = matches!(actors, Actors::Sampled(_));
+        let (edges, cloud) = Engine::<M, S>::aggregators(&fl, sampled, cfg, sim, submit_period, 0);
+        let elastic = source.churn().map(|_| Elastic::default());
         Engine {
             strategy,
             cfg,
             sim,
             pool,
-            src,
+            source,
+            actors,
             fl,
-            tree,
             edges,
             cloud,
             queue: EventQueue::new(),
@@ -717,11 +755,7 @@ where
             limit,
             curve: ConvergenceCurve::new(),
             timed_curve: TimedCurve::new(),
-            elastic: churn.map(|churn| Elastic {
-                churn,
-                base_ms: 0.0,
-                totals: BTreeMap::new(),
-            }),
+            elastic,
         }
     }
 
@@ -730,7 +764,7 @@ where
     /// and fault streams flat (workers, then edges, then the cloud);
     /// sampled runs key the edges and the cloud off salted seeds, so no
     /// stream depends on the population size.
-    fn actors(
+    fn aggregators(
         fl: &FlState,
         sampled: bool,
         cfg: &RunConfig,
@@ -786,7 +820,7 @@ where
     }
 
     fn is_sampled(&self) -> bool {
-        matches!(self.src, Participants::Sampled(_))
+        matches!(self.actors, Actors::Sampled(_))
     }
 
     /// γ traces (and evaluations) are staged per round and reduced over
@@ -812,9 +846,9 @@ where
     /// A registered worker died permanently (sampled slots never die;
     /// they are absent for a round at most).
     fn worker_dead(&self, i: usize) -> bool {
-        match &self.src {
-            Participants::Registered(r) => r.workers[i].dead,
-            Participants::Sampled(_) => false,
+        match &self.actors {
+            Actors::Registered(r) => r.workers[i].dead,
+            Actors::Sampled(_) => false,
         }
     }
 
@@ -824,7 +858,7 @@ where
     fn worker_transfer(&mut self, i: usize, bytes: u64) -> (f64, Option<f64>) {
         let sim = self.sim;
         let hierarchy = &self.fl.hierarchy;
-        let r = self.src.registered();
+        let r = self.actors.registered();
         let (link, flows) = match sim.architecture {
             Architecture::ThreeTier => (
                 &sim.env.worker_edge_link,
@@ -852,7 +886,7 @@ where
         let Some(cp) = self.sim.faults.crash else {
             return false;
         };
-        let w = &mut self.src.registered().workers[i];
+        let w = &mut self.actors.registered().workers[i];
         let Some(dt) = w.fsampler.crash_downtime_ms(&cp) else {
             return false;
         };
@@ -872,11 +906,11 @@ where
             return;
         }
         let sim = self.sim;
-        let r = self.src.registered();
+        let r = self.actors.registered();
         // Device profiles form a pool: uid `u` computes on profile
         // `u mod pool size` (one profile per worker on a frozen tree).
-        let device = &sim.env.worker_devices[r.uids[i] % sim.env.worker_devices.len()];
         let w = &mut r.workers[i];
+        let device = &sim.env.worker_devices[w.uid % sim.env.worker_devices.len()];
         let mut d = w.sampler.compute_ms(device);
         if let Some(sp) = sim.faults.spikes {
             if let Some(factor) = w.fsampler.spike_factor(&sp) {
@@ -915,16 +949,17 @@ where
 
     fn on_step_done(&mut self, i: usize, now: f64) {
         let cfg = self.cfg;
-        let r = self.src.registered();
-        let n = r.workers.len();
-        let w = &mut r.workers[i];
+        let r = self.actors.registered();
+        let w = &r.workers[i];
         if w.dead || w.down {
             return; // step was in flight when the worker crashed
         }
-        w.tick += 1;
-        let t = w.tick;
-        if r.active[(t - 1) * n + i] {
-            self.pool.step(t, &mut w.state, r.uids[i], &mut w.batcher);
+        let t = w.tick + 1;
+        let active = r.active(t, i);
+        let w = &mut r.workers[i];
+        w.tick = t;
+        if active {
+            self.pool.step(t, &mut w.state, w.uid, &mut w.batcher);
         }
         if t.is_multiple_of(cfg.tau) {
             // End of interval: upload (dropout skips the step, never the
@@ -941,14 +976,14 @@ where
             self.queue.push(now + d, ActorId::Worker(i), upload);
             if let Some(lag) = dup {
                 let to = match self.sim.architecture {
-                    Architecture::ThreeTier => ActorId::Edge(self.src.registered().edge_of[i]),
+                    Architecture::ThreeTier => ActorId::Edge(self.actors.registered().edge_of[i]),
                     Architecture::TwoTier => ActorId::Cloud,
                 };
                 self.queue.push(now + d + lag, to, Ev::DupArrival { to });
             }
         } else {
             if self.full_sync() && self.is_eval_tick(t) {
-                let x = self.src.registered().workers[i].state.x.clone();
+                let x = self.actors.registered().workers[i].state.x.clone();
                 self.stage_eval(t, i, x, now);
             }
             self.schedule_step(i, now);
@@ -956,7 +991,7 @@ where
     }
 
     fn on_upload(&mut self, i: usize, now: f64) {
-        let r = self.src.registered();
+        let r = self.actors.registered();
         let w = &mut r.workers[i];
         if w.dead {
             // The sender died while its upload was in flight: lost.
@@ -977,13 +1012,8 @@ where
         // shipped back wholesale on the download. One draw per landed
         // upload keeps the per-worker stream aligned with the core driver's
         // per-boundary draws.
-        if let Some(attack) = w.attack {
-            corrupt_upload(
-                &mut self.fl.workers[i],
-                &attack,
-                &mut w.asampler,
-                &mut w.advers,
-            );
+        if let Some((attack, sampler, _)) = &mut w.adversary {
+            corrupt_upload(&mut self.fl.workers[i], attack, sampler, &mut w.advers);
         }
         let j = i - self.edge_offset(e);
         self.edge_arrival(e, j, k_up, now);
@@ -995,7 +1025,7 @@ where
     fn release_late_worker(&mut self, e: usize, j: usize, now: f64) {
         let waiting = self.edges[e].waiting_cloud;
         let flat = self.edge_offset(e) + j;
-        let r = self.src.registered();
+        let r = self.actors.registered();
         if waiting {
             r.pending_release[e].push(j);
         } else {
@@ -1007,7 +1037,7 @@ where
     fn on_deliver(&mut self, flat: usize, state: Rc<WorkerState>, now: f64) {
         let faults_on = self.faults_on;
         let limit = self.limit;
-        let w = &mut self.src.registered().workers[flat];
+        let w = &mut self.actors.registered().workers[flat];
         if w.dead {
             return; // delivery raced the worker's permanent death
         }
@@ -1030,7 +1060,7 @@ where
     /// snapshot's tick, replaying the interval with fresh batch draws.
     fn on_recover(&mut self, i: usize, now: f64) {
         let limit = self.limit;
-        let w = &mut self.src.registered().workers[i];
+        let w = &mut self.actors.registered().workers[i];
         if w.dead || !w.down {
             return;
         }
@@ -1052,7 +1082,7 @@ where
     /// barrier that could wait for it is re-derived so the run cannot
     /// deadlock on a dead child.
     fn on_die(&mut self, i: usize, now: f64) {
-        let r = self.src.registered();
+        let r = self.actors.registered();
         let e = r.edge_of[i];
         let w = &mut r.workers[i];
         if w.dead || w.done {
@@ -1087,8 +1117,17 @@ where
         let faults_on = self.faults_on;
         let k = self.edges[e].barrier.round();
         let range = self.fl.hierarchy.edge_workers(e);
-        let s = self.src.sampled();
-        let ids = draw_edge_cohort(&mut self.fl, s.population, &s.shard_sizes, &s.sampler, e, k);
+        let Participants::Sampled {
+            population,
+            shard_sizes,
+            sampler,
+            ..
+        } = &self.source
+        else {
+            unreachable!("a round start in a registered run");
+        };
+        let s = self.actors.sampled();
+        let ids = draw_edge_cohort(&mut self.fl, population, shard_sizes, sampler, e, k);
         s.downloads[e] = Download::of(&self.fl, e);
         let mut live = false;
         for (j, &g) in ids.iter().enumerate() {
@@ -1125,7 +1164,7 @@ where
             self.edges[e].barrier.refill(j);
             let ctx = &mut s.slots[slot];
             ctx.gid = g;
-            ctx.shard = s.population.shard_of(g);
+            ctx.shard = population.shard_of(g);
             ctx.steps = 0;
             ctx.delays = DelaySampler::from_stream(sim.net_seed, delay_stream(g, k as u64));
             ctx.fsampler = fsampler;
@@ -1162,13 +1201,13 @@ where
     /// A slot event from a round that already fired — a straggler to be
     /// discarded (its slot re-materializes in the next round).
     fn slot_stale(&mut self, slot: usize, round: usize) -> bool {
-        let e = self.src.sampled().slots[slot].edge;
+        let e = self.actors.sampled().slots[slot].edge;
         self.edges[e].barrier.round() != round
     }
 
     fn schedule_slot_step(&mut self, slot: usize, now: f64) {
         let sim = self.sim;
-        let s = self.src.sampled();
+        let s = self.actors.sampled();
         let ctx = &mut s.slots[slot];
         let step = Ev::Step {
             worker: slot,
@@ -1202,7 +1241,7 @@ where
         }
         let cfg = self.cfg;
         let sim = self.sim;
-        let s = self.src.sampled();
+        let s = self.actors.sampled();
         let ctx = &mut s.slots[slot];
         ctx.steps += 1;
         if ctx.steps < cfg.tau {
@@ -1235,7 +1274,7 @@ where
         }
         // The upload's mailbox write, and a Byzantine slot's poisoning,
         // happen when the edge fires (`fill_slots`).
-        let e = self.src.sampled().slots[slot].edge;
+        let e = self.actors.sampled().slots[slot].edge;
         let j = slot - self.edge_offset(e);
         self.edge_arrival(e, j, round, now);
     }
@@ -1253,7 +1292,7 @@ where
             self.queue
                 .push(now, ActorId::Edge(e), Ev::StartRound { edge: e });
         } else {
-            self.src.sampled().retired[e] = true;
+            self.actors.sampled().retired[e] = true;
         }
     }
 
@@ -1268,9 +1307,9 @@ where
             debug_assert!(self.faults_on);
             return;
         }
-        let width = match &self.src {
-            Participants::Registered(r) => r.workers.len(),
-            Participants::Sampled(_) => self.edges.len(),
+        let width = match &self.actors {
+            Actors::Registered(r) => r.workers.len(),
+            Actors::Sampled(_) => self.edges.len(),
         };
         let stage = self.pending_evals.entry(t).or_insert_with(|| EvalStage {
             xs: vec![None; width],
@@ -1304,8 +1343,8 @@ where
         }
         let stage = self.pending_evals.remove(&t).expect("stage just checked");
         self.completed_evals.insert(t);
-        let params = match self.src {
-            Participants::Registered(_) => {
+        let params = match self.actors {
+            Actors::Registered(_) => {
                 Vector::weighted_average(stage.xs.iter().enumerate().map(|(i, x)| {
                     (
                         self.fl.weights.worker_in_total(i),
@@ -1313,7 +1352,7 @@ where
                     )
                 }))
             }
-            Participants::Sampled(_) => weighted_edge_average(
+            Actors::Sampled(_) => weighted_edge_average(
                 &self.fl.weights,
                 stage.xs.iter().map(|x| x.as_ref().expect("stage complete")),
             ),
@@ -1378,7 +1417,13 @@ where
     /// Registered relaxed-policy evaluation: the server's current global
     /// view, indexed by committed local steps (made strictly increasing).
     fn record_relaxed_eval(&mut self, at_ms: f64) {
-        let committed: usize = self.src.registered().workers.iter().map(|w| w.tick).sum();
+        let committed: usize = self
+            .actors
+            .registered()
+            .workers
+            .iter()
+            .map(|w| w.tick)
+            .sum();
         let iter = committed.max(self.last_iter + 1);
         self.last_iter = iter;
         let params = self.strategy.global_params(&self.fl);
@@ -1417,9 +1462,9 @@ where
     /// permanently, or a sampled slot absent for the round.
     fn child_gone(&self, e: usize, j: usize) -> bool {
         let i = self.edge_offset(e) + j;
-        match &self.src {
-            Participants::Registered(r) => r.workers[i].dead,
-            Participants::Sampled(s) => s.absent[i],
+        match &self.actors {
+            Actors::Registered(r) => r.workers[i].dead,
+            Actors::Sampled(s) => s.absent[i],
         }
     }
 
@@ -1428,9 +1473,9 @@ where
     /// or a sampled slot absent for the round.
     fn child_exhausted(&self, e: usize, j: usize) -> bool {
         let i = self.edge_offset(e) + j;
-        match &self.src {
-            Participants::Registered(r) => r.workers[i].done || r.workers[i].dead,
-            Participants::Sampled(s) => s.absent[i],
+        match &self.actors {
+            Actors::Registered(r) => r.workers[i].done || r.workers[i].dead,
+            Actors::Sampled(s) => s.absent[i],
         }
     }
 
@@ -1473,7 +1518,7 @@ where
             self.fill_slots(e);
             let mut view = self.fl.edge_view(e);
             strategy.tier_aggregate_stale(TierScope::Edge(&mut view), k, &staleness);
-            if let Participants::Sampled(s) = &mut self.src {
+            if let Actors::Sampled(s) = &mut self.actors {
                 let range = self.fl.hierarchy.edge_workers(e);
                 s.spare
                     .extend(self.fl.workers[range].iter_mut().map(mem::take));
@@ -1521,7 +1566,9 @@ where
     /// event interleaving and of every other corruption. Registered runs
     /// keep their mailbox as it is.
     fn fill_slots(&mut self, e: usize) {
-        let Participants::Sampled(s) = &mut self.src else {
+        let (Actors::Sampled(s), Participants::Sampled { shard_sizes, .. }) =
+            (&mut self.actors, &self.source)
+        else {
             return;
         };
         let cfg = self.cfg;
@@ -1532,7 +1579,7 @@ where
             .iter()
             .map(|ctx| {
                 let worker = s.spare.pop().unwrap_or_default();
-                ctx.segment(cfg, &s.shard_sizes, k, ctx.steps, worker, &s.downloads[e])
+                ctx.segment(cfg, shard_sizes, k, ctx.steps, worker, &s.downloads[e])
             })
             .collect();
         let segments = self.pool.run_segments(segments);
@@ -1570,7 +1617,7 @@ where
             // The edge waits for the cloud's reply, which snapshots the
             // distribution late joiners get from then on; until then a
             // late upload is parked in `pending_release`.
-            self.src.registered().pending_release[e] = participants;
+            self.actors.registered().pending_release[e] = participants;
             return;
         }
         let range = self.fl.hierarchy.edge_workers(e);
@@ -1593,7 +1640,7 @@ where
             return None;
         }
         let dist = snapshot(&self.fl.workers[self.fl.hierarchy.edge_workers(e)]);
-        self.src.registered().edge_dist[e] = dist.clone();
+        self.actors.registered().edge_dist[e] = dist.clone();
         Some(dist)
     }
 
@@ -1669,8 +1716,8 @@ where
     /// registered one whose workers all hold their final model (or died
     /// permanently) with nothing of its in flight.
     fn edge_exhausted(&self, l: usize) -> bool {
-        match &self.src {
-            Participants::Registered(r) => {
+        match &self.actors {
+            Actors::Registered(r) => {
                 !self.edges[l].waiting_cloud
                     && self
                         .fl
@@ -1678,7 +1725,7 @@ where
                         .edge_workers(l)
                         .all(|i| r.workers[i].done || r.workers[i].dead)
             }
-            Participants::Sampled(s) => s.retired[l],
+            Actors::Sampled(s) => s.retired[l],
         }
     }
 
@@ -1728,7 +1775,6 @@ where
         aggregate_above_edges(
             self.strategy,
             &mut self.fl,
-            self.tree.as_ref(),
             k,
             self.cfg.pi,
             &staleness,
@@ -1737,7 +1783,7 @@ where
         let keep = self.keeps_rejoin_snapshots();
         if keep {
             // A participant cannot be late for this firing: no snapshot.
-            self.src.registered().cloud_dist.fill(None);
+            self.actors.registered().cloud_dist.fill(None);
         }
         for (l, es, slots) in saved {
             self.fl.edges[l] = es;
@@ -1748,7 +1794,8 @@ where
             self.fl.workers[range].swap_with_slice(&mut ws);
             // `ws` now holds what the hook distributed to this edge.
             if keep {
-                self.src.registered().cloud_dist[l] = Some(ws.into_iter().map(Rc::new).collect());
+                self.actors.registered().cloud_dist[l] =
+                    Some(ws.into_iter().map(Rc::new).collect());
             }
         }
         if !sampled {
@@ -1798,7 +1845,7 @@ where
             self.finish_round(e, self.edges[e].barrier.round() - 1, now);
             return;
         }
-        let r = self.src.registered();
+        let r = self.actors.registered();
         let ws = r.cloud_dist[e]
             .clone()
             .expect("a late edge missed the latest cloud firing");
@@ -1815,7 +1862,7 @@ where
         }
         // Late joiners from here on get the post-cloud distribution.
         let dist = self.snapshot_edge(e);
-        let pending = std::mem::take(&mut self.src.registered().pending_release[e]);
+        let pending = std::mem::take(&mut self.actors.registered().pending_release[e]);
         self.deliver_from(e, pending, dist.as_deref(), now);
         match self.sim.policy {
             SyncPolicy::AsyncAge { .. } => {
@@ -1853,9 +1900,9 @@ where
             Ev::Recover { worker } => self.on_recover(worker, now),
             Ev::Die { worker } => self.on_die(worker, now),
             Ev::DupArrival { to } => {
-                let counters = match (to, &mut self.src) {
-                    (ActorId::Worker(i), Participants::Registered(r)) => &mut r.workers[i].faults,
-                    (ActorId::Worker(_), Participants::Sampled(s)) => &mut s.faults,
+                let counters = match (to, &mut self.actors) {
+                    (ActorId::Worker(i), Actors::Registered(r)) => &mut r.workers[i].faults,
+                    (ActorId::Worker(_), Actors::Sampled(s)) => &mut s.faults,
                     (ActorId::Edge(e), _) => &mut self.edges[e].faults,
                     (ActorId::Cloud, _) => &mut self.cloud.faults,
                 };
@@ -1896,12 +1943,12 @@ where
 
     fn run_epoch(&mut self) {
         let sampled = self.is_sampled();
-        if let Participants::Registered(r) = &self.src {
+        if let Actors::Registered(r) = &self.actors {
             // Permanent crashes are keyed by uid and land on the epoch's
             // clock: a death already past strikes again at its start.
             let base_ms = self.elastic.as_ref().map_or(0.0, |el| el.base_ms);
             for p in &self.sim.faults.permanent {
-                if let Some(worker) = r.uids.iter().position(|&u| u == p.worker) {
+                if let Some(worker) = r.workers.iter().position(|w| w.uid == p.worker) {
                     let at_ms = (p.at_ms - base_ms).max(0.0);
                     self.queue
                         .push(at_ms, ActorId::Worker(worker), Ev::Die { worker });
@@ -1939,7 +1986,7 @@ where
             self.events += 1;
             self.dispatch(payload, time);
         }
-        if let Participants::Sampled(s) = &self.src {
+        if let Actors::Sampled(s) = &self.actors {
             assert!(
                 s.retired.iter().all(|&r| r),
                 "event queue drained before every edge finished its rounds"
@@ -1948,27 +1995,23 @@ where
     }
 
     /// The churn boundary at the drained epoch's end, an epoch barrier:
-    /// closes the epoch, transforms the mailbox into the next epoch's
-    /// tree ([`Churn::cross`]) and lays out fresh actors for it, as a
-    /// resume at the boundary tick would — every stream re-keyed by flat
-    /// position and fast-forwarded, the barriers' ages, carry-overs and
-    /// pending releases reset, the training probe rebuilt and the clock
-    /// restarted at 0.
+    /// closes the epoch, has the source transform the mailbox into the
+    /// next epoch's tree ([`Participants::cross`]) and lays out fresh
+    /// actors for it, as a resume at the boundary tick would — every
+    /// stream re-derived by the source at that tick, the barriers' ages,
+    /// carry-overs and pending releases reset, the source's training
+    /// probe installed and the clock restarted at 0.
     fn cross(&mut self) -> Result<(), SimError> {
-        let t = self.limit;
+        let (t, cfg) = (self.limit, self.cfg);
         self.close_epoch();
-        let el = self.elastic.as_mut().expect("only churn runs cross");
-        el.churn.cross(t, &mut self.fl, self.strategy)?;
-        let uids = el.churn.uids();
-        self.limit = el.churn.next_boundary(t).unwrap_or(self.cfg.total_iters);
-        let worker_data = self.pool.ctx().worker_data;
-        let members = uids.iter().map(|&u| &worker_data[u]);
-        self.pool
-            .set_train_probe(build_train_probe(members, self.cfg.train_eval_cap));
-        let registered = Registered::new(worker_data, &self.fl, self.cfg, self.sim, t, uids);
-        self.src = Participants::Registered(registered);
+        self.source.cross(t, &mut self.fl, self.strategy)?;
+        self.limit = epoch_end(&self.source, t, cfg);
+        let probe = self.source.train_probe(cfg, self.fl.workers.len());
+        self.pool.set_train_probe(probe);
+        let registered = Registered::new(&self.source, &self.fl, cfg, self.sim, t, self.limit);
+        self.actors = Actors::Registered(registered);
         (self.edges, self.cloud) =
-            Engine::<M, S>::actors(&self.fl, false, self.cfg, self.sim, self.submit_period, t);
+            Engine::<M, S>::aggregators(&self.fl, false, self.cfg, self.sim, self.submit_period, t);
         self.now = 0.0;
         self.pending_evals.clear();
         self.completed_evals.clear();
@@ -1997,15 +2040,17 @@ where
                 test_accuracy: r.test.accuracy,
             });
         }
-        let (Some(el), Participants::Registered(r)) = (&mut self.elastic, &self.src) else {
+        let (Some(el), Some(churn), Actors::Registered(r)) =
+            (&mut self.elastic, self.source.churn(), &self.actors)
+        else {
             return;
         };
         let none = AdversaryCounters::default();
-        for (w, &uid) in r.workers.iter().zip(&r.uids) {
-            let t = el.totals.entry((0, uid)).or_default();
+        for w in &r.workers {
+            let t = el.totals.entry((0, w.uid)).or_default();
             t.add(w.busy_ms, &w.faults, &w.advers);
         }
-        for (edge, id) in self.edges.iter().zip(el.churn.version().live_edges()) {
+        for (edge, id) in self.edges.iter().zip(churn.version().live_edges()) {
             let t = el.totals.entry((1, id)).or_default();
             t.add(edge.busy_ms, &edge.faults, &none);
         }
@@ -2064,14 +2109,14 @@ where
             // Registered runs tally every actor; sampled runs are
             // O(edges): the slots report as one aggregate "workers" entry
             // and adversaries as one entry per plan entry.
-            match &self.src {
-                Participants::Registered(r) => {
+            match &self.actors {
+                Actors::Registered(r) => {
                     for (i, w) in r.workers.iter().enumerate() {
                         tally(format!("worker-{i}"), w.busy_ms, w.faults);
                         adversaries.push(adversary(format!("worker-{i}"), w.advers));
                     }
                 }
-                Participants::Sampled(s) => {
+                Actors::Sampled(s) => {
                     tally("workers".to_string(), s.busy_ms, s.faults);
                     let plan = self.cfg.adversary.byzantine.iter().zip(&s.adversaries);
                     adversaries
@@ -2091,10 +2136,7 @@ where
             }
             end_ms / 1000.0
         };
-        let final_params = match self.src {
-            Participants::Registered(_) => strategy.global_params(&self.fl),
-            Participants::Sampled(_) => virtual_global_params(&self.fl),
-        };
+        let final_params = self.source.global_params(strategy, &self.fl);
         SimResult {
             algorithm: strategy.name().to_string(),
             policy: self.sim.policy.label(),
@@ -2109,10 +2151,7 @@ where
             faults,
             adversaries,
             events: self.events,
-            topology: self
-                .elastic
-                .map(|el| el.churn.counters())
-                .unwrap_or_default(),
+            topology: self.source.churn().map(Churn::counters).unwrap_or_default(),
         }
     }
 }
@@ -2156,36 +2195,8 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    let churn = validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
-    let (hierarchy, weights, uids) = match &churn {
-        Some(churn) => {
-            let (hierarchy, weights) = churn.tree();
-            (hierarchy, weights, churn.uids())
-        }
-        None => {
-            let samples: Vec<u64> = worker_data.iter().map(|d| d.len() as u64).collect();
-            let weights = Weights::from_samples(hierarchy, &samples);
-            (hierarchy.clone(), weights, (0..worker_data.len()).collect())
-        }
-    };
-    let x0 = model.params();
-    let tree = sim.tiers.as_ref();
-    let fl = initial_state(strategy, &x0, hierarchy, weights, tree, cfg, false);
-    let members = uids.iter().map(|&u| &worker_data[u]);
-    let train_probe = build_train_probe(members, cfg.train_eval_cap);
-    let src = Participants::Registered(Registered::new(worker_data, &fl, cfg, sim, 0, uids));
-    let ctx = ExecCtx {
-        strategy,
-        cfg,
-        worker_data,
-        test_data,
-    };
-    std::thread::scope(|scope| {
-        let pool = Pool::new(scope, ctx, model, fl.workers.len(), train_probe);
-        let mut engine = Engine::new(pool, fl, src, sim, churn);
-        engine.run()?;
-        Ok(engine.finish())
-    })
+    let (source, layout) = validate_registered(strategy, hierarchy, worker_data, cfg, sim)?;
+    simulate_source(strategy, model, source, layout, test_data, cfg, sim)
 }
 
 /// A one-line call of [`simulate`], kept because the repository
@@ -2226,25 +2237,25 @@ pub(crate) fn validate_run(cfg: &RunConfig, sim: &SimConfig) -> Result<(), SimEr
     check_tree_schedule(cfg, sim.tiers.as_ref()).map_err(SimError::Run)
 }
 
-/// The registered-worker pre-flight checks: the config, the hierarchy
-/// against its data, tree, fault and adversary plans, policy and device
-/// profiles — for a churn run, the registered uid table, the initial tree
-/// and a non-empty device pool instead. Returns the churn state of a
-/// non-empty plan.
-fn validate_registered<S>(
+/// The registered-worker pre-flight checks: the config, the participant
+/// source's layout (sampling, data, the strategy's topology check), the
+/// fault and adversary plans, tree, policy and device profiles — for a
+/// churn run, the registered uid table, the initial tree and a non-empty
+/// device pool instead of the per-worker data and profile counts.
+/// Returns the source and its layout.
+fn validate_registered<'a, S>(
     strategy: &S,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
+    hierarchy: &'a Hierarchy,
+    worker_data: &'a [Dataset],
     cfg: &RunConfig,
     sim: &SimConfig,
-) -> Result<Option<Churn>, SimError>
+) -> Result<(Participants<'a>, Layout<'a>), SimError>
 where
     S: Strategy + ?Sized,
 {
     let bad = |m: &str| SimError::Run(RunError::BadConfig(m.into()));
-    let churn = if cfg.churn.is_empty() {
+    if cfg.churn.is_empty() {
         validate_run(cfg, sim)?;
-        None
     } else {
         cfg.validate().map_err(|m| bad(&m))?;
         if sim.tiers.is_some() {
@@ -2256,17 +2267,10 @@ where
                 "elastic runs need at least one worker device profile in the pool".into(),
             ));
         }
-        Churn::start(hierarchy, worker_data, cfg, None)?
-    };
-    let tree = churn.as_ref().map(|c| c.tree().0);
-    let hierarchy = tree.as_ref().unwrap_or(hierarchy);
-    check_registered_sampling(cfg).map_err(SimError::Run)?;
-    strategy
-        .check_topology(hierarchy)
-        .map_err(|m| SimError::Run(RunError::Topology(m)))?;
-    if churn.is_none() {
-        check_worker_data(hierarchy, worker_data).map_err(SimError::Run)?;
     }
+    let source = Participants::registered(hierarchy, worker_data, cfg, None)?;
+    let layout = source.layout(strategy, cfg, sim.tiers.as_ref())?;
+    let hierarchy = &layout.hierarchy;
     sim.faults.validate().map_err(SimError::Fault)?;
     // Plans are keyed by uid: the flat position on a frozen tree.
     let registered = worker_data.len();
@@ -2309,86 +2313,62 @@ where
     sim.policy
         .validate_for_children(hierarchy.num_edges())
         .map_err(SimError::Policy)?;
-    if churn.is_none() && sim.env.worker_devices.len() != hierarchy.num_workers() {
+    if source.churn().is_none() && sim.env.worker_devices.len() != hierarchy.num_workers() {
         return Err(SimError::Net(format!(
             "{} device profiles for {} workers",
             sim.env.worker_devices.len(),
             hierarchy.num_workers()
         )));
     }
-    Ok(churn)
+    Ok((source, layout))
 }
 
-/// Runs sampled cohorts of `population` — already validated by
-/// [`crate::simulate_virtual`] — on the cohort federation
-/// `(hierarchy, weights, tree)` of
-/// [`hieradmo_core::population::cohort_federation`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_sampled<M, S>(
+/// Runs the participant `source`, validated by its entry point, on its
+/// `layout`: the mailbox, the training probe and the pool every topology
+/// epoch of the one event engine trains on.
+pub(crate) fn simulate_source<M, S>(
     strategy: &S,
     model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
+    source: Participants<'_>,
+    layout: Layout<'_>,
     test_data: &Dataset,
     cfg: &RunConfig,
     sim: &SimConfig,
-    (hierarchy, weights, tree): (Hierarchy, Weights, Option<TierTree>),
-) -> SimResult
+) -> Result<SimResult, SimError>
 where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
-    let slots = hierarchy.num_workers();
-    let l_count = hierarchy.num_edges();
-    // Placeholder slot contexts; every field but the edge is rebuilt at
-    // each round's materialization.
-    let slot_ctxs = (0..l_count)
-        .flat_map(|e| (0..hierarchy.workers_in_edge(e)).map(move |_| e))
-        .map(|edge| SlotCtx {
-            gid: 0,
-            edge,
-            shard: 0,
-            steps: 0,
-            delays: DelaySampler::from_stream(sim.net_seed, 0),
-            fsampler: None,
-            dropped: vec![false; cfg.tau],
-            attack: None,
-        })
-        .collect();
-    let sampler = match &sim.tiers {
-        Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
-        None => CohortSampler::new(cfg.seed),
-    };
+    let Layout {
+        hierarchy,
+        weights,
+        tree,
+        data,
+        ..
+    } = layout;
+    let sampled = matches!(source, Participants::Sampled { .. });
     let x0 = model.params();
-    let fl = initial_state(strategy, &x0, hierarchy, weights, tree.as_ref(), cfg, true);
-    let src = Sampled {
-        population,
-        shard_sizes,
-        sampler,
-        slots: slot_ctxs,
-        downloads: (0..l_count).map(|e| Download::of(&fl, e)).collect(),
-        spare: Vec::new(),
-        absent: vec![false; slots],
-        retired: vec![false; l_count],
-        busy_ms: 0.0,
-        faults: FaultCounters::default(),
-        permanent_counted: vec![false; sim.faults.permanent.len()],
-        adversaries: vec![AdversaryCounters::default(); cfg.adversary.byzantine.len()],
-    };
-    let train_probe = build_train_probe(shards, cfg.train_eval_cap);
+    let fl = initial_state(
+        strategy,
+        &x0,
+        hierarchy,
+        weights,
+        tree.as_ref(),
+        cfg,
+        sampled,
+    );
+    let slots = fl.workers.len();
+    let train_probe = source.train_probe(cfg, slots);
     let ctx = ExecCtx {
         strategy,
         cfg,
-        worker_data: shards,
+        worker_data: data,
         test_data,
     };
     std::thread::scope(|scope| {
         let pool = Pool::new(scope, ctx, model, slots, train_probe);
-        let mut engine = Engine::new(pool, fl, Participants::Sampled(src), sim, None);
-        engine
-            .run()
-            .expect("a run without churn has no boundary to fail at");
-        engine.finish()
+        let mut engine = Engine::new(pool, fl, source, sim);
+        engine.run()?;
+        Ok(engine.finish())
     })
 }

@@ -31,10 +31,13 @@
 //! every churn boundary as an epoch barrier, moving its mailbox into the
 //! next topology epoch's tree ([`hieradmo_core::elastic`]).
 //! [`simulate_elastic`] is a one-line call of [`simulate`], kept for the
-//! repository benchmark. Who takes part in a round is its
-//! private participant source: persistent registered worker actors, or
-//! cohort slots sampled per round, whose stragglers are waived at the end
-//! of their round instead of carrying over.
+//! repository benchmark. Who takes part in a round is core's participant
+//! source ([`hieradmo_core::driver::Participants`]), the one the tick
+//! loop holds, which lays out the federation, positions the registered
+//! workers' streams and owns the churn epochs; the engine keeps the actors
+//! beside it: persistent registered worker actors, or cohort slots sampled
+//! per round, whose stragglers are waived at the end of their round
+//! instead of carrying over.
 //!
 //! Events flow through a deterministic queue keyed by `(virtual time,
 //! actor, sequence number)` ([`event::EventQueue`]), every actor draws its

@@ -56,13 +56,14 @@
 //! bitwise identical to the fault-free run; duplicates arrive as separate
 //! events and are tallied at the receiving actor.
 
-use hieradmo_core::population::{check_population_tree, cohort_federation, WorkerPopulation};
+use hieradmo_core::driver::Participants;
+use hieradmo_core::population::{check_population_tree, WorkerPopulation};
 use hieradmo_core::{RunConfig, RunError, Strategy};
 use hieradmo_data::Dataset;
 use hieradmo_models::Model;
 use hieradmo_netsim::Architecture;
 
-use crate::driver::{simulate_sampled, validate_run, SimError, SimResult};
+use crate::driver::{simulate_source, validate_run, SimError, SimResult};
 use crate::policy::SimConfig;
 
 /// Runs `strategy` over a virtual population under the co-simulation: the
@@ -99,9 +100,10 @@ use crate::policy::SimConfig;
 ///
 /// Remaining sampled-path restrictions (validated):
 /// [`Architecture::ThreeTier`] only, a non-empty device pool, no
-/// [`RunConfig::churn`] plan, no
-/// two-tier algorithm ([`cohort_federation`]), and N-tier trees need a
-/// uniform cohort size that matches the population's registered shape.
+/// [`RunConfig::churn`] plan, no two-tier algorithm
+/// ([`cohort_federation`](hieradmo_core::population::cohort_federation)),
+/// and N-tier trees need a uniform cohort size that matches the
+/// population's registered shape.
 ///
 /// # Errors
 ///
@@ -165,18 +167,14 @@ where
         .validate_for_population(population.total_workers())
         .map_err(SimError::Fault)?;
     check_population_tree(population, sim.tiers.as_ref()).map_err(SimError::Run)?;
-    let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
-    let federation = cohort_federation(strategy, population, &shard_sizes, cfg, sim.tiers.as_ref())
-        .map_err(SimError::Run)?;
-    let cohort = &federation.0;
+    let source = Participants::sampled(population, shards, cfg, sim.tiers.as_ref());
+    // The cohort federation rejects two-tier strategies, so the layout's
+    // topology check never fails after it.
+    let layout = source.layout(strategy, cfg, sim.tiers.as_ref())?;
+    let cohort = &layout.hierarchy;
     let smallest = (0..cohort.num_edges())
         .map(|e| cohort.workers_in_edge(e))
         .min();
     sim.validate(smallest).map_err(SimError::Policy)?;
-    strategy
-        .check_topology(cohort)
-        .map_err(|m| SimError::Run(RunError::Topology(m)))?;
-    Ok(simulate_sampled(
-        strategy, model, population, shards, test_data, cfg, sim, federation,
-    ))
+    simulate_source(strategy, model, source, layout, test_data, cfg, sim)
 }

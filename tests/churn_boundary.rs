@@ -8,7 +8,8 @@
 //! 1. **Every event family, both engines.** `Leave`, `Migrate` and the
 //!    periodic re-formation replay bitwise between the tick engine and
 //!    the FullSync event engine, as do all five lineup algorithms under
-//!    the join/fail/reform plan.
+//!    the join/fail/reform plan, and that plan under dropout with
+//!    Byzantine workers, whose streams every epoch re-derives.
 //! 2. **Events invalid against the live tree** are a typed
 //!    [`RunError::BadConfig`] from both engines under every policy, never
 //!    a panic or a deadlock.
@@ -29,7 +30,9 @@ use common::{assert_bitwise_equal, churn_fixture, matrix_policies, sim_config, S
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
 use hieradmo::core::{run, RunConfig, RunError, RunResult, RunSpec, Strategy, TrainingSnapshot};
-use hieradmo::netsim::{CrashProfile, DelaySpikes, FaultPlan, LinkFaults};
+use hieradmo::netsim::{
+    AdversaryPlan, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
+};
 use hieradmo::simrt::{simulate, SimError, SimResult, SyncPolicy};
 use hieradmo::topology::{ChurnPlan, ScheduledEvent, TopologyEvent};
 
@@ -159,6 +162,34 @@ fn every_lineup_algorithm_crosses_boundaries_identically_in_both_engines() {
         assert_eq!(r.topology.joins, 1, "{label}");
         assert_eq!(r.topology.reformations, 1, "{label}");
         assert_eq!(r.topology.orphaned_rounds, 2, "{label}");
+    }
+}
+
+#[test]
+fn dropout_and_adversary_streams_rederive_identically_at_every_boundary() {
+    // Every epoch re-derives its dropout decisions and adversary streams
+    // at the boundary tick. uid 2 is Byzantine from the start and is
+    // re-parented when edge 1 fails; uid 4 is Byzantine from its join.
+    let fx = churn_fixture();
+    let mut cfg = with_churn(&fx, join_fail_reform());
+    cfg.dropout = 0.3;
+    cfg.adversary = AdversaryPlan::uniform([4usize, 2], AttackModel::GaussianNoise { norm: 1.0 });
+    let strategies: [&dyn Strategy; 2] = [&HierAdMo::adaptive(0.01, 0.5), &HierFavg::new(0.01)];
+    for strategy in strategies {
+        let label = strategy.name();
+        let core = run_core(strategy, &fx, &cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let sim = run_sim(strategy, &fx, &cfg, SyncPolicy::FullSync)
+            .unwrap_or_else(|e| panic!("{label} (sim): {e}"));
+        assert_bitwise_equal(&core, &sim, label);
+        assert_eq!(core.topology, sim.topology, "{label}: counters");
+        let poisoned: u64 = core.adversaries.iter().map(|c| c.poisoned_uploads).sum();
+        let sim_poisoned: u64 = sim
+            .adversaries
+            .iter()
+            .map(|a| a.counters.poisoned_uploads)
+            .sum();
+        assert!(poisoned > 0, "{label}: no upload was poisoned");
+        assert_eq!(poisoned, sim_poisoned, "{label}: poisoned uploads");
     }
 }
 

@@ -1,4 +1,4 @@
-//! CFL (Wang et al., INFOCOM 2021 [18]): resource-efficient federated
+//! CFL (Wang et al., INFOCOM 2021 \[18\]): resource-efficient federated
 //! learning with hierarchical aggregation.
 //!
 //! **Substitution note (DESIGN.md §4).** The original CFL co-designs

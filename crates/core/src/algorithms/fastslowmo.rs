@@ -1,4 +1,4 @@
-//! FastSlowMo (Yang et al., IEEE TAI 2022 [23]): *combined* worker and
+//! FastSlowMo (Yang et al., IEEE TAI 2022 \[23\]): *combined* worker and
 //! aggregator momenta in two-tier FL — the closest two-tier relative of
 //! HierAdMo.
 

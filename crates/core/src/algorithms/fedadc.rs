@@ -1,4 +1,4 @@
-//! FedADC (Ozfatura et al., ISIT 2021 [24]): accelerated federated
+//! FedADC (Ozfatura et al., ISIT 2021 \[24\]): accelerated federated
 //! learning with *drift control* — server momentum embedded into every
 //! local step so local updates stay aligned with the global direction.
 

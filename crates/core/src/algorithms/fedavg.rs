@@ -1,4 +1,4 @@
-//! FedAvg (McMahan et al., AISTATS 2017 [4]): the classic two-tier
+//! FedAvg (McMahan et al., AISTATS 2017 \[4\]): the classic two-tier
 //! baseline — local SGD with periodic global averaging.
 
 use hieradmo_tensor::Vector;

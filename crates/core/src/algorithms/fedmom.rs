@@ -1,4 +1,4 @@
-//! FedMom (Huo et al., 2020 [19]): *aggregator momentum only* — plain
+//! FedMom (Huo et al., 2020 \[19\]): *aggregator momentum only* — plain
 //! local SGD plus server-side momentum over the pseudo-gradient.
 
 use hieradmo_tensor::Vector;

@@ -1,4 +1,4 @@
-//! FedNAG (Yang et al., TPDS 2022 [21]): federated learning with Nesterov
+//! FedNAG (Yang et al., TPDS 2022 \[21\]): federated learning with Nesterov
 //! accelerated gradient — *worker momentum only*, two-tier.
 
 use hieradmo_tensor::Vector;

@@ -1,4 +1,4 @@
-//! HierFAVG (Liu et al., ICC 2020 [17]): client–edge–cloud hierarchical
+//! HierFAVG (Liu et al., ICC 2020 \[17\]): client–edge–cloud hierarchical
 //! FedAvg — the momentum-free three-tier baseline.
 
 use hieradmo_tensor::Vector;

@@ -1,4 +1,4 @@
-//! Mime (Karimireddy et al., 2020 [22]): mimicking centralized momentum in
+//! Mime (Karimireddy et al., 2020 \[22\]): mimicking centralized momentum in
 //! federated learning by shipping a *server statistic* into local updates.
 //!
 //! **Substitution note (DESIGN.md §4).** We implement the Mime-lite form:

@@ -1,4 +1,4 @@
-//! SlowMo (Wang et al., ICLR 2020 [20]): slow server momentum over local
+//! SlowMo (Wang et al., ICLR 2020 \[20\]): slow server momentum over local
 //! SGD, with an explicit slow learning rate.
 
 use hieradmo_tensor::Vector;

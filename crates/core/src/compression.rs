@@ -1,18 +1,17 @@
 //! Communication compression — the paper's cited follow-on direction
 //! (ref. \[8\], *Hierarchical federated learning with quantization*).
 //!
-//! Three standard lossy compressors for model/update uplinks, plus error
-//! feedback:
+//! Three standard lossy compressors for model/update uplinks, each usable
+//! with error feedback ([`Compression::compress_with_feedback`]: residual
+//! accumulation so compression error is re-injected next round instead of
+//! lost, Seide et al. / Karimireddy et al. style):
 //!
 //! - [`Compression::TopK`] — keep the `k` largest-magnitude coordinates;
 //! - [`Compression::RandomK`] — keep `k` random coordinates (unbiased when
 //!   rescaled, here kept plain for simplicity and paired with error
 //!   feedback);
 //! - [`Compression::Uniform`] — `b`-bit uniform scalar quantization over
-//!   the vector's observed range;
-//! - [`ErrorFeedback`] — residual accumulation so compression error is
-//!   re-injected next round instead of lost (Seide et al. / Karimireddy
-//!   et al. style).
+//!   the vector's observed range.
 //!
 //! [`QuantizedHierFavg`] wires a compressor into hierarchical FedAvg's
 //! worker→edge uplink, making the accuracy-vs-bytes trade-off measurable
@@ -191,36 +190,6 @@ impl CompressedVector {
     }
 }
 
-/// Error-feedback residual state, one per compressed stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorFeedback {
-    residual: Vector,
-}
-
-impl ErrorFeedback {
-    /// Fresh zero residual of the given dimension.
-    pub fn new(dim: usize) -> Self {
-        ErrorFeedback {
-            residual: Vector::zeros(dim),
-        }
-    }
-
-    /// Compress-with-feedback through this state.
-    pub fn compress(
-        &mut self,
-        compression: Compression,
-        v: &Vector,
-        round: u64,
-    ) -> CompressedVector {
-        compression.compress_with_feedback(v, &mut self.residual, round)
-    }
-
-    /// Current residual magnitude (diagnostic).
-    pub fn residual_norm(&self) -> f32 {
-        self.residual.norm()
-    }
-}
-
 /// Hierarchical FedAvg with a compressed worker→edge uplink: each worker's
 /// round *update* `x_i − x_edge` is compressed (with per-worker error
 /// feedback held in `WorkerState::v`, unused by plain FedAvg) before the
@@ -393,10 +362,10 @@ mod tests {
         // coordinate eventually transmits.
         let v = Vector::from(vec![1.0, 0.4, 0.3]);
         let comp = Compression::TopK { k: 1 };
-        let mut fb = ErrorFeedback::new(3);
+        let mut residual = Vector::zeros(3);
         let mut delivered = Vector::zeros(3);
         for round in 0..12 {
-            let c = fb.compress(comp, &v, round);
+            let c = comp.compress_with_feedback(&v, &mut residual, round);
             delivered += &c.decompress();
         }
         // Without feedback only coordinate 0 ever transmits; with feedback

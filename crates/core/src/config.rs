@@ -153,11 +153,14 @@ impl RunConfig {
         if self.tau == 0 || self.pi == 0 || self.total_iters == 0 {
             return Err("tau, pi and total_iters must be positive".into());
         }
-        if !self.total_iters.is_multiple_of(self.tau * self.pi) {
+        let period = self
+            .tau
+            .checked_mul(self.pi)
+            .ok_or_else(|| format!("tau*pi overflows (tau = {}, pi = {})", self.tau, self.pi))?;
+        if !self.total_iters.is_multiple_of(period) {
             return Err(format!(
-                "total_iters = {} is not a multiple of tau*pi = {}",
-                self.total_iters,
-                self.tau * self.pi
+                "total_iters = {} is not a multiple of tau*pi = {period}",
+                self.total_iters
             ));
         }
         if self.batch_size == 0 {
@@ -236,6 +239,10 @@ mod tests {
         assert!(bad(&|c| c.gamma = 1.0));
         assert!(bad(&|c| c.gamma_edge = -0.1));
         assert!(bad(&|c| c.total_iters = 1001));
+        assert!(bad(&|c| {
+            c.tau = 1 << 33;
+            c.pi = 1 << 33;
+        }));
         assert!(bad(&|c| c.batch_size = 0));
         assert!(bad(&|c| c.clip_norm = Some(0.0)));
         assert!(bad(&|c| c.clip_norm = Some(f32::NAN)));

@@ -6,7 +6,8 @@
 //! records a convergence curve. Who takes part is the [`Participants`]
 //! source, the workers of a materialized hierarchy or cohorts sampled per
 //! round from a virtual population; the event engine of `hieradmo-simrt`
-//! holds the same source for its layout, streams and churn epochs.
+//! holds the same source for its layout, streams, cohorts and churn
+//! epochs.
 //!
 //! Parallelism is governed by [`RunConfig::resolved_threads`]. The engine
 //! chunks every phase — local steps, per-edge aggregation, evaluation — in
@@ -397,8 +398,9 @@ where
 /// Who takes part in a run, for both engines: the one thing that differs
 /// between a materialized run and a sampled one. It lays out the
 /// federation ([`Participants::layout`]), owns a churn run's topology
-/// ([`Participants::cross`]), and derives every slot's training streams
-/// at any tick ([`Participants::streams`]); the tick loop and
+/// ([`Participants::cross`]), derives every slot's training streams at
+/// any tick ([`Participants::streams`]) and a sampled edge's at each
+/// round start ([`Participants::draw_cohort`]); the tick loop and
 /// `hieradmo-simrt`'s event engine hold one each and keep only their own
 /// scheduling beside it.
 pub enum Participants<'a> {
@@ -419,13 +421,13 @@ pub enum Participants<'a> {
         churn: Option<Churn>,
     },
     /// Per-round client sampling over a virtual population: each round,
-    /// every edge draws a cohort for its slots ([`draw_edge_cohort`]),
-    /// each slot materializes from its edge's download pair on the lane
-    /// that first steps it, and every batch, dropout and adversary stream
-    /// re-derives from `(seed, worker, round)`, tallied per adversary plan
-    /// entry. The slots are round-scoped
-    /// ([`FlState::with_round_scoped_slots`]). Nothing needs replaying on
-    /// resume.
+    /// every edge draws a cohort for its slots
+    /// ([`Participants::draw_cohort`]), each slot materializes from its
+    /// edge's download pair on the lane that first steps it, and every
+    /// batch, dropout and adversary stream re-derives from `(seed, worker,
+    /// round)`, tallied per adversary plan entry. The slots are
+    /// round-scoped ([`FlState::with_round_scoped_slots`]). Nothing needs
+    /// replaying on resume.
     Sampled {
         /// The registered workers.
         population: &'a WorkerPopulation,
@@ -435,9 +437,6 @@ pub enum Participants<'a> {
         shard_sizes: Vec<u64>,
         /// The per-edge, per-round cohort draw.
         sampler: CohortSampler,
-        /// Global id of each slot's occupant this round, flat order (the
-        /// tick loop's; the event engine keeps its own per slot).
-        slot_ids: Vec<u64>,
     },
 }
 
@@ -473,15 +472,37 @@ pub struct Layout<'a> {
 }
 
 /// The per-slot streams of one topology epoch, positioned at a tick by
-/// [`Participants::streams`].
+/// [`Participants::streams`]; sampled slots get theirs at each round start
+/// from [`Participants::draw_cohort`].
 pub struct Streams {
-    /// Per-slot step contexts; sampled slots get theirs each round.
+    /// Per-slot step contexts.
     pub ctxs: Vec<Option<StepCtx>>,
-    /// Per-slot adversaries; sampled slots get theirs each round.
+    /// Per-slot adversaries.
     pub adversaries: Vec<Option<Adversary>>,
+    /// Per-slot dropout masks of sampled slots, one flag per step of the
+    /// round, `true` where the step is dropped; empty for registered
+    /// slots, which draw from `dropout` instead.
+    pub masks: Vec<Vec<bool>>,
     /// The run-wide dropout RNG of registered workers, positioned after
     /// the decisions of every tick before the streams' tick.
     pub dropout: StdRng,
+}
+
+impl Streams {
+    /// The ticks in `(from, to]` at which sampled slot `slot` steps in the
+    /// round that starts after tick `round_start`: those its mask keeps.
+    pub fn kept_ticks(
+        &self,
+        slot: usize,
+        round_start: usize,
+        from: usize,
+        to: usize,
+    ) -> Vec<usize> {
+        let dropped = &self.masks[slot];
+        (from + 1..=to)
+            .filter(|t| !dropped[t - round_start - 1])
+            .collect()
+    }
 }
 
 impl<'a> Participants<'a> {
@@ -521,7 +542,6 @@ impl<'a> Participants<'a> {
                 || CohortSampler::new(cfg.seed),
                 |tree| CohortSampler::for_tree(cfg.seed, tree),
             ),
-            slot_ids: Vec::new(),
         }
     }
 
@@ -639,6 +659,7 @@ impl<'a> Participants<'a> {
         let mut streams = Streams {
             ctxs: (0..slots).map(|_| None).collect(),
             adversaries: (0..slots).map(|_| None).collect(),
+            masks: vec![Vec::new(); slots],
             dropout: StdRng::seed_from_u64(cfg.seed ^ 0x5f5f_5f5f_5f5f_5f5f),
         };
         let Participants::Registered { worker_data, .. } = self else {
@@ -659,7 +680,7 @@ impl<'a> Participants<'a> {
         let mut batch = Vec::new();
         for k in 1..=t / cfg.tau {
             let (from, to) = ((k - 1) * cfg.tau, k * cfg.tau);
-            let ticks = self.step_ticks(k, from, to, cfg, &mut streams.dropout, slots);
+            let ticks = self.step_ticks(k, from, to, cfg, &mut streams);
             for (ctx, ticks) in streams.ctxs.iter_mut().flatten().zip(ticks) {
                 for _ in ticks {
                     ctx.batcher.next_batch_into(&mut batch);
@@ -712,71 +733,71 @@ impl<'a> Participants<'a> {
         }
     }
 
-    /// Round start. Sampled edges draw their round-`k` cohorts, which
-    /// rewrites the in-edge data weights (refreshed into `edge_weights` for
-    /// the edge jobs) and hands every slot the batch and adversary streams
-    /// of its new occupant and its edge's download pair, which the slot's
-    /// first step job materializes. Registered workers carry straight on.
-    fn begin_round(
-        &mut self,
-        k: usize,
+    /// Round `round`'s start at sampled edge `edge`: draws the edge's
+    /// cohort ([`draw_edge_cohort`], which also rewrites the in-edge data
+    /// weights), snapshots its download pair once, and writes each of the
+    /// edge's slots into `streams`: the step context of its new occupant
+    /// (its shard, a batcher seeded `batcher_seed(seed, g, round)`, the
+    /// download its first step materializes from), its dropout mask and
+    /// its adversary. Returns the occupants' global ids in slot order.
+    /// Registered workers carry straight on: nothing is drawn.
+    pub fn draw_cohort(
+        &self,
         cfg: &RunConfig,
         state: &mut FlState,
-        ctxs: &mut [Option<StepCtx>],
-        adversaries: &mut [Option<Adversary>],
-        edge_weights: &mut Arc<Weights>,
-    ) {
+        edge: usize,
+        round: usize,
+        streams: &mut Streams,
+    ) -> Vec<u64> {
         let Participants::Sampled {
             population,
             shard_sizes,
             sampler,
-            slot_ids,
             ..
         } = self
         else {
-            return;
+            return Vec::new();
         };
-        slot_ids.clear();
-        for e in 0..state.hierarchy.num_edges() {
-            let ids = draw_edge_cohort(state, population, shard_sizes, sampler, e, k);
-            let download = Download::of(state, e);
-            for (slot, &g) in state.hierarchy.edge_workers(e).zip(&ids) {
-                let shard = population.shard_of(g);
-                let seed = batcher_seed(cfg.seed, g, k as u64);
-                ctxs[slot] = Some(StepCtx {
-                    data: shard,
-                    batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
-                    download: Some(Arc::clone(&download)),
-                });
-                let plan = &cfg.adversary.byzantine;
-                adversaries[slot] = plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
-                    let stream = adversary_stream(g, k as u64);
-                    let sampler = AdversarySampler::from_stream(cfg.seed, stream);
+        let ids = draw_edge_cohort(state, population, shard_sizes, sampler, edge, round);
+        let download = Download::of(state, edge);
+        let k = round as u64;
+        for (slot, &g) in state.hierarchy.edge_workers(edge).zip(&ids) {
+            let shard = population.shard_of(g);
+            let seed = batcher_seed(cfg.seed, g, k);
+            streams.ctxs[slot] = Some(StepCtx {
+                data: shard,
+                batcher: Batcher::new(shard_sizes[shard] as usize, cfg.batch_size, seed),
+                download: Some(Arc::clone(&download)),
+            });
+            streams.masks[slot] = cohort_dropout_mask(cfg.seed, g, k, cfg.tau, cfg.dropout);
+            let plan = &cfg.adversary.byzantine;
+            streams.adversaries[slot] =
+                plan.iter().position(|b| b.worker as u64 == g).map(|entry| {
+                    let sampler = AdversarySampler::from_stream(cfg.seed, adversary_stream(g, k));
                     (plan[entry].attack, sampler, entry)
                 });
-            }
-            slot_ids.extend(ids);
         }
-        *edge_weights = Arc::new(state.weights.clone());
+        ids
     }
 
     /// The ticks in `(from, to]` of round `k` at which each slot steps, in
     /// flat order. Registered workers draw one dropout decision per tick
-    /// from the run-wide `rng`, tick-major in flat order on the driver
-    /// thread (no draw at all when `dropout` is zero); sampled slots read
-    /// their `(seed, worker, round)` mask. A dropped step is skipped
-    /// entirely: no mini-batch draw, no local step.
+    /// from the run-wide RNG in `streams`, tick-major in flat order on the
+    /// driver thread (no draw at all when `dropout` is zero); sampled slots
+    /// read their round's mask ([`Streams::kept_ticks`]). A dropped step
+    /// is skipped entirely: no mini-batch draw, no local step.
     fn step_ticks(
         &self,
         k: usize,
         from: usize,
         to: usize,
         cfg: &RunConfig,
-        rng: &mut StdRng,
-        slots: usize,
+        streams: &mut Streams,
     ) -> Vec<Vec<usize>> {
+        let slots = streams.ctxs.len();
         match self {
             Participants::Registered { .. } => {
+                let rng = &mut streams.dropout;
                 let mut ticks = vec![Vec::new(); slots];
                 for t in from + 1..=to {
                     for worker in &mut ticks {
@@ -787,19 +808,9 @@ impl<'a> Participants<'a> {
                 }
                 ticks
             }
-            Participants::Sampled { slot_ids, .. } => {
-                let round_start = (k - 1) * cfg.tau;
-                let mask = |g| cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
-                slot_ids
-                    .iter()
-                    .map(|&g| {
-                        let dropped = mask(g);
-                        (from + 1..=to)
-                            .filter(|t| !dropped[t - round_start - 1])
-                            .collect()
-                    })
-                    .collect()
-            }
+            Participants::Sampled { .. } => (0..slots)
+                .map(|slot| streams.kept_ticks(slot, (k - 1) * cfg.tau, from, to))
+                .collect(),
         }
     }
 
@@ -973,11 +984,7 @@ where
     };
 
     let mut slots = state.workers.len();
-    let Streams {
-        mut ctxs,
-        mut adversaries,
-        mut dropout,
-    } = participants.streams(cfg, &state, start);
+    let mut streams = participants.streams(cfg, &state, start);
     // Edge jobs read the data weights by shared reference while the loop
     // holds `&mut state`; sampled rounds and churn boundaries refresh this
     // copy.
@@ -1013,18 +1020,14 @@ where
         for to in stops {
             let k = to.div_ceil(cfg.tau);
             let t0 = Instant::now();
-            if from.is_multiple_of(cfg.tau) {
-                participants.begin_round(
-                    k,
-                    cfg,
-                    &mut state,
-                    &mut ctxs,
-                    &mut adversaries,
-                    &mut edge_weights,
-                );
+            if sampled && from.is_multiple_of(cfg.tau) {
+                for e in 0..state.hierarchy.num_edges() {
+                    participants.draw_cohort(cfg, &mut state, e, k, &mut streams);
+                }
+                edge_weights = Arc::new(state.weights.clone());
             }
-            let ticks = participants.step_ticks(k, from, to, cfg, &mut dropout, slots);
-            local_steps(&mut pool, &mut state, &mut ctxs, ticks);
+            let ticks = participants.step_ticks(k, from, to, cfg, &mut streams);
+            local_steps(&mut pool, &mut state, &mut streams.ctxs, ticks);
             timings.local_steps += t0.elapsed();
             from = to;
 
@@ -1037,7 +1040,7 @@ where
                 // redistribution at the end of `edge_aggregate` then
                 // overwrites the poisoned fields, exactly as a mailbox
                 // model would.
-                for (worker, adversary) in state.workers.iter_mut().zip(&mut adversaries) {
+                for (worker, adversary) in state.workers.iter_mut().zip(&mut streams.adversaries) {
                     if let Some((attack, sampler, tally)) = adversary {
                         corrupt_upload(worker, attack, sampler, &mut adversary_counters[*tally]);
                     }
@@ -1073,11 +1076,7 @@ where
             // would. The one at `end` applies after the loop.
             if to < end && participants.cross(to, &mut state, strategy)? {
                 slots = state.workers.len();
-                Streams {
-                    ctxs,
-                    adversaries,
-                    dropout,
-                } = participants.streams(cfg, &state, to);
+                streams = participants.streams(cfg, &state, to);
                 pool.set_train_probe(participants.train_probe(cfg, slots));
                 edge_weights = Arc::new(state.weights.clone());
                 in_sync = vec![0; state.edges.len()];

@@ -23,7 +23,8 @@
 //!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings. Both
 //!   engines share its helpers: [`driver::Participants`], the participant
 //!   source that lays out the federation, positions every slot's streams
-//!   at a tick and owns a churn run's topology epochs;
+//!   at a tick, draws each sampled edge's cohort and its slots' streams at
+//!   round start, and owns a churn run's topology epochs;
 //!   [`driver::initial_state`]; and [`driver::aggregate_above_edges`],
 //!   which fires the middle tiers and the root.
 //! - [`pool`] — the lane pool both training loops (this crate's tick loop

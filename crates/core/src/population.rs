@@ -371,11 +371,6 @@ impl WorkerPopulation {
         self.shards.shard_of(g)
     }
 
-    /// The shard assignment rule.
-    pub fn shard_assignment(&self) -> ShardAssignment {
-        self.shards
-    }
-
     /// Per-edge cohort sizes under `sampling`.
     ///
     /// # Errors

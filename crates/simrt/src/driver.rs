@@ -7,23 +7,26 @@
 //! engine over core's participant source, [`Participants`], the one the
 //! tick loop holds too. The source lays out the federation, positions
 //! every registered worker's batcher, dropout RNG and adversary stream at
-//! a topology epoch's first tick ([`Participants::streams`]), owns a churn
-//! run's topology and crosses its boundaries ([`Participants::cross`]),
-//! and names the global model. Beside it the engine keeps only its worker
-//! actors:
+//! a topology epoch's first tick ([`Participants::streams`]), draws a
+//! sampled edge's cohort and writes its slots' streams at each round
+//! start ([`Participants::draw_cohort`]), owns a churn run's topology and
+//! crosses its boundaries ([`Participants::cross`]), and names the global
+//! model. Beside it the engine keeps only its worker actors:
 //!
 //! - **Registered** — persistent worker actors, each stepping on the
 //!   batcher the source positioned and the epoch's dropout table drawn
 //!   from the source's dropout RNG, with crash/recover/die events and
 //!   rejoin snapshots, one `Step` event at a time. A straggler carries
 //!   over into the next round.
-//! - **Sampled** — per-round cohort slots drawn at round start by
-//!   [`draw_edge_cohort`] from the source's population, with streams
-//!   re-derived from `(seed, worker, round)`; absence is decided when the
-//!   cohort is drawn, and `Step` events only advance the clock. The slots'
-//!   segments are computed when their edge fires, in parallel on the pool,
-//!   each lane materializing its slot from the edge's download pair first.
-//!   A straggler is waived at the end of its round (see [`crate::vpop`]).
+//! - **Sampled** — per-round cohort slots whose occupants and training
+//!   streams (batcher, dropout mask, adversary) the source hands over at
+//!   round start in a [`Streams`]; per slot the actor keeps only the
+//!   occupant id, its step count and its `(worker, round)` delay and fault
+//!   streams. Absence is decided when the cohort is drawn, and `Step`
+//!   events only advance the clock. The slots' segments are computed when
+//!   their edge fires, in parallel on the pool, each lane materializing
+//!   its slot from the edge's download pair first. A straggler is waived
+//!   at the end of its round (see [`crate::vpop`]).
 //!
 //! The engine consults its actors only at round start and step
 //! scheduling, the upload's mailbox write, the slots' fill before an
@@ -71,7 +74,6 @@ use std::error::Error;
 use std::fmt;
 use std::mem;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use hieradmo_core::byzantine::corrupt_upload;
 use hieradmo_core::driver::{
@@ -79,11 +81,8 @@ use hieradmo_core::driver::{
     StepCtx, Streams,
 };
 use hieradmo_core::elastic::Churn;
-use hieradmo_core::pool::{Download, ExecCtx, Pool, Segment};
-use hieradmo_core::population::{
-    adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, draw_edge_cohort,
-    fault_stream, weighted_edge_average,
-};
+use hieradmo_core::pool::{ExecCtx, Pool, Segment};
+use hieradmo_core::population::{delay_stream, fault_stream, weighted_edge_average};
 use hieradmo_core::{FlState, RunConfig, RunError, Strategy, TierScope, WorkerState};
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
@@ -91,9 +90,7 @@ use hieradmo_metrics::{
     EvalPoint, FaultCounters, TimedCurve, TimedPoint, TopologyCounters,
 };
 use hieradmo_models::{Evaluation, Model};
-use hieradmo_netsim::{
-    AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkFaults,
-};
+use hieradmo_netsim::{Architecture, DelaySampler, FaultSampler, LinkFaults};
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, TierAggregation};
 use rand::Rng;
@@ -273,15 +270,14 @@ struct WorkerSim {
     advers: AdversaryCounters,
 }
 
-/// Round-scoped context of one sampled cohort slot, rebuilt from
-/// `(seed, worker_id, round)` at every materialization.
+/// The network side of one sampled cohort slot, rebuilt from `(seed,
+/// worker_id, round)` at every round start; its training streams live in
+/// the actor's [`Streams`].
 struct SlotCtx {
     /// Global (population) id of the worker occupying the slot this round.
     gid: u64,
     /// The slot's edge (fixed: the cohort hierarchy is constant).
     edge: usize,
-    /// The worker's shard index this round.
-    shard: usize,
     /// `Step` events processed this round: the length of the segment the
     /// edge's firing computes for the slot.
     steps: usize,
@@ -290,37 +286,6 @@ struct SlotCtx {
     /// This round's private fault stream (`None` when the plan is empty,
     /// so fault-free runs draw nothing).
     fsampler: Option<FaultSampler>,
-    /// Per-step dropout mask for this round (all-false without dropout).
-    dropped: Vec<bool>,
-    /// The occupying worker's attack and its adversary-plan index, if it
-    /// is Byzantine.
-    attack: Option<(AttackModel, usize)>,
-}
-
-impl SlotCtx {
-    /// The slot's round-`k` segment over its first `steps` steps: the
-    /// non-dropped ticks among them, on `worker` freshly materialized from
-    /// `download` by the lane, on a fresh stream of the round's batches.
-    fn segment(
-        &self,
-        cfg: &RunConfig,
-        shard_sizes: &[u64],
-        k: usize,
-        steps: usize,
-        worker: WorkerState,
-        download: &Arc<Download>,
-    ) -> Segment {
-        let round_start = (k - 1) * cfg.tau;
-        let ticks = (1..=steps).filter(|&st| !self.dropped[st - 1]);
-        let seed = batcher_seed(cfg.seed, self.gid, k as u64);
-        Segment {
-            ticks: ticks.map(|st| round_start + st).collect(),
-            worker,
-            download: Some(Arc::clone(download)),
-            data: self.shard,
-            batcher: Batcher::new(shard_sizes[self.shard] as usize, cfg.batch_size, seed),
-        }
-    }
 }
 
 /// An edge actor: its workers' round barrier plus its clock and link
@@ -375,9 +340,11 @@ struct Registered {
 /// one aggregate worker entry, adversaries as one entry per plan entry.
 struct Sampled {
     slots: Vec<SlotCtx>,
-    /// Per edge: its current round's download pair, every segment's start
-    /// when the edge fires.
-    downloads: Vec<Arc<Download>>,
+    /// Every slot's step context, dropout mask and adversary, written by
+    /// the source at its edge's round start
+    /// ([`Participants::draw_cohort`]); an edge's firing takes the step
+    /// contexts.
+    streams: Streams,
     /// Slot buffers between firings: an edge's firing pops one per slot
     /// and returns them after its hook.
     spare: Vec<WorkerState>,
@@ -591,6 +558,7 @@ impl Registered {
             ctxs,
             adversaries,
             mut dropout,
+            ..
         } = source.streams(cfg, fl, start);
         let active = if cfg.dropout == 0.0 {
             Vec::new()
@@ -647,9 +615,9 @@ impl Registered {
 
 impl Sampled {
     /// The cohort slots of `fl`'s edges, their contexts placeholders
-    /// until each round's materialization rebuilds every field but the
-    /// edge.
-    fn new(fl: &FlState, cfg: &RunConfig, sim: &SimConfig) -> Self {
+    /// until each round start rebuilds every field but the edge, and
+    /// `source`'s streams for them, empty until then.
+    fn new(source: &Participants<'_>, fl: &FlState, cfg: &RunConfig, sim: &SimConfig) -> Self {
         let hierarchy = &fl.hierarchy;
         let l_count = hierarchy.num_edges();
         let slots = (0..l_count)
@@ -657,17 +625,14 @@ impl Sampled {
             .map(|edge| SlotCtx {
                 gid: 0,
                 edge,
-                shard: 0,
                 steps: 0,
                 delays: DelaySampler::from_stream(sim.net_seed, 0),
                 fsampler: None,
-                dropped: vec![false; cfg.tau],
-                attack: None,
             })
             .collect();
         Sampled {
             slots,
-            downloads: (0..l_count).map(|e| Download::of(fl, e)).collect(),
+            streams: source.streams(cfg, fl, 0),
             spare: Vec::new(),
             absent: vec![false; hierarchy.num_workers()],
             retired: vec![false; l_count],
@@ -723,7 +688,7 @@ where
             Participants::Registered { .. } => {
                 Actors::Registered(Registered::new(&source, &fl, cfg, sim, 0, limit))
             }
-            Participants::Sampled { .. } => Actors::Sampled(Sampled::new(&fl, cfg, sim)),
+            Participants::Sampled { .. } => Actors::Sampled(Sampled::new(&source, &fl, cfg, sim)),
         };
         let sampled = matches!(actors, Actors::Sampled(_));
         let (edges, cloud) = Engine::<M, S>::aggregators(&fl, sampled, cfg, sim, submit_period, 0);
@@ -1107,28 +1072,20 @@ where
         self.maybe_fire_cloud(now);
     }
 
-    /// Round start of sampled edge `e`: draw its cohort, decide each
-    /// occupant's absence up front, snapshot the edge's download pair and
-    /// charge the downloads. The slots' `Step` events only advance the
-    /// virtual clock; their segments are computed when the edge fires.
+    /// Round start of sampled edge `e`: the source draws its cohort and
+    /// writes the slots' streams ([`Participants::draw_cohort`]); here each
+    /// occupant's absence is decided up front and the downloads charged.
+    /// The slots' `Step` events only advance the virtual clock; their
+    /// segments are computed when the edge fires.
     fn start_round(&mut self, e: usize, now: f64) {
-        let cfg = self.cfg;
         let sim = self.sim;
         let faults_on = self.faults_on;
         let k = self.edges[e].barrier.round();
         let range = self.fl.hierarchy.edge_workers(e);
-        let Participants::Sampled {
-            population,
-            shard_sizes,
-            sampler,
-            ..
-        } = &self.source
-        else {
-            unreachable!("a round start in a registered run");
-        };
         let s = self.actors.sampled();
-        let ids = draw_edge_cohort(&mut self.fl, population, shard_sizes, sampler, e, k);
-        s.downloads[e] = Download::of(&self.fl, e);
+        let ids = self
+            .source
+            .draw_cohort(self.cfg, &mut self.fl, e, k, &mut s.streams);
         let mut live = false;
         for (j, &g) in ids.iter().enumerate() {
             let slot = range.start + j;
@@ -1164,14 +1121,9 @@ where
             self.edges[e].barrier.refill(j);
             let ctx = &mut s.slots[slot];
             ctx.gid = g;
-            ctx.shard = population.shard_of(g);
             ctx.steps = 0;
             ctx.delays = DelaySampler::from_stream(sim.net_seed, delay_stream(g, k as u64));
             ctx.fsampler = fsampler;
-            ctx.dropped = cohort_dropout_mask(cfg.seed, g, k as u64, cfg.tau, cfg.dropout);
-            let plan = &cfg.adversary.byzantine;
-            let entry = plan.iter().position(|b| b.worker as u64 == g);
-            ctx.attack = entry.map(|entry| (plan[entry].attack, entry));
             if absent {
                 s.faults.lost_uploads += 1;
                 continue; // down for the round: no download, no steps
@@ -1213,7 +1165,7 @@ where
             worker: slot,
             round: self.edges[ctx.edge].barrier.round(),
         };
-        if ctx.dropped[ctx.steps] {
+        if s.streams.masks[slot][ctx.steps] {
             // Dropped step: the device sits idle — no compute draw, and
             // (in `on_slot_step`) no mini-batch draw and no local step,
             // exactly matching the tick-driven cohort rounds.
@@ -1555,41 +1507,47 @@ where
     /// only time they are read, and hands the buffers back to the spare
     /// list right after it (`fire_edge`), so one edge's cohort is resident
     /// at a time. Every slot's segment is computed here on the pool, from
-    /// the round's download pair over the non-dropped ticks among the
-    /// `steps` its `Step` events reached, on a fresh stream of the round's
-    /// batches: τ for a slot that arrived (or has its upload in flight),
-    /// fewer for a straggler a relaxed firing catches mid-round, none for
-    /// an absent slot, which holds the download itself. A straggler never
-    /// steps again in its round, and full-sync firings have none. The
-    /// arrived Byzantine slots are then poisoned in slot order, each from
-    /// a fresh per-(worker, round) stream, so the draw is independent of
-    /// event interleaving and of every other corruption. Registered runs
-    /// keep their mailbox as it is.
+    /// the step context the source drew at round start — the round's
+    /// download pair and an untouched batcher — over the ticks its mask
+    /// keeps among the `steps` its `Step` events reached: τ for a slot that
+    /// arrived (or has its upload in flight), fewer for a straggler a
+    /// relaxed firing catches mid-round, none for an absent slot, which
+    /// holds the download itself. A straggler never steps again in its
+    /// round, and full-sync firings have none. The arrived Byzantine slots
+    /// are then poisoned in slot order, each from its own per-(worker,
+    /// round) stream, so the draw is independent of event interleaving and
+    /// of every other corruption. Registered runs keep their mailbox as it
+    /// is.
     fn fill_slots(&mut self, e: usize) {
-        let (Actors::Sampled(s), Participants::Sampled { shard_sizes, .. }) =
-            (&mut self.actors, &self.source)
-        else {
+        let Actors::Sampled(s) = &mut self.actors else {
             return;
         };
-        let cfg = self.cfg;
         let barrier = &self.edges[e].barrier;
-        let k = barrier.round();
+        let round_start = (barrier.round() - 1) * self.cfg.tau;
         let range = self.fl.hierarchy.edge_workers(e);
-        let segments = s.slots[range.clone()]
-            .iter()
-            .map(|ctx| {
-                let worker = s.spare.pop().unwrap_or_default();
-                ctx.segment(cfg, shard_sizes, k, ctx.steps, worker, &s.downloads[e])
+        let segments = range
+            .clone()
+            .map(|slot| {
+                let ctx = s.streams.ctxs[slot]
+                    .take()
+                    .expect("a drawn slot holds a stream");
+                let end = round_start + s.slots[slot].steps;
+                Segment {
+                    ticks: s.streams.kept_ticks(slot, round_start, round_start, end),
+                    worker: s.spare.pop().unwrap_or_default(),
+                    download: ctx.download,
+                    data: ctx.data,
+                    batcher: ctx.batcher,
+                }
             })
             .collect();
         let segments = self.pool.run_segments(segments);
         for (j, (slot, seg)) in range.zip(segments).enumerate() {
-            let (mailbox, ctx) = (&mut self.fl.workers[slot], &s.slots[slot]);
+            let mailbox = &mut self.fl.workers[slot];
             *mailbox = seg.worker;
-            if let Some((attack, entry)) = ctx.attack.filter(|_| barrier.arrived(j)) {
-                let stream = adversary_stream(ctx.gid, k as u64);
-                let mut sampler = AdversarySampler::from_stream(cfg.seed, stream);
-                corrupt_upload(mailbox, &attack, &mut sampler, &mut s.adversaries[entry]);
+            let adversary = s.streams.adversaries[slot].as_mut();
+            if let Some((attack, sampler, entry)) = adversary.filter(|_| barrier.arrived(j)) {
+                corrupt_upload(mailbox, attack, sampler, &mut s.adversaries[*entry]);
             }
         }
     }

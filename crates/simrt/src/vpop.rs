@@ -7,10 +7,13 @@
 //! validates the population and runs it through the one co-simulation
 //! engine (`crate::driver`). Under full participation the engine runs the
 //! materialized population as registered workers, exactly as
-//! [`crate::simulate`] does; under sampling it runs the engine's sampled
-//! participant source, whose per-slot RNG streams — mini-batch order,
-//! adversary draws, network delays, fault draws, dropout masks — all
-//! re-derive from `(seed, worker_id, round)`. Under
+//! [`crate::simulate`] does; under sampling it runs sampled cohort slots.
+//! Their training streams — mini-batch order, dropout masks, adversary
+//! draws — come from core's participant source at each round start
+//! ([`Participants::draw_cohort`](hieradmo_core::driver::Participants::draw_cohort)),
+//! the one the tick engine draws its cohorts from; the engine adds only
+//! network delays and fault draws. All re-derive from `(seed, worker_id,
+//! round)`. Under
 //! [`SyncPolicy::FullSync`](crate::SyncPolicy::FullSync) the model
 //! trajectory is therefore bitwise identical to the tick engine's and
 //! independent of thread count (gated by

@@ -157,7 +157,8 @@ impl TierTree {
     /// # Errors
     ///
     /// Returns a message when there are fewer than two levels (depth < 3),
-    /// any fanout or interval is zero, or the actor counts overflow.
+    /// any fanout or interval is zero, or the actor counts or the root
+    /// period in ticks (the product of every interval) overflow.
     pub fn new(levels: Vec<TierSpec>) -> Result<Self, String> {
         if levels.len() < 2 {
             return Err(format!(
@@ -166,7 +167,7 @@ impl TierTree {
                 levels.len()
             ));
         }
-        let mut actors: usize = 1;
+        let (mut actors, mut ticks) = (1usize, 1usize);
         for (d, spec) in levels.iter().enumerate() {
             if spec.fanout == 0 {
                 return Err(format!("level {d} has zero fanout"));
@@ -177,6 +178,9 @@ impl TierTree {
             actors = actors
                 .checked_mul(spec.fanout)
                 .ok_or_else(|| format!("actor count overflows at level {d}"))?;
+            ticks = ticks
+                .checked_mul(spec.interval)
+                .ok_or_else(|| format!("root period in ticks overflows at level {d}"))?;
         }
         Ok(TierTree { levels })
     }
@@ -460,6 +464,7 @@ mod tests {
         assert!(TierTree::new(vec![TierSpec::new(0, 1), TierSpec::new(2, 5)]).is_err());
         assert!(TierTree::new(vec![TierSpec::new(2, 0), TierSpec::new(2, 5)]).is_err());
         assert!(TierTree::new(vec![TierSpec::new(usize::MAX, 1), TierSpec::new(2, 5)]).is_err());
+        assert!(TierTree::new(vec![TierSpec::new(1, 1 << 33), TierSpec::new(1, 1 << 33)]).is_err());
     }
 
     #[test]
@@ -479,6 +484,8 @@ mod tests {
         assert!(serde_json::from_str::<TierTree>(bad).is_err());
         let shallow = r#"[{"fanout":4,"interval":10}]"#;
         assert!(serde_json::from_str::<TierTree>(shallow).is_err());
+        let long = r#"[{"fanout":1,"interval":8589934592},{"fanout":1,"interval":8589934592}]"#;
+        assert!(serde_json::from_str::<TierTree>(long).is_err());
     }
 
     #[test]

@@ -1402,10 +1402,12 @@ proptest! {
 }
 
 /// The tentpole gate: depth {3, 4, 5} × {FullSync, Deadline, AsyncAge} ×
-/// {clean, faults, adversary}. Every cell completes, replays bitwise,
-/// and is invariant to the engine thread count; FullSync cells without
-/// faults additionally match the tick-driven engine bit for bit — per-
-/// tier γ traces included — because that is where exactness is promised.
+/// {clean, faults, adversary, dropout}. Every cell completes, replays
+/// bitwise, and is invariant to the engine thread count; FullSync cells
+/// without faults additionally match the tick-driven engine bit for bit —
+/// per-tier γ traces included — because that is where exactness is
+/// promised. The dropout cells are the only ones that run sampled cohorts
+/// with per-(worker, round) dropout masks.
 #[test]
 fn depth_policy_chaos_matrix() {
     for tree in sampled_matrix_trees() {
@@ -1424,6 +1426,14 @@ fn depth_policy_chaos_matrix() {
             ("clean", f.cfg.clone(), FaultPlan::none()),
             ("faults", f.cfg.clone(), sampled_fault_plan()),
             ("adversary", adversary_cfg, FaultPlan::none()),
+            (
+                "dropout",
+                RunConfig {
+                    dropout: 0.3,
+                    ..f.cfg.clone()
+                },
+                FaultPlan::none(),
+            ),
         ];
         for policy in matrix_policies() {
             for (chaos, cfg, faults) in &variants {
